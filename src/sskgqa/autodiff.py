@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-
 
 class ShapeError(Exception):
     pass
@@ -149,9 +147,10 @@ def mean_rows(a: Node) -> Node:
 
 def softmax(a: Node) -> Node:
     """Row-wise max-shifted softmax."""
-    y = kernels.softmax_rows(a.value)
+    e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
     out = Node(y, (a,))
-    out._backward = lambda g: a.accumulate(kernels.softmax_rows_backward(y, g))
+    out._backward = lambda g: a.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True)))
     return out
 
 
@@ -293,15 +292,23 @@ def concat_cols(a: Node, b: Node) -> Node:
     return out
 
 
-def complex_mul(a: Node, b: Node) -> Node:
-    """Elementwise complex product of half-split vectors.
+def complex_mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise complex product of half-split (n, d) arrays.
 
     Columns [0, d/2) hold real parts, [d/2, d) imaginary parts:
     (a_lh*b_lh - a_hh*b_hh, a_hh*b_lh + a_lh*b_hh).
     """
+    h = a.shape[1] // 2
+    ar, ai = a[:, :h], a[:, h:]
+    br, bi = b[:, :h], b[:, h:]
+    return np.concatenate([ar * br - ai * bi, ai * br + ar * bi], axis=1)
+
+
+def complex_mul(a: Node, b: Node) -> Node:
+    """Differentiable complex_mul_packed of two half-split nodes."""
     _same_shape(a, b, "complex_mul")
     h = _check_even(a, "complex_mul")
-    out = Node(kernels.complex_mul_packed(a.value, b.value), (a, b))
+    out = Node(complex_mul_packed(a.value, b.value), (a, b))
 
     def backward(g):
         gr, gi = g[:, :h], g[:, h:]

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
-from .encoder import EncoderConfig, SequenceEncoder, Vocab
+from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .embeddings import EmbeddingTable
 from .optim import AdamW, clip_global_norm
 from .structures import Taxonomy
@@ -50,7 +49,7 @@ def rotate_fuse(eh: np.ndarray, eq: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {eh.shape[1]} vs {eq.shape[1]}")
     if eh.shape[1] % 2 != 0:
         raise ValueError("dimension must be even")
-    et = kernels.complex_mul_packed(eh, eq)
+    et = ad.complex_mul_packed(eh, eq)
     return (eh + eq + et)[0]
 
 
@@ -154,47 +153,19 @@ def train_classifier(
 
 
 def save_classifier(model: ClassifierModel, path: str) -> None:
-    """`ssk-clf v1` header (config, vocab, labels) + float32 LE payload."""
-    enc = model.encoder
-    cfg = enc.cfg
-    with open(path, "wb") as f:
-        f.write(f"{MAGIC}\n".encode())
-        f.write(
-            f"dims {cfg.out_dim} {cfg.d_model} {cfg.heads} {cfg.ff_width} "
-            f"{int(cfg.use_attention)} {cfg.dropout}\n".encode()
-        )
-        f.write(f"vocab {len(enc.vocab)}\n".encode())
-        for tok in enc.vocab.tokens:
-            f.write((tok + "\n").encode())
-        f.write(f"labels {len(model.labels)}\n".encode())
-        for label in model.labels:
-            f.write((label + "\n").encode())
-        payload = np.concatenate(
-            [enc.payload(), model.w.value.astype(np.float32).ravel(), model.b.value.astype(np.float32).ravel()]
-        )
-        f.write(f"floats {payload.size}\n".encode())
-        f.write(payload.astype("<f4").tobytes())
+    """`ssk-clf v1` checkpoint: config, vocab, labels, encoder payload, then
+    the head weights and bias."""
+    write_checkpoint(
+        path, MAGIC, model.encoder, {"labels": model.labels}, (model.w.value, model.b.value)
+    )
 
 
 def load_classifier(model_path: str, table: EmbeddingTable, taxonomy: Taxonomy) -> ClassifierModel:
-    with open(model_path, "rb") as f:
-        if f.readline().decode().strip() != MAGIC:
-            raise ClassifierError(f"bad classifier checkpoint: {model_path}")
-        dims = f.readline().decode().split()
-        out_dim, d_model, heads, ff = map(int, dims[1:5])
-        use_att, dropout = bool(int(dims[5])), float(dims[6])
-        nvocab = int(f.readline().decode().split()[1])
-        tokens = [f.readline().decode().rstrip("\n") for _ in range(nvocab)]
-        nlabels = int(f.readline().decode().split()[1])
-        labels = [f.readline().decode().rstrip("\n") for _ in range(nlabels)]
-        count = int(f.readline().decode().split()[1])
-        flat = np.frombuffer(f.read(), dtype="<f4").astype(np.float64)
-    if flat.size != count:
-        raise ClassifierError("classifier payload size mismatch")
-    if labels != taxonomy.labels():
+    cfg, vocab, sections, flat = read_checkpoint(
+        model_path, MAGIC, ("labels",), lambda cfg, s: (cfg.out_dim + 1) * len(s["labels"])
+    )
+    if sections["labels"] != taxonomy.labels():
         raise ClassifierError("checkpoint taxonomy labels do not match")
-    vocab = Vocab(tokens[1:])  # index 0 is the OOV bucket
-    cfg = EncoderConfig(out_dim, d_model, heads, ff, use_att, dropout)
     rng = np.random.default_rng(0)
     model = ClassifierModel(SequenceEncoder(vocab, cfg, rng), table, taxonomy, rng)
     off = model.encoder.load_payload(flat)

@@ -207,6 +207,7 @@ def cmd_evaluate(args) -> int:
             "correct": report.correct,
             "unsupported": report.unsupported,
             "no_candidates": report.no_candidates,
+            "unknown_topic": report.unknown_topic,
             "mode": args.mode,
         }
     )

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import kernels
 from .kg import KnowledgeGraph
 from .optim import AdamW, clip_global_norm
 
@@ -66,12 +65,12 @@ class EmbeddingTable:
         if self.kind == "transe":
             return -np.linalg.norm(eh + self.rel[r : r + 1] - et, axis=1)
         if self.kind == "complex":
-            hr = kernels.complex_mul_packed(eh, self.rel[r : r + 1])
+            hr = ad.complex_mul_packed(eh, self.rel[r : r + 1])
             return (hr * et).sum(axis=1)
         half = self.d // 2
         theta = self.rel[r, :half]
         unit = np.concatenate([np.cos(theta), np.sin(theta)]).reshape(1, -1)
-        rotated = kernels.complex_mul_packed(eh, unit)
+        rotated = ad.complex_mul_packed(eh, unit)
         return -np.linalg.norm(rotated - et, axis=1)
 
 
@@ -192,7 +191,10 @@ def load_table(path: str) -> EmbeddingTable:
         if header[:2] != MAGIC.split() or len(header) != 6:
             raise EmbeddingError(f"bad embedding checkpoint header in {path}")
         kind, n, r, d = header[2], int(header[3]), int(header[4]), int(header[5])
-        flat = np.frombuffer(f.read(), dtype="<f4").astype(np.float64)
+        raw = f.read()
+    if len(raw) % 4 != 0:
+        raise EmbeddingError(f"embedding payload of {len(raw)} bytes is not a whole number of float32 values")
+    flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     if flat.size != (n + r) * d:
         raise EmbeddingError("embedding payload size mismatch")
     ent = flat[: n * d].reshape(n, d).copy()

@@ -1,10 +1,12 @@
 """Shared trainable sequence encoder: token embeddings, one optional
 multi-head self-attention block with a feed-forward layer, mean pooling and a
-linear projection."""
+linear projection. Also the checkpoint codec of the models built on it (the
+ranker and the classifier)."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +48,24 @@ class Vocab:
         return [self._index.get(t, 0) for t in tokens]
 
 
+def param_shapes(cfg: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, int]]:
+    """Parameter name -> shape, in initialization and checkpoint order."""
+    d, f = cfg.d_model, cfg.ff_width
+    shapes = {"tok_emb": (vocab_size, d)}
+    if cfg.use_attention:
+        dh = d // cfg.heads
+        for h in range(cfg.heads):
+            for w in ("wq", "wk", "wv"):
+                shapes[f"{w}{h}"] = (d, dh)
+        shapes["wo"] = (d, d)
+        shapes["ff_w1"] = (d, f)
+        shapes["ff_b1"] = (1, f)
+        shapes["ff_w2"] = (f, d)
+        shapes["ff_b2"] = (1, d)
+    shapes["proj"] = (d, cfg.out_dim)
+    return shapes
+
+
 class SequenceEncoder:
     """f(.) applied to both questions and serialized query graphs."""
 
@@ -53,24 +73,12 @@ class SequenceEncoder:
         self.vocab = vocab
         self.cfg = cfg
         self.encode_calls = 0  # efficiency contract instrumentation
-        d, f = cfg.d_model, cfg.ff_width
-        dh = d // cfg.heads if cfg.use_attention else 0
-
-        def init(*shape):
-            return ad.parameter(rng.normal(0.0, 0.1, size=shape))
-
-        self.params: dict[str, ad.Node] = {"tok_emb": init(len(vocab), d)}
-        if cfg.use_attention:
-            for h in range(cfg.heads):
-                self.params[f"wq{h}"] = init(d, dh)
-                self.params[f"wk{h}"] = init(d, dh)
-                self.params[f"wv{h}"] = init(d, dh)
-            self.params["wo"] = init(d, d)
-            self.params["ff_w1"] = init(d, f)
-            self.params["ff_b1"] = ad.parameter(np.zeros((1, f)))
-            self.params["ff_w2"] = init(f, d)
-            self.params["ff_b2"] = ad.parameter(np.zeros((1, d)))
-        self.params["proj"] = init(d, cfg.out_dim)
+        self.params: dict[str, ad.Node] = {
+            name: ad.parameter(
+                np.zeros(shape) if name.startswith("ff_b") else rng.normal(0.0, 0.1, size=shape)
+            )
+            for name, shape in param_shapes(cfg, len(vocab)).items()
+        }
 
     def parameters(self) -> list[ad.Node]:
         return list(self.params.values())
@@ -109,7 +117,7 @@ class SequenceEncoder:
         """Inference-mode vector (dropout off)."""
         return self.forward(tokens).value.copy()
 
-    # -- checkpoint payload helpers (header written by the owning model) --
+    # -- checkpoint payload (see write_checkpoint) --
 
     def param_names(self) -> list[str]:
         return list(self.params)
@@ -127,3 +135,98 @@ class SequenceEncoder:
             p.value[...] = flat[off : off + size].reshape(p.value.shape)
             off += size
         return off
+
+
+class CheckpointError(ValueError):
+    """A model checkpoint is truncated, malformed or does not fit its model."""
+
+
+def write_checkpoint(
+    path: str,
+    magic: str,
+    encoder: SequenceEncoder,
+    sections: dict[str, list[str]] | None = None,
+    head: tuple[np.ndarray, ...] = (),
+) -> None:
+    """Model checkpoint shared by the ranker and the classifier.
+
+    A `magic` line, a `dims` line with the encoder config, counted string
+    sections (`<name> <count>` then one string per line: `vocab` first, then
+    `sections` in order) and `floats N` followed by N float32 LE values: the
+    encoder payload, then each `head` array raveled.
+    """
+    cfg = encoder.cfg
+    lines = [
+        magic,
+        f"dims {cfg.out_dim} {cfg.d_model} {cfg.heads} {cfg.ff_width} "
+        f"{int(cfg.use_attention)} {cfg.dropout}",
+    ]
+    for name, items in {"vocab": encoder.vocab.tokens, **(sections or {})}.items():
+        lines.append(f"{name} {len(items)}")
+        lines.extend(items)
+    payload = np.concatenate([encoder.payload()] + [a.astype(np.float32).ravel() for a in head])
+    lines.append(f"floats {payload.size}")
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode())
+        f.write(payload.astype("<f4").tobytes())
+
+
+def read_checkpoint(
+    path: str,
+    magic: str,
+    sections: tuple[str, ...] = (),
+    head_floats: Callable[[EncoderConfig, dict[str, list[str]]], int] | None = None,
+) -> tuple[EncoderConfig, Vocab, dict[str, list[str]], np.ndarray]:
+    """Parse a write_checkpoint file into (config, vocab, sections, payload).
+
+    Before anything is built, the header is checked line by line and the
+    payload against the parameter count of the model it describes: the
+    encoder's plus head_floats(config, sections).
+    """
+    with open(path, "rb") as f:
+
+        def line(what: str) -> str:
+            raw = f.readline()
+            if not raw.endswith(b"\n"):
+                raise CheckpointError(f"{path}: truncated in the {what}")
+            try:
+                return raw[:-1].decode()
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: undecodable {what}") from None
+
+        def counted(name: str) -> int:
+            fields = line(f"{name} count").split()
+            if len(fields) != 2 or fields[0] != name or not fields[1].isdecimal():
+                raise CheckpointError(f"{path}: expected '{name} <count>'")
+            return int(fields[1])
+
+        if line("magic line") != magic:
+            raise CheckpointError(f"{path}: not a {magic} checkpoint")
+        dims = line("dims line").split()
+        if len(dims) != 7 or dims[0] != "dims":
+            raise CheckpointError(f"{path}: dims line needs 6 fields")
+        try:
+            sizes = [int(v) for v in dims[1:5]]
+            if min(sizes) < 1:
+                raise ValueError("sizes must be positive")
+            cfg = EncoderConfig(*sizes, bool(int(dims[5])), float(dims[6]))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: bad dims line: {exc}") from None
+        found = {
+            name: [line(f"{name} section") for _ in range(counted(name))]
+            for name in ("vocab", *sections)
+        }
+        vocab = Vocab(found["vocab"][1:])
+        if vocab.tokens != found["vocab"]:
+            raise CheckpointError(f"{path}: vocab section is not {OOV} then sorted unique tokens")
+        count = counted("floats")
+        need = sum(r * c for r, c in param_shapes(cfg, len(vocab)).values())
+        need += head_floats(cfg, found) if head_floats else 0
+        if count != need:
+            raise CheckpointError(f"{path}: header declares {count} floats, the model needs {need}")
+        raw = f.read()
+    if len(raw) != 4 * count:
+        raise CheckpointError(
+            f"{path}: payload is {len(raw)} bytes, {count} floats need {4 * count}"
+        )
+    return cfg, vocab, found, np.frombuffer(raw, dtype="<f4").astype(np.float64)

@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
 
 def global_norm(grads: list[np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g**2).sum()) for g in grads)))
@@ -19,7 +17,7 @@ def clip_global_norm(grads: list[np.ndarray], max_norm: float = 1.0) -> list[np.
     if norm > max_norm:
         factor = max_norm / norm
         for g in grads:
-            kernels.scale_inplace(g, factor)
+            g *= factor
     return grads
 
 
@@ -45,15 +43,11 @@ class AdamW:
             if i not in self._m:
                 self._m[i] = np.zeros_like(p)
                 self._v[i] = np.zeros_like(p)
-            kernels.adamw_update(
-                p,
-                g,
-                self._m[i],
-                self._v[i],
-                self.step_count,
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.weight_decay,
-            )
+            m, v = self._m[i], self._v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            mhat = m / (1.0 - self.beta1**self.step_count)
+            vhat = v / (1.0 - self.beta2**self.step_count)
+            p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)) + self.lr * self.weight_decay * p

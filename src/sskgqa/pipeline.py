@@ -65,7 +65,7 @@ class AnswerResult:
     graph: QueryGraph | None
     answers: set[str]
     predicted_structure: str | None
-    status: str  # "ok" | "no_candidates" | "unsupported"
+    status: str  # "ok" | "no_candidates" | "unsupported" | "unknown_topic"
 
 
 @dataclass
@@ -76,7 +76,6 @@ class QuestionRecord:
     gold_structure: str | None
     structure_correct: bool | None
     top1: str | None  # canonical form of the ranked top-1 graph
-    top1_in_filtered: bool | None
     answers: list[str]
     correct: bool
 
@@ -88,6 +87,7 @@ class EvalReport:
     correct: int
     unsupported: int
     no_candidates: int
+    unknown_topic: int
     records: list[QuestionRecord]
 
 
@@ -121,7 +121,7 @@ def answer_question(
     elif cfg.mode == "oracle":
         if gold_label == UNSUPPORTED:
             result = AnswerResult(None, set(), None, "unsupported")
-            return result, _record(q, result, gold_label, None, None)
+            return result, _record(q, result, gold_label, None)
         structure = cfg.taxonomy.get(gold_label)
 
     cands = enumerate_candidates(kg, q.topic_entity, _derived_enum(cfg.enum, structure)).graphs
@@ -135,7 +135,7 @@ def answer_question(
             filtered = cands
     if not filtered:
         result = AnswerResult(None, set(), predicted, "no_candidates")
-        return result, _record(q, result, gold_label, None, None)
+        return result, _record(q, result, gold_label, None)
 
     ranked = rank_candidates(cfg.ranker, tokens, filtered)
     best = ranked[0]
@@ -145,10 +145,10 @@ def answer_question(
         answer_ids = set()
     answers = {kg.entities.symbol_of(a) for a in answer_ids}
     result = AnswerResult(best, answers, predicted, "ok")
-    return result, _record(q, result, gold_label, canonicalize(best), filtered)
+    return result, _record(q, result, gold_label, canonicalize(best))
 
 
-def _record(q, result, gold_label, top1_key, filtered) -> QuestionRecord:
+def _record(q, result, gold_label, top1_key) -> QuestionRecord:
     gold = gold_label if gold_label != UNSUPPORTED else None
     return QuestionRecord(
         id=q.id,
@@ -161,9 +161,6 @@ def _record(q, result, gold_label, top1_key, filtered) -> QuestionRecord:
             else result.predicted_structure == gold
         ),
         top1=top1_key,
-        top1_in_filtered=(
-            None if top1_key is None else any(canonicalize(g) == top1_key for g in filtered)
-        ),
         answers=sorted(result.answers),
         correct=bool(result.answers & set(q.answers)),
     )
@@ -171,12 +168,17 @@ def _record(q, result, gold_label, top1_key, filtered) -> QuestionRecord:
 
 def evaluate(cfg: PipelineConfig, dataset: list[LabeledQuestion]) -> EvalReport:
     """Hits@1 over the dataset; a question is correct iff its executed answer
-    set intersects the gold answers."""
+    set intersects the gold answers. A question whose topic entity is not in
+    the KG is recorded with status "unknown_topic" and counts as wrong."""
     if not dataset:
         raise PipelineError("dataset must be non-empty")
     records = []
     for q in dataset:
-        _, rec = answer_question(cfg, q)
+        if q.topic_entity in cfg.kg.entities:
+            _, rec = answer_question(cfg, q)
+        else:
+            result = AnswerResult(None, set(), None, "unknown_topic")
+            rec = _record(q, result, label_question(q, cfg.taxonomy), None)
         records.append(rec)
     correct = sum(1 for r in records if r.correct)
     return EvalReport(
@@ -185,5 +187,6 @@ def evaluate(cfg: PipelineConfig, dataset: list[LabeledQuestion]) -> EvalReport:
         correct=correct,
         unsupported=sum(1 for r in records if r.status == "unsupported"),
         no_candidates=sum(1 for r in records if r.status == "no_candidates"),
+        unknown_topic=sum(1 for r in records if r.status == "unknown_topic"),
         records=records,
     )

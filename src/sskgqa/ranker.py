@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .candidates import EnumConfig, enumerate_candidates
-from .encoder import EncoderConfig, SequenceEncoder, Vocab
+from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, clip_global_norm
 from .querygraph import QueryGraph, canonicalize, serialize_tokens
@@ -70,11 +70,6 @@ class RankerModel:
     def encode_sequence(self, tokens: list[str]) -> np.ndarray:
         return self.encoder.encode(tokens)
 
-    def score_candidate(self, question_tokens: list[str], g: QueryGraph) -> float:
-        f_q = self.encode_sequence(question_tokens)
-        f_g = self.encode_sequence(serialize_tokens(g))
-        return -float(np.linalg.norm(f_q - f_g))
-
     def score_all(self, question_tokens: list[str], cands: list[QueryGraph]) -> list[float]:
         """Scores for one evaluation pass: each sequence encoded exactly once."""
         f_q = self.encode_sequence(question_tokens)
@@ -98,9 +93,6 @@ class TokenOverlapRanker:
             scores.append(len(q & toks) / len(q | toks) if q | toks else 0.0)
         return scores
 
-    def score_candidate(self, question_tokens: list[str], g: QueryGraph) -> float:
-        return self.score_all(question_tokens, [g])[0]
-
 
 def rank_candidates(ranker, question_tokens: list[str], cands: list[QueryGraph]) -> list[QueryGraph]:
     """Descending score; ties broken by ascending canonical string."""
@@ -109,10 +101,6 @@ def rank_candidates(ranker, question_tokens: list[str], cands: list[QueryGraph])
     scores = ranker.score_all(question_tokens, cands)
     keyed = sorted(zip(scores, (canonicalize(g) for g in cands), cands), key=lambda x: (-x[0], x[1]))
     return [g for _, _, g in keyed]
-
-
-def top1(ranker, question_tokens: list[str], cands: list[QueryGraph]) -> QueryGraph:
-    return rank_candidates(ranker, question_tokens, cands)[0]
 
 
 def build_training_triplets(
@@ -201,37 +189,12 @@ def train_ranker(
 
 
 def save_ranker(model: RankerModel, path: str) -> None:
-    """`ssk-rank v1` header (config, vocab) + float32 LE payload."""
-    enc = model.encoder
-    cfg = enc.cfg
-    with open(path, "wb") as f:
-        f.write(f"{MAGIC}\n".encode())
-        f.write(
-            f"dims {cfg.out_dim} {cfg.d_model} {cfg.heads} {cfg.ff_width} "
-            f"{int(cfg.use_attention)} {cfg.dropout}\n".encode()
-        )
-        f.write(f"vocab {len(enc.vocab)}\n".encode())
-        for tok in enc.vocab.tokens:
-            f.write((tok + "\n").encode())
-        payload = enc.payload()
-        f.write(f"floats {payload.size}\n".encode())
-        f.write(payload.astype("<f4").tobytes())
+    """`ssk-rank v1` checkpoint: config, vocab and the encoder payload."""
+    write_checkpoint(path, MAGIC, model.encoder)
 
 
 def load_ranker(path: str) -> RankerModel:
-    with open(path, "rb") as f:
-        if f.readline().decode().strip() != MAGIC:
-            raise RankerError(f"bad ranker checkpoint: {path}")
-        dims = f.readline().decode().split()
-        out_dim, d_model, heads, ff = map(int, dims[1:5])
-        use_att, dropout = bool(int(dims[5])), float(dims[6])
-        nvocab = int(f.readline().decode().split()[1])
-        tokens = [f.readline().decode().rstrip("\n") for _ in range(nvocab)]
-        count = int(f.readline().decode().split()[1])
-        flat = np.frombuffer(f.read(), dtype="<f4").astype(np.float64)
-    if flat.size != count:
-        raise RankerError("ranker payload size mismatch")
-    cfg = EncoderConfig(out_dim, d_model, heads, ff, use_att, dropout)
-    model = RankerModel(SequenceEncoder(Vocab(tokens[1:]), cfg, np.random.default_rng(0)))
+    cfg, vocab, _, flat = read_checkpoint(path, MAGIC)
+    model = RankerModel(SequenceEncoder(vocab, cfg, np.random.default_rng(0)))
     model.encoder.load_payload(flat)
     return model

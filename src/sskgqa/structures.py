@@ -117,9 +117,19 @@ class Taxonomy:
         return self.labels().index(label)
 
     def find_match(self, g: QueryGraph) -> str | None:
-        """Label of the first structure abstract(g) matches, or None."""
-        key = abstract(g).canonical()
+        """Label of the first structure abstract(g) matches, or None.
+
+        Structures with another kind multiset or edge count cannot match, so
+        they are rejected before the factorial canonical search, which then
+        only runs on graphs as small as some structure.
+        """
+        a = abstract(g)
+        kinds, n_edges = sorted(a.kinds), len(a.edges)
+        key = None
         for s in self.structures:
+            if sorted(s.kinds) != kinds or len(s.edges) != n_edges:
+                continue
+            key = key or a.canonical()
             if s.canonical() == key:
                 return s.label
         return None

@@ -85,17 +85,6 @@ def norshteyn_test_question() -> LabeledQuestion:
     )
 
 
-def cher_kg() -> KnowledgeGraph:
-    return build_kg(
-        [
-            ("Chaz", "is_child_of", "Cher"),
-            ("Chaz", "gender", "Male"),
-            ("Chastity", "is_child_of", "Cher"),
-            ("Chastity", "gender", "Female"),
-        ]
-    )
-
-
 def three_hop_benchmark(
     n_questions: int = 200, seed: int = 0
 ) -> tuple[KnowledgeGraph, list[LabeledQuestion]]:

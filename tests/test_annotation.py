@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import pytest
 
 from sskgqa.annotation import (
@@ -107,6 +109,17 @@ def test_label_wsp():
     assert label_wsp(q(sparql=to_sparql(g)), tax) == "SS2"
     assert label_wsp(q(sparql="SELECT ?x WHERE { :a :r ?x . FILTER ( ?x < 3 ) }"), tax) == UNSUPPORTED
     assert label_wsp(q(sparql="not sparql at all"), tax) == UNSUPPORTED
+
+
+def test_label_long_chain_is_bounded():
+    # a 10-node chain matches no structure; it must be rejected without an
+    # n! canonical search (which takes tens of seconds at this size)
+    names = [":a"] + [f"?v{i}" for i in range(1, 9)] + ["?x"]
+    patterns = " ".join(f"{s} :r{i} {o} ." for i, (s, o) in enumerate(zip(names, names[1:])))
+    t0 = perf_counter()
+    label = label_wsp(q(sparql=f"SELECT ?x WHERE {{ {patterns} }}"), builtin_taxonomy())
+    assert label == UNSUPPORTED
+    assert perf_counter() - t0 < 0.5
 
 
 def test_label_question_prefers_hops():

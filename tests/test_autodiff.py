@@ -66,6 +66,14 @@ def test_unary_op_gradients(op):
     check_grad(op, x)
 
 
+def test_softmax_rows_sum_to_one():
+    x = RNG.normal(size=(5, 7))
+    x[0] += 1000.0  # max-shift keeps large logits finite
+    y = ad.softmax(ad.constant(x)).value
+    assert np.all(y >= 0.0)
+    assert np.allclose(y.sum(axis=1), 1.0)
+
+
 def test_log_gradient():
     x = np.abs(RNG.normal(size=(2, 3))) + 0.5
     check_grad(lambda p: ad.sum_all(ad.log(p)), x)

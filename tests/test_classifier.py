@@ -109,3 +109,7 @@ def test_checkpoint_round_trip(tmp_path):
             back.classify(toks, topic), model.classify(toks, topic), atol=1e-6
         )
         assert back.predict(toks, topic) == model.predict(toks, topic)
+    again = str(tmp_path / "again.ckpt")
+    save_classifier(back, again)
+    with open(path, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()

@@ -155,3 +155,61 @@ def test_ablate_requires_grid_choice(toy):
         "--kg", str(toy / "kg.tsv"),
         expect_fail=True,
     )
+
+
+def test_evaluate_records_unknown_topic(toy, trained, tmp_path):
+    data = tmp_path / "questions.jsonl"
+    stray = {"id": "stray", "question": "who is nobody", "topic_entity": "nobody", "answers": []}
+    data.write_text((toy / "questions.jsonl").read_text() + json.dumps(stray) + "\n")
+    recs = json_lines(
+        run_cli(
+            "evaluate", "--dataset", str(data), "--kg", str(toy / "kg.tsv"),
+            "--ranker", trained["rank"], "--mode", "off",
+        )
+    )
+    assert [r["status"] for r in recs if r.get("id") == "stray"] == ["unknown_topic"]
+    assert recs[-1]["total"] == 6
+    assert recs[-1]["unknown_topic"] == 1
+
+
+def _cut(data: bytes, case: str) -> bytes:
+    """A checkpoint damaged in one header part or in its payload."""
+
+    def after(tag: bytes) -> int:  # offset just past the line starting with tag
+        return data.index(b"\n", data.index(b"\n" + tag) + 1) + 1
+
+    if case == "dims":
+        return data[: data.index(b"\ndims ") + 6]
+    if case in ("vocab", "labels"):
+        return data[: after(case.encode() + b" ") + 3]
+    if case == "payload":
+        return data[: after(b"floats ") + 40]
+    if case == "odd":
+        return data + b"\0"
+    # "count": header and payload agree on one float fewer than the model needs
+    start = data.index(b"\nfloats ") + 8
+    end = data.index(b"\n", start)
+    return data[:start] + str(int(data[start:end]) - 1).encode() + data[end:-4]
+
+
+@pytest.mark.parametrize(
+    "model,case",
+    [("rank", c) for c in ("dims", "vocab", "payload", "odd", "count")]
+    + [("clf", c) for c in ("dims", "vocab", "labels", "payload", "odd", "count")],
+)
+def test_damaged_checkpoint_is_one_error_line(toy, trained, tmp_path, model, case):
+    bad = tmp_path / f"{model}.ckpt"
+    with open(trained[model], "rb") as f:
+        bad.write_bytes(_cut(f.read(), case))
+    ckpts = dict(trained, **{model: str(bad)})
+    proc = run_cli(
+        "answer", "--question", "what color is thing0", "--topic", "thing0",
+        "--kg", str(toy / "kg.tsv"), "--ranker", ckpts["rank"],
+        "--classifier", ckpts["clf"], "--embeddings", ckpts["emb"],
+        "--mode", "predicted" if model == "clf" else "off",
+        expect_fail=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -165,3 +165,11 @@ def test_checkpoint_bad_header(tmp_path):
     path.write_bytes(b"not a checkpoint\n")
     with pytest.raises(EmbeddingError):
         load_table(str(path))
+
+
+def test_checkpoint_odd_payload(tmp_path):
+    path = tmp_path / "emb.ckpt"
+    save_table(init_table("transe", 5, 2, 8, seed=9), str(path))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(EmbeddingError, match="float32"):
+        load_table(str(path))

@@ -99,10 +99,19 @@ def test_oracle_filtering_beats_off():
     assert oracle.hits_at_1 == 100.0
 
 
-def test_top1_in_filtered_flag():
+def test_evaluate_records_unknown_topic():
     kg, questions = three_hop_benchmark(3, seed=1)
-    _, rec = answer_question(base_cfg(kg), questions[0])
-    assert rec.top1_in_filtered is True
+    stray = LabeledQuestion("stray", "who is nobody", "nobody", ["x"], hops=1)
+    base = evaluate(base_cfg(kg), questions)
+    report = evaluate(base_cfg(kg), questions[:1] + [stray] + questions[1:])
+    assert report.total == 4
+    assert report.unknown_topic == 1
+    assert base.unknown_topic == 0
+    rec = report.records[1]
+    assert (rec.id, rec.status, rec.correct, rec.top1) == ("stray", "unknown_topic", False, None)
+    assert rec.gold_structure == "SS1"
+    others = report.records[:1] + report.records[2:]
+    assert others == base.records  # the other questions are unaffected
 
 
 def constrained_question():

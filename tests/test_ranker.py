@@ -12,7 +12,6 @@ from sskgqa.ranker import (
     load_ranker,
     rank_candidates,
     save_ranker,
-    top1,
     train_ranker,
     triplet_loss,
 )
@@ -46,7 +45,7 @@ def test_token_overlap_ranker_jaccard():
     r = TokenOverlapRanker()
     g = build_chain("paris", [("located_in", False)])
     toks = ["[CLS]", "paris", "located", "in", "what", "[SEP]"]
-    score = r.score_candidate(toks, g)
+    score = r.score_all(toks, [g])[0]
     # graph tokens: [CLS] paris located in x [SEP]; overlap 5, union 7
     assert score == pytest.approx(5.0 / 7.0)
 
@@ -58,7 +57,6 @@ def test_rank_candidates_order_and_tiebreak():
     toks = ["a", "match", "me"]
     ranked = rank_candidates(r, toks, [g2, g1])
     assert canonicalize(ranked[0]) == canonicalize(g1)
-    assert canonicalize(top1(r, toks, [g2, g1])) == canonicalize(g1)
     # equal scores fall back to ascending canonical string
     ga = build_chain("a", [("r1", False)])
     gb = build_chain("a", [("r2", False)])
@@ -109,7 +107,7 @@ def test_train_ranker_ranks_gold_first():
     hits = 0
     for q in questions:
         cands = enumerate_candidates(kg, q.topic_entity, EnumConfig(max_hops=1)).graphs
-        best = top1(model, tokenize_question(q.question), cands)
+        best = rank_candidates(model, tokenize_question(q.question), cands)[0]
         answers = {kg.entities.symbol_of(a) for a in execute(best, kg)}
         hits += bool(answers & set(q.answers))
     assert hits == len(questions)
@@ -132,6 +130,8 @@ def test_checkpoint_round_trip(tmp_path):
     back = load_ranker(path)
     g = questions[0].gold_graph
     toks = tokenize_question(questions[0].question)
-    assert back.score_candidate(toks, g) == pytest.approx(
-        model.score_candidate(toks, g), abs=1e-5
-    )
+    assert back.score_all(toks, [g]) == pytest.approx(model.score_all(toks, [g]), abs=1e-5)
+    again = str(tmp_path / "again.ckpt")
+    save_ranker(back, again)
+    with open(path, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
