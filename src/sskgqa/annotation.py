@@ -14,9 +14,10 @@ from .querygraph import (
     QgNode,
     QueryGraph,
     QueryGraphError,
+    bfs_depths,
     decode_iri,
 )
-from .structures import Taxonomy, abstract
+from .structures import Taxonomy
 
 UNSUPPORTED = "Unsupported"
 
@@ -213,21 +214,8 @@ def extract_query_graph(ast: SparqlAst) -> QueryGraph:
     if not grounded:
         raise ExtractionError("no grounded entity in query")
     lam = next(i for i, n in enumerate(nodes) if n.kind == LAMBDA)
-    adj: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
-    for e in edges:
-        adj[e.src].add(e.dst)
-        adj[e.dst].add(e.src)
-    dist = {lam: 0}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adj[node]:
-                if nb not in dist:
-                    dist[nb] = dist[node] + 1
-                    nxt.append(nb)
-        frontier = nxt
-    if any(i not in dist for i in range(len(nodes))):
+    dist = bfs_depths(len(nodes), [(e.src, e.dst) for e in edges], lam)
+    if len(dist) != len(nodes):
         raise ExtractionError("pattern graph is disconnected")
     subjects = {e.src for e in edges}
     topic = max(

@@ -5,7 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .kg import KnowledgeGraph
-from .querygraph import QueryGraph, build_chain, canonicalize
+from .querygraph import QueryGraph, build_chain
+from .structures import SemanticStructure
 
 
 @dataclass
@@ -28,6 +29,18 @@ class EnumResult:
     truncated: bool = False
 
 
+def derived_enum(base: EnumConfig, ss: SemanticStructure | None) -> EnumConfig:
+    """Restrict enumeration to the structure's hop count and constraint need."""
+    if ss is None:
+        return base
+    return EnumConfig(
+        max_hops=min(base.max_hops, max(ss.hop_count(), 1)),
+        attach_constraints=ss.has_constraints(),
+        constraint_relations=base.constraint_relations,
+        max_candidates=base.max_candidates,
+    )
+
+
 def _step(kg: KnowledgeGraph, frontier: set[int], rid: int, rev: bool) -> set[int]:
     out: set[int] = set()
     for e in frontier:
@@ -45,8 +58,10 @@ def enumerate_candidates(
 
     Chains are distinct relation-direction sequences whose execution is
     non-empty; constraint values come from actual KG out-edges at the
-    constrained node. Deterministic order, deduplicated by canonical form,
-    truncated at cfg.max_candidates.
+    constrained node. Deterministic order, truncated at cfg.max_candidates.
+    Candidates are distinct by construction: each is a distinct (hops,
+    constraint) chain whose topic and answer nodes pin both ends of its path,
+    so no two are isomorphic.
     """
     topic_id = kg.entities.id_of(topic)
     allow = (
@@ -55,16 +70,11 @@ def enumerate_candidates(
         else {kg.relations.id_of(r) for r in cfg.constraint_relations}
     )
     result = EnumResult()
-    seen: set[str] = set()
 
     def emit(g: QueryGraph) -> bool:
-        key = canonicalize(g)
-        if key in seen:
-            return True
         if len(result.graphs) >= cfg.max_candidates:
             result.truncated = True
             return False
-        seen.add(key)
         result.graphs.append(g)
         return True
 

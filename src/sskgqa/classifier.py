@@ -22,7 +22,7 @@ class ClassifierError(Exception):
 
 @dataclass
 class ClassifierTrainConfig:
-    lr: float = 1e-3 
+    lr: float = 1e-3
     batch_size: int = 32
     dropout: float = 0.1
     epochs: int = 50

@@ -13,12 +13,12 @@ from .annotation import (
     label_question,
     parse_sparql,
 )
-from .candidates import EnumConfig, enumerate_candidates
+from .candidates import EnumConfig, derived_enum, enumerate_candidates
 from .classifier import ClassifierModel
 from .kg import KnowledgeGraph, LookupError_
 from .querygraph import CLS, SEP, QueryGraph, canonicalize, execute, split_symbol
 from .ranker import rank_candidates
-from .structures import SemanticStructure, Taxonomy, abstract
+from .structures import SemanticStructure, Taxonomy, filter_candidates
 
 MODES = ("predicted", "oracle", "off")
 
@@ -91,18 +91,6 @@ class EvalReport:
     records: list[QuestionRecord]
 
 
-def _derived_enum(base: EnumConfig, ss: SemanticStructure | None) -> EnumConfig:
-    """Restrict enumeration to the structure's hop count and constraint need."""
-    if ss is None:
-        return base
-    return EnumConfig(
-        max_hops=min(base.max_hops, max(ss.hop_count(), 1)),
-        attach_constraints=ss.has_constraints(),
-        constraint_relations=base.constraint_relations,
-        max_candidates=base.max_candidates,
-    )
-
-
 def answer_question(
     cfg: PipelineConfig, q: LabeledQuestion
 ) -> tuple[AnswerResult, QuestionRecord]:
@@ -124,11 +112,10 @@ def answer_question(
             return result, _record(q, result, gold_label, None)
         structure = cfg.taxonomy.get(gold_label)
 
-    cands = enumerate_candidates(kg, q.topic_entity, _derived_enum(cfg.enum, structure)).graphs
+    cands = enumerate_candidates(kg, q.topic_entity, derived_enum(cfg.enum, structure)).graphs
     filtered = cands
     if structure is not None:
-        key = structure.canonical()
-        filtered = [g for g in cands if abstract(g).canonical() == key]
+        filtered = filter_candidates(cands, structure)
         if not filtered and cfg.fallback_on_empty_filter:
             if not cands:
                 cands = enumerate_candidates(kg, q.topic_entity, cfg.enum).graphs

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .kg import KnowledgeGraph, Triple
 
@@ -67,22 +68,9 @@ class QueryGraph:
         for e in self.edges:
             if not (0 <= e.src < len(self.nodes) and 0 <= e.dst < len(self.nodes)):
                 raise QueryGraphError("edge endpoint out of range")
-        if not self._connected():
+        reached = bfs_depths(len(self.nodes), ((e.src, e.dst) for e in self.edges), self.topic)
+        if len(reached) != len(self.nodes):
             raise QueryGraphError("graph must be connected")
-
-    def _connected(self) -> bool:
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.nodes))}
-        for e in self.edges:
-            adj[e.src].add(e.dst)
-            adj[e.dst].add(e.src)
-        seen = {self.topic}
-        stack = [self.topic]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.nodes)
 
     @property
     def lambda_index(self) -> int:
@@ -151,24 +139,61 @@ def _node_tag(n: QgNode, is_topic: bool) -> str:
 def canonicalize(g: QueryGraph) -> str:
     """Canonical string: equal iff graphs are isomorphic up to existential
     renaming and up to the two storage orientations of a reversed edge."""
-    n = len(g.nodes)
-    tags = [_node_tag(g.nodes[i], i == g.topic) for i in range(n)]
-    edges = _normalized_edges(g)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        # perm[i] = new index of node i; require sorted-tag consistency cheaply
-        node_part = [None] * n
-        for i in range(n):
-            node_part[perm[i]] = tags[i]
-        edge_part = sorted((perm[s], r, perm[d]) for s, r, d in edges)
-        cand = (
-            "|".join(node_part)
-            + "#"
-            + ";".join(f"{s}-{r}->{d}" for s, r, d in edge_part)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+    tags = [_node_tag(n, i == g.topic) for i, n in enumerate(g.nodes)]
+    return canonical_form(tags, _normalized_edges(g), "|", "{}-{}->{}")
+
+
+def canonical_form(tags, edges, sep: str, edge_fmt: str) -> str:
+    """Smallest string `node part + "#" + edge part` over all node orders.
+
+    The node part joins the tags in order with `sep`; the edge part joins with
+    ";" the sorted (src, label, dst) edges, renumbered and written with
+    `edge_fmt`. Every node part has the same length, so only orders giving the
+    smallest node part can win: the sorts of the tags under the comparator
+    below. They differ only inside groups of tags that commute (equal tags,
+    unless a tag contains `sep`), so only orders within each group are tried.
+    """
+
+    def cmp(i: int, j: int) -> int:
+        a, b = tags[i] + sep, tags[j] + sep
+        return (a + b > b + a) - (a + b < b + a)
+
+    order = sorted(range(len(tags)), key=cmp_to_key(cmp))
+    groups: list[list[int]] = []
+    for i in order:
+        if groups and cmp(groups[-1][0], i) == 0:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+
+    def edge_part(nodes) -> str:
+        pos = {node: p for p, node in enumerate(nodes)}
+        renumbered = sorted((pos[s], r, pos[d]) for s, r, d in edges)
+        return ";".join(edge_fmt.format(*e) for e in renumbered)
+
+    orders = itertools.product(*map(itertools.permutations, groups))
+    best = min(edge_part(itertools.chain.from_iterable(o)) for o in orders)
+    return sep.join(tags[i] for i in order) + "#" + best
+
+
+def bfs_depths(n: int, edges, start: int) -> dict[int, int]:
+    """Hop distance from `start` to each node it reaches over the undirected
+    (a, b) edges of a graph with nodes 0..n-1."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    depth = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in adj[node]:
+                if nb not in depth:
+                    depth[nb] = depth[node] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return depth
 
 
 def split_symbol(symbol: str) -> list[str]:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .candidates import EnumConfig, enumerate_candidates
+from .candidates import EnumConfig, derived_enum, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, clip_global_norm
@@ -26,10 +26,10 @@ class RankerError(Exception):
 class RankTrainConfig:
     margin: float = 1.0
     negatives: int = 100
-    lr: float = 1e-3 
+    lr: float = 1e-3
     dropout: float = 0.5
     heads: int = 3
-    ff_width: int = 128 
+    ff_width: int = 128
     d_model: int = 24
     out_dim: int = 24
     clip_norm: float = 1.0
@@ -116,16 +116,15 @@ def build_training_triplets(
     Questions with no negatives are skipped.
     """
     out = []
+    base = EnumConfig(max_hops=cfg.max_hops)
     for q_tokens, gold in dataset:
-        gold_key = canonicalize(gold)
         ss = abstract(gold)
-        enum_cfg = EnumConfig(
-            max_hops=min(cfg.max_hops, max(ss.hop_count(), 1)),
-            attach_constraints=ss.has_constraints(),
-        )
         topic = gold.nodes[gold.topic].label
-        cands = enumerate_candidates(kg, topic, enum_cfg).graphs
+        cands = enumerate_candidates(kg, topic, derived_enum(base, ss)).graphs
         cs = filter_candidates(cands, ss)
+        # canonicalize(gold) only runs once a candidate has gold's structure,
+        # so a long extracted gold graph is skipped without a canonical search
+        gold_key = canonicalize(gold) if cs else None
         negs = [g for g in cs if canonicalize(g) != gold_key]
         if not negs:
             continue

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
-from .querygraph import EXISTENTIAL, GROUNDED, LAMBDA, QueryGraph
+from .querygraph import EXISTENTIAL, GROUNDED, QueryGraph, bfs_depths, canonical_form
 
 E_TOPIC = "E"  # topic entity
 E_CONST = "Ec"  # constraint endpoint entity
@@ -35,17 +34,10 @@ class SemanticStructure:
             raise StructureError(f"{self.label}: exactly one answer node required")
         if self.kinds.count(E_TOPIC) != 1:
             raise StructureError(f"{self.label}: exactly one topic node required")
-        adj: dict[int, set[int]] = {i: set() for i in range(len(self.kinds))}
-        for s, d in self.edges:
-            adj[s].add(d)
-            adj[d].add(s)
-        seen, stack = {0}, [0]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(self.kinds):
+        n = len(self.kinds)
+        if not all(0 <= i < n for edge in self.edges for i in edge):
+            raise StructureError(f"{self.label}: edge endpoint out of range")
+        if len(bfs_depths(n, self.edges, 0)) != n:
             raise StructureError(f"{self.label}: structure must be connected")
 
     def constraint_edges(self) -> tuple[tuple[int, int], ...]:
@@ -58,33 +50,18 @@ class SemanticStructure:
     def hop_count(self) -> int:
         """Chain length from topic to answer over non-constraint edges."""
         cons = set(self.constraint_edges())
-        adj: dict[int, list[int]] = {i: [] for i in range(len(self.kinds))}
-        for s, d in self.edges:
-            if (s, d) in cons:
-                continue
-            adj[s].append(d)
-            adj[d].append(s)
-        topic = self.kinds.index(E_TOPIC)
+        chain = [edge for edge in self.edges if edge not in cons]
+        depth = bfs_depths(len(self.kinds), chain, self.kinds.index(E_TOPIC))
         answer = self.kinds.index(ANSWER)
-        dist = {topic: 0}
-        frontier = [topic]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for nb in adj[node]:
-                    if nb not in dist:
-                        dist[nb] = dist[node] + 1
-                        nxt.append(nb)
-            frontier = nxt
-        if answer not in dist:
+        if answer not in depth:
             raise StructureError(f"{self.label}: answer unreachable from topic")
-        return dist[answer]
+        return depth[answer]
 
     def has_constraints(self) -> bool:
         return bool(self.constraint_edges())
 
     def canonical(self) -> str:
-        return _canonical_abstract(self.kinds, self.edges)
+        return canonical_form(self.kinds, [(s, "", d) for s, d in self.edges], ",", "{0}>{2}")
 
 
 @dataclass
@@ -119,19 +96,16 @@ class Taxonomy:
     def find_match(self, g: QueryGraph) -> str | None:
         """Label of the first structure abstract(g) matches, or None.
 
-        Structures with another kind multiset or edge count cannot match, so
-        they are rejected before the factorial canonical search, which then
-        only runs on graphs as small as some structure.
+        Structures that fail `_may_match` are rejected before the canonical
+        search, which then only runs on graphs as small as some structure.
         """
         a = abstract(g)
-        kinds, n_edges = sorted(a.kinds), len(a.edges)
         key = None
         for s in self.structures:
-            if sorted(s.kinds) != kinds or len(s.edges) != n_edges:
-                continue
-            key = key or a.canonical()
-            if s.canonical() == key:
-                return s.label
+            if _may_match(a, s):
+                key = key or a.canonical()
+                if s.canonical() == key:
+                    return s.label
         return None
 
 
@@ -168,20 +142,7 @@ def abstract(g: QueryGraph) -> SemanticStructure:
             kinds.append(ANSWER)
     # Orient every edge away from the topic by BFS depth (reversed flags and
     # storage orientation erased); parallel edges keep their multiplicity.
-    adj: dict[int, list[int]] = {i: [] for i in range(len(g.nodes))}
-    for e in g.edges:
-        adj[e.src].append(e.dst)
-        adj[e.dst].append(e.src)
-    dist = {g.topic: 0}
-    frontier = [g.topic]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adj[node]:
-                if nb not in dist:
-                    dist[nb] = dist[node] + 1
-                    nxt.append(nb)
-        frontier = nxt
+    dist = bfs_depths(len(g.nodes), [(e.src, e.dst) for e in g.edges], g.topic)
     edges = tuple(
         (e.src, e.dst) if dist[e.src] <= dist[e.dst] else (e.dst, e.src)
         for e in g.edges
@@ -189,30 +150,31 @@ def abstract(g: QueryGraph) -> SemanticStructure:
     return SemanticStructure("abstract", tuple(kinds), edges)
 
 
-def _canonical_abstract(kinds: tuple[str, ...], edges) -> str:
-    n = len(kinds)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        node_part = [None] * n
-        for i in range(n):
-            node_part[perm[i]] = kinds[i]
-        edge_part = sorted((perm[s], perm[d]) for s, d in edges)
-        cand = ",".join(node_part) + "#" + ";".join(f"{s}>{d}" for s, d in edge_part)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def matches(g: QueryGraph, ss: SemanticStructure) -> bool:
     """True iff abstract(g) is isomorphic to ss (kind- and edge-preserving)."""
-    return abstract(g).canonical() == ss.canonical()
+    return bool(filter_candidates([g], ss))
 
 
 def filter_candidates(
     cands: list[QueryGraph], ss: SemanticStructure
 ) -> list[QueryGraph]:
-    key = ss.canonical()
-    return [g for g in cands if abstract(g).canonical() == key]
+    """Candidates whose abstraction matches ss. The canonical search runs only
+    on abstractions that pass `_may_match`."""
+    key = None
+    out = []
+    for g in cands:
+        a = abstract(g)
+        if _may_match(a, ss):
+            key = key or ss.canonical()
+            if a.canonical() == key:
+                out.append(g)
+    return out
+
+
+def _may_match(a: SemanticStructure, b: SemanticStructure) -> bool:
+    """False when a and b cannot be isomorphic: their kind multisets or edge
+    counts differ. Cheap, and it bounds the cost of matching a large graph."""
+    return len(a.edges) == len(b.edges) and sorted(a.kinds) == sorted(b.kinds)
 
 
 def load_taxonomy(path: str) -> Taxonomy:

@@ -41,12 +41,34 @@ def test_all_candidates_satisfiable_multi_hop():
         assert execute(g, KG)
 
 
+# a -> b -> c -> a is a cycle, d has a self-loop, and a, b are joined by
+# two parallel relations (one of them also in the reverse direction)
+LOOPY_KG = build_kg(
+    [
+        ("a", "r", "b"),
+        ("a", "s", "b"),
+        ("b", "s", "a"),
+        ("b", "r", "c"),
+        ("c", "t", "a"),
+        ("c", "r", "d"),
+        ("d", "t", "d"),
+    ]
+)
+
+
 def test_candidates_deduplicated():
-    res = enumerate_candidates(KG, "a", EnumConfig(max_hops=2))
+    # enumeration does not deduplicate: distinct chains are never isomorphic
     from sskgqa.querygraph import canonicalize
 
-    keys = [canonicalize(g) for g in res.graphs]
-    assert len(keys) == len(set(keys))
+    for kg, cfg in [
+        (KG, EnumConfig(max_hops=2)),
+        (LOOPY_KG, EnumConfig(max_hops=3)),
+        (LOOPY_KG, EnumConfig(max_hops=3, attach_constraints=True)),
+    ]:
+        res = enumerate_candidates(kg, "a", cfg)
+        assert not res.truncated
+        keys = [canonicalize(g) for g in res.graphs]
+        assert len(keys) == len(set(keys))
 
 
 def test_truncation_flag():

@@ -91,6 +91,24 @@ def test_build_training_triplets_skips_singletons():
     assert triplets == []  # only candidate is the gold graph
 
 
+def test_build_training_triplets_skips_long_gold_quickly():
+    # a 12-node chain extracted from SPARQL matches no candidate's structure,
+    # so it is skipped without a canonical search of gold (10! orders)
+    from time import perf_counter
+
+    from sskgqa.annotation import extract_query_graph, parse_sparql
+
+    names = [":a"] + [f"?v{i}" for i in range(1, 11)] + ["?x"]
+    patterns = " ".join(f"{s} :r {o} ." for s, o in zip(names, names[1:]))
+    gold = extract_query_graph(parse_sparql(f"SELECT ?x WHERE {{ {patterns} }}"))
+    assert len(gold.nodes) == 12
+    kg = build_kg([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
+    t0 = perf_counter()
+    triplets = build_training_triplets([(["q"], gold)], kg, RankTrainConfig(), np.random.default_rng(0))
+    assert triplets == []
+    assert perf_counter() - t0 < 1.0
+
+
 def train_fixture_model(epochs=25):
     kg, questions = ranker_fixture()
     dataset = [(tokenize_question(q.question), q.gold_graph) for q in questions]

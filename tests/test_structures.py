@@ -42,6 +42,8 @@ def test_structure_validation():
         SemanticStructure("bad", (E_TOPIC, VAR), ((0, 1),))  # no answer node
     with pytest.raises(StructureError):
         SemanticStructure("bad", (E_TOPIC, ANSWER, VAR), ((0, 1),))  # disconnected
+    with pytest.raises(StructureError):
+        SemanticStructure("bad", (E_TOPIC, ANSWER), ((0, 1), (1, -1)))  # out of range
 
 
 def test_abstract_plain_chains():
