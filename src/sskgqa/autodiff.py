@@ -119,6 +119,50 @@ def matmul(a: Node, b: Node) -> Node:
     return out
 
 
+def _block_views(a: Node, b: Node, blocks: int, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as stacks of `blocks` equal row blocks, (blocks, rows, cols)."""
+    if blocks < 1 or a.shape[0] % blocks or b.shape[0] % blocks:
+        raise ShapeError(f"{op}: {a.shape} and {b.shape} do not split into {blocks} row blocks")
+    return (
+        a.value.reshape(blocks, -1, a.shape[1]),
+        b.value.reshape(blocks, -1, b.shape[1]),
+    )
+
+
+def block_matmul_t(a: Node, b: Node, blocks: int) -> Node:
+    """a_i @ b_i.T for each of `blocks` row blocks, stacked:
+    (blocks*m, k) and (blocks*l, k) -> (blocks*m, l)."""
+    a3, b3 = _block_views(a, b, blocks, "block_matmul_t")
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(f"block_matmul_t: column counts differ {a.shape} vs {b.shape}")
+    out = Node(np.matmul(a3, b3.transpose(0, 2, 1)).reshape(a.shape[0], -1), (a, b))
+
+    def backward(g):
+        g3 = g.reshape(blocks, a3.shape[1], b3.shape[1])
+        a.accumulate(np.matmul(g3, b3).reshape(a.shape))
+        b.accumulate(np.matmul(g3.transpose(0, 2, 1), a3).reshape(b.shape))
+
+    out._backward = backward
+    return out
+
+
+def block_matmul(a: Node, b: Node, blocks: int) -> Node:
+    """a_i @ b_i for each of `blocks` row blocks, stacked:
+    (blocks*m, l) and (blocks*l, k) -> (blocks*m, k)."""
+    a3, b3 = _block_views(a, b, blocks, "block_matmul")
+    if a3.shape[2] != b3.shape[1]:
+        raise ShapeError(f"block_matmul: inner dims differ {a3.shape[1:]} vs {b3.shape[1:]}")
+    out = Node(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b))
+
+    def backward(g):
+        g3 = g.reshape(blocks, a3.shape[1], b3.shape[2])
+        a.accumulate(np.matmul(g3, b3.transpose(0, 2, 1)).reshape(a.shape))
+        b.accumulate(np.matmul(a3.transpose(0, 2, 1), g3).reshape(b.shape))
+
+    out._backward = backward
+    return out
+
+
 def transpose(a: Node) -> Node:
     out = Node(a.value.T.copy(), (a,))
     out._backward = lambda g: a.accumulate(g.T)
@@ -134,14 +178,6 @@ def scale(a: Node, c: float) -> Node:
 def sum_all(a: Node) -> Node:
     out = Node(a.value.sum(), (a,))
     out._backward = lambda g: a.accumulate(np.full_like(a.value, g[0, 0]))
-    return out
-
-
-def mean_rows(a: Node) -> Node:
-    """(n, d) -> (1, d) column means."""
-    n = a.shape[0]
-    out = Node(a.value.mean(axis=0, keepdims=True), (a,))
-    out._backward = lambda g: a.accumulate(np.repeat(g, n, axis=0) / n)
     return out
 
 

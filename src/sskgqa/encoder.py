@@ -72,7 +72,7 @@ class SequenceEncoder:
     def __init__(self, vocab: Vocab, cfg: EncoderConfig, rng: np.random.Generator):
         self.vocab = vocab
         self.cfg = cfg
-        self.encode_calls = 0  # efficiency contract instrumentation
+        self.encode_calls = 0  # sequences encoded; efficiency contract instrumentation
         self.params: dict[str, ad.Node] = {
             name: ad.parameter(
                 np.zeros(shape) if name.startswith("ff_b") else rng.normal(0.0, 0.1, size=shape)
@@ -85,37 +85,56 @@ class SequenceEncoder:
 
     def forward(
         self,
-        tokens: list[str],
+        *sequences: list[str],
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> ad.Node:
-        if not tokens:
-            raise ValueError("token sequence must be non-empty")
-        self.encode_calls += 1
+        """f(.) of each token sequence, as the rows of one (n, out_dim) node.
+
+        The n sequences are padded to the longest length L and run as one
+        (n*L, d_model) token matrix. Attention stays inside each sequence's
+        block of L rows, so its cost grows with n, not n^2. Padded keys get
+        -inf scores and the mean pool reads only real tokens, so padding
+        changes no output and receives no gradient.
+        """
+        if not sequences:
+            raise ValueError("forward needs at least one token sequence")
+        if not all(sequences):
+            raise ValueError("token sequences must be non-empty")
+        self.encode_calls += len(sequences)
         cfg = self.cfg
-        x = ad.rows(self.params["tok_emb"], self.vocab.encode(tokens))
+        n = len(sequences)
+        lens = np.array([len(s) for s in sequences])
+        width = int(lens.max())
+        real = np.arange(width) < lens[:, None]  # (n, L)
+        ids = np.zeros((n, width), dtype=np.int64)
+        ids[real] = [i for s in sequences for i in self.vocab.encode(s)]
+        x = ad.rows(self.params["tok_emb"], ids.ravel())
         if cfg.use_attention:
             dh = cfg.d_model // cfg.heads
+            # row j of block i masks the keys past sequence i's end
+            mask = ad.constant(np.repeat(np.where(real, 0.0, -np.inf), width, axis=0))
             heads = []
             for h in range(cfg.heads):
                 q = ad.matmul(x, self.params[f"wq{h}"])
                 k = ad.matmul(x, self.params[f"wk{h}"])
                 v = ad.matmul(x, self.params[f"wv{h}"])
-                att = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(dh)))
-                heads.append(ad.matmul(att, v))
+                scores = ad.scale(ad.block_matmul_t(q, k, n), 1.0 / math.sqrt(dh))
+                att = ad.softmax(ad.add(scores, mask))
+                heads.append(ad.block_matmul(att, v, n))
             merged = heads[0]
             for h in heads[1:]:
                 merged = ad.concat_cols(merged, h)
             x = ad.add(x, ad.matmul(merged, self.params["wo"]))
             hidden = ad.relu(ad.add(ad.matmul(x, self.params["ff_w1"]), self.params["ff_b1"]))
             x = ad.add(x, ad.add(ad.matmul(hidden, self.params["ff_w2"]), self.params["ff_b2"]))
-        pooled = ad.mean_rows(x)
+        pooled = ad.block_matmul(ad.constant(real / lens[:, None]), x, n)
         pooled = ad.dropout(pooled, cfg.dropout, rng, training)
         return ad.matmul(pooled, self.params["proj"])
 
-    def encode(self, tokens: list[str]) -> np.ndarray:
-        """Inference-mode vector (dropout off)."""
-        return self.forward(tokens).value.copy()
+    def encode(self, *sequences: list[str]) -> np.ndarray:
+        """Inference-mode (n, out_dim) vectors, one row per sequence (dropout off)."""
+        return self.forward(*sequences).value
 
     # -- checkpoint payload (see write_checkpoint) --
 

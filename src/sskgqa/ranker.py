@@ -4,6 +4,7 @@ top-1 selection by Euclidean proximity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -16,6 +17,8 @@ from .querygraph import QueryGraph, canonicalize, serialize_tokens
 from .structures import Taxonomy, abstract, filter_candidates
 
 MAGIC = "ssk-rank v1"
+# Most sequences score_all encodes in one forward; bounds its attention arrays.
+ENCODE_CHUNK = 256
 
 
 class RankerError(Exception):
@@ -53,12 +56,15 @@ def triplet_loss(f_q: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, alpha: float
     )
 
 
-def _triplet_loss_node(f_q: ad.Node, f_p: ad.Node, f_n: ad.Node, alpha: float) -> ad.Node:
-    raw = ad.add(
-        ad.sub(ad.euclid(f_q, f_p), ad.euclid(f_q, f_n)),
-        ad.constant([[alpha]]),
-    )
-    return ad.relu(raw)
+def batch_triplet_loss(f: ad.Node, alpha: float) -> ad.Node:
+    """Mean triplet loss of one question: row 0 of f is f(q), row 1 f(positive)
+    and each further row f(negative); per negative as in triplet_loss."""
+    k = f.shape[0] - 2
+    # dist row 0 is ||f_q - f_p||, row j is ||f_q - f_n_j||
+    dist = ad.rownorm(ad.sub(ad.rows(f, [0] * (k + 1)), ad.rows(f, range(1, k + 2))))
+    raw = ad.sub(ad.rows(dist, [0] * k), ad.rows(dist, range(1, k + 1)))
+    hinge = ad.relu(ad.add(raw, ad.constant([[alpha]])))
+    return ad.scale(ad.sum_all(hinge), 1.0 / k)
 
 
 class RankerModel:
@@ -67,16 +73,18 @@ class RankerModel:
     def __init__(self, encoder: SequenceEncoder):
         self.encoder = encoder
 
-    def encode_sequence(self, tokens: list[str]) -> np.ndarray:
-        return self.encoder.encode(tokens)
-
     def score_all(self, question_tokens: list[str], cands: list[QueryGraph]) -> list[float]:
-        """Scores for one evaluation pass: each sequence encoded exactly once."""
-        f_q = self.encode_sequence(question_tokens)
-        return [
-            -float(np.linalg.norm(f_q - self.encode_sequence(serialize_tokens(g))))
-            for g in cands
-        ]
+        """Scores for one evaluation pass: the question and every candidate
+        are encoded once, in batched forwards of at most ENCODE_CHUNK
+        sequences, so peak memory does not grow with the candidate count."""
+        seqs = [question_tokens] + [serialize_tokens(g) for g in cands]
+        vecs = np.concatenate(
+            [
+                self.encoder.encode(*seqs[i : i + ENCODE_CHUNK])
+                for i in range(0, len(seqs), ENCODE_CHUNK)
+            ]
+        )
+        return (-np.linalg.norm(vecs[1:] - vecs[0], axis=1)).tolist()
 
 
 class TokenOverlapRanker:
@@ -95,12 +103,19 @@ class TokenOverlapRanker:
 
 
 def rank_candidates(ranker, question_tokens: list[str], cands: list[QueryGraph]) -> list[QueryGraph]:
-    """Descending score; ties broken by ascending canonical string."""
+    """Descending score; ties broken by ascending canonical string, which is
+    computed only for candidates whose scores tie."""
     if not cands:
         raise RankerError("no candidates to rank")
     scores = ranker.score_all(question_tokens, cands)
-    keyed = sorted(zip(scores, (canonicalize(g) for g in cands), cands), key=lambda x: (-x[0], x[1]))
-    return [g for _, _, g in keyed]
+    order = sorted(range(len(cands)), key=lambda i: -scores[i])
+    ranked = []
+    for _, tied in groupby(order, key=lambda i: scores[i]):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda i: canonicalize(cands[i]))
+        ranked.extend(cands[i] for i in tied)
+    return ranked
 
 
 def build_training_triplets(
@@ -169,18 +184,8 @@ def train_ranker(
             q_toks, pos_toks, neg_toks = triplets[i]
             for p in params:
                 p.zero_grad()
-            f_q = model.encoder.forward(q_toks, training=True, rng=rng)
-            f_p = model.encoder.forward(pos_toks, training=True, rng=rng)
-            terms = [
-                _triplet_loss_node(
-                    f_q, f_p, model.encoder.forward(toks, training=True, rng=rng), cfg.margin
-                )
-                for toks in neg_toks
-            ]
-            total = terms[0]
-            for term in terms[1:]:
-                total = ad.add(total, term)
-            ad.backward(ad.scale(total, 1.0 / len(terms)))
+            f = model.encoder.forward(q_toks, pos_toks, *neg_toks, training=True, rng=rng)
+            ad.backward(batch_triplet_loss(f, cfg.margin))
             grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
             clip_global_norm(grads, cfg.clip_norm)
             opt.step([p.value for p in params], grads)

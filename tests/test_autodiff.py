@@ -30,6 +30,11 @@ def check_grad(build, x, tol=1e-6):
 
 
 RNG = np.random.default_rng(7)
+# Operands for the block ops against the (3, 4) parameter of
+# test_unary_op_gradients, which then has three one-row blocks.
+BLOCK_K = RNG.normal(size=(6, 4))  # two rows per block
+BLOCK_A = RNG.normal(size=(6, 1))  # two rows per block, inner dim 1
+BLOCK_B = RNG.normal(size=(12, 2))  # four rows per block
 
 
 def test_add_broadcast_and_grad():
@@ -56,7 +61,10 @@ def test_add_broadcast_and_grad():
         lambda p: ad.l2norm(p),
         lambda p: ad.sum_all(ad.rownorm(p)),
         lambda p: ad.sum_all(ad.rowsum(p)),
-        lambda p: ad.sum_all(ad.mean_rows(p)),
+        lambda p: ad.sum_all(ad.sin(ad.block_matmul_t(p, ad.constant(BLOCK_K), 3))),
+        lambda p: ad.sum_all(ad.sin(ad.block_matmul_t(ad.constant(BLOCK_K), p, 3))),
+        lambda p: ad.sum_all(ad.sin(ad.block_matmul(p, ad.constant(BLOCK_B), 3))),
+        lambda p: ad.sum_all(ad.sin(ad.block_matmul(ad.constant(BLOCK_A), p, 3))),
         lambda p: ad.sum_all(ad.transpose(p)),
         lambda p: ad.scale(ad.sum_all(p), -2.5),
     ],
@@ -90,6 +98,20 @@ def test_sub_mul_gradients():
     a = RNG.normal(size=(2, 5))
     b = RNG.normal(size=(2, 5))
     check_grad(lambda p: ad.sum_all(ad.mul(ad.sub(p, ad.constant(b)), p)), a)
+
+
+def test_block_matmuls_match_per_block_products():
+    a = RNG.normal(size=(6, 4))  # 2 blocks of 3 rows
+    b = RNG.normal(size=(4, 4))  # 2 blocks of 2 rows
+    c = RNG.normal(size=(4, 5))  # 2 blocks of 2 rows
+    t = ad.block_matmul_t(ad.constant(a), ad.constant(b), 2).value
+    assert t.shape == (6, 2)
+    assert np.allclose(t[:3], a[:3] @ b[:2].T) and np.allclose(t[3:], a[3:] @ b[2:].T)
+    m = ad.block_matmul(ad.constant(t), ad.constant(c), 2).value
+    assert m.shape == (6, 5)
+    assert np.allclose(m[:3], t[:3] @ c[:2]) and np.allclose(m[3:], t[3:] @ c[2:])
+    check_grad(lambda p: ad.sum_all(ad.sin(ad.block_matmul_t(p, ad.constant(b), 2))), a)
+    check_grad(lambda p: ad.sum_all(ad.sin(ad.block_matmul(ad.constant(t), p, 2))), c)
 
 
 def test_euclid_gradient():
@@ -184,3 +206,9 @@ def test_shape_errors():
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
     with pytest.raises(ad.ShapeError):
         ad.split_halves(ad.constant(np.ones((1, 3))))
+    with pytest.raises(ad.ShapeError):  # 3 rows do not split into 2 blocks
+        ad.block_matmul_t(ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 2))), 2)
+    with pytest.raises(ad.ShapeError):
+        ad.block_matmul_t(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 3))), 2)
+    with pytest.raises(ad.ShapeError):  # blocks of 1x2 times blocks of 1x2
+        ad.block_matmul(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))), 2)

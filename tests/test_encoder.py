@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sskgqa import autodiff as ad
 from sskgqa.encoder import OOV, EncoderConfig, SequenceEncoder, Vocab
@@ -47,9 +51,56 @@ def test_encode_deterministic_at_inference():
     assert np.array_equal(a, b)
 
 
+def reference_forward(enc: SequenceEncoder, tokens: list[str]) -> np.ndarray:
+    """The per-sequence forward that the batched one replaced, in numpy
+    (inference mode): a (1, out_dim) row."""
+    cfg, p = enc.cfg, {name: node.value for name, node in enc.params.items()}
+    x = p["tok_emb"][enc.vocab.encode(tokens)]
+    if cfg.use_attention:
+        dh = cfg.d_model // cfg.heads
+        heads = []
+        for h in range(cfg.heads):
+            q, k, v = (x @ p[f"{w}{h}"] for w in ("wq", "wk", "wv"))
+            s = q @ k.T / math.sqrt(dh)
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            heads.append(e / e.sum(axis=1, keepdims=True) @ v)
+        x = x + np.concatenate(heads, axis=1) @ p["wo"]
+        hidden = np.maximum(x @ p["ff_w1"] + p["ff_b1"], 0.0)
+        x = x + hidden @ p["ff_w2"] + p["ff_b2"]
+    return x.mean(axis=0, keepdims=True) @ p["proj"]
+
+
+# "zz" is not in make_encoder's vocabulary, so it reads the OOV row
+sequences = st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), min_size=1, max_size=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(sequences, min_size=1, max_size=6),
+    st.lists(st.integers(0, 5), max_size=3),
+    st.booleans(),
+)
+def test_batched_encode_matches_per_sequence_reference(seqs, repeats, use_attention):
+    seqs = seqs + [seqs[i % len(seqs)] for i in repeats]  # duplicate sequences
+    enc = make_encoder(use_attention=use_attention, dropout=0.5)
+    got = enc.encode(*seqs)
+    assert got.shape == (len(seqs), 6)
+    assert enc.encode_calls == len(seqs)
+    want = np.concatenate([reference_forward(enc, s) for s in seqs])
+    assert np.abs(got - want).max() < 1e-10
+
+
 def test_empty_sequence_rejected():
+    enc = make_encoder()
     with pytest.raises(ValueError):
-        make_encoder().encode([])
+        enc.encode([])
+    with pytest.raises(ValueError):
+        enc.forward()
+    for at in range(3):
+        seqs = [["a"], ["b", "c"]]
+        seqs.insert(at, [])
+        with pytest.raises(ValueError):
+            enc.forward(*seqs)
 
 
 def test_attention_params_present_only_when_enabled():

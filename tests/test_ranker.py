@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sskgqa import autodiff as ad
+from sskgqa import ranker as ranker_module
+from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import tokenize_question
 from sskgqa.querygraph import build_chain, canonicalize, execute
@@ -8,6 +13,7 @@ from sskgqa.ranker import (
     RankerError,
     RankTrainConfig,
     TokenOverlapRanker,
+    batch_triplet_loss,
     build_training_triplets,
     load_ranker,
     rank_candidates,
@@ -63,6 +69,37 @@ def test_rank_candidates_order_and_tiebreak():
     ranked = rank_candidates(r, ["unrelated"], [gb, ga])
     keys = [canonicalize(g) for g in ranked]
     assert keys == sorted(keys)
+
+
+class FixedScores:
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score_all(self, question_tokens, cands):
+        return list(self.scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_rank_candidates_keys_only_ties(levels, random):
+    cands = [build_chain("a", [(f"r{i}", False)]) for i in range(len(levels))]
+    random.shuffle(cands)
+    scores = [level / 4 for level in levels]  # repeated levels tie
+    full = sorted(zip(scores, [canonicalize(g) for g in cands], cands), key=lambda x: (-x[0], x[1]))
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonicalize(g)
+
+    ranker_module.canonicalize, saved = counting, ranker_module.canonicalize
+    try:
+        ranked = rank_candidates(FixedScores(scores), ["q"], cands)
+    finally:
+        ranker_module.canonicalize = saved
+    assert ranked == [g for _, _, g in full]
+    tied = sum(1 for s in scores if scores.count(s) > 1)
+    assert len(calls) == tied  # no key for a candidate whose score is unique
 
 
 def test_rank_candidates_empty():
@@ -139,6 +176,52 @@ def test_score_all_single_pass_encoding():
     model.encoder.encode_calls = 0
     model.score_all(["what", "color"], cands)
     assert model.encoder.encode_calls == 1 + len(cands)
+
+
+def test_score_all_across_chunks(monkeypatch):
+    kg, questions, model = train_fixture_model(epochs=1)
+    from sskgqa.candidates import EnumConfig, enumerate_candidates
+
+    cands = enumerate_candidates(kg, "thing0", EnumConfig(max_hops=2)).graphs
+    q = ["what", "color"]
+    single = [model.score_all(q, [g])[0] for g in cands]
+    monkeypatch.setattr(ranker_module, "ENCODE_CHUNK", 4)
+    assert len(cands) + 1 > 2 * 4
+    model.encoder.encode_calls = 0
+    assert np.allclose(model.score_all(q, cands), single, rtol=0.0, atol=1e-10)
+    assert model.encoder.encode_calls == 1 + len(cands)
+
+
+def test_batch_triplet_loss_matches_per_negative_form():
+    rng = np.random.default_rng(3)
+    vocab = Vocab([f"w{i}" for i in range(8)])
+    enc = SequenceEncoder(vocab, EncoderConfig(out_dim=4, d_model=6, heads=3, ff_width=8), rng)
+    params = enc.parameters()
+    for _ in range(20):
+        seqs = [[f"w{t}" for t in rng.integers(9, size=rng.integers(1, 7))] for _ in range(5)]
+        alpha = float(rng.uniform(0.0, 3.0))
+
+        def grads_of(loss):
+            for p in params:
+                p.zero_grad()
+            ad.backward(loss)
+            return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+
+        batched = batch_triplet_loss(enc.forward(*seqs), alpha)
+        got = grads_of(batched)
+        f_q, f_p, *f_n = (enc.forward(s) for s in seqs)
+        terms = [
+            ad.relu(ad.add(ad.sub(ad.euclid(f_q, f_p), ad.euclid(f_q, n)), ad.constant([[alpha]])))
+            for n in f_n
+        ]
+        total = terms[0]
+        for t in terms[1:]:
+            total = ad.add(total, t)
+        single = ad.scale(total, 1.0 / len(terms))
+        want = grads_of(single)
+        assert abs(batched.value[0, 0] - single.value[0, 0]) < 1e-10
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() < 1e-10
 
 
 def test_checkpoint_round_trip(tmp_path):
