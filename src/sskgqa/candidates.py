@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .kg import KnowledgeGraph
 from .querygraph import QueryGraph, build_chain
-from .structures import SemanticStructure
+from .structures import SemanticStructure, chain_structure, isomorphic
 
 
 @dataclass
@@ -34,7 +35,7 @@ def derived_enum(base: EnumConfig, ss: SemanticStructure | None) -> EnumConfig:
     if ss is None:
         return base
     return EnumConfig(
-        max_hops=min(base.max_hops, max(ss.hop_count(), 1)),
+        max_hops=min(base.max_hops, ss.hop_count()),
         attach_constraints=ss.has_constraints(),
         constraint_relations=base.constraint_relations,
         max_candidates=base.max_candidates,
@@ -50,8 +51,17 @@ def _step(kg: KnowledgeGraph, frontier: set[int], rid: int, rev: bool) -> set[in
     return out
 
 
+@lru_cache(maxsize=256)
+def _shapes(max_hops: int, attach: bool, ss: SemanticStructure | None) -> frozenset:
+    """(hop count, constrained chain node or None) of the chains to emit."""
+    shapes = {(h, at) for h in range(1, max_hops + 1) for at in (None, *range(1, h + 1))}
+    if ss is not None:
+        return frozenset(s for s in shapes if isomorphic(chain_structure(*s), ss))
+    return frozenset(s for s in shapes if s[1] is None or attach)
+
+
 def enumerate_candidates(
-    kg: KnowledgeGraph, topic: str, cfg: EnumConfig
+    kg: KnowledgeGraph, topic: str, cfg: EnumConfig, ss: SemanticStructure | None = None
 ) -> EnumResult:
     """All satisfiable chain candidates from `topic` within cfg.max_hops, each
     optionally extended by one satisfiable constraint edge.
@@ -62,8 +72,15 @@ def enumerate_candidates(
     Candidates are distinct by construction: each is a distinct (hops,
     constraint) chain whose topic and answer nodes pin both ends of its path,
     so no two are isomorphic.
+
+    With `ss`, only the candidates whose structure is ss are built, whatever
+    cfg.attach_constraints says: the graphs `filter_candidates(..., ss)` keeps
+    from the enumeration under `derived_enum(cfg, ss)`, in the same order,
+    except that max_candidates counts only them.
     """
     topic_id = kg.entities.id_of(topic)
+    shapes = _shapes(cfg.max_hops, cfg.attach_constraints, ss)
+    depth = max((h for h, _ in shapes), default=0)
     allow = (
         None
         if cfg.constraint_relations is None
@@ -83,6 +100,8 @@ def enumerate_candidates(
     def constraint_variants(hops, frontiers):
         """One constraint per variable node of the chain (hop index >= 1)."""
         for hop_idx in range(1, len(hops) + 1):
+            if (len(hops), hop_idx) not in shapes:
+                continue
             # entities at hop_idx that extend to a full binding
             feas = _feasible_at(kg, frontiers, hops, hop_idx)
             pairs = set()
@@ -115,17 +134,18 @@ def enumerate_candidates(
                     continue
                 new_hops = hops + [(rid, rev)]
                 new_frontiers = frontiers + [nxt]
-                if not emit(build_chain(topic, hops_syms(new_hops))):
-                    return False
-                if cfg.attach_constraints:
-                    if not constraint_variants(new_hops, new_frontiers):
+                if (len(new_hops), None) in shapes:
+                    if not emit(build_chain(topic, hops_syms(new_hops))):
                         return False
-                if len(new_hops) < cfg.max_hops:
+                if not constraint_variants(new_hops, new_frontiers):
+                    return False
+                if len(new_hops) < depth:
                     if not recurse(new_hops, new_frontiers):
                         return False
         return True
 
-    recurse([], [{topic_id}])
+    if depth:
+        recurse([], [{topic_id}])
     return result
 
 

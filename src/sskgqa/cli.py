@@ -206,7 +206,6 @@ def cmd_evaluate(args) -> int:
             "total": report.total,
             "correct": report.correct,
             "unsupported": report.unsupported,
-            "no_candidates": report.no_candidates,
             "unknown_topic": report.unknown_topic,
             "mode": args.mode,
         }

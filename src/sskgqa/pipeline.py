@@ -1,4 +1,4 @@
-"""End-to-end flow: classify structure, enumerate, filter, rank, execute."""
+"""End-to-end flow: classify structure, enumerate its chains, rank, execute."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .classifier import ClassifierModel
 from .kg import KnowledgeGraph, LookupError_
 from .querygraph import CLS, SEP, QueryGraph, canonicalize, execute, split_symbol
 from .ranker import rank_candidates
-from .structures import SemanticStructure, Taxonomy, filter_candidates
+from .structures import SemanticStructure, Taxonomy
 
 MODES = ("predicted", "oracle", "off")
 
@@ -51,7 +51,6 @@ class PipelineConfig:
     classifier: ClassifierModel | None = None
     enum: EnumConfig = field(default_factory=EnumConfig)
     mode: str = "predicted"
-    fallback_on_empty_filter: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -65,7 +64,7 @@ class AnswerResult:
     graph: QueryGraph | None
     answers: set[str]
     predicted_structure: str | None
-    status: str  # "ok" | "no_candidates" | "unsupported" | "unknown_topic"
+    status: str  # "ok" | "unsupported" | "unknown_topic"
 
 
 @dataclass
@@ -86,7 +85,6 @@ class EvalReport:
     total: int
     correct: int
     unsupported: int
-    no_candidates: int
     unknown_topic: int
     records: list[QuestionRecord]
 
@@ -112,19 +110,11 @@ def answer_question(
             return result, _record(q, result, gold_label, None)
         structure = cfg.taxonomy.get(gold_label)
 
-    cands = enumerate_candidates(kg, q.topic_entity, derived_enum(cfg.enum, structure)).graphs
-    filtered = cands
-    if structure is not None:
-        filtered = filter_candidates(cands, structure)
-        if not filtered and cfg.fallback_on_empty_filter:
-            if not cands:
-                cands = enumerate_candidates(kg, q.topic_entity, cfg.enum).graphs
-            filtered = cands
-    if not filtered:
-        result = AnswerResult(None, set(), predicted, "no_candidates")
-        return result, _record(q, result, gold_label, None)
+    cands = enumerate_candidates(kg, q.topic_entity, cfg.enum, structure).graphs
+    if not cands:  # no chain has the structure: rank every chain up to its hop count
+        cands = enumerate_candidates(kg, q.topic_entity, derived_enum(cfg.enum, structure)).graphs
 
-    ranked = rank_candidates(cfg.ranker, tokens, filtered)
+    ranked = rank_candidates(cfg.ranker, tokens, cands)
     best = ranked[0]
     try:
         answer_ids = execute(best, kg)
@@ -173,7 +163,6 @@ def evaluate(cfg: PipelineConfig, dataset: list[LabeledQuestion]) -> EvalReport:
         total=len(records),
         correct=correct,
         unsupported=sum(1 for r in records if r.status == "unsupported"),
-        no_candidates=sum(1 for r in records if r.status == "no_candidates"),
         unknown_topic=sum(1 for r in records if r.status == "unknown_topic"),
         records=records,
     )

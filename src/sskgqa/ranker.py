@@ -9,12 +9,12 @@ from itertools import groupby
 import numpy as np
 
 from . import autodiff as ad
-from .candidates import EnumConfig, derived_enum, enumerate_candidates
+from .candidates import EnumConfig, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, clip_global_norm
 from .querygraph import QueryGraph, canonicalize, serialize_tokens
-from .structures import Taxonomy, abstract, filter_candidates
+from .structures import Taxonomy, abstract
 
 MAGIC = "ssk-rank v1"
 # Most sequences score_all encodes in one forward; bounds its attention arrays.
@@ -133,10 +133,8 @@ def build_training_triplets(
     out = []
     base = EnumConfig(max_hops=cfg.max_hops)
     for q_tokens, gold in dataset:
-        ss = abstract(gold)
         topic = gold.nodes[gold.topic].label
-        cands = enumerate_candidates(kg, topic, derived_enum(base, ss)).graphs
-        cs = filter_candidates(cands, ss)
+        cs = enumerate_candidates(kg, topic, base, abstract(gold)).graphs
         # canonicalize(gold) only runs once a candidate has gold's structure,
         # so a long extracted gold graph is skipped without a canonical search
         gold_key = canonicalize(gold) if cs else None

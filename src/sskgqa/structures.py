@@ -73,6 +73,8 @@ class Taxonomy:
         labels = [s.label for s in self.structures]
         if len(labels) != len(set(labels)):
             raise StructureError("duplicate structure labels")
+        for s in self.structures:
+            s.hop_count()  # the answer must be reachable without constraint edges
         self._by_label = {s.label: s for s in self.structures}
 
     def __len__(self) -> int:
@@ -90,9 +92,6 @@ class Taxonomy:
         except KeyError:
             raise StructureError(f"unknown structure label: {label}") from None
 
-    def index_of(self, label: str) -> int:
-        return self.labels().index(label)
-
     def find_match(self, g: QueryGraph) -> str | None:
         """Label of the first structure abstract(g) matches, or None.
 
@@ -109,25 +108,21 @@ class Taxonomy:
         return None
 
 
+def chain_structure(hops: int, at: int | None = None, label: str = "chain") -> SemanticStructure:
+    """Structure of a `build_chain` graph with `hops` hops and, when `at` is
+    given, one constraint on chain node `at` (1 = first node after the topic)."""
+    kinds = (E_TOPIC,) + (VAR,) * (hops - 1) + (ANSWER,)
+    edges = tuple((i, i + 1) for i in range(hops))
+    if at is not None:
+        kinds += (E_CONST,)
+        edges += ((at, hops + 1),)
+    return SemanticStructure(label, kinds, edges)
+
+
 def builtin_taxonomy() -> Taxonomy:
     """SS1..SS3: plain 1/2/3-hop chains; SS4..SS6: constrained 1/2-hop chains."""
-    chain = lambda k: [(i, i + 1) for i in range(k)]
-    return Taxonomy(
-        [
-            SemanticStructure("SS1", (E_TOPIC, ANSWER), tuple(chain(1))),
-            SemanticStructure("SS2", (E_TOPIC, VAR, ANSWER), tuple(chain(2))),
-            SemanticStructure("SS3", (E_TOPIC, VAR, VAR, ANSWER), tuple(chain(3))),
-            SemanticStructure(
-                "SS4", (E_TOPIC, ANSWER, E_CONST), tuple(chain(1)) + ((1, 2),)
-            ),
-            SemanticStructure(
-                "SS5", (E_TOPIC, VAR, ANSWER, E_CONST), tuple(chain(2)) + ((2, 3),)
-            ),
-            SemanticStructure(
-                "SS6", (E_TOPIC, VAR, ANSWER, E_CONST), tuple(chain(2)) + ((1, 3),)
-            ),
-        ]
-    )
+    shapes = [(1, None), (2, None), (3, None), (1, 1), (2, 2), (2, 1)]
+    return Taxonomy([chain_structure(h, at, f"SS{i}") for i, (h, at) in enumerate(shapes, 1)])
 
 
 def abstract(g: QueryGraph) -> SemanticStructure:
@@ -150,25 +145,22 @@ def abstract(g: QueryGraph) -> SemanticStructure:
     return SemanticStructure("abstract", tuple(kinds), edges)
 
 
+def isomorphic(a: SemanticStructure, b: SemanticStructure) -> bool:
+    """Kind- and edge-preserving isomorphism; the canonical search runs only
+    when `_may_match` passes."""
+    return _may_match(a, b) and a.canonical() == b.canonical()
+
+
 def matches(g: QueryGraph, ss: SemanticStructure) -> bool:
-    """True iff abstract(g) is isomorphic to ss (kind- and edge-preserving)."""
-    return bool(filter_candidates([g], ss))
+    """True iff abstract(g) is isomorphic to ss."""
+    return isomorphic(abstract(g), ss)
 
 
 def filter_candidates(
     cands: list[QueryGraph], ss: SemanticStructure
 ) -> list[QueryGraph]:
-    """Candidates whose abstraction matches ss. The canonical search runs only
-    on abstractions that pass `_may_match`."""
-    key = None
-    out = []
-    for g in cands:
-        a = abstract(g)
-        if _may_match(a, ss):
-            key = key or ss.canonical()
-            if a.canonical() == key:
-                out.append(g)
-    return out
+    """Candidates whose abstraction matches ss."""
+    return [g for g in cands if matches(g, ss)]
 
 
 def _may_match(a: SemanticStructure, b: SemanticStructure) -> bool:

@@ -1,9 +1,20 @@
-import pytest
+from dataclasses import replace
 
-from sskgqa.candidates import EnumConfig, enumerate_candidates
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sskgqa.candidates import EnumConfig, derived_enum, enumerate_candidates
 from sskgqa.kg import build_kg
 from sskgqa.querygraph import execute
-from sskgqa.structures import abstract
+from sskgqa.structures import (
+    ANSWER,
+    E_CONST,
+    E_TOPIC,
+    SemanticStructure,
+    builtin_taxonomy,
+    filter_candidates,
+)
 
 
 KG = build_kg(
@@ -134,3 +145,44 @@ def test_deterministic_order():
     from sskgqa.querygraph import canonicalize
 
     assert [canonicalize(g) for g in a.graphs] == [canonicalize(g) for g in b.graphs]
+
+
+# Two constraints on the answer: no enumerated chain has this structure.
+TWO_CONSTRAINTS = SemanticStructure(
+    "two", (E_TOPIC, ANSWER, E_CONST, E_CONST), ((0, 1), (1, 2), (1, 3))
+)
+NAMES = ["a", "b", "c", "d"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    triples=st.lists(
+        st.tuples(st.sampled_from(NAMES), st.sampled_from(["r", "s", "t"]), st.sampled_from(NAMES)),
+        min_size=3,
+        max_size=12,
+        unique=True,
+    ),
+    pick=st.integers(0, 3),
+    attach=st.booleans(),
+    allow=st.sampled_from([None, ["s"], ["r", "t"]]),
+    cap=st.integers(1, 12),
+)
+def test_structure_enumeration_equals_filtered_enumeration(triples, pick, attach, allow, cap):
+    # the chains built for ss are those the filter keeps from the full
+    # enumeration of ss's hop count and constraint need, in the same order
+    kg = build_kg(triples)
+    topic = kg.entities.symbol_of(pick % kg.num_entities)
+    if allow is not None:
+        allow = [r for r in allow if r in kg.relations]
+    for ss in list(builtin_taxonomy()) + [TWO_CONSTRAINTS]:
+        for max_hops in (1, 2, 3):
+            cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach, constraint_relations=allow)
+            want = filter_candidates(enumerate_candidates(kg, topic, derived_enum(cfg, ss)).graphs, ss)
+            got = enumerate_candidates(kg, topic, cfg, ss)
+            assert got.graphs == want and not got.truncated
+            if ss is TWO_CONSTRAINTS:
+                assert want == []
+            # with a structure, max_candidates counts only that structure's chains
+            capped = enumerate_candidates(kg, topic, replace(cfg, max_candidates=cap), ss)
+            assert capped.graphs == want[:cap]
+            assert capped.truncated == (len(want) > cap)

@@ -213,3 +213,24 @@ def test_damaged_checkpoint_is_one_error_line(toy, trained, tmp_path, model, cas
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path):
+    # the built-in structures plus one whose answer meets the topic only
+    # through a constraint node; no toy question has that structure
+    from sskgqa.structures import builtin_taxonomy, save_taxonomy
+
+    tax = tmp_path / "tax.json"
+    save_taxonomy(builtin_taxonomy(), str(tax))
+    entries = json.loads(tax.read_text())
+    entries.append({"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]})
+    tax.write_text(json.dumps(entries))
+    proc = run_cli(
+        "evaluate", "--dataset", str(toy / "questions.jsonl"),
+        "--kg", str(toy / "kg.tsv"), "--ranker", trained["rank"],
+        "--mode", "oracle", "--taxonomy", str(tax),
+        expect_fail=True,
+    )
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: X:"), proc.stderr

@@ -123,15 +123,6 @@ def constrained_question():
     return LabeledQuestion("q", "?", "a", ["b"], sparql=to_sparql(gold))
 
 
-def test_no_candidates_status():
-    kg = build_kg([("a", "r", "b")])
-    cfg = base_cfg(kg, fallback_on_empty_filter=False)
-    result, rec = answer_question(cfg, constrained_question())
-    assert rec.gold_structure == "SS4"
-    assert rec.status == "no_candidates"
-    assert not rec.correct
-
-
 def test_fallback_on_empty_filter():
     kg = build_kg([("a", "r", "b")])
     result, rec = answer_question(base_cfg(kg), constrained_question())

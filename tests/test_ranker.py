@@ -146,6 +146,24 @@ def test_build_training_triplets_skips_long_gold_quickly():
     assert perf_counter() - t0 < 1.0
 
 
+def test_train_ranker_skips_gold_with_answer_behind_constraint():
+    # the answer meets the topic only through the constant val0_0, so the
+    # gold has no hop count; that record is skipped, the others train
+    from sskgqa.annotation import extract_query_graph, parse_sparql
+
+    kg, questions = ranker_fixture()
+    bad = extract_query_graph(
+        parse_sparql("SELECT ?x WHERE { :thing0 :color :val0_0 . ?x :shape :val0_0 . }")
+    )
+    dataset = [(tokenize_question(q.question), q.gold_graph) for q in questions]
+    mixed = dataset[:2] + [(["q"], bad)] + dataset[2:]
+    cfg = RankTrainConfig(epochs=1, dropout=0.0, out_dim=8, ff_width=16, seed=0)
+    want = build_training_triplets(dataset, kg, cfg, np.random.default_rng(0))
+    assert len(want) == len(dataset)
+    assert build_training_triplets(mixed, kg, cfg, np.random.default_rng(0)) == want
+    train_ranker(mixed, kg, builtin_taxonomy(), cfg)
+
+
 def train_fixture_model(epochs=25):
     kg, questions = ranker_fixture()
     dataset = [(tokenize_question(q.question), q.gold_graph) for q in questions]

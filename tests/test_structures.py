@@ -9,6 +9,7 @@ from sskgqa.structures import (
     VAR,
     SemanticStructure,
     StructureError,
+    Taxonomy,
     abstract,
     builtin_taxonomy,
     filter_candidates,
@@ -30,6 +31,16 @@ def test_builtin_taxonomy_shape():
     assert tax.get("SS6").hop_count() == 2
     assert not tax.get("SS3").has_constraints()
     assert tax.get("SS4").has_constraints()
+    shapes = {
+        "SS1": ((E_TOPIC, ANSWER), ((0, 1),)),
+        "SS2": ((E_TOPIC, VAR, ANSWER), ((0, 1), (1, 2))),
+        "SS3": ((E_TOPIC, VAR, VAR, ANSWER), ((0, 1), (1, 2), (2, 3))),
+        "SS4": ((E_TOPIC, ANSWER, E_CONST), ((0, 1), (1, 2))),
+        "SS5": ((E_TOPIC, VAR, ANSWER, E_CONST), ((0, 1), (1, 2), (2, 3))),
+        "SS6": ((E_TOPIC, VAR, ANSWER, E_CONST), ((0, 1), (1, 2), (1, 3))),
+    }
+    for label, (kinds, edges) in shapes.items():
+        assert (tax.get(label).kinds, tax.get(label).edges) == (kinds, edges)
 
 
 def test_ss5_ss6_differ():
@@ -44,6 +55,18 @@ def test_structure_validation():
         SemanticStructure("bad", (E_TOPIC, ANSWER, VAR), ((0, 1),))  # disconnected
     with pytest.raises(StructureError):
         SemanticStructure("bad", (E_TOPIC, ANSWER), ((0, 1), (1, -1)))  # out of range
+
+
+def test_taxonomy_rejects_answer_reached_only_through_constraint(tmp_path):
+    # abstract() builds such structures from SPARQL, but a taxonomy must give
+    # each structure a hop count, so a bad taxonomy file fails at load
+    bad = SemanticStructure("X", (E_TOPIC, E_CONST, ANSWER), ((0, 1), (1, 2)))
+    with pytest.raises(StructureError):
+        Taxonomy(list(builtin_taxonomy()) + [bad])
+    path = tmp_path / "tax.json"
+    path.write_text('[{"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]}]')
+    with pytest.raises(StructureError):
+        load_taxonomy(str(path))
 
 
 def test_abstract_plain_chains():
