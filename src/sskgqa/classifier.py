@@ -10,10 +10,12 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .embeddings import EmbeddingTable
-from .optim import AdamW, clip_global_norm
+from .optim import AdamW, train_step
 from .structures import Taxonomy
 
 MAGIC = "ssk-clf v1"
+# Most examples accuracy scores in one forward; bounds its padded arrays.
+ENCODE_CHUNK = 256
 
 
 class ClassifierError(Exception):
@@ -79,26 +81,48 @@ class ClassifierModel:
 
     def _logits(
         self,
-        tokens: list[str],
-        topic: int,
+        token_lists: list[list[str]],
+        topics: list[int],
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> ad.Node:
-        eq = self.encoder.forward(tokens, training=training, rng=rng)
-        eh = ad.constant(self.table.lookup_entity(topic))
+        """(n, k) class logits of n (tokens, topic id) examples, from one
+        padded encoder forward."""
+        eq = self.encoder.forward(*token_lists, training=training, rng=rng)
+        eh = ad.constant(self.table.lookup_entities(topics))
         s = _fuse_node(eh, eq)
         return ad.add(ad.matmul(s, self.w), self.b)
 
     def classify(self, tokens: list[str], topic: int) -> np.ndarray:
         """Probability vector over the taxonomy classes."""
-        return ad.softmax(self._logits(tokens, topic)).value[0].copy()
+        return ad.softmax(self._logits([tokens], [topic])).value[0].copy()
 
     def predict(self, tokens: list[str], topic: int) -> str:
         return self.labels[int(np.argmax(self.classify(tokens, topic)))]
 
     def accuracy(self, dataset: list[tuple[list[str], int, str]]) -> float:
-        hits = sum(1 for toks, topic, label in dataset if self.predict(toks, topic) == label)
+        """Share of (tokens, topic, label) examples predicted right, scored in
+        batched forwards of at most ENCODE_CHUNK examples."""
+        if not dataset:
+            raise ClassifierError("accuracy of an empty dataset")
+        hits = 0
+        for i in range(0, len(dataset), ENCODE_CHUNK):
+            toks, topics, labels = zip(*dataset[i : i + ENCODE_CHUNK])
+            best = np.argmax(self._logits(toks, topics).value, axis=1)
+            hits += sum(self.labels[j] == label for j, label in zip(best, labels))
         return hits / len(dataset)
+
+
+def cross_entropy(logits: ad.Node, targets: list[int]) -> ad.Node:
+    """Mean over rows of -log softmax(logits)[row, target].
+
+    The target probability is picked before the log: a non-target class whose
+    probability underflows to 0 would otherwise add 0 * log(0) = nan.
+    """
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(targets)), targets] = 1.0
+    picked = ad.rowsum(ad.mul(ad.softmax(logits), ad.constant(onehot)))
+    return ad.scale(ad.sum_all(ad.log(picked)), -1.0 / len(targets))
 
 
 def train_classifier(
@@ -107,14 +131,18 @@ def train_classifier(
     taxonomy: Taxonomy,
     cfg: ClassifierTrainConfig,
 ) -> ClassifierModel:
-    """Minimize mean cross-entropy over (tokens, topic id, gold label) triples.
+    """Minimize mean cross-entropy over (tokens, topic id, gold label) triples,
+    one padded forward and backward per minibatch.
 
     The embedding table stays frozen; only encoder and head parameters train.
     """
+    if not dataset:
+        raise ClassifierError("no training examples")
     labels = taxonomy.labels()
     for _, _, label in dataset:
         if label not in labels:
             raise ClassifierError(f"label outside taxonomy: {label}")
+    targets = [labels.index(label) for _, _, label in dataset]
     rng = np.random.default_rng(cfg.seed)
     vocab = Vocab.from_sequences([toks for toks, _, _ in dataset])
     enc_cfg = EncoderConfig(
@@ -133,22 +161,13 @@ def train_classifier(
         rng.shuffle(order)
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            for p in params:
-                p.zero_grad()
-            losses = []
-            for i in batch:
-                toks, topic, label = dataset[i]
-                logits = model._logits(toks, topic, training=True, rng=rng)
-                probs = ad.softmax(logits)
-                target = labels.index(label)
-                losses.append(ad.scale(ad.log(ad.rows(ad.transpose(probs), [target])), -1.0))
-            total = losses[0]
-            for term in losses[1:]:
-                total = ad.add(total, term)
-            ad.backward(ad.scale(total, 1.0 / len(batch)))
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
-            clip_global_norm(grads, cfg.clip_norm)
-            opt.step([p.value for p in params], grads)
+            logits = model._logits(
+                [dataset[i][0] for i in batch],
+                [dataset[i][1] for i in batch],
+                training=True,
+                rng=rng,
+            )
+            train_step(opt, params, cross_entropy(logits, [targets[i] for i in batch]), cfg.clip_norm)
     return model
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .kg import KnowledgeGraph
-from .optim import AdamW, clip_global_norm
+from .optim import AdamW, train_step
 
 KINDS = ("transe", "complex", "rotate")
 MAX_ENTITY_NORM = 10.0  # drift clamp after each update
@@ -50,10 +50,12 @@ class EmbeddingTable:
         if self.kind in ("complex", "rotate") and self.ent.shape[1] % 2 != 0:
             raise EmbeddingError(f"{self.kind} requires an even dimension")
 
-    def lookup_entity(self, e: int) -> np.ndarray:
-        if not 0 <= e < self.ent.shape[0]:
-            raise EmbeddingError(f"entity id out of range: {e}")
-        return self.ent[e].copy()
+    def lookup_entities(self, ids) -> np.ndarray:
+        """A copy of the given entities' rows, (len(ids), d)."""
+        for e in ids:
+            if not 0 <= e < self.ent.shape[0]:
+                raise EmbeddingError(f"entity id out of range: {e}")
+        return self.ent[np.asarray(ids, dtype=np.int64)]
 
     def score(self, h: int, r: int, t: int) -> float:
         return float(self.score_tails(h, r, np.array([t]))[0])
@@ -136,11 +138,8 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
         pos_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.add(s_pos, ad.constant(np.full(s_pos.shape, gamma))))), -1.0 / len(triples))
         neg_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.scale(ad.add(s_neg, ad.constant(np.full(s_neg.shape, gamma))), -1.0))), -1.0 / s_neg.shape[0])
         loss = ad.add(pos_term, neg_term)
-        ad.backward(loss)
+        train_step(opt, [ent, rel], loss, 1.0)
         history.append(float(loss.value[0, 0]))
-        grads = [ent.grad, rel.grad]
-        clip_global_norm(grads, 1.0)
-        opt.step([table.ent, table.rel], grads)
         _clamp(table)
     return table, history
 

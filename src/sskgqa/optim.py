@@ -1,10 +1,13 @@
-"""Gradient clipping and the AdamW update rule."""
+"""Gradient clipping, the AdamW update rule and the training step that
+combines them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import autodiff as ad
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
@@ -51,3 +54,18 @@ class AdamW:
             mhat = m / (1.0 - self.beta1**self.step_count)
             vhat = v / (1.0 - self.beta2**self.step_count)
             p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)) + self.lr * self.weight_decay * p
+
+
+def train_step(opt: AdamW, params: list[ad.Node], loss: ad.Node, max_norm: float) -> None:
+    """One optimizer step on `loss`: clear the parameters' gradients,
+    backpropagate, clip the global norm to max_norm and apply opt.step.
+
+    A parameter the loss does not reach steps with a zero gradient, so AdamW's
+    moments still decay for it.
+    """
+    for p in params:
+        p.zero_grad()
+    ad.backward(loss)
+    grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+    clip_global_norm(grads, max_norm)
+    opt.step([p.value for p in params], grads)

@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .candidates import EnumConfig, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
-from .optim import AdamW, clip_global_norm
+from .optim import AdamW, train_step
 from .querygraph import QueryGraph, canonicalize, serialize_tokens
 from .structures import Taxonomy, abstract
 
@@ -128,12 +128,15 @@ def build_training_triplets(
 
     Negatives are sampled uniformly without replacement from the candidates
     matching the gold structure, excluding graphs canonically equal to gold.
-    Questions with no negatives are skipped.
+    Questions with no negatives, or whose topic entity is not in the KG, are
+    skipped.
     """
     out = []
     base = EnumConfig(max_hops=cfg.max_hops)
     for q_tokens, gold in dataset:
         topic = gold.nodes[gold.topic].label
+        if topic not in kg.entities:
+            continue
         cs = enumerate_candidates(kg, topic, base, abstract(gold)).graphs
         # canonicalize(gold) only runs once a candidate has gold's structure,
         # so a long extracted gold graph is skipped without a canonical search
@@ -180,13 +183,8 @@ def train_ranker(
         rng.shuffle(order)
         for i in order:
             q_toks, pos_toks, neg_toks = triplets[i]
-            for p in params:
-                p.zero_grad()
             f = model.encoder.forward(q_toks, pos_toks, *neg_toks, training=True, rng=rng)
-            ad.backward(batch_triplet_loss(f, cfg.margin))
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
-            clip_global_norm(grads, cfg.clip_norm)
-            opt.step([p.value for p in params], grads)
+            train_step(opt, params, batch_triplet_loss(f, cfg.margin), cfg.clip_norm)
     return model
 
 

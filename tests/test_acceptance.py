@@ -6,13 +6,16 @@ lines; each test enforces its own runtime budget.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sskgqa
 from sskgqa import autodiff as ad
 from sskgqa.annotation import (
     UNSUPPORTED,
@@ -391,8 +394,11 @@ def test_criterion_10_ablation_plumbing(tmp_path):
     t0 = time.time()
     out = tmp_path / "toy"
     base = [sys.executable, "-m", "sskgqa.cli"]
+    # the directory holding the package under test, installed or not
+    src = str(Path(sskgqa.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run(
-        base + ["make-toy", "--out", str(out), "--benchmark", "ranker"], check=True
+        base + ["make-toy", "--out", str(out), "--benchmark", "ranker"], check=True, env=env
     )
     common = [
         "--dataset", str(out / "questions.jsonl"), "--kg", str(out / "kg.tsv"),
@@ -400,7 +406,7 @@ def test_criterion_10_ablation_plumbing(tmp_path):
     ]
     proc = subprocess.run(
         base + ["ablate", "--negatives"] + common,
-        check=True, capture_output=True, text=True,
+        check=True, capture_output=True, text=True, env=env,
     )
     rows = [json.loads(line) for line in proc.stdout.splitlines() if line.strip()]
     negs = [r["negatives"] for r in rows if "negatives" in r]
@@ -408,7 +414,7 @@ def test_criterion_10_ablation_plumbing(tmp_path):
     assert all("hits_at_1" in r for r in rows if "negatives" in r)
     proc = subprocess.run(
         base + ["ablate", "--heads"] + common,
-        check=True, capture_output=True, text=True,
+        check=True, capture_output=True, text=True, env=env,
     )
     rows = [json.loads(line) for line in proc.stdout.splitlines() if line.strip()]
     heads = [r["heads"] for r in rows if "heads" in r]

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from sskgqa import autodiff as ad
 from sskgqa.classifier import (
     ClassifierError,
     ClassifierModel,
     ClassifierTrainConfig,
+    cross_entropy,
     load_classifier,
     rotate_fuse,
     save_classifier,
     train_classifier,
 )
-from sskgqa.embeddings import init_table
+from sskgqa.embeddings import EmbeddingError, init_table
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.optim import AdamW, clip_global_norm
 from sskgqa.structures import builtin_taxonomy
 from sskgqa.synth import separable_classifier_dataset
 
@@ -113,3 +116,140 @@ def test_checkpoint_round_trip(tmp_path):
     save_classifier(back, again)
     with open(path, "rb") as a, open(again, "rb") as b:
         assert a.read() == b.read()
+
+
+def test_train_rejects_empty_dataset():
+    _, table = separable_classifier_dataset(builtin_taxonomy().labels())
+    with pytest.raises(ClassifierError):
+        train_classifier([], table, builtin_taxonomy(), ClassifierTrainConfig(epochs=1))
+    with pytest.raises(ClassifierError):
+        make_model(table).accuracy([])
+
+
+def varied_dataset():
+    """The separable fixture with questions of 2 to 6 tokens, so minibatches pad."""
+    dataset, table = separable_classifier_dataset(builtin_taxonomy().labels())
+    return [(toks[: 2 + i % 5], topic, label) for i, (toks, topic, label) in enumerate(dataset)], table
+
+
+def per_example_loss(model, examples, rng=None):
+    """Mean cross-entropy built one example at a time: a one-sequence forward,
+    the topic row, the fused head, and -log of the gathered gold probability,
+    summed with one add per example."""
+    terms = []
+    for toks, topic, label in examples:
+        eq = model.encoder.forward(toks, training=rng is not None, rng=rng)
+        eh = ad.constant(model.table.ent[topic : topic + 1])
+        s = ad.add(ad.add(eh, eq), ad.complex_mul(eh, eq))
+        probs = ad.softmax(ad.add(ad.matmul(s, model.w), model.b))
+        gold = ad.rows(ad.transpose(probs), [model.labels.index(label)])
+        terms.append(ad.scale(ad.log(gold), -1.0))
+    total = terms[0]
+    for t in terms[1:]:
+        total = ad.add(total, t)
+    return ad.scale(total, 1.0 / len(examples))
+
+
+def grads_of(params, loss):
+    for p in params:
+        p.zero_grad()
+    ad.backward(loss)
+    return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+
+
+@pytest.mark.parametrize("use_attention", [False, True])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_batched_loss_matches_per_example_form(use_attention, dropout):
+    dataset, table = varied_dataset()
+    tax = builtin_taxonomy()
+    rng = np.random.default_rng(5)
+    enc = SequenceEncoder(
+        Vocab.from_sequences([t for t, _, _ in dataset]),
+        EncoderConfig(out_dim=table.d, d_model=6, heads=2, ff_width=8,
+                      use_attention=use_attention, dropout=dropout),
+        rng,
+    )
+    model = ClassifierModel(enc, table, tax, rng)
+    params = model.parameters()
+    for seed in range(8):
+        picked = np.random.default_rng(seed).choice(len(dataset), size=1 + seed, replace=False)
+        examples = [dataset[i] for i in picked]
+        assert len({len(t) for t, _, _ in examples}) > 1 or len(examples) == 1
+        logits = model._logits(
+            [t for t, _, _ in examples], [e for _, e, _ in examples],
+            training=True, rng=np.random.default_rng(seed),
+        )
+        batched = cross_entropy(logits, [model.labels.index(lab) for _, _, lab in examples])
+        got = grads_of(params, batched)
+        single = per_example_loss(model, examples, np.random.default_rng(seed))
+        want = grads_of(params, single)
+        assert abs(batched.value[0, 0] - single.value[0, 0]) < 1e-10
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() < 1e-10
+
+
+def reference_train(dataset, table, taxonomy, cfg):
+    """The per-example trainer: one forward per example and an inline
+    zero-grad / backward / zero-fill / clip / AdamW step per minibatch."""
+    rng = np.random.default_rng(cfg.seed)
+    enc_cfg = EncoderConfig(
+        out_dim=table.d, d_model=cfg.d_model, heads=cfg.heads, ff_width=cfg.ff_width,
+        use_attention=cfg.use_attention, dropout=cfg.dropout,
+    )
+    vocab = Vocab.from_sequences([toks for toks, _, _ in dataset])
+    model = ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
+    params = model.parameters()
+    opt = AdamW(lr=cfg.lr)
+    order = np.arange(len(dataset))
+    for _epoch in range(cfg.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
+            grads = grads_of(params, per_example_loss(model, batch, rng))
+            clip_global_norm(grads, cfg.clip_norm)
+            opt.step([p.value for p in params], grads)
+    return model
+
+
+def test_train_matches_per_example_reference():
+    dataset, table = varied_dataset()
+    assert len(dataset) % 10 != 0  # a partial last minibatch
+    cfg = ClassifierTrainConfig(
+        epochs=3, batch_size=10, dropout=0.1, lr=1e-2, d_model=16, use_attention=False, seed=2
+    )
+    got = train_classifier(dataset, table, builtin_taxonomy(), cfg)
+    want = reference_train(dataset, table, builtin_taxonomy(), cfg)
+    for g, w in zip(got.parameters(), want.parameters()):
+        assert np.abs(g.value - w.value).max() < 1e-10
+
+
+def test_accuracy_is_mean_of_predictions(monkeypatch):
+    from sskgqa import classifier as clf_module
+
+    dataset, table = varied_dataset()
+    cfg = ClassifierTrainConfig(epochs=2, lr=1e-2, d_model=16, use_attention=False, seed=0)
+    model = train_classifier(dataset, table, builtin_taxonomy(), cfg)
+    want = np.mean([model.predict(toks, topic) == label for toks, topic, label in dataset])
+    assert 0.0 < want < 1.0
+    assert model.accuracy(dataset) == want
+    monkeypatch.setattr(clf_module, "ENCODE_CHUNK", 7)  # chunks of 7, the last partial
+    assert model.accuracy(dataset) == want
+
+
+def test_batched_logits_reject_topic_out_of_range():
+    dataset, table = varied_dataset()
+    model = make_model(table)
+    with pytest.raises(EmbeddingError):
+        model._logits([["a"], ["b"]], [0, table.ent.shape[0]])
+    with pytest.raises(EmbeddingError):
+        model.accuracy([(["a"], 0, "SS1"), (["b"], -1, "SS1")])
+
+
+def test_cross_entropy_with_underflowing_class():
+    # exp(-1000) underflows to 0 for the non-target class of row 0
+    logits = ad.parameter(np.array([[0.0, 1000.0], [1.0, 2.0]]))
+    loss = cross_entropy(logits, [1, 0])
+    want = -(0.0 + np.log(np.exp(1.0) / (np.exp(1.0) + np.exp(2.0)))) / 2
+    assert loss.value[0, 0] == pytest.approx(want, abs=1e-12)
+    ad.backward(loss)
+    assert np.isfinite(logits.grad).all()

@@ -1,11 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sskgqa
+
+# the directory holding the package under test, so the subprocess runs it
+# whether or not the package is installed
+SRC = str(Path(sskgqa.__file__).resolve().parents[1])
+
 
 def run_cli(*args, expect_fail=False, env=None):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sskgqa.cli", *args],
         capture_output=True,
@@ -234,3 +244,34 @@ def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: X:"), proc.stderr
+
+
+def test_train_ranker_skips_unknown_topic(toy, tmp_path):
+    data = tmp_path / "questions.jsonl"
+    stray = {"id": "stray", "question": "what does zz r", "topic_entity": "zz",
+             "answers": [], "sparql": "SELECT ?x WHERE { :zz :r ?x . }"}
+    data.write_text((toy / "questions.jsonl").read_text() + json.dumps(stray) + "\n")
+    out = tmp_path / "rank.ckpt"
+    run_cli(
+        "train-ranker", "--kg", str(toy / "kg.tsv"), "--dataset", str(data),
+        "--out", str(out), "--epochs", "1",
+    )
+    assert out.exists()
+
+
+def test_train_classifier_without_examples_is_one_error_line(toy, trained, tmp_path):
+    # every record's topic is outside the KG, so no example is left to train on
+    data = tmp_path / "questions.jsonl"
+    stray = {"id": "stray", "question": "what does zz r", "topic_entity": "zz",
+             "answers": [], "sparql": "SELECT ?x WHERE { :zz :r ?x . }"}
+    data.write_text(json.dumps(stray) + "\n")
+    out = tmp_path / "clf.ckpt"
+    proc = run_cli(
+        "train-classifier", "--kg", str(toy / "kg.tsv"), "--dataset", str(data),
+        "--embeddings", trained["emb"], "--out", str(out), "--epochs", "1",
+        expect_fail=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert not out.exists()

@@ -36,7 +36,9 @@ def test_table_validation():
     with pytest.raises(EmbeddingError):
         EmbeddingTable("rotate", np.zeros((2, 5)), np.zeros((1, 5)))
     with pytest.raises(EmbeddingError):
-        init_table("transe", 3, 1, 4, 0).lookup_entity(5)
+        init_table("transe", 3, 1, 4, 0).lookup_entities([0, 5])
+    with pytest.raises(EmbeddingError):
+        init_table("transe", 3, 1, 4, 0).lookup_entities([-1])
 
 
 def test_transe_score_translation_exact():

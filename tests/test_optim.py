@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sskgqa.optim import AdamW, clip_global_norm, global_norm
+from sskgqa import autodiff as ad
+from sskgqa.optim import AdamW, clip_global_norm, global_norm, train_step
 
 
 def test_global_norm():
@@ -72,3 +73,29 @@ def test_adamw_shape_checks():
         opt.step([np.zeros((2, 2))], [np.zeros((2, 3))])
     with pytest.raises(ValueError):
         opt.step([np.zeros((2, 2))], [])
+
+
+def test_train_step_matches_inline_sequence():
+    # w is used by the loss, unused is not: it steps with a zero gradient
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(3, 4))
+    init = [rng.normal(size=(4, 2)), rng.normal(size=(1, 5))]
+
+    def loss_of(w):
+        return ad.sum_all(ad.mul(ad.matmul(ad.constant(x), w), ad.matmul(ad.constant(x), w)))
+
+    params = [ad.parameter(a.copy()) for a in init]
+    opt = AdamW(lr=0.05, weight_decay=0.1)
+    ref = [a.copy() for a in init]
+    ref_opt = AdamW(lr=0.05, weight_decay=0.1)
+    for _ in range(4):
+        train_step(opt, params, loss_of(params[0]), 1.0)
+        w = ad.parameter(ref[0])
+        ad.backward(loss_of(w))
+        grads = [w.grad, np.zeros_like(ref[1])]
+        clip_global_norm(grads, 1.0)
+        ref_opt.step(ref, grads)
+        for p, r in zip(params, ref):
+            assert np.array_equal(p.value, r)
+    assert not np.array_equal(params[1].value, init[1])  # weight decay moved it
+    assert params[0].grad is not None and params[1].grad is None

@@ -148,15 +148,17 @@ def test_build_training_triplets_skips_long_gold_quickly():
 
 def test_train_ranker_skips_gold_with_answer_behind_constraint():
     # the answer meets the topic only through the constant val0_0, so the
-    # gold has no hop count; that record is skipped, the others train
+    # gold has no hop count; that record is skipped, the others train.
+    # So is a gold whose topic entity zz is not in the KG.
     from sskgqa.annotation import extract_query_graph, parse_sparql
 
     kg, questions = ranker_fixture()
     bad = extract_query_graph(
         parse_sparql("SELECT ?x WHERE { :thing0 :color :val0_0 . ?x :shape :val0_0 . }")
     )
+    stray = extract_query_graph(parse_sparql("SELECT ?x WHERE { :zz :r ?x . }"))
     dataset = [(tokenize_question(q.question), q.gold_graph) for q in questions]
-    mixed = dataset[:2] + [(["q"], bad)] + dataset[2:]
+    mixed = dataset[:2] + [(["q"], bad)] + dataset[2:4] + [(["q"], stray)] + dataset[4:]
     cfg = RankTrainConfig(epochs=1, dropout=0.0, out_dim=8, ff_width=16, seed=0)
     want = build_training_triplets(dataset, kg, cfg, np.random.default_rng(0))
     assert len(want) == len(dataset)
