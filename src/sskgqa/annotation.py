@@ -67,7 +67,6 @@ class LabeledQuestion:
     answers: list[str]
     hops: int | None = None
     sparql: str | None = None
-    structure_label: str | None = None
     gold_graph: QueryGraph | None = None
 
 
@@ -276,6 +275,9 @@ def coverage_report(
     return report
 
 
+_REQUIRED = ("id", "question", "topic_entity", "answers")
+
+
 def load_dataset(path: str) -> list[LabeledQuestion]:
     """JSON Lines dataset: id, question, topic_entity, answers[], hops?, sparql?."""
     out = []
@@ -287,6 +289,13 @@ def load_dataset(path: str) -> list[LabeledQuestion]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LabelingError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise LabelingError(f"{path}:{lineno}: expected a JSON object")
+            missing = [k for k in _REQUIRED if k not in rec]
+            if missing:
+                raise LabelingError(f"{path}:{lineno}: missing key(s): {', '.join(missing)}")
+            if not isinstance(rec["answers"], list):
+                raise LabelingError(f"{path}:{lineno}: answers must be a list")
             out.append(
                 LabeledQuestion(
                     id=str(rec["id"]),

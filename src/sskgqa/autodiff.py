@@ -29,14 +29,13 @@ def _as_value(x) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("value", "parents", "grad", "_backward", "is_param")
+    __slots__ = ("value", "parents", "grad", "_backward")
 
-    def __init__(self, value, parents=(), backward=None, is_param=False):
+    def __init__(self, value, parents=(), backward=None):
         self.value = _as_value(value)
         self.parents = tuple(parents)
         self.grad: np.ndarray | None = None
         self._backward = backward
-        self.is_param = is_param
 
     @property
     def shape(self):
@@ -57,7 +56,7 @@ def constant(x) -> Node:
 
 
 def parameter(x) -> Node:
-    return Node(x, is_param=True)
+    return Node(x)
 
 
 def _same_shape(a: Node, b: Node, op: str) -> None:

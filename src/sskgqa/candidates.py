@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, step
 from .querygraph import QueryGraph, build_chain
 from .structures import SemanticStructure, chain_structure, isomorphic
 
@@ -40,15 +40,6 @@ def derived_enum(base: EnumConfig, ss: SemanticStructure | None) -> EnumConfig:
         constraint_relations=base.constraint_relations,
         max_candidates=base.max_candidates,
     )
-
-
-def _step(kg: KnowledgeGraph, frontier: set[int], rid: int, rev: bool) -> set[int]:
-    out: set[int] = set()
-    for e in frontier:
-        for r, other in kg.in_edges(e) if rev else kg.out_edges(e):
-            if r == rid:
-                out.add(other)
-    return out
 
 
 @lru_cache(maxsize=256)
@@ -129,7 +120,7 @@ def enumerate_candidates(
         frontier = frontiers[-1]
         for rid in rel_ids:
             for rev in (False, True):
-                nxt = _step(kg, frontier, rid, rev)
+                nxt = step(kg, frontier, rid, rev)
                 if not nxt:
                     continue
                 new_hops = hops + [(rid, rev)]
@@ -156,5 +147,5 @@ def _feasible_at(kg, frontiers, hops, hop_idx) -> set[int]:
     # step from p lands in the feasible set at k+1
     for k in range(len(hops) - 1, hop_idx - 1, -1):
         rid, rev = hops[k]
-        feas = {p for p in frontiers[k] if _step(kg, {p}, rid, rev) & feas}
+        feas = {p for p in frontiers[k] if step(kg, {p}, rid, rev) & feas}
     return feas

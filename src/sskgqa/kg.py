@@ -103,6 +103,17 @@ class KnowledgeGraph:
         return t in self.triples
 
 
+def step(kg: KnowledgeGraph, frontier: set[int], rid: int, rev: bool) -> set[int]:
+    """Entities one `rid` edge from the frontier: tails of its out-edges, or
+    heads of its in-edges when `rev`."""
+    out: set[int] = set()
+    for e in frontier:
+        for r, other in kg.in_edges(e) if rev else kg.out_edges(e):
+            if r == rid:
+                out.add(other)
+    return out
+
+
 def build_kg(records: Iterable[tuple[str, str, str]]) -> KnowledgeGraph:
     """Intern symbols in first-appearance order and index the triples."""
     kg = KnowledgeGraph()
@@ -158,7 +169,23 @@ def save_kg(kg: KnowledgeGraph, path: str) -> None:
 
 
 def load_kg(path: str) -> KnowledgeGraph:
+    """Read a `save_kg` dump; a malformed one raises ParseError."""
     with open(path, encoding="utf-8") as f:
         payload = json.load(f)
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    for key in ("entities", "relations", "triples"):
+        if not isinstance(payload.get(key), list):
+            raise ParseError(f"{path}: {key!r} must be a list")
     ents, rels = payload["entities"], payload["relations"]
+    for key, syms in (("entities", ents), ("relations", rels)):
+        # build_kg interns by symbol: a repeated one would renumber the ids after it
+        if not all(isinstance(s, str) for s in syms) or len(set(syms)) != len(syms):
+            raise ParseError(f"{path}: {key!r} must be distinct strings")
+    sizes = (len(ents), len(rels), len(ents))
+    for i, t in enumerate(payload["triples"]):
+        if not (isinstance(t, list) and len(t) == 3 and all(type(v) is int for v in t)):
+            raise ParseError(f"{path}: triple {i}: expected 3 integer ids, got {t!r}")
+        if not all(0 <= v < n for v, n in zip(t, sizes)):
+            raise ParseError(f"{path}: triple {i}: id out of range: {t!r}")
     return build_kg((ents[h], rels[r], ents[t]) for h, r, t in payload["triples"])

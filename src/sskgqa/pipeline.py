@@ -15,7 +15,7 @@ from .annotation import (
 )
 from .candidates import EnumConfig, derived_enum, enumerate_candidates
 from .classifier import ClassifierModel
-from .kg import KnowledgeGraph, LookupError_
+from .kg import KnowledgeGraph
 from .querygraph import CLS, SEP, QueryGraph, canonicalize, execute, split_symbol
 from .ranker import rank_candidates
 from .structures import SemanticStructure, Taxonomy
@@ -116,11 +116,7 @@ def answer_question(
 
     ranked = rank_candidates(cfg.ranker, tokens, cands)
     best = ranked[0]
-    try:
-        answer_ids = execute(best, kg)
-    except LookupError_:
-        answer_ids = set()
-    answers = {kg.entities.symbol_of(a) for a in answer_ids}
+    answers = {kg.entities.symbol_of(a) for a in execute(best, kg)}
     result = AnswerResult(best, answers, predicted, "ok")
     return result, _record(q, result, gold_label, canonicalize(best))
 

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, step
 
 GROUNDED = "grounded"
 EXISTENTIAL = "existential"
@@ -85,10 +85,6 @@ class QueryGraph:
                     out.append(e)
                     break
         return out
-
-    def chain_edges(self) -> list[QgEdge]:
-        cons = set(id(e) for e in self.constraint_edges())
-        return [e for e in self.edges if id(e) not in cons]
 
 
 def build_chain(
@@ -201,119 +197,82 @@ def split_symbol(symbol: str) -> list[str]:
     return [t for t in _SPLIT_RE.split(symbol) if t]
 
 
-def _chain_walk(g: QueryGraph) -> list[tuple[int, QgEdge, bool]]:
-    """Path from topic to lambda over chain edges as (next node, edge, backwards)."""
-    chain = g.chain_edges()
-    adj: dict[int, list[tuple[int, QgEdge, bool]]] = {}
-    for e in chain:
-        adj.setdefault(e.src, []).append((e.dst, e, False))
-        adj.setdefault(e.dst, []).append((e.src, e, True))
-    target = g.lambda_index
-    path: list[tuple[int, QgEdge, bool]] = []
+Step = tuple[int, QgEdge, bool]  # (node reached, edge, traversed dst -> src)
 
-    def dfs(node: int, used: set[int]) -> bool:
-        if node == target:
-            return True
-        for nxt, e, back in adj.get(node, []):
-            if id(e) in used:
-                continue
-            used.add(id(e))
-            path.append((nxt, e, back))
-            if dfs(nxt, used):
-                return True
-            path.pop()
-            used.remove(id(e))
-        return False
 
-    if not dfs(g.topic, set()):
-        raise QueryGraphError("no chain path from topic to lambda")
-    return path
+def chain_of(g: QueryGraph) -> tuple[list[Step], list[list[Step]]]:
+    """The chain g is: its topic -> lambda path, and per path node in path
+    order (topic first) the constraint steps to its grounded values, in edge
+    order.
+
+    The edges touching no grounded node but the topic must form one simple
+    path from the topic to lambda, and every other edge must join a path node
+    to a grounded node; otherwise QueryGraphError.
+    """
+    other = {i for i, n in enumerate(g.nodes) if n.kind == GROUNDED and i != g.topic}
+    left = [e for e in g.edges if e.src not in other and e.dst not in other]
+    # Each step takes the one edge left at the node, so a node is left with no
+    # edge once passed: a second edge there (a branch, a cycle, a parallel or
+    # looping edge) shows as two steps, or stays left at the end.
+    path: list[Step] = []
+    node, lam = g.topic, g.lambda_index
+    while node != lam:
+        steps = [(e.dst, e, False) if e.src == node else (e.src, e, True)
+                 for e in left if node in (e.src, e.dst)]
+        if len(steps) != 1:
+            raise QueryGraphError("chain edges are not one path from topic to lambda")
+        path.append(steps[0])
+        node, e, _ = steps[0]
+        left.remove(e)
+    if left:
+        raise QueryGraphError("chain edges are not one path from topic to lambda")
+    pos = {n: k for k, n in enumerate([g.topic] + [n for n, _, _ in path])}
+    cons: list[list[Step]] = [[] for _ in pos]
+    for e in g.edges:
+        if e.src in other or e.dst in other:
+            if e.src in pos and e.dst in other:
+                cons[pos[e.src]].append((e.dst, e, False))
+            elif e.dst in pos and e.src in other:
+                cons[pos[e.dst]].append((e.src, e, True))
+            else:
+                raise QueryGraphError("constraint edge does not join a path node to a grounded node")
+    return path, cons
+
+
+def _hop_tokens(e: QgEdge, back: bool) -> list[str]:
+    """Relation fragments, plus 'reverse' when the traversal goes against the KG edge."""
+    return split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
 
 
 def serialize_tokens(g: QueryGraph) -> list[str]:
     """Linear walk topic -> hops -> constraints, split into fragments and
     wrapped in [CLS]/[SEP]. Traversal against KG direction adds 'reverse'."""
-    tokens = [CLS]
-    tokens.extend(split_symbol(g.nodes[g.topic].label))
-    walk = _chain_walk(g)
-    order = [g.topic] + [node for node, _, _ in walk]
-    for node, edge, back in walk:
-        tokens.extend(split_symbol(edge.relation))
-        if edge.reversed != back:  # traversal goes against the KG edge
-            tokens.append("reverse")
-        tokens.append(g.nodes[node].label)
-    cons = g.constraint_edges()
-    for at in order:
-        for e in cons:
-            src, dst, back = e.src, e.dst, False
-            if dst == at and g.nodes[src].kind == GROUNDED and src != g.topic:
-                src, dst, back = dst, src, True
-            if src != at:
-                continue
-            tokens.append(g.nodes[src].label if g.nodes[src].is_var() else "c")
-            tokens.extend(split_symbol(e.relation))
-            if e.reversed != back:
-                tokens.append("reverse")
-            tokens.extend(split_symbol(g.nodes[dst].label))
+    path, cons = chain_of(g)
+    tokens = [CLS, *split_symbol(g.nodes[g.topic].label)]
+    for node, e, back in path:
+        tokens += _hop_tokens(e, back) + [g.nodes[node].label]
+    for at, steps in zip([g.topic] + [n for n, _, _ in path], cons):
+        for value, e, back in steps:
+            tokens.append(g.nodes[at].label if g.nodes[at].is_var() else "c")
+            tokens += _hop_tokens(e, back) + split_symbol(g.nodes[value].label)
     tokens.append(SEP)
     return tokens
 
 
 def execute(g: QueryGraph, kg: KnowledgeGraph) -> set[int]:
-    """Answer set of the lambda variable via backtracking join from the topic."""
-    ground: dict[int, int] = {}
-    for i, node in enumerate(g.nodes):
-        if node.kind == GROUNDED:
-            ground[i] = kg.entities.id_of(node.label)
-    edges = [
-        (e, kg.relations.id_of(e.relation)) for e in g.edges
-    ]  # raises on unknown relation
-
-    # Order edges so each has a bound endpoint when processed (insertion-order
-    # preference among eligible edges).
-    ordered: list[tuple[QgEdge, int]] = []
-    bound = set(ground)
-    remaining = list(edges)
-    while remaining:
-        for k, (e, rid) in enumerate(remaining):
-            if e.src in bound or e.dst in bound:
-                ordered.append((e, rid))
-                bound.update((e.src, e.dst))
-                del remaining[k]
-                break
-        else:  # disconnected; validate() prevents this
-            raise QueryGraphError("edge set not connected to topic")
-
-    answers: set[int] = set()
-    lam = g.lambda_index
-    binding = dict(ground)
-
-    def satisfy(k: int) -> None:
-        if k == len(ordered):
-            answers.add(binding[lam])
-            return
-        e, rid = ordered[k]
-        # KG-direction endpoints: triple (head, rid, tail) must exist
-        head, tail = (e.dst, e.src) if e.reversed else (e.src, e.dst)
-        hb, tb = binding.get(head), binding.get(tail)
-        if hb is not None and tb is not None:
-            if Triple(hb, rid, tb) in kg.triples:
-                satisfy(k + 1)
-        elif hb is not None:
-            for r, t in kg.out_edges(hb):
-                if r == rid:
-                    binding[tail] = t
-                    satisfy(k + 1)
-                    del binding[tail]
-        else:
-            for r, h in kg.in_edges(tb):
-                if r == rid:
-                    binding[head] = h
-                    satisfy(k + 1)
-                    del binding[head]
-
-    satisfy(0)
-    return answers
+    """Answer set of the lambda variable: the topic's set of entities walks
+    the chain path one frontier step per hop, and at each path node keeps
+    only the entities that satisfy that node's constraints."""
+    path, cons = chain_of(g)
+    frontier = {kg.entities.id_of(g.nodes[g.topic].label)}
+    for hop, steps in zip([None, *path], cons):
+        if hop is not None:
+            _, e, back = hop
+            frontier = step(kg, frontier, kg.relations.id_of(e.relation), e.reversed != back)
+        for value, e, back in steps:
+            v, rid = kg.entities.id_of(g.nodes[value].label), kg.relations.id_of(e.relation)
+            frontier = {p for p in frontier if v in step(kg, {p}, rid, e.reversed != back)}
+    return frontier
 
 
 def _encode_iri(symbol: str) -> str:

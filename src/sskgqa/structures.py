@@ -11,6 +11,7 @@ E_TOPIC = "E"  # topic entity
 E_CONST = "Ec"  # constraint endpoint entity
 VAR = "v"
 ANSWER = "a"
+KINDS = frozenset((E_TOPIC, E_CONST, VAR, ANSWER))
 
 
 class StructureError(Exception):
@@ -177,13 +178,26 @@ def load_taxonomy(path: str) -> Taxonomy:
     """
     with open(path, encoding="utf-8") as f:
         entries = json.load(f)
-    structures = [
-        SemanticStructure(
-            e["label"], tuple(e["kinds"]), tuple((s, d) for s, d in e["edges"])
-        )
-        for e in entries
-    ]
-    return Taxonomy(structures)
+    if not isinstance(entries, list):
+        raise StructureError(f"{path}: expected a JSON list of structures")
+    return Taxonomy([_structure_entry(path, i, e) for i, e in enumerate(entries)])
+
+
+def _structure_entry(path: str, i: int, e) -> SemanticStructure:
+    """One taxonomy entry, or StructureError naming its position and label."""
+    name = f"{path}: entry {i}"
+    if not isinstance(e, dict) or not all(k in e for k in ("label", "kinds", "edges")):
+        raise StructureError(f"{name}: needs label, kinds and edges")
+    name += f" ({e['label']})"
+    kinds = e["kinds"]
+    if not isinstance(kinds, list) or not all(isinstance(k, str) and k in KINDS for k in kinds):
+        raise StructureError(f"{name}: kinds must be a list of {', '.join(sorted(KINDS))}")
+    edges = e["edges"]
+    if not isinstance(edges, list) or not all(
+        isinstance(d, list) and len(d) == 2 and all(type(v) is int for v in d) for d in edges
+    ):
+        raise StructureError(f"{name}: edges must be a list of [from, to] index pairs")
+    return SemanticStructure(e["label"], tuple(kinds), tuple(map(tuple, edges)))
 
 
 def save_taxonomy(tax: Taxonomy, path: str) -> None:

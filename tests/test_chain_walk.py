@@ -1,0 +1,287 @@
+"""The chain walk (`chain_of`, `serialize_tokens`, frontier `execute`)
+against the DFS serializer and the backtracking join it replaced."""
+
+import time
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from sskgqa.annotation import extract_query_graph, parse_sparql
+from sskgqa.kg import Triple, build_kg
+from sskgqa.querygraph import (
+    CLS,
+    EXISTENTIAL,
+    GROUNDED,
+    LAMBDA,
+    SEP,
+    QgEdge,
+    QgNode,
+    QueryGraph,
+    QueryGraphError,
+    build_chain,
+    execute,
+    serialize_tokens,
+    split_symbol,
+    to_sparql,
+)
+from sskgqa.structures import chain_structure, matches
+
+# -- reference implementations ------------------------------------------------
+
+
+def reference_execute(g: QueryGraph, kg) -> set[int]:
+    """Answer set by a backtracking join over every edge."""
+    ground = {i: kg.entities.id_of(n.label) for i, n in enumerate(g.nodes) if n.kind == GROUNDED}
+    edges = [(e, kg.relations.id_of(e.relation)) for e in g.edges]
+    # each edge in turn has a bound endpoint; earlier edges are preferred
+    ordered, bound, remaining = [], set(ground), list(edges)
+    while remaining:
+        k = next(k for k, (e, _) in enumerate(remaining) if e.src in bound or e.dst in bound)
+        e, rid = remaining.pop(k)
+        ordered.append((e, rid))
+        bound.update((e.src, e.dst))
+
+    answers: set[int] = set()
+    lam = g.lambda_index
+    binding = dict(ground)
+
+    def satisfy(k: int) -> None:
+        if k == len(ordered):
+            answers.add(binding[lam])
+            return
+        e, rid = ordered[k]
+        head, tail = (e.dst, e.src) if e.reversed else (e.src, e.dst)
+        hb, tb = binding.get(head), binding.get(tail)
+        if hb is not None and tb is not None:
+            if Triple(hb, rid, tb) in kg.triples:
+                satisfy(k + 1)
+        elif hb is not None:
+            for r, t in kg.out_edges(hb):
+                if r == rid:
+                    binding[tail] = t
+                    satisfy(k + 1)
+                    del binding[tail]
+        else:
+            for r, h in kg.in_edges(tb):
+                if r == rid:
+                    binding[head] = h
+                    satisfy(k + 1)
+                    del binding[head]
+
+    satisfy(0)
+    return answers
+
+
+def reference_serialize(g: QueryGraph) -> list[str]:
+    """Tokens from a DFS over the non-constraint edges, then the constraint
+    edges per path node."""
+    cons = g.constraint_edges()
+    adj: dict[int, list] = {}
+    for e in g.edges:
+        if not any(e is c for c in cons):
+            adj.setdefault(e.src, []).append((e.dst, e, False))
+            adj.setdefault(e.dst, []).append((e.src, e, True))
+    path: list = []
+
+    def dfs(node: int, used: set[int]) -> bool:
+        if node == g.lambda_index:
+            return True
+        for nxt, e, back in adj.get(node, []):
+            if id(e) in used:
+                continue
+            used.add(id(e))
+            path.append((nxt, e, back))
+            if dfs(nxt, used):
+                return True
+            path.pop()
+            used.remove(id(e))
+        return False
+
+    if not dfs(g.topic, set()):
+        raise QueryGraphError("no chain path from topic to lambda")
+    tokens = [CLS] + split_symbol(g.nodes[g.topic].label)
+    for node, e, back in path:
+        tokens += split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
+        tokens.append(g.nodes[node].label)
+    for at in [g.topic] + [node for node, _, _ in path]:
+        for e in cons:
+            src, dst, back = e.src, e.dst, False
+            if dst == at and g.nodes[src].kind == GROUNDED and src != g.topic:
+                src, dst, back = dst, src, True
+            if src != at:
+                continue
+            tokens.append(g.nodes[src].label if g.nodes[src].is_var() else "c")
+            tokens += split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
+            tokens += split_symbol(g.nodes[dst].label)
+    return tokens + [SEP]
+
+
+# -- strategies ---------------------------------------------------------------
+
+NAMES = ["a", "b", "c", "d", "e_f"]
+RELATIONS = ["r", "s", "t.u"]
+# a -> b -> c -> a is a cycle, d has a self-loop, a and b are joined by two
+# relations; every drawn KG contains these triples
+LOOPS = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("d", "s", "d"), ("a", "s", "b")]
+
+
+@st.composite
+def kgs(draw):
+    triples = draw(
+        st.lists(st.tuples(*(st.sampled_from(x) for x in (NAMES, RELATIONS, NAMES))), max_size=25)
+    )
+    return build_kg(LOOPS + triples)
+
+
+@st.composite
+def chains(draw, kg):
+    """A `build_chain` graph of 1-3 hops with 0-2 constraints over kg's symbols."""
+    ent, rel = st.sampled_from(kg.entities.symbols()), st.sampled_from(kg.relations.symbols())
+    hops = draw(st.lists(st.tuples(rel, st.booleans()), min_size=1, max_size=3))
+    cons = draw(st.lists(st.tuples(st.integers(0, len(hops)), rel, ent), max_size=2))
+    return build_chain(draw(ent), hops, cons)
+
+
+@st.composite
+def forms(draw, g):
+    """g as built, with its node order shuffled, or with edge storage flipped."""
+    form = draw(st.sampled_from(["built", "shuffled", "flipped"]))
+    if form == "shuffled":
+        perm = draw(st.permutations(range(len(g.nodes))))
+        nodes = [None] * len(g.nodes)
+        for i, node in enumerate(g.nodes):
+            nodes[perm[i]] = node
+        edges = [QgEdge(perm[e.src], e.relation, perm[e.dst], e.reversed) for e in g.edges]
+        return QueryGraph(nodes, edges, topic=perm[g.topic])
+    if form == "flipped":
+        flips = draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
+        edges = [
+            QgEdge(e.dst, e.relation, e.src, not e.reversed) if f else e
+            for e, f in zip(g.edges, flips)
+        ]
+        return QueryGraph(g.nodes, edges, topic=g.topic)
+    return g
+
+
+@st.composite
+def kg_and_chain(draw):
+    kg = draw(kgs())
+    return kg, draw(forms(draw(chains(kg))))
+
+
+SHAPES = [chain_structure(h, at) for h in (1, 2, 3) for at in (None, *range(1, h + 1))]
+
+
+@st.composite
+def chain_shaped(draw):
+    """A path of 1-3 hops from a grounded topic to lambda, plus at most one
+    grounded value hung off a path node after the topic, with random labels,
+    node order, edge storage and reversed flags."""
+    hops = draw(st.integers(1, 3))
+    at = draw(st.sampled_from([None, *range(1, hops + 1)]))
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=hops - 1, max_size=hops - 1, unique=True))
+    nodes = [QgNode(GROUNDED, draw(st.sampled_from(NAMES)))]
+    nodes += [QgNode(EXISTENTIAL, name) for name in names] + [QgNode(LAMBDA, "x")]
+    pairs = [(i, i + 1) for i in range(hops)]
+    if at is not None:
+        nodes.append(QgNode(GROUNDED, draw(st.sampled_from(NAMES))))
+        pairs.append((at, hops + 1))
+    perm = draw(st.permutations(range(len(nodes))))
+    edges = []
+    for a, b in pairs:
+        a, b = draw(st.sampled_from([(perm[a], perm[b]), (perm[b], perm[a])]))
+        edges.append(QgEdge(a, draw(st.sampled_from(RELATIONS)), b, draw(st.booleans())))
+    return QueryGraph([nodes[perm.index(i)] for i in range(len(nodes))], edges, topic=perm[0])
+
+
+# -- equivalence --------------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None)
+@given(kg_and_chain())
+def test_execute_equals_backtracking_join(case):
+    kg, g = case
+    assert execute(g, kg) == reference_execute(g, kg)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kg_and_chain())
+def test_serialize_equals_dfs_serializer_on_chains(case):
+    _, g = case
+    assert serialize_tokens(g) == reference_serialize(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_shaped())
+def test_serialize_equals_dfs_serializer_on_chain_shaped_graphs(g):
+    assert any(matches(g, ss) for ss in SHAPES)
+    assert serialize_tokens(g) == reference_serialize(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kg_and_chain())
+def test_serialize_equals_dfs_serializer_after_sparql_round_trip(case):
+    # SPARQL names a grounded node by its label, so equal labels would merge
+    _, g = case
+    labels = [n.label for n in g.nodes if n.kind == GROUNDED]
+    assume(len(set(labels)) == len(labels))
+    # the topic of the extracted graph is the grounded node farthest from
+    # lambda, which may be a constraint value; then neither finds a path
+    h = extract_query_graph(parse_sparql(to_sparql(g)))
+    try:
+        want = reference_serialize(h)
+    except QueryGraphError:
+        with pytest.raises(QueryGraphError):
+            serialize_tokens(h)
+    else:
+        assert serialize_tokens(h) == want
+
+
+# -- non-chain graphs ---------------------------------------------------------
+
+T, X, Y = QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x"), QgNode(EXISTENTIAL, "y")
+G = QgNode(GROUNDED, "b")
+NOT_CHAINS = {
+    # y hangs off the path topic -> x, at the topic or past lambda
+    "branch": QueryGraph([T, X, Y], [QgEdge(0, "r", 1), QgEdge(0, "r", 2)], 0),
+    "branch_past_lambda": QueryGraph([T, X, Y], [QgEdge(0, "r", 1), QgEdge(1, "r", 2)], 0),
+    "cycle": QueryGraph([T, Y, X], [QgEdge(0, "r", 1), QgEdge(1, "r", 2), QgEdge(2, "s", 0)], 0),
+    "parallel": QueryGraph([T, X], [QgEdge(0, "r", 1), QgEdge(0, "s", 1)], 0),
+    "self_loop": QueryGraph([T, Y, X], [QgEdge(0, "r", 1), QgEdge(1, "s", 1), QgEdge(1, "r", 2)], 0),
+    "grounded_pair": QueryGraph(
+        [T, X, G, QgNode(GROUNDED, "c")],
+        [QgEdge(0, "r", 1), QgEdge(1, "s", 2), QgEdge(2, "t", 3)],
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_CHAINS))
+def test_non_chain_graphs_raise(name):
+    g = NOT_CHAINS[name]
+    kg = build_kg([("a", "r", "b"), ("b", "s", "c"), ("c", "t", "a")])
+    with pytest.raises(QueryGraphError):
+        serialize_tokens(g)
+    with pytest.raises(QueryGraphError):
+        execute(g, kg)
+
+
+# -- fan-out budget -----------------------------------------------------------
+
+
+def test_three_hop_fan_out_budget():
+    # the topic reaches 160 entities, each of which reaches the same 160, and
+    # so on for three hops: 160**3 paths over 51,440 triples; every other
+    # second-hop entity carries the constraint
+    n = 160
+    layers = [["t"]] + [[f"l{k}_{i}" for i in range(n)] for k in (1, 2, 3)]
+    triples = [(h, "r", t) for k in range(3) for h in layers[k] for t in layers[k + 1]]
+    triples += [(z, "c", "v") for z in layers[2][::2]]
+    kg = build_kg(triples)
+    want = {kg.entities.id_of(e) for e in layers[3]}
+    for cons in ([], [(2, "c", "v")]):
+        g = build_chain("t", [("r", False)] * 3, cons)
+        start = time.perf_counter()
+        assert execute(g, kg) == want
+        assert time.perf_counter() - start < 0.5

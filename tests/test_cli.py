@@ -275,3 +275,76 @@ def test_train_classifier_without_examples_is_one_error_line(toy, trained, tmp_p
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert not out.exists()
+
+
+def assert_one_error_line(proc, start="error:"):
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start), proc.stderr
+
+
+KG_OK = {"entities": ["a", "b"], "relations": ["r"], "triples": [[0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"triples": [[0, 0, -1]]},
+        {"triples": [[-2, 0, 1]]},
+        {"triples": [[0, 0, 5]]},
+        {"triples": [[0, 1, 1]]},
+        {"triples": [[0, 0]]},
+        {"triples": [[0, 0, 1.0]]},
+        {"relations": None},
+        {"entities": "ab"},
+        {"triples": {}},
+        {"entities": ["a", "a", "b"], "triples": [[0, 0, 2]]},
+        {"relations": [["r"]]},
+    ],
+    ids=["negative", "negative_head", "tail", "relation", "short", "float",
+         "no_relations", "entities_not_list", "triples_not_list", "repeated_entity",
+         "relation_not_string"],
+)
+def test_corrupt_interned_kg_is_one_error_line(tmp_path, change):
+    payload = {k: v for k, v in dict(KG_OK, **change).items() if v is not None}
+    kg = tmp_path / "kg.json"
+    kg.write_text(json.dumps(payload))
+    proc = run_cli(
+        "train-embeddings", "--kg", str(kg), "--out", str(tmp_path / "emb.ckpt"),
+        expect_fail=True,
+    )
+    assert_one_error_line(proc, f"error: {kg}:")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"id": "q", "question": "what", "topic_entity": "a"}',
+        "[1, 2]",
+        '{"id": "q", "question": "what", "topic_entity": "a", "answers": "ab"}',
+    ],
+    ids=["missing_answers", "not_object", "answers_not_list"],
+)
+def test_bad_dataset_record_is_one_error_line(toy, tmp_path, line):
+    data = tmp_path / "questions.jsonl"
+    data.write_text((toy / "questions.jsonl").read_text() + line + "\n")
+    n = len(data.read_text().splitlines())
+    proc = run_cli("annotate", "--dataset", str(data), expect_fail=True)
+    assert proc.stdout == ""
+    assert_one_error_line(proc, f"error: {data}:{n}:")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"label": "X", "kinds": ["E", "a"]}, {"label": "X", "kinds": ["E", "zz", "a"], "edges": [[0, 1], [1, 2]]}],
+    ids=["missing_edges", "unknown_kind"],
+)
+def test_bad_taxonomy_entry_is_one_error_line(toy, tmp_path, entry):
+    tax = tmp_path / "tax.json"
+    tax.write_text(json.dumps([{"label": "SS1", "kinds": ["E", "a"], "edges": [[0, 1]]}, entry]))
+    proc = run_cli(
+        "annotate", "--dataset", str(toy / "questions.jsonl"), "--taxonomy", str(tax),
+        expect_fail=True,
+    )
+    assert proc.stdout == ""
+    assert_one_error_line(proc, f"error: {tax}: entry 1")

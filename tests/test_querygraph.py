@@ -13,6 +13,7 @@ from sskgqa.querygraph import (
     QueryGraphError,
     build_chain,
     canonicalize,
+    chain_of,
     decode_iri,
     execute,
     serialize_tokens,
@@ -40,7 +41,9 @@ def test_build_chain_with_constraint():
     cons = g.constraint_edges()
     assert len(cons) == 1
     assert cons[0].relation == "c"
-    assert len(g.chain_edges()) == 1
+    path, steps = chain_of(g)
+    assert path == [(1, g.edges[0], False)]
+    assert steps == [[], [(2, g.edges[1], False)]]
 
 
 def test_validation_rejects_two_lambdas():
