@@ -184,8 +184,9 @@ def extract_query_graph(ast: SparqlAst) -> QueryGraph:
     """Map a parsed SPARQL command to its query graph.
 
     Iri terms become grounded nodes, variables existential nodes, the selected
-    variable the lambda node. The topic is the grounded node farthest from the
-    lambda; among ties, one that is the subject of some pattern wins.
+    variable the lambda node. The topic is, among the grounded nodes that
+    reach the lambda through variables only, the one farthest from it; among
+    ties, one that is the subject of some pattern wins.
     """
     if ast.unsupported_features:
         raise ExtractionError(
@@ -216,10 +217,14 @@ def extract_query_graph(ast: SparqlAst) -> QueryGraph:
     dist = bfs_depths(len(nodes), [(e.src, e.dst) for e in edges], lam)
     if len(dist) != len(nodes):
         raise ExtractionError("pattern graph is disconnected")
+    # the topic reaches lambda through variables only; a constraint value
+    # hangs off a variable and may lie farther from lambda than the topic
+    ground = set(grounded)
+    var_edges = [(e.src, e.dst) for e in edges if e.src not in ground and e.dst not in ground]
+    via_vars = bfs_depths(len(nodes), var_edges, lam)
+    reach = {e.src for e in edges if e.dst in via_vars} | {e.dst for e in edges if e.src in via_vars}
     subjects = {e.src for e in edges}
-    topic = max(
-        grounded, key=lambda i: (dist[i], i in subjects, -i)
-    )
+    topic = max(ground & reach, key=lambda i: (dist[i], i in subjects, -i))
     try:
         return QueryGraph(nodes=nodes, edges=edges, topic=topic)
     except QueryGraphError as exc:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import islice
 
 from .kg import KnowledgeGraph, step
 from .querygraph import QueryGraph, build_chain
@@ -14,7 +15,6 @@ from .structures import SemanticStructure, chain_structure, isomorphic
 class EnumConfig:
     max_hops: int = 3
     attach_constraints: bool = False
-    constraint_relations: list[str] | None = None  # allowlist of relation symbols
     max_candidates: int = 10000
 
     def __post_init__(self) -> None:
@@ -26,20 +26,15 @@ class EnumConfig:
 
 @dataclass
 class EnumResult:
-    graphs: list[QueryGraph] = field(default_factory=list)
-    truncated: bool = False
+    graphs: list[QueryGraph]
+    truncated: bool
 
 
 def derived_enum(base: EnumConfig, ss: SemanticStructure | None) -> EnumConfig:
     """Restrict enumeration to the structure's hop count and constraint need."""
     if ss is None:
         return base
-    return EnumConfig(
-        max_hops=min(base.max_hops, ss.hop_count()),
-        attach_constraints=ss.has_constraints(),
-        constraint_relations=base.constraint_relations,
-        max_candidates=base.max_candidates,
-    )
+    return replace(base, max_hops=min(base.max_hops, ss.hop_count()), attach_constraints=ss.has_constraints())
 
 
 @lru_cache(maxsize=256)
@@ -72,80 +67,54 @@ def enumerate_candidates(
     topic_id = kg.entities.id_of(topic)
     shapes = _shapes(cfg.max_hops, cfg.attach_constraints, ss)
     depth = max((h for h, _ in shapes), default=0)
-    allow = (
-        None
-        if cfg.constraint_relations is None
-        else {kg.relations.id_of(r) for r in cfg.constraint_relations}
-    )
-    result = EnumResult()
+    walk = _chains(kg, shapes, depth, (), ({topic_id},)) if depth else iter(())
+    found = list(islice(walk, cfg.max_candidates + 1))
+    rel, ent = kg.relations.symbol_of, kg.entities.symbol_of
+    graphs = [
+        build_chain(
+            topic,
+            [(rel(r), rev) for r, rev in hops],
+            [(at, rel(r), ent(val)) for at, r, val in constraints],
+        )
+        for hops, constraints in found[: cfg.max_candidates]
+    ]
+    return EnumResult(graphs, truncated=len(found) > cfg.max_candidates)
 
-    def emit(g: QueryGraph) -> bool:
-        if len(result.graphs) >= cfg.max_candidates:
-            result.truncated = True
-            return False
-        result.graphs.append(g)
-        return True
 
-    rel_ids = range(kg.num_relations)
-
-    def constraint_variants(hops, frontiers):
-        """One constraint per variable node of the chain (hop index >= 1)."""
-        for hop_idx in range(1, len(hops) + 1):
-            if (len(hops), hop_idx) not in shapes:
+def _chains(kg, shapes, depth, hops, frontiers):
+    """(hops, constraints) id tuples of the chains of `shapes` that extend
+    `hops`, depth first. `frontiers[k]` holds the entities reached after k
+    hops. Each new hop yields its plain chain, then one chain per constraint
+    (path node after the topic, relation, value) that a full binding meets,
+    then the chains that extend it."""
+    frontier = frontiers[-1]
+    for rid in range(kg.num_relations):
+        for rev in (False, True):
+            nxt = step(kg, frontier, rid, rev)
+            if not nxt:
                 continue
-            # entities at hop_idx that extend to a full binding
-            feas = _feasible_at(kg, frontiers, hops, hop_idx)
-            pairs = set()
-            for e in feas:
-                for r, val in kg.out_edges(e):
-                    if allow is not None and r not in allow:
-                        continue
-                    pairs.add((r, val))
-            for r, val in sorted(pairs):
-                g = build_chain(
-                    topic,
-                    hops_syms(hops),
-                    [(hop_idx, kg.relations.symbol_of(r), kg.entities.symbol_of(val))],
-                )
-                # constrained chain is satisfiable by construction (value taken
-                # from an edge of a feasible binding)
-                if not emit(g):
-                    return False
-        return True
-
-    def hops_syms(hops):
-        return [(kg.relations.symbol_of(r), rev) for r, rev in hops]
-
-    def recurse(hops, frontiers) -> bool:
-        frontier = frontiers[-1]
-        for rid in rel_ids:
-            for rev in (False, True):
-                nxt = step(kg, frontier, rid, rev)
-                if not nxt:
-                    continue
-                new_hops = hops + [(rid, rev)]
-                new_frontiers = frontiers + [nxt]
-                if (len(new_hops), None) in shapes:
-                    if not emit(build_chain(topic, hops_syms(new_hops))):
-                        return False
-                if not constraint_variants(new_hops, new_frontiers):
-                    return False
-                if len(new_hops) < depth:
-                    if not recurse(new_hops, new_frontiers):
-                        return False
-        return True
-
-    if depth:
-        recurse([], [{topic_id}])
-    return result
+            new_hops = hops + ((rid, rev),)
+            new_frontiers = frontiers + (nxt,)
+            n = len(new_hops)
+            if (n, None) in shapes:
+                yield new_hops, ()
+            for at in range(1, n + 1):
+                if (n, at) in shapes:
+                    feas = _feasible_at(kg, new_frontiers, new_hops, at)
+                    for r, val in sorted({edge for e in feas for edge in kg.out_edges(e)}):
+                        yield new_hops, ((at, r, val),)
+            if n < depth:
+                yield from _chains(kg, shapes, depth, new_hops, new_frontiers)
 
 
-def _feasible_at(kg, frontiers, hops, hop_idx) -> set[int]:
-    """Entities at position hop_idx of the chain that admit a full binding."""
-    feas = set(frontiers[-1])
-    # walk the chain suffix backwards: p at position k is feasible when some
-    # step from p lands in the feasible set at k+1
-    for k in range(len(hops) - 1, hop_idx - 1, -1):
+def _feasible_at(kg, frontiers, hops, at) -> set[int]:
+    """Entities at path node `at` of the chain that admit a full binding."""
+    feas = frontiers[-1]
+    # walk the chain suffix backwards, keeping the entities at node k that have
+    # a hop-k edge into the feasible set at node k+1. Each test reads only the
+    # edges that the forward step from node k read; a reverse step from the
+    # feasible set would read every in-edge of a hub there.
+    for k in range(len(hops) - 1, at - 1, -1):
         rid, rev = hops[k]
         feas = {p for p in frontiers[k] if step(kg, {p}, rid, rev) & feas}
     return feas

@@ -51,8 +51,7 @@ def rotate_fuse(eh: np.ndarray, eq: np.ndarray) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {eh.shape[1]} vs {eq.shape[1]}")
     if eh.shape[1] % 2 != 0:
         raise ValueError("dimension must be even")
-    et = ad.complex_mul_packed(eh, eq)
-    return (eh + eq + et)[0]
+    return _fuse_node(ad.constant(eh), ad.constant(eq)).value[0]
 
 
 def _fuse_node(eh: ad.Node, eq: ad.Node) -> ad.Node:

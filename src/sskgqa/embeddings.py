@@ -62,18 +62,9 @@ class EmbeddingTable:
 
     def score_tails(self, h: int, r: int, tails: np.ndarray) -> np.ndarray:
         """Scores of (h, r, t') for a vector of candidate tails."""
-        eh = self.ent[h : h + 1]
-        et = self.ent[tails]
-        if self.kind == "transe":
-            return -np.linalg.norm(eh + self.rel[r : r + 1] - et, axis=1)
-        if self.kind == "complex":
-            hr = ad.complex_mul_packed(eh, self.rel[r : r + 1])
-            return (hr * et).sum(axis=1)
-        half = self.d // 2
-        theta = self.rel[r, :half]
-        unit = np.concatenate([np.cos(theta), np.sin(theta)]).reshape(1, -1)
-        rotated = ad.complex_mul_packed(eh, unit)
-        return -np.linalg.norm(rotated - et, axis=1)
+        n = len(tails)
+        hs, rs = np.full(n, h), np.full(n, r)
+        return score_nodes(ad.constant(self.ent), ad.constant(self.rel), self.kind, hs, rs, tails).value[:, 0]
 
 
 def init_table(kind: str, n_entities: int, n_relations: int, d: int, seed: int) -> EmbeddingTable:

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .kg import KnowledgeGraph, step
+from .kg import KnowledgeGraph, Triple, step
 
 GROUNDED = "grounded"
 EXISTENTIAL = "existential"
@@ -75,16 +75,6 @@ class QueryGraph:
     @property
     def lambda_index(self) -> int:
         return next(i for i, n in enumerate(self.nodes) if n.kind == LAMBDA)
-
-    def constraint_edges(self) -> list[QgEdge]:
-        """Edges incident to a grounded node other than the topic."""
-        out = []
-        for e in self.edges:
-            for idx in (e.src, e.dst):
-                if idx != self.topic and self.nodes[idx].kind == GROUNDED:
-                    out.append(e)
-                    break
-        return out
 
 
 def build_chain(
@@ -262,7 +252,9 @@ def serialize_tokens(g: QueryGraph) -> list[str]:
 def execute(g: QueryGraph, kg: KnowledgeGraph) -> set[int]:
     """Answer set of the lambda variable: the topic's set of entities walks
     the chain path one frontier step per hop, and at each path node keeps
-    only the entities that satisfy that node's constraints."""
+    only the entities with a KG triple to each of that node's constraint
+    values. The triple test costs one lookup per frontier entity, however
+    many edges the constraint value has."""
     path, cons = chain_of(g)
     frontier = {kg.entities.id_of(g.nodes[g.topic].label)}
     for hop, steps in zip([None, *path], cons):
@@ -271,7 +263,8 @@ def execute(g: QueryGraph, kg: KnowledgeGraph) -> set[int]:
             frontier = step(kg, frontier, kg.relations.id_of(e.relation), e.reversed != back)
         for value, e, back in steps:
             v, rid = kg.entities.id_of(g.nodes[value].label), kg.relations.id_of(e.relation)
-            frontier = {p for p in frontier if v in step(kg, {p}, rid, e.reversed != back)}
+            rev = e.reversed != back
+            frontier = {p for p in frontier if kg.has_triple(Triple(v, rid, p) if rev else Triple(p, rid, v))}
     return frontier
 
 

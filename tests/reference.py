@@ -1,0 +1,176 @@
+"""Reference implementations that property tests check the library against:
+a backtracking join for `execute`, a DFS serializer for `serialize_tokens`,
+a recursive enumerator with per-entity feasibility for
+`enumerate_candidates`, and numpy KG embedding scores for
+`embeddings.score_nodes`."""
+
+import numpy as np
+
+from sskgqa import autodiff as ad
+from sskgqa.kg import Triple, step
+from sskgqa.querygraph import CLS, GROUNDED, SEP, QueryGraph, QueryGraphError, build_chain, split_symbol
+from sskgqa.structures import chain_structure, isomorphic
+
+
+def reference_execute(g: QueryGraph, kg) -> set[int]:
+    """Answer set by a backtracking join over every edge."""
+    ground = {i: kg.entities.id_of(n.label) for i, n in enumerate(g.nodes) if n.kind == GROUNDED}
+    edges = [(e, kg.relations.id_of(e.relation)) for e in g.edges]
+    # each edge in turn has a bound endpoint; earlier edges are preferred
+    ordered, bound, remaining = [], set(ground), list(edges)
+    while remaining:
+        k = next(k for k, (e, _) in enumerate(remaining) if e.src in bound or e.dst in bound)
+        e, rid = remaining.pop(k)
+        ordered.append((e, rid))
+        bound.update((e.src, e.dst))
+
+    answers: set[int] = set()
+    lam = g.lambda_index
+    binding = dict(ground)
+
+    def satisfy(k: int) -> None:
+        if k == len(ordered):
+            answers.add(binding[lam])
+            return
+        e, rid = ordered[k]
+        head, tail = (e.dst, e.src) if e.reversed else (e.src, e.dst)
+        hb, tb = binding.get(head), binding.get(tail)
+        if hb is not None and tb is not None:
+            if Triple(hb, rid, tb) in kg.triples:
+                satisfy(k + 1)
+        elif hb is not None:
+            for r, t in kg.out_edges(hb):
+                if r == rid:
+                    binding[tail] = t
+                    satisfy(k + 1)
+                    del binding[tail]
+        else:
+            for r, h in kg.in_edges(tb):
+                if r == rid:
+                    binding[head] = h
+                    satisfy(k + 1)
+                    del binding[head]
+
+    satisfy(0)
+    return answers
+
+
+def reference_serialize(g: QueryGraph) -> list[str]:
+    """Tokens from a DFS over the non-constraint edges, then the constraint
+    edges (those touching a grounded node other than the topic) per path
+    node."""
+    other = {i for i, n in enumerate(g.nodes) if n.kind == GROUNDED and i != g.topic}
+    cons = [e for e in g.edges if e.src in other or e.dst in other]
+    adj: dict[int, list] = {}
+    for e in g.edges:
+        if not any(e is c for c in cons):
+            adj.setdefault(e.src, []).append((e.dst, e, False))
+            adj.setdefault(e.dst, []).append((e.src, e, True))
+    path: list = []
+
+    def dfs(node: int, used: set[int]) -> bool:
+        if node == g.lambda_index:
+            return True
+        for nxt, e, back in adj.get(node, []):
+            if id(e) in used:
+                continue
+            used.add(id(e))
+            path.append((nxt, e, back))
+            if dfs(nxt, used):
+                return True
+            path.pop()
+            used.remove(id(e))
+        return False
+
+    if not dfs(g.topic, set()):
+        raise QueryGraphError("no chain path from topic to lambda")
+    tokens = [CLS] + split_symbol(g.nodes[g.topic].label)
+    for node, e, back in path:
+        tokens += split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
+        tokens.append(g.nodes[node].label)
+    for at in [g.topic] + [node for node, _, _ in path]:
+        for e in cons:
+            src, dst, back = e.src, e.dst, False
+            if dst == at and g.nodes[src].kind == GROUNDED and src != g.topic:
+                src, dst, back = dst, src, True
+            if src != at:
+                continue
+            tokens.append(g.nodes[src].label if g.nodes[src].is_var() else "c")
+            tokens += split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
+            tokens += split_symbol(g.nodes[dst].label)
+    return tokens + [SEP]
+
+
+def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list[QueryGraph], bool]:
+    """(graphs, truncated) from a recursive walk that builds each graph as it
+    goes and stops at the first candidate past cfg.max_candidates; a
+    constraint's feasible entities are found one entity at a time."""
+    shapes = {(h, at) for h in range(1, cfg.max_hops + 1) for at in (None, *range(1, h + 1))}
+    if ss is not None:
+        shapes = {s for s in shapes if isomorphic(chain_structure(*s), ss)}
+    else:
+        shapes = {s for s in shapes if s[1] is None or cfg.attach_constraints}
+    depth = max((h for h, _ in shapes), default=0)
+    graphs: list[QueryGraph] = []
+    truncated = False
+
+    def syms(hops):
+        return [(kg.relations.symbol_of(r), rev) for r, rev in hops]
+
+    def emit(g: QueryGraph) -> bool:
+        nonlocal truncated
+        if len(graphs) >= cfg.max_candidates:
+            truncated = True
+            return False
+        graphs.append(g)
+        return True
+
+    def feasible_at(frontiers, hops, hop_idx) -> set[int]:
+        feas = set(frontiers[-1])
+        for k in range(len(hops) - 1, hop_idx - 1, -1):
+            rid, rev = hops[k]
+            feas = {p for p in frontiers[k] if step(kg, {p}, rid, rev) & feas}
+        return feas
+
+    def constraint_variants(hops, frontiers) -> bool:
+        for hop_idx in range(1, len(hops) + 1):
+            if (len(hops), hop_idx) not in shapes:
+                continue
+            pairs = {edge for e in feasible_at(frontiers, hops, hop_idx) for edge in kg.out_edges(e)}
+            for r, val in sorted(pairs):
+                cons = [(hop_idx, kg.relations.symbol_of(r), kg.entities.symbol_of(val))]
+                if not emit(build_chain(topic, syms(hops), cons)):
+                    return False
+        return True
+
+    def recurse(hops, frontiers) -> bool:
+        for rid in range(kg.num_relations):
+            for rev in (False, True):
+                nxt = step(kg, frontiers[-1], rid, rev)
+                if not nxt:
+                    continue
+                new_hops, new_frontiers = hops + [(rid, rev)], frontiers + [nxt]
+                if (len(new_hops), None) in shapes and not emit(build_chain(topic, syms(new_hops))):
+                    return False
+                if not constraint_variants(new_hops, new_frontiers):
+                    return False
+                if len(new_hops) < depth and not recurse(new_hops, new_frontiers):
+                    return False
+        return True
+
+    if depth:
+        recurse([], [{kg.entities.id_of(topic)}])
+    return graphs, truncated
+
+
+def reference_score_tails(table, h: int, r: int, tails) -> np.ndarray:
+    """Scores of (h, r, t) for each t in `tails`, straight from the numpy
+    formulas: TransE -||h + r - t||, ComplEx <h * r, t>, RotatE -||h o e^(i theta_r) - t||."""
+    eh, et = table.ent[h : h + 1], table.ent[tails]
+    if table.kind == "transe":
+        return -np.linalg.norm(eh + table.rel[r : r + 1] - et, axis=1)
+    if table.kind == "complex":
+        return (ad.complex_mul_packed(eh, table.rel[r : r + 1]) * et).sum(axis=1)
+    theta = table.rel[r, : table.d // 2]
+    unit = np.concatenate([np.cos(theta), np.sin(theta)]).reshape(1, -1)
+    return -np.linalg.norm(ad.complex_mul_packed(eh, unit) - et, axis=1)

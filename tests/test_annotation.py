@@ -20,7 +20,7 @@ from sskgqa.annotation import (
     save_dataset,
 )
 from sskgqa.querygraph import build_chain, canonicalize, to_sparql
-from sskgqa.structures import builtin_taxonomy
+from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, SemanticStructure, Taxonomy, builtin_taxonomy
 
 
 def q(**kw):
@@ -109,6 +109,18 @@ def test_label_wsp():
     assert label_wsp(q(sparql=to_sparql(g)), tax) == "SS2"
     assert label_wsp(q(sparql="SELECT ?x WHERE { :a :r ?x . FILTER ( ?x < 3 ) }"), tax) == UNSUPPORTED
     assert label_wsp(q(sparql="not sparql at all"), tax) == UNSUPPORTED
+
+
+def test_label_wsp_constraint_on_topic():
+    # the constraint value :a lies farther from ?x than the topic :b, but
+    # reaches it only through :b, so :b stays the topic
+    tc = SemanticStructure("TC", (E_TOPIC, ANSWER, E_CONST), ((0, 1), (0, 2)))
+    tax = Taxonomy(list(builtin_taxonomy()) + [tc])
+    sparql = "SELECT ?x WHERE { :b :r ?x . :b :r :a . }"
+    g = extract_query_graph(parse_sparql(sparql))
+    assert g.nodes[g.topic].label == "b"
+    assert label_wsp(q(sparql=sparql), tax) == "TC"
+    assert label_wsp(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
 
 
 def test_label_long_chain_is_bounded():

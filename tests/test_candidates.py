@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_enumerate
+
 from sskgqa.candidates import EnumConfig, derived_enum, enumerate_candidates
 from sskgqa.kg import build_kg
-from sskgqa.querygraph import execute
+from sskgqa.querygraph import chain_of, execute
 from sskgqa.structures import (
     ANSWER,
     E_CONST,
@@ -100,32 +102,14 @@ def test_constraint_attachment():
     res = enumerate_candidates(
         kg, "d1", EnumConfig(max_hops=1, attach_constraints=True)
     )
-    constrained = [g for g in res.graphs if g.constraint_edges()]
+    constrained = [g for g in res.graphs if any(chain_of(g)[1])]
     assert constrained
     values = set()
     for g in constrained:
         assert execute(g, kg)  # constrained candidates stay satisfiable
-        for e in g.constraint_edges():
-            values.add(g.nodes[e.dst].label)
+        for steps in chain_of(g)[1]:
+            values.update(g.nodes[value].label for value, _, _ in steps)
     assert {"1990", "2000"} <= values
-
-
-def test_constraint_relation_allowlist():
-    kg = build_kg(
-        [
-            ("d1", "made", "f1"),
-            ("f1", "year", "1990"),
-            ("f1", "lang", "ru"),
-        ]
-    )
-    res = enumerate_candidates(
-        kg,
-        "d1",
-        EnumConfig(max_hops=1, attach_constraints=True, constraint_relations=["year"]),
-    )
-    for g in res.graphs:
-        for e in g.constraint_edges():
-            assert e.relation == "year"
 
 
 def test_constraint_abstracts_to_constrained_structure():
@@ -164,19 +148,16 @@ NAMES = ["a", "b", "c", "d"]
     ),
     pick=st.integers(0, 3),
     attach=st.booleans(),
-    allow=st.sampled_from([None, ["s"], ["r", "t"]]),
     cap=st.integers(1, 12),
 )
-def test_structure_enumeration_equals_filtered_enumeration(triples, pick, attach, allow, cap):
+def test_structure_enumeration_equals_filtered_enumeration(triples, pick, attach, cap):
     # the chains built for ss are those the filter keeps from the full
     # enumeration of ss's hop count and constraint need, in the same order
     kg = build_kg(triples)
     topic = kg.entities.symbol_of(pick % kg.num_entities)
-    if allow is not None:
-        allow = [r for r in allow if r in kg.relations]
     for ss in list(builtin_taxonomy()) + [TWO_CONSTRAINTS]:
         for max_hops in (1, 2, 3):
-            cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach, constraint_relations=allow)
+            cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach)
             want = filter_candidates(enumerate_candidates(kg, topic, derived_enum(cfg, ss)).graphs, ss)
             got = enumerate_candidates(kg, topic, cfg, ss)
             assert got.graphs == want and not got.truncated
@@ -186,3 +167,30 @@ def test_structure_enumeration_equals_filtered_enumeration(triples, pick, attach
             capped = enumerate_candidates(kg, topic, replace(cfg, max_candidates=cap), ss)
             assert capped.graphs == want[:cap]
             assert capped.truncated == (len(want) > cap)
+
+
+# -- against the recursive reference enumerator --------------------------------
+
+# a -> b -> c -> a is a cycle, d has a self-loop, and a, b are joined by two
+# relations; every drawn KG contains these triples
+LOOPS = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("d", "s", "d"), ("a", "s", "b")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    extra=st.lists(
+        st.tuples(st.sampled_from(NAMES), st.sampled_from(["r", "s", "t"]), st.sampled_from(NAMES)),
+        max_size=10,
+    ),
+    pick=st.sampled_from(NAMES),
+    ss=st.sampled_from([None, *builtin_taxonomy(), TWO_CONSTRAINTS]),
+    cap=st.integers(1, 60),
+)
+def test_enumeration_equals_reference_enumerator(extra, pick, ss, cap):
+    kg = build_kg(LOOPS + extra)
+    for max_hops in (1, 2, 3):
+        for attach in (False, True):
+            for max_candidates in (cap, 10000):
+                cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach, max_candidates=max_candidates)
+                got = enumerate_candidates(kg, pick, cfg, ss)
+                assert (got.graphs, got.truncated) == reference_enumerate(kg, pick, cfg, ss)

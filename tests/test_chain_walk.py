@@ -7,14 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import reference_execute, reference_serialize
+
 from sskgqa.annotation import extract_query_graph, parse_sparql
-from sskgqa.kg import Triple, build_kg
+from sskgqa.kg import build_kg
 from sskgqa.querygraph import (
-    CLS,
     EXISTENTIAL,
     GROUNDED,
     LAMBDA,
-    SEP,
     QgEdge,
     QgNode,
     QueryGraph,
@@ -22,99 +22,9 @@ from sskgqa.querygraph import (
     build_chain,
     execute,
     serialize_tokens,
-    split_symbol,
     to_sparql,
 )
 from sskgqa.structures import chain_structure, matches
-
-# -- reference implementations ------------------------------------------------
-
-
-def reference_execute(g: QueryGraph, kg) -> set[int]:
-    """Answer set by a backtracking join over every edge."""
-    ground = {i: kg.entities.id_of(n.label) for i, n in enumerate(g.nodes) if n.kind == GROUNDED}
-    edges = [(e, kg.relations.id_of(e.relation)) for e in g.edges]
-    # each edge in turn has a bound endpoint; earlier edges are preferred
-    ordered, bound, remaining = [], set(ground), list(edges)
-    while remaining:
-        k = next(k for k, (e, _) in enumerate(remaining) if e.src in bound or e.dst in bound)
-        e, rid = remaining.pop(k)
-        ordered.append((e, rid))
-        bound.update((e.src, e.dst))
-
-    answers: set[int] = set()
-    lam = g.lambda_index
-    binding = dict(ground)
-
-    def satisfy(k: int) -> None:
-        if k == len(ordered):
-            answers.add(binding[lam])
-            return
-        e, rid = ordered[k]
-        head, tail = (e.dst, e.src) if e.reversed else (e.src, e.dst)
-        hb, tb = binding.get(head), binding.get(tail)
-        if hb is not None and tb is not None:
-            if Triple(hb, rid, tb) in kg.triples:
-                satisfy(k + 1)
-        elif hb is not None:
-            for r, t in kg.out_edges(hb):
-                if r == rid:
-                    binding[tail] = t
-                    satisfy(k + 1)
-                    del binding[tail]
-        else:
-            for r, h in kg.in_edges(tb):
-                if r == rid:
-                    binding[head] = h
-                    satisfy(k + 1)
-                    del binding[head]
-
-    satisfy(0)
-    return answers
-
-
-def reference_serialize(g: QueryGraph) -> list[str]:
-    """Tokens from a DFS over the non-constraint edges, then the constraint
-    edges per path node."""
-    cons = g.constraint_edges()
-    adj: dict[int, list] = {}
-    for e in g.edges:
-        if not any(e is c for c in cons):
-            adj.setdefault(e.src, []).append((e.dst, e, False))
-            adj.setdefault(e.dst, []).append((e.src, e, True))
-    path: list = []
-
-    def dfs(node: int, used: set[int]) -> bool:
-        if node == g.lambda_index:
-            return True
-        for nxt, e, back in adj.get(node, []):
-            if id(e) in used:
-                continue
-            used.add(id(e))
-            path.append((nxt, e, back))
-            if dfs(nxt, used):
-                return True
-            path.pop()
-            used.remove(id(e))
-        return False
-
-    if not dfs(g.topic, set()):
-        raise QueryGraphError("no chain path from topic to lambda")
-    tokens = [CLS] + split_symbol(g.nodes[g.topic].label)
-    for node, e, back in path:
-        tokens += split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
-        tokens.append(g.nodes[node].label)
-    for at in [g.topic] + [node for node, _, _ in path]:
-        for e in cons:
-            src, dst, back = e.src, e.dst, False
-            if dst == at and g.nodes[src].kind == GROUNDED and src != g.topic:
-                src, dst, back = dst, src, True
-            if src != at:
-                continue
-            tokens.append(g.nodes[src].label if g.nodes[src].is_var() else "c")
-            tokens += split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
-            tokens += split_symbol(g.nodes[dst].label)
-    return tokens + [SEP]
 
 
 # -- strategies ---------------------------------------------------------------
@@ -226,16 +136,10 @@ def test_serialize_equals_dfs_serializer_after_sparql_round_trip(case):
     _, g = case
     labels = [n.label for n in g.nodes if n.kind == GROUNDED]
     assume(len(set(labels)) == len(labels))
-    # the topic of the extracted graph is the grounded node farthest from
-    # lambda, which may be a constraint value; then neither finds a path
+    # extraction keeps the topic, also when a constraint value lies farther
+    # from lambda, so the round trip serializes as the graph itself
     h = extract_query_graph(parse_sparql(to_sparql(g)))
-    try:
-        want = reference_serialize(h)
-    except QueryGraphError:
-        with pytest.raises(QueryGraphError):
-            serialize_tokens(h)
-    else:
-        assert serialize_tokens(h) == want
+    assert serialize_tokens(h) == reference_serialize(h) == serialize_tokens(g)
 
 
 # -- non-chain graphs ---------------------------------------------------------

@@ -45,6 +45,18 @@ def test_make_toy_outputs(toy):
     assert (toy / "questions.jsonl").exists()
 
 
+def test_seed_env_overrides_seed_flag(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "SSKGQA_SEED"}
+    files = {}
+    for name, seed, seed_env in [("env", "0", {"SSKGQA_SEED": "3"}), ("flag", "3", {}), ("plain", "0", {})]:
+        out = tmp_path / name
+        args = ["make-toy", "--out", str(out), "--benchmark", "three-hop", "--questions", "5"]
+        run_cli(*args, "--seed", seed, env={**env, **seed_env})
+        files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert files["env"] == files["flag"]
+    assert files["env"] != files["plain"]
+
+
 def test_ingest(toy):
     recs = json_lines(run_cli("ingest", "--kg", str(toy / "kg.tsv")))
     assert recs[-1]["entities"] == 20

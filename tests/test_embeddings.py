@@ -15,6 +15,8 @@ from sskgqa.embeddings import (
 )
 from sskgqa.kg import build_kg
 
+from reference import reference_score_tails
+
 
 def cycle_kg(n=12):
     ents = [f"e{i}" for i in range(n)]
@@ -74,18 +76,20 @@ def test_complex_score_matches_complex_arithmetic():
 
 @pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
 def test_score_nodes_matches_table(kind):
-    kg = cycle_kg(6)
-    table = init_table(kind, kg.num_entities, kg.num_relations, 8, seed=1)
-    h = np.array([0, 2, 5])
-    r = np.array([0, 1, 0])
-    t = np.array([1, 4, 0])
-    node = score_nodes(
-        ad.parameter(table.ent), ad.parameter(table.rel), kind, h, r, t
-    )
-    for i in range(3):
-        assert node.value[i, 0] == pytest.approx(
-            table.score(int(h[i]), int(r[i]), int(t[i])), abs=1e-9
-        )
+    # random tables, nonzero rotation phases included, against the numpy formulas
+    rng = np.random.default_rng(5)
+    for n_ent, n_rel, d in [(6, 2, 8), (30, 5, 16)]:
+        table = EmbeddingTable(kind, rng.normal(size=(n_ent, d)), rng.normal(size=(n_rel, d)))
+        tails = np.arange(n_ent)
+        for h in range(n_ent):
+            for r in range(n_rel):
+                want = reference_score_tails(table, h, r, tails)
+                node = score_nodes(
+                    ad.parameter(table.ent), ad.parameter(table.rel), kind,
+                    np.full(n_ent, h), np.full(n_ent, r), tails,
+                )
+                assert np.abs(node.value[:, 0] - want).max() < 1e-9
+                assert np.abs(table.score_tails(h, r, tails) - want).max() < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])

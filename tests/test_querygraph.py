@@ -38,12 +38,10 @@ def test_build_chain_shape():
 
 def test_build_chain_with_constraint():
     g = build_chain("a", [("r", False)], constraints=[(1, "c", "val")])
-    cons = g.constraint_edges()
-    assert len(cons) == 1
-    assert cons[0].relation == "c"
     path, steps = chain_of(g)
     assert path == [(1, g.edges[0], False)]
     assert steps == [[], [(2, g.edges[1], False)]]
+    assert g.edges[1].relation == "c"
 
 
 def test_validation_rejects_two_lambdas():
