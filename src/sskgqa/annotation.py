@@ -183,10 +183,11 @@ def _skip_unsupported(toks, unsupported, take, peek) -> None:
 def extract_query_graph(ast: SparqlAst) -> QueryGraph:
     """Map a parsed SPARQL command to its query graph.
 
-    Iri terms become grounded nodes, variables existential nodes, the selected
-    variable the lambda node. The topic is, among the grounded nodes that
-    reach the lambda through variables only, the one farthest from it; among
-    ties, one that is the subject of some pattern wins.
+    Iri terms become grounded nodes, variables existential nodes named as in
+    the query, the selected variable the lambda node, and each pattern the
+    edge from its subject to its object. The topic is, among the grounded
+    nodes that reach the lambda through variables only, the one farthest from
+    it; among ties, one that is the subject of some pattern wins.
     """
     if ast.unsupported_features:
         raise ExtractionError(
@@ -201,14 +202,14 @@ def extract_query_graph(ast: SparqlAst) -> QueryGraph:
             index[t] = len(nodes)
             if isinstance(t, Var):
                 kind = LAMBDA if t.name == ast.select_var else EXISTENTIAL
-                nodes.append(QgNode(kind, "x" if kind == LAMBDA else t.name))
+                nodes.append(QgNode(kind, t.name))
             else:
                 nodes.append(QgNode(GROUNDED, t.name))
     edges = []
     for s, p, o in ast.patterns:
         if isinstance(p, Var):
             raise ExtractionError("variable predicates are not supported")
-        edges.append(QgEdge(index[s], p.name, index[o], False))
+        edges.append(QgEdge(index[s], p.name, index[o]))
 
     grounded = [i for i, n in enumerate(nodes) if n.kind == GROUNDED]
     if not grounded:

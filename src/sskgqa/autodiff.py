@@ -202,13 +202,6 @@ def relu(a: Node) -> Node:
     return out
 
 
-def sigmoid(a: Node) -> Node:
-    y = 1.0 / (1.0 + np.exp(-a.value))
-    out = Node(y, (a,))
-    out._backward = lambda g: a.accumulate(g * y * (1.0 - y))
-    return out
-
-
 def logsigmoid(a: Node) -> Node:
     """log(sigmoid(x)), computed stably as min(x, 0) - log1p(exp(-|x|))."""
     x = a.value

@@ -9,8 +9,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import annotation as ann
 from . import classifier as clf
 from . import embeddings as emb
@@ -20,7 +18,6 @@ from . import ranker as rk
 from . import structures as st
 from . import synth
 from .candidates import EnumConfig
-from .querygraph import build_chain
 
 
 def _seed(args) -> int:

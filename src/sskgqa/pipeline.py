@@ -61,7 +61,6 @@ class PipelineConfig:
 
 @dataclass
 class AnswerResult:
-    graph: QueryGraph | None
     answers: set[str]
     predicted_structure: str | None
     status: str  # "ok" | "unsupported" | "unknown_topic"
@@ -106,7 +105,7 @@ def answer_question(
         structure = cfg.taxonomy.get(predicted)
     elif cfg.mode == "oracle":
         if gold_label == UNSUPPORTED:
-            result = AnswerResult(None, set(), None, "unsupported")
+            result = AnswerResult(set(), None, "unsupported")
             return result, _record(q, result, gold_label, None)
         structure = cfg.taxonomy.get(gold_label)
 
@@ -117,7 +116,7 @@ def answer_question(
     ranked = rank_candidates(cfg.ranker, tokens, cands)
     best = ranked[0]
     answers = {kg.entities.symbol_of(a) for a in execute(best, kg)}
-    result = AnswerResult(best, answers, predicted, "ok")
+    result = AnswerResult(answers, predicted, "ok")
     return result, _record(q, result, gold_label, canonicalize(best))
 
 
@@ -150,7 +149,7 @@ def evaluate(cfg: PipelineConfig, dataset: list[LabeledQuestion]) -> EvalReport:
         if q.topic_entity in cfg.kg.entities:
             _, rec = answer_question(cfg, q)
         else:
-            result = AnswerResult(None, set(), None, "unknown_topic")
+            result = AnswerResult(set(), None, "unknown_topic")
             rec = _record(q, result, label_question(q, cfg.taxonomy), None)
         records.append(rec)
     correct = sum(1 for r in records if r.correct)

@@ -31,16 +31,14 @@ class QgNode:
     kind: str  # GROUNDED | EXISTENTIAL | LAMBDA
     label: str  # entity symbol for grounded, variable name otherwise
 
-    def is_var(self) -> bool:
-        return self.kind != GROUNDED
-
 
 @dataclass(frozen=True)
 class QgEdge:
+    """The KG triple pattern (src, relation, dst): src is its head, dst its tail."""
+
     src: int
     relation: str
     dst: int
-    reversed: bool = False
 
 
 @dataclass
@@ -62,9 +60,9 @@ class QueryGraph:
             raise QueryGraphError("at least one grounded node required")
         if self.nodes[self.topic].kind != GROUNDED:
             raise QueryGraphError("topic must be a grounded node")
-        names = [n.label for n in self.nodes if n.kind == EXISTENTIAL]
+        names = [n.label for n in self.nodes if n.kind != GROUNDED]
         if len(names) != len(set(names)):
-            raise QueryGraphError("existential names must be unique")
+            raise QueryGraphError("variable names must be unique")
         for e in self.edges:
             if not (0 <= e.src < len(self.nodes) and 0 <= e.dst < len(self.nodes)):
                 raise QueryGraphError("edge endpoint out of range")
@@ -84,36 +82,30 @@ def build_chain(
 ) -> QueryGraph:
     """Chain query graph: topic -> hop edges -> lambda, plus constraint edges.
 
-    Each hop is (relation symbol, reversed); each constraint is
-    (hop index, relation symbol, value symbol) with hop index 0 = topic node,
-    i = i-th intermediate, len(hops) = lambda.
+    Each hop is (relation symbol, reversed), a reversed hop i being stored as
+    the triple (i + 1, relation, i); each constraint is (hop index, relation
+    symbol, value symbol) with hop index 0 = topic node, i = i-th
+    intermediate, len(hops) = lambda.
     """
     if not hops:
         raise QueryGraphError("hops must be non-empty")
-    if len(hops) - 1 > len(CHAIN_VAR_NAMES):
-        raise QueryGraphError("too many hops")
-    nodes = [QgNode(GROUNDED, topic)]
-    for i in range(len(hops) - 1):
-        nodes.append(QgNode(EXISTENTIAL, CHAIN_VAR_NAMES[i]))
-    nodes.append(QgNode(LAMBDA, "x"))
-    edges = [QgEdge(i, rel, i + 1, rev) for i, (rel, rev) in enumerate(hops)]
+    *names, lam = _path_names(len(hops))
+    nodes = [QgNode(GROUNDED, topic)] + [QgNode(EXISTENTIAL, n) for n in names] + [QgNode(LAMBDA, lam)]
+    edges = [QgEdge(i + 1, rel, i) if rev else QgEdge(i, rel, i + 1) for i, (rel, rev) in enumerate(hops)]
     for hop_idx, rel, value in constraints:
         if not 0 <= hop_idx <= len(hops):
             raise QueryGraphError(f"constraint hop index out of range: {hop_idx}")
         nodes.append(QgNode(GROUNDED, value))
-        edges.append(QgEdge(hop_idx, rel, len(nodes) - 1, False))
+        edges.append(QgEdge(hop_idx, rel, len(nodes) - 1))
     return QueryGraph(nodes=nodes, edges=edges, topic=0)
 
 
-def _normalized_edges(g: QueryGraph) -> list[tuple[int, str, int]]:
-    """Edges in KG orientation: reversed edges flipped, flag dropped."""
-    out = []
-    for e in g.edges:
-        if e.reversed:
-            out.append((e.dst, e.relation, e.src))
-        else:
-            out.append((e.src, e.relation, e.dst))
-    return out
+def _path_names(hops: int) -> list[str]:
+    """Names of the variables a chain of `hops` hops reaches, in hop order:
+    CHAIN_VAR_NAMES, then "x" for the lambda."""
+    if hops - 1 > len(CHAIN_VAR_NAMES):
+        raise QueryGraphError("too many hops")
+    return [*CHAIN_VAR_NAMES[: hops - 1], "x"]
 
 
 def _node_tag(n: QgNode, is_topic: bool) -> str:
@@ -123,10 +115,9 @@ def _node_tag(n: QgNode, is_topic: bool) -> str:
 
 
 def canonicalize(g: QueryGraph) -> str:
-    """Canonical string: equal iff graphs are isomorphic up to existential
-    renaming and up to the two storage orientations of a reversed edge."""
+    """Canonical string: equal iff graphs are isomorphic up to variable renaming."""
     tags = [_node_tag(n, i == g.topic) for i, n in enumerate(g.nodes)]
-    return canonical_form(tags, _normalized_edges(g), "|", "{}-{}->{}")
+    return canonical_form(tags, [(e.src, e.relation, e.dst) for e in g.edges], "|", "{}-{}->{}")
 
 
 def canonical_form(tags, edges, sep: str, edge_fmt: str) -> str:
@@ -187,7 +178,7 @@ def split_symbol(symbol: str) -> list[str]:
     return [t for t in _SPLIT_RE.split(symbol) if t]
 
 
-Step = tuple[int, QgEdge, bool]  # (node reached, edge, traversed dst -> src)
+Step = tuple[int, QgEdge, bool]  # (node reached, edge, traversed dst -> src: against the KG)
 
 
 def chain_of(g: QueryGraph) -> tuple[list[Step], list[list[Step]]]:
@@ -231,20 +222,22 @@ def chain_of(g: QueryGraph) -> tuple[list[Step], list[list[Step]]]:
 
 def _hop_tokens(e: QgEdge, back: bool) -> list[str]:
     """Relation fragments, plus 'reverse' when the traversal goes against the KG edge."""
-    return split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
+    return split_symbol(e.relation) + (["reverse"] if back else [])
 
 
 def serialize_tokens(g: QueryGraph) -> list[str]:
     """Linear walk topic -> hops -> constraints, split into fragments and
-    wrapped in [CLS]/[SEP]. Traversal against KG direction adds 'reverse'."""
+    wrapped in [CLS]/[SEP]. Traversal against KG direction adds 'reverse'.
+    A path node is named by its place, as `build_chain` names it: the topic
+    "c", the i-th intermediate CHAIN_VAR_NAMES[i - 1] and the lambda "x"."""
     path, cons = chain_of(g)
+    names = ["c", *_path_names(len(path))]
     tokens = [CLS, *split_symbol(g.nodes[g.topic].label)]
-    for node, e, back in path:
-        tokens += _hop_tokens(e, back) + [g.nodes[node].label]
-    for at, steps in zip([g.topic] + [n for n, _, _ in path], cons):
+    for (_, e, back), name in zip(path, names[1:]):
+        tokens += _hop_tokens(e, back) + [name]
+    for name, steps in zip(names, cons):
         for value, e, back in steps:
-            tokens.append(g.nodes[at].label if g.nodes[at].is_var() else "c")
-            tokens += _hop_tokens(e, back) + split_symbol(g.nodes[value].label)
+            tokens += [name, *_hop_tokens(e, back), *split_symbol(g.nodes[value].label)]
     tokens.append(SEP)
     return tokens
 
@@ -260,11 +253,10 @@ def execute(g: QueryGraph, kg: KnowledgeGraph) -> set[int]:
     for hop, steps in zip([None, *path], cons):
         if hop is not None:
             _, e, back = hop
-            frontier = step(kg, frontier, kg.relations.id_of(e.relation), e.reversed != back)
+            frontier = step(kg, frontier, kg.relations.id_of(e.relation), back)
         for value, e, back in steps:
             v, rid = kg.entities.id_of(g.nodes[value].label), kg.relations.id_of(e.relation)
-            rev = e.reversed != back
-            frontier = {p for p in frontier if kg.has_triple(Triple(v, rid, p) if rev else Triple(p, rid, v))}
+            frontier = {p for p in frontier if kg.has_triple(Triple(v, rid, p) if back else Triple(p, rid, v))}
     return frontier
 
 
@@ -283,16 +275,11 @@ def decode_iri(name: str) -> str:
 
 
 def to_sparql(g: QueryGraph) -> str:
-    """Emit the SELECT DISTINCT ?x form of the graph in the supported subset."""
+    """Emit the graph in the supported subset, selecting the lambda's variable."""
 
     def term(idx: int) -> str:
         n = g.nodes[idx]
-        if n.kind == GROUNDED:
-            return ":" + _encode_iri(n.label)
-        return "?x" if n.kind == LAMBDA else "?" + n.label
+        return ":" + _encode_iri(n.label) if n.kind == GROUNDED else "?" + n.label
 
-    patterns = []
-    for e in g.edges:
-        s, o = (e.dst, e.src) if e.reversed else (e.src, e.dst)
-        patterns.append(f"{term(s)} :{_encode_iri(e.relation)} {term(o)} .")
-    return "SELECT DISTINCT ?x WHERE { " + " ".join(patterns) + " }"
+    patterns = " ".join(f"{term(e.src)} :{_encode_iri(e.relation)} {term(e.dst)} ." for e in g.edges)
+    return f"SELECT DISTINCT {term(g.lambda_index)} WHERE {{ {patterns} }}"

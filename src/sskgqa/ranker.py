@@ -47,18 +47,18 @@ class RankTrainConfig:
 
 
 def triplet_loss(f_q: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, alpha: float = 1.0) -> float:
-    """max(||f_q - f_p|| - ||f_q - f_n|| + alpha, 0) with Euclidean norms."""
+    """max(||f_q - f_p|| - ||f_q - f_n|| + alpha, 0) with Euclidean norms:
+    batch_triplet_loss of the one triplet."""
     f_q, f_p, f_n = (np.asarray(v, dtype=np.float64).ravel() for v in (f_q, f_p, f_n))
     if not f_q.shape == f_p.shape == f_n.shape:
         raise RankerError("triplet vectors must have equal dimensions")
-    return max(
-        float(np.linalg.norm(f_q - f_p) - np.linalg.norm(f_q - f_n) + alpha), 0.0
-    )
+    return float(batch_triplet_loss(ad.constant(np.stack([f_q, f_p, f_n])), alpha).value[0, 0])
 
 
 def batch_triplet_loss(f: ad.Node, alpha: float) -> ad.Node:
     """Mean triplet loss of one question: row 0 of f is f(q), row 1 f(positive)
-    and each further row f(negative); per negative as in triplet_loss."""
+    and each further row f(negative); per negative
+    max(||f_q - f_p|| - ||f_q - f_n|| + alpha, 0)."""
     k = f.shape[0] - 2
     # dist row 0 is ||f_q - f_p||, row j is ||f_q - f_n_j||
     dist = ad.rownorm(ad.sub(ad.rows(f, [0] * (k + 1)), ad.rows(f, range(1, k + 2))))

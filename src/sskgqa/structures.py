@@ -136,8 +136,8 @@ def abstract(g: QueryGraph) -> SemanticStructure:
             kinds.append(VAR)
         else:
             kinds.append(ANSWER)
-    # Orient every edge away from the topic by BFS depth (reversed flags and
-    # storage orientation erased); parallel edges keep their multiplicity.
+    # Orient every edge away from the topic by BFS depth (the KG direction is
+    # erased); parallel edges keep their multiplicity.
     dist = bfs_depths(len(g.nodes), [(e.src, e.dst) for e in g.edges], g.topic)
     edges = tuple(
         (e.src, e.dst) if dist[e.src] <= dist[e.dst] else (e.dst, e.src)

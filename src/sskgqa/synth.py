@@ -7,7 +7,7 @@ import numpy as np
 from .annotation import LabeledQuestion
 from .embeddings import EmbeddingTable, init_table
 from .kg import KnowledgeGraph, build_kg
-from .querygraph import QueryGraph, build_chain, execute, to_sparql
+from .querygraph import build_chain, execute, to_sparql
 
 STEP_RELATIONS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 

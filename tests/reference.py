@@ -8,7 +8,16 @@ import numpy as np
 
 from sskgqa import autodiff as ad
 from sskgqa.kg import Triple, step
-from sskgqa.querygraph import CLS, GROUNDED, SEP, QueryGraph, QueryGraphError, build_chain, split_symbol
+from sskgqa.querygraph import (
+    CHAIN_VAR_NAMES,
+    CLS,
+    GROUNDED,
+    SEP,
+    QueryGraph,
+    QueryGraphError,
+    build_chain,
+    split_symbol,
+)
 from sskgqa.structures import chain_structure, isomorphic
 
 
@@ -33,7 +42,7 @@ def reference_execute(g: QueryGraph, kg) -> set[int]:
             answers.add(binding[lam])
             return
         e, rid = ordered[k]
-        head, tail = (e.dst, e.src) if e.reversed else (e.src, e.dst)
+        head, tail = e.src, e.dst
         hb, tb = binding.get(head), binding.get(tail)
         if hb is not None and tb is not None:
             if Triple(hb, rid, tb) in kg.triples:
@@ -58,7 +67,8 @@ def reference_execute(g: QueryGraph, kg) -> set[int]:
 def reference_serialize(g: QueryGraph) -> list[str]:
     """Tokens from a DFS over the non-constraint edges, then the constraint
     edges (those touching a grounded node other than the topic) per path
-    node."""
+    node; the k-th path node after the topic is named CHAIN_VAR_NAMES[k - 1],
+    or "x" if it is the lambda, and the topic "c"."""
     other = {i for i, n in enumerate(g.nodes) if n.kind == GROUNDED and i != g.topic}
     cons = [e for e in g.edges if e.src in other or e.dst in other]
     adj: dict[int, list] = {}
@@ -84,10 +94,13 @@ def reference_serialize(g: QueryGraph) -> list[str]:
 
     if not dfs(g.topic, set()):
         raise QueryGraphError("no chain path from topic to lambda")
+    names = {g.topic: "c"}
+    for k, (node, _, _) in enumerate(path):
+        names[node] = "x" if node == g.lambda_index else CHAIN_VAR_NAMES[k]
     tokens = [CLS] + split_symbol(g.nodes[g.topic].label)
     for node, e, back in path:
-        tokens += split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
-        tokens.append(g.nodes[node].label)
+        tokens += split_symbol(e.relation) + (["reverse"] if back else [])
+        tokens.append(names[node])
     for at in [g.topic] + [node for node, _, _ in path]:
         for e in cons:
             src, dst, back = e.src, e.dst, False
@@ -95,8 +108,8 @@ def reference_serialize(g: QueryGraph) -> list[str]:
                 src, dst, back = dst, src, True
             if src != at:
                 continue
-            tokens.append(g.nodes[src].label if g.nodes[src].is_var() else "c")
-            tokens += split_symbol(e.relation) + (["reverse"] if e.reversed != back else [])
+            tokens.append(names[src])
+            tokens += split_symbol(e.relation) + (["reverse"] if back else [])
             tokens += split_symbol(g.nodes[dst].label)
     return tokens + [SEP]
 

@@ -13,7 +13,6 @@ from sskgqa.querygraph import (
     QgNode,
     QueryGraph,
     _node_tag,
-    _normalized_edges,
     bfs_depths,
     canonicalize,
 )
@@ -31,7 +30,7 @@ def reference_canonicalize(g: QueryGraph) -> str:
     """canonicalize by trying every node order."""
     n = len(g.nodes)
     tags = [_node_tag(g.nodes[i], i == g.topic) for i in range(n)]
-    edges = _normalized_edges(g)
+    edges = [(e.src, e.relation, e.dst) for e in g.edges]
     best = None
     for perm in itertools.permutations(range(n)):
         node_part = [None] * n
@@ -78,10 +77,7 @@ def query_graphs(draw):
             nodes.append(QgNode(GROUNDED, draw(st.sampled_from(LABELS))))
         else:
             nodes.append(QgNode(EXISTENTIAL, f"v{i}"))
-    edges = [
-        QgEdge(a, draw(st.sampled_from(RELATIONS)), b, draw(st.booleans()))
-        for a, b in draw(connected_edges(n))
-    ]
+    edges = [QgEdge(a, draw(st.sampled_from(RELATIONS)), b) for a, b in draw(connected_edges(n))]
     return QueryGraph(nodes, edges, topic=0), draw(st.permutations(range(n)))
 
 
@@ -98,7 +94,7 @@ def shuffled_graph(g: QueryGraph, perm) -> QueryGraph:
     nodes = [None] * len(g.nodes)
     for i, node in enumerate(g.nodes):
         nodes[perm[i]] = node
-    edges = [QgEdge(perm[e.src], e.relation, perm[e.dst], e.reversed) for e in g.edges]
+    edges = [QgEdge(perm[e.src], e.relation, perm[e.dst]) for e in g.edges]
     return QueryGraph(nodes, edges, topic=perm[g.topic])
 
 

@@ -55,22 +55,14 @@ def chains(draw, kg):
 
 @st.composite
 def forms(draw, g):
-    """g as built, with its node order shuffled, or with edge storage flipped."""
-    form = draw(st.sampled_from(["built", "shuffled", "flipped"]))
-    if form == "shuffled":
+    """g as built, or with its node order shuffled."""
+    if draw(st.booleans()):
         perm = draw(st.permutations(range(len(g.nodes))))
         nodes = [None] * len(g.nodes)
         for i, node in enumerate(g.nodes):
             nodes[perm[i]] = node
-        edges = [QgEdge(perm[e.src], e.relation, perm[e.dst], e.reversed) for e in g.edges]
+        edges = [QgEdge(perm[e.src], e.relation, perm[e.dst]) for e in g.edges]
         return QueryGraph(nodes, edges, topic=perm[g.topic])
-    if form == "flipped":
-        flips = draw(st.lists(st.booleans(), min_size=len(g.edges), max_size=len(g.edges)))
-        edges = [
-            QgEdge(e.dst, e.relation, e.src, not e.reversed) if f else e
-            for e, f in zip(g.edges, flips)
-        ]
-        return QueryGraph(g.nodes, edges, topic=g.topic)
     return g
 
 
@@ -87,7 +79,7 @@ SHAPES = [chain_structure(h, at) for h in (1, 2, 3) for at in (None, *range(1, h
 def chain_shaped(draw):
     """A path of 1-3 hops from a grounded topic to lambda, plus at most one
     grounded value hung off a path node after the topic, with random labels,
-    node order, edge storage and reversed flags."""
+    node order and edge directions."""
     hops = draw(st.integers(1, 3))
     at = draw(st.sampled_from([None, *range(1, hops + 1)]))
     names = draw(st.lists(st.sampled_from(NAMES), min_size=hops - 1, max_size=hops - 1, unique=True))
@@ -101,7 +93,7 @@ def chain_shaped(draw):
     edges = []
     for a, b in pairs:
         a, b = draw(st.sampled_from([(perm[a], perm[b]), (perm[b], perm[a])]))
-        edges.append(QgEdge(a, draw(st.sampled_from(RELATIONS)), b, draw(st.booleans())))
+        edges.append(QgEdge(a, draw(st.sampled_from(RELATIONS)), b))
     return QueryGraph([nodes[perm.index(i)] for i in range(len(nodes))], edges, topic=perm[0])
 
 
@@ -140,6 +132,19 @@ def test_serialize_equals_dfs_serializer_after_sparql_round_trip(case):
     # from lambda, so the round trip serializes as the graph itself
     h = extract_query_graph(parse_sparql(to_sparql(g)))
     assert serialize_tokens(h) == reference_serialize(h) == serialize_tokens(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_serialize_ignores_variable_names(data):
+    g = data.draw(chain_shaped())
+    var = [i for i, n in enumerate(g.nodes) if n.kind != GROUNDED]
+    pool = st.sampled_from(NAMES + ["x", "y", "m"])
+    names = data.draw(st.lists(pool, min_size=len(var), max_size=len(var), unique=True))
+    nodes = list(g.nodes)
+    for i, name in zip(var, names):
+        nodes[i] = QgNode(nodes[i].kind, name)
+    assert serialize_tokens(QueryGraph(nodes, g.edges, g.topic)) == serialize_tokens(g)
 
 
 # -- non-chain graphs ---------------------------------------------------------

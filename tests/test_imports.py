@@ -1,0 +1,34 @@
+"""Every module-level import in the package is used by its module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sskgqa
+
+MODULES = sorted(Path(sskgqa.__file__).resolve().parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports (bar `from __future__`) that no
+    expression in the module reads."""
+    tree = ast.parse(source)
+    bound = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            bound += [a.asname or a.name for a in stmt.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_imports_are_found():
+    src = "from __future__ import annotations\nimport os, numpy as np\nfrom a.b import c, d\nx: c = np.zeros(1)\n"
+    assert unused_imports(src) == ["os", "d"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_module_imports_are_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

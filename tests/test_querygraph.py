@@ -1,5 +1,6 @@
 import pytest
 
+from sskgqa.annotation import extract_query_graph, parse_sparql
 from sskgqa.kg import build_kg
 from sskgqa.querygraph import (
     CLS,
@@ -71,6 +72,15 @@ def test_validation_rejects_variable_topic():
         )
 
 
+def test_validation_rejects_lambda_named_as_a_variable():
+    with pytest.raises(QueryGraphError):
+        QueryGraph(
+            nodes=[QgNode(GROUNDED, "a"), QgNode(EXISTENTIAL, "x"), QgNode(LAMBDA, "x")],
+            edges=[QgEdge(0, "r", 1), QgEdge(1, "s", 2)],
+            topic=0,
+        )
+
+
 def test_canonicalize_invariant_to_node_order():
     g1 = chain_2hop()
     # same graph with node list scrambled
@@ -78,18 +88,6 @@ def test_canonicalize_invariant_to_node_order():
         nodes=[QgNode(LAMBDA, "x"), QgNode(GROUNDED, "alpha"), QgNode(EXISTENTIAL, "q")],
         edges=[QgEdge(1, "r1", 2), QgEdge(2, "r2", 0)],
         topic=1,
-    )
-    assert canonicalize(g1) == canonicalize(g2)
-
-
-def test_canonicalize_reversed_storage_equivalence():
-    # storing the edge forward with reversed=False vs flipped with reversed=True
-    # describes the same KG pattern
-    g1 = build_chain("a", [("r", True)])
-    g2 = QueryGraph(
-        nodes=[QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x")],
-        edges=[QgEdge(1, "r", 0, False)],
-        topic=0,
     )
     assert canonicalize(g1) == canonicalize(g2)
 
@@ -117,6 +115,22 @@ def test_serialize_tokens_reverse_marker():
     assert toks == [
         CLS, "someone", "directed", "by", "reverse", "y", "written", "by", "x", SEP,
     ]
+
+
+def test_serialize_tokens_names_variables_by_place():
+    # an extracted gold serializes as the candidate it canonicalizes equal to
+    g = extract_query_graph(parse_sparql("SELECT ?x WHERE { :a :r ?m . ?m :s ?x . }"))
+    cand = build_chain("a", [("r", False), ("s", False)])
+    assert canonicalize(g) == canonicalize(cand)
+    assert serialize_tokens(g) == serialize_tokens(cand) == [CLS, "a", "r", "y", "s", "x", SEP]
+
+
+def test_serialize_tokens_rejects_more_variables_than_names():
+    hops = 6  # five intermediate nodes, one more than CHAIN_VAR_NAMES
+    nodes = [QgNode(GROUNDED, "a")] + [QgNode(EXISTENTIAL, f"v{i}") for i in range(hops - 1)]
+    g = QueryGraph(nodes + [QgNode(LAMBDA, "x")], [QgEdge(i, "r", i + 1) for i in range(hops)], 0)
+    with pytest.raises(QueryGraphError):
+        serialize_tokens(g)
 
 
 def test_serialize_tokens_constraint_tail():
@@ -176,3 +190,12 @@ def test_to_sparql_and_iri_encoding():
 def test_to_sparql_reversed_swaps_subject():
     g = build_chain("d1", [("directed_by", True)])
     assert "?x :directed_by :d1 ." in to_sparql(g)
+
+
+def test_to_sparql_round_trip_keeps_selected_variable():
+    # the query selects ?ans and also uses ?x; emitting it must not merge them
+    kg = build_kg([("a", "r", "m1"), ("m1", "s", "t1"), ("a", "r", "m2"), ("m2", "s", "m2")])
+    g = extract_query_graph(parse_sparql("SELECT ?ans WHERE { :a :r ?x . ?x :s ?ans . }"))
+    h = extract_query_graph(parse_sparql(to_sparql(g)))
+    assert canonicalize(h) == canonicalize(g)
+    assert execute(h, kg) == execute(g, kg) == {kg.entities.id_of("t1"), kg.entities.id_of("m2")}
