@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import islice
 
 from .kg import KnowledgeGraph, step
 from .querygraph import QueryGraph, build_chain
-from .structures import SemanticStructure, chain_structure, isomorphic
+from .structures import SemanticStructure
 
 
 @dataclass
@@ -37,13 +36,13 @@ def derived_enum(base: EnumConfig, ss: SemanticStructure | None) -> EnumConfig:
     return replace(base, max_hops=min(base.max_hops, ss.hop_count()), attach_constraints=ss.has_constraints())
 
 
-@lru_cache(maxsize=256)
-def _shapes(max_hops: int, attach: bool, ss: SemanticStructure | None) -> frozenset:
-    """(hop count, constrained chain node or None) of the chains to emit."""
-    shapes = {(h, at) for h in range(1, max_hops + 1) for at in (None, *range(1, h + 1))}
+def _shapes(max_hops: int, attach: bool, ss: SemanticStructure | None) -> set:
+    """Shapes (hop count, constrained path positions) of the chains to emit:
+    no constraint, or one on a path node after the topic."""
+    shapes = {(h, at) for h in range(1, max_hops + 1) for at in ((), *((k,) for k in range(1, h + 1)))}
     if ss is not None:
-        return frozenset(s for s in shapes if isomorphic(chain_structure(*s), ss))
-    return frozenset(s for s in shapes if s[1] is None or attach)
+        return shapes & {ss.canonical()}
+    return {s for s in shapes if not s[1] or attach}
 
 
 def enumerate_candidates(
@@ -96,10 +95,10 @@ def _chains(kg, shapes, depth, hops, frontiers):
             new_hops = hops + ((rid, rev),)
             new_frontiers = frontiers + (nxt,)
             n = len(new_hops)
-            if (n, None) in shapes:
+            if (n, ()) in shapes:
                 yield new_hops, ()
             for at in range(1, n + 1):
-                if (n, at) in shapes:
+                if (n, (at,)) in shapes:
                     feas = _feasible_at(kg, new_frontiers, new_hops, at)
                     for r, val in sorted({edge for e in feas for edge in kg.out_edges(e)}):
                         yield new_hops, ((at, r, val),)

@@ -1,11 +1,10 @@
-"""Query graph data model: chains with constraints, canonical forms, execution."""
+"""Query graph data model: chains with constraints, canonical keys, execution."""
 
 from __future__ import annotations
 
-import itertools
+import json
 import re
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .kg import KnowledgeGraph, Triple, step
 
@@ -108,51 +107,6 @@ def _path_names(hops: int) -> list[str]:
     return [*CHAIN_VAR_NAMES[: hops - 1], "x"]
 
 
-def _node_tag(n: QgNode, is_topic: bool) -> str:
-    if n.kind == GROUNDED:
-        return ("T:" if is_topic else "G:") + n.label
-    return "A" if n.kind == LAMBDA else "V"
-
-
-def canonicalize(g: QueryGraph) -> str:
-    """Canonical string: equal iff graphs are isomorphic up to variable renaming."""
-    tags = [_node_tag(n, i == g.topic) for i, n in enumerate(g.nodes)]
-    return canonical_form(tags, [(e.src, e.relation, e.dst) for e in g.edges], "|", "{}-{}->{}")
-
-
-def canonical_form(tags, edges, sep: str, edge_fmt: str) -> str:
-    """Smallest string `node part + "#" + edge part` over all node orders.
-
-    The node part joins the tags in order with `sep`; the edge part joins with
-    ";" the sorted (src, label, dst) edges, renumbered and written with
-    `edge_fmt`. Every node part has the same length, so only orders giving the
-    smallest node part can win: the sorts of the tags under the comparator
-    below. They differ only inside groups of tags that commute (equal tags,
-    unless a tag contains `sep`), so only orders within each group are tried.
-    """
-
-    def cmp(i: int, j: int) -> int:
-        a, b = tags[i] + sep, tags[j] + sep
-        return (a + b > b + a) - (a + b < b + a)
-
-    order = sorted(range(len(tags)), key=cmp_to_key(cmp))
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and cmp(groups[-1][0], i) == 0:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    def edge_part(nodes) -> str:
-        pos = {node: p for p, node in enumerate(nodes)}
-        renumbered = sorted((pos[s], r, pos[d]) for s, r, d in edges)
-        return ";".join(edge_fmt.format(*e) for e in renumbered)
-
-    orders = itertools.product(*map(itertools.permutations, groups))
-    best = min(edge_part(itertools.chain.from_iterable(o)) for o in orders)
-    return sep.join(tags[i] for i in order) + "#" + best
-
-
 def bfs_depths(n: int, edges, start: int) -> dict[int, int]:
     """Hop distance from `start` to each node it reaches over the undirected
     (a, b) edges of a graph with nodes 0..n-1."""
@@ -218,6 +172,18 @@ def chain_of(g: QueryGraph) -> tuple[list[Step], list[list[Step]]]:
             else:
                 raise QueryGraphError("constraint edge does not join a path node to a grounded node")
     return path, cons
+
+
+def canonicalize(g: QueryGraph) -> str:
+    """Key of the chain g, as JSON since labels may hold any character: the
+    topic label, each hop's (relation, back) in path order, and per path node
+    the sorted (relation, back, value label) of its constraints. Equal iff
+    the chains are equal up to variable names, node order and constraint
+    order. Raises QueryGraphError on a graph that is not a chain."""
+    path, cons = chain_of(g)
+    hops = [(e.relation, back) for _, e, back in path]
+    values = [sorted((e.relation, back, g.nodes[v].label) for v, e, back in steps) for steps in cons]
+    return json.dumps([g.nodes[g.topic].label, hops, values])
 
 
 def _hop_tokens(e: QgEdge, back: bool) -> list[str]:

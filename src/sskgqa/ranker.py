@@ -13,7 +13,7 @@ from .candidates import EnumConfig, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, train_step
-from .querygraph import QueryGraph, canonicalize, serialize_tokens
+from .querygraph import QueryGraph, QueryGraphError, canonicalize, serialize_tokens
 from .structures import Taxonomy, abstract
 
 MAGIC = "ssk-rank v1"
@@ -128,8 +128,8 @@ def build_training_triplets(
 
     Negatives are sampled uniformly without replacement from the candidates
     matching the gold structure, excluding graphs canonically equal to gold.
-    Questions with no negatives, or whose topic entity is not in the KG, are
-    skipped.
+    Questions with no negatives, whose topic entity is not in the KG, or whose
+    gold is not a chain, are skipped.
     """
     out = []
     base = EnumConfig(max_hops=cfg.max_hops)
@@ -137,11 +137,12 @@ def build_training_triplets(
         topic = gold.nodes[gold.topic].label
         if topic not in kg.entities:
             continue
-        cs = enumerate_candidates(kg, topic, base, abstract(gold)).graphs
-        # canonicalize(gold) only runs once a candidate has gold's structure,
-        # so a long extracted gold graph is skipped without a canonical search
-        gold_key = canonicalize(gold) if cs else None
-        negs = [g for g in cs if canonicalize(g) != gold_key]
+        try:
+            ss = abstract(gold)
+        except QueryGraphError:
+            continue
+        gold_key = canonicalize(gold)
+        negs = [g for g in enumerate_candidates(kg, topic, base, ss).graphs if canonicalize(g) != gold_key]
         if not negs:
             continue
         n = min(cfg.negatives, len(negs))

@@ -5,13 +5,24 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .querygraph import EXISTENTIAL, GROUNDED, QueryGraph, bfs_depths, canonical_form
+from .querygraph import (
+    EXISTENTIAL,
+    GROUNDED,
+    LAMBDA,
+    QgEdge,
+    QgNode,
+    QueryGraph,
+    QueryGraphError,
+    chain_of,
+)
 
 E_TOPIC = "E"  # topic entity
 E_CONST = "Ec"  # constraint endpoint entity
 VAR = "v"
 ANSWER = "a"
 KINDS = frozenset((E_TOPIC, E_CONST, VAR, ANSWER))
+
+_NODE_KIND = {E_TOPIC: GROUNDED, E_CONST: GROUNDED, VAR: EXISTENTIAL, ANSWER: LAMBDA}
 
 
 class StructureError(Exception):
@@ -22,61 +33,68 @@ class StructureError(Exception):
 class SemanticStructure:
     """Abstract pattern of a query graph: node kinds plus unlabeled edges.
 
-    Edges are oriented away from the topic; an edge touching an Ec node is a
-    constraint edge.
+    It must be a chain: the edges touching no Ec node form one path from the
+    topic to the answer, and each Ec node is a leaf on one path node. Its
+    identity is its shape, (hop count, sorted path positions of its
+    constraints) with the topic at position 0. Edge direction is not read.
     """
 
     label: str
     kinds: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
+    shape: tuple[int, tuple[int, ...]] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not KINDS.issuperset(self.kinds):
+            raise StructureError(f"{self.label}: kinds must be among {', '.join(sorted(KINDS))}")
         if self.kinds.count(ANSWER) != 1:
             raise StructureError(f"{self.label}: exactly one answer node required")
         if self.kinds.count(E_TOPIC) != 1:
             raise StructureError(f"{self.label}: exactly one topic node required")
-        n = len(self.kinds)
-        if not all(0 <= i < n for edge in self.edges for i in edge):
-            raise StructureError(f"{self.label}: edge endpoint out of range")
-        if len(bfs_depths(n, self.edges, 0)) != n:
-            raise StructureError(f"{self.label}: structure must be connected")
-
-    def constraint_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (s, d)
-            for s, d in self.edges
-            if self.kinds[s] == E_CONST or self.kinds[d] == E_CONST
-        )
+        nodes = [QgNode(_NODE_KIND[k], str(i)) for i, k in enumerate(self.kinds)]
+        try:
+            g = QueryGraph(nodes, [QgEdge(s, "", d) for s, d in self.edges], self.kinds.index(E_TOPIC))
+            shape = _shape_of(g)
+        except QueryGraphError as exc:
+            raise StructureError(f"{self.label}: {exc}") from None
+        if len(shape[1]) != self.kinds.count(E_CONST):
+            raise StructureError(f"{self.label}: a constraint node must be a leaf")
+        object.__setattr__(self, "shape", shape)
 
     def hop_count(self) -> int:
-        """Chain length from topic to answer over non-constraint edges."""
-        cons = set(self.constraint_edges())
-        chain = [edge for edge in self.edges if edge not in cons]
-        depth = bfs_depths(len(self.kinds), chain, self.kinds.index(E_TOPIC))
-        answer = self.kinds.index(ANSWER)
-        if answer not in depth:
-            raise StructureError(f"{self.label}: answer unreachable from topic")
-        return depth[answer]
+        return self.shape[0]
 
     def has_constraints(self) -> bool:
-        return bool(self.constraint_edges())
+        return bool(self.shape[1])
 
-    def canonical(self) -> str:
-        return canonical_form(self.kinds, [(s, "", d) for s, d in self.edges], ",", "{0}>{2}")
+    def canonical(self) -> tuple[int, tuple[int, ...]]:
+        """The structure's identity: equal iff the structures are isomorphic."""
+        return self.shape
+
+
+def _shape_of(g: QueryGraph) -> tuple[int, tuple[int, ...]]:
+    """(hop count, sorted path positions of the constraints) of chain g;
+    QueryGraphError when g is not a chain."""
+    path, cons = chain_of(g)
+    return len(path), tuple(k for k, steps in enumerate(cons) for _ in steps)
 
 
 @dataclass
 class Taxonomy:
     structures: list[SemanticStructure]
     _by_label: dict[str, SemanticStructure] = field(init=False)
+    _by_shape: dict[tuple, str] = field(init=False)
 
     def __post_init__(self) -> None:
         labels = [s.label for s in self.structures]
         if len(labels) != len(set(labels)):
             raise StructureError("duplicate structure labels")
-        for s in self.structures:
-            s.hop_count()  # the answer must be reachable without constraint edges
         self._by_label = {s.label: s for s in self.structures}
+        self._by_shape = {}
+        for s in self.structures:
+            first = self._by_shape.setdefault(s.shape, s.label)
+            if first != s.label:
+                raise StructureError(f"{s.label}: same shape as {first}")
 
     def __len__(self) -> int:
         return len(self.structures)
@@ -94,67 +112,38 @@ class Taxonomy:
             raise StructureError(f"unknown structure label: {label}") from None
 
     def find_match(self, g: QueryGraph) -> str | None:
-        """Label of the first structure abstract(g) matches, or None.
-
-        Structures that fail `_may_match` are rejected before the canonical
-        search, which then only runs on graphs as small as some structure.
-        """
-        a = abstract(g)
-        key = None
-        for s in self.structures:
-            if _may_match(a, s):
-                key = key or a.canonical()
-                if s.canonical() == key:
-                    return s.label
-        return None
+        """Label of the structure with g's shape, or None, also when g is not
+        a chain."""
+        try:
+            return self._by_shape.get(_shape_of(g))
+        except QueryGraphError:
+            return None
 
 
-def chain_structure(hops: int, at: int | None = None, label: str = "chain") -> SemanticStructure:
-    """Structure of a `build_chain` graph with `hops` hops and, when `at` is
-    given, one constraint on chain node `at` (1 = first node after the topic)."""
-    kinds = (E_TOPIC,) + (VAR,) * (hops - 1) + (ANSWER,)
-    edges = tuple((i, i + 1) for i in range(hops))
-    if at is not None:
-        kinds += (E_CONST,)
-        edges += ((at, hops + 1),)
+def chain_structure(hops: int, at: tuple[int, ...] = (), label: str = "chain") -> SemanticStructure:
+    """Structure of a `build_chain` graph with `hops` hops and one constraint
+    on each path position in `at` (0 = topic, hops = answer)."""
+    kinds = (E_TOPIC,) + (VAR,) * (hops - 1) + (ANSWER,) + (E_CONST,) * len(at)
+    edges = tuple((i, i + 1) for i in range(hops)) + tuple((k, hops + 1 + j) for j, k in enumerate(at))
     return SemanticStructure(label, kinds, edges)
 
 
 def builtin_taxonomy() -> Taxonomy:
     """SS1..SS3: plain 1/2/3-hop chains; SS4..SS6: constrained 1/2-hop chains."""
-    shapes = [(1, None), (2, None), (3, None), (1, 1), (2, 2), (2, 1)]
+    shapes = [(1, ()), (2, ()), (3, ()), (1, (1,)), (2, (2,)), (2, (1,))]
     return Taxonomy([chain_structure(h, at, f"SS{i}") for i, (h, at) in enumerate(shapes, 1)])
 
 
 def abstract(g: QueryGraph) -> SemanticStructure:
-    """Abstract pattern of g: kinds E/Ec/v/a, edges re-oriented away from topic."""
-    kinds = []
-    for i, node in enumerate(g.nodes):
-        if node.kind == GROUNDED:
-            kinds.append(E_TOPIC if i == g.topic else E_CONST)
-        elif node.kind == EXISTENTIAL:
-            kinds.append(VAR)
-        else:
-            kinds.append(ANSWER)
-    # Orient every edge away from the topic by BFS depth (the KG direction is
-    # erased); parallel edges keep their multiplicity.
-    dist = bfs_depths(len(g.nodes), [(e.src, e.dst) for e in g.edges], g.topic)
-    edges = tuple(
-        (e.src, e.dst) if dist[e.src] <= dist[e.dst] else (e.dst, e.src)
-        for e in g.edges
-    )
-    return SemanticStructure("abstract", tuple(kinds), edges)
-
-
-def isomorphic(a: SemanticStructure, b: SemanticStructure) -> bool:
-    """Kind- and edge-preserving isomorphism; the canonical search runs only
-    when `_may_match` passes."""
-    return _may_match(a, b) and a.canonical() == b.canonical()
+    """The structure of chain g: the `chain_structure` of its shape.
+    QueryGraphError when g is not a chain."""
+    return chain_structure(*_shape_of(g), label="abstract")
 
 
 def matches(g: QueryGraph, ss: SemanticStructure) -> bool:
-    """True iff abstract(g) is isomorphic to ss."""
-    return isomorphic(abstract(g), ss)
+    """True iff chain g has the shape of ss; QueryGraphError when g is not a
+    chain."""
+    return _shape_of(g) == ss.shape
 
 
 def filter_candidates(
@@ -164,17 +153,12 @@ def filter_candidates(
     return [g for g in cands if matches(g, ss)]
 
 
-def _may_match(a: SemanticStructure, b: SemanticStructure) -> bool:
-    """False when a and b cannot be isomorphic: their kind multisets or edge
-    counts differ. Cheap, and it bounds the cost of matching a large graph."""
-    return len(a.edges) == len(b.edges) and sorted(a.kinds) == sorted(b.kinds)
-
-
 def load_taxonomy(path: str) -> Taxonomy:
     """Taxonomy config: JSON list of {label, kinds, edges} entries.
 
     kinds use E (topic), Ec (constraint entity), v, a; edges are [from, to]
-    index pairs oriented away from the topic.
+    index pairs. Each structure must be a chain, and no two may share a
+    shape.
     """
     with open(path, encoding="utf-8") as f:
         entries = json.load(f)

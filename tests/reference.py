@@ -1,8 +1,11 @@
 """Reference implementations that property tests check the library against:
 a backtracking join for `execute`, a DFS serializer for `serialize_tokens`,
-a recursive enumerator with per-entity feasibility for
+n! canonical forms for `canonicalize` and `SemanticStructure.canonical`, a
+recursive enumerator with per-entity feasibility for
 `enumerate_candidates`, and numpy KG embedding scores for
 `embeddings.score_nodes`."""
+
+import itertools
 
 import numpy as np
 
@@ -12,13 +15,13 @@ from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
     GROUNDED,
+    LAMBDA,
     SEP,
     QueryGraph,
     QueryGraphError,
     build_chain,
     split_symbol,
 )
-from sskgqa.structures import chain_structure, isomorphic
 
 
 def reference_execute(g: QueryGraph, kg) -> set[int]:
@@ -114,15 +117,61 @@ def reference_serialize(g: QueryGraph) -> list[str]:
     return tokens + [SEP]
 
 
+def reference_canonicalize(g: QueryGraph) -> tuple:
+    """Smallest (node tags, labelled directed edges) over all n! node
+    orders: equal iff the graphs are isomorphic up to variable names (the
+    topic, other grounded nodes by label, lambda and variables tagged apart)."""
+    n = len(g.nodes)
+    tags = [
+        ("T:" if i == g.topic else "G:") + node.label if node.kind == GROUNDED
+        else "A" if node.kind == LAMBDA else "V"
+        for i, node in enumerate(g.nodes)
+    ]
+    return min(
+        (
+            tuple(tags[i] for i in sorted(range(n), key=lambda i: perm[i])),
+            tuple(sorted((perm[e.src], e.relation, perm[e.dst]) for e in g.edges)),
+        )
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def reference_structure_canonical(kinds, edges) -> tuple:
+    """Smallest (kinds, undirected edges) over all n! node orders of the
+    structure with these kinds and edges: equal iff they are isomorphic."""
+    n = len(kinds)
+    return min(
+        (
+            tuple(kinds[i] for i in sorted(range(n), key=lambda i: perm[i])),
+            tuple(sorted(tuple(sorted((perm[s], perm[d]))) for s, d in edges)),
+        )
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def reference_isomorphic(a, b) -> bool:
+    """Kind-preserving isomorphism, edge direction aside, of two structures
+    given as (kinds, edges), by brute force."""
+    return reference_structure_canonical(*a) == reference_structure_canonical(*b)
+
+
+def reference_chain(hops: int, at) -> tuple:
+    """(kinds, edges) of the chain structure with `hops` hops and one
+    constraint leaf on each path position in `at` (0 = topic)."""
+    kinds = ("E",) + ("v",) * (hops - 1) + ("a",) + ("Ec",) * len(at)
+    edges = [(i, i + 1) for i in range(hops)] + [(k, hops + 1 + j) for j, k in enumerate(at)]
+    return kinds, edges
+
+
 def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list[QueryGraph], bool]:
     """(graphs, truncated) from a recursive walk that builds each graph as it
     goes and stops at the first candidate past cfg.max_candidates; a
     constraint's feasible entities are found one entity at a time."""
-    shapes = {(h, at) for h in range(1, cfg.max_hops + 1) for at in (None, *range(1, h + 1))}
+    shapes = {(h, at) for h in range(1, cfg.max_hops + 1) for at in ((), *((k,) for k in range(1, h + 1)))}
     if ss is not None:
-        shapes = {s for s in shapes if isomorphic(chain_structure(*s), ss)}
+        shapes = {s for s in shapes if reference_isomorphic(reference_chain(*s), (ss.kinds, ss.edges))}
     else:
-        shapes = {s for s in shapes if s[1] is None or cfg.attach_constraints}
+        shapes = {s for s in shapes if not s[1] or cfg.attach_constraints}
     depth = max((h for h, _ in shapes), default=0)
     graphs: list[QueryGraph] = []
     truncated = False
@@ -147,7 +196,7 @@ def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list[QueryGraph],
 
     def constraint_variants(hops, frontiers) -> bool:
         for hop_idx in range(1, len(hops) + 1):
-            if (len(hops), hop_idx) not in shapes:
+            if (len(hops), (hop_idx,)) not in shapes:
                 continue
             pairs = {edge for e in feasible_at(frontiers, hops, hop_idx) for edge in kg.out_edges(e)}
             for r, val in sorted(pairs):
@@ -163,7 +212,7 @@ def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list[QueryGraph],
                 if not nxt:
                     continue
                 new_hops, new_frontiers = hops + [(rid, rev)], frontiers + [nxt]
-                if (len(new_hops), None) in shapes and not emit(build_chain(topic, syms(new_hops))):
+                if (len(new_hops), ()) in shapes and not emit(build_chain(topic, syms(new_hops))):
                     return False
                 if not constraint_variants(new_hops, new_frontiers):
                     return False

@@ -124,8 +124,8 @@ def test_label_wsp_constraint_on_topic():
 
 
 def test_label_long_chain_is_bounded():
-    # a 10-node chain matches no structure; it must be rejected without an
-    # n! canonical search (which takes tens of seconds at this size)
+    # a 10-node chain matches no structure; labelling is one linear walk
+    # of the chain, so even a long one is rejected at once
     names = [":a"] + [f"?v{i}" for i in range(1, 9)] + ["?x"]
     patterns = " ".join(f"{s} :r{i} {o} ." for i, (s, o) in enumerate(zip(names, names[1:])))
     t0 = perf_counter()

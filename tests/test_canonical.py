@@ -1,9 +1,18 @@
-"""The grouped canonical-form search against the n! search it replaces."""
+"""The keys read off the chain walk against the n! canonical forms in
+`reference.py`."""
 
+import functools
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import (
+    reference_canonicalize,
+    reference_chain,
+    reference_isomorphic,
+    reference_structure_canonical,
+)
 
 from sskgqa.querygraph import (
     EXISTENTIAL,
@@ -12,82 +21,72 @@ from sskgqa.querygraph import (
     QgEdge,
     QgNode,
     QueryGraph,
-    _node_tag,
+    QueryGraphError,
     bfs_depths,
     canonicalize,
 )
-from sskgqa.structures import ANSWER, E_TOPIC, SemanticStructure
+from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, VAR, SemanticStructure, StructureError
 
-# Labels with the separators and edge syntax in them, and labels that are
-# prefixes of others. "a|G:a" makes the tag "G:a|G:a", which commutes with
-# "G:a" under "|"; "v,v" commutes with "v" under ",".
-LABELS = ["a", "ab", "a|", "a|G:a", "|", "#", "->", "x->y", ",", "a,", "b#c", ""]
+# Labels with JSON syntax, separators and edge syntax in them, and labels
+# that are prefixes of others.
+LABELS = ["a", "ab", "a|", "a|G:a", "|", "#", "->", "x->y", ",", "a,", "b#c", "", '"', "[]"]
 RELATIONS = ["r", "rs", "r|", "#", "->", "-", ";", "r->s", ",", "1"]
-KINDS = ["v", "Ec", "v,", "v,v", "Ec,", "E,", ",", "a,", "#", "v>"]
-
-
-def reference_canonicalize(g: QueryGraph) -> str:
-    """canonicalize by trying every node order."""
-    n = len(g.nodes)
-    tags = [_node_tag(g.nodes[i], i == g.topic) for i in range(n)]
-    edges = [(e.src, e.relation, e.dst) for e in g.edges]
-    best = None
-    for perm in itertools.permutations(range(n)):
-        node_part = [None] * n
-        for i in range(n):
-            node_part[perm[i]] = tags[i]
-        edge_part = sorted((perm[s], r, perm[d]) for s, r, d in edges)
-        cand = "|".join(node_part) + "#" + ";".join(f"{s}-{r}->{d}" for s, r, d in edge_part)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def reference_structure_canonical(ss: SemanticStructure) -> str:
-    """SemanticStructure.canonical by trying every node order."""
-    n = len(ss.kinds)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        node_part = [None] * n
-        for i in range(n):
-            node_part[perm[i]] = ss.kinds[i]
-        edge_part = sorted((perm[s], perm[d]) for s, d in ss.edges)
-        cand = ",".join(node_part) + "#" + ";".join(f"{s}>{d}" for s, d in edge_part)
-        if best is None or cand < best:
-            best = cand
-    return best
+VARIABLES = ["x", "y", "z", "w", "v"]
 
 
 @st.composite
-def connected_edges(draw, n):
-    """A spanning tree over 0..n-1 plus up to three extra edges, which may be
-    self-loops or parallel to tree edges."""
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    node = st.integers(0, n - 1)
-    edges += draw(st.lists(st.tuples(node, node), max_size=3))
-    return [draw(st.sampled_from([(a, b), (b, a)])) for a, b in edges]
+def chain_specs(draw):
+    """(topic label, hops as (relation, back), constraints as (path position,
+    relation, back, value label)): 1-3 hops and 0-2 constraints."""
+    hops = draw(st.integers(1, 3))
+    path = draw(st.lists(st.tuples(st.sampled_from(RELATIONS), st.booleans()), min_size=hops, max_size=hops))
+    cons = st.tuples(st.integers(0, hops), st.sampled_from(RELATIONS), st.booleans(), st.sampled_from(LABELS))
+    return draw(st.sampled_from(LABELS)), path, draw(st.lists(cons, max_size=2))
 
 
 @st.composite
-def query_graphs(draw):
-    n = draw(st.integers(2, 6))
-    nodes = [QgNode(GROUNDED, draw(st.sampled_from(LABELS))), QgNode(LAMBDA, "x")]
-    for i in range(2, n):
-        if draw(st.booleans()):
-            nodes.append(QgNode(GROUNDED, draw(st.sampled_from(LABELS))))
-        else:
-            nodes.append(QgNode(EXISTENTIAL, f"v{i}"))
-    edges = [QgEdge(a, draw(st.sampled_from(RELATIONS)), b) for a, b in draw(connected_edges(n))]
-    return QueryGraph(nodes, edges, topic=0), draw(st.permutations(range(n)))
+def spec_pairs(draw):
+    """A spec and a copy of it with up to two small edits, so that equal and
+    nearly equal pairs are both common."""
+    a = draw(chain_specs())
+    topic, path, cons = a[0], list(a[1]), list(a[2])
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["topic", "path", "relation", "back", "constraints", "position", "flip"]))
+        i = draw(st.integers(0, len(path) - 1))
+        k = draw(st.integers(0, len(cons) - 1)) if cons else None
+        if edit == "topic":
+            topic = draw(st.sampled_from(LABELS))
+        elif edit == "path":
+            path = draw(chain_specs())[1]
+            cons = [(min(at, len(path)), *rest) for at, *rest in cons]
+        elif edit == "relation":
+            path[i] = (draw(st.sampled_from(RELATIONS)), path[i][1])
+        elif edit == "back":
+            path[i] = (path[i][0], not path[i][1])
+        elif edit == "constraints":
+            cons = [(min(at, len(path)), *rest) for at, *rest in draw(chain_specs())[2]]
+        elif edit == "position" and cons:
+            cons[k] = (draw(st.integers(0, len(path))), *cons[k][1:])
+        elif edit == "flip" and cons:
+            at, r, back, label = cons[k]
+            cons[k] = (at, r, not back, label)
+    return a, (topic, path, cons)
 
 
 @st.composite
-def structures(draw):
-    n = draw(st.integers(2, 6))
-    kinds = (E_TOPIC, ANSWER) + tuple(draw(st.sampled_from(KINDS)) for _ in range(n - 2))
-    return SemanticStructure("s", kinds, tuple(draw(connected_edges(n)))), draw(
-        st.permutations(range(n))
-    )
+def chain_graphs(draw, spec):
+    """The chain of `spec`, with random variable names and node, edge and
+    constraint order; `back` stores an edge against the walk."""
+    topic, path, cons = spec
+    hops = len(path)
+    names = draw(st.lists(st.sampled_from(VARIABLES), min_size=hops, max_size=hops, unique=True))
+    nodes = [QgNode(GROUNDED, topic)] + [QgNode(EXISTENTIAL, n) for n in names[1:]] + [QgNode(LAMBDA, names[0])]
+    edges = [QgEdge(i + 1, r, i) if back else QgEdge(i, r, i + 1) for i, (r, back) in enumerate(path)]
+    for at, r, back, label in draw(st.permutations(cons)):
+        nodes.append(QgNode(GROUNDED, label))
+        edges.append(QgEdge(len(nodes) - 1, r, at) if back else QgEdge(at, r, len(nodes) - 1))
+    perm = draw(st.permutations(range(len(nodes))))
+    return shuffled_graph(QueryGraph(nodes, draw(st.permutations(edges)), topic=0), perm)
 
 
 def shuffled_graph(g: QueryGraph, perm) -> QueryGraph:
@@ -99,36 +98,89 @@ def shuffled_graph(g: QueryGraph, perm) -> QueryGraph:
 
 
 @settings(max_examples=300, deadline=None)
-@given(query_graphs())
-def test_canonicalize_equals_full_search(case):
-    g, perm = case
-    key = canonicalize(g)
-    assert key == reference_canonicalize(g)
-    assert canonicalize(shuffled_graph(g, perm)) == key
+@given(st.data())
+def test_canonicalize_equals_full_search(data):
+    a, b = data.draw(spec_pairs())
+    g, g2, h = data.draw(chain_graphs(a)), data.draw(chain_graphs(a)), data.draw(chain_graphs(b))
+    assert canonicalize(g2) == canonicalize(g)
+    assert (canonicalize(g) == canonicalize(h)) == (reference_canonicalize(g) == reference_canonicalize(h))
+
+
+@st.composite
+def structures(draw):
+    """(kinds, edges): a chain shape with 1-3 hops and 0-2 constraints, with
+    random edge directions and node order."""
+    hops = draw(st.integers(1, 3))
+    at = draw(st.lists(st.integers(0, hops), max_size=2))
+    kinds, edges = reference_chain(hops, at)
+    perm = draw(st.permutations(range(len(kinds))))
+    shuffled = [None] * len(kinds)
+    for i, kind in enumerate(kinds):
+        shuffled[perm[i]] = kind
+    edges = [draw(st.sampled_from([(perm[s], perm[d]), (perm[d], perm[s])])) for s, d in edges]
+    return tuple(shuffled), tuple(edges)
 
 
 @settings(max_examples=300, deadline=None)
-@given(structures())
-def test_structure_canonical_equals_full_search(case):
-    ss, perm = case
-    key = ss.canonical()
-    assert key == reference_structure_canonical(ss)
-    kinds = [None] * len(ss.kinds)
-    for i, kind in enumerate(ss.kinds):
-        kinds[perm[i]] = kind
-    edges = tuple((perm[s], perm[d]) for s, d in ss.edges)
-    assert SemanticStructure("s", tuple(kinds), edges).canonical() == key
+@given(structures(), structures())
+def test_structure_canonical_equals_full_search(a, b):
+    key = SemanticStructure("a", *a).canonical()
+    assert (key == SemanticStructure("b", *b).canonical()) == reference_isomorphic(a, b)
 
 
-def test_commuting_tags_share_a_group():
-    # "G:a|G:a" and "G:a" commute under "|", so every order of the two
-    # grounded nodes gives the same node part and both must be tried
-    g = QueryGraph(
-        [QgNode(GROUNDED, "t"), QgNode(LAMBDA, "x"), QgNode(GROUNDED, "a|G:a"), QgNode(GROUNDED, "a")],
-        [QgEdge(0, "r", 1), QgEdge(1, "s", 2), QgEdge(1, "s", 3), QgEdge(3, "u", 2)],
-        topic=0,
+@st.composite
+def connected_structures(draw):
+    """(kinds, edges): a topic, an answer and up to four v/Ec nodes joined by
+    a spanning tree plus up to two extra edges, which may be self-loops or
+    parallel to tree edges."""
+    n = draw(st.integers(2, 6))
+    kinds = (E_TOPIC, ANSWER) + tuple(draw(st.sampled_from([VAR, E_CONST])) for _ in range(n - 2))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=2))
+    return kinds, tuple(draw(st.sampled_from([(a, b), (b, a)])) for a, b in edges)
+
+
+@functools.cache
+def chain_forms(n: int) -> frozenset:
+    """n! canonical forms of the chain structures with n nodes."""
+    return frozenset(
+        reference_structure_canonical(*reference_chain(hops, at))
+        for hops in range(1, n)
+        for at in itertools.combinations_with_replacement(range(hops + 1), n - hops - 1)
     )
-    assert canonicalize(g) == reference_canonicalize(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_structures())
+def test_structure_is_built_iff_it_is_a_chain(case):
+    kinds, edges = case
+    try:
+        SemanticStructure("s", kinds, edges)
+    except StructureError:
+        built = False
+    else:
+        built = True
+    assert built == (reference_structure_canonical(kinds, edges) in chain_forms(len(kinds)))
+
+
+def _graph(kinds, edges) -> QueryGraph:
+    nodes = [QgNode(kind, f"n{i}") for i, kind in enumerate(kinds)]
+    return QueryGraph(nodes, [QgEdge(s, "r", d) for s, d in edges], topic=0)
+
+
+@pytest.mark.parametrize(
+    "kinds, edges",
+    [
+        ([GROUNDED, EXISTENTIAL, LAMBDA], [(0, 1), (1, 2), (2, 0)]),
+        ([GROUNDED, LAMBDA], [(0, 1), (0, 1)]),
+        ([GROUNDED, EXISTENTIAL, LAMBDA, EXISTENTIAL], [(0, 1), (1, 2), (1, 3)]),
+    ],
+    ids=["cycle", "parallel", "branch"],
+)
+def test_canonicalize_rejects_non_chains(kinds, edges):
+    with pytest.raises(QueryGraphError):
+        canonicalize(_graph(kinds, edges))
 
 
 def test_bfs_depths():

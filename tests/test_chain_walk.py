@@ -72,7 +72,7 @@ def kg_and_chain(draw):
     return kg, draw(forms(draw(chains(kg))))
 
 
-SHAPES = [chain_structure(h, at) for h in (1, 2, 3) for at in (None, *range(1, h + 1))]
+SHAPES = [chain_structure(h, at) for h in (1, 2, 3) for at in ((), *((k,) for k in range(1, h + 1)))]
 
 
 @st.composite

@@ -237,16 +237,24 @@ def test_damaged_checkpoint_is_one_error_line(toy, trained, tmp_path, model, cas
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
-def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path):
-    # the built-in structures plus one whose answer meets the topic only
-    # through a constraint node; no toy question has that structure
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]},
+        {"label": "X", "kinds": ["E", "v", "v", "a"], "edges": [[0, 1], [0, 2], [1, 3]]},
+        {"label": "X", "kinds": ["a", "E"], "edges": [[1, 0]]},
+    ],
+    ids=["through_constraint", "branch", "duplicate_shape"],
+)
+def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path, entry):
+    # the built-in structures plus one that is not a chain (its answer meets
+    # the topic only through a constraint node, or its path branches), or
+    # that has the shape of SS1; no toy question has these structures
     from sskgqa.structures import builtin_taxonomy, save_taxonomy
 
     tax = tmp_path / "tax.json"
     save_taxonomy(builtin_taxonomy(), str(tax))
-    entries = json.loads(tax.read_text())
-    entries.append({"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]})
-    tax.write_text(json.dumps(entries))
+    tax.write_text(json.dumps(json.loads(tax.read_text()) + [entry]))
     proc = run_cli(
         "evaluate", "--dataset", str(toy / "questions.jsonl"),
         "--kg", str(toy / "kg.tsv"), "--ranker", trained["rank"],

@@ -130,7 +130,7 @@ def test_build_training_triplets_skips_singletons():
 
 def test_build_training_triplets_skips_long_gold_quickly():
     # a 12-node chain extracted from SPARQL matches no candidate's structure,
-    # so it is skipped without a canonical search of gold (10! orders)
+    # so it is skipped after one walk of gold
     from time import perf_counter
 
     from sskgqa.annotation import extract_query_graph, parse_sparql

@@ -1,6 +1,6 @@
 import pytest
 
-from sskgqa.querygraph import QgEdge, QgNode, QueryGraph, build_chain
+from sskgqa.querygraph import QgEdge, QgNode, QueryGraph, QueryGraphError, build_chain
 from sskgqa.querygraph import EXISTENTIAL, GROUNDED, LAMBDA
 from sskgqa.structures import (
     ANSWER,
@@ -55,14 +55,19 @@ def test_structure_validation():
         SemanticStructure("bad", (E_TOPIC, ANSWER, VAR), ((0, 1),))  # disconnected
     with pytest.raises(StructureError):
         SemanticStructure("bad", (E_TOPIC, ANSWER), ((0, 1), (1, -1)))  # out of range
+    with pytest.raises(StructureError):
+        SemanticStructure("bad", (E_TOPIC, VAR, VAR, ANSWER), ((0, 1), (0, 2), (1, 3)))  # branch
+    with pytest.raises(StructureError):
+        SemanticStructure("bad", (E_TOPIC, ANSWER), ((0, 1), (0, 1)))  # parallel edge
+    with pytest.raises(StructureError):
+        SemanticStructure("bad", (E_TOPIC, "zz", ANSWER), ((0, 1), (1, 2)))  # unknown kind
 
 
 def test_taxonomy_rejects_answer_reached_only_through_constraint(tmp_path):
-    # abstract() builds such structures from SPARQL, but a taxonomy must give
-    # each structure a hop count, so a bad taxonomy file fails at load
-    bad = SemanticStructure("X", (E_TOPIC, E_CONST, ANSWER), ((0, 1), (1, 2)))
+    # not a chain, so it has no shape: the structure cannot be built, and a
+    # taxonomy file holding it fails at load
     with pytest.raises(StructureError):
-        Taxonomy(list(builtin_taxonomy()) + [bad])
+        SemanticStructure("X", (E_TOPIC, E_CONST, ANSWER), ((0, 1), (1, 2)))
     path = tmp_path / "tax.json"
     path.write_text('[{"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]}]')
     with pytest.raises(StructureError):
@@ -102,14 +107,23 @@ def test_abstract_erases_reversal_and_storage():
     assert builtin_taxonomy().find_match(g) == "SS2"
 
 
-def test_abstract_keeps_parallel_edges():
+def test_abstract_rejects_non_chain():
     g = QueryGraph(
         nodes=[QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x")],
         edges=[QgEdge(0, "r", 1), QgEdge(0, "s", 1)],
         topic=0,
     )
-    assert len(abstract(g).edges) == 2
+    with pytest.raises(QueryGraphError):
+        abstract(g)
     assert builtin_taxonomy().find_match(g) is None
+
+
+def test_taxonomy_rejects_duplicate_shapes():
+    # the same 1-hop chain with its edge and nodes the other way round
+    twin = SemanticStructure("X", (ANSWER, E_TOPIC), ((0, 1),))
+    assert twin.canonical() == builtin_taxonomy().get("SS1").canonical()
+    with pytest.raises(StructureError, match="X: same shape as SS1"):
+        Taxonomy(list(builtin_taxonomy()) + [twin])
 
 
 def test_filter_candidates():
