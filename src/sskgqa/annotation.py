@@ -10,11 +10,13 @@ from .querygraph import (
     EXISTENTIAL,
     GROUNDED,
     LAMBDA,
+    Chain,
     QgEdge,
     QgNode,
     QueryGraph,
     QueryGraphError,
     bfs_depths,
+    chain_of,
     decode_iri,
 )
 from .structures import Taxonomy
@@ -67,7 +69,7 @@ class LabeledQuestion:
     answers: list[str]
     hops: int | None = None
     sparql: str | None = None
-    gold_graph: QueryGraph | None = None
+    gold_graph: Chain | None = None
 
 
 _TOKEN_RE = re.compile(r"<=|>=|!=|\|\||&&|[{}().<>=]|[^\s{}().<>=]+")
@@ -180,14 +182,24 @@ def _skip_unsupported(toks, unsupported, take, peek) -> None:
     unsupported.extend(found if found else [keyword])
 
 
-def extract_query_graph(ast: SparqlAst) -> QueryGraph:
-    """Map a parsed SPARQL command to its query graph.
+def extract_query_graph(ast: SparqlAst) -> Chain:
+    """The chain of a parsed SPARQL command: `chain_of` its `pattern_graph`.
+    ExtractionError when the pattern graph is not a chain."""
+    try:
+        return chain_of(pattern_graph(ast))
+    except QueryGraphError as exc:
+        raise ExtractionError(str(exc)) from exc
+
+
+def pattern_graph(ast: SparqlAst) -> QueryGraph:
+    """Map a parsed SPARQL command to its pattern graph.
 
     Iri terms become grounded nodes, variables existential nodes named as in
     the query, the selected variable the lambda node, and each pattern the
     edge from its subject to its object. The topic is, among the grounded
     nodes that reach the lambda through variables only, the one farthest from
     it; among ties, one that is the subject of some pattern wins.
+    QueryGraphError when the graph fails `QueryGraph.validate`.
     """
     if ast.unsupported_features:
         raise ExtractionError(
@@ -226,10 +238,7 @@ def extract_query_graph(ast: SparqlAst) -> QueryGraph:
     reach = {e.src for e in edges if e.dst in via_vars} | {e.dst for e in edges if e.src in via_vars}
     subjects = {e.src for e in edges}
     topic = max(ground & reach, key=lambda i: (dist[i], i in subjects, -i))
-    try:
-        return QueryGraph(nodes=nodes, edges=edges, topic=topic)
-    except QueryGraphError as exc:
-        raise ExtractionError(str(exc)) from exc
+    return QueryGraph(nodes=nodes, edges=edges, topic=topic)
 
 
 def label_metaqa(q: LabeledQuestion) -> str:
@@ -245,11 +254,10 @@ def label_wsp(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
     if q.sparql is None:
         raise LabelingError(f"question {q.id}: no sparql command")
     try:
-        ast = parse_sparql(q.sparql)
-        g = extract_query_graph(ast)
+        c = extract_query_graph(parse_sparql(q.sparql))
     except (SparqlError, ExtractionError):
         return UNSUPPORTED
-    label = taxonomy.find_match(g)
+    label = taxonomy.find_match(c)
     return label if label is not None else UNSUPPORTED
 
 

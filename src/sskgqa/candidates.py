@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 
 from .kg import KnowledgeGraph, step
-from .querygraph import QueryGraph, build_chain
+from .querygraph import Chain
 from .structures import SemanticStructure
 
 
@@ -25,7 +25,7 @@ class EnumConfig:
 
 @dataclass
 class EnumResult:
-    graphs: list[QueryGraph]
+    graphs: list[Chain]
     truncated: bool
 
 
@@ -55,38 +55,28 @@ def enumerate_candidates(
     non-empty; constraint values come from actual KG out-edges at the
     constrained node. Deterministic order, truncated at cfg.max_candidates.
     Candidates are distinct by construction: each is a distinct (hops,
-    constraint) chain whose topic and answer nodes pin both ends of its path,
-    so no two are isomorphic.
+    constraint) walk, so no two are equal chains.
 
     With `ss`, only the candidates whose structure is ss are built, whatever
-    cfg.attach_constraints says: the graphs `filter_candidates(..., ss)` keeps
+    cfg.attach_constraints says: the chains `filter_candidates(..., ss)` keeps
     from the enumeration under `derived_enum(cfg, ss)`, in the same order,
     except that max_candidates counts only them.
     """
     topic_id = kg.entities.id_of(topic)
     shapes = _shapes(cfg.max_hops, cfg.attach_constraints, ss)
     depth = max((h for h, _ in shapes), default=0)
-    walk = _chains(kg, shapes, depth, (), ({topic_id},)) if depth else iter(())
+    walk = _chains(kg, topic, shapes, depth, (), ({topic_id},)) if depth else iter(())
     found = list(islice(walk, cfg.max_candidates + 1))
-    rel, ent = kg.relations.symbol_of, kg.entities.symbol_of
-    graphs = [
-        build_chain(
-            topic,
-            [(rel(r), rev) for r, rev in hops],
-            [(at, rel(r), ent(val)) for at, r, val in constraints],
-        )
-        for hops, constraints in found[: cfg.max_candidates]
-    ]
-    return EnumResult(graphs, truncated=len(found) > cfg.max_candidates)
+    return EnumResult(found[: cfg.max_candidates], truncated=len(found) > cfg.max_candidates)
 
 
-def _chains(kg, shapes, depth, hops, frontiers):
-    """(hops, constraints) id tuples of the chains of `shapes` that extend
-    `hops`, depth first. `frontiers[k]` holds the entities reached after k
-    hops. Each new hop yields its plain chain, then one chain per constraint
-    (path node after the topic, relation, value) that a full binding meets,
-    then the chains that extend it."""
-    frontier = frontiers[-1]
+def _chains(kg, topic, shapes, depth, hops, frontiers):
+    """The `Chain`s of `shapes` from `topic` that extend `hops`, the (relation
+    id, back) pairs walked so far, depth first. `frontiers[k]` holds the
+    entities reached after k hops. Each new hop yields its plain chain, then
+    one chain per constraint (path node after the topic, relation, value)
+    that a full binding meets, then the chains that extend it."""
+    rel, frontier = kg.relations.symbol_of, frontiers[-1]
     for rid in range(kg.num_relations):
         for rev in (False, True):
             nxt = step(kg, frontier, rid, rev)
@@ -95,15 +85,16 @@ def _chains(kg, shapes, depth, hops, frontiers):
             new_hops = hops + ((rid, rev),)
             new_frontiers = frontiers + (nxt,)
             n = len(new_hops)
+            path = tuple((rel(r), back) for r, back in new_hops)
             if (n, ()) in shapes:
-                yield new_hops, ()
+                yield Chain(topic, path)
             for at in range(1, n + 1):
                 if (n, (at,)) in shapes:
                     feas = _feasible_at(kg, new_frontiers, new_hops, at)
                     for r, val in sorted({edge for e in feas for edge in kg.out_edges(e)}):
-                        yield new_hops, ((at, r, val),)
+                        yield Chain(topic, path, ((at, rel(r), False, kg.entities.symbol_of(val)),))
             if n < depth:
-                yield from _chains(kg, shapes, depth, new_hops, new_frontiers)
+                yield from _chains(kg, topic, shapes, depth, new_hops, new_frontiers)
 
 
 def _feasible_at(kg, frontiers, hops, at) -> set[int]:

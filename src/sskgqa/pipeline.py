@@ -16,7 +16,7 @@ from .annotation import (
 from .candidates import EnumConfig, derived_enum, enumerate_candidates
 from .classifier import ClassifierModel
 from .kg import KnowledgeGraph
-from .querygraph import CLS, SEP, QueryGraph, canonicalize, execute, split_symbol
+from .querygraph import CLS, SEP, Chain, canonicalize, execute, split_symbol
 from .ranker import rank_candidates
 from .structures import SemanticStructure, Taxonomy
 
@@ -32,7 +32,9 @@ def tokenize_question(text: str) -> list[str]:
     return [CLS] + split_symbol(text) + [SEP]
 
 
-def gold_graph_of(q: LabeledQuestion) -> QueryGraph | None:
+def gold_graph_of(q: LabeledQuestion) -> Chain | None:
+    """The question's gold chain: its `gold_graph`, else the chain of its
+    SPARQL, or None when it has neither or its SPARQL is not a chain."""
     if q.gold_graph is not None:
         return q.gold_graph
     if q.sparql is None:
@@ -47,7 +49,7 @@ def gold_graph_of(q: LabeledQuestion) -> QueryGraph | None:
 class PipelineConfig:
     kg: KnowledgeGraph
     taxonomy: Taxonomy
-    ranker: object  # anything with score_all(question_tokens, graphs)
+    ranker: object  # anything with score_all(question_tokens, chains)
     classifier: ClassifierModel | None = None
     enum: EnumConfig = field(default_factory=EnumConfig)
     mode: str = "predicted"
@@ -73,7 +75,7 @@ class QuestionRecord:
     predicted_structure: str | None
     gold_structure: str | None
     structure_correct: bool | None
-    top1: str | None  # canonical form of the ranked top-1 graph
+    top1: str | None  # canonical key of the ranked top-1 chain
     answers: list[str]
     correct: bool
 

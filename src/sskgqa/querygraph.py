@@ -1,4 +1,6 @@
-"""Query graph data model: chains with constraints, canonical keys, execution."""
+"""Query graphs: the `Chain` every candidate and gold is, with its key,
+serialization, execution and SPARQL, and the SPARQL pattern graph that
+`chain_of` turns into a `Chain`."""
 
 from __future__ import annotations
 
@@ -40,8 +42,29 @@ class QgEdge:
     dst: int
 
 
+@dataclass(frozen=True)
+class Chain:
+    """A query graph: the topic label, the hops from topic to lambda as
+    (relation, back), and the constraints as (at, relation, back, value) on
+    path node `at` (0 = topic), in path order, then edge order. `back` marks
+    a hop, or a constraint read from its node to its value, that runs against
+    the KG triple."""
+
+    topic: str
+    hops: tuple[tuple[str, bool], ...]
+    constraints: tuple[tuple[int, str, bool, str], ...] = ()
+
+    @property
+    def shape(self) -> tuple[int, tuple[int, ...]]:
+        """(hop count, path positions of the constraints)."""
+        return len(self.hops), tuple(at for at, *_ in self.constraints)
+
+
 @dataclass
 class QueryGraph:
+    """A SPARQL pattern or structure as nodes and edges, checked to be
+    connected; `chain_of` reads the `Chain` off it."""
+
     nodes: list[QgNode]
     edges: list[QgEdge]
     topic: int  # node index, must be grounded
@@ -78,25 +101,22 @@ def build_chain(
     topic: str,
     hops: list[tuple[str, bool]],
     constraints: list[tuple[int, str, str]] = (),
-) -> QueryGraph:
-    """Chain query graph: topic -> hop edges -> lambda, plus constraint edges.
+) -> Chain:
+    """Chain topic -> hops -> lambda, plus constraint edges.
 
-    Each hop is (relation symbol, reversed), a reversed hop i being stored as
-    the triple (i + 1, relation, i); each constraint is (hop index, relation
-    symbol, value symbol) with hop index 0 = topic node, i = i-th
-    intermediate, len(hops) = lambda.
+    Each hop is (relation symbol, reversed), a reversed hop being walked
+    against its KG triple; each constraint is (hop index, relation symbol,
+    value symbol), the triple from path node `hop index` (0 = topic node, i =
+    i-th intermediate, len(hops) = lambda) to the value.
     """
     if not hops:
         raise QueryGraphError("hops must be non-empty")
-    *names, lam = _path_names(len(hops))
-    nodes = [QgNode(GROUNDED, topic)] + [QgNode(EXISTENTIAL, n) for n in names] + [QgNode(LAMBDA, lam)]
-    edges = [QgEdge(i + 1, rel, i) if rev else QgEdge(i, rel, i + 1) for i, (rel, rev) in enumerate(hops)]
-    for hop_idx, rel, value in constraints:
+    _path_names(len(hops))  # raises on too many hops
+    for hop_idx, _, _ in constraints:
         if not 0 <= hop_idx <= len(hops):
             raise QueryGraphError(f"constraint hop index out of range: {hop_idx}")
-        nodes.append(QgNode(GROUNDED, value))
-        edges.append(QgEdge(hop_idx, rel, len(nodes) - 1))
-    return QueryGraph(nodes=nodes, edges=edges, topic=0)
+    cons = sorted(((at, rel, False, value) for at, rel, value in constraints), key=lambda c: c[0])
+    return Chain(topic, tuple((rel, bool(rev)) for rel, rev in hops), tuple(cons))
 
 
 def _path_names(hops: int) -> list[str]:
@@ -132,12 +152,9 @@ def split_symbol(symbol: str) -> list[str]:
     return [t for t in _SPLIT_RE.split(symbol) if t]
 
 
-Step = tuple[int, QgEdge, bool]  # (node reached, edge, traversed dst -> src: against the KG)
-
-
-def chain_of(g: QueryGraph) -> tuple[list[Step], list[list[Step]]]:
+def chain_of(g: QueryGraph) -> Chain:
     """The chain g is: its topic -> lambda path, and per path node in path
-    order (topic first) the constraint steps to its grounded values, in edge
+    order (topic first) the constraint edges to its grounded values, in edge
     order.
 
     The edges touching no grounded node but the topic must form one simple
@@ -149,80 +166,76 @@ def chain_of(g: QueryGraph) -> tuple[list[Step], list[list[Step]]]:
     # Each step takes the one edge left at the node, so a node is left with no
     # edge once passed: a second edge there (a branch, a cycle, a parallel or
     # looping edge) shows as two steps, or stays left at the end.
-    path: list[Step] = []
-    node, lam = g.topic, g.lambda_index
-    while node != lam:
+    hops, path, lam = [], [g.topic], g.lambda_index
+    while path[-1] != lam:
+        node = path[-1]
         steps = [(e.dst, e, False) if e.src == node else (e.src, e, True)
                  for e in left if node in (e.src, e.dst)]
         if len(steps) != 1:
             raise QueryGraphError("chain edges are not one path from topic to lambda")
-        path.append(steps[0])
-        node, e, _ = steps[0]
+        nxt, e, back = steps[0]
+        hops.append((e.relation, back))
+        path.append(nxt)
         left.remove(e)
     if left:
         raise QueryGraphError("chain edges are not one path from topic to lambda")
-    pos = {n: k for k, n in enumerate([g.topic] + [n for n, _, _ in path])}
-    cons: list[list[Step]] = [[] for _ in pos]
+    pos = {n: k for k, n in enumerate(path)}
+    cons = []
     for e in g.edges:
         if e.src in other or e.dst in other:
-            if e.src in pos and e.dst in other:
-                cons[pos[e.src]].append((e.dst, e, False))
-            elif e.dst in pos and e.src in other:
-                cons[pos[e.dst]].append((e.src, e, True))
-            else:
+            back = e.src in other
+            node, value = (e.dst, e.src) if back else (e.src, e.dst)
+            if node not in pos or value not in other:
                 raise QueryGraphError("constraint edge does not join a path node to a grounded node")
-    return path, cons
+            cons.append((pos[node], e.relation, back, g.nodes[value].label))
+    cons.sort(key=lambda c: c[0])
+    return Chain(g.nodes[g.topic].label, tuple(hops), tuple(cons))
 
 
-def canonicalize(g: QueryGraph) -> str:
-    """Key of the chain g, as JSON since labels may hold any character: the
+def canonicalize(c: Chain) -> str:
+    """Key of chain c, as JSON since labels may hold any character: the
     topic label, each hop's (relation, back) in path order, and per path node
     the sorted (relation, back, value label) of its constraints. Equal iff
-    the chains are equal up to variable names, node order and constraint
-    order. Raises QueryGraphError on a graph that is not a chain."""
-    path, cons = chain_of(g)
-    hops = [(e.relation, back) for _, e, back in path]
-    values = [sorted((e.relation, back, g.nodes[v].label) for v, e, back in steps) for steps in cons]
-    return json.dumps([g.nodes[g.topic].label, hops, values])
+    the chains are equal up to constraint order within a node."""
+    values = [sorted((rel, back, value) for at, rel, back, value in c.constraints if at == k)
+              for k in range(len(c.hops) + 1)]
+    return json.dumps([c.topic, c.hops, values])
 
 
-def _hop_tokens(e: QgEdge, back: bool) -> list[str]:
+def _hop_tokens(relation: str, back: bool) -> list[str]:
     """Relation fragments, plus 'reverse' when the traversal goes against the KG edge."""
-    return split_symbol(e.relation) + (["reverse"] if back else [])
+    return split_symbol(relation) + (["reverse"] if back else [])
 
 
-def serialize_tokens(g: QueryGraph) -> list[str]:
+def serialize_tokens(c: Chain) -> list[str]:
     """Linear walk topic -> hops -> constraints, split into fragments and
     wrapped in [CLS]/[SEP]. Traversal against KG direction adds 'reverse'.
-    A path node is named by its place, as `build_chain` names it: the topic
-    "c", the i-th intermediate CHAIN_VAR_NAMES[i - 1] and the lambda "x"."""
-    path, cons = chain_of(g)
-    names = ["c", *_path_names(len(path))]
-    tokens = [CLS, *split_symbol(g.nodes[g.topic].label)]
-    for (_, e, back), name in zip(path, names[1:]):
-        tokens += _hop_tokens(e, back) + [name]
-    for name, steps in zip(names, cons):
-        for value, e, back in steps:
-            tokens += [name, *_hop_tokens(e, back), *split_symbol(g.nodes[value].label)]
+    A path node is named by its place: the topic "c", the i-th intermediate
+    CHAIN_VAR_NAMES[i - 1] and the lambda "x"."""
+    names = ["c", *_path_names(len(c.hops))]
+    tokens = [CLS, *split_symbol(c.topic)]
+    for (rel, back), name in zip(c.hops, names[1:]):
+        tokens += _hop_tokens(rel, back) + [name]
+    for at, rel, back, value in c.constraints:
+        tokens += [names[at], *_hop_tokens(rel, back), *split_symbol(value)]
     tokens.append(SEP)
     return tokens
 
 
-def execute(g: QueryGraph, kg: KnowledgeGraph) -> set[int]:
+def execute(c: Chain, kg: KnowledgeGraph) -> set[int]:
     """Answer set of the lambda variable: the topic's set of entities walks
     the chain path one frontier step per hop, and at each path node keeps
     only the entities with a KG triple to each of that node's constraint
     values. The triple test costs one lookup per frontier entity, however
     many edges the constraint value has."""
-    path, cons = chain_of(g)
-    frontier = {kg.entities.id_of(g.nodes[g.topic].label)}
-    for hop, steps in zip([None, *path], cons):
-        if hop is not None:
-            _, e, back = hop
-            frontier = step(kg, frontier, kg.relations.id_of(e.relation), back)
-        for value, e, back in steps:
-            v, rid = kg.entities.id_of(g.nodes[value].label), kg.relations.id_of(e.relation)
-            frontier = {p for p in frontier if kg.has_triple(Triple(v, rid, p) if back else Triple(p, rid, v))}
+    frontier = {kg.entities.id_of(c.topic)}
+    for k, hop in enumerate([None, *c.hops]):
+        if hop:
+            frontier = step(kg, frontier, kg.relations.id_of(hop[0]), hop[1])
+        for at, rel, back, value in c.constraints:
+            if at == k:
+                v, rid = kg.entities.id_of(value), kg.relations.id_of(rel)
+                frontier = {p for p in frontier if kg.has_triple(Triple(v, rid, p) if back else Triple(p, rid, v))}
     return frontier
 
 
@@ -240,12 +253,13 @@ def decode_iri(name: str) -> str:
     return re.sub(r"%([0-9a-fA-F]{2})", lambda m: chr(int(m.group(1), 16)), name)
 
 
-def to_sparql(g: QueryGraph) -> str:
-    """Emit the graph in the supported subset, selecting the lambda's variable."""
-
-    def term(idx: int) -> str:
-        n = g.nodes[idx]
-        return ":" + _encode_iri(n.label) if n.kind == GROUNDED else "?" + n.label
-
-    patterns = " ".join(f"{term(e.src)} :{_encode_iri(e.relation)} {term(e.dst)} ." for e in g.edges)
-    return f"SELECT DISTINCT {term(g.lambda_index)} WHERE {{ {patterns} }}"
+def to_sparql(c: Chain) -> str:
+    """Emit chain c in the supported subset, hops first, then constraints,
+    with the path variables named by place and the lambda "?x" selected."""
+    terms = [":" + _encode_iri(c.topic), *("?" + n for n in _path_names(len(c.hops)))]
+    edges = [(terms[i], rel, back, terms[i + 1]) for i, (rel, back) in enumerate(c.hops)]
+    edges += [(terms[at], rel, back, ":" + _encode_iri(v)) for at, rel, back, v in c.constraints]
+    patterns = " ".join(
+        f"{b if back else a} :{_encode_iri(rel)} {a if back else b} ." for a, rel, back, b in edges
+    )
+    return f"SELECT DISTINCT {terms[-1]} WHERE {{ {patterns} }}"

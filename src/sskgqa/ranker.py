@@ -13,7 +13,7 @@ from .candidates import EnumConfig, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, train_step
-from .querygraph import QueryGraph, QueryGraphError, canonicalize, serialize_tokens
+from .querygraph import Chain, canonicalize, serialize_tokens
 from .structures import Taxonomy, abstract
 
 MAGIC = "ssk-rank v1"
@@ -73,11 +73,11 @@ class RankerModel:
     def __init__(self, encoder: SequenceEncoder):
         self.encoder = encoder
 
-    def score_all(self, question_tokens: list[str], cands: list[QueryGraph]) -> list[float]:
+    def score_all(self, question_tokens: list[str], cands: list[Chain]) -> list[float]:
         """Scores for one evaluation pass: the question and every candidate
         are encoded once, in batched forwards of at most ENCODE_CHUNK
         sequences, so peak memory does not grow with the candidate count."""
-        seqs = [question_tokens] + [serialize_tokens(g) for g in cands]
+        seqs = [question_tokens] + [serialize_tokens(c) for c in cands]
         vecs = np.concatenate(
             [
                 self.encoder.encode(*seqs[i : i + ENCODE_CHUNK])
@@ -93,16 +93,16 @@ class TokenOverlapRanker:
     Stands in for a weak learned ranker in filtering experiments.
     """
 
-    def score_all(self, question_tokens: list[str], cands: list[QueryGraph]) -> list[float]:
+    def score_all(self, question_tokens: list[str], cands: list[Chain]) -> list[float]:
         q = set(question_tokens)
         scores = []
-        for g in cands:
-            toks = set(serialize_tokens(g))
+        for c in cands:
+            toks = set(serialize_tokens(c))
             scores.append(len(q & toks) / len(q | toks) if q | toks else 0.0)
         return scores
 
 
-def rank_candidates(ranker, question_tokens: list[str], cands: list[QueryGraph]) -> list[QueryGraph]:
+def rank_candidates(ranker, question_tokens: list[str], cands: list[Chain]) -> list[Chain]:
     """Descending score; ties broken by ascending canonical string, which is
     computed only for candidates whose scores tie."""
     if not cands:
@@ -119,7 +119,7 @@ def rank_candidates(ranker, question_tokens: list[str], cands: list[QueryGraph])
 
 
 def build_training_triplets(
-    dataset: list[tuple[list[str], QueryGraph]],
+    dataset: list[tuple[list[str], Chain]],
     kg: KnowledgeGraph,
     cfg: RankTrainConfig,
     rng: np.random.Generator,
@@ -127,22 +127,18 @@ def build_training_triplets(
     """(question tokens, positive tokens, negative token lists) per question.
 
     Negatives are sampled uniformly without replacement from the candidates
-    matching the gold structure, excluding graphs canonically equal to gold.
-    Questions with no negatives, whose topic entity is not in the KG, or whose
-    gold is not a chain, are skipped.
+    matching the gold structure, excluding chains canonically equal to gold.
+    Questions with no negatives or whose topic entity is not in the KG are
+    skipped.
     """
     out = []
     base = EnumConfig(max_hops=cfg.max_hops)
     for q_tokens, gold in dataset:
-        topic = gold.nodes[gold.topic].label
-        if topic not in kg.entities:
-            continue
-        try:
-            ss = abstract(gold)
-        except QueryGraphError:
+        if gold.topic not in kg.entities:
             continue
         gold_key = canonicalize(gold)
-        negs = [g for g in enumerate_candidates(kg, topic, base, ss).graphs if canonicalize(g) != gold_key]
+        cands = enumerate_candidates(kg, gold.topic, base, abstract(gold)).graphs
+        negs = [c for c in cands if canonicalize(c) != gold_key]
         if not negs:
             continue
         n = min(cfg.negatives, len(negs))
@@ -154,7 +150,7 @@ def build_training_triplets(
 
 
 def train_ranker(
-    dataset: list[tuple[list[str], QueryGraph]],
+    dataset: list[tuple[list[str], Chain]],
     kg: KnowledgeGraph,
     taxonomy: Taxonomy,
     cfg: RankTrainConfig,

@@ -9,6 +9,7 @@ from .querygraph import (
     EXISTENTIAL,
     GROUNDED,
     LAMBDA,
+    Chain,
     QgEdge,
     QgNode,
     QueryGraph,
@@ -53,8 +54,8 @@ class SemanticStructure:
             raise StructureError(f"{self.label}: exactly one topic node required")
         nodes = [QgNode(_NODE_KIND[k], str(i)) for i, k in enumerate(self.kinds)]
         try:
-            g = QueryGraph(nodes, [QgEdge(s, "", d) for s, d in self.edges], self.kinds.index(E_TOPIC))
-            shape = _shape_of(g)
+            edges = [QgEdge(s, "", d) for s, d in self.edges]
+            shape = chain_of(QueryGraph(nodes, edges, self.kinds.index(E_TOPIC))).shape
         except QueryGraphError as exc:
             raise StructureError(f"{self.label}: {exc}") from None
         if len(shape[1]) != self.kinds.count(E_CONST):
@@ -70,13 +71,6 @@ class SemanticStructure:
     def canonical(self) -> tuple[int, tuple[int, ...]]:
         """The structure's identity: equal iff the structures are isomorphic."""
         return self.shape
-
-
-def _shape_of(g: QueryGraph) -> tuple[int, tuple[int, ...]]:
-    """(hop count, sorted path positions of the constraints) of chain g;
-    QueryGraphError when g is not a chain."""
-    path, cons = chain_of(g)
-    return len(path), tuple(k for k, steps in enumerate(cons) for _ in steps)
 
 
 @dataclass
@@ -111,17 +105,13 @@ class Taxonomy:
         except KeyError:
             raise StructureError(f"unknown structure label: {label}") from None
 
-    def find_match(self, g: QueryGraph) -> str | None:
-        """Label of the structure with g's shape, or None, also when g is not
-        a chain."""
-        try:
-            return self._by_shape.get(_shape_of(g))
-        except QueryGraphError:
-            return None
+    def find_match(self, c: Chain) -> str | None:
+        """Label of the structure with c's shape, or None."""
+        return self._by_shape.get(c.shape)
 
 
 def chain_structure(hops: int, at: tuple[int, ...] = (), label: str = "chain") -> SemanticStructure:
-    """Structure of a `build_chain` graph with `hops` hops and one constraint
+    """Structure of a `build_chain` chain with `hops` hops and one constraint
     on each path position in `at` (0 = topic, hops = answer)."""
     kinds = (E_TOPIC,) + (VAR,) * (hops - 1) + (ANSWER,) + (E_CONST,) * len(at)
     edges = tuple((i, i + 1) for i in range(hops)) + tuple((k, hops + 1 + j) for j, k in enumerate(at))
@@ -134,23 +124,19 @@ def builtin_taxonomy() -> Taxonomy:
     return Taxonomy([chain_structure(h, at, f"SS{i}") for i, (h, at) in enumerate(shapes, 1)])
 
 
-def abstract(g: QueryGraph) -> SemanticStructure:
-    """The structure of chain g: the `chain_structure` of its shape.
-    QueryGraphError when g is not a chain."""
-    return chain_structure(*_shape_of(g), label="abstract")
+def abstract(c: Chain) -> SemanticStructure:
+    """The structure of chain c: the `chain_structure` of its shape."""
+    return chain_structure(*c.shape, label="abstract")
 
 
-def matches(g: QueryGraph, ss: SemanticStructure) -> bool:
-    """True iff chain g has the shape of ss; QueryGraphError when g is not a
-    chain."""
-    return _shape_of(g) == ss.shape
+def matches(c: Chain, ss: SemanticStructure) -> bool:
+    """True iff chain c has the shape of ss."""
+    return c.shape == ss.shape
 
 
-def filter_candidates(
-    cands: list[QueryGraph], ss: SemanticStructure
-) -> list[QueryGraph]:
+def filter_candidates(cands: list[Chain], ss: SemanticStructure) -> list[Chain]:
     """Candidates whose abstraction matches ss."""
-    return [g for g in cands if matches(g, ss)]
+    return [c for c in cands if matches(c, ss)]
 
 
 def load_taxonomy(path: str) -> Taxonomy:

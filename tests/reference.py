@@ -1,8 +1,9 @@
 """Reference implementations that property tests check the library against:
-a backtracking join for `execute`, a DFS serializer for `serialize_tokens`,
-n! canonical forms for `canonicalize` and `SemanticStructure.canonical`, a
-recursive enumerator with per-entity feasibility for
-`enumerate_candidates`, and numpy KG embedding scores for
+`reference_graph`, the node/edge query graph of a `build_chain` call, for
+the graph oracles below; a backtracking join for `execute`, a DFS serializer
+for `serialize_tokens`, n! canonical forms for `canonicalize` and
+`SemanticStructure.canonical`, a recursive enumerator with per-entity
+feasibility for `enumerate_candidates`, and numpy KG embedding scores for
 `embeddings.score_nodes`."""
 
 import itertools
@@ -14,14 +15,37 @@ from sskgqa.kg import Triple, step
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
+    EXISTENTIAL,
     GROUNDED,
     LAMBDA,
     SEP,
+    QgEdge,
+    QgNode,
     QueryGraph,
     QueryGraphError,
     build_chain,
     split_symbol,
 )
+
+
+def reference_graph(topic: str, hops, constraints=()) -> QueryGraph:
+    """The query graph of `build_chain(topic, hops, constraints)`: node 0 the
+    topic, node i the i-th path node (lambda "x" last), a reversed hop i
+    stored as the triple (i + 1, relation, i), then one grounded node per
+    constraint, joined from its path node in the order given."""
+    if not hops:
+        raise QueryGraphError("hops must be non-empty")
+    if len(hops) - 1 > len(CHAIN_VAR_NAMES):
+        raise QueryGraphError("too many hops")
+    names = [*CHAIN_VAR_NAMES[: len(hops) - 1], "x"]
+    nodes = [QgNode(GROUNDED, topic)] + [QgNode(EXISTENTIAL, n) for n in names[:-1]] + [QgNode(LAMBDA, "x")]
+    edges = [QgEdge(i + 1, rel, i) if rev else QgEdge(i, rel, i + 1) for i, (rel, rev) in enumerate(hops)]
+    for hop_idx, rel, value in constraints:
+        if not 0 <= hop_idx <= len(hops):
+            raise QueryGraphError(f"constraint hop index out of range: {hop_idx}")
+        nodes.append(QgNode(GROUNDED, value))
+        edges.append(QgEdge(hop_idx, rel, len(nodes) - 1))
+    return QueryGraph(nodes=nodes, edges=edges, topic=0)
 
 
 def reference_execute(g: QueryGraph, kg) -> set[int]:
@@ -163,8 +187,8 @@ def reference_chain(hops: int, at) -> tuple:
     return kinds, edges
 
 
-def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list[QueryGraph], bool]:
-    """(graphs, truncated) from a recursive walk that builds each graph as it
+def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list, bool]:
+    """(chains, truncated) from a recursive walk that builds each chain as it
     goes and stops at the first candidate past cfg.max_candidates; a
     constraint's feasible entities are found one entity at a time."""
     shapes = {(h, at) for h in range(1, cfg.max_hops + 1) for at in ((), *((k,) for k in range(1, h + 1)))}
@@ -173,13 +197,13 @@ def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list[QueryGraph],
     else:
         shapes = {s for s in shapes if not s[1] or cfg.attach_constraints}
     depth = max((h for h, _ in shapes), default=0)
-    graphs: list[QueryGraph] = []
+    graphs = []
     truncated = False
 
     def syms(hops):
         return [(kg.relations.symbol_of(r), rev) for r, rev in hops]
 
-    def emit(g: QueryGraph) -> bool:
+    def emit(g) -> bool:
         nonlocal truncated
         if len(graphs) >= cfg.max_candidates:
             truncated = True

@@ -86,7 +86,7 @@ def test_extract_topic_is_farthest_grounded():
         "d1", [("made", False), ("written_by", False)], constraints=[(1, "year", "1990")]
     )
     g2 = extract_query_graph(parse_sparql(to_sparql(g)))
-    assert g2.nodes[g2.topic].label == "d1"
+    assert g2.topic == "d1"
     assert canonicalize(g2) == canonicalize(g)
 
 
@@ -118,7 +118,7 @@ def test_label_wsp_constraint_on_topic():
     tax = Taxonomy(list(builtin_taxonomy()) + [tc])
     sparql = "SELECT ?x WHERE { :b :r ?x . :b :r :a . }"
     g = extract_query_graph(parse_sparql(sparql))
-    assert g.nodes[g.topic].label == "b"
+    assert g.topic == "b"
     assert label_wsp(q(sparql=sparql), tax) == "TC"
     assert label_wsp(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
 

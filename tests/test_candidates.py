@@ -8,7 +8,7 @@ from reference import reference_enumerate
 
 from sskgqa.candidates import EnumConfig, derived_enum, enumerate_candidates
 from sskgqa.kg import build_kg
-from sskgqa.querygraph import chain_of, execute
+from sskgqa.querygraph import execute
 from sskgqa.structures import (
     ANSWER,
     E_CONST,
@@ -102,13 +102,12 @@ def test_constraint_attachment():
     res = enumerate_candidates(
         kg, "d1", EnumConfig(max_hops=1, attach_constraints=True)
     )
-    constrained = [g for g in res.graphs if any(chain_of(g)[1])]
+    constrained = [c for c in res.graphs if c.constraints]
     assert constrained
     values = set()
-    for g in constrained:
-        assert execute(g, kg)  # constrained candidates stay satisfiable
-        for steps in chain_of(g)[1]:
-            values.update(g.nodes[value].label for value, _, _ in steps)
+    for c in constrained:
+        assert execute(c, kg)  # constrained candidates stay satisfiable
+        values.update(value for *_, value in c.constraints)
     assert {"1990", "2000"} <= values
 
 

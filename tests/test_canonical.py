@@ -24,6 +24,7 @@ from sskgqa.querygraph import (
     QueryGraphError,
     bfs_depths,
     canonicalize,
+    chain_of,
 )
 from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, VAR, SemanticStructure, StructureError
 
@@ -102,8 +103,9 @@ def shuffled_graph(g: QueryGraph, perm) -> QueryGraph:
 def test_canonicalize_equals_full_search(data):
     a, b = data.draw(spec_pairs())
     g, g2, h = data.draw(chain_graphs(a)), data.draw(chain_graphs(a)), data.draw(chain_graphs(b))
-    assert canonicalize(g2) == canonicalize(g)
-    assert (canonicalize(g) == canonicalize(h)) == (reference_canonicalize(g) == reference_canonicalize(h))
+    key, key2, key_h = (canonicalize(chain_of(x)) for x in (g, g2, h))
+    assert key2 == key
+    assert (key == key_h) == (reference_canonicalize(g) == reference_canonicalize(h))
 
 
 @st.composite
@@ -180,7 +182,7 @@ def _graph(kinds, edges) -> QueryGraph:
 )
 def test_canonicalize_rejects_non_chains(kinds, edges):
     with pytest.raises(QueryGraphError):
-        canonicalize(_graph(kinds, edges))
+        canonicalize(chain_of(_graph(kinds, edges)))
 
 
 def test_bfs_depths():

@@ -1,5 +1,6 @@
 """The chain walk (`chain_of`, `serialize_tokens`, frontier `execute`)
-against the DFS serializer and the backtracking join it replaced."""
+against the DFS serializer and the backtracking join it replaced, on the
+query graphs of `build_chain` chains and on chain-shaped pattern graphs."""
 
 import time
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_execute, reference_serialize
+from reference import reference_execute, reference_graph, reference_serialize
 
-from sskgqa.annotation import extract_query_graph, parse_sparql
+from sskgqa.annotation import parse_sparql, pattern_graph
 from sskgqa.kg import build_kg
 from sskgqa.querygraph import (
     EXISTENTIAL,
@@ -20,6 +21,7 @@ from sskgqa.querygraph import (
     QueryGraph,
     QueryGraphError,
     build_chain,
+    chain_of,
     execute,
     serialize_tokens,
     to_sparql,
@@ -46,11 +48,11 @@ def kgs(draw):
 
 @st.composite
 def chains(draw, kg):
-    """A `build_chain` graph of 1-3 hops with 0-2 constraints over kg's symbols."""
+    """`build_chain` arguments of 1-3 hops with 0-2 constraints over kg's symbols."""
     ent, rel = st.sampled_from(kg.entities.symbols()), st.sampled_from(kg.relations.symbols())
     hops = draw(st.lists(st.tuples(rel, st.booleans()), min_size=1, max_size=3))
     cons = draw(st.lists(st.tuples(st.integers(0, len(hops)), rel, ent), max_size=2))
-    return build_chain(draw(ent), hops, cons)
+    return draw(ent), hops, cons
 
 
 @st.composite
@@ -68,8 +70,11 @@ def forms(draw, g):
 
 @st.composite
 def kg_and_chain(draw):
+    """A KG, a `build_chain` chain over it, and its reference query graph as
+    built or shuffled."""
     kg = draw(kgs())
-    return kg, draw(forms(draw(chains(kg))))
+    args = draw(chains(kg))
+    return kg, build_chain(*args), draw(forms(reference_graph(*args)))
 
 
 SHAPES = [chain_structure(h, at) for h in (1, 2, 3) for at in ((), *((k,) for k in range(1, h + 1)))]
@@ -103,35 +108,37 @@ def chain_shaped(draw):
 @settings(max_examples=400, deadline=None)
 @given(kg_and_chain())
 def test_execute_equals_backtracking_join(case):
-    kg, g = case
-    assert execute(g, kg) == reference_execute(g, kg)
+    kg, c, g = case
+    assert chain_of(g) == c
+    assert execute(c, kg) == reference_execute(g, kg)
 
 
 @settings(max_examples=400, deadline=None)
 @given(kg_and_chain())
 def test_serialize_equals_dfs_serializer_on_chains(case):
-    _, g = case
-    assert serialize_tokens(g) == reference_serialize(g)
+    _, c, g = case
+    assert serialize_tokens(c) == reference_serialize(g)
 
 
 @settings(max_examples=300, deadline=None)
 @given(chain_shaped())
 def test_serialize_equals_dfs_serializer_on_chain_shaped_graphs(g):
-    assert any(matches(g, ss) for ss in SHAPES)
-    assert serialize_tokens(g) == reference_serialize(g)
+    c = chain_of(g)
+    assert any(matches(c, ss) for ss in SHAPES)
+    assert serialize_tokens(c) == reference_serialize(g)
 
 
 @settings(max_examples=200, deadline=None)
 @given(kg_and_chain())
 def test_serialize_equals_dfs_serializer_after_sparql_round_trip(case):
     # SPARQL names a grounded node by its label, so equal labels would merge
-    _, g = case
+    _, c, g = case
     labels = [n.label for n in g.nodes if n.kind == GROUNDED]
     assume(len(set(labels)) == len(labels))
     # extraction keeps the topic, also when a constraint value lies farther
-    # from lambda, so the round trip serializes as the graph itself
-    h = extract_query_graph(parse_sparql(to_sparql(g)))
-    assert serialize_tokens(h) == reference_serialize(h) == serialize_tokens(g)
+    # from lambda, so the round trip serializes as the chain itself
+    h = pattern_graph(parse_sparql(to_sparql(c)))
+    assert serialize_tokens(chain_of(h)) == reference_serialize(h) == serialize_tokens(c)
 
 
 @settings(max_examples=300, deadline=None)
@@ -144,7 +151,7 @@ def test_serialize_ignores_variable_names(data):
     nodes = list(g.nodes)
     for i, name in zip(var, names):
         nodes[i] = QgNode(nodes[i].kind, name)
-    assert serialize_tokens(QueryGraph(nodes, g.edges, g.topic)) == serialize_tokens(g)
+    assert serialize_tokens(chain_of(QueryGraph(nodes, g.edges, g.topic))) == serialize_tokens(chain_of(g))
 
 
 # -- non-chain graphs ---------------------------------------------------------
@@ -171,9 +178,9 @@ def test_non_chain_graphs_raise(name):
     g = NOT_CHAINS[name]
     kg = build_kg([("a", "r", "b"), ("b", "s", "c"), ("c", "t", "a")])
     with pytest.raises(QueryGraphError):
-        serialize_tokens(g)
+        serialize_tokens(chain_of(g))
     with pytest.raises(QueryGraphError):
-        execute(g, kg)
+        execute(chain_of(g), kg)
 
 
 # -- fan-out budget -----------------------------------------------------------

@@ -279,6 +279,20 @@ def test_train_ranker_skips_unknown_topic(toy, tmp_path):
     assert out.exists()
 
 
+def test_train_ranker_leaves_non_chain_gold_out_of_trained_on(toy, tmp_path):
+    data = tmp_path / "questions.jsonl"
+    branch = {"id": "branch", "question": "what color is thing0", "topic_entity": "thing0",
+              "answers": [], "sparql": "SELECT ?x WHERE { :thing0 :color ?x . ?x :s ?y . }"}
+    data.write_text((toy / "questions.jsonl").read_text() + json.dumps(branch) + "\n")
+    labels = json_lines(run_cli("annotate", "--dataset", str(data)))
+    assert {"id": "branch", "label": "Unsupported"} in labels
+    proc = run_cli(
+        "train-ranker", "--kg", str(toy / "kg.tsv"), "--dataset", str(data),
+        "--out", str(tmp_path / "rank.ckpt"), "--epochs", "1",
+    )
+    assert json_lines(proc)[0]["trained_on"] == 5  # the five toy questions
+
+
 def test_train_classifier_without_examples_is_one_error_line(toy, trained, tmp_path):
     # every record's topic is outside the KG, so no example is left to train on
     data = tmp_path / "questions.jsonl"

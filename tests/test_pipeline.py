@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sskgqa.annotation import LabeledQuestion
+from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
 from sskgqa.candidates import EnumConfig
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import (
@@ -34,6 +34,13 @@ def test_gold_graph_of():
     assert canonicalize(gold_graph_of(q2)) == canonicalize(g)
     assert gold_graph_of(LabeledQuestion("q", "?", "a", [])) is None
     assert gold_graph_of(LabeledQuestion("q", "?", "a", [], sparql="junk")) is None
+
+
+def test_gold_graph_of_non_chain_sparql_is_none():
+    # ?y hangs off the answer: the pattern is connected but is not a chain
+    q = LabeledQuestion("q", "?", "a", ["b"], sparql="SELECT ?x WHERE { :a :r ?x . ?x :s ?y . }")
+    assert gold_graph_of(q) is None
+    assert label_question(q, builtin_taxonomy()) == UNSUPPORTED
 
 
 def base_cfg(kg, mode="oracle", **kw):

@@ -8,6 +8,7 @@ from sskgqa.querygraph import (
     GROUNDED,
     LAMBDA,
     SEP,
+    Chain,
     QgEdge,
     QgNode,
     QueryGraph,
@@ -29,20 +30,21 @@ def chain_2hop():
 
 def test_build_chain_shape():
     g = chain_2hop()
-    assert [n.kind for n in g.nodes] == [GROUNDED, EXISTENTIAL, LAMBDA]
-    assert g.nodes[0].label == "alpha"
-    assert g.nodes[1].label == "y"
-    assert g.nodes[2].label == "x"
-    assert g.lambda_index == 2
-    assert len(g.edges) == 2
+    assert g == Chain("alpha", (("r1", False), ("r2", False)), ())
+    # the topic is grounded, the intermediate is ?y and the lambda ?x
+    assert to_sparql(g) == "SELECT DISTINCT ?x WHERE { :alpha :r1 ?y . ?y :r2 ?x . }"
+    p = extract_query_graph(parse_sparql(to_sparql(g)))
+    assert p == g
 
 
 def test_build_chain_with_constraint():
     g = build_chain("a", [("r", False)], constraints=[(1, "c", "val")])
-    path, steps = chain_of(g)
-    assert path == [(1, g.edges[0], False)]
-    assert steps == [[], [(2, g.edges[1], False)]]
-    assert g.edges[1].relation == "c"
+    assert g.hops == (("r", False),)
+    assert g.constraints == ((1, "c", False, "val"),)
+    assert g.shape == (1, (1,))
+    # the pattern graph with the same nodes and edges is read back as g
+    nodes = [QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x"), QgNode(GROUNDED, "val")]
+    assert chain_of(QueryGraph(nodes, [QgEdge(0, "r", 1), QgEdge(1, "c", 2)], 0)) == g
 
 
 def test_validation_rejects_two_lambdas():
@@ -89,7 +91,7 @@ def test_canonicalize_invariant_to_node_order():
         edges=[QgEdge(1, "r1", 2), QgEdge(2, "r2", 0)],
         topic=1,
     )
-    assert canonicalize(g1) == canonicalize(g2)
+    assert canonicalize(g1) == canonicalize(chain_of(g2))
 
 
 def test_canonicalize_distinguishes_relations():
@@ -130,7 +132,7 @@ def test_serialize_tokens_rejects_more_variables_than_names():
     nodes = [QgNode(GROUNDED, "a")] + [QgNode(EXISTENTIAL, f"v{i}") for i in range(hops - 1)]
     g = QueryGraph(nodes + [QgNode(LAMBDA, "x")], [QgEdge(i, "r", i + 1) for i in range(hops)], 0)
     with pytest.raises(QueryGraphError):
-        serialize_tokens(g)
+        serialize_tokens(chain_of(g))
 
 
 def test_serialize_tokens_constraint_tail():

@@ -1,6 +1,7 @@
 import pytest
 
-from sskgqa.querygraph import QgEdge, QgNode, QueryGraph, QueryGraphError, build_chain
+from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_wsp
+from sskgqa.querygraph import QgEdge, QgNode, QueryGraph, QueryGraphError, build_chain, chain_of
 from sskgqa.querygraph import EXISTENTIAL, GROUNDED, LAMBDA
 from sskgqa.structures import (
     ANSWER,
@@ -104,7 +105,7 @@ def test_abstract_erases_reversal_and_storage():
         edges=[QgEdge(1, "r", 0), QgEdge(2, "s", 1)],
         topic=0,
     )
-    assert builtin_taxonomy().find_match(g) == "SS2"
+    assert builtin_taxonomy().find_match(chain_of(g)) == "SS2"
 
 
 def test_abstract_rejects_non_chain():
@@ -113,9 +114,11 @@ def test_abstract_rejects_non_chain():
         edges=[QgEdge(0, "r", 1), QgEdge(0, "s", 1)],
         topic=0,
     )
+    # a non-chain has no Chain, so no structure: its SPARQL labels Unsupported
     with pytest.raises(QueryGraphError):
-        abstract(g)
-    assert builtin_taxonomy().find_match(g) is None
+        abstract(chain_of(g))
+    sparql = "SELECT ?x WHERE { :a :r ?x . :a :s ?x . }"
+    assert label_wsp(LabeledQuestion("q", "?", "a", [], sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
 
 
 def test_taxonomy_rejects_duplicate_shapes():
