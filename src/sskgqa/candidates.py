@@ -91,8 +91,8 @@ def _chains(kg, topic, shapes, depth, hops, frontiers):
             for at in range(1, n + 1):
                 if (n, (at,)) in shapes:
                     feas = _feasible_at(kg, new_frontiers, new_hops, at)
-                    for r, val in sorted({edge for e in feas for edge in kg.out_edges(e)}):
-                        yield Chain(topic, path, ((at, rel(r), False, kg.entities.symbol_of(val)),))
+                    for r, v in sorted({(r, v) for e in feas for r, vs in kg.tails_of[e].items() for v in vs}):
+                        yield Chain(topic, path, ((at, rel(r), False, kg.entities.symbol_of(v)),))
             if n < depth:
                 yield from _chains(kg, topic, shapes, depth, new_hops, new_frontiers)
 
@@ -102,9 +102,10 @@ def _feasible_at(kg, frontiers, hops, at) -> set[int]:
     feas = frontiers[-1]
     # walk the chain suffix backwards, keeping the entities at node k that have
     # a hop-k edge into the feasible set at node k+1. Each test reads only the
-    # edges that the forward step from node k read; a reverse step from the
-    # feasible set would read every in-edge of a hub there.
+    # hop relation's edges that the forward step from node k read; a reverse
+    # step from the feasible set would read every in-edge of a hub there.
     for k in range(len(hops) - 1, at - 1, -1):
         rid, rev = hops[k]
-        feas = {p for p in frontiers[k] if step(kg, {p}, rid, rev) & feas}
+        index = kg.heads_of if rev else kg.tails_of
+        feas = {p for p in frontiers[k] if not feas.isdisjoint(index[p].get(rid, ()))}
     return feas

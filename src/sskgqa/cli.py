@@ -146,7 +146,7 @@ def cmd_train_ranker(args) -> int:
     dataset = _ranker_dataset(questions)
     model = rk.train_ranker(dataset, kg, tax, _rank_cfg(args))
     rk.save_ranker(model, args.out)
-    _emit({"trained_on": len(dataset), "out": args.out})
+    _emit({"trained_on": model.trained_on, "out": args.out})
     return 0
 
 
@@ -256,10 +256,8 @@ def cmd_make_toy(args) -> int:
     kg_path = os.path.join(args.out, "kg.tsv")
     with open(kg_path, "w", encoding="utf-8") as f:
         f.write("# toy knowledge graph\n")
-        for t in sorted(
-            (kg.entities.symbol_of(t.head), kg.relations.symbol_of(t.relation), kg.entities.symbol_of(t.tail))
-            for t in kg.triples
-        ):
+        ent, rel = kg.entities.symbol_of, kg.relations.symbol_of
+        for t in sorted((ent(h), rel(r), ent(t)) for h, r, t in kg.iter_triples()):
             f.write("\t".join(t) + "\n")
     data_path = os.path.join(args.out, "questions.jsonl")
     ann.save_dataset(questions, data_path)

@@ -103,10 +103,7 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
     if kg.num_triples == 0:
         raise EmbeddingError("knowledge graph has no triples")
     table = init_table(kind, kg.num_entities, kg.num_relations, cfg.d, cfg.seed)
-    triples = sorted((t.head, t.relation, t.tail) for t in kg.triples)
-    heads = np.array([t[0] for t in triples])
-    rels = np.array([t[1] for t in triples])
-    tails = np.array([t[2] for t in triples])
+    heads, rels, tails = np.array(list(kg.iter_triples())).T
     rng = np.random.default_rng(cfg.seed + 1)
     opt = AdamW(lr=cfg.lr)
     history: list[float] = []
@@ -125,7 +122,7 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
         nt = np.where(corrupt_head, nt, repl)
         s_neg = score_nodes(ent, rel, kind, nh, nr, nt)
         gamma = cfg.margin
-        pos_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.add(s_pos, ad.constant(np.full(s_pos.shape, gamma))))), -1.0 / len(triples))
+        pos_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.add(s_pos, ad.constant(np.full(s_pos.shape, gamma))))), -1.0 / kg.num_triples)
         neg_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.scale(ad.add(s_neg, ad.constant(np.full(s_neg.shape, gamma))), -1.0))), -1.0 / s_neg.shape[0])
         loss = ad.add(pos_term, neg_term)
         train_step(opt, [ent, rel], loss, 1.0)
@@ -147,18 +144,14 @@ def _clamp(table: EmbeddingTable) -> None:
 
 def filtered_mrr(table: EmbeddingTable, kg: KnowledgeGraph) -> float:
     """Mean reciprocal rank of true tails, filtering other true triples."""
-    true_tails: dict[tuple[int, int], set[int]] = {}
-    for t in kg.triples:
-        true_tails.setdefault((t.head, t.relation), set()).add(t.tail)
     ranks = []
     all_tails = np.arange(kg.num_entities)
-    for t in sorted(kg.triples, key=lambda x: (x.head, x.relation, x.tail)):
-        scores = table.score_tails(t.head, t.relation, all_tails)
-        target = scores[t.tail]
-        others = true_tails[(t.head, t.relation)] - {t.tail}
+    for h, r, t in kg.iter_triples():
+        scores = table.score_tails(h, r, all_tails)
+        # leaving out every true tail of (h, r) leaves out t, which never outscores itself
         mask = np.ones(kg.num_entities, dtype=bool)
-        mask[list(others)] = False
-        rank = 1 + int((scores[mask] > target).sum())
+        mask[list(kg.tails_of[h][r])] = False
+        rank = 1 + int((scores[mask] > scores[t]).sum())
         ranks.append(1.0 / rank)
     return float(np.mean(ranks))
 

@@ -1,10 +1,13 @@
-"""In-memory knowledge graph: interned triples with forward/backward adjacency."""
+"""In-memory knowledge graph: interned triples indexed by entity and relation, both directions."""
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from itertools import groupby
+from operator import itemgetter
+from typing import IO, Iterable, Iterator
 
 
 class KgError(Exception):
@@ -55,21 +58,17 @@ class SymbolTable:
         return list(self._id_to_sym)
 
 
-@dataclass(frozen=True)
-class Triple:
-    head: int
-    relation: int
-    tail: int
-
-
 @dataclass
 class KnowledgeGraph:
+    """Symbol tables and one index per direction: `tails_of[h][r]` holds the
+    sorted tails of the triples (h, r, _) and `heads_of[t][r]` the sorted heads
+    of (_, r, t), each inner dict keyed by relation id in ascending order."""
+
     entities: SymbolTable = field(default_factory=SymbolTable)
     relations: SymbolTable = field(default_factory=SymbolTable)
-    triples: set[Triple] = field(default_factory=set)
-    # fwd: head -> sorted [(relation, tail)], bwd: tail -> sorted [(relation, head)]
-    fwd: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    bwd: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    tails_of: list[dict[int, tuple[int, ...]]] = field(default_factory=list)
+    heads_of: list[dict[int, tuple[int, ...]]] = field(default_factory=list)
+    num_triples: int = 0
 
     @property
     def num_entities(self) -> int:
@@ -79,57 +78,62 @@ class KnowledgeGraph:
     def num_relations(self) -> int:
         return len(self.relations)
 
-    @property
-    def num_triples(self) -> int:
-        return len(self.triples)
-
     def _check_entity(self, e: int) -> None:
         if not 0 <= e < len(self.entities):
             raise LookupError_(f"entity id out of range: {e}")
 
     def out_edges(self, e: int) -> list[tuple[int, int]]:
+        """Sorted (relation, tail) pairs of e's out-edges."""
         self._check_entity(e)
-        return self.fwd.get(e, [])
+        return [(r, t) for r, tails in self.tails_of[e].items() for t in tails]
 
     def in_edges(self, e: int) -> list[tuple[int, int]]:
+        """Sorted (relation, head) pairs of e's in-edges."""
         self._check_entity(e)
-        return self.bwd.get(e, [])
+        return [(r, h) for r, heads in self.heads_of[e].items() for h in heads]
 
-    def has_triple(self, t: Triple) -> bool:
-        self._check_entity(t.head)
-        self._check_entity(t.tail)
-        if not 0 <= t.relation < len(self.relations):
-            raise LookupError_(f"relation id out of range: {t.relation}")
-        return t in self.triples
+    def has_triple(self, h: int, r: int, t: int) -> bool:
+        self._check_entity(h)
+        self._check_entity(t)
+        if not 0 <= r < len(self.relations):
+            raise LookupError_(f"relation id out of range: {r}")
+        tails = self.tails_of[h].get(r, ())
+        i = bisect_left(tails, t)
+        return i < len(tails) and tails[i] == t
+
+    def iter_triples(self) -> Iterator[tuple[int, int, int]]:
+        """Every triple as (head, relation, tail) ids, in ascending order."""
+        return ((h, r, t) for h, rels in enumerate(self.tails_of) for r, tails in rels.items() for t in tails)
 
 
 def step(kg: KnowledgeGraph, frontier: set[int], rid: int, rev: bool) -> set[int]:
     """Entities one `rid` edge from the frontier: tails of its out-edges, or
-    heads of its in-edges when `rev`."""
+    heads of its in-edges when `rev`. Frontier ids come from the KG, so they
+    are not range-checked."""
+    index = kg.heads_of if rev else kg.tails_of
     out: set[int] = set()
     for e in frontier:
-        for r, other in kg.in_edges(e) if rev else kg.out_edges(e):
-            if r == rid:
-                out.add(other)
+        others = index[e].get(rid)
+        if others:
+            out.update(others)
     return out
 
 
 def build_kg(records: Iterable[tuple[str, str, str]]) -> KnowledgeGraph:
-    """Intern symbols in first-appearance order and index the triples."""
+    """Intern symbols in first-appearance order and index the distinct triples."""
     kg = KnowledgeGraph()
-    for h, r, t in records:
-        hid = kg.entities.intern(h)
-        rid = kg.relations.intern(r)
-        tid = kg.entities.intern(t)
-        triple = Triple(hid, rid, tid)
-        if triple in kg.triples:
-            continue
-        kg.triples.add(triple)
-        kg.fwd.setdefault(hid, []).append((rid, tid))
-        kg.bwd.setdefault(tid, []).append((rid, hid))
-    for index in (kg.fwd, kg.bwd):
-        for edges in index.values():
-            edges.sort()
+    ids = {(kg.entities.intern(h), kg.relations.intern(r), kg.entities.intern(t)) for h, r, t in records}
+    return _indexed(kg, ids)
+
+
+def _indexed(kg: KnowledgeGraph, ids: set[tuple[int, int, int]]) -> KnowledgeGraph:
+    """Fill kg's indexes from its distinct (head, relation, tail) id triples."""
+    kg.num_triples = len(ids)
+    kg.tails_of = [{} for _ in range(kg.num_entities)]
+    kg.heads_of = [{} for _ in range(kg.num_entities)]
+    for index, triples in ((kg.tails_of, ids), (kg.heads_of, [(t, r, h) for h, r, t in ids])):
+        for (e, r), group in groupby(sorted(triples), key=itemgetter(0, 1)):
+            index[e][r] = tuple(x for _, _, x in group)
     return kg
 
 
@@ -162,7 +166,7 @@ def save_kg(kg: KnowledgeGraph, path: str) -> None:
     payload = {
         "entities": kg.entities.symbols(),
         "relations": kg.relations.symbols(),
-        "triples": sorted((t.head, t.relation, t.tail) for t in kg.triples),
+        "triples": list(kg.iter_triples()),
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)
@@ -178,14 +182,16 @@ def load_kg(path: str) -> KnowledgeGraph:
         if not isinstance(payload.get(key), list):
             raise ParseError(f"{path}: {key!r} must be a list")
     ents, rels = payload["entities"], payload["relations"]
-    for key, syms in (("entities", ents), ("relations", rels)):
-        # build_kg interns by symbol: a repeated one would renumber the ids after it
+    kg = KnowledgeGraph()
+    for key, syms, table in (("entities", ents, kg.entities), ("relations", rels, kg.relations)):
         if not all(isinstance(s, str) for s in syms) or len(set(syms)) != len(syms):
             raise ParseError(f"{path}: {key!r} must be distinct strings")
+        for symbol in syms:  # a symbol's id is its position in the list
+            table.intern(symbol)
     sizes = (len(ents), len(rels), len(ents))
     for i, t in enumerate(payload["triples"]):
         if not (isinstance(t, list) and len(t) == 3 and all(type(v) is int for v in t)):
             raise ParseError(f"{path}: triple {i}: expected 3 integer ids, got {t!r}")
         if not all(0 <= v < n for v, n in zip(t, sizes)):
             raise ParseError(f"{path}: triple {i}: id out of range: {t!r}")
-    return build_kg((ents[h], rels[r], ents[t]) for h, r, t in payload["triples"])
+    return _indexed(kg, {tuple(t) for t in payload["triples"]})

@@ -8,7 +8,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .kg import KnowledgeGraph, Triple, step
+from .kg import KnowledgeGraph, step
 
 GROUNDED = "grounded"
 EXISTENTIAL = "existential"
@@ -235,7 +235,7 @@ def execute(c: Chain, kg: KnowledgeGraph) -> set[int]:
         for at, rel, back, value in c.constraints:
             if at == k:
                 v, rid = kg.entities.id_of(value), kg.relations.id_of(rel)
-                frontier = {p for p in frontier if kg.has_triple(Triple(v, rid, p) if back else Triple(p, rid, v))}
+                frontier = {p for p in frontier if (kg.has_triple(v, rid, p) if back else kg.has_triple(p, rid, v))}
     return frontier
 
 

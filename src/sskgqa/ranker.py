@@ -70,8 +70,10 @@ def batch_triplet_loss(f: ad.Node, alpha: float) -> ad.Node:
 class RankerModel:
     """Metric ranker: score(q, g) = -||f(q) - f(tokens(g))||."""
 
-    def __init__(self, encoder: SequenceEncoder):
+    def __init__(self, encoder: SequenceEncoder, trained_on: int = 0):
         self.encoder = encoder
+        # questions `train_ranker` built triplets for; 0 for a loaded checkpoint
+        self.trained_on = trained_on
 
     def score_all(self, question_tokens: list[str], cands: list[Chain]) -> list[float]:
         """Scores for one evaluation pass: the question and every candidate
@@ -172,7 +174,7 @@ def train_ranker(
         use_attention=cfg.use_attention,
         dropout=cfg.dropout,
     )
-    model = RankerModel(SequenceEncoder(vocab, enc_cfg, rng))
+    model = RankerModel(SequenceEncoder(vocab, enc_cfg, rng), trained_on=len(triplets))
     params = model.encoder.parameters()
     opt = AdamW(lr=cfg.lr)
     order = np.arange(len(triplets))

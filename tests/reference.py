@@ -4,14 +4,14 @@ the graph oracles below; a backtracking join for `execute`, a DFS serializer
 for `serialize_tokens`, n! canonical forms for `canonicalize` and
 `SemanticStructure.canonical`, a recursive enumerator with per-entity
 feasibility for `enumerate_candidates`, and numpy KG embedding scores for
-`embeddings.score_nodes`."""
+`embeddings.score_nodes`. KG reads go through `out_edges`/`in_edges` only:
+`reference_step` scans them in place of the relation index."""
 
 import itertools
 
 import numpy as np
 
 from sskgqa import autodiff as ad
-from sskgqa.kg import Triple, step
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
@@ -48,6 +48,11 @@ def reference_graph(topic: str, hops, constraints=()) -> QueryGraph:
     return QueryGraph(nodes=nodes, edges=edges, topic=0)
 
 
+def reference_step(kg, frontier, rid: int, rev: bool) -> set[int]:
+    """`kg.step` by a scan of every edge of each frontier entity."""
+    return {other for e in frontier for r, other in (kg.in_edges(e) if rev else kg.out_edges(e)) if r == rid}
+
+
 def reference_execute(g: QueryGraph, kg) -> set[int]:
     """Answer set by a backtracking join over every edge."""
     ground = {i: kg.entities.id_of(n.label) for i, n in enumerate(g.nodes) if n.kind == GROUNDED}
@@ -72,7 +77,7 @@ def reference_execute(g: QueryGraph, kg) -> set[int]:
         head, tail = e.src, e.dst
         hb, tb = binding.get(head), binding.get(tail)
         if hb is not None and tb is not None:
-            if Triple(hb, rid, tb) in kg.triples:
+            if (rid, tb) in kg.out_edges(hb):
                 satisfy(k + 1)
         elif hb is not None:
             for r, t in kg.out_edges(hb):
@@ -215,7 +220,7 @@ def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list, bool]:
         feas = set(frontiers[-1])
         for k in range(len(hops) - 1, hop_idx - 1, -1):
             rid, rev = hops[k]
-            feas = {p for p in frontiers[k] if step(kg, {p}, rid, rev) & feas}
+            feas = {p for p in frontiers[k] if reference_step(kg, {p}, rid, rev) & feas}
         return feas
 
     def constraint_variants(hops, frontiers) -> bool:
@@ -232,7 +237,7 @@ def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list, bool]:
     def recurse(hops, frontiers) -> bool:
         for rid in range(kg.num_relations):
             for rev in (False, True):
-                nxt = step(kg, frontiers[-1], rid, rev)
+                nxt = reference_step(kg, frontiers[-1], rid, rev)
                 if not nxt:
                     continue
                 new_hops, new_frontiers = hops + [(rid, rev)], frontiers + [nxt]

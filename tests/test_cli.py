@@ -272,11 +272,12 @@ def test_train_ranker_skips_unknown_topic(toy, tmp_path):
              "answers": [], "sparql": "SELECT ?x WHERE { :zz :r ?x . }"}
     data.write_text((toy / "questions.jsonl").read_text() + json.dumps(stray) + "\n")
     out = tmp_path / "rank.ckpt"
-    run_cli(
+    proc = run_cli(
         "train-ranker", "--kg", str(toy / "kg.tsv"), "--dataset", str(data),
         "--out", str(out), "--epochs", "1",
     )
     assert out.exists()
+    assert json_lines(proc)[0]["trained_on"] == 5  # the five toy questions, not the stray
 
 
 def test_train_ranker_leaves_non_chain_gold_out_of_trained_on(toy, tmp_path):
