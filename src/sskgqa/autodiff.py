@@ -1,10 +1,14 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 arrays.
 
 Vectors are (1, d) arrays; scalars are (1, 1). Parameters are leaf nodes whose
-values persist across steps; a fresh graph is built per forward pass.
+values persist across steps; a fresh graph is built per forward pass, unless
+the pass runs under no_grad().
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,14 +32,40 @@ def _as_value(x) -> np.ndarray:
     return arr
 
 
+# Whether ops record their inputs and backward function; off inside no_grad().
+# One flag for the whole process, not per thread.
+_recording = True
+# Stored in place of the backward function of an op output made under
+# no_grad(); backward() refuses any loss that reaches one.
+_UNRECORDED = object()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run ops without recording a graph: each output keeps its value but no
+    parents and no backward function, so an intermediate is freed as soon as
+    nothing else refers to it. Nests; the previous mode is restored on exit,
+    also when the block raises."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 class Node:
     __slots__ = ("value", "parents", "grad", "_backward")
 
     def __init__(self, value, parents=(), backward=None):
         self.value = _as_value(value)
-        self.parents = tuple(parents)
         self.grad: np.ndarray | None = None
-        self._backward = backward
+        if _recording or backward is None:
+            self.parents = tuple(parents)
+            self._backward = backward
+        else:
+            self.parents = ()
+            self._backward = _UNRECORDED
 
     @property
     def shape(self):
@@ -69,7 +99,6 @@ def add(a: Node, b: Node) -> Node:
     if a.shape != b.shape:
         if not (a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0])):
             raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out = Node(a.value + b.value, (a, b))
 
     def backward(g):
         ga = g.sum(axis=0, keepdims=True) if a.shape[0] == 1 and g.shape[0] > 1 else g
@@ -77,45 +106,38 @@ def add(a: Node, b: Node) -> Node:
         a.accumulate(ga)
         b.accumulate(gb)
 
-    out._backward = backward
-    return out
+    return Node(a.value + b.value, (a, b), backward)
 
 
 def sub(a: Node, b: Node) -> Node:
     _same_shape(a, b, "sub")
-    out = Node(a.value - b.value, (a, b))
 
     def backward(g):
         a.accumulate(g)
         b.accumulate(-g)
 
-    out._backward = backward
-    return out
+    return Node(a.value - b.value, (a, b), backward)
 
 
 def mul(a: Node, b: Node) -> Node:
     _same_shape(a, b, "mul")
-    out = Node(a.value * b.value, (a, b))
 
     def backward(g):
         a.accumulate(g * b.value)
         b.accumulate(g * a.value)
 
-    out._backward = backward
-    return out
+    return Node(a.value * b.value, (a, b), backward)
 
 
 def matmul(a: Node, b: Node) -> Node:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ {a.shape} vs {b.shape}")
-    out = Node(a.value @ b.value, (a, b))
 
     def backward(g):
         a.accumulate(g @ b.value.T)
         b.accumulate(a.value.T @ g)
 
-    out._backward = backward
-    return out
+    return Node(a.value @ b.value, (a, b), backward)
 
 
 def _block_views(a: Node, b: Node, blocks: int, op: str) -> tuple[np.ndarray, np.ndarray]:
@@ -134,15 +156,13 @@ def block_matmul_t(a: Node, b: Node, blocks: int) -> Node:
     a3, b3 = _block_views(a, b, blocks, "block_matmul_t")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"block_matmul_t: column counts differ {a.shape} vs {b.shape}")
-    out = Node(np.matmul(a3, b3.transpose(0, 2, 1)).reshape(a.shape[0], -1), (a, b))
 
     def backward(g):
         g3 = g.reshape(blocks, a3.shape[1], b3.shape[1])
         a.accumulate(np.matmul(g3, b3).reshape(a.shape))
         b.accumulate(np.matmul(g3.transpose(0, 2, 1), a3).reshape(b.shape))
 
-    out._backward = backward
-    return out
+    return Node(np.matmul(a3, b3.transpose(0, 2, 1)).reshape(a.shape[0], -1), (a, b), backward)
 
 
 def block_matmul(a: Node, b: Node, blocks: int) -> Node:
@@ -151,90 +171,68 @@ def block_matmul(a: Node, b: Node, blocks: int) -> Node:
     a3, b3 = _block_views(a, b, blocks, "block_matmul")
     if a3.shape[2] != b3.shape[1]:
         raise ShapeError(f"block_matmul: inner dims differ {a3.shape[1:]} vs {b3.shape[1:]}")
-    out = Node(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b))
 
     def backward(g):
         g3 = g.reshape(blocks, a3.shape[1], b3.shape[2])
         a.accumulate(np.matmul(g3, b3.transpose(0, 2, 1)).reshape(a.shape))
         b.accumulate(np.matmul(a3.transpose(0, 2, 1), g3).reshape(b.shape))
 
-    out._backward = backward
-    return out
+    return Node(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b), backward)
 
 
 def transpose(a: Node) -> Node:
-    out = Node(a.value.T.copy(), (a,))
-    out._backward = lambda g: a.accumulate(g.T)
-    return out
+    return Node(a.value.T.copy(), (a,), lambda g: a.accumulate(g.T))
 
 
 def scale(a: Node, c: float) -> Node:
-    out = Node(a.value * c, (a,))
-    out._backward = lambda g: a.accumulate(g * c)
-    return out
+    return Node(a.value * c, (a,), lambda g: a.accumulate(g * c))
 
 
 def sum_all(a: Node) -> Node:
-    out = Node(a.value.sum(), (a,))
-    out._backward = lambda g: a.accumulate(np.full_like(a.value, g[0, 0]))
-    return out
+    return Node(a.value.sum(), (a,), lambda g: a.accumulate(np.full_like(a.value, g[0, 0])))
 
 
 def softmax(a: Node) -> Node:
     """Row-wise max-shifted softmax."""
     e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
-    out = Node(y, (a,))
-    out._backward = lambda g: a.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True)))
-    return out
+    return Node(y, (a,), lambda g: a.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True))))
 
 
 def log(a: Node) -> Node:
-    out = Node(np.log(a.value), (a,))
-    out._backward = lambda g: a.accumulate(g / a.value)
-    return out
+    return Node(np.log(a.value), (a,), lambda g: a.accumulate(g / a.value))
 
 
 def relu(a: Node) -> Node:
     mask = a.value > 0
-    out = Node(a.value * mask, (a,))
-    out._backward = lambda g: a.accumulate(g * mask)
-    return out
+    return Node(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
 
 
 def logsigmoid(a: Node) -> Node:
     """log(sigmoid(x)), computed stably as min(x, 0) - log1p(exp(-|x|))."""
     x = a.value
     y = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-    out = Node(y, (a,))
-    out._backward = lambda g: a.accumulate(g / (1.0 + np.exp(x)))
-    return out
+    return Node(y, (a,), lambda g: a.accumulate(g / (1.0 + np.exp(x))))
 
 
 def cos(a: Node) -> Node:
-    out = Node(np.cos(a.value), (a,))
-    out._backward = lambda g: a.accumulate(-g * np.sin(a.value))
-    return out
+    return Node(np.cos(a.value), (a,), lambda g: a.accumulate(-g * np.sin(a.value)))
 
 
 def sin(a: Node) -> Node:
-    out = Node(np.sin(a.value), (a,))
-    out._backward = lambda g: a.accumulate(g * np.cos(a.value))
-    return out
+    return Node(np.sin(a.value), (a,), lambda g: a.accumulate(g * np.cos(a.value)))
 
 
 def l2norm(a: Node) -> Node:
     """Euclidean norm of the whole array, as a (1, 1) scalar."""
     norm = float(np.sqrt((a.value**2).sum()))
-    out = Node(norm, (a,))
 
     def backward(g):
         if norm > 0.0:
             a.accumulate(g[0, 0] * a.value / norm)
         # zero-norm subgradient: 0
 
-    out._backward = backward
-    return out
+    return Node(norm, (a,), backward)
 
 
 def euclid(a: Node, b: Node) -> Node:
@@ -242,7 +240,6 @@ def euclid(a: Node, b: Node) -> Node:
     _same_shape(a, b, "euclid")
     diff = a.value - b.value
     dist = float(np.sqrt((diff**2).sum()))
-    out = Node(dist, (a, b))
 
     def backward(g):
         if dist > 0.0:
@@ -250,28 +247,27 @@ def euclid(a: Node, b: Node) -> Node:
             a.accumulate(d)
             b.accumulate(-d)
 
-    out._backward = backward
-    return out
+    return Node(dist, (a, b), backward)
 
 
 def rownorm(a: Node) -> Node:
     """(n, d) -> (n, 1) per-row Euclidean norms (zero rows get zero gradient)."""
     norms = np.sqrt((a.value**2).sum(axis=1, keepdims=True))
-    out = Node(norms, (a,))
 
     def backward(g):
         safe = np.where(norms > 0.0, norms, 1.0)
         a.accumulate(np.where(norms > 0.0, g / safe, 0.0) * a.value)
 
-    out._backward = backward
-    return out
+    return Node(norms, (a,), backward)
 
 
 def rowsum(a: Node) -> Node:
     """(n, d) -> (n, 1) row sums."""
-    out = Node(a.value.sum(axis=1, keepdims=True), (a,))
-    out._backward = lambda g: a.accumulate(np.repeat(g, a.shape[1], axis=1))
-    return out
+
+    def backward(g):
+        a.accumulate(np.repeat(g, a.shape[1], axis=1))
+
+    return Node(a.value.sum(axis=1, keepdims=True), (a,), backward)
 
 
 def _check_even(a: Node, op: str) -> int:
@@ -283,22 +279,16 @@ def _check_even(a: Node, op: str) -> int:
 def split_halves(a: Node) -> tuple[Node, Node]:
     """x -> (lower-half columns, higher-half columns)."""
     h = _check_even(a, "split_halves")
-    lo = Node(a.value[:, :h].copy(), (a,))
-    hi = Node(a.value[:, h:].copy(), (a,))
 
-    def back_lo(g):
-        full = np.zeros_like(a.value)
-        full[:, :h] = g
-        a.accumulate(full)
+    def half(cols: slice) -> Node:
+        def backward(g):
+            full = np.zeros_like(a.value)
+            full[:, cols] = g
+            a.accumulate(full)
 
-    def back_hi(g):
-        full = np.zeros_like(a.value)
-        full[:, h:] = g
-        a.accumulate(full)
+        return Node(a.value[:, cols].copy(), (a,), backward)
 
-    lo._backward = back_lo
-    hi._backward = back_hi
-    return lo, hi
+    return half(slice(None, h)), half(slice(h, None))
 
 
 def concat_halves(lo: Node, hi: Node) -> Node:
@@ -310,14 +300,12 @@ def concat_cols(a: Node, b: Node) -> Node:
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: row counts differ {a.shape} vs {b.shape}")
     ca = a.shape[1]
-    out = Node(np.concatenate([a.value, b.value], axis=1), (a, b))
 
     def backward(g):
         a.accumulate(g[:, :ca])
         b.accumulate(g[:, ca:])
 
-    out._backward = backward
-    return out
+    return Node(np.concatenate([a.value, b.value], axis=1), (a, b), backward)
 
 
 def complex_mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -336,7 +324,6 @@ def complex_mul(a: Node, b: Node) -> Node:
     """Differentiable complex_mul_packed of two half-split nodes."""
     _same_shape(a, b, "complex_mul")
     h = _check_even(a, "complex_mul")
-    out = Node(complex_mul_packed(a.value, b.value), (a, b))
 
     def backward(g):
         gr, gi = g[:, :h], g[:, h:]
@@ -350,22 +337,19 @@ def complex_mul(a: Node, b: Node) -> Node:
             np.concatenate([gr * ar + gi * ai, gi * ar - gr * ai], axis=1)
         )
 
-    out._backward = backward
-    return out
+    return Node(complex_mul_packed(a.value, b.value), (a, b), backward)
 
 
 def rows(matrix: Node, indices) -> Node:
     """Gather rows by index; the gradient scatter-adds into the matrix."""
     idx = np.asarray(indices, dtype=np.int64)
-    out = Node(matrix.value[idx], (matrix,))
 
     def backward(g):
         full = np.zeros_like(matrix.value)
         np.add.at(full, idx, g)
         matrix.accumulate(full)
 
-    out._backward = backward
-    return out
+    return Node(matrix.value[idx], (matrix,), backward)
 
 
 def dropout(a: Node, p: float, rng: np.random.Generator, training: bool) -> Node:
@@ -373,13 +357,15 @@ def dropout(a: Node, p: float, rng: np.random.Generator, training: bool) -> Node
     if not training or p <= 0.0:
         return a
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    out = Node(a.value * mask, (a,))
-    out._backward = lambda g: a.accumulate(g * mask)
-    return out
+    return Node(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) for every node reachable from loss."""
+    """Accumulate d(loss)/d(node) for every node reachable from loss.
+
+    Raises ContractError, before any gradient changes, when the loss reaches
+    an op output made under no_grad(): the graph past it was not recorded.
+    """
     if loss.shape != (1, 1):
         raise ContractError(f"loss must be a (1, 1) scalar, got {loss.shape}")
     topo: list[Node] = []
@@ -393,6 +379,8 @@ def backward(loss: Node) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node._backward is _UNRECORDED:
+            raise ContractError("backward through a node built under no_grad(): no graph was recorded")
         stack.append((node, True))
         for p in node.parents:
             if id(p) not in seen:

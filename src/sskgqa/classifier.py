@@ -93,21 +93,23 @@ class ClassifierModel:
         return ad.add(ad.matmul(s, self.w), self.b)
 
     def classify(self, tokens: list[str], topic: int) -> np.ndarray:
-        """Probability vector over the taxonomy classes."""
-        return ad.softmax(self._logits([tokens], [topic])).value[0].copy()
+        """Probability vector over the taxonomy classes (under no_grad)."""
+        with ad.no_grad():
+            return ad.softmax(self._logits([tokens], [topic])).value[0].copy()
 
     def predict(self, tokens: list[str], topic: int) -> str:
         return self.labels[int(np.argmax(self.classify(tokens, topic)))]
 
     def accuracy(self, dataset: list[tuple[list[str], int, str]]) -> float:
         """Share of (tokens, topic, label) examples predicted right, scored in
-        batched forwards of at most ENCODE_CHUNK examples."""
+        batched forwards of at most ENCODE_CHUNK examples under no_grad."""
         if not dataset:
             raise ClassifierError("accuracy of an empty dataset")
         hits = 0
         for i in range(0, len(dataset), ENCODE_CHUNK):
             toks, topics, labels = zip(*dataset[i : i + ENCODE_CHUNK])
-            best = np.argmax(self._logits(toks, topics).value, axis=1)
+            with ad.no_grad():
+                best = np.argmax(self._logits(toks, topics).value, axis=1)
             hits += sum(self.labels[j] == label for j, label in zip(best, labels))
         return hits / len(dataset)
 

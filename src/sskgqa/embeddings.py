@@ -60,10 +60,12 @@ class EmbeddingTable:
         return float(self.score_tails(h, r, np.array([t]))[0])
 
     def score_tails(self, h: int, r: int, tails: np.ndarray) -> np.ndarray:
-        """Scores of (h, r, t') for a vector of candidate tails."""
+        """Scores of (h, r, t') for a vector of candidate tails, computed
+        under no_grad."""
         n = len(tails)
         hs, rs = np.full(n, h), np.full(n, r)
-        return score_nodes(ad.constant(self.ent), ad.constant(self.rel), self.kind, hs, rs, tails).value[:, 0]
+        with ad.no_grad():
+            return score_nodes(ad.constant(self.ent), ad.constant(self.rel), self.kind, hs, rs, tails).value[:, 0]
 
 
 def init_table(kind: str, n_entities: int, n_relations: int, d: int, seed: int) -> EmbeddingTable:

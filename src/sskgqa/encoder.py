@@ -133,8 +133,10 @@ class SequenceEncoder:
         return ad.matmul(pooled, self.params["proj"])
 
     def encode(self, *sequences: list[str]) -> np.ndarray:
-        """Inference-mode (n, out_dim) vectors, one row per sequence (dropout off)."""
-        return self.forward(*sequences).value
+        """Inference-mode (n, out_dim) vectors, one row per sequence: dropout
+        off, and the forward runs under no_grad, so it records no graph."""
+        with ad.no_grad():
+            return self.forward(*sequences).value
 
     # -- checkpoint payload (see write_checkpoint) --
 
