@@ -6,19 +6,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .querygraph import (
-    EXISTENTIAL,
-    GROUNDED,
-    LAMBDA,
-    Chain,
-    QgEdge,
-    QgNode,
-    QueryGraph,
-    QueryGraphError,
-    bfs_depths,
-    chain_of,
-    decode_iri,
-)
+from .querygraph import Chain, QueryGraphError, bfs_depths, chain_of, decode_iri
 from .structures import Taxonomy
 
 UNSUPPORTED = "Unsupported"
@@ -183,62 +171,38 @@ def _skip_unsupported(toks, unsupported, take, peek) -> None:
 
 
 def extract_query_graph(ast: SparqlAst) -> Chain:
-    """The chain of a parsed SPARQL command: `chain_of` its `pattern_graph`.
-    ExtractionError when the pattern graph is not a chain."""
-    try:
-        return chain_of(pattern_graph(ast))
-    except QueryGraphError as exc:
-        raise ExtractionError(str(exc)) from exc
-
-
-def pattern_graph(ast: SparqlAst) -> QueryGraph:
-    """Map a parsed SPARQL command to its pattern graph.
-
-    Iri terms become grounded nodes, variables existential nodes named as in
-    the query, the selected variable the lambda node, and each pattern the
-    edge from its subject to its object. The topic is, among the grounded
-    nodes that reach the lambda through variables only, the one farthest from
-    it; among ties, one that is the subject of some pattern wins.
-    QueryGraphError when the graph fails `QueryGraph.validate`.
+    """The chain of a parsed SPARQL command: `chain_of` its patterns, with
+    the Iri and Var terms as nodes, each Iri a grounded node labelled by its
+    name and the selected variable the lambda. The topic is, among the Iris
+    that reach the lambda through variables only, the one farthest from it;
+    among ties, one that is the subject of some pattern, then the first to
+    appear. ExtractionError when the patterns do not form a chain.
     """
     if ast.unsupported_features:
         raise ExtractionError(
             "unsupported features: " + ", ".join(ast.unsupported_features)
         )
-    index: dict[Term, int] = {}
-    nodes: list[QgNode] = []
-    for pat in ast.patterns:
-        for t in (pat[0], pat[2]):
-            if t in index:
-                continue
-            index[t] = len(nodes)
-            if isinstance(t, Var):
-                kind = LAMBDA if t.name == ast.select_var else EXISTENTIAL
-                nodes.append(QgNode(kind, t.name))
-            else:
-                nodes.append(QgNode(GROUNDED, t.name))
-    edges = []
-    for s, p, o in ast.patterns:
-        if isinstance(p, Var):
-            raise ExtractionError("variable predicates are not supported")
-        edges.append(QgEdge(index[s], p.name, index[o]))
-
-    grounded = [i for i, n in enumerate(nodes) if n.kind == GROUNDED]
+    if any(isinstance(p, Var) for _, p, _ in ast.patterns):
+        raise ExtractionError("variable predicates are not supported")
+    edges = [(s, p.name, o) for s, p, o in ast.patterns]
+    nodes = list(dict.fromkeys(t for s, _, o in edges for t in (s, o)))
+    grounded = [t for t in nodes if isinstance(t, Iri)]
     if not grounded:
         raise ExtractionError("no grounded entity in query")
-    lam = next(i for i, n in enumerate(nodes) if n.kind == LAMBDA)
-    dist = bfs_depths(len(nodes), [(e.src, e.dst) for e in edges], lam)
-    if len(dist) != len(nodes):
+    lam = Var(ast.select_var)
+    dist = bfs_depths([(s, o) for s, _, o in edges], lam)
+    if dist.keys() != set(nodes):
         raise ExtractionError("pattern graph is disconnected")
     # the topic reaches lambda through variables only; a constraint value
     # hangs off a variable and may lie farther from lambda than the topic
-    ground = set(grounded)
-    var_edges = [(e.src, e.dst) for e in edges if e.src not in ground and e.dst not in ground]
-    via_vars = bfs_depths(len(nodes), var_edges, lam)
-    reach = {e.src for e in edges if e.dst in via_vars} | {e.dst for e in edges if e.src in via_vars}
-    subjects = {e.src for e in edges}
-    topic = max(ground & reach, key=lambda i: (dist[i], i in subjects, -i))
-    return QueryGraph(nodes=nodes, edges=edges, topic=topic)
+    via_vars = bfs_depths([(s, o) for s, _, o in edges if isinstance(s, Var) and isinstance(o, Var)], lam)
+    reach = {s for s, _, o in edges if o in via_vars} | {o for s, _, o in edges if s in via_vars}
+    subjects = {s for s, _, _ in edges}
+    topic = max((t for t in grounded if t in reach), key=lambda t: (dist[t], t in subjects))
+    try:
+        return chain_of(edges, topic, lam, {t: t.name for t in grounded})
+    except QueryGraphError as exc:
+        raise ExtractionError(str(exc)) from exc
 
 
 def label_metaqa(q: LabeledQuestion) -> str:

@@ -1,6 +1,6 @@
 """Query graphs: the `Chain` every candidate and gold is, with its key,
-serialization, execution and SPARQL, and the SPARQL pattern graph that
-`chain_of` turns into a `Chain`."""
+serialization, execution and SPARQL, and `chain_of`, which reads a `Chain`
+off the triple patterns of a SPARQL query or a structure."""
 
 from __future__ import annotations
 
@@ -9,10 +9,6 @@ import re
 from dataclasses import dataclass
 
 from .kg import KnowledgeGraph, step
-
-GROUNDED = "grounded"
-EXISTENTIAL = "existential"
-LAMBDA = "lambda"
 
 # Intermediate variable names for chains, in hop order (lambda is always "x").
 CHAIN_VAR_NAMES = ("y", "z", "w", "u")
@@ -25,21 +21,6 @@ SEP = "[SEP]"
 
 class QueryGraphError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class QgNode:
-    kind: str  # GROUNDED | EXISTENTIAL | LAMBDA
-    label: str  # entity symbol for grounded, variable name otherwise
-
-
-@dataclass(frozen=True)
-class QgEdge:
-    """The KG triple pattern (src, relation, dst): src is its head, dst its tail."""
-
-    src: int
-    relation: str
-    dst: int
 
 
 @dataclass(frozen=True)
@@ -58,43 +39,6 @@ class Chain:
     def shape(self) -> tuple[int, tuple[int, ...]]:
         """(hop count, path positions of the constraints)."""
         return len(self.hops), tuple(at for at, *_ in self.constraints)
-
-
-@dataclass
-class QueryGraph:
-    """A SPARQL pattern or structure as nodes and edges, checked to be
-    connected; `chain_of` reads the `Chain` off it."""
-
-    nodes: list[QgNode]
-    edges: list[QgEdge]
-    topic: int  # node index, must be grounded
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if not self.nodes:
-            raise QueryGraphError("empty graph")
-        kinds = [n.kind for n in self.nodes]
-        if kinds.count(LAMBDA) != 1:
-            raise QueryGraphError("exactly one lambda node required")
-        if GROUNDED not in kinds:
-            raise QueryGraphError("at least one grounded node required")
-        if self.nodes[self.topic].kind != GROUNDED:
-            raise QueryGraphError("topic must be a grounded node")
-        names = [n.label for n in self.nodes if n.kind != GROUNDED]
-        if len(names) != len(set(names)):
-            raise QueryGraphError("variable names must be unique")
-        for e in self.edges:
-            if not (0 <= e.src < len(self.nodes) and 0 <= e.dst < len(self.nodes)):
-                raise QueryGraphError("edge endpoint out of range")
-        reached = bfs_depths(len(self.nodes), ((e.src, e.dst) for e in self.edges), self.topic)
-        if len(reached) != len(self.nodes):
-            raise QueryGraphError("graph must be connected")
-
-    @property
-    def lambda_index(self) -> int:
-        return next(i for i, n in enumerate(self.nodes) if n.kind == LAMBDA)
 
 
 def build_chain(
@@ -127,19 +71,19 @@ def _path_names(hops: int) -> list[str]:
     return [*CHAIN_VAR_NAMES[: hops - 1], "x"]
 
 
-def bfs_depths(n: int, edges, start: int) -> dict[int, int]:
-    """Hop distance from `start` to each node it reaches over the undirected
-    (a, b) edges of a graph with nodes 0..n-1."""
-    adj: list[list[int]] = [[] for _ in range(n)]
+def bfs_depths(edges, start) -> dict:
+    """Hop distance from node `start` to each node it reaches over the
+    undirected (a, b) edges between hashable node names."""
+    adj: dict = {}
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     depth = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for node in frontier:
-            for nb in adj[node]:
+            for nb in adj.get(node, ()):
                 if nb not in depth:
                     depth[nb] = depth[node] + 1
                     nxt.append(nb)
@@ -152,8 +96,10 @@ def split_symbol(symbol: str) -> list[str]:
     return [t for t in _SPLIT_RE.split(symbol) if t]
 
 
-def chain_of(g: QueryGraph) -> Chain:
-    """The chain g is: its topic -> lambda path, and per path node in path
+def chain_of(edges, topic, lam, labels: dict) -> Chain:
+    """The chain the (head, relation, tail) triples `edges` form over hashable
+    node names, where `labels` maps each grounded node, the topic among them,
+    to its label: the path from `topic` to `lam`, and per path node in path
     order (topic first) the constraint edges to its grounded values, in edge
     order.
 
@@ -161,35 +107,34 @@ def chain_of(g: QueryGraph) -> Chain:
     path from the topic to lambda, and every other edge must join a path node
     to a grounded node; otherwise QueryGraphError.
     """
-    other = {i for i, n in enumerate(g.nodes) if n.kind == GROUNDED and i != g.topic}
-    left = [e for e in g.edges if e.src not in other and e.dst not in other]
+    other = labels.keys() - {topic}
+    left = [e for e in edges if e[0] not in other and e[2] not in other]
     # Each step takes the one edge left at the node, so a node is left with no
     # edge once passed: a second edge there (a branch, a cycle, a parallel or
     # looping edge) shows as two steps, or stays left at the end.
-    hops, path, lam = [], [g.topic], g.lambda_index
+    hops, path = [], [topic]
     while path[-1] != lam:
         node = path[-1]
-        steps = [(e.dst, e, False) if e.src == node else (e.src, e, True)
-                 for e in left if node in (e.src, e.dst)]
+        steps = [(e[2], e, False) if e[0] == node else (e[0], e, True) for e in left if node in (e[0], e[2])]
         if len(steps) != 1:
             raise QueryGraphError("chain edges are not one path from topic to lambda")
         nxt, e, back = steps[0]
-        hops.append((e.relation, back))
+        hops.append((e[1], back))
         path.append(nxt)
         left.remove(e)
     if left:
         raise QueryGraphError("chain edges are not one path from topic to lambda")
     pos = {n: k for k, n in enumerate(path)}
     cons = []
-    for e in g.edges:
-        if e.src in other or e.dst in other:
-            back = e.src in other
-            node, value = (e.dst, e.src) if back else (e.src, e.dst)
+    for head, rel, tail in edges:
+        if head in other or tail in other:
+            back = head in other
+            node, value = (tail, head) if back else (head, tail)
             if node not in pos or value not in other:
                 raise QueryGraphError("constraint edge does not join a path node to a grounded node")
-            cons.append((pos[node], e.relation, back, g.nodes[value].label))
+            cons.append((pos[node], rel, back, labels[value]))
     cons.sort(key=lambda c: c[0])
-    return Chain(g.nodes[g.topic].label, tuple(hops), tuple(cons))
+    return Chain(labels[topic], tuple(hops), tuple(cons))
 
 
 def canonicalize(c: Chain) -> str:

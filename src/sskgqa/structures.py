@@ -5,25 +5,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .querygraph import (
-    EXISTENTIAL,
-    GROUNDED,
-    LAMBDA,
-    Chain,
-    QgEdge,
-    QgNode,
-    QueryGraph,
-    QueryGraphError,
-    chain_of,
-)
+from .querygraph import Chain, QueryGraphError, chain_of
 
 E_TOPIC = "E"  # topic entity
 E_CONST = "Ec"  # constraint endpoint entity
 VAR = "v"
 ANSWER = "a"
 KINDS = frozenset((E_TOPIC, E_CONST, VAR, ANSWER))
-
-_NODE_KIND = {E_TOPIC: GROUNDED, E_CONST: GROUNDED, VAR: EXISTENTIAL, ANSWER: LAMBDA}
 
 
 class StructureError(Exception):
@@ -52,15 +40,20 @@ class SemanticStructure:
             raise StructureError(f"{self.label}: exactly one answer node required")
         if self.kinds.count(E_TOPIC) != 1:
             raise StructureError(f"{self.label}: exactly one topic node required")
-        nodes = [QgNode(_NODE_KIND[k], str(i)) for i, k in enumerate(self.kinds)]
+        if {n for e in self.edges for n in e} != set(range(len(self.kinds))):
+            raise StructureError(f"{self.label}: every node needs an edge, and edges join nodes of the entry")
+        grounded = {i: str(i) for i, k in enumerate(self.kinds) if k in (E_TOPIC, E_CONST)}
+        edges = [(s, "", d) for s, d in self.edges]
         try:
-            edges = [QgEdge(s, "", d) for s, d in self.edges]
-            shape = chain_of(QueryGraph(nodes, edges, self.kinds.index(E_TOPIC))).shape
+            c = chain_of(edges, self.kinds.index(E_TOPIC), self.kinds.index(ANSWER), grounded)
         except QueryGraphError as exc:
             raise StructureError(f"{self.label}: {exc}") from None
-        if len(shape[1]) != self.kinds.count(E_CONST):
-            raise StructureError(f"{self.label}: a constraint node must be a leaf")
-        object.__setattr__(self, "shape", shape)
+        # the path's nodes are distinct and not Ec, and each constraint takes
+        # one edge of an Ec node, so the counts add up only if every node is
+        # on the path or is a constraint leaf with one edge
+        if len(c.hops) + 1 + len(c.constraints) != len(self.kinds):
+            raise StructureError(f"{self.label}: a node is off the path or is not a single-edge constraint leaf")
+        object.__setattr__(self, "shape", c.shape)
 
     def hop_count(self) -> int:
         return self.shape[0]
@@ -142,9 +135,9 @@ def filter_candidates(cands: list[Chain], ss: SemanticStructure) -> list[Chain]:
 def load_taxonomy(path: str) -> Taxonomy:
     """Taxonomy config: JSON list of {label, kinds, edges} entries.
 
-    kinds use E (topic), Ec (constraint entity), v, a; edges are [from, to]
-    index pairs. Each structure must be a chain, and no two may share a
-    shape.
+    labels are strings without line breaks; kinds use E (topic), Ec
+    (constraint entity), v, a; edges are [from, to] index pairs. Each
+    structure must be a chain, and no two may share a shape.
     """
     with open(path, encoding="utf-8") as f:
         entries = json.load(f)
@@ -158,7 +151,10 @@ def _structure_entry(path: str, i: int, e) -> SemanticStructure:
     name = f"{path}: entry {i}"
     if not isinstance(e, dict) or not all(k in e for k in ("label", "kinds", "edges")):
         raise StructureError(f"{name}: needs label, kinds and edges")
-    name += f" ({e['label']})"
+    label = e["label"]
+    if not isinstance(label, str) or "\n" in label or "\r" in label:
+        raise StructureError(f"{name} ({label!r}): label must be a string without line breaks")
+    name += f" ({label})"
     kinds = e["kinds"]
     if not isinstance(kinds, list) or not all(isinstance(k, str) and k in KINDS for k in kinds):
         raise StructureError(f"{name}: kinds must be a list of {', '.join(sorted(KINDS))}")
@@ -167,7 +163,7 @@ def _structure_entry(path: str, i: int, e) -> SemanticStructure:
         isinstance(d, list) and len(d) == 2 and all(type(v) is int for v in d) for d in edges
     ):
         raise StructureError(f"{name}: edges must be a list of [from, to] index pairs")
-    return SemanticStructure(e["label"], tuple(kinds), tuple(map(tuple, edges)))
+    return SemanticStructure(label, tuple(kinds), tuple(map(tuple, edges)))
 
 
 def save_taxonomy(tax: Taxonomy, path: str) -> None:

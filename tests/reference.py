@@ -1,34 +1,54 @@
 """Reference implementations that property tests check the library against:
-`reference_graph`, the node/edge query graph of a `build_chain` call, for
-the graph oracles below; a backtracking join for `execute`, a DFS serializer
-for `serialize_tokens`, n! canonical forms for `canonicalize` and
+`Graph`, a query graph as a plain record of nodes, edge triples and topic,
+with `reference_graph` (the graph of a `build_chain` call), `sparql_graph`
+(the pattern graph of a parsed query) and `graph_chain` (its `chain_of`),
+for the graph oracles below; a backtracking join for `execute`, a DFS
+serializer for `serialize_tokens`, n! canonical forms for `canonicalize` and
 `SemanticStructure.canonical`, a recursive enumerator with per-entity
 feasibility for `enumerate_candidates`, and numpy KG embedding scores for
 `embeddings.score_nodes`. KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from sskgqa import autodiff as ad
+from sskgqa.annotation import Iri
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
-    EXISTENTIAL,
-    GROUNDED,
-    LAMBDA,
     SEP,
-    QgEdge,
-    QgNode,
-    QueryGraph,
     QueryGraphError,
     build_chain,
+    chain_of,
     split_symbol,
 )
 
+GROUNDED, EXISTENTIAL, LAMBDA = "grounded", "existential", "lambda"
 
-def reference_graph(topic: str, hops, constraints=()) -> QueryGraph:
+
+class Graph(NamedTuple):
+    """A query graph: nodes as (kind, label), edges as (head, relation,
+    tail) node-index triples, and the topic's node index."""
+
+    nodes: list
+    edges: list
+    topic: int
+
+
+def lambda_of(g: Graph) -> int:
+    return next(i for i, (kind, _) in enumerate(g.nodes) if kind == LAMBDA)
+
+
+def graph_chain(g: Graph):
+    """`chain_of` g: its edges over node indices, the grounded nodes labelled."""
+    labels = {i: label for i, (kind, label) in enumerate(g.nodes) if kind == GROUNDED}
+    return chain_of(g.edges, g.topic, lambda_of(g), labels)
+
+
+def reference_graph(topic: str, hops, constraints=()) -> Graph:
     """The query graph of `build_chain(topic, hops, constraints)`: node 0 the
     topic, node i the i-th path node (lambda "x" last), a reversed hop i
     stored as the triple (i + 1, relation, i), then one grounded node per
@@ -38,14 +58,29 @@ def reference_graph(topic: str, hops, constraints=()) -> QueryGraph:
     if len(hops) - 1 > len(CHAIN_VAR_NAMES):
         raise QueryGraphError("too many hops")
     names = [*CHAIN_VAR_NAMES[: len(hops) - 1], "x"]
-    nodes = [QgNode(GROUNDED, topic)] + [QgNode(EXISTENTIAL, n) for n in names[:-1]] + [QgNode(LAMBDA, "x")]
-    edges = [QgEdge(i + 1, rel, i) if rev else QgEdge(i, rel, i + 1) for i, (rel, rev) in enumerate(hops)]
+    nodes = [(GROUNDED, topic)] + [(EXISTENTIAL, n) for n in names[:-1]] + [(LAMBDA, "x")]
+    edges = [(i + 1, rel, i) if rev else (i, rel, i + 1) for i, (rel, rev) in enumerate(hops)]
     for hop_idx, rel, value in constraints:
         if not 0 <= hop_idx <= len(hops):
             raise QueryGraphError(f"constraint hop index out of range: {hop_idx}")
-        nodes.append(QgNode(GROUNDED, value))
-        edges.append(QgEdge(hop_idx, rel, len(nodes) - 1))
-    return QueryGraph(nodes=nodes, edges=edges, topic=0)
+        nodes.append((GROUNDED, value))
+        edges.append((hop_idx, rel, len(nodes) - 1))
+    return Graph(nodes, edges, 0)
+
+
+def sparql_graph(ast, topic: str) -> Graph:
+    """The pattern graph of a parsed SPARQL query: one node per subject or
+    object term in order of appearance (an Iri grounded, the selected
+    variable the lambda), one edge per pattern, and the Iri `topic` as topic."""
+    index: dict = {}
+    for s, _, o in ast.patterns:
+        for t in (s, o):
+            index.setdefault(t, len(index))
+    nodes = [
+        (GROUNDED if isinstance(t, Iri) else LAMBDA if t.name == ast.select_var else EXISTENTIAL, t.name)
+        for t in index
+    ]
+    return Graph(nodes, [(index[s], p.name, index[o]) for s, p, o in ast.patterns], index[Iri(topic)])
 
 
 def reference_step(kg, frontier, rid: int, rev: bool) -> set[int]:
@@ -53,28 +88,27 @@ def reference_step(kg, frontier, rid: int, rev: bool) -> set[int]:
     return {other for e in frontier for r, other in (kg.in_edges(e) if rev else kg.out_edges(e)) if r == rid}
 
 
-def reference_execute(g: QueryGraph, kg) -> set[int]:
+def reference_execute(g: Graph, kg) -> set[int]:
     """Answer set by a backtracking join over every edge."""
-    ground = {i: kg.entities.id_of(n.label) for i, n in enumerate(g.nodes) if n.kind == GROUNDED}
-    edges = [(e, kg.relations.id_of(e.relation)) for e in g.edges]
+    ground = {i: kg.entities.id_of(label) for i, (kind, label) in enumerate(g.nodes) if kind == GROUNDED}
+    edges = [(head, kg.relations.id_of(rel), tail) for head, rel, tail in g.edges]
     # each edge in turn has a bound endpoint; earlier edges are preferred
     ordered, bound, remaining = [], set(ground), list(edges)
     while remaining:
-        k = next(k for k, (e, _) in enumerate(remaining) if e.src in bound or e.dst in bound)
-        e, rid = remaining.pop(k)
-        ordered.append((e, rid))
-        bound.update((e.src, e.dst))
+        k = next(k for k, (head, _, tail) in enumerate(remaining) if head in bound or tail in bound)
+        e = remaining.pop(k)
+        ordered.append(e)
+        bound.update((e[0], e[2]))
 
     answers: set[int] = set()
-    lam = g.lambda_index
+    lam = lambda_of(g)
     binding = dict(ground)
 
     def satisfy(k: int) -> None:
         if k == len(ordered):
             answers.add(binding[lam])
             return
-        e, rid = ordered[k]
-        head, tail = e.src, e.dst
+        head, rid, tail = ordered[k]
         hb, tb = binding.get(head), binding.get(tail)
         if hb is not None and tb is not None:
             if (rid, tb) in kg.out_edges(hb):
@@ -96,70 +130,73 @@ def reference_execute(g: QueryGraph, kg) -> set[int]:
     return answers
 
 
-def reference_serialize(g: QueryGraph) -> list[str]:
+def reference_serialize(g: Graph) -> list[str]:
     """Tokens from a DFS over the non-constraint edges, then the constraint
     edges (those touching a grounded node other than the topic) per path
     node; the k-th path node after the topic is named CHAIN_VAR_NAMES[k - 1],
     or "x" if it is the lambda, and the topic "c"."""
-    other = {i for i, n in enumerate(g.nodes) if n.kind == GROUNDED and i != g.topic}
-    cons = [e for e in g.edges if e.src in other or e.dst in other]
+    other = {i for i, (kind, _) in enumerate(g.nodes) if kind == GROUNDED and i != g.topic}
+    lam = lambda_of(g)
+    # edges are told apart by their place in g.edges, as two may be equal
+    cons = [k for k, (head, _, tail) in enumerate(g.edges) if head in other or tail in other]
     adj: dict[int, list] = {}
-    for e in g.edges:
-        if not any(e is c for c in cons):
-            adj.setdefault(e.src, []).append((e.dst, e, False))
-            adj.setdefault(e.dst, []).append((e.src, e, True))
+    for k, (head, _, tail) in enumerate(g.edges):
+        if k not in cons:
+            adj.setdefault(head, []).append((tail, k, False))
+            adj.setdefault(tail, []).append((head, k, True))
     path: list = []
 
     def dfs(node: int, used: set[int]) -> bool:
-        if node == g.lambda_index:
+        if node == lam:
             return True
-        for nxt, e, back in adj.get(node, []):
-            if id(e) in used:
+        for nxt, k, back in adj.get(node, []):
+            if k in used:
                 continue
-            used.add(id(e))
-            path.append((nxt, e, back))
+            used.add(k)
+            path.append((nxt, k, back))
             if dfs(nxt, used):
                 return True
             path.pop()
-            used.remove(id(e))
+            used.remove(k)
         return False
 
     if not dfs(g.topic, set()):
         raise QueryGraphError("no chain path from topic to lambda")
     names = {g.topic: "c"}
     for k, (node, _, _) in enumerate(path):
-        names[node] = "x" if node == g.lambda_index else CHAIN_VAR_NAMES[k]
-    tokens = [CLS] + split_symbol(g.nodes[g.topic].label)
-    for node, e, back in path:
-        tokens += split_symbol(e.relation) + (["reverse"] if back else [])
+        names[node] = "x" if node == lam else CHAIN_VAR_NAMES[k]
+    tokens = [CLS] + split_symbol(g.nodes[g.topic][1])
+    for node, k, back in path:
+        tokens += split_symbol(g.edges[k][1]) + (["reverse"] if back else [])
         tokens.append(names[node])
     for at in [g.topic] + [node for node, _, _ in path]:
-        for e in cons:
-            src, dst, back = e.src, e.dst, False
-            if dst == at and g.nodes[src].kind == GROUNDED and src != g.topic:
+        for k in cons:
+            src, rel, dst = g.edges[k]
+            back = False
+            if dst == at and g.nodes[src][0] == GROUNDED and src != g.topic:
                 src, dst, back = dst, src, True
             if src != at:
                 continue
             tokens.append(names[src])
-            tokens += split_symbol(e.relation) + (["reverse"] if back else [])
-            tokens += split_symbol(g.nodes[dst].label)
+            tokens += split_symbol(rel) + (["reverse"] if back else [])
+            tokens += split_symbol(g.nodes[dst][1])
     return tokens + [SEP]
 
 
-def reference_canonicalize(g: QueryGraph) -> tuple:
+def reference_canonicalize(g: Graph) -> tuple:
     """Smallest (node tags, labelled directed edges) over all n! node
     orders: equal iff the graphs are isomorphic up to variable names (the
     topic, other grounded nodes by label, lambda and variables tagged apart)."""
     n = len(g.nodes)
     tags = [
-        ("T:" if i == g.topic else "G:") + node.label if node.kind == GROUNDED
-        else "A" if node.kind == LAMBDA else "V"
-        for i, node in enumerate(g.nodes)
+        ("T:" if i == g.topic else "G:") + label if kind == GROUNDED
+        else "A" if kind == LAMBDA else "V"
+        for i, (kind, label) in enumerate(g.nodes)
     ]
     return min(
         (
             tuple(tags[i] for i in sorted(range(n), key=lambda i: perm[i])),
-            tuple(sorted((perm[e.src], e.relation, perm[e.dst]) for e in g.edges)),
+            tuple(sorted((perm[head], rel, perm[tail]) for head, rel, tail in g.edges)),
         )
         for perm in itertools.permutations(range(n))
     )

@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import sskgqa
 from sskgqa import autodiff as ad
@@ -38,17 +37,13 @@ from sskgqa.pipeline import (
     tokenize_question,
 )
 from sskgqa.querygraph import (
-    QgEdge,
-    QgNode,
-    QueryGraph,
+    Chain,
     build_chain,
     canonicalize,
     execute,
     to_sparql,
 )
-from sskgqa.querygraph import EXISTENTIAL, GROUNDED, LAMBDA
 from sskgqa.ranker import (
-    RankerModel,
     RankTrainConfig,
     TokenOverlapRanker,
     train_ranker,
@@ -213,7 +208,7 @@ def _brute_force_iso(a: SemanticStructure, b: SemanticStructure) -> bool:
     return False
 
 
-def _random_graph(rng) -> QueryGraph:
+def _random_graph(rng) -> Chain:
     hops = int(rng.integers(1, 4))
     path = [(f"r{rng.integers(3)}", bool(rng.integers(2))) for _ in range(hops)]
     constraints = []

@@ -67,9 +67,9 @@ def test_add_broadcast_and_grad():
         lambda p: ad.sum_all(ad.transpose(p)),
         lambda p: ad.scale(ad.sum_all(p), -2.5),
     ],
-    # the last seven keep positional ids, so lists of kept test ids still name them
-    ids=["relu", "logsigmoid", "cos", "sin", "softmax", "softmax_mul", "l2norm", "rownorm"]
-    + [f"<lambda>{i}" for i in range(8, 15)],
+    ids=["relu", "logsigmoid", "cos", "sin", "softmax", "softmax_mul", "l2norm", "rownorm", "rowsum",
+         "block_matmul_t_left", "block_matmul_t_right", "block_matmul_left", "block_matmul_right",
+         "transpose", "scale"],
 )
 def test_unary_op_gradients(op):
     x = RNG.normal(size=(3, 4)) + 0.1  # keep relu away from the kink

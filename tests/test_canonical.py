@@ -8,24 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
+    EXISTENTIAL,
+    GROUNDED,
+    LAMBDA,
+    Graph,
+    graph_chain,
     reference_canonicalize,
     reference_chain,
     reference_isomorphic,
     reference_structure_canonical,
 )
 
-from sskgqa.querygraph import (
-    EXISTENTIAL,
-    GROUNDED,
-    LAMBDA,
-    QgEdge,
-    QgNode,
-    QueryGraph,
-    QueryGraphError,
-    bfs_depths,
-    canonicalize,
-    chain_of,
-)
+from sskgqa.querygraph import QueryGraphError, bfs_depths, canonicalize
 from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, VAR, SemanticStructure, StructureError
 
 # Labels with JSON syntax, separators and edge syntax in them, and labels
@@ -81,21 +75,21 @@ def chain_graphs(draw, spec):
     topic, path, cons = spec
     hops = len(path)
     names = draw(st.lists(st.sampled_from(VARIABLES), min_size=hops, max_size=hops, unique=True))
-    nodes = [QgNode(GROUNDED, topic)] + [QgNode(EXISTENTIAL, n) for n in names[1:]] + [QgNode(LAMBDA, names[0])]
-    edges = [QgEdge(i + 1, r, i) if back else QgEdge(i, r, i + 1) for i, (r, back) in enumerate(path)]
+    nodes = [(GROUNDED, topic)] + [(EXISTENTIAL, n) for n in names[1:]] + [(LAMBDA, names[0])]
+    edges = [(i + 1, r, i) if back else (i, r, i + 1) for i, (r, back) in enumerate(path)]
     for at, r, back, label in draw(st.permutations(cons)):
-        nodes.append(QgNode(GROUNDED, label))
-        edges.append(QgEdge(len(nodes) - 1, r, at) if back else QgEdge(at, r, len(nodes) - 1))
+        nodes.append((GROUNDED, label))
+        edges.append((len(nodes) - 1, r, at) if back else (at, r, len(nodes) - 1))
     perm = draw(st.permutations(range(len(nodes))))
-    return shuffled_graph(QueryGraph(nodes, draw(st.permutations(edges)), topic=0), perm)
+    return shuffled_graph(Graph(nodes, draw(st.permutations(edges)), 0), perm)
 
 
-def shuffled_graph(g: QueryGraph, perm) -> QueryGraph:
+def shuffled_graph(g: Graph, perm) -> Graph:
     nodes = [None] * len(g.nodes)
     for i, node in enumerate(g.nodes):
         nodes[perm[i]] = node
-    edges = [QgEdge(perm[e.src], e.relation, perm[e.dst]) for e in g.edges]
-    return QueryGraph(nodes, edges, topic=perm[g.topic])
+    edges = [(perm[head], rel, perm[tail]) for head, rel, tail in g.edges]
+    return Graph(nodes, edges, perm[g.topic])
 
 
 @settings(max_examples=300, deadline=None)
@@ -103,7 +97,7 @@ def shuffled_graph(g: QueryGraph, perm) -> QueryGraph:
 def test_canonicalize_equals_full_search(data):
     a, b = data.draw(spec_pairs())
     g, g2, h = data.draw(chain_graphs(a)), data.draw(chain_graphs(a)), data.draw(chain_graphs(b))
-    key, key2, key_h = (canonicalize(chain_of(x)) for x in (g, g2, h))
+    key, key2, key_h = (canonicalize(graph_chain(x)) for x in (g, g2, h))
     assert key2 == key
     assert (key == key_h) == (reference_canonicalize(g) == reference_canonicalize(h))
 
@@ -131,15 +125,21 @@ def test_structure_canonical_equals_full_search(a, b):
 
 
 @st.composite
-def connected_structures(draw):
-    """(kinds, edges): a topic, an answer and up to four v/Ec nodes joined by
-    a spanning tree plus up to two extra edges, which may be self-loops or
-    parallel to tree edges."""
+def structure_entries(draw):
+    """(kinds, edges): a topic, an answer and up to four v/Ec nodes, of which
+    up to two are isolated and the rest joined by a spanning tree plus up to
+    two extra edges. An extra edge may be a self-loop, parallel to a tree
+    edge, or a second edge of an Ec node."""
     n = draw(st.integers(2, 6))
     kinds = (E_TOPIC, ANSWER) + tuple(draw(st.sampled_from([VAR, E_CONST])) for _ in range(n - 2))
-    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
-    node = st.integers(0, n - 1)
-    edges += draw(st.lists(st.tuples(node, node), max_size=2))
+    joined = n - draw(st.integers(0, min(2, n - 2)))  # nodes from here on are isolated
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, joined)]
+    node = st.integers(0, joined - 1)
+    extra = st.tuples(node, node)
+    ec = [i for i in range(joined) if kinds[i] == E_CONST]
+    if ec:
+        extra |= st.tuples(st.sampled_from(ec), node)
+    edges += draw(st.lists(extra, max_size=2))
     return kinds, tuple(draw(st.sampled_from([(a, b), (b, a)])) for a, b in edges)
 
 
@@ -154,7 +154,7 @@ def chain_forms(n: int) -> frozenset:
 
 
 @settings(max_examples=300, deadline=None)
-@given(connected_structures())
+@given(structure_entries())
 def test_structure_is_built_iff_it_is_a_chain(case):
     kinds, edges = case
     try:
@@ -166,9 +166,8 @@ def test_structure_is_built_iff_it_is_a_chain(case):
     assert built == (reference_structure_canonical(kinds, edges) in chain_forms(len(kinds)))
 
 
-def _graph(kinds, edges) -> QueryGraph:
-    nodes = [QgNode(kind, f"n{i}") for i, kind in enumerate(kinds)]
-    return QueryGraph(nodes, [QgEdge(s, "r", d) for s, d in edges], topic=0)
+def _graph(kinds, edges) -> Graph:
+    return Graph([(kind, f"n{i}") for i, kind in enumerate(kinds)], [(s, "r", d) for s, d in edges], 0)
 
 
 @pytest.mark.parametrize(
@@ -182,10 +181,12 @@ def _graph(kinds, edges) -> QueryGraph:
 )
 def test_canonicalize_rejects_non_chains(kinds, edges):
     with pytest.raises(QueryGraphError):
-        canonicalize(chain_of(_graph(kinds, edges)))
+        canonicalize(graph_chain(_graph(kinds, edges)))
 
 
 def test_bfs_depths():
-    edges = [(0, 1), (1, 2), (2, 0), (3, 3)]
-    assert bfs_depths(5, edges, 0) == {0: 0, 1: 1, 2: 1}
-    assert bfs_depths(5, edges, 3) == {3: 0}
+    edges = [(0, 1), (1, 2), (2, 0), (3, 3), ("a", "b")]
+    assert bfs_depths(edges, 0) == {0: 0, 1: 1, 2: 1}
+    assert bfs_depths(edges, 3) == {3: 0}
+    assert bfs_depths(edges, "b") == {"b": 0, "a": 1}
+    assert bfs_depths(edges, 4) == {4: 0}

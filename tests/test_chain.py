@@ -7,22 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    graph_chain,
     reference_canonicalize,
     reference_execute,
     reference_graph,
     reference_serialize,
+    sparql_graph,
 )
 
-from sskgqa.annotation import ExtractionError, extract_query_graph, parse_sparql, pattern_graph
+from sskgqa import annotation, querygraph, structures
+from sskgqa.annotation import ExtractionError, extract_query_graph, parse_sparql
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import PipelineConfig, evaluate, tokenize_question
 from sskgqa.querygraph import (
-    QueryGraph,
     QueryGraphError,
     build_chain,
     canonicalize,
-    chain_of,
     execute,
     serialize_tokens,
     to_sparql,
@@ -61,12 +62,15 @@ def forms(args):
     out = [(c, reference_graph(*args))]
     ast = parse_sparql(to_sparql(c))
     try:
-        out.append((extract_query_graph(ast), pattern_graph(ast)))
+        e = extract_query_graph(ast)
     except ExtractionError:
         # SPARQL names an entity once, so a repeated label can join two
-        # nodes into a non-chain; the pattern graph is then no chain either
+        # nodes into a non-chain; the pattern graph is then no chain from
+        # the chain's own topic either
         with pytest.raises(QueryGraphError):
-            chain_of(pattern_graph(ast))
+            graph_chain(sparql_graph(ast, c.topic))
+    else:
+        out.append((e, sparql_graph(ast, e.topic)))
     return out
 
 
@@ -74,7 +78,7 @@ def forms(args):
 @given(kgs(), chain_args())
 def test_chain_equals_graph_oracles(kg, args):
     for c, g in forms(args):
-        assert chain_of(g) == c
+        assert graph_chain(g) == c
         assert serialize_tokens(c) == reference_serialize(g)
         assert execute(c, kg) == reference_execute(g, kg)
 
@@ -130,14 +134,15 @@ def test_build_chain_errors():
 
 
 def test_answering_builds_no_query_graph(monkeypatch):
-    tax = builtin_taxonomy()  # structures are checked as query graphs once, here
+    tax = builtin_taxonomy()  # structures are read with chain_of once, here
 
-    def refuse(self):
-        raise AssertionError("a QueryGraph was built")
+    def refuse(*args):
+        raise AssertionError("chain_of was called")
 
-    monkeypatch.setattr(QueryGraph, "validate", refuse)
+    for module in (querygraph, annotation, structures):
+        monkeypatch.setattr(module, "chain_of", refuse)
     with pytest.raises(AssertionError):
-        pattern_graph(parse_sparql("SELECT ?x WHERE { :a :r ?x . }"))
+        extract_query_graph(parse_sparql("SELECT ?x WHERE { :a :r ?x . }"))
     kg, questions = three_hop_benchmark(8, seed=0)
     ranker = TokenOverlapRanker()
     for q in questions:

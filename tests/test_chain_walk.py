@@ -8,17 +8,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_execute, reference_graph, reference_serialize
-
-from sskgqa.annotation import parse_sparql, pattern_graph
-from sskgqa.kg import build_kg
-from sskgqa.querygraph import (
+from reference import (
     EXISTENTIAL,
     GROUNDED,
     LAMBDA,
-    QgEdge,
-    QgNode,
-    QueryGraph,
+    Graph,
+    graph_chain,
+    lambda_of,
+    reference_execute,
+    reference_graph,
+    reference_serialize,
+    sparql_graph,
+)
+
+from sskgqa.annotation import extract_query_graph, parse_sparql
+from sskgqa.kg import build_kg
+from sskgqa.querygraph import (
     QueryGraphError,
     build_chain,
     chain_of,
@@ -63,8 +68,8 @@ def forms(draw, g):
         nodes = [None] * len(g.nodes)
         for i, node in enumerate(g.nodes):
             nodes[perm[i]] = node
-        edges = [QgEdge(perm[e.src], e.relation, perm[e.dst]) for e in g.edges]
-        return QueryGraph(nodes, edges, topic=perm[g.topic])
+        edges = [(perm[head], rel, perm[tail]) for head, rel, tail in g.edges]
+        return Graph(nodes, edges, perm[g.topic])
     return g
 
 
@@ -88,18 +93,18 @@ def chain_shaped(draw):
     hops = draw(st.integers(1, 3))
     at = draw(st.sampled_from([None, *range(1, hops + 1)]))
     names = draw(st.lists(st.sampled_from(NAMES), min_size=hops - 1, max_size=hops - 1, unique=True))
-    nodes = [QgNode(GROUNDED, draw(st.sampled_from(NAMES)))]
-    nodes += [QgNode(EXISTENTIAL, name) for name in names] + [QgNode(LAMBDA, "x")]
+    nodes = [(GROUNDED, draw(st.sampled_from(NAMES)))]
+    nodes += [(EXISTENTIAL, name) for name in names] + [(LAMBDA, "x")]
     pairs = [(i, i + 1) for i in range(hops)]
     if at is not None:
-        nodes.append(QgNode(GROUNDED, draw(st.sampled_from(NAMES))))
+        nodes.append((GROUNDED, draw(st.sampled_from(NAMES))))
         pairs.append((at, hops + 1))
     perm = draw(st.permutations(range(len(nodes))))
     edges = []
     for a, b in pairs:
         a, b = draw(st.sampled_from([(perm[a], perm[b]), (perm[b], perm[a])]))
-        edges.append(QgEdge(a, draw(st.sampled_from(RELATIONS)), b))
-    return QueryGraph([nodes[perm.index(i)] for i in range(len(nodes))], edges, topic=perm[0])
+        edges.append((a, draw(st.sampled_from(RELATIONS)), b))
+    return Graph([nodes[perm.index(i)] for i in range(len(nodes))], edges, perm[0])
 
 
 # -- equivalence --------------------------------------------------------------
@@ -109,7 +114,7 @@ def chain_shaped(draw):
 @given(kg_and_chain())
 def test_execute_equals_backtracking_join(case):
     kg, c, g = case
-    assert chain_of(g) == c
+    assert graph_chain(g) == c
     assert execute(c, kg) == reference_execute(g, kg)
 
 
@@ -123,7 +128,7 @@ def test_serialize_equals_dfs_serializer_on_chains(case):
 @settings(max_examples=300, deadline=None)
 @given(chain_shaped())
 def test_serialize_equals_dfs_serializer_on_chain_shaped_graphs(g):
-    c = chain_of(g)
+    c = graph_chain(g)
     assert any(matches(c, ss) for ss in SHAPES)
     assert serialize_tokens(c) == reference_serialize(g)
 
@@ -133,43 +138,42 @@ def test_serialize_equals_dfs_serializer_on_chain_shaped_graphs(g):
 def test_serialize_equals_dfs_serializer_after_sparql_round_trip(case):
     # SPARQL names a grounded node by its label, so equal labels would merge
     _, c, g = case
-    labels = [n.label for n in g.nodes if n.kind == GROUNDED]
+    labels = [label for kind, label in g.nodes if kind == GROUNDED]
     assume(len(set(labels)) == len(labels))
     # extraction keeps the topic, also when a constraint value lies farther
     # from lambda, so the round trip serializes as the chain itself
-    h = pattern_graph(parse_sparql(to_sparql(c)))
-    assert serialize_tokens(chain_of(h)) == reference_serialize(h) == serialize_tokens(c)
+    ast = parse_sparql(to_sparql(c))
+    e = extract_query_graph(ast)
+    assert e.topic == c.topic
+    assert serialize_tokens(e) == reference_serialize(sparql_graph(ast, e.topic)) == serialize_tokens(c)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_serialize_ignores_variable_names(data):
+    # the variable nodes renamed to drawn names, as extraction names them
     g = data.draw(chain_shaped())
-    var = [i for i, n in enumerate(g.nodes) if n.kind != GROUNDED]
+    var = [i for i, (kind, _) in enumerate(g.nodes) if kind != GROUNDED]
     pool = st.sampled_from(NAMES + ["x", "y", "m"])
-    names = data.draw(st.lists(pool, min_size=len(var), max_size=len(var), unique=True))
-    nodes = list(g.nodes)
-    for i, name in zip(var, names):
-        nodes[i] = QgNode(nodes[i].kind, name)
-    assert serialize_tokens(chain_of(QueryGraph(nodes, g.edges, g.topic))) == serialize_tokens(chain_of(g))
+    names = dict(zip(var, data.draw(st.lists(pool, min_size=len(var), max_size=len(var), unique=True))))
+    edges = [(names.get(head, head), rel, names.get(tail, tail)) for head, rel, tail in g.edges]
+    labels = {i: label for i, (kind, label) in enumerate(g.nodes) if kind == GROUNDED}
+    c = chain_of(edges, g.topic, names[lambda_of(g)], labels)
+    assert serialize_tokens(c) == serialize_tokens(graph_chain(g))
 
 
 # -- non-chain graphs ---------------------------------------------------------
 
-T, X, Y = QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x"), QgNode(EXISTENTIAL, "y")
-G = QgNode(GROUNDED, "b")
+T, X, Y = (GROUNDED, "a"), (LAMBDA, "x"), (EXISTENTIAL, "y")
+G = (GROUNDED, "b")
 NOT_CHAINS = {
     # y hangs off the path topic -> x, at the topic or past lambda
-    "branch": QueryGraph([T, X, Y], [QgEdge(0, "r", 1), QgEdge(0, "r", 2)], 0),
-    "branch_past_lambda": QueryGraph([T, X, Y], [QgEdge(0, "r", 1), QgEdge(1, "r", 2)], 0),
-    "cycle": QueryGraph([T, Y, X], [QgEdge(0, "r", 1), QgEdge(1, "r", 2), QgEdge(2, "s", 0)], 0),
-    "parallel": QueryGraph([T, X], [QgEdge(0, "r", 1), QgEdge(0, "s", 1)], 0),
-    "self_loop": QueryGraph([T, Y, X], [QgEdge(0, "r", 1), QgEdge(1, "s", 1), QgEdge(1, "r", 2)], 0),
-    "grounded_pair": QueryGraph(
-        [T, X, G, QgNode(GROUNDED, "c")],
-        [QgEdge(0, "r", 1), QgEdge(1, "s", 2), QgEdge(2, "t", 3)],
-        0,
-    ),
+    "branch": Graph([T, X, Y], [(0, "r", 1), (0, "r", 2)], 0),
+    "branch_past_lambda": Graph([T, X, Y], [(0, "r", 1), (1, "r", 2)], 0),
+    "cycle": Graph([T, Y, X], [(0, "r", 1), (1, "r", 2), (2, "s", 0)], 0),
+    "parallel": Graph([T, X], [(0, "r", 1), (0, "s", 1)], 0),
+    "self_loop": Graph([T, Y, X], [(0, "r", 1), (1, "s", 1), (1, "r", 2)], 0),
+    "grounded_pair": Graph([T, X, G, (GROUNDED, "c")], [(0, "r", 1), (1, "s", 2), (2, "t", 3)], 0),
 }
 
 
@@ -178,9 +182,9 @@ def test_non_chain_graphs_raise(name):
     g = NOT_CHAINS[name]
     kg = build_kg([("a", "r", "b"), ("b", "s", "c"), ("c", "t", "a")])
     with pytest.raises(QueryGraphError):
-        serialize_tokens(chain_of(g))
+        serialize_tokens(graph_chain(g))
     with pytest.raises(QueryGraphError):
-        execute(chain_of(g), kg)
+        execute(graph_chain(g), kg)
 
 
 # -- fan-out budget -----------------------------------------------------------

@@ -237,33 +237,44 @@ def test_damaged_checkpoint_is_one_error_line(toy, trained, tmp_path, model, cas
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+FOUR_HOPS = {"kinds": ["E", "v", "v", "v", "a"], "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}
+
+
 @pytest.mark.parametrize(
-    "entry",
+    "entry, error",
     [
-        {"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]},
-        {"label": "X", "kinds": ["E", "v", "v", "a"], "edges": [[0, 1], [0, 2], [1, 3]]},
-        {"label": "X", "kinds": ["a", "E"], "edges": [[1, 0]]},
+        ({"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]}, "error: X:"),
+        ({"label": "X", "kinds": ["E", "v", "v", "a"], "edges": [[0, 1], [0, 2], [1, 3]]}, "error: X:"),
+        ({"label": "X", "kinds": ["a", "E"], "edges": [[1, 0]]}, "error: X:"),
+        ({"label": 5, **FOUR_HOPS}, "error: {tax}: entry 6 (5): "),
+        ({"label": "X\nY", **FOUR_HOPS}, "error: {tax}: entry 6 ('X\\nY'): "),
     ],
-    ids=["through_constraint", "branch", "duplicate_shape"],
+    ids=["through_constraint", "branch", "duplicate_shape", "int_label", "newline_label"],
 )
-def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path, entry):
+def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path, entry, error):
     # the built-in structures plus one that is not a chain (its answer meets
-    # the topic only through a constraint node, or its path branches), or
-    # that has the shape of SS1; no toy question has these structures
+    # the topic only through a constraint node, or its path branches), that
+    # has the shape of SS1, or whose label is not a string or holds a line
+    # break (a checkpoint stores one label per line); no toy question has
+    # these structures
     from sskgqa.structures import builtin_taxonomy, save_taxonomy
 
     tax = tmp_path / "tax.json"
     save_taxonomy(builtin_taxonomy(), str(tax))
     tax.write_text(json.dumps(json.loads(tax.read_text()) + [entry]))
-    proc = run_cli(
-        "evaluate", "--dataset", str(toy / "questions.jsonl"),
-        "--kg", str(toy / "kg.tsv"), "--ranker", trained["rank"],
-        "--mode", "oracle", "--taxonomy", str(tax),
-        expect_fail=True,
-    )
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: X:"), proc.stderr
+    out = tmp_path / "clf.ckpt"
+    for args in (
+        ["evaluate", "--dataset", str(toy / "questions.jsonl"), "--kg", str(toy / "kg.tsv"),
+         "--ranker", trained["rank"], "--mode", "oracle"],
+        ["train-classifier", "--dataset", str(toy / "questions.jsonl"), "--kg", str(toy / "kg.tsv"),
+         "--embeddings", trained["emb"], "--out", str(out), "--epochs", "1"],
+    ):
+        proc = run_cli(*args, "--taxonomy", str(tax), expect_fail=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(error.format(tax=tax)), proc.stderr
+    assert not out.exists()
 
 
 def test_train_ranker_skips_unknown_topic(toy, tmp_path):

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package and in its tests is used by
+its module."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import sskgqa
 
 MODULES = sorted(Path(sskgqa.__file__).resolve().parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,6 +31,8 @@ def test_unused_imports_are_found():
     assert unused_imports(src) == ["os", "d"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=[p.stem for p in MODULES] + [f"tests.{p.stem}" for p in TEST_MODULES]
+)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
-from sskgqa.candidates import EnumConfig
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import (
     PipelineConfig,

@@ -1,17 +1,11 @@
 import pytest
 
-from sskgqa.annotation import extract_query_graph, parse_sparql
+from sskgqa.annotation import ExtractionError, SparqlError, extract_query_graph, parse_sparql
 from sskgqa.kg import build_kg
 from sskgqa.querygraph import (
     CLS,
-    EXISTENTIAL,
-    GROUNDED,
-    LAMBDA,
     SEP,
     Chain,
-    QgEdge,
-    QgNode,
-    QueryGraph,
     QueryGraphError,
     build_chain,
     canonicalize,
@@ -22,6 +16,7 @@ from sskgqa.querygraph import (
     split_symbol,
     to_sparql,
 )
+from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, VAR, SemanticStructure, StructureError
 
 
 def chain_2hop():
@@ -42,56 +37,49 @@ def test_build_chain_with_constraint():
     assert g.hops == (("r", False),)
     assert g.constraints == ((1, "c", False, "val"),)
     assert g.shape == (1, (1,))
-    # the pattern graph with the same nodes and edges is read back as g
-    nodes = [QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x"), QgNode(GROUNDED, "val")]
-    assert chain_of(QueryGraph(nodes, [QgEdge(0, "r", 1), QgEdge(1, "c", 2)], 0)) == g
+    # the triples of the same nodes and edges are read back as g
+    assert chain_of([("a", "r", "x"), ("x", "c", "val")], "a", "x", {"a": "a", "val": "val"}) == g
+
+
+def _extract(sparql):
+    return extract_query_graph(parse_sparql(sparql))
 
 
 def test_validation_rejects_two_lambdas():
-    with pytest.raises(QueryGraphError):
-        QueryGraph(
-            nodes=[QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x"), QgNode(LAMBDA, "x2")],
-            edges=[QgEdge(0, "r", 1), QgEdge(1, "r", 2)],
-            topic=0,
-        )
+    # a query selects one variable, and a structure has one answer node
+    with pytest.raises(SparqlError):
+        _extract("SELECT ?x ?x2 WHERE { :a :r ?x . ?x :r ?x2 . }")
+    with pytest.raises(StructureError):
+        SemanticStructure("X", (E_TOPIC, ANSWER, ANSWER), ((0, 1), (1, 2)))
 
 
 def test_validation_rejects_disconnected():
-    with pytest.raises(QueryGraphError):
-        QueryGraph(
-            nodes=[QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x"), QgNode(GROUNDED, "b")],
-            edges=[QgEdge(0, "r", 1)],
-            topic=0,
-        )
+    with pytest.raises(ExtractionError):
+        _extract("SELECT ?x WHERE { :a :r ?x . :b :r ?y . }")
+    with pytest.raises(StructureError):
+        SemanticStructure("X", (E_TOPIC, ANSWER, E_CONST), ((0, 1),))
 
 
 def test_validation_rejects_variable_topic():
-    with pytest.raises(QueryGraphError):
-        QueryGraph(
-            nodes=[QgNode(EXISTENTIAL, "y"), QgNode(LAMBDA, "x"), QgNode(GROUNDED, "a")],
-            edges=[QgEdge(0, "r", 1), QgEdge(2, "r", 0)],
-            topic=0,
-        )
+    # a query without an Iri has no topic, and neither has a structure
+    # without a topic node
+    with pytest.raises(ExtractionError):
+        _extract("SELECT ?x WHERE { ?y :r ?x . }")
+    with pytest.raises(StructureError):
+        SemanticStructure("X", (VAR, ANSWER, E_CONST), ((0, 1), (2, 0)))
 
 
 def test_validation_rejects_lambda_named_as_a_variable():
-    with pytest.raises(QueryGraphError):
-        QueryGraph(
-            nodes=[QgNode(GROUNDED, "a"), QgNode(EXISTENTIAL, "x"), QgNode(LAMBDA, "x")],
-            edges=[QgEdge(0, "r", 1), QgEdge(1, "s", 2)],
-            topic=0,
-        )
+    # naming the middle node ?x makes it the lambda, which loops
+    with pytest.raises(ExtractionError):
+        _extract("SELECT ?x WHERE { :a :r ?x . ?x :s ?x . }")
 
 
 def test_canonicalize_invariant_to_node_order():
     g1 = chain_2hop()
-    # same graph with node list scrambled
-    g2 = QueryGraph(
-        nodes=[QgNode(LAMBDA, "x"), QgNode(GROUNDED, "alpha"), QgNode(EXISTENTIAL, "q")],
-        edges=[QgEdge(1, "r1", 2), QgEdge(2, "r2", 0)],
-        topic=1,
-    )
-    assert canonicalize(g1) == canonicalize(chain_of(g2))
+    # the same triples over other node names, in another order
+    g2 = chain_of([(1, "r1", 2), (2, "r2", 0)], 1, 0, {1: "alpha"})
+    assert canonicalize(g1) == canonicalize(g2)
 
 
 def test_canonicalize_distinguishes_relations():
@@ -129,10 +117,9 @@ def test_serialize_tokens_names_variables_by_place():
 
 def test_serialize_tokens_rejects_more_variables_than_names():
     hops = 6  # five intermediate nodes, one more than CHAIN_VAR_NAMES
-    nodes = [QgNode(GROUNDED, "a")] + [QgNode(EXISTENTIAL, f"v{i}") for i in range(hops - 1)]
-    g = QueryGraph(nodes + [QgNode(LAMBDA, "x")], [QgEdge(i, "r", i + 1) for i in range(hops)], 0)
+    g = chain_of([(i, "r", i + 1) for i in range(hops)], 0, hops, {0: "a"})
     with pytest.raises(QueryGraphError):
-        serialize_tokens(chain_of(g))
+        serialize_tokens(g)
 
 
 def test_serialize_tokens_constraint_tail():

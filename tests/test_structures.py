@@ -1,8 +1,7 @@
 import pytest
 
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_wsp
-from sskgqa.querygraph import QgEdge, QgNode, QueryGraph, QueryGraphError, build_chain, chain_of
-from sskgqa.querygraph import EXISTENTIAL, GROUNDED, LAMBDA
+from sskgqa.querygraph import QueryGraphError, build_chain, chain_of
 from sskgqa.structures import (
     ANSWER,
     E_CONST,
@@ -14,7 +13,6 @@ from sskgqa.structures import (
     abstract,
     builtin_taxonomy,
     filter_candidates,
-    builtin_taxonomy as _bt,
     load_taxonomy,
     matches,
     save_taxonomy,
@@ -100,23 +98,14 @@ def test_abstract_constrained_chains():
 def test_abstract_erases_reversal_and_storage():
     # a 2-hop chain with both edges pointing at the topic matches the 2-hop
     # chain structure
-    g = QueryGraph(
-        nodes=[QgNode(GROUNDED, "a"), QgNode(EXISTENTIAL, "y"), QgNode(LAMBDA, "x")],
-        edges=[QgEdge(1, "r", 0), QgEdge(2, "s", 1)],
-        topic=0,
-    )
-    assert builtin_taxonomy().find_match(chain_of(g)) == "SS2"
+    g = chain_of([("y", "r", "a"), ("x", "s", "y")], "a", "x", {"a": "a"})
+    assert builtin_taxonomy().find_match(g) == "SS2"
 
 
 def test_abstract_rejects_non_chain():
-    g = QueryGraph(
-        nodes=[QgNode(GROUNDED, "a"), QgNode(LAMBDA, "x")],
-        edges=[QgEdge(0, "r", 1), QgEdge(0, "s", 1)],
-        topic=0,
-    )
     # a non-chain has no Chain, so no structure: its SPARQL labels Unsupported
     with pytest.raises(QueryGraphError):
-        abstract(chain_of(g))
+        abstract(chain_of([("a", "r", "x"), ("a", "s", "x")], "a", "x", {"a": "a"}))
     sparql = "SELECT ?x WHERE { :a :r ?x . :a :s ?x . }"
     assert label_wsp(LabeledQuestion("q", "?", "a", [], sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
 
