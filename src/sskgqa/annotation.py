@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .querygraph import Chain, QueryGraphError, bfs_depths, chain_of, decode_iri
-from .structures import Taxonomy
-
-UNSUPPORTED = "Unsupported"
+from .structures import UNSUPPORTED, Taxonomy
 
 _UNSUPPORTED_OPS = ("<=", ">=", "!=", "||", "&&", "<", ">", "=")
 _UNSUPPORTED_KEYWORDS = {"FILTER", "OPTIONAL", "UNION", "MINUS", "OR", "EXISTS"}
@@ -46,7 +44,6 @@ Term = Iri | Var
 class SparqlAst:
     select_var: str
     patterns: list[tuple[Term, Term, Term]]
-    unsupported_features: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -57,7 +54,6 @@ class LabeledQuestion:
     answers: list[str]
     hops: int | None = None
     sparql: str | None = None
-    gold_graph: Chain | None = None
 
 
 _TOKEN_RE = re.compile(r"<=|>=|!=|\|\||&&|[{}().<>=]|[^\s{}().<>=]+")
@@ -68,11 +64,11 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_sparql(text: str) -> SparqlAst:
-    """Parse the supported subset; FILTER-style clauses are recorded in
-    unsupported_features instead of being parsed."""
+    """Parse the supported subset: SELECT of one variable over triple
+    patterns. SparqlError at the first FILTER-style keyword or comparison
+    operator where a pattern would start."""
     toks = _tokenize(text)
     pos = 0
-    unsupported: list[str] = []
 
     def peek() -> str | None:
         return toks[pos] if pos < len(toks) else None
@@ -123,51 +119,20 @@ def parse_sparql(text: str) -> SparqlAst:
             take("}")
             break
         if tok.upper() in _UNSUPPORTED_KEYWORDS or tok in _UNSUPPORTED_OPS:
-            _skip_unsupported(toks, unsupported, take, peek)
-            continue
+            raise SparqlError(f"unsupported {tok!r}", pos)
         s = term(take(), pos - 1)
         p = term(take(), pos - 1)
         o = term(take(), pos - 1)
         take(".")
         patterns.append((s, p, o))
-    if not patterns and not unsupported:
+    if not patterns:
         raise SparqlError("empty WHERE block", pos)
-    if not unsupported:
-        terms = [t for pat in patterns for t in pat]
-        if Var(select_var) not in terms:
-            raise SparqlError(
-                f"selected variable ?{select_var} not used in any pattern", pos
-            )
-    return SparqlAst(select_var, patterns, unsupported)
-
-
-def _skip_unsupported(toks, unsupported, take, peek) -> None:
-    """Consume one FILTER-like clause, recording the operator tokens inside."""
-    keyword = take()
-    found: list[str] = []
-    depth = 0
-    while True:
-        tok = peek()
-        if tok is None:
-            break
-        if tok == "(":
-            take()
-            depth += 1
-            continue
-        if tok == ")":
-            take()
-            depth -= 1
-            if depth <= 0:
-                break
-            continue
-        if depth == 0 and tok in ("}", "."):
-            break
-        tok = take()
-        if tok in _UNSUPPORTED_OPS or tok.upper() in _UNSUPPORTED_KEYWORDS:
-            found.append(tok)
-    if peek() == ".":
-        take(".")
-    unsupported.extend(found if found else [keyword])
+    terms = [t for pat in patterns for t in pat]
+    if Var(select_var) not in terms:
+        raise SparqlError(
+            f"selected variable ?{select_var} not used in any pattern", pos
+        )
+    return SparqlAst(select_var, patterns)
 
 
 def extract_query_graph(ast: SparqlAst) -> Chain:
@@ -178,10 +143,6 @@ def extract_query_graph(ast: SparqlAst) -> Chain:
     among ties, one that is the subject of some pattern, then the first to
     appear. ExtractionError when the patterns do not form a chain.
     """
-    if ast.unsupported_features:
-        raise ExtractionError(
-            "unsupported features: " + ", ".join(ast.unsupported_features)
-        )
     if any(isinstance(p, Var) for _, p, _ in ast.patterns):
         raise ExtractionError("variable predicates are not supported")
     edges = [(s, p.name, o) for s, p, o in ast.patterns]
@@ -205,6 +166,15 @@ def extract_query_graph(ast: SparqlAst) -> Chain:
         raise ExtractionError(str(exc)) from exc
 
 
+def sparql_chain(text: str) -> Chain | None:
+    """The chain of a SPARQL command, or None when it is outside the subset
+    or its patterns do not form a chain."""
+    try:
+        return extract_query_graph(parse_sparql(text))
+    except (SparqlError, ExtractionError):
+        return None
+
+
 def label_metaqa(q: LabeledQuestion) -> str:
     """Hop-count labeling: 1 -> SS1, 2 -> SS2, 3 -> SS3."""
     if q.hops not in (1, 2, 3):
@@ -213,15 +183,12 @@ def label_metaqa(q: LabeledQuestion) -> str:
 
 
 def label_wsp(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
-    """Structure label via parse -> extract -> abstract -> match; UNSUPPORTED
-    when parsing/extraction fails or no taxonomy structure matches."""
+    """Structure label of the chain of q's SPARQL; UNSUPPORTED when it has
+    no chain or no taxonomy structure has its shape."""
     if q.sparql is None:
         raise LabelingError(f"question {q.id}: no sparql command")
-    try:
-        c = extract_query_graph(parse_sparql(q.sparql))
-    except (SparqlError, ExtractionError):
-        return UNSUPPORTED
-    label = taxonomy.find_match(c)
+    c = sparql_chain(q.sparql)
+    label = None if c is None else taxonomy.find_match(c)
     return label if label is not None else UNSUPPORTED
 
 
@@ -254,10 +221,20 @@ def coverage_report(
 
 
 _REQUIRED = ("id", "question", "topic_entity", "answers")
+# an optional key may be absent or null; bool is not an integer here
+_FIELD_TYPES = (
+    ("question", str, "a string"),
+    ("topic_entity", str, "a string"),
+    ("answers", list, "a list"),
+    ("hops", int, "an integer"),
+    ("sparql", str, "a string"),
+)
 
 
 def load_dataset(path: str) -> list[LabeledQuestion]:
-    """JSON Lines dataset: id, question, topic_entity, answers[], hops?, sparql?."""
+    """JSON Lines dataset: id, question, topic_entity, answers[], hops?, sparql?.
+    LabelingError naming the file and line of a record that is not an object,
+    lacks a required key or holds a value of the wrong type."""
     out = []
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -272,8 +249,10 @@ def load_dataset(path: str) -> list[LabeledQuestion]:
             missing = [k for k in _REQUIRED if k not in rec]
             if missing:
                 raise LabelingError(f"{path}:{lineno}: missing key(s): {', '.join(missing)}")
-            if not isinstance(rec["answers"], list):
-                raise LabelingError(f"{path}:{lineno}: answers must be a list")
+            for key, typ, name in _FIELD_TYPES:
+                value = rec.get(key)
+                if type(value) is not typ and (key in _REQUIRED or value is not None):
+                    raise LabelingError(f"{path}:{lineno}: {key} must be {name}")
             out.append(
                 LabeledQuestion(
                     id=str(rec["id"]),

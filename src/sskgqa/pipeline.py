@@ -4,15 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annotation import (
-    UNSUPPORTED,
-    ExtractionError,
-    LabeledQuestion,
-    SparqlError,
-    extract_query_graph,
-    label_question,
-    parse_sparql,
-)
+from .annotation import UNSUPPORTED, LabeledQuestion, label_question, sparql_chain
 from .candidates import EnumConfig, derived_enum, enumerate_candidates
 from .classifier import ClassifierModel
 from .kg import KnowledgeGraph
@@ -33,16 +25,9 @@ def tokenize_question(text: str) -> list[str]:
 
 
 def gold_graph_of(q: LabeledQuestion) -> Chain | None:
-    """The question's gold chain: its `gold_graph`, else the chain of its
-    SPARQL, or None when it has neither or its SPARQL is not a chain."""
-    if q.gold_graph is not None:
-        return q.gold_graph
-    if q.sparql is None:
-        return None
-    try:
-        return extract_query_graph(parse_sparql(q.sparql))
-    except (SparqlError, ExtractionError):
-        return None
+    """The question's gold chain, read off its SPARQL; None when it has none
+    or its SPARQL is not a chain."""
+    return None if q.sparql is None else sparql_chain(q.sparql)
 
 
 @dataclass

@@ -12,6 +12,7 @@ E_CONST = "Ec"  # constraint endpoint entity
 VAR = "v"
 ANSWER = "a"
 KINDS = frozenset((E_TOPIC, E_CONST, VAR, ANSWER))
+UNSUPPORTED = "Unsupported"  # the label of a question no structure matches
 
 
 class StructureError(Exception):
@@ -76,6 +77,8 @@ class Taxonomy:
         labels = [s.label for s in self.structures]
         if len(labels) != len(set(labels)):
             raise StructureError("duplicate structure labels")
+        if UNSUPPORTED in labels:
+            raise StructureError(f"{UNSUPPORTED}: reserved for questions no structure matches")
         self._by_label = {s.label: s for s in self.structures}
         self._by_shape = {}
         for s in self.structures:

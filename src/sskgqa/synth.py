@@ -28,15 +28,6 @@ def norshteyn_kg() -> KnowledgeGraph:
     )
 
 
-def _sparql_one_hop_reversed(rel: str, topic: str) -> str:
-    return f"SELECT DISTINCT ?x WHERE {{ ?x :{rel} :{topic.replace(' ', '%20')} . }}"
-
-
-def _sparql_two_hop(topic: str, r1: str, r2: str) -> str:
-    enc = topic.replace(" ", "%20")
-    return f"SELECT DISTINCT ?x WHERE {{ ?y :{r1} :{enc} . ?y :{r2} ?x . }}"
-
-
 def norshteyn_questions() -> list[LabeledQuestion]:
     """Trainable questions over the Norshteyn toy KG (SS1 and SS2 phrasings)."""
     qs = []
@@ -58,7 +49,7 @@ def norshteyn_questions() -> list[LabeledQuestion]:
                 question=f"what movies did {director} direct",
                 topic_entity=director,
                 answers=films,
-                sparql=_sparql_one_hop_reversed("directed_by", director),
+                sparql=to_sparql(build_chain(director, [("directed_by", True)])),
             )
         )
         i += 1
@@ -68,7 +59,7 @@ def norshteyn_questions() -> list[LabeledQuestion]:
                 question=f"who wrote the films directed by {director}",
                 topic_entity=director,
                 answers=writers[director],
-                sparql=_sparql_two_hop(director, "directed_by", "written_by"),
+                sparql=to_sparql(build_chain(director, [("directed_by", True), ("written_by", False)])),
             )
         )
         i += 1
@@ -81,7 +72,7 @@ def norshteyn_test_question() -> LabeledQuestion:
         question="who wrote the films directed by Yuriy Norshteyn",
         topic_entity="Yuriy Norshteyn",
         answers=["Sergei Kozlov"],
-        sparql=_sparql_two_hop("Yuriy Norshteyn", "directed_by", "written_by"),
+        sparql=to_sparql(build_chain("Yuriy Norshteyn", [("directed_by", True), ("written_by", False)])),
     )
 
 
@@ -119,7 +110,6 @@ def three_hop_benchmark(
                 answers=[ans],
                 hops=3,
                 sparql=to_sparql(gold),
-                gold_graph=gold,
             )
         )
     return build_kg(triples), questions
@@ -163,7 +153,6 @@ def ranker_fixture(seed: int = 0) -> tuple[KnowledgeGraph, list[LabeledQuestion]
                 answers=[f"val{i}_{i % 3}"],
                 hops=1,
                 sparql=to_sparql(gold),
-                gold_graph=gold,
             )
         )
     return build_kg(triples), questions
@@ -213,7 +202,7 @@ def random_fixture(
                 topic_entity=topic,
                 answers=answers,
                 hops=hops,
-                gold_graph=gold,
+                sparql=to_sparql(gold),
             )
         )
     return kg, questions

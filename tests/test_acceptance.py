@@ -34,6 +34,7 @@ from sskgqa.pipeline import (
     PipelineConfig,
     answer_question,
     evaluate,
+    gold_graph_of,
     tokenize_question,
 )
 from sskgqa.querygraph import (
@@ -345,8 +346,6 @@ def _norshteyn_models():
 def test_criterion_9_end_to_end():
     t0 = time.time()
     kg, questions, clf = _norshteyn_models()
-    from sskgqa.pipeline import gold_graph_of
-
     ndata = [(tokenize_question(x.question), gold_graph_of(x)) for x in questions]
     nranker = train_ranker(
         ndata,
@@ -365,7 +364,7 @@ def test_criterion_9_end_to_end():
 
     # 5-question fixture: trained metric ranker reaches hits@1 = 100%
     rkg, rqs = ranker_fixture()
-    rdata = [(tokenize_question(x.question), x.gold_graph) for x in rqs]
+    rdata = [(tokenize_question(x.question), gold_graph_of(x)) for x in rqs]
     rcfg = RankTrainConfig(
         epochs=25, lr=1e-2, dropout=0.0, out_dim=16, ff_width=48, seed=0
     )

@@ -1,10 +1,12 @@
+import re
 from time import perf_counter
 
 import pytest
 
 from sskgqa.annotation import (
+    _UNSUPPORTED_KEYWORDS,
+    _UNSUPPORTED_OPS,
     UNSUPPORTED,
-    ExtractionError,
     Iri,
     LabeledQuestion,
     LabelingError,
@@ -19,6 +21,7 @@ from sskgqa.annotation import (
     parse_sparql,
     save_dataset,
 )
+from sskgqa.pipeline import gold_graph_of
 from sskgqa.querygraph import build_chain, canonicalize, to_sparql
 from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, SemanticStructure, Taxonomy, builtin_taxonomy
 
@@ -33,7 +36,6 @@ def test_parse_basic_select():
     ast = parse_sparql("SELECT DISTINCT ?x WHERE { :a :r ?x . }")
     assert ast.select_var == "x"
     assert ast.patterns == [(Iri("a"), Iri("r"), Var("x"))]
-    assert ast.unsupported_features == []
 
 
 def test_parse_prefix_and_multiple_patterns():
@@ -51,17 +53,14 @@ def test_parse_percent_decoding():
     assert ast.patterns[0][0] == Iri("big city")
 
 
-def test_parse_filter_records_operator():
-    ast = parse_sparql(
-        "SELECT ?x WHERE { :a :r ?x . FILTER ( ?n <= 2000 ) }"
-    )
-    assert ast.unsupported_features == ["<="]
-    assert len(ast.patterns) == 1
-
-
-def test_parse_union_recorded():
-    ast = parse_sparql("SELECT ?x WHERE { :a :r ?x . UNION }")
-    assert "UNION" in ast.unsupported_features
+@pytest.mark.parametrize("tok", sorted(_UNSUPPORTED_KEYWORDS) + list(_UNSUPPORTED_OPS))
+def test_unsupported_clause_is_refused(tok):
+    # a query with a clause or operator outside the subset has no chain
+    sparql = f"SELECT ?x WHERE {{ :a :r ?x . {tok} ( ?x < 3 ) }}"
+    with pytest.raises(SparqlError, match=re.escape(repr(tok))):
+        parse_sparql(sparql)
+    assert label_wsp(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
+    assert gold_graph_of(q(sparql=sparql)) is None
 
 
 def test_parse_errors():
@@ -88,12 +87,6 @@ def test_extract_topic_is_farthest_grounded():
     g2 = extract_query_graph(parse_sparql(to_sparql(g)))
     assert g2.topic == "d1"
     assert canonicalize(g2) == canonicalize(g)
-
-
-def test_extract_rejects_unsupported():
-    ast = parse_sparql("SELECT ?x WHERE { :a :r ?x . FILTER ( ?x < 3 ) }")
-    with pytest.raises(ExtractionError):
-        extract_query_graph(ast)
 
 
 def test_label_metaqa():
@@ -163,6 +156,7 @@ def test_dataset_round_trip(tmp_path):
     assert back[0].hops == 2
     assert back[1].sparql == qs[1].sparql
     assert back[1].answers == ["z"]
+    assert back == qs
 
 
 def test_load_dataset_bad_json(tmp_path):

@@ -248,15 +248,18 @@ FOUR_HOPS = {"kinds": ["E", "v", "v", "v", "a"], "edges": [[0, 1], [1, 2], [2, 3
         ({"label": "X", "kinds": ["a", "E"], "edges": [[1, 0]]}, "error: X:"),
         ({"label": 5, **FOUR_HOPS}, "error: {tax}: entry 6 (5): "),
         ({"label": "X\nY", **FOUR_HOPS}, "error: {tax}: entry 6 ('X\\nY'): "),
+        ({"label": "Unsupported", **FOUR_HOPS}, "error: Unsupported: reserved"),
     ],
-    ids=["through_constraint", "branch", "duplicate_shape", "int_label", "newline_label"],
+    ids=["through_constraint", "branch", "duplicate_shape", "int_label", "newline_label",
+         "unsupported_label"],
 )
 def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path, entry, error):
     # the built-in structures plus one that is not a chain (its answer meets
     # the topic only through a constraint node, or its path branches), that
-    # has the shape of SS1, or whose label is not a string or holds a line
-    # break (a checkpoint stores one label per line); no toy question has
-    # these structures
+    # has the shape of SS1, whose label is not a string or holds a line
+    # break (a checkpoint stores one label per line), or whose label is the
+    # one a question no structure matches gets; no toy question has these
+    # structures
     from sskgqa.structures import builtin_taxonomy, save_taxonomy
 
     tax = tmp_path / "tax.json"
@@ -368,8 +371,13 @@ def test_corrupt_interned_kg_is_one_error_line(tmp_path, change):
         '{"id": "q", "question": "what", "topic_entity": "a"}',
         "[1, 2]",
         '{"id": "q", "question": "what", "topic_entity": "a", "answers": "ab"}',
+        '{"id": "q", "question": "what", "topic_entity": "thing0", "answers": [], "hops": true}',
+        '{"id": "q", "question": "what", "topic_entity": "thing0", "answers": [], "hops": 2.0}',
+        '{"id": "q", "question": "what", "topic_entity": "thing0", "answers": [], "sparql": 5}',
+        '{"id": "q", "question": 5, "topic_entity": "thing0", "answers": []}',
     ],
-    ids=["missing_answers", "not_object", "answers_not_list"],
+    ids=["missing_answers", "not_object", "answers_not_list", "hops_bool", "hops_float",
+         "sparql_not_string", "question_not_string"],
 )
 def test_bad_dataset_record_is_one_error_line(toy, tmp_path, line):
     data = tmp_path / "questions.jsonl"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
@@ -10,10 +11,17 @@ from sskgqa.pipeline import (
     gold_graph_of,
     tokenize_question,
 )
-from sskgqa.querygraph import CLS, SEP, build_chain, canonicalize
+from sskgqa.querygraph import CLS, SEP, build_chain, execute, to_sparql
 from sskgqa.ranker import TokenOverlapRanker
 from sskgqa.structures import builtin_taxonomy
-from sskgqa.synth import norshteyn_kg, norshteyn_questions, three_hop_benchmark
+from sskgqa.synth import (
+    norshteyn_kg,
+    norshteyn_questions,
+    norshteyn_test_question,
+    random_fixture,
+    ranker_fixture,
+    three_hop_benchmark,
+)
 
 
 def test_tokenize_question():
@@ -24,14 +32,39 @@ def test_tokenize_question():
 
 def test_gold_graph_of():
     g = build_chain("a", [("r", False)])
-    q = LabeledQuestion("q", "?", "a", [], gold_graph=g)
-    assert gold_graph_of(q) is g
-    from sskgqa.querygraph import to_sparql
-
-    q2 = LabeledQuestion("q", "?", "a", [], sparql=to_sparql(g))
-    assert canonicalize(gold_graph_of(q2)) == canonicalize(g)
+    assert gold_graph_of(LabeledQuestion("q", "?", "a", [], sparql=to_sparql(g))) == g
     assert gold_graph_of(LabeledQuestion("q", "?", "a", [])) is None
     assert gold_graph_of(LabeledQuestion("q", "?", "a", [], sparql="junk")) is None
+
+
+# `make-toy --benchmark norshteyn` writes these; they pin its questions.jsonl
+NORSHTEYN_SPARQL = [
+    "SELECT DISTINCT ?x WHERE { ?x :directed_by :Yuriy%20Norshteyn . }",
+    "SELECT DISTINCT ?x WHERE { ?y :directed_by :Yuriy%20Norshteyn . ?y :written_by ?x . }",
+    "SELECT DISTINCT ?x WHERE { ?x :directed_by :Roman%20Kachanov . }",
+    "SELECT DISTINCT ?x WHERE { ?y :directed_by :Roman%20Kachanov . ?y :written_by ?x . }",
+    "SELECT DISTINCT ?x WHERE { ?x :directed_by :Fyodor%20Khitruk . }",
+    "SELECT DISTINCT ?x WHERE { ?y :directed_by :Fyodor%20Khitruk . ?y :written_by ?x . }",
+]
+
+
+def test_norshteyn_sparql_is_pinned():
+    assert [q.sparql for q in norshteyn_questions()] == NORSHTEYN_SPARQL
+    assert norshteyn_test_question().sparql == NORSHTEYN_SPARQL[1]
+
+
+def test_fixture_sparql_is_its_gold():
+    # a fixture question's SPARQL is its only gold: its chain answers it exactly
+    problems = [
+        (norshteyn_kg(), norshteyn_questions() + [norshteyn_test_question()]),
+        ranker_fixture(),
+        three_hop_benchmark(50),
+    ] + [random_fixture(np.random.default_rng(seed)) for seed in range(10)]
+    for kg, questions in problems:
+        for q in questions:
+            gold = gold_graph_of(q)
+            assert gold is not None, q.id
+            assert sorted(kg.entities.symbol_of(a) for a in execute(gold, kg)) == sorted(q.answers), q.id
 
 
 def test_gold_graph_of_non_chain_sparql_is_none():
@@ -122,8 +155,6 @@ def test_evaluate_records_unknown_topic():
 def constrained_question():
     # gold is a constrained one-hop pattern, but the KG's answer node has no
     # outgoing edges, so no constrained candidate is enumerable
-    from sskgqa.querygraph import to_sparql
-
     gold = build_chain("a", [("r", False)], constraints=[(1, "c", "v")])
     return LabeledQuestion("q", "?", "a", ["b"], sparql=to_sparql(gold))
 

@@ -7,7 +7,7 @@ from sskgqa import autodiff as ad
 from sskgqa import ranker as ranker_module
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
-from sskgqa.pipeline import tokenize_question
+from sskgqa.pipeline import gold_graph_of, tokenize_question
 from sskgqa.querygraph import build_chain, canonicalize, execute
 from sskgqa.ranker import (
     RankerError,
@@ -109,7 +109,7 @@ def test_rank_candidates_empty():
 
 def test_build_training_triplets():
     kg, questions = ranker_fixture()
-    dataset = [(tokenize_question(q.question), q.gold_graph) for q in questions]
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
     cfg = RankTrainConfig(negatives=3)
     triplets = build_training_triplets(dataset, kg, cfg, np.random.default_rng(0))
     assert len(triplets) == len(questions)
@@ -157,7 +157,7 @@ def test_train_ranker_skips_gold_with_answer_behind_constraint():
         parse_sparql("SELECT ?x WHERE { :thing0 :color :val0_0 . ?x :shape :val0_0 . }")
     )
     stray = extract_query_graph(parse_sparql("SELECT ?x WHERE { :zz :r ?x . }"))
-    dataset = [(tokenize_question(q.question), q.gold_graph) for q in questions]
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
     mixed = dataset[:2] + [(["q"], bad)] + dataset[2:4] + [(["q"], stray)] + dataset[4:]
     cfg = RankTrainConfig(epochs=1, dropout=0.0, out_dim=8, ff_width=16, seed=0)
     want = build_training_triplets(dataset, kg, cfg, np.random.default_rng(0))
@@ -168,7 +168,7 @@ def test_train_ranker_skips_gold_with_answer_behind_constraint():
 
 def train_fixture_model(epochs=25):
     kg, questions = ranker_fixture()
-    dataset = [(tokenize_question(q.question), q.gold_graph) for q in questions]
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
     cfg = RankTrainConfig(
         epochs=epochs, lr=1e-2, dropout=0.0, out_dim=16, ff_width=48, seed=0
     )
@@ -249,7 +249,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = str(tmp_path / "rank.ckpt")
     save_ranker(model, path)
     back = load_ranker(path)
-    g = questions[0].gold_graph
+    g = gold_graph_of(questions[0])
     toks = tokenize_question(questions[0].question)
     assert back.score_all(toks, [g]) == pytest.approx(model.score_all(toks, [g]), abs=1e-5)
     again = str(tmp_path / "again.ckpt")
