@@ -66,7 +66,8 @@ def _tokenize(text: str) -> list[str]:
 def parse_sparql(text: str) -> SparqlAst:
     """Parse the supported subset: SELECT of one variable over triple
     patterns. SparqlError at the first FILTER-style keyword or comparison
-    operator where a pattern would start."""
+    operator where a pattern would start, and at the first token after the
+    `}` that closes WHERE (a solution modifier such as ORDER BY or LIMIT)."""
     toks = _tokenize(text)
     pos = 0
 
@@ -125,6 +126,8 @@ def parse_sparql(text: str) -> SparqlAst:
         o = term(take(), pos - 1)
         take(".")
         patterns.append((s, p, o))
+    if peek() is not None:
+        raise SparqlError(f"unexpected {peek()!r} after the WHERE block", pos)
     if not patterns:
         raise SparqlError("empty WHERE block", pos)
     terms = [t for pat in patterns for t in pat]

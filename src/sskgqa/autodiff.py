@@ -22,6 +22,8 @@ class ContractError(Exception):
 
 
 def _as_value(x) -> np.ndarray:
+    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
+        return x  # what np.asarray would return; most op outputs take this path
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -75,10 +77,14 @@ class Node:
         self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add g to this node's gradient. The node takes g as it is, without a
+        copy: the engine never writes to a gradient array it was handed, so
+        one array may be the gradient of several nodes (add passes g to both
+        operands). Later gradients are added out of place."""
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
 
 def constant(x) -> Node:
@@ -345,9 +351,16 @@ def rows(matrix: Node, indices) -> Node:
     idx = np.asarray(indices, dtype=np.int64)
 
     def backward(g):
-        full = np.zeros_like(matrix.value)
-        np.add.at(full, idx, g)
-        matrix.accumulate(full)
+        # One bincount over flat cell numbers. Each cell sums its rows'
+        # contributions one after another in index order, starting from 0.0,
+        # as np.add.at into zeros does, so the bits are the same.
+        n, d = matrix.shape
+        if idx.size == 0:  # bincount would give integer zeros
+            matrix.accumulate(np.zeros_like(matrix.value))
+            return
+        pos = idx % n if idx.min() < 0 else idx  # the gather takes negative indices too
+        cells = pos.reshape(-1, 1) * d + np.arange(d)
+        matrix.accumulate(np.bincount(cells.ravel(), weights=g.ravel(), minlength=n * d).reshape(n, d))
 
     return Node(matrix.value[idx], (matrix,), backward)
 
@@ -369,21 +382,21 @@ def backward(loss: Node) -> None:
     if loss.shape != (1, 1):
         raise ContractError(f"loss must be a (1, 1) scalar, got {loss.shape}")
     topo: list[Node] = []
-    seen: set[int] = set()
+    seen: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(loss, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         if node._backward is _UNRECORDED:
             raise ContractError("backward through a node built under no_grad(): no graph was recorded")
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     loss.accumulate(np.ones((1, 1)))
     for node in reversed(topo):

@@ -61,11 +61,23 @@ def train_step(opt: AdamW, params: list[ad.Node], loss: ad.Node, max_norm: float
     backpropagate, clip the global norm to max_norm and apply opt.step.
 
     A parameter the loss does not reach steps with a zero gradient, so AdamW's
-    moments still decay for it.
+    moments still decay for it. Clipping scales the gradients in place, and
+    the engine may hand two parameters one array (add(p1, p2) does) or views
+    of one array, so a gradient whose memory belongs to the same array as an
+    earlier one's is copied first: each parameter's gradient is scaled once.
     """
     for p in params:
         p.zero_grad()
     ad.backward(loss)
-    grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
+    grads, owners = [], set()
+    for p in params:
+        if p.grad is None:
+            grads.append(np.zeros_like(p.value))
+            continue
+        owner = id(p.grad if p.grad.base is None else p.grad.base)
+        if owner in owners:
+            p.grad = p.grad.copy()
+        owners.add(owner)
+        grads.append(p.grad)
     clip_global_norm(grads, max_norm)
     opt.step([p.value for p in params], grads)

@@ -5,8 +5,11 @@ with `reference_graph` (the graph of a `build_chain` call), `sparql_graph`
 for the graph oracles below; a backtracking join for `execute`, a DFS
 serializer for `serialize_tokens`, n! canonical forms for `canonicalize` and
 `SemanticStructure.canonical`, a recursive enumerator with per-entity
-feasibility for `enumerate_candidates`, and numpy KG embedding scores for
-`embeddings.score_nodes`. KG reads go through `out_edges`/`in_edges` only:
+feasibility for `enumerate_candidates`, numpy KG embedding scores for
+`embeddings.score_nodes`, and the copying autodiff core the training
+equivalence tests swap in: `reference_accumulate` (a copy on first write) for
+`Node.accumulate` and `reference_rows` (np.add.at into zeros) for `ad.rows`.
+KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
 import itertools
@@ -302,3 +305,30 @@ def reference_score_tails(table, h: int, r: int, tails) -> np.ndarray:
     theta = table.rel[r, : table.d // 2]
     unit = np.concatenate([np.cos(theta), np.sin(theta)]).reshape(1, -1)
     return -np.linalg.norm(ad.complex_mul_packed(eh, unit) - et, axis=1)
+
+
+def reference_accumulate(node, g: np.ndarray) -> None:
+    """`Node.accumulate` with a copy on first write: the node's gradient is its
+    own array from the start, and later gradients are added into it in place."""
+    if node.grad is None:
+        node.grad = g.copy()
+    else:
+        node.grad += g
+
+
+def reference_scatter(shape, indices, g: np.ndarray) -> np.ndarray:
+    """The gradient of gathering `indices` from a `shape` matrix: np.add.at of
+    g's rows into zeros."""
+    full = np.zeros(shape)
+    np.add.at(full, np.asarray(indices, dtype=np.int64), g)
+    return full
+
+
+def reference_rows(matrix, indices):
+    """`ad.rows` with a reference_scatter backward."""
+    idx = np.asarray(indices, dtype=np.int64)
+    return ad.Node(
+        matrix.value[idx],
+        (matrix,),
+        lambda g: matrix.accumulate(reference_scatter(matrix.shape, idx, g)),
+    )

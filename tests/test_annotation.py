@@ -63,6 +63,20 @@ def test_unsupported_clause_is_refused(tok):
     assert gold_graph_of(q(sparql=sparql)) is None
 
 
+@pytest.mark.parametrize(
+    "tail, first",
+    [("ORDER BY DESC(?x) LIMIT 1", "ORDER"), ("FILTER ( ?x < 3 )", "FILTER"), ("}}", "}")],
+)
+def test_token_after_where_block_is_refused(tail, first):
+    # a superlative's ORDER BY ... LIMIT 1 is not part of the chain
+    sparql = f"SELECT ?x WHERE {{ :a :r ?x . }} {tail}"
+    with pytest.raises(SparqlError, match=re.escape(f"unexpected {first!r}")) as err:
+        parse_sparql(sparql)
+    assert err.value.position == 9  # the first token after the closing }
+    assert label_wsp(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
+    assert gold_graph_of(q(sparql=sparql)) is None
+
+
 def test_parse_errors():
     with pytest.raises(SparqlError):
         parse_sparql("SELECT ?x WHERE { }")

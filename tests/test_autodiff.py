@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from reference import reference_accumulate, reference_scatter
 from sskgqa import autodiff as ad
 
 
@@ -169,6 +173,71 @@ def test_rows_gather_scatter():
     expected[1] = 2.0
     expected[4] = 1.0
     assert np.allclose(p.grad, expected)
+
+
+@st.composite
+def gathers(draw):
+    """(matrix shape, indices, output gradient) of one rows() call: random
+    indices with repeats, one index repeated, or none."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    index = st.integers(-n, n - 1)
+    kind = draw(st.sampled_from(["random", "same", "empty"]))
+    if kind == "random":
+        idx = draw(st.lists(index, max_size=40))
+    elif kind == "same":
+        idx = [draw(index)] * draw(st.integers(1, 40))
+    else:
+        idx = []
+    g = draw(arrays(np.float64, (len(idx), d), elements=st.floats(-1e12, 1e12)))
+    return (n, d), idx, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(gathers())
+def test_rows_gradient_bytes_equal_add_at(case):
+    shape, idx, g = case
+    p = ad.parameter(np.zeros(shape))
+    out = ad.rows(p, idx)
+    assert out.shape == g.shape
+    out._backward(g)
+    want = reference_scatter(shape, idx, g)
+    assert p.grad.dtype == want.dtype and p.grad.shape == want.shape
+    assert p.grad.tobytes() == want.tobytes()
+
+
+# Graphs in which the engine hands one gradient array to two nodes (add of
+# equal shapes), negates it (sub), passes views of it (concat_cols) or adds
+# a second gradient to a node's first one (a parameter used twice, also after
+# its first gradient was handed to another node too).
+OWNERSHIP_GRAPHS = {
+    "add": lambda p, q, c: ad.sum_all(ad.mul(ad.add(p, q), c)),
+    "sub": lambda p, q, c: ad.sum_all(ad.mul(ad.sub(p, q), c)),
+    "concat_cols": lambda p, q, c: ad.sum_all(
+        ad.matmul(ad.concat_cols(p, q), ad.constant(np.ones((4, 1))))
+    ),
+    "used_twice": lambda p, q, c: ad.sum_all(ad.mul(ad.add(p, ad.mul(p, q)), c)),
+    "shared_then_added": lambda p, q, c: ad.sum_all(
+        ad.add(ad.mul(ad.add(p, q), c), ad.mul(p, p))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWNERSHIP_GRAPHS))
+def test_gradients_equal_copy_on_first_write(name, monkeypatch):
+    build = OWNERSHIP_GRAPHS[name]
+    rng = np.random.default_rng(3)
+    p0, q0, c0 = rng.normal(size=(3, 2, 2))
+
+    def grads():
+        p, q = ad.parameter(p0.copy()), ad.parameter(q0.copy())
+        ad.backward(build(p, q, ad.constant(c0)))
+        return p.grad, q.grad
+
+    got = grads()
+    monkeypatch.setattr(ad.Node, "accumulate", reference_accumulate)
+    want = grads()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_dropout_identity_at_inference():

@@ -3,6 +3,7 @@ import json
 import os
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -94,7 +95,7 @@ def test_save_load_round_trip(tmp_path):
     assert kg2.entities.symbols() == kg.entities.symbols()
     for t in kg.iter_triples():
         assert kg2.has_triple(*t)
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     assert set(payload) == {"entities", "relations", "triples"}
 
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from reference import reference_accumulate, reference_rows
 from sskgqa import autodiff as ad
+from sskgqa.classifier import ClassifierTrainConfig, train_classifier
+from sskgqa.embeddings import EmbedTrainConfig, train
 from sskgqa.optim import AdamW, clip_global_norm, global_norm, train_step
+from sskgqa.pipeline import gold_graph_of, tokenize_question
+from sskgqa.ranker import RankTrainConfig, train_ranker
+from sskgqa.structures import builtin_taxonomy
+from sskgqa.synth import ranker_fixture, separable_classifier_dataset
 
 
 def test_global_norm():
@@ -99,3 +106,64 @@ def test_train_step_matches_inline_sequence():
             assert np.array_equal(p.value, r)
     assert not np.array_equal(params[1].value, init[1])  # weight decay moved it
     assert params[0].grad is not None and params[1].grad is None
+
+
+class RecordingOptimizer:
+    """Keeps a copy of the gradients each step is given."""
+
+    def step(self, params, grads):
+        self.grads = [g.copy() for g in grads]
+
+
+C = np.array([[3.0, -4.0, 12.0, 1.0]])
+# Parameter shapes, and a function of the parameters whose sum weighted by C
+# (its first columns) is the loss. Their gradients share memory: add of equal
+# shapes hands both operands one array, and with concat_cols p and q get
+# views of the array that r gets.
+SHARED_GRADIENT_LOSSES = {
+    "add": (((1, 2), (1, 2)), lambda p, q: ad.add(p, q)),
+    "views": (((1, 2), (1, 2), (1, 4)), lambda p, q, r: ad.add(ad.concat_cols(p, q), r)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_GRADIENT_LOSSES))
+def test_train_step_scales_a_shared_gradient_once(name):
+    shapes, build = SHARED_GRADIENT_LOSSES[name]
+    params = [ad.parameter(np.zeros(s)) for s in shapes]
+    c = C[:, : shapes[-1][1]]
+    opt = RecordingOptimizer()
+    train_step(opt, params, ad.sum_all(ad.mul(build(*params), ad.constant(c))), 1.0)
+    unclipped = [c] * len(params) if name == "add" else [c[:, :2], c[:, 2:], c]
+    factor = 1.0 / global_norm(unclipped)
+    assert factor < 1.0
+    for got, g in zip(opt.grads, unclipped):
+        assert np.array_equal(got, g * factor)
+    for i, p in enumerate(params):
+        assert not any(np.shares_memory(p.grad, q.grad) for q in params[:i])
+
+
+def train_three_models():
+    """Every parameter of TransE, the classifier and the ranker, each trained
+    for a few steps on small fixtures; attention, dropout and a one-example
+    minibatch included."""
+    kg, questions = ranker_fixture()
+    table, _ = train(kg, EmbedTrainConfig(d=8, epochs=3, negatives=4, seed=0))
+    dataset, clf_table = separable_classifier_dataset(builtin_taxonomy().labels(), per_class=3)
+    clf_cfg = ClassifierTrainConfig(
+        epochs=2, batch_size=len(dataset) - 1, d_model=12, use_attention=True, lr=1e-2
+    )
+    clf = train_classifier(dataset, clf_table, builtin_taxonomy(), clf_cfg)
+    rank_data = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+    rank_cfg = RankTrainConfig(epochs=2, negatives=3, dropout=0.2, out_dim=8, ff_width=16, lr=1e-2)
+    ranker = train_ranker(rank_data, kg, builtin_taxonomy(), rank_cfg)
+    return [table.ent, table.rel] + [p.value for p in clf.parameters() + ranker.encoder.parameters()]
+
+
+def test_training_matches_copying_autodiff(monkeypatch):
+    got = train_three_models()
+    monkeypatch.setattr(ad.Node, "accumulate", reference_accumulate)
+    monkeypatch.setattr(ad, "rows", reference_rows)
+    want = train_three_models()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
