@@ -186,10 +186,6 @@ def block_matmul(a: Node, b: Node, blocks: int) -> Node:
     return Node(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b), backward)
 
 
-def transpose(a: Node) -> Node:
-    return Node(a.value.T.copy(), (a,), lambda g: a.accumulate(g.T))
-
-
 def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), lambda g: a.accumulate(g * c))
 
@@ -227,18 +223,6 @@ def cos(a: Node) -> Node:
 
 def sin(a: Node) -> Node:
     return Node(np.sin(a.value), (a,), lambda g: a.accumulate(g * np.cos(a.value)))
-
-
-def l2norm(a: Node) -> Node:
-    """Euclidean norm of the whole array, as a (1, 1) scalar."""
-    norm = float(np.sqrt((a.value**2).sum()))
-
-    def backward(g):
-        if norm > 0.0:
-            a.accumulate(g[0, 0] * a.value / norm)
-        # zero-norm subgradient: 0
-
-    return Node(norm, (a,), backward)
 
 
 def euclid(a: Node, b: Node) -> Node:

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .embeddings import EmbeddingTable
-from .optim import AdamW, train_step
+from .optim import AdamW, ParameterBuffer, train_step
 from .structures import Taxonomy
 
 MAGIC = "ssk-clf v1"
@@ -155,7 +155,7 @@ def train_classifier(
         dropout=cfg.dropout,
     )
     model = ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
-    params = model.parameters()
+    buffer = ParameterBuffer(model.parameters())
     opt = AdamW(lr=cfg.lr)
     order = np.arange(len(dataset))
     for _epoch in range(cfg.epochs):
@@ -168,7 +168,7 @@ def train_classifier(
                 training=True,
                 rng=rng,
             )
-            train_step(opt, params, cross_entropy(logits, [targets[i] for i in batch]), cfg.clip_norm)
+            train_step(opt, buffer, cross_entropy(logits, [targets[i] for i in batch]), cfg.clip_norm)
     return model
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .kg import KnowledgeGraph
-from .optim import AdamW, train_step
+from .optim import AdamW, ParameterBuffer, train_step
 
 KINDS = ("transe", "complex", "rotate")
 MAX_ENTITY_NORM = 10.0  # drift clamp after each update
@@ -108,10 +108,11 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
     heads, rels, tails = np.array(list(kg.iter_triples())).T
     rng = np.random.default_rng(cfg.seed + 1)
     opt = AdamW(lr=cfg.lr)
+    ent, rel = ad.parameter(table.ent), ad.parameter(table.rel)
+    buffer = ParameterBuffer([ent, rel])
+    table.ent, table.rel = ent.value, rel.value  # views of the buffer, which _clamp edits in place
     history: list[float] = []
     for _epoch in range(cfg.epochs):
-        ent = ad.parameter(table.ent)
-        rel = ad.parameter(table.rel)
         s_pos = score_nodes(ent, rel, kind, heads, rels, tails)
         # uniform corruptions: replace head or tail
         k = cfg.negatives
@@ -127,7 +128,7 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
         pos_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.add(s_pos, ad.constant(np.full(s_pos.shape, gamma))))), -1.0 / kg.num_triples)
         neg_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.scale(ad.add(s_neg, ad.constant(np.full(s_neg.shape, gamma))), -1.0))), -1.0 / s_neg.shape[0])
         loss = ad.add(pos_term, neg_term)
-        train_step(opt, [ent, rel], loss, 1.0)
+        train_step(opt, buffer, loss, 1.0)
         history.append(float(loss.value[0, 0]))
         _clamp(table)
     return table, history

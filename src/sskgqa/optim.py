@@ -1,27 +1,40 @@
-"""Gradient clipping, the AdamW update rule and the training step that
-combines them."""
+"""Gradient clipping, the AdamW update rule, the parameter buffer a trainer
+packs its model into, and the training step that combines them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from . import autodiff as ad
 
 
+class NonFiniteGradientError(ValueError):
+    """The global gradient norm is nan or inf, so no step can be clipped."""
+
+
 def global_norm(grads: list[np.ndarray]) -> float:
     return float(np.sqrt(sum(float((g**2).sum()) for g in grads)))
 
 
-def clip_global_norm(grads: list[np.ndarray], max_norm: float = 1.0) -> list[np.ndarray]:
-    """Scale all gradients in place so the global L2 norm is at most max_norm."""
-    norm = global_norm(grads)
+def clip_global_norm(grad: np.ndarray, offsets: list[int], max_norm: float = 1.0) -> np.ndarray:
+    """Scale the flat gradient `grad` in place so that its global L2 norm is at
+    most max_norm, and return it.
+
+    The norm sums the squares of each segment grad[offsets[i]:offsets[i + 1]]
+    (one per parameter) on its own and then adds the sums in order, as
+    global_norm of the per-parameter gradients does: one sum over the whole
+    array rounds differently. Raises NonFiniteGradientError, before scaling
+    anything, when the norm is nan or inf.
+    """
+    norm = global_norm([grad[a:b] for a, b in zip(offsets, offsets[1:])])
+    if not np.isfinite(norm):
+        raise NonFiniteGradientError(f"gradient norm is {norm}")
     if norm > max_norm:
-        factor = max_norm / norm
-        for g in grads:
-            g *= factor
-    return grads
+        grad *= max_norm / norm
+    return grad
 
 
 @dataclass
@@ -56,28 +69,46 @@ class AdamW:
             p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)) + self.lr * self.weight_decay * p
 
 
-def train_step(opt: AdamW, params: list[ad.Node], loss: ad.Node, max_norm: float) -> None:
+class ParameterBuffer:
+    """A model's parameter nodes packed into one flat float64 array.
+
+    Each node's value is copied into `value` in the order given, and the node
+    is rebound to its view of the buffer, with the same shape: an update of
+    the buffer in place is an update of every parameter. Parameter i is
+    value[offsets[i]:offsets[i + 1]].
+    """
+
+    def __init__(self, params: list[ad.Node]):
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("a parameter is listed twice")
+        self.params = list(params)
+        self.offsets = [0, *accumulate(p.value.size for p in self.params)]
+        self.value = np.concatenate([p.value.ravel() for p in self.params])
+        for p, a, b in zip(self.params, self.offsets, self.offsets[1:]):
+            p.value = self.value[a:b].reshape(p.value.shape)
+
+    def gradient(self) -> np.ndarray:
+        """The parameters' gradients concatenated in order into a new array,
+        zeros for a parameter the loss did not reach."""
+        return np.concatenate(
+            [np.zeros(p.value.size) if p.grad is None else p.grad.ravel() for p in self.params]
+        )
+
+
+def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node, max_norm: float) -> None:
     """One optimizer step on `loss`: clear the parameters' gradients,
-    backpropagate, clip the global norm to max_norm and apply opt.step.
+    backpropagate, clip the global norm of the flat gradient to max_norm and
+    apply opt.step to the whole buffer at once.
 
     A parameter the loss does not reach steps with a zero gradient, so AdamW's
-    moments still decay for it. Clipping scales the gradients in place, and
-    the engine may hand two parameters one array (add(p1, p2) does) or views
-    of one array, so a gradient whose memory belongs to the same array as an
-    earlier one's is copied first: each parameter's gradient is scaled once.
+    moments still decay for it. The flat gradient is a copy, so clipping it
+    in place never reaches an array the engine handed out, even one that
+    several parameters share. A nan or inf norm raises
+    NonFiniteGradientError before anything is updated.
     """
-    for p in params:
+    for p in buffer.params:
         p.zero_grad()
     ad.backward(loss)
-    grads, owners = [], set()
-    for p in params:
-        if p.grad is None:
-            grads.append(np.zeros_like(p.value))
-            continue
-        owner = id(p.grad if p.grad.base is None else p.grad.base)
-        if owner in owners:
-            p.grad = p.grad.copy()
-        owners.add(owner)
-        grads.append(p.grad)
-    clip_global_norm(grads, max_norm)
-    opt.step([p.value for p in params], grads)
+    grad = buffer.gradient()
+    clip_global_norm(grad, buffer.offsets, max_norm)
+    opt.step([buffer.value], [grad])

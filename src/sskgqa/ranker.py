@@ -12,7 +12,7 @@ from . import autodiff as ad
 from .candidates import EnumConfig, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
-from .optim import AdamW, train_step
+from .optim import AdamW, ParameterBuffer, train_step
 from .querygraph import Chain, canonicalize, serialize_tokens
 from .structures import Taxonomy, abstract
 
@@ -175,7 +175,7 @@ def train_ranker(
         dropout=cfg.dropout,
     )
     model = RankerModel(SequenceEncoder(vocab, enc_cfg, rng), trained_on=len(triplets))
-    params = model.encoder.parameters()
+    buffer = ParameterBuffer(model.encoder.parameters())
     opt = AdamW(lr=cfg.lr)
     order = np.arange(len(triplets))
     for _epoch in range(cfg.epochs):
@@ -183,7 +183,7 @@ def train_ranker(
         for i in order:
             q_toks, pos_toks, neg_toks = triplets[i]
             f = model.encoder.forward(q_toks, pos_toks, *neg_toks, training=True, rng=rng)
-            train_step(opt, params, batch_triplet_loss(f, cfg.margin), cfg.clip_norm)
+            train_step(opt, buffer, batch_triplet_loss(f, cfg.margin), cfg.clip_norm)
     return model
 
 

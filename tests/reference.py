@@ -8,7 +8,10 @@ serializer for `serialize_tokens`, n! canonical forms for `canonicalize` and
 feasibility for `enumerate_candidates`, numpy KG embedding scores for
 `embeddings.score_nodes`, and the copying autodiff core the training
 equivalence tests swap in: `reference_accumulate` (a copy on first write) for
-`Node.accumulate` and `reference_rows` (np.add.at into zeros) for `ad.rows`.
+`Node.accumulate` and `reference_rows` (np.add.at into zeros) for `ad.rows`;
+and the per-parameter optimizer step the packed-buffer tests swap in:
+`UnpackedParams` for `optim.ParameterBuffer` and `reference_train_step`
+(clipping and AdamW one parameter array at a time) for `optim.train_step`.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
@@ -19,6 +22,7 @@ import numpy as np
 
 from sskgqa import autodiff as ad
 from sskgqa.annotation import Iri
+from sskgqa.optim import global_norm
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
@@ -332,3 +336,44 @@ def reference_rows(matrix, indices):
         (matrix,),
         lambda g: matrix.accumulate(reference_scatter(matrix.shape, idx, g)),
     )
+
+
+def reference_clip(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
+    """Scale each gradient in place so the global L2 norm is at most max_norm."""
+    norm = global_norm(grads)
+    if norm > max_norm:
+        factor = max_norm / norm
+        for g in grads:
+            g *= factor
+    return grads
+
+
+class UnpackedParams:
+    """Stands in for `optim.ParameterBuffer` in a trainer: it keeps the
+    parameter list and packs nothing, so each value stays its own array."""
+
+    def __init__(self, params):
+        self.params = list(params)
+
+
+def reference_train_step(opt, unpacked: UnpackedParams, loss, max_norm: float) -> None:
+    """`train_step` one parameter array at a time: zeros for a parameter the
+    loss does not reach, a copy of a gradient that shares memory with an
+    earlier one (so clipping in place scales each once), then reference_clip
+    and opt.step over the per-parameter lists."""
+    params = unpacked.params
+    for p in params:
+        p.zero_grad()
+    ad.backward(loss)
+    grads, owners = [], set()
+    for p in params:
+        if p.grad is None:
+            grads.append(np.zeros_like(p.value))
+            continue
+        owner = id(p.grad if p.grad.base is None else p.grad.base)
+        if owner in owners:
+            p.grad = p.grad.copy()
+        owners.add(owner)
+        grads.append(p.grad)
+    reference_clip(grads, max_norm)
+    opt.step([p.value for p in params], grads)

@@ -12,7 +12,7 @@ from sskgqa.annotation import label_wsp
 from sskgqa.classifier import ClassifierModel, ClassifierTrainConfig, train_classifier
 from sskgqa.embeddings import KINDS, EmbeddingTable, EmbedTrainConfig, score_nodes, train
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
-from sskgqa.optim import AdamW, train_step
+from sskgqa.optim import AdamW, ParameterBuffer, train_step
 from sskgqa.pipeline import PipelineConfig, evaluate, gold_graph_of, tokenize_question
 from sskgqa.ranker import RankTrainConfig, train_ranker
 from sskgqa.structures import builtin_taxonomy
@@ -140,6 +140,7 @@ def test_train_step_refuses_no_grad_output():
     enc = make_encoder(use_attention=True, heads=3, seed=0)
     params = enc.parameters()
     before = [p.value.copy() for p in params]
+    buffer = ParameterBuffer(params)
     opt = AdamW(lr=0.1)
     with ad.no_grad():
         out = enc.forward(["a", "b"], ["c"])
@@ -147,7 +148,7 @@ def test_train_step_refuses_no_grad_output():
     built_outside = ad.sum_all(ad.mul(out, out))  # recorded, but reaches `out`
     for loss in (built_inside, built_outside):
         with pytest.raises(ad.ContractError):
-            train_step(opt, params, loss, 1.0)
+            train_step(opt, buffer, loss, 1.0)
     assert opt.step_count == 0
     assert all(np.array_equal(p.value, b) for p, b in zip(params, before))
     assert all(p.grad is None for p in params)

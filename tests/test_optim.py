@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
 
-from reference import reference_accumulate, reference_rows
+from reference import UnpackedParams, reference_accumulate, reference_clip, reference_rows, reference_train_step
 from sskgqa import autodiff as ad
+from sskgqa import classifier as clf_module
+from sskgqa import embeddings as emb_module
+from sskgqa import ranker as ranker_module
 from sskgqa.classifier import ClassifierTrainConfig, train_classifier
 from sskgqa.embeddings import EmbedTrainConfig, train
-from sskgqa.optim import AdamW, clip_global_norm, global_norm, train_step
+from sskgqa.optim import (
+    AdamW,
+    NonFiniteGradientError,
+    ParameterBuffer,
+    clip_global_norm,
+    global_norm,
+    train_step,
+)
 from sskgqa.pipeline import gold_graph_of, tokenize_question
 from sskgqa.ranker import RankTrainConfig, train_ranker
 from sskgqa.structures import builtin_taxonomy
@@ -18,19 +28,39 @@ def test_global_norm():
 
 
 def test_clip_rescales_in_place():
-    grads = [np.array([[3.0]]), np.array([[4.0]])]
-    refs = [id(g) for g in grads]
-    out = clip_global_norm(grads, max_norm=1.0)
-    assert [id(g) for g in out] == refs
-    assert global_norm(out) == pytest.approx(1.0)
-    assert out[0][0, 0] == pytest.approx(0.6)
+    grad = np.array([3.0, 4.0])
+    out = clip_global_norm(grad, [0, 1, 2], max_norm=1.0)
+    assert out is grad
+    assert global_norm([out]) == pytest.approx(1.0)
+    assert out[0] == pytest.approx(0.6)
 
 
 def test_clip_noop_below_threshold():
-    grads = [np.array([[0.3]])]
-    before = grads[0].copy()
-    clip_global_norm(grads, max_norm=1.0)
-    assert np.array_equal(grads[0], before)
+    grad = np.array([0.3])
+    before = grad.copy()
+    clip_global_norm(grad, [0, 1], max_norm=1.0)
+    assert np.array_equal(grad, before)
+
+
+def test_clip_norm_sums_each_parameter_on_its_own():
+    # segments whose per-parameter norm and one-sum norm differ in the last
+    # bit, and so do the gradients clipped by each
+    rng = np.random.default_rng(8)
+    segs = [rng.normal(size=n) for n in (7, 30, 3)]
+    grad = np.concatenate(segs)
+    want = grad * (1.0 / global_norm(segs))
+    assert want.tobytes() != (grad * (1.0 / global_norm([grad]))).tobytes()
+    clip_global_norm(grad, [0, 7, 37, 40], 1.0)
+    assert grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clip_refuses_a_non_finite_norm(bad):
+    grad = np.array([bad, 2.0])
+    with pytest.raises(NonFiniteGradientError):
+        clip_global_norm(grad, [0, 1, 2], 1.0)
+    assert grad[1] == 2.0
+    assert issubclass(NonFiniteGradientError, ValueError)  # the CLI reports a ValueError as one error line
 
 
 def reference_adamw(p, g, m, v, t, lr, b1, b2, eps, wd):
@@ -92,20 +122,58 @@ def test_train_step_matches_inline_sequence():
         return ad.sum_all(ad.mul(ad.matmul(ad.constant(x), w), ad.matmul(ad.constant(x), w)))
 
     params = [ad.parameter(a.copy()) for a in init]
+    buffer = ParameterBuffer(params)
     opt = AdamW(lr=0.05, weight_decay=0.1)
     ref = [a.copy() for a in init]
     ref_opt = AdamW(lr=0.05, weight_decay=0.1)
     for _ in range(4):
-        train_step(opt, params, loss_of(params[0]), 1.0)
+        train_step(opt, buffer, loss_of(params[0]), 1.0)
         w = ad.parameter(ref[0])
         ad.backward(loss_of(w))
         grads = [w.grad, np.zeros_like(ref[1])]
-        clip_global_norm(grads, 1.0)
+        reference_clip(grads, 1.0)
         ref_opt.step(ref, grads)
         for p, r in zip(params, ref):
             assert np.array_equal(p.value, r)
     assert not np.array_equal(params[1].value, init[1])  # weight decay moved it
     assert params[0].grad is not None and params[1].grad is None
+
+
+def test_parameter_buffer_packs_views_in_order():
+    rng = np.random.default_rng(2)
+    init = [rng.normal(size=s) for s in ((2, 3), (1, 5), (4, 1))]
+    params = [ad.parameter(a.copy()) for a in init]
+    buffer = ParameterBuffer(params)
+    assert buffer.value.shape == (15,) and buffer.value.dtype == np.float64
+    assert buffer.offsets == [0, 6, 11, 15]
+    for p, a, lo, hi in zip(params, init, buffer.offsets, buffer.offsets[1:]):
+        assert np.shares_memory(p.value, buffer.value)
+        assert p.value.shape == a.shape
+        assert p.value.tobytes() == a.tobytes() == buffer.value[lo:hi].tobytes()
+    buffer.value *= 2.0
+    for p, a in zip(params, init):
+        assert np.array_equal(p.value, 2.0 * a)
+
+
+def test_parameter_buffer_refuses_a_parameter_listed_twice():
+    p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.zeros((2, 2)))
+    value = p.value
+    with pytest.raises(ValueError, match="twice"):
+        ParameterBuffer([p, q, p])
+    assert p.value is value
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_step_refuses_a_non_finite_gradient(bad):
+    p = ad.parameter(np.array([[1.0, 2.0]]))
+    buffer = ParameterBuffer([p])
+    opt = AdamW(lr=0.1, weight_decay=0.1)
+    train_step(opt, buffer, ad.sum_all(ad.mul(p, ad.constant([[0.5, -0.5]]))), 1.0)
+    before = [a.tobytes() for a in (p.value, opt._m[0], opt._v[0])]
+    with pytest.raises(NonFiniteGradientError):
+        train_step(opt, buffer, ad.sum_all(ad.mul(p, ad.constant([[bad, 1.0]]))), 1.0)
+    assert [a.tobytes() for a in (p.value, opt._m[0], opt._v[0])] == before
+    assert opt.step_count == 1
 
 
 class RecordingOptimizer:
@@ -130,33 +198,46 @@ SHARED_GRADIENT_LOSSES = {
 def test_train_step_scales_a_shared_gradient_once(name):
     shapes, build = SHARED_GRADIENT_LOSSES[name]
     params = [ad.parameter(np.zeros(s)) for s in shapes]
+    buffer = ParameterBuffer(params)
     c = C[:, : shapes[-1][1]]
     opt = RecordingOptimizer()
-    train_step(opt, params, ad.sum_all(ad.mul(build(*params), ad.constant(c))), 1.0)
+    train_step(opt, buffer, ad.sum_all(ad.mul(build(*params), ad.constant(c))), 1.0)
     unclipped = [c] * len(params) if name == "add" else [c[:, :2], c[:, 2:], c]
     factor = 1.0 / global_norm(unclipped)
     assert factor < 1.0
-    for got, g in zip(opt.grads, unclipped):
-        assert np.array_equal(got, g * factor)
-    for i, p in enumerate(params):
-        assert not any(np.shares_memory(p.grad, q.grad) for q in params[:i])
+    (flat,) = opt.grads
+    for p, g, lo, hi in zip(params, unclipped, buffer.offsets, buffer.offsets[1:]):
+        assert np.array_equal(flat[lo:hi].reshape(p.shape), g * factor)
+        assert np.array_equal(p.grad, g)  # the arrays the engine handed out are not scaled
+
+
+def trained_ranker():
+    kg, questions = ranker_fixture()
+    rank_data = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+    # gradient norms run from 0.57 to 0.92, so some steps clip and some do not
+    cfg = RankTrainConfig(epochs=2, negatives=3, dropout=0.2, out_dim=8, ff_width=16, lr=1e-2, clip_norm=0.7)
+    return [p.value for p in train_ranker(rank_data, kg, builtin_taxonomy(), cfg).encoder.parameters()]
+
+
+def trained_classifier(use_attention: bool):
+    dataset, table = separable_classifier_dataset(builtin_taxonomy().labels(), per_class=3)
+    cfg = ClassifierTrainConfig(
+        epochs=3, batch_size=len(dataset) - 1, d_model=12, use_attention=use_attention, lr=1e-2
+    )
+    return [p.value for p in train_classifier(dataset, table, builtin_taxonomy(), cfg).parameters()]
+
+
+def trained_embeddings(kind: str):
+    kg, _ = ranker_fixture()
+    table, _ = train(kg, EmbedTrainConfig(d=8, epochs=4, negatives=4, seed=0), kind)
+    return [table.ent, table.rel]
 
 
 def train_three_models():
     """Every parameter of TransE, the classifier and the ranker, each trained
     for a few steps on small fixtures; attention, dropout and a one-example
     minibatch included."""
-    kg, questions = ranker_fixture()
-    table, _ = train(kg, EmbedTrainConfig(d=8, epochs=3, negatives=4, seed=0))
-    dataset, clf_table = separable_classifier_dataset(builtin_taxonomy().labels(), per_class=3)
-    clf_cfg = ClassifierTrainConfig(
-        epochs=2, batch_size=len(dataset) - 1, d_model=12, use_attention=True, lr=1e-2
-    )
-    clf = train_classifier(dataset, clf_table, builtin_taxonomy(), clf_cfg)
-    rank_data = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
-    rank_cfg = RankTrainConfig(epochs=2, negatives=3, dropout=0.2, out_dim=8, ff_width=16, lr=1e-2)
-    ranker = train_ranker(rank_data, kg, builtin_taxonomy(), rank_cfg)
-    return [table.ent, table.rel] + [p.value for p in clf.parameters() + ranker.encoder.parameters()]
+    return trained_embeddings("transe") + trained_classifier(True) + trained_ranker()
 
 
 def test_training_matches_copying_autodiff(monkeypatch):
@@ -167,3 +248,35 @@ def test_training_matches_copying_autodiff(monkeypatch):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+# name -> (the trainer's module, a run returning every trained parameter)
+TRAINERS = {
+    "ranker": (ranker_module, trained_ranker),
+    "classifier_attention": (clf_module, lambda: trained_classifier(True)),
+    "classifier_no_attention": (clf_module, lambda: trained_classifier(False)),
+    "transe": (emb_module, lambda: trained_embeddings("transe")),
+    "rotate": (emb_module, lambda: trained_embeddings("rotate")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+def test_packed_training_matches_per_parameter_steps(name, monkeypatch):
+    module, run = TRAINERS[name]
+
+    def recording(step, losses):
+        def recorded(opt, params, loss, max_norm):
+            losses.append(float(loss.value[0, 0]))
+            step(opt, params, loss, max_norm)
+
+        return recorded
+
+    got_losses, want_losses = [], []
+    monkeypatch.setattr(module, "train_step", recording(module.train_step, got_losses))
+    got = run()
+    monkeypatch.setattr(module, "ParameterBuffer", UnpackedParams)
+    monkeypatch.setattr(module, "train_step", recording(reference_train_step, want_losses))
+    want = run()
+    assert len(got) == len(want) and got_losses
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert got_losses == want_losses
