@@ -7,6 +7,7 @@ the pass runs under no_grad().
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 
@@ -100,6 +101,11 @@ def _same_shape(a: Node, b: Node, op: str) -> None:
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
+def _row_grad(g: np.ndarray) -> np.ndarray:
+    """The gradient of a (1, w) operand broadcast over the rows of g."""
+    return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
+
+
 def add(a: Node, b: Node) -> Node:
     """Elementwise sum; a (1, d) operand broadcasts over (n, d) rows."""
     if a.shape != b.shape:
@@ -107,10 +113,8 @@ def add(a: Node, b: Node) -> Node:
             raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
 
     def backward(g):
-        ga = g.sum(axis=0, keepdims=True) if a.shape[0] == 1 and g.shape[0] > 1 else g
-        gb = g.sum(axis=0, keepdims=True) if b.shape[0] == 1 and g.shape[0] > 1 else g
-        a.accumulate(ga)
-        b.accumulate(gb)
+        a.accumulate(_row_grad(g) if a.shape[0] == 1 else g)
+        b.accumulate(_row_grad(g) if b.shape[0] == 1 else g)
 
     return Node(a.value + b.value, (a, b), backward)
 
@@ -156,21 +160,6 @@ def _block_views(a: Node, b: Node, blocks: int, op: str) -> tuple[np.ndarray, np
     )
 
 
-def block_matmul_t(a: Node, b: Node, blocks: int) -> Node:
-    """a_i @ b_i.T for each of `blocks` row blocks, stacked:
-    (blocks*m, k) and (blocks*l, k) -> (blocks*m, l)."""
-    a3, b3 = _block_views(a, b, blocks, "block_matmul_t")
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(f"block_matmul_t: column counts differ {a.shape} vs {b.shape}")
-
-    def backward(g):
-        g3 = g.reshape(blocks, a3.shape[1], b3.shape[1])
-        a.accumulate(np.matmul(g3, b3).reshape(a.shape))
-        b.accumulate(np.matmul(g3.transpose(0, 2, 1), a3).reshape(b.shape))
-
-    return Node(np.matmul(a3, b3.transpose(0, 2, 1)).reshape(a.shape[0], -1), (a, b), backward)
-
-
 def block_matmul(a: Node, b: Node, blocks: int) -> Node:
     """a_i @ b_i for each of `blocks` row blocks, stacked:
     (blocks*m, l) and (blocks*l, k) -> (blocks*m, k)."""
@@ -184,6 +173,91 @@ def block_matmul(a: Node, b: Node, blocks: int) -> Node:
         b.accumulate(np.matmul(a3.transpose(0, 2, 1), g3).reshape(b.shape))
 
     return Node(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b), backward)
+
+
+def block_attention(x: Node, weights: list[Node], mask: np.ndarray, blocks: int) -> Node:
+    """Multi-head self-attention within each of `blocks` equal row blocks of
+    x, as one node: (blocks*L, d) -> (blocks*L, heads*dh).
+
+    `weights` is [wq0, wk0, wv0, wq1, ...], three (d, dh) projections per
+    head. `mask` is the (blocks, L) additive key mask: row i (0 for a key,
+    -inf for padding) is added to every score row of block i. Per head, with
+    q, k, v = x@wq, x@wk, x@wv, each block i gets
+    softmax(q_i k_i^T / sqrt(dh) + mask_i) @ v_i; the heads' outputs are
+    returned side by side.
+
+    All heads run together, as (heads, blocks, L, .) stacks: each batched
+    product is one matmul per (head, block), the same products a chain of
+    matmul, block product, scale, mask add, row softmax and block product
+    nodes per head runs, and the elementwise steps and row reductions are
+    that chain's, step for step. The backward adds into x once per
+    projection in the order of `weights`, as that chain's walk did, so the
+    values and gradients have the same bits.
+    """
+    n_rows, d = x.shape
+    if not weights or len(weights) % 3:
+        raise ShapeError(f"block_attention: {len(weights)} weights are not [wq, wk, wv] per head")
+    dh = weights[0].shape[1]
+    if any(w.shape != (d, dh) for w in weights):
+        raise ShapeError(f"block_attention: every weight must be ({d}, {dh}) for x of {x.shape}")
+    if blocks < 1 or n_rows % blocks:
+        raise ShapeError(f"block_attention: {x.shape} does not split into {blocks} row blocks")
+    width = n_rows // blocks
+    if mask.shape != (blocks, width):
+        raise ShapeError(f"block_attention: mask is {mask.shape}, expected {(blocks, width)}")
+    heads = len(weights) // 3
+    c = 1.0 / math.sqrt(dh)
+    qkv = np.empty((3, heads, n_rows, dh))  # x@w of every projection
+    for i, w in enumerate(weights):
+        np.matmul(x.value, w.value, out=qkv[i % 3, i // 3])
+    q, k, v = qkv.reshape(3, heads, blocks, width, dh)
+    att = np.matmul(q, k.transpose(0, 1, 3, 2)) * c + mask.reshape(blocks, 1, width)
+    att -= att.max(axis=3, keepdims=True)  # row softmax, in place
+    np.exp(att, out=att)
+    att /= att.sum(axis=3, keepdims=True)
+    out = np.matmul(att, v)  # (heads, blocks, L, dh)
+
+    def backward(g):
+        g4 = g.reshape(blocks, width, heads, dh).transpose(2, 0, 1, 3)
+        g_att = np.matmul(g4, v.transpose(0, 1, 3, 2))
+        gv = np.matmul(att.transpose(0, 1, 3, 2), g4)
+        gs = g_att  # the scores' gradient, in place
+        gs -= (g_att * att).sum(axis=3, keepdims=True)
+        gs *= att
+        gs *= c
+        gq = np.matmul(gs, k)
+        gk = np.matmul(gs.transpose(0, 1, 3, 2), q)
+        for i, w in enumerate(weights):
+            gw = (gq, gk, gv)[i % 3][i // 3].reshape(n_rows, dh)
+            x.accumulate(gw @ w.value.T)
+            w.accumulate(x.value.T @ gw)
+
+    side_by_side = np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(n_rows, heads * dh)
+    return Node(side_by_side, (x, *weights), backward)
+
+
+def feed_forward(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
+    """relu(x @ w1 + b1) @ w2 + b2 as one node; the biases are (1, width)
+    rows added to every row. Same arithmetic, step for step, as the chain of
+    matmul, add, relu, matmul and add nodes, so the gradients have the same
+    bits."""
+    if not (x.shape[1] == w1.shape[0] and w1.shape[1] == w2.shape[0]):
+        raise ShapeError(f"feed_forward: inner dims differ {x.shape}, {w1.shape}, {w2.shape}")
+    if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
+        raise ShapeError(f"feed_forward: biases {b1.shape} and {b2.shape} are not rows of its widths")
+    pre = x.value @ w1.value + b1.value
+    active = pre > 0
+    hidden = pre * active
+
+    def backward(g):
+        g_pre = (g @ w2.value.T) * active
+        x.accumulate(g_pre @ w1.value.T)
+        w1.accumulate(x.value.T @ g_pre)
+        b1.accumulate(_row_grad(g_pre))
+        w2.accumulate(hidden.T @ g)
+        b2.accumulate(_row_grad(g))
+
+    return Node(hidden @ w2.value + b2.value, (x, w1, b1, w2, b2), backward)
 
 
 def scale(a: Node, c: float) -> Node:
@@ -223,21 +297,6 @@ def cos(a: Node) -> Node:
 
 def sin(a: Node) -> Node:
     return Node(np.sin(a.value), (a,), lambda g: a.accumulate(g * np.cos(a.value)))
-
-
-def euclid(a: Node, b: Node) -> Node:
-    """Euclidean distance ||a - b||, zero-distance gradient defined as 0."""
-    _same_shape(a, b, "euclid")
-    diff = a.value - b.value
-    dist = float(np.sqrt((diff**2).sum()))
-
-    def backward(g):
-        if dist > 0.0:
-            d = g[0, 0] * diff / dist
-            a.accumulate(d)
-            b.accumulate(-d)
-
-    return Node(dist, (a, b), backward)
 
 
 def rownorm(a: Node) -> Node:

@@ -5,7 +5,6 @@ ranker and the classifier)."""
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -26,6 +25,11 @@ class EncoderConfig:
     dropout: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("out_dim", "d_model", "heads", "ff_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.use_attention and self.d_model % self.heads != 0:
             raise ValueError("heads must divide d_model")
 
@@ -111,23 +115,12 @@ class SequenceEncoder:
         ids[real] = [i for s in sequences for i in self.vocab.encode(s)]
         x = ad.rows(self.params["tok_emb"], ids.ravel())
         if cfg.use_attention:
-            dh = cfg.d_model // cfg.heads
-            # row j of block i masks the keys past sequence i's end
-            mask = ad.constant(np.repeat(np.where(real, 0.0, -np.inf), width, axis=0))
-            heads = []
-            for h in range(cfg.heads):
-                q = ad.matmul(x, self.params[f"wq{h}"])
-                k = ad.matmul(x, self.params[f"wk{h}"])
-                v = ad.matmul(x, self.params[f"wv{h}"])
-                scores = ad.scale(ad.block_matmul_t(q, k, n), 1.0 / math.sqrt(dh))
-                att = ad.softmax(ad.add(scores, mask))
-                heads.append(ad.block_matmul(att, v, n))
-            merged = heads[0]
-            for h in heads[1:]:
-                merged = ad.concat_cols(merged, h)
-            x = ad.add(x, ad.matmul(merged, self.params["wo"]))
-            hidden = ad.relu(ad.add(ad.matmul(x, self.params["ff_w1"]), self.params["ff_b1"]))
-            x = ad.add(x, ad.add(ad.matmul(hidden, self.params["ff_w2"]), self.params["ff_b2"]))
+            p = self.params
+            weights = [p[f"{w}{h}"] for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
+            # row i masks the keys past sequence i's end
+            attended = ad.block_attention(x, weights, np.where(real, 0.0, -np.inf), n)
+            x = ad.add(x, ad.matmul(attended, p["wo"]))
+            x = ad.add(x, ad.feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
         pooled = ad.block_matmul(ad.constant(real / lens[:, None]), x, n)
         pooled = ad.dropout(pooled, cfg.dropout, rng, training)
         return ad.matmul(pooled, self.params["proj"])
@@ -228,8 +221,6 @@ def read_checkpoint(
             raise CheckpointError(f"{path}: dims line needs 6 fields")
         try:
             sizes = [int(v) for v in dims[1:5]]
-            if min(sizes) < 1:
-                raise ValueError("sizes must be positive")
             cfg = EncoderConfig(*sizes, bool(int(dims[5])), float(dims[6]))
         except ValueError as exc:
             raise CheckpointError(f"{path}: bad dims line: {exc}") from None

@@ -3,6 +3,7 @@ packs its model into, and the training step that combines them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -15,21 +16,18 @@ class NonFiniteGradientError(ValueError):
     """The global gradient norm is nan or inf, so no step can be clipped."""
 
 
-def global_norm(grads: list[np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((g**2).sum()) for g in grads)))
-
-
 def clip_global_norm(grad: np.ndarray, offsets: list[int], max_norm: float = 1.0) -> np.ndarray:
     """Scale the flat gradient `grad` in place so that its global L2 norm is at
     most max_norm, and return it.
 
-    The norm sums the squares of each segment grad[offsets[i]:offsets[i + 1]]
-    (one per parameter) on its own and then adds the sums in order, as
-    global_norm of the per-parameter gradients does: one sum over the whole
-    array rounds differently. Raises NonFiniteGradientError, before scaling
+    The norm squares grad once, sums each segment offsets[i]:offsets[i + 1]
+    (one per parameter) on its own and then adds the sums in order, as a
+    norm of the per-parameter gradients does: one sum over the whole array
+    rounds differently. Raises NonFiniteGradientError, before scaling
     anything, when the norm is nan or inf.
     """
-    norm = global_norm([grad[a:b] for a, b in zip(offsets, offsets[1:])])
+    sq = grad * grad
+    norm = math.sqrt(sum(float(sq[a:b].sum()) for a, b in zip(offsets, offsets[1:])))
     if not np.isfinite(norm):
         raise NonFiniteGradientError(f"gradient norm is {norm}")
     if norm > max_norm:

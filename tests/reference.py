@@ -11,18 +11,22 @@ equivalence tests swap in: `reference_accumulate` (a copy on first write) for
 `Node.accumulate` and `reference_rows` (np.add.at into zeros) for `ad.rows`;
 and the per-parameter optimizer step the packed-buffer tests swap in:
 `UnpackedParams` for `optim.ParameterBuffer` and `reference_train_step`
-(clipping and AdamW one parameter array at a time) for `optim.train_step`.
+(clipping by `global_norm` and AdamW one parameter array at a time) for
+`optim.train_step`; and the encoder block as a chain of nodes per head:
+`reference_block_attention` and `reference_feed_forward` for the fused
+`ad.block_attention` and `ad.feed_forward`, and `reference_encoder_forward`
+for `SequenceEncoder.forward`.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from sskgqa import autodiff as ad
 from sskgqa.annotation import Iri
-from sskgqa.optim import global_norm
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
@@ -338,6 +342,12 @@ def reference_rows(matrix, indices):
     )
 
 
+def global_norm(grads: list[np.ndarray]) -> float:
+    """The L2 norm of a list of gradients: each one's sum of squares, added
+    in order."""
+    return float(np.sqrt(sum(float((g**2).sum()) for g in grads)))
+
+
 def reference_clip(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]:
     """Scale each gradient in place so the global L2 norm is at most max_norm."""
     norm = global_norm(grads)
@@ -377,3 +387,70 @@ def reference_train_step(opt, unpacked: UnpackedParams, loss, max_norm: float) -
         grads.append(p.grad)
     reference_clip(grads, max_norm)
     opt.step([p.value for p in params], grads)
+
+
+def reference_block_matmul_t(a, b, blocks: int):
+    """a_i @ b_i.T for each of `blocks` row blocks, stacked, as a node:
+    (blocks*m, k) and (blocks*l, k) -> (blocks*m, l)."""
+    a3 = a.value.reshape(blocks, -1, a.shape[1])
+    b3 = b.value.reshape(blocks, -1, b.shape[1])
+
+    def backward(g):
+        g3 = g.reshape(blocks, a3.shape[1], b3.shape[1])
+        a.accumulate(np.matmul(g3, b3).reshape(a.shape))
+        b.accumulate(np.matmul(g3.transpose(0, 2, 1), a3).reshape(b.shape))
+
+    return ad.Node(np.matmul(a3, b3.transpose(0, 2, 1)).reshape(a.shape[0], -1), (a, b), backward)
+
+
+def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
+    """`ad.block_attention` as a chain of nodes per head: three matmuls, the
+    block scores, the scale, the add of the mask as a constant node (row j of
+    block i is mask row i), the row softmax and the block product, then the
+    heads joined by concat_cols."""
+    dh = weights[0].shape[1]
+    width = mask.shape[1]
+    mask_rows = ad.constant(np.repeat(mask, width, axis=0))
+    heads = []
+    for i in range(0, len(weights), 3):
+        q, k, v = (ad.matmul(x, w) for w in weights[i : i + 3])
+        scores = ad.scale(reference_block_matmul_t(q, k, blocks), 1.0 / math.sqrt(dh))
+        att = ad.softmax(ad.add(scores, mask_rows))
+        heads.append(ad.block_matmul(att, v, blocks))
+    merged = heads[0]
+    for h in heads[1:]:
+        merged = ad.concat_cols(merged, h)
+    return merged
+
+
+def reference_feed_forward(x, w1, b1, w2, b2):
+    """`ad.feed_forward` as a chain of matmul, add, relu, matmul and add nodes."""
+    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
+    return ad.add(ad.matmul(hidden, w2), b2)
+
+
+def reference_encoder_forward(self, *sequences, training: bool = False, rng=None):
+    """`SequenceEncoder.forward` with the attention block built from
+    reference_block_attention and reference_feed_forward; patched over the
+    method, it stands in for the fused block in a trainer."""
+    if not sequences:
+        raise ValueError("forward needs at least one token sequence")
+    if not all(sequences):
+        raise ValueError("token sequences must be non-empty")
+    self.encode_calls += len(sequences)
+    cfg, p = self.cfg, self.params
+    n = len(sequences)
+    lens = np.array([len(s) for s in sequences])
+    width = int(lens.max())
+    real = np.arange(width) < lens[:, None]
+    ids = np.zeros((n, width), dtype=np.int64)
+    ids[real] = [i for s in sequences for i in self.vocab.encode(s)]
+    x = ad.rows(p["tok_emb"], ids.ravel())
+    if cfg.use_attention:
+        weights = [p[f"{w}{h}"] for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
+        attended = reference_block_attention(x, weights, np.where(real, 0.0, -np.inf), n)
+        x = ad.add(x, ad.matmul(attended, p["wo"]))
+        x = ad.add(x, reference_feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
+    pooled = ad.block_matmul(ad.constant(real / lens[:, None]), x, n)
+    pooled = ad.dropout(pooled, cfg.dropout, rng, training)
+    return ad.matmul(pooled, p["proj"])

@@ -125,7 +125,7 @@ def test_criterion_2_triplet_loss_and_gradient_check():
         f_p = enc.forward(seq_p)
         f_n = enc.forward(seq_n)
         raw = ad.add(
-            ad.sub(ad.euclid(f_q, f_p), ad.euclid(f_q, f_n)), ad.constant([[5.0]])
+            ad.sub(ad.rownorm(ad.sub(f_q, f_p)), ad.rownorm(ad.sub(f_q, f_n))), ad.constant([[5.0]])
         )
         return ad.relu(raw)
 

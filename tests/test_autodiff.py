@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reference import reference_accumulate, reference_scatter
+from reference import (
+    reference_accumulate,
+    reference_block_attention,
+    reference_feed_forward,
+    reference_scatter,
+)
 from sskgqa import autodiff as ad
 
 
@@ -36,7 +41,6 @@ def check_grad(build, x, tol=1e-6):
 RNG = np.random.default_rng(7)
 # Operands for the block ops against the (3, 4) parameter of
 # test_unary_op_gradients, which then has three one-row blocks.
-BLOCK_K = RNG.normal(size=(6, 4))  # two rows per block
 BLOCK_A = RNG.normal(size=(6, 1))  # two rows per block, inner dim 1
 BLOCK_B = RNG.normal(size=(12, 2))  # four rows per block
 
@@ -63,14 +67,12 @@ def test_add_broadcast_and_grad():
         lambda p: ad.sum_all(ad.mul(ad.softmax(p), p)),
         lambda p: ad.sum_all(ad.rownorm(p)),
         lambda p: ad.sum_all(ad.rowsum(p)),
-        lambda p: ad.sum_all(ad.sin(ad.block_matmul_t(p, ad.constant(BLOCK_K), 3))),
-        lambda p: ad.sum_all(ad.sin(ad.block_matmul_t(ad.constant(BLOCK_K), p, 3))),
         lambda p: ad.sum_all(ad.sin(ad.block_matmul(p, ad.constant(BLOCK_B), 3))),
         lambda p: ad.sum_all(ad.sin(ad.block_matmul(ad.constant(BLOCK_A), p, 3))),
         lambda p: ad.scale(ad.sum_all(p), -2.5),
     ],
     ids=["relu", "logsigmoid", "cos", "sin", "softmax", "softmax_mul", "rownorm", "rowsum",
-         "block_matmul_t_left", "block_matmul_t_right", "block_matmul_left", "block_matmul_right",
+         "block_matmul_left", "block_matmul_right",
          "scale"],
 )
 def test_unary_op_gradients(op):
@@ -105,32 +107,115 @@ def test_sub_mul_gradients():
 
 
 def test_block_matmuls_match_per_block_products():
-    a = RNG.normal(size=(6, 4))  # 2 blocks of 3 rows
-    b = RNG.normal(size=(4, 4))  # 2 blocks of 2 rows
+    t = RNG.normal(size=(6, 2))  # 2 blocks of 3 rows
     c = RNG.normal(size=(4, 5))  # 2 blocks of 2 rows
-    t = ad.block_matmul_t(ad.constant(a), ad.constant(b), 2).value
-    assert t.shape == (6, 2)
-    assert np.allclose(t[:3], a[:3] @ b[:2].T) and np.allclose(t[3:], a[3:] @ b[2:].T)
     m = ad.block_matmul(ad.constant(t), ad.constant(c), 2).value
     assert m.shape == (6, 5)
     assert np.allclose(m[:3], t[:3] @ c[:2]) and np.allclose(m[3:], t[3:] @ c[2:])
-    check_grad(lambda p: ad.sum_all(ad.sin(ad.block_matmul_t(p, ad.constant(b), 2))), a)
+    check_grad(lambda p: ad.sum_all(ad.sin(ad.block_matmul(p, ad.constant(c), 2))), t)
     check_grad(lambda p: ad.sum_all(ad.sin(ad.block_matmul(ad.constant(t), p, 2))), c)
 
 
-def test_euclid_gradient():
+def test_distance_gradient():
     a = RNG.normal(size=(1, 6))
     b = RNG.normal(size=(1, 6))
-    check_grad(lambda p: ad.euclid(p, ad.constant(b)), a)
-    check_grad(lambda p: ad.euclid(ad.constant(a), p), b)
+    check_grad(lambda p: ad.rownorm(ad.sub(p, ad.constant(b))), a)
+    check_grad(lambda p: ad.rownorm(ad.sub(ad.constant(a), p)), b)
 
 
-def test_euclid_zero_distance_gradient_is_zero():
+def test_zero_distance_gradient_is_zero():
     a = np.ones((1, 4))
     p = ad.parameter(a)
-    loss = ad.euclid(p, ad.constant(a.copy()))
+    loss = ad.rownorm(ad.sub(p, ad.constant(a.copy())))
     ad.backward(loss)
-    assert p.grad is None or np.allclose(p.grad, 0.0)
+    assert np.array_equal(p.grad, np.zeros((1, 4)))
+
+
+def attention_case(blocks, lens, heads, dh, ff, seed):
+    """Random inputs of one encoder block: x of `blocks` row blocks padded
+    to max(lens) rows, 3 projections per head, the output projection and a
+    feed-forward layer of width ff, as parameter nodes, and the key mask."""
+    rng = np.random.default_rng(seed)
+    width, d = max(lens), heads * dh
+    mask = np.where(np.arange(width) < np.array(lens)[:, None], 0.0, -np.inf)
+    shapes = [(blocks * width, d)] + [(d, dh)] * (3 * heads) + [(d, d), (d, ff), (1, ff), (ff, d), (1, d)]
+    return [ad.parameter(rng.normal(size=shape)) for shape in shapes], mask
+
+
+def encoder_block(attention, feed_forward, params, mask, blocks):
+    """The encoder's block over params from attention_case: x plus the
+    attended heads through wo, then that plus its feed-forward."""
+    x, weights, (wo, *ff) = params[0], params[1:-5], params[-5:]
+    x = ad.add(x, ad.matmul(attention(x, weights, mask, blocks), wo))
+    return ad.add(x, feed_forward(x, *ff))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda b: st.lists(st.integers(1, 12), min_size=b, max_size=b)),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_fused_block_bytes_equal_per_head_chain(lens, heads, dh, ff, seed):
+    blocks = len(lens)
+    outs, grads = [], []
+    for attention, feed_forward in (
+        (ad.block_attention, ad.feed_forward),
+        (reference_block_attention, reference_feed_forward),
+    ):
+        params, mask = attention_case(blocks, lens, heads, dh, ff, seed)
+        y = encoder_block(attention, feed_forward, params, mask, blocks)
+        weight = ad.constant(np.random.default_rng(seed + 1).normal(size=y.shape))
+        ad.backward(ad.sum_all(ad.mul(y, weight)))
+        outs.append(y.value.tobytes())
+        grads.append([p.grad.tobytes() for p in params])
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
+
+
+ATTENTION_INPUTS = ["x", "wq0", "wk0", "wv0", "wq1", "wk1", "wv1"]
+
+
+@pytest.mark.parametrize("which", range(len(ATTENTION_INPUTS)), ids=ATTENTION_INPUTS)
+def test_block_attention_gradients(which):
+    # two heads over two blocks of 3 rows, the second with one padded row
+    params, mask = attention_case(2, [3, 2], 2, 2, 1, seed=11)
+    inputs = [p.value for p in params[:7]]
+
+    def build(p):
+        nodes = [ad.constant(v) for v in inputs]
+        nodes[which] = p
+        return ad.sum_all(ad.sin(ad.block_attention(nodes[0], nodes[1:], mask, 2)))
+
+    check_grad(build, inputs[which])
+
+
+FF_INPUTS = ["x", "w1", "b1", "w2", "b2"]
+
+
+@pytest.mark.parametrize("which", range(len(FF_INPUTS)), ids=FF_INPUTS)
+def test_feed_forward_gradients(which):
+    rng = np.random.default_rng(12)
+    inputs = [rng.normal(size=shape) for shape in ((5, 4), (4, 6), (1, 6), (6, 3), (1, 3))]
+
+    def build(p):
+        nodes = [ad.constant(v) for v in inputs]
+        nodes[which] = p
+        return ad.sum_all(ad.sin(ad.feed_forward(*nodes)))
+
+    check_grad(build, inputs[which])
+
+
+def test_block_attention_ignores_padded_keys():
+    # a block's output rows do not change with what its padded rows hold
+    params, mask = attention_case(2, [4, 2], 2, 3, 1, seed=5)
+    x, weights = params[0], params[1:7]
+    before = ad.block_attention(x, weights, mask, 2).value
+    x.value[6:] += 100.0  # the second block's two padded rows
+    after = ad.block_attention(x, weights, mask, 2).value
+    assert np.array_equal(before[:6], after[:6])
 
 
 def test_split_concat_gradients():
@@ -275,9 +360,18 @@ def test_shape_errors():
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
     with pytest.raises(ad.ShapeError):
         ad.split_halves(ad.constant(np.ones((1, 3))))
+    w = [ad.constant(np.ones((2, 1)))] * 3
     with pytest.raises(ad.ShapeError):  # 3 rows do not split into 2 blocks
-        ad.block_matmul_t(ad.constant(np.ones((3, 2))), ad.constant(np.ones((2, 2))), 2)
+        ad.block_attention(ad.constant(np.ones((3, 2))), w, np.zeros((2, 1)), 2)
+    with pytest.raises(ad.ShapeError):  # a mask row per block, a column per row
+        ad.block_attention(ad.constant(np.ones((4, 2))), w, np.zeros((2, 1)), 2)
+    with pytest.raises(ad.ShapeError):  # not three projections per head
+        ad.block_attention(ad.constant(np.ones((2, 2))), w[:2], np.zeros((2, 1)), 2)
+    with pytest.raises(ad.ShapeError):  # a projection of another shape
+        ad.block_attention(ad.constant(np.ones((2, 2))), [*w[:2], ad.constant(np.ones((2, 2)))], np.zeros((2, 1)), 2)
+    with pytest.raises(ad.ShapeError):  # a bias that is not one row
+        ad.feed_forward(*(ad.constant(np.ones(s)) for s in ((2, 2), (2, 3), (2, 3), (3, 2), (1, 2))))
     with pytest.raises(ad.ShapeError):
-        ad.block_matmul_t(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 3))), 2)
+        ad.feed_forward(*(ad.constant(np.ones(s)) for s in ((2, 2), (3, 3), (1, 3), (3, 2), (1, 2))))
     with pytest.raises(ad.ShapeError):  # blocks of 1x2 times blocks of 1x2
         ad.block_matmul(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))), 2)

@@ -402,3 +402,24 @@ def test_bad_taxonomy_entry_is_one_error_line(toy, tmp_path, entry):
     )
     assert proc.stdout == ""
     assert_one_error_line(proc, f"error: {tax}: entry 1")
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--heads", "0"], "heads"),
+        (["--heads", "-3"], "heads"),
+        (["--dropout", "1.0"], "dropout"),
+        (["--dropout", "1.5"], "dropout"),
+        (["--dropout", "-0.1"], "dropout"),
+    ],
+    ids=["heads_0", "heads_negative", "dropout_1", "dropout_1_5", "dropout_negative"],
+)
+def test_bad_encoder_setting_is_one_error_line(toy, tmp_path, flags, name):
+    out = tmp_path / "rank.ckpt"
+    proc = run_cli(
+        "train-ranker", "--kg", str(toy / "kg.tsv"), "--dataset", str(toy / "questions.jsonl"),
+        "--out", str(out), "--epochs", "1", *flags, expect_fail=True,
+    )
+    assert_one_error_line(proc, f"error: {name} must be")
+    assert not out.exists()

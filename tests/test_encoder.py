@@ -28,6 +28,18 @@ def test_config_head_divisibility():
     EncoderConfig(out_dim=8, d_model=10, heads=3, use_attention=False)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("out_dim", 0), ("d_model", 0), ("heads", 0), ("heads", -3), ("ff_width", 0),
+     ("dropout", 1.0), ("dropout", 1.5), ("dropout", -0.1), ("dropout", float("nan"))],
+)
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_config_refuses_bad_sizes_and_dropout(name, value, use_attention):
+    settings = {"out_dim": 8, "d_model": 12, "heads": 3, "ff_width": 16, "dropout": 0.5}
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        EncoderConfig(**{**settings, name: value}, use_attention=use_attention)
+
+
 def make_encoder(use_attention=True, seed=0, dropout=0.0):
     vocab = Vocab(["a", "b", "c", "d"])
     cfg = EncoderConfig(out_dim=6, d_model=12, heads=3, ff_width=16,
@@ -108,6 +120,27 @@ def test_attention_params_present_only_when_enabled():
     without = make_encoder(use_attention=False)
     assert "wo" in with_att.params and "ff_w1" in with_att.params
     assert set(without.params) == {"tok_emb", "proj"}
+
+
+@pytest.mark.parametrize(
+    "use_attention, training, nodes",
+    [(True, False, 9), (True, True, 10), (False, False, 4)],
+    ids=["attention", "attention_dropout", "no_attention"],
+)
+def test_forward_builds_one_node_per_layer(monkeypatch, use_attention, training, nodes):
+    # token rows, attention, wo, residual, feed-forward, residual, pooling
+    # weights, pooling, dropout when training, projection
+    enc = make_encoder(use_attention=use_attention, dropout=0.5)
+    built = []
+    init = ad.Node.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Node, "__init__", counting)
+    enc.forward(["a", "b"], ["c"], training=training, rng=np.random.default_rng(0))
+    assert len(built) == nodes
 
 
 def test_gradients_flow_to_all_params():

@@ -1,19 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reference import UnpackedParams, reference_accumulate, reference_clip, reference_rows, reference_train_step
+from reference import (
+    UnpackedParams,
+    global_norm,
+    reference_accumulate,
+    reference_clip,
+    reference_encoder_forward,
+    reference_rows,
+    reference_train_step,
+)
 from sskgqa import autodiff as ad
 from sskgqa import classifier as clf_module
 from sskgqa import embeddings as emb_module
 from sskgqa import ranker as ranker_module
 from sskgqa.classifier import ClassifierTrainConfig, train_classifier
 from sskgqa.embeddings import EmbedTrainConfig, train
+from sskgqa.encoder import SequenceEncoder
 from sskgqa.optim import (
     AdamW,
     NonFiniteGradientError,
     ParameterBuffer,
     clip_global_norm,
-    global_norm,
     train_step,
 )
 from sskgqa.pipeline import gold_graph_of, tokenize_question
@@ -52,6 +62,17 @@ def test_clip_norm_sums_each_parameter_on_its_own():
     assert want.tobytes() != (grad * (1.0 / global_norm([grad]))).tobytes()
     clip_global_norm(grad, [0, 7, 37, 40], 1.0)
     assert grad.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=12), st.floats(0.01, 100.0), st.integers(0, 2**32 - 1))
+def test_clip_bytes_equal_per_parameter_clip(sizes, max_norm, seed):
+    rng = np.random.default_rng(seed)
+    segs = [rng.normal(size=n) * rng.uniform(0.1, 10.0) for n in sizes]
+    grad = np.concatenate(segs)
+    reference_clip(segs, max_norm)
+    clip_global_norm(grad, [0, *np.cumsum(sizes)], max_norm)
+    assert grad.tobytes() == np.concatenate(segs).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -280,3 +301,13 @@ def test_packed_training_matches_per_parameter_steps(name, monkeypatch):
     assert len(got) == len(want) and got_losses
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     assert got_losses == want_losses
+
+
+@pytest.mark.parametrize("name", ["ranker", "classifier_attention"])
+def test_fused_encoder_training_matches_per_head_chain(name, monkeypatch):
+    # the ranker trains with dropout 0.2, both with three attention heads
+    _, run = TRAINERS[name]
+    got = run()
+    monkeypatch.setattr(SequenceEncoder, "forward", reference_encoder_forward)
+    want = run()
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]

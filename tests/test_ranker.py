@@ -231,7 +231,7 @@ def test_batch_triplet_loss_matches_per_negative_form():
         got = grads_of(batched)
         f_q, f_p, *f_n = (enc.forward(s) for s in seqs)
         terms = [
-            ad.relu(ad.add(ad.sub(ad.euclid(f_q, f_p), ad.euclid(f_q, n)), ad.constant([[alpha]])))
+            ad.relu(ad.add(ad.sub(ad.rownorm(ad.sub(f_q, f_p)), ad.rownorm(ad.sub(f_q, n))), ad.constant([[alpha]])))
             for n in f_n
         ]
         total = terms[0]
