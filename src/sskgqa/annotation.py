@@ -178,11 +178,11 @@ def sparql_chain(text: str) -> Chain | None:
         return None
 
 
-def label_metaqa(q: LabeledQuestion) -> str:
-    """Hop-count labeling: 1 -> SS1, 2 -> SS2, 3 -> SS3."""
-    if q.hops not in (1, 2, 3):
-        raise LabelingError(f"question {q.id}: hop count must be 1, 2 or 3")
-    return f"SS{q.hops}"
+def label_metaqa(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
+    """Hop-count labeling: the label of the plain chain of q.hops hops, or
+    UNSUPPORTED when no taxonomy structure has that shape."""
+    label = taxonomy.find_match((q.hops, ()))
+    return label if label is not None else UNSUPPORTED
 
 
 def label_wsp(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
@@ -191,17 +191,14 @@ def label_wsp(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
     if q.sparql is None:
         raise LabelingError(f"question {q.id}: no sparql command")
     c = sparql_chain(q.sparql)
-    label = None if c is None else taxonomy.find_match(c)
+    label = None if c is None else taxonomy.find_match(c.shape)
     return label if label is not None else UNSUPPORTED
 
 
 def label_question(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
     """Hop-based labeling when hops are present, else SPARQL-based."""
     if q.hops is not None:
-        try:
-            return label_metaqa(q)
-        except LabelingError:
-            return UNSUPPORTED
+        return label_metaqa(q, taxonomy)
     if q.sparql is not None:
         return label_wsp(q, taxonomy)
     return UNSUPPORTED

@@ -7,18 +7,22 @@ from itertools import islice
 
 from .kg import KnowledgeGraph, step
 from .querygraph import Chain
-from .structures import SemanticStructure
+
+MAX_HOPS = 3
+# The shapes (hop count, constrained path positions) of the chains enumeration
+# emits: no constraint, or one on a path node after the topic.
+SHAPES = frozenset((h, at) for h in range(1, MAX_HOPS + 1) for at in ((), *((k,) for k in range(1, h + 1))))
 
 
 @dataclass
 class EnumConfig:
-    max_hops: int = 3
+    max_hops: int = MAX_HOPS
     attach_constraints: bool = False
     max_candidates: int = 10000
 
     def __post_init__(self) -> None:
-        if not 1 <= self.max_hops <= 3:
-            raise ValueError("max_hops must be in 1..3")
+        if not 1 <= self.max_hops <= MAX_HOPS:
+            raise ValueError(f"max_hops must be in 1..{MAX_HOPS}")
         if self.max_candidates <= 0:
             raise ValueError("max_candidates must be positive")
 
@@ -29,24 +33,19 @@ class EnumResult:
     truncated: bool
 
 
-def derived_enum(base: EnumConfig, ss: SemanticStructure | None) -> EnumConfig:
-    """Restrict enumeration to the structure's hop count and constraint need."""
-    if ss is None:
-        return base
-    return replace(base, max_hops=min(base.max_hops, ss.hop_count()), attach_constraints=ss.has_constraints())
+def derived_enum(base: EnumConfig, shape: tuple[int, tuple[int, ...]]) -> EnumConfig:
+    """Restrict enumeration to the shape's hop count and constraint need."""
+    return replace(base, max_hops=min(base.max_hops, shape[0]), attach_constraints=bool(shape[1]))
 
 
-def _shapes(max_hops: int, attach: bool, ss: SemanticStructure | None) -> set:
-    """Shapes (hop count, constrained path positions) of the chains to emit:
-    no constraint, or one on a path node after the topic."""
-    shapes = {(h, at) for h in range(1, max_hops + 1) for at in ((), *((k,) for k in range(1, h + 1)))}
-    if ss is not None:
-        return shapes & {ss.canonical()}
-    return {s for s in shapes if not s[1] or attach}
+def _shapes(max_hops: int, attach: bool, shape: tuple | None) -> set:
+    """The members of SHAPES to emit: those within max_hops that equal
+    `shape` when it is given, else the constrained ones only with attach."""
+    return {s for s in SHAPES if s[0] <= max_hops and (s == shape if shape is not None else not s[1] or attach)}
 
 
 def enumerate_candidates(
-    kg: KnowledgeGraph, topic: str, cfg: EnumConfig, ss: SemanticStructure | None = None
+    kg: KnowledgeGraph, topic: str, cfg: EnumConfig, shape: tuple[int, tuple[int, ...]] | None = None
 ) -> EnumResult:
     """All satisfiable chain candidates from `topic` within cfg.max_hops, each
     optionally extended by one satisfiable constraint edge.
@@ -57,13 +56,13 @@ def enumerate_candidates(
     Candidates are distinct by construction: each is a distinct (hops,
     constraint) walk, so no two are equal chains.
 
-    With `ss`, only the candidates whose structure is ss are built, whatever
-    cfg.attach_constraints says: the chains `filter_candidates(..., ss)` keeps
-    from the enumeration under `derived_enum(cfg, ss)`, in the same order,
-    except that max_candidates counts only them.
+    With `shape`, a (hop count, constrained positions) pair, only the
+    candidates of that shape are built, whatever cfg.attach_constraints says:
+    the chains of that shape in the enumeration under `derived_enum(cfg,
+    shape)`, in the same order, except that max_candidates counts only them.
     """
     topic_id = kg.entities.id_of(topic)
-    shapes = _shapes(cfg.max_hops, cfg.attach_constraints, ss)
+    shapes = _shapes(cfg.max_hops, cfg.attach_constraints, shape)
     depth = max((h for h, _ in shapes), default=0)
     walk = _chains(kg, topic, shapes, depth, (), ({topic_id},)) if depth else iter(())
     found = list(islice(walk, cfg.max_candidates + 1))

@@ -10,7 +10,7 @@ from .classifier import ClassifierModel
 from .kg import KnowledgeGraph
 from .querygraph import CLS, SEP, Chain, canonicalize, execute, split_symbol
 from .ranker import rank_candidates
-from .structures import SemanticStructure, Taxonomy
+from .structures import Taxonomy
 
 MODES = ("predicted", "oracle", "off")
 
@@ -50,7 +50,7 @@ class PipelineConfig:
 class AnswerResult:
     answers: set[str]
     predicted_structure: str | None
-    status: str  # "ok" | "unsupported" | "unknown_topic"
+    status: str  # "ok" | "unsupported" | "unknown_topic" | "no_candidates"
 
 
 @dataclass
@@ -86,19 +86,22 @@ def answer_question(
     gold_label = label_question(q, cfg.taxonomy)
 
     predicted = None
-    structure: SemanticStructure | None = None
+    shape = None
     if cfg.mode == "predicted":
         predicted = cfg.classifier.predict(tokens, topic_id)
-        structure = cfg.taxonomy.get(predicted)
+        shape = cfg.taxonomy.get(predicted).shape
     elif cfg.mode == "oracle":
         if gold_label == UNSUPPORTED:
             result = AnswerResult(set(), None, "unsupported")
             return result, _record(q, result, gold_label, None)
-        structure = cfg.taxonomy.get(gold_label)
+        shape = cfg.taxonomy.get(gold_label).shape
 
-    cands = enumerate_candidates(kg, q.topic_entity, cfg.enum, structure).graphs
-    if not cands:  # no chain has the structure: rank every chain up to its hop count
-        cands = enumerate_candidates(kg, q.topic_entity, derived_enum(cfg.enum, structure)).graphs
+    cands = enumerate_candidates(kg, q.topic_entity, cfg.enum, shape).graphs
+    if not cands and shape is not None:  # no chain has the shape: rank every chain up to its hop count
+        cands = enumerate_candidates(kg, q.topic_entity, derived_enum(cfg.enum, shape)).graphs
+    if not cands:  # the topic starts no chain
+        result = AnswerResult(set(), predicted, "no_candidates")
+        return result, _record(q, result, gold_label, None)
 
     ranked = rank_candidates(cfg.ranker, tokens, cands)
     best = ranked[0]
@@ -128,7 +131,8 @@ def _record(q, result, gold_label, top1_key) -> QuestionRecord:
 def evaluate(cfg: PipelineConfig, dataset: list[LabeledQuestion]) -> EvalReport:
     """Hits@1 over the dataset; a question is correct iff its executed answer
     set intersects the gold answers. A question whose topic entity is not in
-    the KG is recorded with status "unknown_topic" and counts as wrong."""
+    the KG is recorded with status "unknown_topic", one whose topic starts no
+    chain with "no_candidates"; both count as wrong."""
     if not dataset:
         raise PipelineError("dataset must be non-empty")
     records = []

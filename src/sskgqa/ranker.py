@@ -14,7 +14,7 @@ from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, wri
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 from .querygraph import Chain, canonicalize, serialize_tokens
-from .structures import Taxonomy, abstract
+from .structures import Taxonomy
 
 MAGIC = "ssk-rank v1"
 # Most sequences score_all encodes in one forward; bounds its attention arrays.
@@ -139,7 +139,7 @@ def build_training_triplets(
         if gold.topic not in kg.entities:
             continue
         gold_key = canonicalize(gold)
-        cands = enumerate_candidates(kg, gold.topic, base, abstract(gold)).graphs
+        cands = enumerate_candidates(kg, gold.topic, base, gold.shape).graphs
         negs = [c for c in cands if canonicalize(c) != gold_key]
         if not negs:
             continue

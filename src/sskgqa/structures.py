@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .candidates import SHAPES
 from .querygraph import Chain, QueryGraphError, chain_of
 
 E_TOPIC = "E"  # topic entity
@@ -56,12 +57,6 @@ class SemanticStructure:
             raise StructureError(f"{self.label}: a node is off the path or is not a single-edge constraint leaf")
         object.__setattr__(self, "shape", c.shape)
 
-    def hop_count(self) -> int:
-        return self.shape[0]
-
-    def has_constraints(self) -> bool:
-        return bool(self.shape[1])
-
     def canonical(self) -> tuple[int, tuple[int, ...]]:
         """The structure's identity: equal iff the structures are isomorphic."""
         return self.shape
@@ -82,6 +77,8 @@ class Taxonomy:
         self._by_label = {s.label: s for s in self.structures}
         self._by_shape = {}
         for s in self.structures:
+            if s.shape not in SHAPES:
+                raise StructureError(f"{s.label}: candidate enumeration emits no chain of shape {s.shape}")
             first = self._by_shape.setdefault(s.shape, s.label)
             if first != s.label:
                 raise StructureError(f"{s.label}: same shape as {first}")
@@ -101,9 +98,9 @@ class Taxonomy:
         except KeyError:
             raise StructureError(f"unknown structure label: {label}") from None
 
-    def find_match(self, c: Chain) -> str | None:
-        """Label of the structure with c's shape, or None."""
-        return self._by_shape.get(c.shape)
+    def find_match(self, shape: tuple[int, tuple[int, ...]]) -> str | None:
+        """Label of the structure with this shape, or None."""
+        return self._by_shape.get(shape)
 
 
 def chain_structure(hops: int, at: tuple[int, ...] = (), label: str = "chain") -> SemanticStructure:
@@ -140,7 +137,8 @@ def load_taxonomy(path: str) -> Taxonomy:
 
     labels are strings without line breaks; kinds use E (topic), Ec
     (constraint entity), v, a; edges are [from, to] index pairs. Each
-    structure must be a chain, and no two may share a shape.
+    structure must be a chain of a shape in `candidates.SHAPES`, and no two
+    may share a shape.
     """
     with open(path, encoding="utf-8") as f:
         entries = json.load(f)

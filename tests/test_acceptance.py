@@ -272,7 +272,7 @@ def test_criterion_6_annotation():
         assert canonicalize(g2) == canonicalize(g)
     for hops, label in ((1, "SS1"), (2, "SS2"), (3, "SS3")):
         q = LabeledQuestion("q", "?", "a", [], hops=hops)
-        assert label_metaqa(q) == label
+        assert label_metaqa(q, TAX) == label
     for bad in (
         "SELECT ?x WHERE { :a :r ?x . FILTER ( ?n <= 2000 ) }",
         "SELECT ?x WHERE { :a :r ?x . FILTER ( ?a = 1 || ?b = 2 ) }",

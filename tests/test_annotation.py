@@ -23,7 +23,15 @@ from sskgqa.annotation import (
 )
 from sskgqa.pipeline import gold_graph_of
 from sskgqa.querygraph import build_chain, canonicalize, to_sparql
-from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, SemanticStructure, Taxonomy, builtin_taxonomy
+from sskgqa.structures import (
+    ANSWER,
+    E_CONST,
+    E_TOPIC,
+    SemanticStructure,
+    StructureError,
+    Taxonomy,
+    builtin_taxonomy,
+)
 
 
 def q(**kw):
@@ -104,10 +112,10 @@ def test_extract_topic_is_farthest_grounded():
 
 
 def test_label_metaqa():
-    assert label_metaqa(q(hops=1)) == "SS1"
-    assert label_metaqa(q(hops=3)) == "SS3"
-    with pytest.raises(LabelingError):
-        label_metaqa(q(hops=4))
+    tax = builtin_taxonomy()
+    assert label_metaqa(q(hops=1), tax) == "SS1"
+    assert label_metaqa(q(hops=3), tax) == "SS3"
+    assert label_metaqa(q(hops=4), tax) == UNSUPPORTED
 
 
 def test_label_wsp():
@@ -122,11 +130,14 @@ def test_label_wsp_constraint_on_topic():
     # the constraint value :a lies farther from ?x than the topic :b, but
     # reaches it only through :b, so :b stays the topic
     tc = SemanticStructure("TC", (E_TOPIC, ANSWER, E_CONST), ((0, 1), (0, 2)))
-    tax = Taxonomy(list(builtin_taxonomy()) + [tc])
     sparql = "SELECT ?x WHERE { :b :r ?x . :b :r :a . }"
     g = extract_query_graph(parse_sparql(sparql))
     assert g.topic == "b"
-    assert label_wsp(q(sparql=sparql), tax) == "TC"
+    assert g.shape == tc.shape == (1, (0,))
+    # enumeration never emits a constraint on the topic, so no taxonomy may
+    # hold that shape, and the question is Unsupported
+    with pytest.raises(StructureError, match=r"TC: .* \(1, \(0,\)\)"):
+        Taxonomy(list(builtin_taxonomy()) + [tc])
     assert label_wsp(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from reference import reference_enumerate
 
-from sskgqa.candidates import EnumConfig, derived_enum, enumerate_candidates
+from sskgqa.candidates import SHAPES, EnumConfig, derived_enum, enumerate_candidates
 from sskgqa.kg import build_kg
 from sskgqa.querygraph import execute
 from sskgqa.structures import (
@@ -118,7 +118,7 @@ def test_constraint_abstracts_to_constrained_structure():
     res = enumerate_candidates(
         kg, "d1", EnumConfig(max_hops=1, attach_constraints=True)
     )
-    labels = {builtin_taxonomy().find_match(g) for g in res.graphs}
+    labels = {builtin_taxonomy().find_match(g.shape) for g in res.graphs}
     assert "SS4" in labels
 
 
@@ -157,13 +157,13 @@ def test_structure_enumeration_equals_filtered_enumeration(triples, pick, attach
     for ss in list(builtin_taxonomy()) + [TWO_CONSTRAINTS]:
         for max_hops in (1, 2, 3):
             cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach)
-            want = filter_candidates(enumerate_candidates(kg, topic, derived_enum(cfg, ss)).graphs, ss)
-            got = enumerate_candidates(kg, topic, cfg, ss)
+            want = filter_candidates(enumerate_candidates(kg, topic, derived_enum(cfg, ss.shape)).graphs, ss)
+            got = enumerate_candidates(kg, topic, cfg, ss.shape)
             assert got.graphs == want and not got.truncated
             if ss is TWO_CONSTRAINTS:
                 assert want == []
             # with a structure, max_candidates counts only that structure's chains
-            capped = enumerate_candidates(kg, topic, replace(cfg, max_candidates=cap), ss)
+            capped = enumerate_candidates(kg, topic, replace(cfg, max_candidates=cap), ss.shape)
             assert capped.graphs == want[:cap]
             assert capped.truncated == (len(want) > cap)
 
@@ -191,5 +191,30 @@ def test_enumeration_equals_reference_enumerator(extra, pick, ss, cap):
         for attach in (False, True):
             for max_candidates in (cap, 10000):
                 cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach, max_candidates=max_candidates)
-                got = enumerate_candidates(kg, pick, cfg, ss)
+                got = enumerate_candidates(kg, pick, cfg, None if ss is None else ss.shape)
                 assert (got.graphs, got.truncated) == reference_enumerate(kg, pick, cfg, ss)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extra=st.lists(
+        st.tuples(st.sampled_from(NAMES), st.sampled_from(["r", "s", "t"]), st.sampled_from(NAMES)),
+        max_size=10,
+    ),
+    pick=st.sampled_from(NAMES),
+)
+def test_reference_emits_only_shapes(extra, pick):
+    # every chain the recursive walk builds has a shape in SHAPES, so a
+    # taxonomy that refuses the other shapes refuses none an answer can reach
+    kg = build_kg(LOOPS + extra)
+    graphs, truncated = reference_enumerate(kg, pick, EnumConfig(max_hops=3, attach_constraints=True))
+    assert not truncated
+    assert {g.shape for g in graphs} <= SHAPES
+
+
+def test_every_shape_is_emitted():
+    cfg = EnumConfig(max_hops=3, attach_constraints=True)
+    graphs, truncated = reference_enumerate(build_kg(LOOPS), "a", cfg)
+    assert not truncated
+    assert {g.shape for g in graphs} == SHAPES
+    assert {g.shape for g in enumerate_candidates(build_kg(LOOPS), "a", cfg).graphs} == SHAPES

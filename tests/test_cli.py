@@ -194,6 +194,54 @@ def test_evaluate_records_unknown_topic(toy, trained, tmp_path):
     assert recs[-1]["unknown_topic"] == 1
 
 
+def test_evaluate_records_no_candidates(toy, trained, tmp_path):
+    # an entity of a KG dump that is in no triple starts no chain
+    dump = tmp_path / "kg.json"
+    run_cli("ingest", "--kg", str(toy / "kg.tsv"), "--out", str(dump))
+    kg = json.loads(dump.read_text())
+    dump.write_text(json.dumps(dict(kg, entities=kg["entities"] + ["lonely"])))
+    data = tmp_path / "questions.jsonl"
+    lonely = {"id": "lonely", "question": "what is lonely", "topic_entity": "lonely",
+              "answers": ["x"], "hops": 1}
+    data.write_text((toy / "questions.jsonl").read_text() + json.dumps(lonely) + "\n")
+    for mode in ("oracle", "off"):
+        recs = json_lines(
+            run_cli(
+                "evaluate", "--dataset", str(data), "--kg", str(dump),
+                "--ranker", trained["rank"], "--mode", mode,
+            )
+        )
+        assert [r["status"] for r in recs[:-1]] == ["ok"] * 5 + ["no_candidates"]
+        assert recs[-1]["total"] == 6
+
+
+def test_relabelled_taxonomy_labels_by_shape(tmp_path):
+    # the built-in structures under other labels: hop labelling and oracle
+    # filtering go by shape, so only the labels change
+    from sskgqa.structures import builtin_taxonomy, save_taxonomy
+
+    toy = tmp_path / "toy"
+    run_cli("make-toy", "--out", str(toy), "--benchmark", "three-hop", "--questions", "12")
+    data, kg = str(toy / "questions.jsonl"), str(toy / "kg.tsv")
+    tax = tmp_path / "tax.json"
+    save_taxonomy(builtin_taxonomy(), str(tax))
+    tax.write_text(tax.read_text().replace('"SS', '"H'))
+    rank = str(tmp_path / "rank.ckpt")
+    run_cli("train-ranker", "--kg", kg, "--dataset", data, "--out", rank, "--epochs", "2")
+    out = {}
+    for name, extra in (("builtin", []), ("relabelled", ["--taxonomy", str(tax)])):
+        labels = json_lines(run_cli("annotate", "--dataset", data, *extra))
+        recs = json_lines(
+            run_cli("evaluate", "--dataset", data, "--kg", kg, "--ranker", rank, "--mode", "oracle", *extra)
+        )
+        out[name] = ([r.get("label") for r in labels], recs)
+    builtin, relabelled = out["builtin"], out["relabelled"]
+    assert builtin[0] == ["SS3"] * 12 + [None] and relabelled[0] == ["H3"] * 12 + [None]
+    assert [r["top1"] for r in builtin[1][:-1]] == [r["top1"] for r in relabelled[1][:-1]]
+    assert {r["gold_structure"] for r in relabelled[1][:-1]} == {"H3"}
+    assert builtin[1][-1]["hits_at_1"] == relabelled[1][-1]["hits_at_1"] == 100.0
+
+
 def _cut(data: bytes, case: str) -> bytes:
     """A checkpoint damaged in one header part or in its payload."""
 
@@ -249,17 +297,23 @@ FOUR_HOPS = {"kinds": ["E", "v", "v", "v", "a"], "edges": [[0, 1], [1, 2], [2, 3
         ({"label": 5, **FOUR_HOPS}, "error: {tax}: entry 6 (5): "),
         ({"label": "X\nY", **FOUR_HOPS}, "error: {tax}: entry 6 ('X\\nY'): "),
         ({"label": "Unsupported", **FOUR_HOPS}, "error: Unsupported: reserved"),
+        ({"label": "TC", "kinds": ["E", "a", "Ec"], "edges": [[0, 1], [0, 2]]},
+         "error: TC: candidate enumeration emits no chain of shape (1, (0,))"),
+        ({"label": "C2", "kinds": ["E", "a", "Ec", "Ec"], "edges": [[0, 1], [1, 2], [1, 3]]},
+         "error: C2: candidate enumeration emits no chain of shape (1, (1, 1))"),
+        ({"label": "H4", **FOUR_HOPS}, "error: H4: candidate enumeration emits no chain of shape (4, ())"),
     ],
     ids=["through_constraint", "branch", "duplicate_shape", "int_label", "newline_label",
-         "unsupported_label"],
+         "unsupported_label", "topic_constraint", "second_constraint", "four_hops"],
 )
 def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path, entry, error):
     # the built-in structures plus one that is not a chain (its answer meets
     # the topic only through a constraint node, or its path branches), that
     # has the shape of SS1, whose label is not a string or holds a line
-    # break (a checkpoint stores one label per line), or whose label is the
-    # one a question no structure matches gets; no toy question has these
-    # structures
+    # break (a checkpoint stores one label per line), whose label is the
+    # one a question no structure matches gets, or whose shape candidate
+    # enumeration never emits (a constraint on the topic, a second
+    # constraint, four hops); no toy question has these structures
     from sskgqa.structures import builtin_taxonomy, save_taxonomy
 
     tax = tmp_path / "tax.json"
@@ -267,6 +321,7 @@ def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path, entry, error):
     tax.write_text(json.dumps(json.loads(tax.read_text()) + [entry]))
     out = tmp_path / "clf.ckpt"
     for args in (
+        ["annotate", "--dataset", str(toy / "questions.jsonl")],
         ["evaluate", "--dataset", str(toy / "questions.jsonl"), "--kg", str(toy / "kg.tsv"),
          "--ranker", trained["rank"], "--mode", "oracle"],
         ["train-classifier", "--dataset", str(toy / "questions.jsonl"), "--kg", str(toy / "kg.tsv"),

@@ -1,6 +1,10 @@
+import json
+import re
+
 import pytest
 
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_wsp
+from sskgqa.candidates import SHAPES
 from sskgqa.querygraph import QueryGraphError, build_chain, chain_of
 from sskgqa.structures import (
     ANSWER,
@@ -12,6 +16,7 @@ from sskgqa.structures import (
     Taxonomy,
     abstract,
     builtin_taxonomy,
+    chain_structure,
     filter_candidates,
     load_taxonomy,
     matches,
@@ -22,14 +27,9 @@ from sskgqa.structures import (
 def test_builtin_taxonomy_shape():
     tax = builtin_taxonomy()
     assert tax.labels() == ["SS1", "SS2", "SS3", "SS4", "SS5", "SS6"]
-    assert tax.get("SS1").hop_count() == 1
-    assert tax.get("SS2").hop_count() == 2
-    assert tax.get("SS3").hop_count() == 3
-    assert tax.get("SS4").hop_count() == 1
-    assert tax.get("SS5").hop_count() == 2
-    assert tax.get("SS6").hop_count() == 2
-    assert not tax.get("SS3").has_constraints()
-    assert tax.get("SS4").has_constraints()
+    assert [tax.get(label).shape for label in tax.labels()] == [
+        (1, ()), (2, ()), (3, ()), (1, (1,)), (2, (2,)), (2, (1,))
+    ]
     shapes = {
         "SS1": ((E_TOPIC, ANSWER), ((0, 1),)),
         "SS2": ((E_TOPIC, VAR, ANSWER), ((0, 1), (1, 2))),
@@ -99,7 +99,7 @@ def test_abstract_erases_reversal_and_storage():
     # a 2-hop chain with both edges pointing at the topic matches the 2-hop
     # chain structure
     g = chain_of([("y", "r", "a"), ("x", "s", "y")], "a", "x", {"a": "a"})
-    assert builtin_taxonomy().find_match(g) == "SS2"
+    assert builtin_taxonomy().find_match(g.shape) == "SS2"
 
 
 def test_abstract_rejects_non_chain():
@@ -118,6 +118,24 @@ def test_taxonomy_rejects_duplicate_shapes():
         Taxonomy(list(builtin_taxonomy()) + [twin])
 
 
+@pytest.mark.parametrize("shape", [(1, (0,)), (2, (0,)), (1, (1, 1)), (2, (1, 2)), (4, ()), (4, (2,))])
+def test_taxonomy_refuses_shapes_enumeration_never_emits(tmp_path, shape):
+    # a constraint on the topic, two constraints, or more than three hops
+    ss = chain_structure(*shape, label="X")
+    assert ss.shape == shape  # any chain is a structure
+    with pytest.raises(StructureError, match=re.escape(f"X: candidate enumeration emits no chain of shape {shape}")):
+        Taxonomy(list(builtin_taxonomy()) + [ss])
+    path = tmp_path / "tax.json"
+    path.write_text(json.dumps([{"label": "X", "kinds": list(ss.kinds), "edges": [list(e) for e in ss.edges]}]))
+    with pytest.raises(StructureError, match="X: candidate enumeration"):
+        load_taxonomy(str(path))
+
+
+def test_taxonomy_accepts_every_emitted_shape():
+    tax = Taxonomy([chain_structure(*s, label=str(s)) for s in sorted(SHAPES)])
+    assert {tax.find_match(s) for s in SHAPES} == {str(s) for s in SHAPES}
+
+
 def test_filter_candidates():
     tax = builtin_taxonomy()
     cands = [
@@ -127,7 +145,7 @@ def test_filter_candidates():
     ]
     kept = filter_candidates(cands, tax.get("SS1"))
     assert len(kept) == 2
-    assert all(tax.find_match(g) == "SS1" for g in kept)
+    assert all(tax.find_match(g.shape) == "SS1" for g in kept)
 
 
 def test_taxonomy_round_trip(tmp_path):
