@@ -36,7 +36,8 @@ class ClassifierTrainConfig:
     use_attention: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.lr, self.batch_size, self.epochs, self.clip_norm) <= 0:
+        # `not x > 0` also refuses nan
+        if not all(v > 0 for v in (self.lr, self.batch_size, self.epochs, self.clip_norm)):
             raise ValueError("config values must be positive")
 
 
@@ -80,14 +81,14 @@ class ClassifierModel:
 
     def _logits(
         self,
-        token_lists: list[list[str]],
+        id_lists: list[list[int]],
         topics: list[int],
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> ad.Node:
-        """(n, k) class logits of n (tokens, topic id) examples, from one
+        """(n, k) class logits of n (token ids, topic id) examples, from one
         padded encoder forward."""
-        eq = self.encoder.forward(*token_lists, training=training, rng=rng)
+        eq = self.encoder.forward(*id_lists, training=training, rng=rng)
         eh = ad.constant(self.table.lookup_entities(topics))
         s = _fuse_node(eh, eq)
         return ad.add(ad.matmul(s, self.w), self.b)
@@ -95,7 +96,8 @@ class ClassifierModel:
     def classify(self, tokens: list[str], topic: int) -> np.ndarray:
         """Probability vector over the taxonomy classes (under no_grad)."""
         with ad.no_grad():
-            return ad.softmax(self._logits([tokens], [topic])).value[0].copy()
+            logits = self._logits([self.encoder.vocab.encode(tokens)], [topic])
+            return ad.softmax(logits).value[0].copy()
 
     def predict(self, tokens: list[str], topic: int) -> str:
         return self.labels[int(np.argmax(self.classify(tokens, topic)))]
@@ -106,10 +108,11 @@ class ClassifierModel:
         if not dataset:
             raise ClassifierError("accuracy of an empty dataset")
         hits = 0
+        encode = self.encoder.vocab.encode
         for i in range(0, len(dataset), ENCODE_CHUNK):
             toks, topics, labels = zip(*dataset[i : i + ENCODE_CHUNK])
             with ad.no_grad():
-                best = np.argmax(self._logits(toks, topics).value, axis=1)
+                best = np.argmax(self._logits([encode(t) for t in toks], topics).value, axis=1)
             hits += sum(self.labels[j] == label for j, label in zip(best, labels))
         return hits / len(dataset)
 
@@ -155,6 +158,7 @@ def train_classifier(
         dropout=cfg.dropout,
     )
     model = ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
+    ids = [vocab.encode(toks) for toks, _, _ in dataset]
     buffer = ParameterBuffer(model.parameters())
     opt = AdamW(lr=cfg.lr)
     order = np.arange(len(dataset))
@@ -163,7 +167,7 @@ def train_classifier(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             logits = model._logits(
-                [dataset[i][0] for i in batch],
+                [ids[i] for i in batch],
                 [dataset[i][1] for i in batch],
                 training=True,
                 rng=rng,

@@ -102,14 +102,14 @@ def _classifier_dataset(kg, questions, tax):
 
 
 def cmd_train_classifier(args) -> int:
+    cfg = clf.ClassifierTrainConfig(
+        lr=args.lr, epochs=args.epochs, seed=_seed(args), d_model=args.d_model
+    )
     kg = _load_kg(args.kg)
     tax = _taxonomy(args)
     table = emb.load_table(args.embeddings)
     questions = ann.load_dataset(args.dataset)
     dataset = _classifier_dataset(kg, questions, tax)
-    cfg = clf.ClassifierTrainConfig(
-        lr=args.lr, epochs=args.epochs, seed=_seed(args), d_model=args.d_model
-    )
     model = clf.train_classifier(dataset, table, tax, cfg)
     clf.save_classifier(model, args.out)
     _emit({"trained_on": len(dataset), "train_accuracy": model.accuracy(dataset), "out": args.out})
@@ -140,22 +140,27 @@ def _rank_cfg(args, **overrides) -> rk.RankTrainConfig:
 
 
 def cmd_train_ranker(args) -> int:
+    cfg = _rank_cfg(args)
     kg = _load_kg(args.kg)
     tax = _taxonomy(args)
     questions = ann.load_dataset(args.dataset)
     dataset = _ranker_dataset(questions)
-    model = rk.train_ranker(dataset, kg, tax, _rank_cfg(args))
+    model = rk.train_ranker(dataset, kg, tax, cfg)
     rk.save_ranker(model, args.out)
     _emit({"trained_on": model.trained_on, "out": args.out})
     return 0
 
 
-def _pipeline_config(args, kg, tax) -> pl.PipelineConfig:
+def _pipeline_config(args) -> pl.PipelineConfig:
+    """The pipeline of an `answer` or `evaluate` call; a missing option is
+    refused before any file is read."""
+    if args.mode == "predicted" and not (args.classifier and args.embeddings):
+        raise pl.PipelineError("predicted mode needs --classifier and --embeddings")
+    kg = _load_kg(args.kg)
+    tax = _taxonomy(args)
     ranker = rk.load_ranker(args.ranker)
     classifier = None
     if args.mode == "predicted":
-        if not (args.classifier and args.embeddings):
-            raise SystemExit("predicted mode needs --classifier and --embeddings")
         table = emb.load_table(args.embeddings)
         classifier = clf.load_classifier(args.classifier, table, tax)
     return pl.PipelineConfig(
@@ -169,9 +174,7 @@ def _pipeline_config(args, kg, tax) -> pl.PipelineConfig:
 
 
 def cmd_answer(args) -> int:
-    kg = _load_kg(args.kg)
-    tax = _taxonomy(args)
-    cfg = _pipeline_config(args, kg, tax)
+    cfg = _pipeline_config(args)
     q = ann.LabeledQuestion(
         id="cli", question=args.question, topic_entity=args.topic, answers=[]
     )
@@ -190,9 +193,7 @@ def cmd_answer(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    kg = _load_kg(args.kg)
-    tax = _taxonomy(args)
-    cfg = _pipeline_config(args, kg, tax)
+    cfg = _pipeline_config(args)
     questions = ann.load_dataset(args.dataset)
     report = pl.evaluate(cfg, questions)
     for rec in report.records:

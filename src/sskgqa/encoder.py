@@ -89,11 +89,12 @@ class SequenceEncoder:
 
     def forward(
         self,
-        *sequences: list[str],
+        *sequences: list[int],
         training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> ad.Node:
-        """f(.) of each token sequence, as the rows of one (n, out_dim) node.
+        """f(.) of each token id sequence (`Vocab.encode` of its tokens), as
+        the rows of one (n, out_dim) node.
 
         The n sequences are padded to the longest length L and run as one
         (n*L, d_model) token matrix. Attention stays inside each sequence's
@@ -112,7 +113,7 @@ class SequenceEncoder:
         width = int(lens.max())
         real = np.arange(width) < lens[:, None]  # (n, L)
         ids = np.zeros((n, width), dtype=np.int64)
-        ids[real] = [i for s in sequences for i in self.vocab.encode(s)]
+        ids[real] = [i for s in sequences for i in s]
         x = ad.rows(self.params["tok_emb"], ids.ravel())
         if cfg.use_attention:
             p = self.params
@@ -125,8 +126,8 @@ class SequenceEncoder:
         pooled = ad.dropout(pooled, cfg.dropout, rng, training)
         return ad.matmul(pooled, self.params["proj"])
 
-    def encode(self, *sequences: list[str]) -> np.ndarray:
-        """Inference-mode (n, out_dim) vectors, one row per sequence: dropout
+    def encode(self, *sequences: list[int]) -> np.ndarray:
+        """Inference-mode (n, out_dim) vectors, one row per id sequence: dropout
         off, and the forward runs under no_grad, so it records no graph."""
         with ad.no_grad():
             return self.forward(*sequences).value

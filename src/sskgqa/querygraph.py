@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .kg import KnowledgeGraph, step
@@ -147,22 +148,27 @@ def canonicalize(c: Chain) -> str:
     return json.dumps([c.topic, c.hops, values])
 
 
-def _hop_tokens(relation: str, back: bool) -> list[str]:
-    """Relation fragments, plus 'reverse' when the traversal goes against the KG edge."""
-    return split_symbol(relation) + (["reverse"] if back else [])
-
-
-def serialize_tokens(c: Chain) -> list[str]:
+def serialize_tokens(c: Chain, split: Callable[[str], Sequence[str]] = split_symbol) -> list[str]:
     """Linear walk topic -> hops -> constraints, split into fragments and
     wrapped in [CLS]/[SEP]. Traversal against KG direction adds 'reverse'.
     A path node is named by its place: the topic "c", the i-th intermediate
-    CHAIN_VAR_NAMES[i - 1] and the lambda "x"."""
+    CHAIN_VAR_NAMES[i - 1] and the lambda "x". `split` maps a topic,
+    relation or value symbol to its fragments (a list or a tuple) and must
+    give split_symbol's; a caller that serializes many chains of one topic
+    may pass one that splits each symbol once."""
     names = ["c", *_path_names(len(c.hops))]
-    tokens = [CLS, *split_symbol(c.topic)]
+    tokens = [CLS, *split(c.topic)]
     for (rel, back), name in zip(c.hops, names[1:]):
-        tokens += _hop_tokens(rel, back) + [name]
+        tokens += split(rel)
+        if back:
+            tokens.append("reverse")
+        tokens.append(name)
     for at, rel, back, value in c.constraints:
-        tokens += [names[at], *_hop_tokens(rel, back), *split_symbol(value)]
+        tokens.append(names[at])
+        tokens += split(rel)
+        if back:
+            tokens.append("reverse")
+        tokens += split(value)
     tokens.append(SEP)
     return tokens
 

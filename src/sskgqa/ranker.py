@@ -9,11 +9,11 @@ from itertools import groupby
 import numpy as np
 
 from . import autodiff as ad
-from .candidates import EnumConfig, enumerate_candidates
+from .candidates import MAX_HOPS, EnumConfig, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
-from .querygraph import Chain, canonicalize, serialize_tokens
+from .querygraph import Chain, canonicalize, serialize_tokens, split_symbol
 from .structures import Taxonomy
 
 MAGIC = "ssk-rank v1"
@@ -42,8 +42,15 @@ class RankTrainConfig:
     use_attention: bool = True
 
     def __post_init__(self) -> None:
-        if self.margin <= 0 or self.negatives < 1:
-            raise ValueError("margin must be positive and negatives >= 1")
+        # `not x > 0` also refuses nan
+        for name in ("margin", "lr", "clip_norm"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("negatives", "epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 1 <= self.max_hops <= MAX_HOPS:
+            raise ValueError(f"max_hops must be in 1..{MAX_HOPS}, got {self.max_hops}")
 
 
 def triplet_loss(f_q: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, alpha: float = 1.0) -> float:
@@ -78,8 +85,21 @@ class RankerModel:
     def score_all(self, question_tokens: list[str], cands: list[Chain]) -> list[float]:
         """Scores for one evaluation pass: the question and every candidate
         are encoded once, in batched forwards of at most ENCODE_CHUNK
-        sequences, so peak memory does not grow with the candidate count."""
-        seqs = [question_tokens] + [serialize_tokens(c) for c in cands]
+        sequences, so peak memory does not grow with the candidate count.
+
+        The candidates share a topic and a few relation and value symbols, so
+        each distinct symbol is split once per call; nothing is kept across
+        calls."""
+        splits: dict[str, tuple[str, ...]] = {}
+
+        def split(symbol: str) -> tuple[str, ...]:
+            parts = splits.get(symbol)
+            if parts is None:
+                parts = splits[symbol] = tuple(split_symbol(symbol))
+            return parts
+
+        encode = self.encoder.vocab.encode
+        seqs = [encode(question_tokens)] + [encode(serialize_tokens(c, split=split)) for c in cands]
         vecs = np.concatenate(
             [
                 self.encoder.encode(*seqs[i : i + ENCODE_CHUNK])
@@ -175,14 +195,16 @@ def train_ranker(
         dropout=cfg.dropout,
     )
     model = RankerModel(SequenceEncoder(vocab, enc_cfg, rng), trained_on=len(triplets))
+    encode = vocab.encode
+    id_triplets = [(encode(q), encode(p), [encode(n) for n in negs]) for q, p, negs in triplets]
     buffer = ParameterBuffer(model.encoder.parameters())
     opt = AdamW(lr=cfg.lr)
     order = np.arange(len(triplets))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
         for i in order:
-            q_toks, pos_toks, neg_toks = triplets[i]
-            f = model.encoder.forward(q_toks, pos_toks, *neg_toks, training=True, rng=rng)
+            q_ids, pos_ids, neg_ids = id_triplets[i]
+            f = model.encoder.forward(q_ids, pos_ids, *neg_ids, training=True, rng=rng)
             train_step(opt, buffer, batch_triplet_loss(f, cfg.margin), cfg.clip_norm)
     return model
 

@@ -15,7 +15,11 @@ and the per-parameter optimizer step the packed-buffer tests swap in:
 `optim.train_step`; and the encoder block as a chain of nodes per head:
 `reference_block_attention` and `reference_feed_forward` for the fused
 `ad.block_attention` and `ad.feed_forward`, and `reference_encoder_forward`
-for `SequenceEncoder.forward`.
+for `SequenceEncoder.forward`; and the token path the models ran before the
+encoder read ids: `reference_token_forward` (a forward that maps tokens
+itself), `reference_score_all` for `RankerModel.score_all`, and
+`reference_train_ranker` and `reference_train_classifier`, which map tokens
+at every step.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
@@ -26,7 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from sskgqa import autodiff as ad
+from sskgqa import classifier, ranker
 from sskgqa.annotation import Iri
+from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.optim import AdamW, ParameterBuffer, train_step
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
@@ -34,6 +41,7 @@ from sskgqa.querygraph import (
     QueryGraphError,
     build_chain,
     chain_of,
+    serialize_tokens,
     split_symbol,
 )
 
@@ -444,7 +452,7 @@ def reference_encoder_forward(self, *sequences, training: bool = False, rng=None
     width = int(lens.max())
     real = np.arange(width) < lens[:, None]
     ids = np.zeros((n, width), dtype=np.int64)
-    ids[real] = [i for s in sequences for i in self.vocab.encode(s)]
+    ids[real] = [i for s in sequences for i in s]
     x = ad.rows(p["tok_emb"], ids.ravel())
     if cfg.use_attention:
         weights = [p[f"{w}{h}"] for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
@@ -454,3 +462,79 @@ def reference_encoder_forward(self, *sequences, training: bool = False, rng=None
     pooled = ad.block_matmul(ad.constant(real / lens[:, None]), x, n)
     pooled = ad.dropout(pooled, cfg.dropout, rng, training)
     return ad.matmul(pooled, p["proj"])
+
+
+def reference_token_forward(encoder, *token_sequences, training: bool = False, rng=None):
+    """The encoder forward of token sequences, each mapped to ids inside the
+    call, as every forward did before the encoder read ids."""
+    return encoder.forward(
+        *(encoder.vocab.encode(s) for s in token_sequences), training=training, rng=rng
+    )
+
+
+def reference_score_all(model, question_tokens, cands) -> list[float]:
+    """`RankerModel.score_all` on the token path: every candidate serialized
+    with the default split, and each chunk of ENCODE_CHUNK token sequences
+    mapped to ids inside its forward."""
+    seqs = [question_tokens] + [serialize_tokens(c) for c in cands]
+    with ad.no_grad():
+        vecs = np.concatenate(
+            [
+                reference_token_forward(model.encoder, *seqs[i : i + ranker.ENCODE_CHUNK]).value
+                for i in range(0, len(seqs), ranker.ENCODE_CHUNK)
+            ]
+        )
+    return (-np.linalg.norm(vecs[1:] - vecs[0], axis=1)).tolist()
+
+
+def reference_train_ranker(dataset, kg, cfg):
+    """`train_ranker` mapping each triplet's tokens to ids at every step."""
+    rng = np.random.default_rng(cfg.seed)
+    triplets = ranker.build_training_triplets(dataset, kg, cfg, rng)
+    vocab = Vocab.from_sequences(
+        [t[0] for t in triplets] + [t[1] for t in triplets] + [n for t in triplets for n in t[2]]
+    )
+    enc_cfg = EncoderConfig(
+        out_dim=cfg.out_dim, d_model=cfg.d_model, heads=cfg.heads, ff_width=cfg.ff_width,
+        use_attention=cfg.use_attention, dropout=cfg.dropout,
+    )
+    model = ranker.RankerModel(SequenceEncoder(vocab, enc_cfg, rng), trained_on=len(triplets))
+    buffer = ParameterBuffer(model.encoder.parameters())
+    opt = AdamW(lr=cfg.lr)
+    order = np.arange(len(triplets))
+    for _epoch in range(cfg.epochs):
+        rng.shuffle(order)
+        for i in order:
+            q_toks, pos_toks, neg_toks = triplets[i]
+            f = reference_token_forward(model.encoder, q_toks, pos_toks, *neg_toks, training=True, rng=rng)
+            train_step(opt, buffer, ranker.batch_triplet_loss(f, cfg.margin), cfg.clip_norm)
+    return model
+
+
+def reference_train_classifier(dataset, table, taxonomy, cfg):
+    """`train_classifier` mapping each minibatch's tokens to ids at every step."""
+    labels = taxonomy.labels()
+    targets = [labels.index(label) for _, _, label in dataset]
+    rng = np.random.default_rng(cfg.seed)
+    vocab = Vocab.from_sequences([toks for toks, _, _ in dataset])
+    enc_cfg = EncoderConfig(
+        out_dim=table.d, d_model=cfg.d_model, heads=cfg.heads, ff_width=cfg.ff_width,
+        use_attention=cfg.use_attention, dropout=cfg.dropout,
+    )
+    model = classifier.ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
+    buffer = ParameterBuffer(model.parameters())
+    opt = AdamW(lr=cfg.lr)
+    order = np.arange(len(dataset))
+    for _epoch in range(cfg.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            logits = model._logits(
+                [vocab.encode(dataset[i][0]) for i in batch],
+                [dataset[i][1] for i in batch],
+                training=True,
+                rng=rng,
+            )
+            loss = classifier.cross_entropy(logits, [targets[i] for i in batch])
+            train_step(opt, buffer, loss, cfg.clip_norm)
+    return model

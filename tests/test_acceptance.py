@@ -132,7 +132,7 @@ def test_criterion_2_triplet_loss_and_gradient_check():
     checked = 0
     for _ in range(100):
         seq_q, seq_p, seq_n = (
-            [f"w{rng.integers(10)}" for _ in range(4)] for _ in range(3)
+            vocab.encode([f"w{rng.integers(10)}" for _ in range(4)]) for _ in range(3)
         )
         for _, p in params:
             p.zero_grad()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reference import reference_clip
+from reference import reference_clip, reference_train_classifier
 from sskgqa import autodiff as ad
 from sskgqa.classifier import (
     ClassifierError,
@@ -77,8 +77,11 @@ def test_dim_mismatch_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ClassifierTrainConfig(epochs=0)
+    nan = float("nan")
+    for name, value in [("epochs", 0), ("batch_size", 0), ("lr", 0.0), ("lr", -1.0), ("lr", nan),
+                        ("clip_norm", 0.0), ("clip_norm", nan)]:
+        with pytest.raises(ValueError, match="must be positive"):
+            ClassifierTrainConfig(**{name: value})
 
 
 def test_train_reaches_full_accuracy_and_table_frozen():
@@ -139,7 +142,7 @@ def per_example_loss(model, examples, rng=None):
     summed with one add per example."""
     terms = []
     for toks, topic, label in examples:
-        eq = model.encoder.forward(toks, training=rng is not None, rng=rng)
+        eq = model.encoder.forward(model.encoder.vocab.encode(toks), training=rng is not None, rng=rng)
         eh = ad.constant(model.table.ent[topic : topic + 1])
         s = ad.add(ad.add(eh, eq), ad.complex_mul(eh, eq))
         probs = ad.softmax(ad.add(ad.matmul(s, model.w), model.b))
@@ -179,7 +182,7 @@ def test_batched_loss_matches_per_example_form(use_attention, dropout):
         examples = [dataset[i] for i in picked]
         assert len({len(t) for t, _, _ in examples}) > 1 or len(examples) == 1
         logits = model._logits(
-            [t for t, _, _ in examples], [e for _, e, _ in examples],
+            [enc.vocab.encode(t) for t, _, _ in examples], [e for _, e, _ in examples],
             training=True, rng=np.random.default_rng(seed),
         )
         batched = cross_entropy(logits, [model.labels.index(lab) for _, _, lab in examples])
@@ -226,6 +229,17 @@ def test_train_matches_per_example_reference():
         assert np.abs(g.value - w.value).max() < 1e-10
 
 
+@pytest.mark.parametrize("use_attention", [False, True])
+def test_train_bytes_equal_per_step_mapping(use_attention):
+    dataset, table = varied_dataset()
+    cfg = ClassifierTrainConfig(
+        epochs=3, batch_size=10, dropout=0.1, lr=1e-2, d_model=12, use_attention=use_attention, seed=2
+    )
+    got = train_classifier(dataset, table, builtin_taxonomy(), cfg)
+    want = reference_train_classifier(dataset, table, builtin_taxonomy(), cfg)
+    assert [p.value.tobytes() for p in got.parameters()] == [p.value.tobytes() for p in want.parameters()]
+
+
 def test_accuracy_is_mean_of_predictions(monkeypatch):
     from sskgqa import classifier as clf_module
 
@@ -243,7 +257,7 @@ def test_batched_logits_reject_topic_out_of_range():
     dataset, table = varied_dataset()
     model = make_model(table)
     with pytest.raises(EmbeddingError):
-        model._logits([["a"], ["b"]], [0, table.ent.shape[0]])
+        model._logits([[0], [0]], [0, table.ent.shape[0]])
     with pytest.raises(EmbeddingError):
         model.accuracy([(["a"], 0, "SS1"), (["b"], -1, "SS1")])
 

@@ -478,3 +478,47 @@ def test_bad_encoder_setting_is_one_error_line(toy, tmp_path, flags, name):
     )
     assert_one_error_line(proc, f"error: {name} must be")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, name",
+    [
+        ("train-ranker", ["--lr", "-1", "--epochs", "2"], "lr"),
+        ("train-ranker", ["--lr", "nan"], "lr"),
+        ("train-ranker", ["--epochs", "-3"], "epochs"),
+        ("train-ranker", ["--epochs", "0"], "epochs"),
+        ("train-ranker", ["--margin", "nan"], "margin"),
+        ("train-classifier", ["--lr", "nan"], "config values"),
+        ("train-classifier", ["--epochs", "0"], "config values"),
+    ],
+    ids=["ranker_lr_negative", "ranker_lr_nan", "ranker_epochs_negative", "ranker_epochs_0",
+         "ranker_margin_nan", "classifier_lr_nan", "classifier_epochs_0"],
+)
+def test_bad_training_setting_is_one_error_line(toy, trained, tmp_path, command, flags, name):
+    out = tmp_path / "model.ckpt"
+    extra = ["--embeddings", trained["emb"]] if command == "train-classifier" else []
+    proc = run_cli(
+        command, "--kg", str(toy / "kg.tsv"), "--dataset", str(toy / "questions.jsonl"),
+        "--out", str(out), *extra, *flags, expect_fail=True,
+    )
+    assert proc.stdout == ""
+    assert_one_error_line(proc, f"error: {name}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["answer", "evaluate"])
+@pytest.mark.parametrize("given", [[], ["--classifier"], ["--embeddings"]])
+def test_predicted_mode_without_models_is_one_error_line(toy, trained, tmp_path, command, given):
+    # the ranker file does not exist: the missing option is reported first
+    models = {"--classifier": trained["clf"], "--embeddings": trained["emb"]}
+    args = [a for flag in given for a in (flag, models[flag])]
+    if command == "answer":
+        args += ["--question", "what color is thing0", "--topic", "thing0"]
+    else:
+        args += ["--dataset", str(toy / "questions.jsonl")]
+    proc = run_cli(
+        command, "--kg", str(toy / "kg.tsv"), "--ranker", str(tmp_path / "missing.ckpt"),
+        "--mode", "predicted", *args, expect_fail=True,
+    )
+    assert proc.stdout == ""
+    assert_one_error_line(proc, "error: predicted mode needs --classifier and --embeddings")

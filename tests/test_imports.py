@@ -1,5 +1,5 @@
 """Every module-level import in the package and in its tests is used by
-its module."""
+its module, and no package module but the CLI prints."""
 
 import ast
 from pathlib import Path
@@ -36,3 +36,21 @@ def test_unused_imports_are_found():
 )
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def print_calls(source: str) -> list[int]:
+    """Line numbers of the calls to the builtin `print` in a module."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "print"
+    ]
+
+
+def test_print_calls_are_found():
+    assert print_calls("import sys\nprint(1)\nx = sys.stdout.write\nif x:\n    print('a', file=sys.stderr)\n") == [2, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.stem)
+def test_library_code_never_prints(path):
+    assert print_calls(path.read_text(encoding="utf-8")) == []

@@ -3,14 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_score_all, reference_train_ranker
 from sskgqa import autodiff as ad
 from sskgqa import ranker as ranker_module
+from sskgqa.candidates import MAX_HOPS
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import gold_graph_of, tokenize_question
-from sskgqa.querygraph import build_chain, canonicalize, execute
+from sskgqa.querygraph import CLS, SEP, Chain, build_chain, canonicalize, execute, serialize_tokens, split_symbol
 from sskgqa.ranker import (
+    ENCODE_CHUNK,
     RankerError,
+    RankerModel,
     RankTrainConfig,
     TokenOverlapRanker,
     batch_triplet_loss,
@@ -41,10 +45,14 @@ def test_triplet_loss_dim_mismatch():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RankTrainConfig(margin=0.0)
-    with pytest.raises(ValueError):
-        RankTrainConfig(negatives=0)
+    nan = float("nan")
+    for name, value in [
+        ("margin", 0.0), ("margin", nan), ("negatives", 0), ("lr", -1.0), ("lr", 0.0), ("lr", nan),
+        ("epochs", 0), ("epochs", -3), ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", nan),
+        ("max_hops", 0), ("max_hops", MAX_HOPS + 1),
+    ]:
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            RankTrainConfig(**{name: value})
 
 
 def test_token_overlap_ranker_jaccard():
@@ -218,7 +226,7 @@ def test_batch_triplet_loss_matches_per_negative_form():
     enc = SequenceEncoder(vocab, EncoderConfig(out_dim=4, d_model=6, heads=3, ff_width=8), rng)
     params = enc.parameters()
     for _ in range(20):
-        seqs = [[f"w{t}" for t in rng.integers(9, size=rng.integers(1, 7))] for _ in range(5)]
+        seqs = [vocab.encode([f"w{t}" for t in rng.integers(9, size=rng.integers(1, 7))]) for _ in range(5)]
         alpha = float(rng.uniform(0.0, 3.0))
 
         def grads_of(loss):
@@ -256,3 +264,73 @@ def test_checkpoint_round_trip(tmp_path):
     save_ranker(back, again)
     with open(path, "rb") as a, open(again, "rb") as b:
         assert a.read() == b.read()
+
+
+# Symbols that share fragments ("located" and "in"), one of separators only,
+# and fragments outside FRAGMENTS, which map to the OOV row.
+SYMBOLS = ["located_in", "located.in", "in", "big city", "big-city_located", "._-", "unseen_word", "x"]
+FRAGMENTS = [CLS, SEP, "located", "in", "big", "city", "x", "y", "c", "reverse", "what"]
+
+
+@st.composite
+def chains(draw):
+    """A chain of 1-3 hops over SYMBOLS, each hop maybe reversed, with 0-2
+    constraints on any path node, each maybe read against its triple."""
+    sym = st.sampled_from(SYMBOLS)
+    hops = tuple(draw(st.lists(st.tuples(sym, st.booleans()), min_size=1, max_size=3)))
+    cons = draw(st.lists(st.tuples(st.integers(0, len(hops)), sym, st.booleans(), sym), max_size=2))
+    return Chain(draw(sym), hops, tuple(sorted(cons, key=lambda c: c[0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_serialize_tokens_with_a_tuple_split_equals_default(c):
+    asked = []
+
+    def split(symbol):
+        asked.append(symbol)
+        return tuple(split_symbol(symbol))
+
+    assert serialize_tokens(c, split=split) == serialize_tokens(c)
+    assert asked == [c.topic, *(rel for rel, _ in c.hops), *(s for _, rel, _, v in c.constraints for s in (rel, v))]
+
+
+def random_ranker(seed: int) -> RankerModel:
+    cfg = EncoderConfig(out_dim=8, d_model=12, heads=3, ff_width=16, dropout=0.5)
+    return RankerModel(SequenceEncoder(Vocab(FRAGMENTS), cfg, np.random.default_rng(seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(chains(), min_size=1, max_size=12),
+    st.integers(1, 300),
+    st.lists(st.sampled_from(FRAGMENTS + ["unseen"]), min_size=1, max_size=8),
+    st.integers(0, 3),
+)
+def test_score_all_bytes_equal_token_path(distinct, count, question, seed):
+    # `count` candidates cycle through the distinct chains; more than
+    # ENCODE_CHUNK of them take two forwards
+    cands = [distinct[i % len(distinct)] for i in range(count)]
+    model = random_ranker(seed)
+    got = np.array(model.score_all(question, cands))
+    want = np.array(reference_score_all(model, question, cands))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_score_all_bytes_equal_token_path_over_two_chunks():
+    cands = [build_chain("big city", [("located_in", i % 2 == 0)]) for i in range(ENCODE_CHUNK + 3)]
+    model = random_ranker(0)
+    got = np.array(model.score_all(["what", "x"], cands))
+    assert got.tobytes() == np.array(reference_score_all(model, ["what", "x"], cands)).tobytes()
+
+
+def test_train_ranker_bytes_equal_per_step_mapping():
+    kg, questions = ranker_fixture()
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+    cfg = RankTrainConfig(epochs=2, negatives=5, lr=1e-2, dropout=0.2, out_dim=8, ff_width=16, seed=3)
+    got = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
+    want = reference_train_ranker(dataset, kg, cfg)
+    assert got.encoder.vocab.tokens == want.encoder.vocab.tokens
+    assert [p.value.tobytes() for p in got.encoder.parameters()] == [
+        p.value.tobytes() for p in want.encoder.parameters()
+    ]
