@@ -268,6 +268,43 @@ def feed_forward(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
     return Node(hidden @ w2.value + b2.value, (x, w1, b1, w2, b2), backward)
 
 
+def triplet_hinge(f: Node, alpha: float) -> Node:
+    """Mean triplet hinge of one (k+2, d) batch as one (1, 1) node: row 0 of
+    f is the anchor, row 1 the positive and rows 2.. the k negatives; per
+    negative max(||f0 - f1|| - ||f0 - fn|| + alpha, 0), then the sum times
+    1/k.
+
+    Same arithmetic, step for step, as the chain of rows gathers, sub,
+    rownorm, add of the margin, relu, sum_all and scale nodes, so the value
+    and the gradient have the same bits. Where a row gather's backward
+    scatters into row 0, this adds the same terms in the same order, from
+    0.0 (a running sum, then + 0.0 for the sign of a zero); every other row
+    gets 0.0 minus its term, as a scatter of a negated gradient onto 0.0.
+    """
+    k = f.shape[0] - 2
+    if k < 1:
+        raise ShapeError(f"triplet_hinge: needs an anchor, a positive and a negative, got {f.shape}")
+    c = 1.0 / k
+    diff = f.value[0] - f.value[1:]
+    norms = np.sqrt((diff**2).sum(axis=1, keepdims=True))
+    v = (norms[0] - norms[1:]) + alpha
+    mask = v > 0
+
+    def backward(g):
+        gh = (g * c) * mask
+        gdist = np.empty_like(norms)
+        gdist[0] = np.cumsum(gh)[-1] + 0.0
+        gdist[1:] = 0.0 - gh
+        safe = np.where(norms > 0.0, norms, 1.0)
+        gd = np.where(norms > 0.0, gdist / safe, 0.0) * diff
+        grad = np.empty_like(f.value)
+        grad[0] = np.cumsum(gd, axis=0)[-1] + 0.0
+        grad[1:] = 0.0 - gd
+        f.accumulate(grad)
+
+    return Node((v * mask).sum() * c, (f,), backward)
+
+
 def scale(a: Node, c: float) -> Node:
     return Node(a.value * c, (a,), lambda g: a.accumulate(g * c))
 

@@ -3,7 +3,7 @@ fused by an elementwise complex (rotation) product, then a softmax head."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,11 +34,23 @@ class ClassifierTrainConfig:
     heads: int = 3
     ff_width: int = 48
     use_attention: bool = False
+    # the encoder settings above as an EncoderConfig, made, and so checked,
+    # with the config; train_classifier sets its out_dim, here 1, to the
+    # embedding table's dimension
+    encoder: EncoderConfig = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # `not x > 0` also refuses nan
         if not all(v > 0 for v in (self.lr, self.batch_size, self.epochs, self.clip_norm)):
             raise ValueError("config values must be positive")
+        self.encoder = EncoderConfig(
+            out_dim=1,
+            d_model=self.d_model,
+            heads=self.heads,
+            ff_width=self.ff_width,
+            use_attention=self.use_attention,
+            dropout=self.dropout,
+        )
 
 
 def rotate_fuse(eh: np.ndarray, eq: np.ndarray) -> np.ndarray:
@@ -149,14 +161,7 @@ def train_classifier(
     targets = [labels.index(label) for _, _, label in dataset]
     rng = np.random.default_rng(cfg.seed)
     vocab = Vocab.from_sequences([toks for toks, _, _ in dataset])
-    enc_cfg = EncoderConfig(
-        out_dim=table.d,
-        d_model=cfg.d_model,
-        heads=cfg.heads,
-        ff_width=cfg.ff_width,
-        use_attention=cfg.use_attention,
-        dropout=cfg.dropout,
-    )
+    enc_cfg = replace(cfg.encoder, out_dim=table.d)
     model = ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
     ids = [vocab.encode(toks) for toks, _, _ in dataset]
     buffer = ParameterBuffer(model.parameters())

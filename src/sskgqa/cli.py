@@ -66,7 +66,6 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_train_embeddings(args) -> int:
-    kg = _load_kg(args.kg)
     cfg = emb.EmbedTrainConfig(
         d=args.dim,
         epochs=args.epochs,
@@ -75,6 +74,7 @@ def cmd_train_embeddings(args) -> int:
         margin=args.margin,
         seed=_seed(args),
     )
+    kg = _load_kg(args.kg)
     table, history = emb.train(kg, cfg, kind=args.kind)
     emb.save_table(table, args.out)
     _emit(
@@ -216,10 +216,6 @@ HEAD_GRID = (1, 3, 6)
 
 
 def cmd_ablate(args) -> int:
-    kg = _load_kg(args.kg)
-    tax = _taxonomy(args)
-    questions = ann.load_dataset(args.dataset)
-    dataset = _ranker_dataset(questions)
     if args.grid == "negatives":
         settings = [("negatives", n) for n in NEGATIVE_GRID]
     else:
@@ -231,8 +227,13 @@ def cmd_ablate(args) -> int:
         epochs=args.epochs,
         seed=_seed(args),
     )
-    for name, value in settings:
-        model = rk.train_ranker(dataset, kg, tax, rk.RankTrainConfig(**base, **{name: value}))
+    grid = [(name, value, rk.RankTrainConfig(**base, **{name: value})) for name, value in settings]
+    kg = _load_kg(args.kg)
+    tax = _taxonomy(args)
+    questions = ann.load_dataset(args.dataset)
+    dataset = _ranker_dataset(questions)
+    for name, value, rank_cfg in grid:
+        model = rk.train_ranker(dataset, kg, tax, rank_cfg)
         cfg = pl.PipelineConfig(
             kg=kg,
             taxonomy=tax,

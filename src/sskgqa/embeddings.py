@@ -30,7 +30,8 @@ class EmbedTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.d, self.epochs + 1, self.negatives) <= 0 or self.lr <= 0:
+        # `not x > 0` also refuses nan; 0 epochs is allowed
+        if not all(v > 0 for v in (self.d, self.epochs + 1, self.negatives, self.lr, self.margin)):
             raise ValueError("config values must be positive")
 
 

@@ -3,7 +3,7 @@ top-1 selection by Euclidean proximity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -40,6 +40,9 @@ class RankTrainConfig:
     seed: int = 0
     max_hops: int = 3
     use_attention: bool = True
+    # the encoder settings above as the EncoderConfig train_ranker builds
+    # its encoder from; made, and so checked, with the config
+    encoder: EncoderConfig = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # `not x > 0` also refuses nan
@@ -51,6 +54,14 @@ class RankTrainConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 1 <= self.max_hops <= MAX_HOPS:
             raise ValueError(f"max_hops must be in 1..{MAX_HOPS}, got {self.max_hops}")
+        self.encoder = EncoderConfig(
+            out_dim=self.out_dim,
+            d_model=self.d_model,
+            heads=self.heads,
+            ff_width=self.ff_width,
+            use_attention=self.use_attention,
+            dropout=self.dropout,
+        )
 
 
 def triplet_loss(f_q: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, alpha: float = 1.0) -> float:
@@ -66,12 +77,7 @@ def batch_triplet_loss(f: ad.Node, alpha: float) -> ad.Node:
     """Mean triplet loss of one question: row 0 of f is f(q), row 1 f(positive)
     and each further row f(negative); per negative
     max(||f_q - f_p|| - ||f_q - f_n|| + alpha, 0)."""
-    k = f.shape[0] - 2
-    # dist row 0 is ||f_q - f_p||, row j is ||f_q - f_n_j||
-    dist = ad.rownorm(ad.sub(ad.rows(f, [0] * (k + 1)), ad.rows(f, range(1, k + 2))))
-    raw = ad.sub(ad.rows(dist, [0] * k), ad.rows(dist, range(1, k + 1)))
-    hinge = ad.relu(ad.add(raw, ad.constant([[alpha]])))
-    return ad.scale(ad.sum_all(hinge), 1.0 / k)
+    return ad.triplet_hinge(f, alpha)
 
 
 class RankerModel:
@@ -149,18 +155,18 @@ def build_training_triplets(
     """(question tokens, positive tokens, negative token lists) per question.
 
     Negatives are sampled uniformly without replacement from the candidates
-    matching the gold structure, excluding chains canonically equal to gold.
-    Questions with no negatives or whose topic entity is not in the KG are
-    skipped.
+    of the gold's shape, excluding the gold. A shape holds at most one
+    constraint, so a chain equal to the gold up to constraint order is equal
+    to it. Questions with no negatives or whose topic entity is not in the
+    KG are skipped.
     """
     out = []
     base = EnumConfig(max_hops=cfg.max_hops)
     for q_tokens, gold in dataset:
         if gold.topic not in kg.entities:
             continue
-        gold_key = canonicalize(gold)
         cands = enumerate_candidates(kg, gold.topic, base, gold.shape).graphs
-        negs = [c for c in cands if canonicalize(c) != gold_key]
+        negs = [c for c in cands if c != gold]
         if not negs:
             continue
         n = min(cfg.negatives, len(negs))
@@ -186,15 +192,7 @@ def train_ranker(
     for _, _, negs in triplets:
         sequences.extend(negs)
     vocab = Vocab.from_sequences(sequences)
-    enc_cfg = EncoderConfig(
-        out_dim=cfg.out_dim,
-        d_model=cfg.d_model,
-        heads=cfg.heads,
-        ff_width=cfg.ff_width,
-        use_attention=cfg.use_attention,
-        dropout=cfg.dropout,
-    )
-    model = RankerModel(SequenceEncoder(vocab, enc_cfg, rng), trained_on=len(triplets))
+    model = RankerModel(SequenceEncoder(vocab, cfg.encoder, rng), trained_on=len(triplets))
     encode = vocab.encode
     id_triplets = [(encode(q), encode(p), [encode(n) for n in negs]) for q, p, negs in triplets]
     buffer = ParameterBuffer(model.encoder.parameters())

@@ -19,7 +19,11 @@ for `SequenceEncoder.forward`; and the token path the models ran before the
 encoder read ids: `reference_token_forward` (a forward that maps tokens
 itself), `reference_score_all` for `RankerModel.score_all`, and
 `reference_train_ranker` and `reference_train_classifier`, which map tokens
-at every step.
+at every step; and the ranker's training before the triplet loss was one op
+and negatives were told from the gold by `Chain` equality:
+`reference_batch_triplet_loss`, the chain of nodes `ad.triplet_hinge` fuses,
+and `reference_build_training_triplets`, which drops the candidates whose
+`canonicalize` key is the gold's.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
@@ -32,6 +36,7 @@ import numpy as np
 from sskgqa import autodiff as ad
 from sskgqa import classifier, ranker
 from sskgqa.annotation import Iri
+from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.optim import AdamW, ParameterBuffer, train_step
 from sskgqa.querygraph import (
@@ -40,6 +45,7 @@ from sskgqa.querygraph import (
     SEP,
     QueryGraphError,
     build_chain,
+    canonicalize,
     chain_of,
     serialize_tokens,
     split_symbol,
@@ -485,6 +491,38 @@ def reference_score_all(model, question_tokens, cands) -> list[float]:
             ]
         )
     return (-np.linalg.norm(vecs[1:] - vecs[0], axis=1)).tolist()
+
+
+def reference_batch_triplet_loss(f, alpha: float):
+    """`ranker.batch_triplet_loss` as the chain of nodes `ad.triplet_hinge`
+    fuses: row gathers of the anchor and the other rows, their difference,
+    the row norms, gathers of the positive's and the negatives' distances,
+    their difference, the margin added as a constant, relu, the sum and the
+    1/k scale."""
+    k = f.shape[0] - 2
+    # dist row 0 is ||f_q - f_p||, row j is ||f_q - f_n_j||
+    dist = ad.rownorm(ad.sub(ad.rows(f, [0] * (k + 1)), ad.rows(f, range(1, k + 2))))
+    raw = ad.sub(ad.rows(dist, [0] * k), ad.rows(dist, range(1, k + 1)))
+    hinge = ad.relu(ad.add(raw, ad.constant([[alpha]])))
+    return ad.scale(ad.sum_all(hinge), 1.0 / k)
+
+
+def reference_build_training_triplets(dataset, kg, cfg, rng):
+    """`ranker.build_training_triplets` with negatives kept by their
+    `canonicalize` key, unequal to the gold's."""
+    out = []
+    base = EnumConfig(max_hops=cfg.max_hops)
+    for q_tokens, gold in dataset:
+        if gold.topic not in kg.entities:
+            continue
+        gold_key = canonicalize(gold)
+        cands = enumerate_candidates(kg, gold.topic, base, gold.shape).graphs
+        negs = [c for c in cands if canonicalize(c) != gold_key]
+        if not negs:
+            continue
+        picked = rng.choice(len(negs), size=min(cfg.negatives, len(negs)), replace=False)
+        out.append((q_tokens, serialize_tokens(gold), [serialize_tokens(negs[i]) for i in picked]))
+    return out
 
 
 def reference_train_ranker(dataset, kg, cfg):

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from reference import (
     reference_accumulate,
+    reference_batch_triplet_loss,
     reference_block_attention,
     reference_feed_forward,
     reference_scatter,
@@ -173,6 +174,69 @@ def test_fused_block_bytes_equal_per_head_chain(lens, heads, dh, ff, seed):
         grads.append([p.grad.tobytes() for p in params])
     assert outs[0] == outs[1]
     assert grads[0] == grads[1]
+
+
+def triplet_batch(k, d, kind, seed):
+    """A (k+2, d) anchor, positive and k negatives. "normal" rows are drawn
+    freely; "grid" rows hold few distinct values, so distances tie and some
+    are zero; "copies" repeats the anchor into some rows (zero distances);
+    "far" puts the positive on the anchor and the negatives at least 1 away,
+    so no hinge with a margin up to 1 is active; "zeros" is all zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return np.zeros((k + 2, d))
+    if kind == "grid":
+        return rng.integers(-1, 2, size=(k + 2, d)) * 0.5
+    f = rng.normal(size=(k + 2, d))
+    if kind == "copies":
+        f[rng.random(k + 2) < 0.5] = f[0]
+    elif kind == "far":
+        f[1] = f[0]
+        f[2:] = f[0] + rng.choice([-1.0, 1.0], size=(k, d)) * (1.0 + rng.random((k, d)))
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 19),
+    st.sampled_from(["normal", "grid", "copies", "far", "zeros"]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    st.sampled_from([1.0, -1.0, 0.0, 0.3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_triplet_hinge_bytes_equal_composed_chain(k, d, kind, alpha, weight, seed):
+    # `weight` scales the gradient that reaches the loss: negative weights
+    # flip the signs of zeros, and 0 makes every gradient term zero
+    f0 = triplet_batch(k, d, kind, seed)
+    values, grads = [], []
+    for loss_of in (ad.triplet_hinge, reference_batch_triplet_loss):
+        f = ad.parameter(f0.copy())
+        loss = loss_of(f, alpha)
+        ad.backward(ad.mul(loss, ad.constant([[weight]])))
+        values.append(loss.value.tobytes())
+        grads.append(f.grad.tobytes())
+    assert values[0] == values[1]
+    assert grads[0] == grads[1]
+
+
+def test_triplet_hinge_value_and_gradient():
+    # anchor at 0, positive at distance 5, negatives at 10 and 3: with
+    # alpha 1 only the second hinge is active, 5 - 3 + 1 = 3, halved
+    f = ad.parameter(np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [0.0, 3.0]]))
+    loss = ad.triplet_hinge(f, 1.0)
+    assert loss.shape == (1, 1) and loss.value[0, 0] == 1.5
+    ad.backward(loss)
+    # d/df of (||f0 - f1|| - ||f0 - f3||) / 2; the inactive negative gets 0
+    want = np.array([[-0.3, 0.1], [0.3, 0.4], [0.0, 0.0], [0.0, -0.5]])
+    assert np.allclose(f.grad, want, rtol=0.0, atol=1e-15)
+    check_grad(lambda p: ad.triplet_hinge(p, 1.0), RNG.normal(size=(6, 3)))
+
+
+def test_triplet_hinge_refuses_fewer_than_three_rows():
+    for rows in (1, 2):
+        with pytest.raises(ad.ShapeError, match="triplet_hinge"):
+            ad.triplet_hinge(ad.constant(np.ones((rows, 4))), 1.0)
 
 
 ATTENTION_INPUTS = ["x", "wq0", "wk0", "wv0", "wq1", "wk1", "wv1"]

@@ -82,6 +82,22 @@ def test_config_validation():
                         ("clip_norm", 0.0), ("clip_norm", nan)]:
         with pytest.raises(ValueError, match="must be positive"):
             ClassifierTrainConfig(**{name: value})
+    # encoder settings, refused by the EncoderConfig the config builds
+    for settings, message in [({"heads": 5, "use_attention": True}, "heads must divide d_model"),
+                              ({"dropout": 1.5}, "dropout must be"), ({"d_model": 0}, "d_model must be"),
+                              ({"ff_width": 0}, "ff_width must be")]:
+        with pytest.raises(ValueError, match=message):
+            ClassifierTrainConfig(**settings)
+
+
+def test_train_classifier_builds_its_encoder_from_the_config():
+    # heads need not divide d_model without attention
+    dataset, table = separable_classifier_dataset(builtin_taxonomy().labels())
+    cfg = ClassifierTrainConfig(epochs=1, heads=5, d_model=6, ff_width=7, dropout=0.2)
+    model = train_classifier(dataset, table, builtin_taxonomy(), cfg)
+    assert model.encoder.cfg == EncoderConfig(
+        out_dim=table.d, d_model=6, heads=5, ff_width=7, use_attention=False, dropout=0.2
+    )
 
 
 def test_train_reaches_full_accuracy_and_table_frozen():

@@ -506,6 +506,44 @@ def test_bad_training_setting_is_one_error_line(toy, trained, tmp_path, command,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flags, error",
+    [
+        ("train-ranker", ["--heads", "5"], "heads must divide d_model"),
+        ("train-ranker", ["--dropout", "1.5"], "dropout must be"),
+        ("train-classifier", ["--d-model", "0"], "d_model must be"),
+        ("train-embeddings", ["--lr", "-1"], "config values must be positive"),
+        ("train-embeddings", ["--lr", "nan"], "config values must be positive"),
+        ("train-embeddings", ["--margin", "nan"], "config values must be positive"),
+        ("ablate", ["--negatives", "--dropout", "1.5"], "dropout must be"),
+        ("ablate", ["--heads", "--lr", "nan"], "lr must be"),
+    ],
+    ids=["ranker_heads_5", "ranker_dropout_1_5", "classifier_d_model_0", "embeddings_lr_negative",
+         "embeddings_lr_nan", "embeddings_margin_nan", "ablate_dropout_1_5", "ablate_lr_nan"],
+)
+def test_bad_setting_is_refused_before_any_file_is_read(tmp_path, command, flags, error):
+    # none of the input files exists: the setting is reported, not a file
+    inputs = {
+        "--kg": tmp_path / "kg.tsv",
+        "--dataset": tmp_path / "questions.jsonl",
+        "--embeddings": tmp_path / "emb.ckpt",
+    }
+    wanted = {
+        "train-ranker": ["--kg", "--dataset"],
+        "train-classifier": ["--kg", "--dataset", "--embeddings"],
+        "train-embeddings": ["--kg"],
+        "ablate": ["--kg", "--dataset"],
+    }[command]
+    args = [a for flag in wanted for a in (flag, str(inputs[flag]))]
+    out = tmp_path / "model.ckpt"
+    if command != "ablate":
+        args += ["--out", str(out)]
+    proc = run_cli(command, *args, *flags, expect_fail=True)
+    assert proc.stdout == ""
+    assert_one_error_line(proc, f"error: {error}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["answer", "evaluate"])
 @pytest.mark.parametrize("given", [[], ["--classifier"], ["--embeddings"]])
 def test_predicted_mode_without_models_is_one_error_line(toy, trained, tmp_path, command, given):

@@ -26,10 +26,12 @@ def cycle_kg(n=12):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EmbedTrainConfig(d=0)
-    with pytest.raises(ValueError):
-        EmbedTrainConfig(negatives=0)
+    nan = float("nan")
+    for name, value in [("d", 0), ("negatives", 0), ("epochs", -1), ("lr", 0.0), ("lr", -1.0),
+                        ("lr", nan), ("margin", 0.0), ("margin", -6.0), ("margin", nan)]:
+        with pytest.raises(ValueError, match="must be positive"):
+            EmbedTrainConfig(**{name: value})
+    EmbedTrainConfig(epochs=0)
 
 
 def test_table_validation():

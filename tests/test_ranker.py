@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_score_all, reference_train_ranker
+from reference import (
+    reference_batch_triplet_loss,
+    reference_build_training_triplets,
+    reference_score_all,
+    reference_train_ranker,
+)
 from sskgqa import autodiff as ad
 from sskgqa import ranker as ranker_module
 from sskgqa.candidates import MAX_HOPS
@@ -26,7 +31,13 @@ from sskgqa.ranker import (
     triplet_loss,
 )
 from sskgqa.structures import builtin_taxonomy
-from sskgqa.synth import ranker_fixture
+from sskgqa.synth import (
+    norshteyn_kg,
+    norshteyn_questions,
+    norshteyn_test_question,
+    ranker_fixture,
+    three_hop_benchmark,
+)
 
 
 def test_triplet_loss_hand_values():
@@ -50,9 +61,19 @@ def test_config_validation():
         ("margin", 0.0), ("margin", nan), ("negatives", 0), ("lr", -1.0), ("lr", 0.0), ("lr", nan),
         ("epochs", 0), ("epochs", -3), ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", nan),
         ("max_hops", 0), ("max_hops", MAX_HOPS + 1),
+        # encoder settings, refused by the EncoderConfig the config builds
+        ("heads", 5), ("dropout", 1.5), ("dropout", nan), ("d_model", 0), ("ff_width", 0), ("out_dim", 0),
     ]:
-        with pytest.raises(ValueError, match=f"{name} must be"):
+        with pytest.raises(ValueError, match=f"{name} must"):
             RankTrainConfig(**{name: value})
+
+
+def test_train_ranker_builds_its_encoder_from_the_config():
+    kg, questions = ranker_fixture()
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+    cfg = RankTrainConfig(epochs=1, heads=2, d_model=6, ff_width=5, out_dim=3, dropout=0.25)
+    assert cfg.encoder == EncoderConfig(out_dim=3, d_model=6, heads=2, ff_width=5, dropout=0.25)
+    assert train_ranker(dataset, kg, builtin_taxonomy(), cfg).encoder.cfg is cfg.encoder
 
 
 def test_token_overlap_ranker_jaccard():
@@ -330,6 +351,59 @@ def test_train_ranker_bytes_equal_per_step_mapping():
     cfg = RankTrainConfig(epochs=2, negatives=5, lr=1e-2, dropout=0.2, out_dim=8, ff_width=16, seed=3)
     got = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
     want = reference_train_ranker(dataset, kg, cfg)
+    assert got.encoder.vocab.tokens == want.encoder.vocab.tokens
+    assert [p.value.tobytes() for p in got.encoder.parameters()] == [
+        p.value.tobytes() for p in want.encoder.parameters()
+    ]
+
+
+def toy_datasets():
+    """(kg, ranker dataset) of each README toy: the gold chain of every
+    question that has one."""
+    for kg, questions in (
+        ranker_fixture(),
+        three_hop_benchmark(30, seed=4),
+        (norshteyn_kg(), norshteyn_questions() + [norshteyn_test_question()]),
+    ):
+        golds = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+        yield kg, [(t, g) for t, g in golds if g is not None]
+
+
+@pytest.mark.parametrize("negatives", [1, 3, 100])
+def test_build_training_triplets_equal_canonical_key_filter(negatives):
+    for kg, dataset in toy_datasets():
+        for max_hops in (1, 2, MAX_HOPS):
+            cfg = RankTrainConfig(negatives=negatives, max_hops=max_hops)
+            got = build_training_triplets(dataset, kg, cfg, np.random.default_rng(negatives))
+            want = reference_build_training_triplets(dataset, kg, cfg, np.random.default_rng(negatives))
+            assert got == want
+
+
+def test_triplet_loss_goes_through_the_fused_op(monkeypatch):
+    calls, fused = [], ad.triplet_hinge
+
+    def counting(f, alpha):
+        calls.append(f.shape)
+        return fused(f, alpha)
+
+    monkeypatch.setattr(ad, "triplet_hinge", counting)
+    assert triplet_loss(np.zeros(2), np.array([3.0, 4.0]), np.array([6.0, 8.0]), alpha=6.0) == 1.0
+    assert calls == [(3, 2)]
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_train_ranker_bytes_equal_composed_loss_and_key_filter(use_attention, monkeypatch):
+    kg, questions = ranker_fixture()
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+    cfg = RankTrainConfig(
+        epochs=2, negatives=4, lr=1e-2, dropout=0.3, out_dim=8, ff_width=16, seed=5,
+        use_attention=use_attention,
+    )
+    got = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
+    monkeypatch.setattr(ranker_module, "batch_triplet_loss", reference_batch_triplet_loss)
+    monkeypatch.setattr(ranker_module, "build_training_triplets", reference_build_training_triplets)
+    want = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
+    assert got.trained_on == want.trained_on == len(dataset)
     assert got.encoder.vocab.tokens == want.encoder.vocab.tokens
     assert [p.value.tobytes() for p in got.encoder.parameters()] == [
         p.value.tobytes() for p in want.encoder.parameters()
