@@ -6,7 +6,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .querygraph import Chain, QueryGraphError, bfs_depths, chain_of, decode_iri
+from .querygraph import Chain, QueryGraphError, chain_of, decode_iri
 from .structures import UNSUPPORTED, Taxonomy
 
 _UNSUPPORTED_OPS = ("<=", ">=", "!=", "||", "&&", "<", ">", "=")
@@ -138,42 +138,31 @@ def parse_sparql(text: str) -> SparqlAst:
     return SparqlAst(select_var, patterns)
 
 
-def extract_query_graph(ast: SparqlAst) -> Chain:
-    """The chain of a parsed SPARQL command: `chain_of` its patterns, with
-    the Iri and Var terms as nodes, each Iri a grounded node labelled by its
-    name and the selected variable the lambda. The topic is, among the Iris
-    that reach the lambda through variables only, the one farthest from it;
-    among ties, one that is the subject of some pattern, then the first to
-    appear. ExtractionError when the patterns do not form a chain.
+def extract_query_graph(ast: SparqlAst, topic: str) -> Chain:
+    """The chain of a parsed SPARQL command from the Iri named `topic`:
+    `chain_of` its patterns, with the Iri and Var terms as nodes, each Iri a
+    grounded node labelled by its name and the selected variable the lambda.
+    ExtractionError when no pattern names the topic or the patterns do not
+    form a chain from it.
     """
     if any(isinstance(p, Var) for _, p, _ in ast.patterns):
         raise ExtractionError("variable predicates are not supported")
     edges = [(s, p.name, o) for s, p, o in ast.patterns]
-    nodes = list(dict.fromkeys(t for s, _, o in edges for t in (s, o)))
-    grounded = [t for t in nodes if isinstance(t, Iri)]
-    if not grounded:
-        raise ExtractionError("no grounded entity in query")
-    lam = Var(ast.select_var)
-    dist = bfs_depths([(s, o) for s, _, o in edges], lam)
-    if dist.keys() != set(nodes):
-        raise ExtractionError("pattern graph is disconnected")
-    # the topic reaches lambda through variables only; a constraint value
-    # hangs off a variable and may lie farther from lambda than the topic
-    via_vars = bfs_depths([(s, o) for s, _, o in edges if isinstance(s, Var) and isinstance(o, Var)], lam)
-    reach = {s for s, _, o in edges if o in via_vars} | {o for s, _, o in edges if s in via_vars}
-    subjects = {s for s, _, _ in edges}
-    topic = max((t for t in grounded if t in reach), key=lambda t: (dist[t], t in subjects))
+    labels = {t: t.name for s, _, o in edges for t in (s, o) if isinstance(t, Iri)}
+    if Iri(topic) not in labels:
+        raise ExtractionError(f"no pattern names the topic {topic!r}")
     try:
-        return chain_of(edges, topic, lam, {t: t.name for t in grounded})
+        return chain_of(edges, Iri(topic), Var(ast.select_var), labels)
     except QueryGraphError as exc:
         raise ExtractionError(str(exc)) from exc
 
 
-def sparql_chain(text: str) -> Chain | None:
-    """The chain of a SPARQL command, or None when it is outside the subset
-    or its patterns do not form a chain."""
+def sparql_chain(text: str, topic: str) -> Chain | None:
+    """The chain of a SPARQL command from the Iri named `topic`, or None when
+    the command is outside the subset or its patterns do not form a chain
+    from that Iri."""
     try:
-        return extract_query_graph(parse_sparql(text))
+        return extract_query_graph(parse_sparql(text), topic)
     except (SparqlError, ExtractionError):
         return None
 
@@ -186,11 +175,12 @@ def label_metaqa(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
 
 
 def label_wsp(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
-    """Structure label of the chain of q's SPARQL; UNSUPPORTED when it has
-    no chain or no taxonomy structure has its shape."""
+    """Structure label of the chain of q's SPARQL from q's topic entity;
+    UNSUPPORTED when it has no such chain or no taxonomy structure has its
+    shape."""
     if q.sparql is None:
         raise LabelingError(f"question {q.id}: no sparql command")
-    c = sparql_chain(q.sparql)
+    c = sparql_chain(q.sparql, q.topic_entity)
     label = None if c is None else taxonomy.find_match(c.shape)
     return label if label is not None else UNSUPPORTED
 

@@ -25,9 +25,9 @@ def tokenize_question(text: str) -> list[str]:
 
 
 def gold_graph_of(q: LabeledQuestion) -> Chain | None:
-    """The question's gold chain, read off its SPARQL; None when it has none
-    or its SPARQL is not a chain."""
-    return None if q.sparql is None else sparql_chain(q.sparql)
+    """The question's gold chain, read off its SPARQL from its topic entity;
+    None when it has none or its SPARQL is not a chain from that entity."""
+    return None if q.sparql is None else sparql_chain(q.sparql, q.topic_entity)
 
 
 @dataclass

@@ -72,26 +72,6 @@ def _path_names(hops: int) -> list[str]:
     return [*CHAIN_VAR_NAMES[: hops - 1], "x"]
 
 
-def bfs_depths(edges, start) -> dict:
-    """Hop distance from node `start` to each node it reaches over the
-    undirected (a, b) edges between hashable node names."""
-    adj: dict = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    depth = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in adj.get(node, ()):
-                if nb not in depth:
-                    depth[nb] = depth[node] + 1
-                    nxt.append(nb)
-        frontier = nxt
-    return depth
-
-
 def split_symbol(symbol: str) -> list[str]:
     """Fragment a symbol on whitespace, '.', '_' and '-'."""
     return [t for t in _SPLIT_RE.split(symbol) if t]
@@ -109,23 +89,28 @@ def chain_of(edges, topic, lam, labels: dict) -> Chain:
     to a grounded node; otherwise QueryGraphError.
     """
     other = labels.keys() - {topic}
-    left = [e for e in edges if e[0] not in other and e[2] not in other]
-    # Each step takes the one edge left at the node, so a node is left with no
-    # edge once passed: a second edge there (a branch, a cycle, a parallel or
-    # looping edge) shows as two steps, or stays left at the end.
-    hops, path = [], [topic]
-    while path[-1] != lam:
-        node = path[-1]
-        steps = [(e[2], e, False) if e[0] == node else (e[0], e, True) for e in left if node in (e[0], e[2])]
+    # node -> (edge index, node across, relation, back) of each path edge at
+    # it, a looping edge twice; a path edge touches no grounded node but the topic
+    at: dict = {}
+    n_path = 0
+    for i, (head, rel, tail) in enumerate(edges):
+        if head not in other and tail not in other:
+            at.setdefault(head, []).append((i, tail, rel, False))
+            at.setdefault(tail, []).append((i, head, rel, True))
+            n_path += 1
+    # Each step takes the one edge at the node but the one it came by: a
+    # second edge there (a branch, a cycle, a parallel or looping edge) shows
+    # as two steps, or is never taken.
+    hops, pos, node, came = [], {topic: 0}, topic, None
+    while node != lam:
+        steps = [s for s in at.get(node, ()) if s[0] != came]
         if len(steps) != 1:
             raise QueryGraphError("chain edges are not one path from topic to lambda")
-        nxt, e, back = steps[0]
-        hops.append((e[1], back))
-        path.append(nxt)
-        left.remove(e)
-    if left:
+        came, node, rel, back = steps[0]
+        hops.append((rel, back))
+        pos[node] = len(hops)
+    if len(hops) != n_path:
         raise QueryGraphError("chain edges are not one path from topic to lambda")
-    pos = {n: k for k, n in enumerate(path)}
     cons = []
     for head, rel, tail in edges:
         if head in other or tail in other:

@@ -23,7 +23,10 @@ at every step; and the ranker's training before the triplet loss was one op
 and negatives were told from the gold by `Chain` equality:
 `reference_batch_triplet_loss`, the chain of nodes `ad.triplet_hinge` fuses,
 and `reference_build_training_triplets`, which drops the candidates whose
-`canonicalize` key is the gold's.
+`canonicalize` key is the gold's; and SPARQL extraction as it was before
+the record named the topic and the chain walk indexed its edges:
+`reference_chain_of`, the walk that scans every edge left at each step, and
+`reference_topic_guess`, the rule that picked the topic from the patterns.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from sskgqa import autodiff as ad
 from sskgqa import classifier, ranker
-from sskgqa.annotation import Iri
+from sskgqa.annotation import ExtractionError, Iri, Var
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.optim import AdamW, ParameterBuffer, train_step
@@ -43,6 +46,7 @@ from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
     SEP,
+    Chain,
     QueryGraphError,
     build_chain,
     canonicalize,
@@ -106,6 +110,79 @@ def sparql_graph(ast, topic: str) -> Graph:
         for t in index
     ]
     return Graph(nodes, [(index[s], p.name, index[o]) for s, p, o in ast.patterns], index[Iri(topic)])
+
+
+def reference_chain_of(edges, topic, lam, labels: dict) -> Chain:
+    """`querygraph.chain_of` by a scan of every edge left at each step, each
+    taken edge removed from the list."""
+    other = labels.keys() - {topic}
+    left = [e for e in edges if e[0] not in other and e[2] not in other]
+    hops, path = [], [topic]
+    while path[-1] != lam:
+        node = path[-1]
+        steps = [(e[2], e, False) if e[0] == node else (e[0], e, True) for e in left if node in (e[0], e[2])]
+        if len(steps) != 1:
+            raise QueryGraphError("chain edges are not one path from topic to lambda")
+        nxt, e, back = steps[0]
+        hops.append((e[1], back))
+        path.append(nxt)
+        left.remove(e)
+    if left:
+        raise QueryGraphError("chain edges are not one path from topic to lambda")
+    pos = {n: k for k, n in enumerate(path)}
+    cons = []
+    for head, rel, tail in edges:
+        if head in other or tail in other:
+            back = head in other
+            node, value = (tail, head) if back else (head, tail)
+            if node not in pos or value not in other:
+                raise QueryGraphError("constraint edge does not join a path node to a grounded node")
+            cons.append((pos[node], rel, back, labels[value]))
+    cons.sort(key=lambda c: c[0])
+    return Chain(labels[topic], tuple(hops), tuple(cons))
+
+
+def _bfs_depths(edges, start) -> dict:
+    """Hop distance from `start` to each node it reaches over undirected edges."""
+    adj: dict = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    depth = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in adj.get(node, ()):
+                if nb not in depth:
+                    depth[nb] = depth[node] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return depth
+
+
+def reference_topic_guess(ast) -> str:
+    """The topic label a parsed query's patterns were read from before the
+    record named it: among the Iris that reach the lambda through variables
+    only, the one farthest from it; among ties, one that is the subject of
+    some pattern, then the first to appear. ExtractionError where that rule
+    refused the query before it walked a chain: a variable predicate, no Iri,
+    or patterns not all joined to the lambda."""
+    if any(isinstance(p, Var) for _, p, _ in ast.patterns):
+        raise ExtractionError("variable predicates are not supported")
+    edges = [(s, p.name, o) for s, p, o in ast.patterns]
+    nodes = list(dict.fromkeys(t for s, _, o in edges for t in (s, o)))
+    grounded = [t for t in nodes if isinstance(t, Iri)]
+    if not grounded:
+        raise ExtractionError("no grounded entity in query")
+    lam = Var(ast.select_var)
+    dist = _bfs_depths([(s, o) for s, _, o in edges], lam)
+    if dist.keys() != set(nodes):
+        raise ExtractionError("pattern graph is disconnected")
+    via_vars = _bfs_depths([(s, o) for s, _, o in edges if isinstance(s, Var) and isinstance(o, Var)], lam)
+    reach = {s for s, _, o in edges if o in via_vars} | {o for s, _, o in edges if s in via_vars}
+    subjects = {s for s, _, _ in edges}
+    return max((t for t in grounded if t in reach), key=lambda t: (dist[t], t in subjects)).name
 
 
 def reference_step(kg, frontier, rid: int, rev: bool) -> set[int]:

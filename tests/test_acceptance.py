@@ -268,7 +268,7 @@ def test_criterion_6_annotation():
     rng = np.random.default_rng(4)
     for _ in range(500):
         g = _random_graph(rng)
-        g2 = extract_query_graph(parse_sparql(to_sparql(g)))
+        g2 = extract_query_graph(parse_sparql(to_sparql(g)), g.topic)
         assert canonicalize(g2) == canonicalize(g)
     for hops, label in ((1, "SS1"), (2, "SS2"), (3, "SS3")):
         q = LabeledQuestion("q", "?", "a", [], hops=hops)

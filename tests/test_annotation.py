@@ -7,6 +7,7 @@ from sskgqa.annotation import (
     _UNSUPPORTED_KEYWORDS,
     _UNSUPPORTED_OPS,
     UNSUPPORTED,
+    ExtractionError,
     Iri,
     LabeledQuestion,
     LabelingError,
@@ -97,16 +98,16 @@ def test_parse_errors():
 def test_extract_round_trip_chain():
     g = build_chain("yuriy norshteyn", [("directed_by", True), ("written_by", False)])
     ast = parse_sparql(to_sparql(g))
-    g2 = extract_query_graph(ast)
+    g2 = extract_query_graph(ast, g.topic)
     assert canonicalize(g2) == canonicalize(g)
 
 
-def test_extract_topic_is_farthest_grounded():
+def test_extract_reads_the_chain_from_the_given_topic():
     # constraint value "1990" is one step from lambda, topic "d1" two steps
     g = build_chain(
         "d1", [("made", False), ("written_by", False)], constraints=[(1, "year", "1990")]
     )
-    g2 = extract_query_graph(parse_sparql(to_sparql(g)))
+    g2 = extract_query_graph(parse_sparql(to_sparql(g)), "d1")
     assert g2.topic == "d1"
     assert canonicalize(g2) == canonicalize(g)
 
@@ -127,18 +128,20 @@ def test_label_wsp():
 
 
 def test_label_wsp_constraint_on_topic():
-    # the constraint value :a lies farther from ?x than the topic :b, but
-    # reaches it only through :b, so :b stays the topic
+    # from the topic :b, the value :a is a constraint on the topic; from :a
+    # there is no chain, as :a reaches ?x only through :b
     tc = SemanticStructure("TC", (E_TOPIC, ANSWER, E_CONST), ((0, 1), (0, 2)))
     sparql = "SELECT ?x WHERE { :b :r ?x . :b :r :a . }"
-    g = extract_query_graph(parse_sparql(sparql))
+    g = extract_query_graph(parse_sparql(sparql), "b")
     assert g.topic == "b"
     assert g.shape == tc.shape == (1, (0,))
     # enumeration never emits a constraint on the topic, so no taxonomy may
     # hold that shape, and the question is Unsupported
     with pytest.raises(StructureError, match=r"TC: .* \(1, \(0,\)\)"):
         Taxonomy(list(builtin_taxonomy()) + [tc])
-    assert label_wsp(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
+    assert label_wsp(q(sparql=sparql, topic_entity="b"), builtin_taxonomy()) == UNSUPPORTED
+    with pytest.raises(ExtractionError):
+        extract_query_graph(parse_sparql(sparql), "a")
 
 
 def test_label_long_chain_is_bounded():

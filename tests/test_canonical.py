@@ -19,7 +19,7 @@ from reference import (
     reference_structure_canonical,
 )
 
-from sskgqa.querygraph import QueryGraphError, bfs_depths, canonicalize
+from sskgqa.querygraph import QueryGraphError, canonicalize
 from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, VAR, SemanticStructure, StructureError
 
 # Labels with JSON syntax, separators and edge syntax in them, and labels
@@ -183,10 +183,3 @@ def test_canonicalize_rejects_non_chains(kinds, edges):
     with pytest.raises(QueryGraphError):
         canonicalize(graph_chain(_graph(kinds, edges)))
 
-
-def test_bfs_depths():
-    edges = [(0, 1), (1, 2), (2, 0), (3, 3), ("a", "b")]
-    assert bfs_depths(edges, 0) == {0: 0, 1: 1, 2: 1}
-    assert bfs_depths(edges, 3) == {3: 0}
-    assert bfs_depths(edges, "b") == {"b": 0, "a": 1}
-    assert bfs_depths(edges, 4) == {4: 0}

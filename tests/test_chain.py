@@ -62,7 +62,7 @@ def forms(args):
     out = [(c, reference_graph(*args))]
     ast = parse_sparql(to_sparql(c))
     try:
-        e = extract_query_graph(ast)
+        e = extract_query_graph(ast, c.topic)
     except ExtractionError:
         # SPARQL names an entity once, so a repeated label can join two
         # nodes into a non-chain; the pattern graph is then no chain from
@@ -100,7 +100,7 @@ def test_keys_equal_iff_reference_forms_equal(a, b, random):
 
 def test_round_trip_of_distinct_labels_keeps_the_chain():
     c = build_chain("d1", [("made", False), ("written_by", True)], [(2, "lang", "ru"), (0, "in", "x y")])
-    assert extract_query_graph(parse_sparql(to_sparql(c))) == c
+    assert extract_query_graph(parse_sparql(to_sparql(c)), "d1") == c
 
 
 @pytest.mark.parametrize(
@@ -142,7 +142,7 @@ def test_answering_builds_no_query_graph(monkeypatch):
     for module in (querygraph, annotation, structures):
         monkeypatch.setattr(module, "chain_of", refuse)
     with pytest.raises(AssertionError):
-        extract_query_graph(parse_sparql("SELECT ?x WHERE { :a :r ?x . }"))
+        extract_query_graph(parse_sparql("SELECT ?x WHERE { :a :r ?x . }"), "a")
     kg, questions = three_hop_benchmark(8, seed=0)
     ranker = TokenOverlapRanker()
     for q in questions:

@@ -363,6 +363,32 @@ def test_train_ranker_leaves_non_chain_gold_out_of_trained_on(toy, tmp_path):
     assert json_lines(proc)[0]["trained_on"] == 5  # the five toy questions
 
 
+def test_record_whose_sparql_does_not_name_its_topic_is_left_out(toy, trained, tmp_path):
+    # the same record with a SPARQL read from thing0, its topic, and from
+    # thing1: the second has no chain from its topic, so it is Unsupported,
+    # not a classifier example and not a ranker gold
+    runs = {}
+    for name, pattern in (("named", ":thing0 :size ?x ."), ("other", ":thing1 :size ?x .")):
+        rec = {"id": "extra", "question": "what size is thing0", "topic_entity": "thing0",
+               "answers": ["val0_2"], "sparql": f"SELECT ?x WHERE {{ {pattern} }}"}
+        data = tmp_path / f"{name}.jsonl"
+        data.write_text((toy / "questions.jsonl").read_text() + json.dumps(rec) + "\n")
+        labels = json_lines(run_cli("annotate", "--dataset", str(data)))
+        clf = run_cli(
+            "train-classifier", "--kg", str(toy / "kg.tsv"), "--dataset", str(data),
+            "--embeddings", trained["emb"], "--out", str(tmp_path / f"{name}.clf"), "--epochs", "1",
+        )
+        rank = run_cli(
+            "train-ranker", "--kg", str(toy / "kg.tsv"), "--dataset", str(data),
+            "--out", str(tmp_path / f"{name}.rank"), "--epochs", "1",
+        )
+        runs[name] = (labels[-2], json_lines(clf)[0]["trained_on"], json_lines(rank)[0]["trained_on"])
+    assert runs == {
+        "named": ({"id": "extra", "label": "SS1"}, 6, 6),
+        "other": ({"id": "extra", "label": "Unsupported"}, 5, 5),
+    }
+
+
 def test_train_classifier_without_examples_is_one_error_line(toy, trained, tmp_path):
     # every record's topic is outside the KG, so no example is left to train on
     data = tmp_path / "questions.jsonl"

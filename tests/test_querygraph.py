@@ -1,7 +1,16 @@
 import pytest
 
-from sskgqa.annotation import ExtractionError, SparqlError, extract_query_graph, parse_sparql
+from sskgqa.annotation import (
+    UNSUPPORTED,
+    ExtractionError,
+    LabeledQuestion,
+    SparqlError,
+    extract_query_graph,
+    label_wsp,
+    parse_sparql,
+)
 from sskgqa.kg import build_kg
+from sskgqa.pipeline import gold_graph_of
 from sskgqa.querygraph import (
     CLS,
     SEP,
@@ -16,7 +25,15 @@ from sskgqa.querygraph import (
     split_symbol,
     to_sparql,
 )
-from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, VAR, SemanticStructure, StructureError
+from sskgqa.structures import (
+    ANSWER,
+    E_CONST,
+    E_TOPIC,
+    VAR,
+    SemanticStructure,
+    StructureError,
+    builtin_taxonomy,
+)
 
 
 def chain_2hop():
@@ -28,7 +45,7 @@ def test_build_chain_shape():
     assert g == Chain("alpha", (("r1", False), ("r2", False)), ())
     # the topic is grounded, the intermediate is ?y and the lambda ?x
     assert to_sparql(g) == "SELECT DISTINCT ?x WHERE { :alpha :r1 ?y . ?y :r2 ?x . }"
-    p = extract_query_graph(parse_sparql(to_sparql(g)))
+    p = extract_query_graph(parse_sparql(to_sparql(g)), "alpha")
     assert p == g
 
 
@@ -41,8 +58,8 @@ def test_build_chain_with_constraint():
     assert chain_of([("a", "r", "x"), ("x", "c", "val")], "a", "x", {"a": "a", "val": "val"}) == g
 
 
-def _extract(sparql):
-    return extract_query_graph(parse_sparql(sparql))
+def _extract(sparql, topic="a"):
+    return extract_query_graph(parse_sparql(sparql), topic)
 
 
 def test_validation_rejects_two_lambdas():
@@ -54,19 +71,35 @@ def test_validation_rejects_two_lambdas():
 
 
 def test_validation_rejects_disconnected():
-    with pytest.raises(ExtractionError):
-        _extract("SELECT ?x WHERE { :a :r ?x . :b :r ?y . }")
+    # from either Iri, the other pattern is neither a path edge nor a
+    # constraint on a path node
+    for topic in ("a", "b"):
+        with pytest.raises(ExtractionError):
+            _extract("SELECT ?x WHERE { :a :r ?x . :b :r ?y . }", topic)
     with pytest.raises(StructureError):
         SemanticStructure("X", (E_TOPIC, ANSWER, E_CONST), ((0, 1),))
 
 
-def test_validation_rejects_variable_topic():
-    # a query without an Iri has no topic, and neither has a structure
-    # without a topic node
-    with pytest.raises(ExtractionError):
-        _extract("SELECT ?x WHERE { ?y :r ?x . }")
+def test_validation_rejects_query_without_the_topic():
+    # a query that names its record's topic in no pattern has no chain, so
+    # the question is Unsupported and has no gold; a predicate is no node.
+    # A structure without a topic node is refused too.
+    for sparql in ("SELECT ?x WHERE { ?y :r ?x . }", "SELECT ?x WHERE { :b :r ?x . }", "SELECT ?x WHERE { ?x :a ?y . }"):
+        with pytest.raises(ExtractionError, match="no pattern names the topic 'a'"):
+            _extract(sparql)
+        q = LabeledQuestion("q", "?", "a", [], sparql=sparql)
+        assert label_wsp(q, builtin_taxonomy()) == UNSUPPORTED
+        assert gold_graph_of(q) is None
     with pytest.raises(StructureError):
         SemanticStructure("X", (VAR, ANSWER, E_CONST), ((0, 1), (2, 0)))
+
+
+def test_each_named_topic_gives_its_own_chain():
+    # a path from :a with a constraint :b on ?y, or a path from :b with the
+    # constraint :a on the topic's neighbour
+    sparql = "SELECT ?x WHERE { :a :r ?y . ?y :s ?x . ?y :t :b . }"
+    assert _extract(sparql, "a") == Chain("a", (("r", False), ("s", False)), ((1, "t", False, "b"),))
+    assert _extract(sparql, "b") == Chain("b", (("t", True), ("s", False)), ((1, "r", True, "a"),))
 
 
 def test_validation_rejects_lambda_named_as_a_variable():
@@ -109,7 +142,7 @@ def test_serialize_tokens_reverse_marker():
 
 def test_serialize_tokens_names_variables_by_place():
     # an extracted gold serializes as the candidate it canonicalizes equal to
-    g = extract_query_graph(parse_sparql("SELECT ?x WHERE { :a :r ?m . ?m :s ?x . }"))
+    g = _extract("SELECT ?x WHERE { :a :r ?m . ?m :s ?x . }")
     cand = build_chain("a", [("r", False), ("s", False)])
     assert canonicalize(g) == canonicalize(cand)
     assert serialize_tokens(g) == serialize_tokens(cand) == [CLS, "a", "r", "y", "s", "x", SEP]
@@ -184,7 +217,7 @@ def test_to_sparql_reversed_swaps_subject():
 def test_to_sparql_round_trip_keeps_selected_variable():
     # the query selects ?ans and also uses ?x; emitting it must not merge them
     kg = build_kg([("a", "r", "m1"), ("m1", "s", "t1"), ("a", "r", "m2"), ("m2", "s", "m2")])
-    g = extract_query_graph(parse_sparql("SELECT ?ans WHERE { :a :r ?x . ?x :s ?ans . }"))
-    h = extract_query_graph(parse_sparql(to_sparql(g)))
+    g = _extract("SELECT ?ans WHERE { :a :r ?x . ?x :s ?ans . }")
+    h = _extract(to_sparql(g))
     assert canonicalize(h) == canonicalize(g)
     assert execute(h, kg) == execute(g, kg) == {kg.entities.id_of("t1"), kg.entities.id_of("m2")}

@@ -166,7 +166,7 @@ def test_build_training_triplets_skips_long_gold_quickly():
 
     names = [":a"] + [f"?v{i}" for i in range(1, 11)] + ["?x"]
     patterns = " ".join(f"{s} :r {o} ." for s, o in zip(names, names[1:]))
-    gold = extract_query_graph(parse_sparql(f"SELECT ?x WHERE {{ {patterns} }}"))
+    gold = extract_query_graph(parse_sparql(f"SELECT ?x WHERE {{ {patterns} }}"), "a")
     assert len(gold.hops) == 11 and not gold.constraints
     kg = build_kg([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a")])
     t0 = perf_counter()
@@ -176,16 +176,19 @@ def test_build_training_triplets_skips_long_gold_quickly():
 
 
 def test_train_ranker_skips_gold_with_answer_behind_constraint():
-    # the answer meets the topic only through the constant val0_0, so the
-    # gold has no hop count; that record is skipped, the others train.
-    # So is a gold whose topic entity zz is not in the KG.
-    from sskgqa.annotation import extract_query_graph, parse_sparql
+    # from thing0 the answer lies behind the constant val0_0, so there is no
+    # chain; from val0_0 the gold is one hop with thing0 a constraint on the
+    # topic, a shape no candidate has. That record is skipped, the others
+    # train. So is a gold whose topic entity zz is not in the KG.
+    from sskgqa.annotation import ExtractionError, extract_query_graph, parse_sparql
 
     kg, questions = ranker_fixture()
-    bad = extract_query_graph(
-        parse_sparql("SELECT ?x WHERE { :thing0 :color :val0_0 . ?x :shape :val0_0 . }")
-    )
-    stray = extract_query_graph(parse_sparql("SELECT ?x WHERE { :zz :r ?x . }"))
+    ast = parse_sparql("SELECT ?x WHERE { :thing0 :color :val0_0 . ?x :shape :val0_0 . }")
+    with pytest.raises(ExtractionError):
+        extract_query_graph(ast, "thing0")
+    bad = extract_query_graph(ast, "val0_0")
+    assert bad.shape == (1, (0,))
+    stray = extract_query_graph(parse_sparql("SELECT ?x WHERE { :zz :r ?x . }"), "zz")
     dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
     mixed = dataset[:2] + [(["q"], bad)] + dataset[2:4] + [(["q"], stray)] + dataset[4:]
     cfg = RankTrainConfig(epochs=1, dropout=0.0, out_dim=8, ff_width=16, seed=0)
