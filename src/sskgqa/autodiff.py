@@ -324,11 +324,6 @@ def log(a: Node) -> Node:
     return Node(np.log(a.value), (a,), lambda g: a.accumulate(g / a.value))
 
 
-def relu(a: Node) -> Node:
-    mask = a.value > 0
-    return Node(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
-
-
 def logsigmoid(a: Node) -> Node:
     """log(sigmoid(x)), computed stably as min(x, 0) - log1p(exp(-|x|))."""
     x = a.value
@@ -383,11 +378,6 @@ def split_halves(a: Node) -> tuple[Node, Node]:
         return Node(a.value[:, cols].copy(), (a,), backward)
 
     return half(slice(None, h)), half(slice(h, None))
-
-
-def concat_halves(lo: Node, hi: Node) -> Node:
-    _same_shape(lo, hi, "concat_halves")
-    return concat_cols(lo, hi)
 
 
 def concat_cols(a: Node, b: Node) -> Node:

@@ -53,21 +53,9 @@ class ClassifierTrainConfig:
         )
 
 
-def rotate_fuse(eh: np.ndarray, eq: np.ndarray) -> np.ndarray:
-    """Fuse entity and question vectors: s = eh + eq + (eh complex-mul eq).
-
-    Both vectors are half-split (lower half real, higher half imaginary).
-    """
-    eh = np.asarray(eh, dtype=np.float64).reshape(1, -1)
-    eq = np.asarray(eq, dtype=np.float64).reshape(1, -1)
-    if eh.shape != eq.shape:
-        raise ValueError(f"dimension mismatch: {eh.shape[1]} vs {eq.shape[1]}")
-    if eh.shape[1] % 2 != 0:
-        raise ValueError("dimension must be even")
-    return _fuse_node(ad.constant(eh), ad.constant(eq)).value[0]
-
-
-def _fuse_node(eh: ad.Node, eq: ad.Node) -> ad.Node:
+def fuse(eh: ad.Node, eq: ad.Node) -> ad.Node:
+    """Fuse entity and question vectors: s = eh + eq + (eh complex-mul eq),
+    both half-split (lower half real, higher half imaginary)."""
     return ad.add(ad.add(eh, eq), ad.complex_mul(eh, eq))
 
 
@@ -102,7 +90,7 @@ class ClassifierModel:
         padded encoder forward."""
         eq = self.encoder.forward(*id_lists, training=training, rng=rng)
         eh = ad.constant(self.table.lookup_entities(topics))
-        s = _fuse_node(eh, eq)
+        s = fuse(eh, eq)
         return ad.add(ad.matmul(s, self.w), self.b)
 
     def classify(self, tokens: list[str], topic: int) -> np.ndarray:

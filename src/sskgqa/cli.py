@@ -125,22 +125,21 @@ def _ranker_dataset(questions):
     return dataset
 
 
-def _rank_cfg(args, **overrides) -> rk.RankTrainConfig:
-    base = dict(
+def _rank_cfg(args, **setting) -> rk.RankTrainConfig:
+    """The ranker config of the options `train-ranker` and `ablate` share,
+    plus the settings the command picks."""
+    return rk.RankTrainConfig(
         margin=args.margin,
-        negatives=args.negatives,
         lr=args.lr,
-        heads=args.heads,
         dropout=args.dropout,
         epochs=args.epochs,
         seed=_seed(args),
+        **setting,
     )
-    base.update(overrides)
-    return rk.RankTrainConfig(**base)
 
 
 def cmd_train_ranker(args) -> int:
-    cfg = _rank_cfg(args)
+    cfg = _rank_cfg(args, negatives=args.negatives, heads=args.heads)
     kg = _load_kg(args.kg)
     tax = _taxonomy(args)
     questions = ann.load_dataset(args.dataset)
@@ -220,14 +219,7 @@ def cmd_ablate(args) -> int:
         settings = [("negatives", n) for n in NEGATIVE_GRID]
     else:
         settings = [("heads", h) for h in HEAD_GRID]
-    base = dict(
-        margin=args.margin,
-        lr=args.lr,
-        dropout=args.dropout,
-        epochs=args.epochs,
-        seed=_seed(args),
-    )
-    grid = [(name, value, rk.RankTrainConfig(**base, **{name: value})) for name, value in settings]
+    grid = [(name, value, _rank_cfg(args, **{name: value})) for name, value in settings]
     kg = _load_kg(args.kg)
     tax = _taxonomy(args)
     questions = ann.load_dataset(args.dataset)

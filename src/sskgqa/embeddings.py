@@ -57,9 +57,6 @@ class EmbeddingTable:
                 raise EmbeddingError(f"entity id out of range: {e}")
         return self.ent[np.asarray(ids, dtype=np.int64)]
 
-    def score(self, h: int, r: int, t: int) -> float:
-        return float(self.score_tails(h, r, np.array([t]))[0])
-
     def score_tails(self, h: int, r: int, tails: np.ndarray) -> np.ndarray:
         """Scores of (h, r, t') for a vector of candidate tails, computed
         under no_grad."""
@@ -92,7 +89,7 @@ def score_nodes(
     if kind == "complex":
         return ad.rowsum(ad.mul(ad.complex_mul(eh, er), et))
     theta, _pad = ad.split_halves(er)
-    unit = ad.concat_halves(ad.cos(theta), ad.sin(theta))
+    unit = ad.concat_cols(ad.cos(theta), ad.sin(theta))
     return ad.scale(ad.rownorm(ad.sub(ad.complex_mul(eh, unit), et)), -1.0)
 
 
@@ -173,16 +170,24 @@ def save_table(table: EmbeddingTable, path: str) -> None:
 
 def load_table(path: str) -> EmbeddingTable:
     with open(path, "rb") as f:
-        header = f.readline().decode().strip().split()
+        try:
+            header = f.readline().decode().split()
+        except UnicodeDecodeError:
+            raise EmbeddingError(f"undecodable embedding checkpoint header in {path}") from None
         if header[:2] != MAGIC.split() or len(header) != 6:
             raise EmbeddingError(f"bad embedding checkpoint header in {path}")
-        kind, n, r, d = header[2], int(header[3]), int(header[4]), int(header[5])
+        if not all(v.isdecimal() for v in header[3:]):
+            raise EmbeddingError(f"{path}: sizes must be non-negative integers, got {' '.join(header[3:])}")
+        kind, (n, r, d) = header[2], map(int, header[3:])
         raw = f.read()
     if len(raw) % 4 != 0:
-        raise EmbeddingError(f"embedding payload of {len(raw)} bytes is not a whole number of float32 values")
+        raise EmbeddingError(f"{path}: payload of {len(raw)} bytes is not a whole number of float32 values")
     flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     if flat.size != (n + r) * d:
-        raise EmbeddingError("embedding payload size mismatch")
+        raise EmbeddingError(f"{path}: payload has {flat.size} floats, the header's sizes need {(n + r) * d}")
     ent = flat[: n * d].reshape(n, d).copy()
     rel = flat[n * d :].reshape(r, d).copy()
-    return EmbeddingTable(kind, ent, rel)
+    try:
+        return EmbeddingTable(kind, ent, rel)
+    except EmbeddingError as exc:
+        raise EmbeddingError(f"{path}: {exc}") from None

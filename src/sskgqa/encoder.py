@@ -76,7 +76,6 @@ class SequenceEncoder:
     def __init__(self, vocab: Vocab, cfg: EncoderConfig, rng: np.random.Generator):
         self.vocab = vocab
         self.cfg = cfg
-        self.encode_calls = 0  # sequences encoded; efficiency contract instrumentation
         self.params: dict[str, ad.Node] = {
             name: ad.parameter(
                 np.zeros(shape) if name.startswith("ff_b") else rng.normal(0.0, 0.1, size=shape)
@@ -106,7 +105,6 @@ class SequenceEncoder:
             raise ValueError("forward needs at least one token sequence")
         if not all(sequences):
             raise ValueError("token sequences must be non-empty")
-        self.encode_calls += len(sequences)
         cfg = self.cfg
         n = len(sequences)
         lens = np.array([len(s) for s in sequences])

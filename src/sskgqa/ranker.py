@@ -9,7 +9,7 @@ from itertools import groupby
 import numpy as np
 
 from . import autodiff as ad
-from .candidates import MAX_HOPS, EnumConfig, enumerate_candidates
+from .candidates import EnumConfig, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
@@ -38,7 +38,6 @@ class RankTrainConfig:
     clip_norm: float = 1.0
     epochs: int = 10
     seed: int = 0
-    max_hops: int = 3
     use_attention: bool = True
     # the encoder settings above as the EncoderConfig train_ranker builds
     # its encoder from; made, and so checked, with the config
@@ -52,8 +51,6 @@ class RankTrainConfig:
         for name in ("negatives", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 1 <= self.max_hops <= MAX_HOPS:
-            raise ValueError(f"max_hops must be in 1..{MAX_HOPS}, got {self.max_hops}")
         self.encoder = EncoderConfig(
             out_dim=self.out_dim,
             d_model=self.d_model,
@@ -62,22 +59,6 @@ class RankTrainConfig:
             use_attention=self.use_attention,
             dropout=self.dropout,
         )
-
-
-def triplet_loss(f_q: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, alpha: float = 1.0) -> float:
-    """max(||f_q - f_p|| - ||f_q - f_n|| + alpha, 0) with Euclidean norms:
-    batch_triplet_loss of the one triplet."""
-    f_q, f_p, f_n = (np.asarray(v, dtype=np.float64).ravel() for v in (f_q, f_p, f_n))
-    if not f_q.shape == f_p.shape == f_n.shape:
-        raise RankerError("triplet vectors must have equal dimensions")
-    return float(batch_triplet_loss(ad.constant(np.stack([f_q, f_p, f_n])), alpha).value[0, 0])
-
-
-def batch_triplet_loss(f: ad.Node, alpha: float) -> ad.Node:
-    """Mean triplet loss of one question: row 0 of f is f(q), row 1 f(positive)
-    and each further row f(negative); per negative
-    max(||f_q - f_p|| - ||f_q - f_n|| + alpha, 0)."""
-    return ad.triplet_hinge(f, alpha)
 
 
 class RankerModel:
@@ -161,7 +142,7 @@ def build_training_triplets(
     KG are skipped.
     """
     out = []
-    base = EnumConfig(max_hops=cfg.max_hops)
+    base = EnumConfig()
     for q_tokens, gold in dataset:
         if gold.topic not in kg.entities:
             continue
@@ -203,7 +184,7 @@ def train_ranker(
         for i in order:
             q_ids, pos_ids, neg_ids = id_triplets[i]
             f = model.encoder.forward(q_ids, pos_ids, *neg_ids, training=True, rng=rng)
-            train_step(opt, buffer, batch_triplet_loss(f, cfg.margin), cfg.clip_norm)
+            train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin), cfg.clip_norm)
     return model
 
 

@@ -1,4 +1,4 @@
-"""Semantic structures: the SS1..SS6 taxonomy, abstraction and matching."""
+"""Semantic structures: the SS1..SS6 taxonomy and abstraction."""
 
 from __future__ import annotations
 
@@ -122,16 +122,6 @@ def abstract(c: Chain) -> SemanticStructure:
     return chain_structure(*c.shape, label="abstract")
 
 
-def matches(c: Chain, ss: SemanticStructure) -> bool:
-    """True iff chain c has the shape of ss."""
-    return c.shape == ss.shape
-
-
-def filter_candidates(cands: list[Chain], ss: SemanticStructure) -> list[Chain]:
-    """Candidates whose abstraction matches ss."""
-    return [c for c in cands if matches(c, ss)]
-
-
 def load_taxonomy(path: str) -> Taxonomy:
     """Taxonomy config: JSON list of {label, kinds, edges} entries.
 
@@ -166,11 +156,3 @@ def _structure_entry(path: str, i: int, e) -> SemanticStructure:
         raise StructureError(f"{name}: edges must be a list of [from, to] index pairs")
     return SemanticStructure(label, tuple(kinds), tuple(map(tuple, edges)))
 
-
-def save_taxonomy(tax: Taxonomy, path: str) -> None:
-    entries = [
-        {"label": s.label, "kinds": list(s.kinds), "edges": [list(e) for e in s.edges]}
-        for s in tax
-    ]
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(entries, f, indent=2)

@@ -26,7 +26,8 @@ and `reference_build_training_triplets`, which drops the candidates whose
 `canonicalize` key is the gold's; and SPARQL extraction as it was before
 the record named the topic and the chain walk indexed its edges:
 `reference_chain_of`, the walk that scans every edge left at each step, and
-`reference_topic_guess`, the rule that picked the topic from the patterns.
+`reference_topic_guess`, the rule that picked the topic from the patterns;
+and `reference_relu`, the node those chains build that no model runs.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
@@ -514,9 +515,15 @@ def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
     return merged
 
 
+def reference_relu(a):
+    """max(x, 0) as a node; its gradient is 0 at 0."""
+    mask = a.value > 0
+    return ad.Node(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
+
+
 def reference_feed_forward(x, w1, b1, w2, b2):
     """`ad.feed_forward` as a chain of matmul, add, relu, matmul and add nodes."""
-    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
+    hidden = reference_relu(ad.add(ad.matmul(x, w1), b1))
     return ad.add(ad.matmul(hidden, w2), b2)
 
 
@@ -528,7 +535,6 @@ def reference_encoder_forward(self, *sequences, training: bool = False, rng=None
         raise ValueError("forward needs at least one token sequence")
     if not all(sequences):
         raise ValueError("token sequences must be non-empty")
-    self.encode_calls += len(sequences)
     cfg, p = self.cfg, self.params
     n = len(sequences)
     lens = np.array([len(s) for s in sequences])
@@ -571,7 +577,7 @@ def reference_score_all(model, question_tokens, cands) -> list[float]:
 
 
 def reference_batch_triplet_loss(f, alpha: float):
-    """`ranker.batch_triplet_loss` as the chain of nodes `ad.triplet_hinge`
+    """The ranker's triplet loss as the chain of nodes `ad.triplet_hinge`
     fuses: row gathers of the anchor and the other rows, their difference,
     the row norms, gathers of the positive's and the negatives' distances,
     their difference, the margin added as a constant, relu, the sum and the
@@ -580,7 +586,7 @@ def reference_batch_triplet_loss(f, alpha: float):
     # dist row 0 is ||f_q - f_p||, row j is ||f_q - f_n_j||
     dist = ad.rownorm(ad.sub(ad.rows(f, [0] * (k + 1)), ad.rows(f, range(1, k + 2))))
     raw = ad.sub(ad.rows(dist, [0] * k), ad.rows(dist, range(1, k + 1)))
-    hinge = ad.relu(ad.add(raw, ad.constant([[alpha]])))
+    hinge = reference_relu(ad.add(raw, ad.constant([[alpha]])))
     return ad.scale(ad.sum_all(hinge), 1.0 / k)
 
 
@@ -588,7 +594,7 @@ def reference_build_training_triplets(dataset, kg, cfg, rng):
     """`ranker.build_training_triplets` with negatives kept by their
     `canonicalize` key, unequal to the gold's."""
     out = []
-    base = EnumConfig(max_hops=cfg.max_hops)
+    base = EnumConfig()
     for q_tokens, gold in dataset:
         if gold.topic not in kg.entities:
             continue
@@ -622,7 +628,7 @@ def reference_train_ranker(dataset, kg, cfg):
         for i in order:
             q_toks, pos_toks, neg_toks = triplets[i]
             f = reference_token_forward(model.encoder, q_toks, pos_toks, *neg_toks, training=True, rng=rng)
-            train_step(opt, buffer, ranker.batch_triplet_loss(f, cfg.margin), cfg.clip_norm)
+            train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin), cfg.clip_norm)
     return model
 
 

@@ -15,7 +15,6 @@ from sskgqa.structures import (
     E_TOPIC,
     SemanticStructure,
     builtin_taxonomy,
-    filter_candidates,
 )
 
 
@@ -157,7 +156,8 @@ def test_structure_enumeration_equals_filtered_enumeration(triples, pick, attach
     for ss in list(builtin_taxonomy()) + [TWO_CONSTRAINTS]:
         for max_hops in (1, 2, 3):
             cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach)
-            want = filter_candidates(enumerate_candidates(kg, topic, derived_enum(cfg, ss.shape)).graphs, ss)
+            full = enumerate_candidates(kg, topic, derived_enum(cfg, ss.shape)).graphs
+            want = [c for c in full if c.shape == ss.shape]
             got = enumerate_candidates(kg, topic, cfg, ss.shape)
             assert got.graphs == want and not got.truncated
             if ss is TWO_CONSTRAINTS:

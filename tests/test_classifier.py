@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fixtures import separable_classifier_dataset
 from reference import reference_clip, reference_train_classifier
 from sskgqa import autodiff as ad
 from sskgqa.classifier import (
@@ -8,8 +9,8 @@ from sskgqa.classifier import (
     ClassifierModel,
     ClassifierTrainConfig,
     cross_entropy,
+    fuse,
     load_classifier,
-    rotate_fuse,
     save_classifier,
     train_classifier,
 )
@@ -17,7 +18,6 @@ from sskgqa.embeddings import EmbeddingError, init_table
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.optim import AdamW
 from sskgqa.structures import builtin_taxonomy
-from sskgqa.synth import separable_classifier_dataset
 
 
 def test_rotate_fuse_matches_complex_oracle():
@@ -25,7 +25,7 @@ def test_rotate_fuse_matches_complex_oracle():
     for d in (2, 8, 64):
         eh = rng.normal(size=d)
         eq = rng.normal(size=d)
-        out = rotate_fuse(eh, eq)
+        out = fuse(ad.constant(eh[None]), ad.constant(eq[None])).value[0]
         h = d // 2
         zh = eh[:h] + 1j * eh[h:]
         zq = eq[:h] + 1j * eq[h:]
@@ -37,10 +37,10 @@ def test_rotate_fuse_matches_complex_oracle():
 
 
 def test_rotate_fuse_validation():
-    with pytest.raises(ValueError):
-        rotate_fuse(np.zeros(4), np.zeros(6))
-    with pytest.raises(ValueError):
-        rotate_fuse(np.zeros(3), np.zeros(3))
+    with pytest.raises(ad.ShapeError):
+        fuse(ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 6))))
+    with pytest.raises(ad.ShapeError):
+        fuse(ad.constant(np.zeros((1, 3))), ad.constant(np.zeros((1, 3))))
 
 
 def make_model(table, seed=0):

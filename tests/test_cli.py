@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sskgqa
+from fixtures import taxonomy_entries
 
 # the directory holding the package under test, so the subprocess runs it
 # whether or not the package is installed
@@ -218,14 +219,13 @@ def test_evaluate_records_no_candidates(toy, trained, tmp_path):
 def test_relabelled_taxonomy_labels_by_shape(tmp_path):
     # the built-in structures under other labels: hop labelling and oracle
     # filtering go by shape, so only the labels change
-    from sskgqa.structures import builtin_taxonomy, save_taxonomy
+    from sskgqa.structures import builtin_taxonomy
 
     toy = tmp_path / "toy"
     run_cli("make-toy", "--out", str(toy), "--benchmark", "three-hop", "--questions", "12")
     data, kg = str(toy / "questions.jsonl"), str(toy / "kg.tsv")
     tax = tmp_path / "tax.json"
-    save_taxonomy(builtin_taxonomy(), str(tax))
-    tax.write_text(tax.read_text().replace('"SS', '"H'))
+    tax.write_text(json.dumps(taxonomy_entries(builtin_taxonomy())).replace('"SS', '"H'))
     rank = str(tmp_path / "rank.ckpt")
     run_cli("train-ranker", "--kg", kg, "--dataset", data, "--out", rank, "--epochs", "2")
     out = {}
@@ -314,11 +314,10 @@ def test_bad_taxonomy_is_one_error_line(toy, trained, tmp_path, entry, error):
     # one a question no structure matches gets, or whose shape candidate
     # enumeration never emits (a constraint on the topic, a second
     # constraint, four hops); no toy question has these structures
-    from sskgqa.structures import builtin_taxonomy, save_taxonomy
+    from sskgqa.structures import builtin_taxonomy
 
     tax = tmp_path / "tax.json"
-    save_taxonomy(builtin_taxonomy(), str(tax))
-    tax.write_text(json.dumps(json.loads(tax.read_text()) + [entry]))
+    tax.write_text(json.dumps(taxonomy_entries(builtin_taxonomy()) + [entry]))
     out = tmp_path / "clf.ckpt"
     for args in (
         ["annotate", "--dataset", str(toy / "questions.jsonl")],

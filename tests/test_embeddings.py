@@ -50,8 +50,9 @@ def test_transe_score_translation_exact():
     ent = np.array([[1.0, 2.0], [3.0, 5.0], [0.0, 0.0]])
     rel = np.array([[2.0, 3.0]])
     table = EmbeddingTable("transe", ent, rel)
-    assert table.score(0, 0, 1) == pytest.approx(0.0)
-    assert table.score(0, 0, 2) < 0.0
+    at_t, off_t = table.score_tails(0, 0, np.array([1, 2]))
+    assert at_t == pytest.approx(0.0)
+    assert off_t < 0.0
 
 
 def test_rotate_zero_phase_is_identity():
@@ -61,7 +62,7 @@ def test_rotate_zero_phase_is_identity():
     rel = np.zeros((1, 8))
     table = EmbeddingTable("rotate", ent, rel)
     expected = -np.linalg.norm(ent[0] - ent[2])
-    assert table.score(0, 0, 2) == pytest.approx(expected, abs=1e-9)
+    assert table.score_tails(0, 0, np.array([2]))[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_complex_score_matches_complex_arithmetic():
@@ -73,7 +74,7 @@ def test_complex_score_matches_complex_arithmetic():
     # packed layout contracts h*r against the tail components directly
     hr = z(ent[0]) * z(rel[1])
     expected = float(np.sum(hr.real * ent[2][:3] + hr.imag * ent[2][3:]))
-    assert table.score(0, 1, 2) == pytest.approx(expected, abs=1e-9)
+    assert table.score_tails(0, 1, np.array([2]))[0] == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
@@ -180,4 +181,24 @@ def test_checkpoint_odd_payload(tmp_path):
     save_table(init_table("transe", 5, 2, 8, seed=9), str(path))
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(EmbeddingError, match="float32"):
+        load_table(str(path))
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"ssk-emb v1 transe x 2 8\n",  # not an integer
+        b"ssk-emb v1 transe -1 2 8\n",  # negative
+        b"ssk-emb v1 transe 5 2 8.0\n",
+        b"ssk-emb v1 \xff\xfe 5 2 8\n",  # not UTF-8
+        b"ssk-emb v1 transe 5 2 9\n",  # payload too short
+        b"ssk-emb v1 tucker 5 2 8\n",  # unknown kind
+        b"ssk-emb v1 rotate 1 7 7\n",  # odd dimension
+    ],
+    ids=["not_integer", "negative", "float", "undecodable", "short_payload", "unknown_kind", "odd_rotate"],
+)
+def test_checkpoint_errors_name_the_file(tmp_path, header):
+    path = tmp_path / "emb.ckpt"
+    path.write_bytes(header + np.zeros(7 * 8, dtype="<f4").tobytes())
+    with pytest.raises(EmbeddingError, match="emb.ckpt"):
         load_table(str(path))

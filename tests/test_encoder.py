@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import count_forwards
 from sskgqa import autodiff as ad
 from sskgqa.encoder import OOV, EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.optim import AdamW
@@ -50,11 +51,11 @@ def make_encoder(use_attention=True, seed=0, dropout=0.0):
 
 def test_encode_shape_and_counter():
     enc = make_encoder()
+    calls = count_forwards(enc)
     out = enc.encode([1, 2])
     assert out.shape == (1, 6)
-    assert enc.encode_calls == 1
-    enc.encode([3])
-    assert enc.encode_calls == 2
+    enc.encode([3], [4, 1])
+    assert calls == [1, 2]
 
 
 def test_encode_deterministic_at_inference():
@@ -96,9 +97,10 @@ sequences = st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), min_size=1, ma
 def test_batched_encode_matches_per_sequence_reference(seqs, repeats, use_attention):
     seqs = seqs + [seqs[i % len(seqs)] for i in repeats]  # duplicate sequences
     enc = make_encoder(use_attention=use_attention, dropout=0.5)
+    calls = count_forwards(enc)
     got = enc.encode(*(enc.vocab.encode(s) for s in seqs))
     assert got.shape == (len(seqs), 6)
-    assert enc.encode_calls == len(seqs)
+    assert calls == [len(seqs)]
     want = np.concatenate([reference_forward(enc, s) for s in seqs])
     assert np.abs(got - want).max() < 1e-10
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import separable_classifier_dataset
 from reference import (
     UnpackedParams,
     global_norm,
@@ -29,7 +30,7 @@ from sskgqa.optim import (
 from sskgqa.pipeline import gold_graph_of, tokenize_question
 from sskgqa.ranker import RankTrainConfig, train_ranker
 from sskgqa.structures import builtin_taxonomy
-from sskgqa.synth import ranker_fixture, separable_classifier_dataset
+from sskgqa.synth import ranker_fixture
 
 
 def test_global_norm():

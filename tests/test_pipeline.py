@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sskgqa.pipeline as pipeline
+from fixtures import random_fixture
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
 from sskgqa.kg import build_kg, load_kg, save_kg
 from sskgqa.pipeline import (
@@ -21,7 +22,6 @@ from sskgqa.synth import (
     norshteyn_kg,
     norshteyn_questions,
     norshteyn_test_question,
-    random_fixture,
     ranker_fixture,
     three_hop_benchmark,
 )

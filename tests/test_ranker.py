@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import count_forwards, triplet_loss
 from reference import (
     reference_batch_triplet_loss,
     reference_build_training_triplets,
+    reference_relu,
     reference_score_all,
     reference_train_ranker,
 )
 from sskgqa import autodiff as ad
 from sskgqa import ranker as ranker_module
-from sskgqa.candidates import MAX_HOPS
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import gold_graph_of, tokenize_question
@@ -22,13 +23,11 @@ from sskgqa.ranker import (
     RankerModel,
     RankTrainConfig,
     TokenOverlapRanker,
-    batch_triplet_loss,
     build_training_triplets,
     load_ranker,
     rank_candidates,
     save_ranker,
     train_ranker,
-    triplet_loss,
 )
 from sskgqa.structures import builtin_taxonomy
 from sskgqa.synth import (
@@ -50,17 +49,11 @@ def test_triplet_loss_hand_values():
     assert triplet_loss(q, p, p, alpha=2.5) == pytest.approx(2.5)
 
 
-def test_triplet_loss_dim_mismatch():
-    with pytest.raises(RankerError):
-        triplet_loss(np.zeros(2), np.zeros(3), np.zeros(2))
-
-
 def test_config_validation():
     nan = float("nan")
     for name, value in [
         ("margin", 0.0), ("margin", nan), ("negatives", 0), ("lr", -1.0), ("lr", 0.0), ("lr", nan),
         ("epochs", 0), ("epochs", -3), ("clip_norm", 0.0), ("clip_norm", -1.0), ("clip_norm", nan),
-        ("max_hops", 0), ("max_hops", MAX_HOPS + 1),
         # encoder settings, refused by the EncoderConfig the config builds
         ("heads", 5), ("dropout", 1.5), ("dropout", nan), ("d_model", 0), ("ff_width", 0), ("out_dim", 0),
     ]:
@@ -225,9 +218,9 @@ def test_score_all_single_pass_encoding():
     from sskgqa.candidates import EnumConfig, enumerate_candidates
 
     cands = enumerate_candidates(kg, "thing0", EnumConfig(max_hops=1)).graphs
-    model.encoder.encode_calls = 0
+    calls = count_forwards(model.encoder)
     model.score_all(["what", "color"], cands)
-    assert model.encoder.encode_calls == 1 + len(cands)
+    assert calls == [1 + len(cands)]
 
 
 def test_score_all_across_chunks(monkeypatch):
@@ -239,9 +232,10 @@ def test_score_all_across_chunks(monkeypatch):
     single = [model.score_all(q, [g])[0] for g in cands]
     monkeypatch.setattr(ranker_module, "ENCODE_CHUNK", 4)
     assert len(cands) + 1 > 2 * 4
-    model.encoder.encode_calls = 0
+    calls = count_forwards(model.encoder)
     assert np.allclose(model.score_all(q, cands), single, rtol=0.0, atol=1e-10)
-    assert model.encoder.encode_calls == 1 + len(cands)
+    n = 1 + len(cands)
+    assert calls == [min(4, n - i) for i in range(0, n, 4)]
 
 
 def test_batch_triplet_loss_matches_per_negative_form():
@@ -259,11 +253,11 @@ def test_batch_triplet_loss_matches_per_negative_form():
             ad.backward(loss)
             return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
 
-        batched = batch_triplet_loss(enc.forward(*seqs), alpha)
+        batched = ad.triplet_hinge(enc.forward(*seqs), alpha)
         got = grads_of(batched)
         f_q, f_p, *f_n = (enc.forward(s) for s in seqs)
         terms = [
-            ad.relu(ad.add(ad.sub(ad.rownorm(ad.sub(f_q, f_p)), ad.rownorm(ad.sub(f_q, n))), ad.constant([[alpha]])))
+            reference_relu(ad.add(ad.sub(ad.rownorm(ad.sub(f_q, f_p)), ad.rownorm(ad.sub(f_q, n))), ad.constant([[alpha]])))
             for n in f_n
         ]
         total = terms[0]
@@ -375,23 +369,27 @@ def toy_datasets():
 @pytest.mark.parametrize("negatives", [1, 3, 100])
 def test_build_training_triplets_equal_canonical_key_filter(negatives):
     for kg, dataset in toy_datasets():
-        for max_hops in (1, 2, MAX_HOPS):
-            cfg = RankTrainConfig(negatives=negatives, max_hops=max_hops)
-            got = build_training_triplets(dataset, kg, cfg, np.random.default_rng(negatives))
-            want = reference_build_training_triplets(dataset, kg, cfg, np.random.default_rng(negatives))
-            assert got == want
+        cfg = RankTrainConfig(negatives=negatives)
+        got = build_training_triplets(dataset, kg, cfg, np.random.default_rng(negatives))
+        want = reference_build_training_triplets(dataset, kg, cfg, np.random.default_rng(negatives))
+        assert got == want
 
 
 def test_triplet_loss_goes_through_the_fused_op(monkeypatch):
+    kg, questions = ranker_fixture()
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
     calls, fused = [], ad.triplet_hinge
 
     def counting(f, alpha):
-        calls.append(f.shape)
+        calls.append((f.shape[0], alpha))
         return fused(f, alpha)
 
     monkeypatch.setattr(ad, "triplet_hinge", counting)
-    assert triplet_loss(np.zeros(2), np.array([3.0, 4.0]), np.array([6.0, 8.0]), alpha=6.0) == 1.0
-    assert calls == [(3, 2)]
+    cfg = RankTrainConfig(epochs=2, negatives=3, margin=0.5, out_dim=4, ff_width=8)
+    train_ranker(dataset, kg, builtin_taxonomy(), cfg)
+    # one loss node per question and epoch, over the question, its positive
+    # and its 3 negatives
+    assert calls == [(5, 0.5)] * (2 * len(dataset))
 
 
 @pytest.mark.parametrize("use_attention", [True, False])
@@ -403,7 +401,7 @@ def test_train_ranker_bytes_equal_composed_loss_and_key_filter(use_attention, mo
         use_attention=use_attention,
     )
     got = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
-    monkeypatch.setattr(ranker_module, "batch_triplet_loss", reference_batch_triplet_loss)
+    monkeypatch.setattr(ad, "triplet_hinge", reference_batch_triplet_loss)
     monkeypatch.setattr(ranker_module, "build_training_triplets", reference_build_training_triplets)
     want = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
     assert got.trained_on == want.trained_on == len(dataset)
