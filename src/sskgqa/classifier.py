@@ -8,14 +8,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
+from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .embeddings import EmbeddingTable
 from .optim import AdamW, ParameterBuffer, train_step
 from .structures import Taxonomy
 
 MAGIC = "ssk-clf v1"
-# Most examples accuracy scores in one forward; bounds its padded arrays.
-ENCODE_CHUNK = 256
+BATCH_SIZE = 32  # training examples per optimizer step
+DROPOUT = 0.1  # on the pooled question vector in training
 
 
 class ClassifierError(Exception):
@@ -25,31 +25,22 @@ class ClassifierError(Exception):
 @dataclass
 class ClassifierTrainConfig:
     lr: float = 1e-3
-    batch_size: int = 32
-    dropout: float = 0.1
     epochs: int = 50
-    clip_norm: float = 1.0
     seed: int = 0
     d_model: int = 24
-    heads: int = 3
-    ff_width: int = 48
     use_attention: bool = False
-    # the encoder settings above as an EncoderConfig, made, and so checked,
-    # with the config; train_classifier sets its out_dim, here 1, to the
-    # embedding table's dimension
+    # the encoder settings above, with DROPOUT and EncoderConfig's heads and
+    # ff_width, as an EncoderConfig, made, and so checked, with the config;
+    # train_classifier sets its out_dim, here 1, to the embedding table's
+    # dimension
     encoder: EncoderConfig = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # `not x > 0` also refuses nan
-        if not all(v > 0 for v in (self.lr, self.batch_size, self.epochs, self.clip_norm)):
+        if not all(v > 0 for v in (self.lr, self.epochs)):
             raise ValueError("config values must be positive")
         self.encoder = EncoderConfig(
-            out_dim=1,
-            d_model=self.d_model,
-            heads=self.heads,
-            ff_width=self.ff_width,
-            use_attention=self.use_attention,
-            dropout=self.dropout,
+            out_dim=1, d_model=self.d_model, use_attention=self.use_attention, dropout=DROPOUT
         )
 
 
@@ -157,15 +148,15 @@ def train_classifier(
     order = np.arange(len(dataset))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, len(order), BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
             logits = model._logits(
                 [ids[i] for i in batch],
                 [dataset[i][1] for i in batch],
                 training=True,
                 rng=rng,
             )
-            train_step(opt, buffer, cross_entropy(logits, [targets[i] for i in batch]), cfg.clip_norm)
+            train_step(opt, buffer, cross_entropy(logits, [targets[i] for i in batch]))
     return model
 
 

@@ -151,8 +151,9 @@ def cmd_train_ranker(args) -> int:
 
 
 def _pipeline_config(args) -> pl.PipelineConfig:
-    """The pipeline of an `answer` or `evaluate` call; a missing option is
-    refused before any file is read."""
+    """The pipeline of an `answer` or `evaluate` call; a bad --max-hops or a
+    missing option is refused before any file is read."""
+    enum = EnumConfig(max_hops=args.max_hops, attach_constraints=args.constraints)
     if args.mode == "predicted" and not (args.classifier and args.embeddings):
         raise pl.PipelineError("predicted mode needs --classifier and --embeddings")
     kg = _load_kg(args.kg)
@@ -167,7 +168,7 @@ def _pipeline_config(args) -> pl.PipelineConfig:
         taxonomy=tax,
         ranker=ranker,
         classifier=classifier,
-        enum=EnumConfig(max_hops=args.max_hops, attach_constraints=args.constraints),
+        enum=enum,
         mode=args.mode,
     )
 
@@ -220,19 +221,14 @@ def cmd_ablate(args) -> int:
     else:
         settings = [("heads", h) for h in HEAD_GRID]
     grid = [(name, value, _rank_cfg(args, **{name: value})) for name, value in settings]
+    enum = EnumConfig(max_hops=args.max_hops)
     kg = _load_kg(args.kg)
     tax = _taxonomy(args)
     questions = ann.load_dataset(args.dataset)
     dataset = _ranker_dataset(questions)
     for name, value, rank_cfg in grid:
         model = rk.train_ranker(dataset, kg, tax, rank_cfg)
-        cfg = pl.PipelineConfig(
-            kg=kg,
-            taxonomy=tax,
-            ranker=model,
-            mode="oracle",
-            enum=EnumConfig(max_hops=args.max_hops),
-        )
+        cfg = pl.PipelineConfig(kg=kg, taxonomy=tax, ranker=model, mode="oracle", enum=enum)
         report = pl.evaluate(cfg, questions)
         _emit({name: value, "hits_at_1": report.hits_at_1})
     return 0

@@ -126,7 +126,7 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
         pos_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.add(s_pos, ad.constant(np.full(s_pos.shape, gamma))))), -1.0 / kg.num_triples)
         neg_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.scale(ad.add(s_neg, ad.constant(np.full(s_neg.shape, gamma))), -1.0))), -1.0 / s_neg.shape[0])
         loss = ad.add(pos_term, neg_term)
-        train_step(opt, buffer, loss, 1.0)
+        train_step(opt, buffer, loss)
         history.append(float(loss.value[0, 0]))
         _clamp(table)
     return table, history

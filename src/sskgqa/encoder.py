@@ -13,6 +13,9 @@ import numpy as np
 from . import autodiff as ad
 
 OOV = "[OOV]"
+# Most sequences a model encodes in one forward at inference (the ranker's
+# score_all, the classifier's accuracy); bounds the forward's padded arrays.
+ENCODE_CHUNK = 256
 
 
 @dataclass

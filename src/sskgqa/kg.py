@@ -137,13 +137,12 @@ def _indexed(kg: KnowledgeGraph, ids: set[tuple[int, int, int]]) -> KnowledgeGra
     return kg
 
 
-def load_triples(source: IO[str] | IO[bytes]) -> KnowledgeGraph:
+def load_triples(source: IO[str]) -> KnowledgeGraph:
     """Load a TSV triple file: head<TAB>relation<TAB>tail, '#' lines are comments."""
 
     def records():
         for lineno, raw in enumerate(source, start=1):
-            line = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-            line = line.rstrip("\n").rstrip("\r")
+            line = raw.rstrip("\n").rstrip("\r")
             if not line.strip() or line.startswith("#"):
                 continue
             parts = line.split("\t")

@@ -1,24 +1,28 @@
-"""Gradient clipping, the AdamW update rule, the parameter buffer a trainer
+"""Gradient clipping, the Adam update rule, the parameter buffer a trainer
 packs its model into, and the training step that combines them."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
 from . import autodiff as ad
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba)
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# every trainer clips its gradient to this global L2 norm
+MAX_NORM = 1.0
+
 
 class NonFiniteGradientError(ValueError):
     """The global gradient norm is nan or inf, so no step can be clipped."""
 
 
-def clip_global_norm(grad: np.ndarray, offsets: list[int], max_norm: float = 1.0) -> np.ndarray:
+def clip_global_norm(grad: np.ndarray, offsets: list[int]) -> np.ndarray:
     """Scale the flat gradient `grad` in place so that its global L2 norm is at
-    most max_norm, and return it.
+    most MAX_NORM, and return it.
 
     The norm squares grad once, sums each segment offsets[i]:offsets[i + 1]
     (one per parameter) on its own and then adds the sums in order, as a
@@ -30,41 +34,37 @@ def clip_global_norm(grad: np.ndarray, offsets: list[int], max_norm: float = 1.0
     norm = math.sqrt(sum(float(sq[a:b].sum()) for a, b in zip(offsets, offsets[1:])))
     if not np.isfinite(norm):
         raise NonFiniteGradientError(f"gradient norm is {norm}")
-    if norm > max_norm:
-        grad *= max_norm / norm
+    if norm > MAX_NORM:
+        grad *= MAX_NORM / norm
     return grad
 
 
-@dataclass
 class AdamW:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    step_count: int = 0
-    _m: dict[int, np.ndarray] = field(default_factory=dict)
-    _v: dict[int, np.ndarray] = field(default_factory=dict)
+    """Bias-corrected Adam on one parameter array. AdamW's decoupled weight
+    decay is zero, so the update is Adam's."""
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """One bias-corrected AdamW update, in place on the parameter arrays."""
-        if len(params) != len(grads):
-            raise ValueError("params and grads must align")
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.step_count = 0
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
+
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        """One update of `p` in place by its gradient `g`."""
+        if p.shape != g.shape:
+            raise ValueError(f"param shape {p.shape} vs grad {g.shape}")
+        if self._m is None:
+            self._m = np.zeros_like(p)
+            self._v = np.zeros_like(p)
         self.step_count += 1
-        for i, (p, g) in enumerate(zip(params, grads)):
-            if p.shape != g.shape:
-                raise ValueError(f"param {i}: shape {p.shape} vs grad {g.shape}")
-            if i not in self._m:
-                self._m[i] = np.zeros_like(p)
-                self._v[i] = np.zeros_like(p)
-            m, v = self._m[i], self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            mhat = m / (1.0 - self.beta1**self.step_count)
-            vhat = v / (1.0 - self.beta2**self.step_count)
-            p -= self.lr * (mhat / (np.sqrt(vhat) + self.eps)) + self.lr * self.weight_decay * p
+        m, v = self._m, self._v
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        mhat = m / (1.0 - BETA1**self.step_count)
+        vhat = v / (1.0 - BETA2**self.step_count)
+        p -= self.lr * (mhat / (np.sqrt(vhat) + EPS))
 
 
 class ParameterBuffer:
@@ -93,12 +93,12 @@ class ParameterBuffer:
         )
 
 
-def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node, max_norm: float) -> None:
+def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node) -> None:
     """One optimizer step on `loss`: clear the parameters' gradients,
-    backpropagate, clip the global norm of the flat gradient to max_norm and
+    backpropagate, clip the global norm of the flat gradient to MAX_NORM and
     apply opt.step to the whole buffer at once.
 
-    A parameter the loss does not reach steps with a zero gradient, so AdamW's
+    A parameter the loss does not reach steps with a zero gradient, so Adam's
     moments still decay for it. The flat gradient is a copy, so clipping it
     in place never reaches an array the engine handed out, even one that
     several parameters share. A nan or inf norm raises
@@ -108,5 +108,5 @@ def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node, max_norm: flo
         p.zero_grad()
     ad.backward(loss)
     grad = buffer.gradient()
-    clip_global_norm(grad, buffer.offsets, max_norm)
-    opt.step([buffer.value], [grad])
+    clip_global_norm(grad, buffer.offsets)
+    opt.step(buffer.value, grad)

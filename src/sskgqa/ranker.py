@@ -10,15 +10,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .candidates import EnumConfig, enumerate_candidates
-from .encoder import EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
+from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 from .querygraph import Chain, canonicalize, serialize_tokens, split_symbol
 from .structures import Taxonomy
 
 MAGIC = "ssk-rank v1"
-# Most sequences score_all encodes in one forward; bounds its attention arrays.
-ENCODE_CHUNK = 256
 
 
 class RankerError(Exception):
@@ -33,31 +31,24 @@ class RankTrainConfig:
     dropout: float = 0.5
     heads: int = 3
     ff_width: int = 128
-    d_model: int = 24
     out_dim: int = 24
-    clip_norm: float = 1.0
     epochs: int = 10
     seed: int = 0
-    use_attention: bool = True
     # the encoder settings above as the EncoderConfig train_ranker builds
-    # its encoder from; made, and so checked, with the config
+    # its encoder from (with attention and its d_model default); made, and
+    # so checked, with the config
     encoder: EncoderConfig = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # `not x > 0` also refuses nan
-        for name in ("margin", "lr", "clip_norm"):
+        for name in ("margin", "lr"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("negatives", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         self.encoder = EncoderConfig(
-            out_dim=self.out_dim,
-            d_model=self.d_model,
-            heads=self.heads,
-            ff_width=self.ff_width,
-            use_attention=self.use_attention,
-            dropout=self.dropout,
+            out_dim=self.out_dim, heads=self.heads, ff_width=self.ff_width, dropout=self.dropout
         )
 
 
@@ -184,7 +175,7 @@ def train_ranker(
         for i in order:
             q_ids, pos_ids, neg_ids = id_triplets[i]
             f = model.encoder.forward(q_ids, pos_ids, *neg_ids, training=True, rng=rng)
-            train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin), cfg.clip_norm)
+            train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin))
     return model
 
 

@@ -114,7 +114,7 @@ def three_hop_benchmark(
     return build_kg(triples), questions
 
 
-def ranker_fixture(seed: int = 0) -> tuple[KnowledgeGraph, list[LabeledQuestion]]:
+def ranker_fixture() -> tuple[KnowledgeGraph, list[LabeledQuestion]]:
     """5 one-hop questions on a 20-entity KG, mutually distinguishable by the
     relation token each question mentions."""
     rels = ("color", "shape", "size", "taste", "sound")

@@ -10,9 +10,11 @@ feasibility for `enumerate_candidates`, numpy KG embedding scores for
 equivalence tests swap in: `reference_accumulate` (a copy on first write) for
 `Node.accumulate` and `reference_rows` (np.add.at into zeros) for `ad.rows`;
 and the per-parameter optimizer step the packed-buffer tests swap in:
-`UnpackedParams` for `optim.ParameterBuffer` and `reference_train_step`
-(clipping by `global_norm` and AdamW one parameter array at a time) for
-`optim.train_step`; and the encoder block as a chain of nodes per head:
+`UnpackedParams` for `optim.ParameterBuffer`, `reference_train_step`
+(clipping by `global_norm`, then one optimizer step over the list of
+parameter arrays) for `optim.train_step` and `ReferenceAdam` (Adam over a
+list of arrays, with moments per list index) for `optim.AdamW`; and the
+encoder block as a chain of nodes per head:
 `reference_block_attention` and `reference_feed_forward` for the fused
 `ad.block_attention` and `ad.feed_forward`, and `reference_encoder_forward`
 for `SequenceEncoder.forward`; and the token path the models ran before the
@@ -33,6 +35,7 @@ KG reads go through `out_edges`/`in_edges` only:
 
 import itertools
 import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +44,8 @@ from sskgqa import autodiff as ad
 from sskgqa import classifier, ranker
 from sskgqa.annotation import ExtractionError, Iri, Var
 from sskgqa.candidates import EnumConfig, enumerate_candidates
-from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
-from sskgqa.optim import AdamW, ParameterBuffer, train_step
+from sskgqa.encoder import SequenceEncoder, Vocab
+from sskgqa.optim import BETA1, BETA2, EPS, MAX_NORM, AdamW, ParameterBuffer, train_step
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
@@ -458,11 +461,37 @@ class UnpackedParams:
         self.params = list(params)
 
 
-def reference_train_step(opt, unpacked: UnpackedParams, loss, max_norm: float) -> None:
+class ReferenceAdam:
+    """Bias-corrected Adam over a list of parameter arrays, with its moments
+    kept per list index."""
+
+    def __init__(self, lr: float):
+        self.lr = lr
+        self.step_count = 0
+        self._m: dict[int, np.ndarray] = {}
+        self._v: dict[int, np.ndarray] = {}
+
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        self.step_count += 1
+        for i, (p, g) in enumerate(zip(params, grads, strict=True)):
+            if i not in self._m:
+                self._m[i] = np.zeros_like(p)
+                self._v[i] = np.zeros_like(p)
+            m, v = self._m[i], self._v[i]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            mhat = m / (1.0 - BETA1**self.step_count)
+            vhat = v / (1.0 - BETA2**self.step_count)
+            p -= self.lr * (mhat / (np.sqrt(vhat) + EPS))
+
+
+def reference_train_step(opt: ReferenceAdam, unpacked: UnpackedParams, loss) -> None:
     """`train_step` one parameter array at a time: zeros for a parameter the
     loss does not reach, a copy of a gradient that shares memory with an
     earlier one (so clipping in place scales each once), then reference_clip
-    and opt.step over the per-parameter lists."""
+    to MAX_NORM and opt.step over the per-parameter lists."""
     params = unpacked.params
     for p in params:
         p.zero_grad()
@@ -477,7 +506,7 @@ def reference_train_step(opt, unpacked: UnpackedParams, loss, max_norm: float) -
             p.grad = p.grad.copy()
         owners.add(owner)
         grads.append(p.grad)
-    reference_clip(grads, max_norm)
+    reference_clip(grads, MAX_NORM)
     opt.step([p.value for p in params], grads)
 
 
@@ -615,11 +644,7 @@ def reference_train_ranker(dataset, kg, cfg):
     vocab = Vocab.from_sequences(
         [t[0] for t in triplets] + [t[1] for t in triplets] + [n for t in triplets for n in t[2]]
     )
-    enc_cfg = EncoderConfig(
-        out_dim=cfg.out_dim, d_model=cfg.d_model, heads=cfg.heads, ff_width=cfg.ff_width,
-        use_attention=cfg.use_attention, dropout=cfg.dropout,
-    )
-    model = ranker.RankerModel(SequenceEncoder(vocab, enc_cfg, rng), trained_on=len(triplets))
+    model = ranker.RankerModel(SequenceEncoder(vocab, cfg.encoder, rng), trained_on=len(triplets))
     buffer = ParameterBuffer(model.encoder.parameters())
     opt = AdamW(lr=cfg.lr)
     order = np.arange(len(triplets))
@@ -628,7 +653,7 @@ def reference_train_ranker(dataset, kg, cfg):
         for i in order:
             q_toks, pos_toks, neg_toks = triplets[i]
             f = reference_token_forward(model.encoder, q_toks, pos_toks, *neg_toks, training=True, rng=rng)
-            train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin), cfg.clip_norm)
+            train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin))
     return model
 
 
@@ -638,18 +663,15 @@ def reference_train_classifier(dataset, table, taxonomy, cfg):
     targets = [labels.index(label) for _, _, label in dataset]
     rng = np.random.default_rng(cfg.seed)
     vocab = Vocab.from_sequences([toks for toks, _, _ in dataset])
-    enc_cfg = EncoderConfig(
-        out_dim=table.d, d_model=cfg.d_model, heads=cfg.heads, ff_width=cfg.ff_width,
-        use_attention=cfg.use_attention, dropout=cfg.dropout,
-    )
+    enc_cfg = replace(cfg.encoder, out_dim=table.d)
     model = classifier.ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
     buffer = ParameterBuffer(model.parameters())
     opt = AdamW(lr=cfg.lr)
     order = np.arange(len(dataset))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+        for start in range(0, len(order), classifier.BATCH_SIZE):
+            batch = order[start : start + classifier.BATCH_SIZE]
             logits = model._logits(
                 [vocab.encode(dataset[i][0]) for i in batch],
                 [dataset[i][1] for i in batch],
@@ -657,5 +679,5 @@ def reference_train_classifier(dataset, table, taxonomy, cfg):
                 rng=rng,
             )
             loss = classifier.cross_entropy(logits, [targets[i] for i in batch])
-            train_step(opt, buffer, loss, cfg.clip_norm)
+            train_step(opt, buffer, loss)
     return model

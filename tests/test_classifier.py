@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from fixtures import separable_classifier_dataset
-from reference import reference_clip, reference_train_classifier
+from reference import ReferenceAdam, reference_clip, reference_train_classifier
 from sskgqa import autodiff as ad
 from sskgqa.classifier import (
+    BATCH_SIZE,
+    DROPOUT,
     ClassifierError,
     ClassifierModel,
     ClassifierTrainConfig,
@@ -16,7 +18,7 @@ from sskgqa.classifier import (
 )
 from sskgqa.embeddings import EmbeddingError, init_table
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
-from sskgqa.optim import AdamW
+from sskgqa.optim import MAX_NORM
 from sskgqa.structures import builtin_taxonomy
 
 
@@ -78,25 +80,23 @@ def test_dim_mismatch_rejected():
 
 def test_config_validation():
     nan = float("nan")
-    for name, value in [("epochs", 0), ("batch_size", 0), ("lr", 0.0), ("lr", -1.0), ("lr", nan),
-                        ("clip_norm", 0.0), ("clip_norm", nan)]:
+    for name, value in [("epochs", 0), ("lr", 0.0), ("lr", -1.0), ("lr", nan)]:
         with pytest.raises(ValueError, match="must be positive"):
             ClassifierTrainConfig(**{name: value})
     # encoder settings, refused by the EncoderConfig the config builds
-    for settings, message in [({"heads": 5, "use_attention": True}, "heads must divide d_model"),
-                              ({"dropout": 1.5}, "dropout must be"), ({"d_model": 0}, "d_model must be"),
-                              ({"ff_width": 0}, "ff_width must be")]:
+    for settings, message in [({"d_model": 10, "use_attention": True}, "heads must divide d_model"),
+                              ({"d_model": 0}, "d_model must be")]:
         with pytest.raises(ValueError, match=message):
             ClassifierTrainConfig(**settings)
 
 
 def test_train_classifier_builds_its_encoder_from_the_config():
-    # heads need not divide d_model without attention
+    # the 3 heads need not divide d_model without attention
     dataset, table = separable_classifier_dataset(builtin_taxonomy().labels())
-    cfg = ClassifierTrainConfig(epochs=1, heads=5, d_model=6, ff_width=7, dropout=0.2)
+    cfg = ClassifierTrainConfig(epochs=1, d_model=7)
     model = train_classifier(dataset, table, builtin_taxonomy(), cfg)
     assert model.encoder.cfg == EncoderConfig(
-        out_dim=table.d, d_model=6, heads=5, ff_width=7, use_attention=False, dropout=0.2
+        out_dim=table.d, d_model=7, heads=3, ff_width=48, use_attention=False, dropout=DROPOUT
     )
 
 
@@ -215,30 +215,27 @@ def reference_train(dataset, table, taxonomy, cfg):
     zero-grad / backward / zero-fill / clip / AdamW step per minibatch."""
     rng = np.random.default_rng(cfg.seed)
     enc_cfg = EncoderConfig(
-        out_dim=table.d, d_model=cfg.d_model, heads=cfg.heads, ff_width=cfg.ff_width,
-        use_attention=cfg.use_attention, dropout=cfg.dropout,
+        out_dim=table.d, d_model=cfg.d_model, use_attention=cfg.use_attention, dropout=DROPOUT
     )
     vocab = Vocab.from_sequences([toks for toks, _, _ in dataset])
     model = ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
     params = model.parameters()
-    opt = AdamW(lr=cfg.lr)
+    opt = ReferenceAdam(lr=cfg.lr)
     order = np.arange(len(dataset))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
+        for start in range(0, len(order), BATCH_SIZE):
+            batch = [dataset[i] for i in order[start : start + BATCH_SIZE]]
             grads = grads_of(params, per_example_loss(model, batch, rng))
-            reference_clip(grads, cfg.clip_norm)
+            reference_clip(grads, MAX_NORM)
             opt.step([p.value for p in params], grads)
     return model
 
 
 def test_train_matches_per_example_reference():
     dataset, table = varied_dataset()
-    assert len(dataset) % 10 != 0  # a partial last minibatch
-    cfg = ClassifierTrainConfig(
-        epochs=3, batch_size=10, dropout=0.1, lr=1e-2, d_model=16, use_attention=False, seed=2
-    )
+    assert len(dataset) % BATCH_SIZE != 0  # a partial last minibatch
+    cfg = ClassifierTrainConfig(epochs=3, lr=1e-2, d_model=16, use_attention=False, seed=2)
     got = train_classifier(dataset, table, builtin_taxonomy(), cfg)
     want = reference_train(dataset, table, builtin_taxonomy(), cfg)
     for g, w in zip(got.parameters(), want.parameters()):
@@ -248,9 +245,7 @@ def test_train_matches_per_example_reference():
 @pytest.mark.parametrize("use_attention", [False, True])
 def test_train_bytes_equal_per_step_mapping(use_attention):
     dataset, table = varied_dataset()
-    cfg = ClassifierTrainConfig(
-        epochs=3, batch_size=10, dropout=0.1, lr=1e-2, d_model=12, use_attention=use_attention, seed=2
-    )
+    cfg = ClassifierTrainConfig(epochs=3, lr=1e-2, d_model=12, use_attention=use_attention, seed=2)
     got = train_classifier(dataset, table, builtin_taxonomy(), cfg)
     want = reference_train_classifier(dataset, table, builtin_taxonomy(), cfg)
     assert [p.value.tobytes() for p in got.parameters()] == [p.value.tobytes() for p in want.parameters()]

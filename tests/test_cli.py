@@ -542,9 +542,13 @@ def test_bad_training_setting_is_one_error_line(toy, trained, tmp_path, command,
         ("train-embeddings", ["--margin", "nan"], "config values must be positive"),
         ("ablate", ["--negatives", "--dropout", "1.5"], "dropout must be"),
         ("ablate", ["--heads", "--lr", "nan"], "lr must be"),
+        ("ablate", ["--negatives", "--max-hops", "0"], "max_hops must be in 1..3"),
+        ("evaluate", ["--mode", "oracle", "--max-hops", "0"], "max_hops must be in 1..3"),
+        ("answer", ["--mode", "oracle", "--max-hops", "4"], "max_hops must be in 1..3"),
     ],
     ids=["ranker_heads_5", "ranker_dropout_1_5", "classifier_d_model_0", "embeddings_lr_negative",
-         "embeddings_lr_nan", "embeddings_margin_nan", "ablate_dropout_1_5", "ablate_lr_nan"],
+         "embeddings_lr_nan", "embeddings_margin_nan", "ablate_dropout_1_5", "ablate_lr_nan",
+         "ablate_max_hops_0", "evaluate_max_hops_0", "answer_max_hops_4"],
 )
 def test_bad_setting_is_refused_before_any_file_is_read(tmp_path, command, flags, error):
     # none of the input files exists: the setting is reported, not a file
@@ -552,16 +556,22 @@ def test_bad_setting_is_refused_before_any_file_is_read(tmp_path, command, flags
         "--kg": tmp_path / "kg.tsv",
         "--dataset": tmp_path / "questions.jsonl",
         "--embeddings": tmp_path / "emb.ckpt",
+        "--ranker": tmp_path / "rank.ckpt",
+        "--topic": "thing0",
     }
     wanted = {
         "train-ranker": ["--kg", "--dataset"],
         "train-classifier": ["--kg", "--dataset", "--embeddings"],
         "train-embeddings": ["--kg"],
         "ablate": ["--kg", "--dataset"],
+        "evaluate": ["--kg", "--dataset", "--ranker"],
+        "answer": ["--kg", "--ranker", "--topic"],
     }[command]
     args = [a for flag in wanted for a in (flag, str(inputs[flag]))]
     out = tmp_path / "model.ckpt"
-    if command != "ablate":
+    if command == "answer":
+        args += ["--question", "what color is thing0"]
+    elif command.startswith("train"):
         args += ["--out", str(out)]
     proc = run_cli(command, *args, *flags, expect_fail=True)
     assert proc.stdout == ""

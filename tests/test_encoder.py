@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fixtures import count_forwards
 from sskgqa import autodiff as ad
 from sskgqa.encoder import OOV, EncoderConfig, SequenceEncoder, Vocab
-from sskgqa.optim import AdamW
+from sskgqa.optim import AdamW, ParameterBuffer, train_step
 
 
 def test_vocab_oov_bucket():
@@ -159,6 +159,7 @@ def test_gradients_flow_to_all_params():
 def test_trainable_toward_target():
     enc = make_encoder(use_attention=False)
     target = ad.constant(np.ones((1, 6)))
+    buffer = ParameterBuffer(enc.parameters())
     opt = AdamW(lr=0.05)
     first = None
     for _ in range(100):
@@ -166,12 +167,7 @@ def test_trainable_toward_target():
         loss = ad.rownorm(ad.sub(out, target))
         if first is None:
             first = float(loss.value[0, 0])
-        ad.backward(loss)
-        params = enc.parameters()
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
-        opt.step([p.value for p in params], grads)
-        for p in params:
-            p.zero_grad()
+        train_step(opt, buffer, loss)
     assert float(loss.value[0, 0]) < 0.1 * first
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import sskgqa
+from sskgqa.structures import builtin_taxonomy
 
 MODULES = sorted(Path(sskgqa.__file__).resolve().parent.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -61,11 +62,17 @@ def test_benchmark_finds_every_name_it_uses(monkeypatch):
     # its tracer wraps the layer entry points its per-layer metrics are
     # computed from; a target it cannot find drops those metrics from a
     # traced run. Only the targets in the kernels module, which the package
-    # no longer has, are absent.
+    # no longer has, are absent. Training the three models on a tiny problem
+    # builds every config the benchmark builds, with its keywords.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "pipebench"))
+    import inputs
     import layertrace
-    import workloads  # noqa: F401  (the import is the check)
+    import workloads
 
     with layertrace.Tracer() as tr:
         pass
     assert tr.absent == [f"kernels.{k}" for k in layertrace.KERNELS]
+    tax = builtin_taxonomy()
+    kg, train_qs, _ = inputs.mixed_inputs(5, tax, workloads.TINY.mixed)
+    trained = workloads.train_all(kg, train_qs, tax, workloads.TINY, 5)
+    assert trained.ranker.trained_on > 0

@@ -148,7 +148,7 @@ def test_train_step_refuses_no_grad_output():
     built_outside = ad.sum_all(ad.mul(out, out))  # recorded, but reaches `out`
     for loss in (built_inside, built_outside):
         with pytest.raises(ad.ContractError):
-            train_step(opt, buffer, loss, 1.0)
+            train_step(opt, buffer, loss)
     assert opt.step_count == 0
     assert all(np.array_equal(p.value, b) for p, b in zip(params, before))
     assert all(p.grad is None for p in params)
@@ -166,7 +166,7 @@ def test_answering_builds_no_graph(monkeypatch):
     clf = train_classifier(clf_data, table, TAX, ClassifierTrainConfig(epochs=3, d_model=8, seed=0))
     rank_data = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
     ranker = train_ranker(
-        rank_data, kg, TAX, RankTrainConfig(epochs=2, negatives=4, d_model=12, out_dim=8, ff_width=16)
+        rank_data, kg, TAX, RankTrainConfig(epochs=2, negatives=4, out_dim=8, ff_width=16)
     )
     cfg = PipelineConfig(kg=kg, taxonomy=TAX, ranker=ranker, classifier=clf, mode="predicted")
 
