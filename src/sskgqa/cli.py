@@ -29,12 +29,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _load_kg(path: str) -> kgmod.KnowledgeGraph:
-    if path.endswith(".json"):
-        return kgmod.load_kg(path)
-    return kgmod.load_kg_file(path)
-
-
 def _taxonomy(args) -> st.Taxonomy:
     if getattr(args, "taxonomy", None):
         return st.load_taxonomy(args.taxonomy)
@@ -43,8 +37,6 @@ def _taxonomy(args) -> st.Taxonomy:
 
 def cmd_ingest(args) -> int:
     kg = kgmod.load_kg_file(args.kg)
-    if args.out:
-        kgmod.save_kg(kg, args.out)
     _emit(
         {
             "entities": kg.num_entities,
@@ -74,7 +66,7 @@ def cmd_train_embeddings(args) -> int:
         margin=args.margin,
         seed=_seed(args),
     )
-    kg = _load_kg(args.kg)
+    kg = kgmod.load_kg_file(args.kg)
     table, history = emb.train(kg, cfg, kind=args.kind)
     emb.save_table(table, args.out)
     _emit(
@@ -105,7 +97,7 @@ def cmd_train_classifier(args) -> int:
     cfg = clf.ClassifierTrainConfig(
         lr=args.lr, epochs=args.epochs, seed=_seed(args), d_model=args.d_model
     )
-    kg = _load_kg(args.kg)
+    kg = kgmod.load_kg_file(args.kg)
     tax = _taxonomy(args)
     table = emb.load_table(args.embeddings)
     questions = ann.load_dataset(args.dataset)
@@ -140,7 +132,7 @@ def _rank_cfg(args, **setting) -> rk.RankTrainConfig:
 
 def cmd_train_ranker(args) -> int:
     cfg = _rank_cfg(args, negatives=args.negatives, heads=args.heads)
-    kg = _load_kg(args.kg)
+    kg = kgmod.load_kg_file(args.kg)
     tax = _taxonomy(args)
     questions = ann.load_dataset(args.dataset)
     dataset = _ranker_dataset(questions)
@@ -156,7 +148,7 @@ def _pipeline_config(args) -> pl.PipelineConfig:
     enum = EnumConfig(max_hops=args.max_hops, attach_constraints=args.constraints)
     if args.mode == "predicted" and not (args.classifier and args.embeddings):
         raise pl.PipelineError("predicted mode needs --classifier and --embeddings")
-    kg = _load_kg(args.kg)
+    kg = kgmod.load_kg_file(args.kg)
     tax = _taxonomy(args)
     ranker = rk.load_ranker(args.ranker)
     classifier = None
@@ -222,7 +214,7 @@ def cmd_ablate(args) -> int:
         settings = [("heads", h) for h in HEAD_GRID]
     grid = [(name, value, _rank_cfg(args, **{name: value})) for name, value in settings]
     enum = EnumConfig(max_hops=args.max_hops)
-    kg = _load_kg(args.kg)
+    kg = kgmod.load_kg_file(args.kg)
     tax = _taxonomy(args)
     questions = ann.load_dataset(args.dataset)
     dataset = _ranker_dataset(questions)
@@ -264,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ingest", help="load and intern a TSV knowledge graph")
     sp.add_argument("--kg", required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_ingest)
 
     sp = sub.add_parser("annotate", help="label questions with semantic structures")

@@ -57,14 +57,6 @@ class EmbeddingTable:
                 raise EmbeddingError(f"entity id out of range: {e}")
         return self.ent[np.asarray(ids, dtype=np.int64)]
 
-    def score_tails(self, h: int, r: int, tails: np.ndarray) -> np.ndarray:
-        """Scores of (h, r, t') for a vector of candidate tails, computed
-        under no_grad."""
-        n = len(tails)
-        hs, rs = np.full(n, h), np.full(n, r)
-        with ad.no_grad():
-            return score_nodes(ad.constant(self.ent), ad.constant(self.rel), self.kind, hs, rs, tails).value[:, 0]
-
 
 def init_table(kind: str, n_entities: int, n_relations: int, d: int, seed: int) -> EmbeddingTable:
     rng = np.random.default_rng(seed)
@@ -141,20 +133,6 @@ def _clamp(table: EmbeddingTable) -> None:
         half = table.d // 2
         table.rel[:, :half] = np.mod(table.rel[:, :half] + np.pi, 2 * np.pi) - np.pi
         table.rel[:, half:] = 0.0
-
-
-def filtered_mrr(table: EmbeddingTable, kg: KnowledgeGraph) -> float:
-    """Mean reciprocal rank of true tails, filtering other true triples."""
-    ranks = []
-    all_tails = np.arange(kg.num_entities)
-    for h, r, t in kg.iter_triples():
-        scores = table.score_tails(h, r, all_tails)
-        # leaving out every true tail of (h, r) leaves out t, which never outscores itself
-        mask = np.ones(kg.num_entities, dtype=bool)
-        mask[list(kg.tails_of[h][r])] = False
-        rank = 1 + int((scores[mask] > scores[t]).sum())
-        ranks.append(1.0 / rank)
-    return float(np.mean(ranks))
 
 
 def save_table(table: EmbeddingTable, path: str) -> None:

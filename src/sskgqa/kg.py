@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -123,11 +122,6 @@ def build_kg(records: Iterable[tuple[str, str, str]]) -> KnowledgeGraph:
     """Intern symbols in first-appearance order and index the distinct triples."""
     kg = KnowledgeGraph()
     ids = {(kg.entities.intern(h), kg.relations.intern(r), kg.entities.intern(t)) for h, r, t in records}
-    return _indexed(kg, ids)
-
-
-def _indexed(kg: KnowledgeGraph, ids: set[tuple[int, int, int]]) -> KnowledgeGraph:
-    """Fill kg's indexes from its distinct (head, relation, tail) id triples."""
     kg.num_triples = len(ids)
     kg.tails_of = [{} for _ in range(kg.num_entities)]
     kg.heads_of = [{} for _ in range(kg.num_entities)]
@@ -138,7 +132,8 @@ def _indexed(kg: KnowledgeGraph, ids: set[tuple[int, int, int]]) -> KnowledgeGra
 
 
 def load_triples(source: IO[str]) -> KnowledgeGraph:
-    """Load a TSV triple file: head<TAB>relation<TAB>tail, '#' lines are comments."""
+    """Load a TSV triple file: head<TAB>relation<TAB>tail, '#' lines are comments.
+    A malformed line raises ParseError starting with its line number."""
 
     def records():
         for lineno, raw in enumerate(source, start=1):
@@ -147,50 +142,16 @@ def load_triples(source: IO[str]) -> KnowledgeGraph:
                 continue
             parts = line.split("\t")
             if len(parts) != 3 or any(not p for p in parts):
-                raise ParseError(
-                    f"line {lineno}: expected 3 non-empty tab-separated fields, got {line!r}"
-                )
+                raise ParseError(f"{lineno}: expected 3 non-empty tab-separated fields, got {line!r}")
             yield parts[0], parts[1], parts[2]
 
     return build_kg(records())
 
 
 def load_kg_file(path: str) -> KnowledgeGraph:
+    """`load_triples` of the file; a ParseError names the file and line."""
     with open(path, encoding="utf-8") as f:
-        return load_triples(f)
-
-
-def save_kg(kg: KnowledgeGraph, path: str) -> None:
-    """Interned KG dump (JSON): symbol tables plus id triples."""
-    payload = {
-        "entities": kg.entities.symbols(),
-        "relations": kg.relations.symbols(),
-        "triples": list(kg.iter_triples()),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-
-
-def load_kg(path: str) -> KnowledgeGraph:
-    """Read a `save_kg` dump; a malformed one raises ParseError."""
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    for key in ("entities", "relations", "triples"):
-        if not isinstance(payload.get(key), list):
-            raise ParseError(f"{path}: {key!r} must be a list")
-    ents, rels = payload["entities"], payload["relations"]
-    kg = KnowledgeGraph()
-    for key, syms, table in (("entities", ents, kg.entities), ("relations", rels, kg.relations)):
-        if not all(isinstance(s, str) for s in syms) or len(set(syms)) != len(syms):
-            raise ParseError(f"{path}: {key!r} must be distinct strings")
-        for symbol in syms:  # a symbol's id is its position in the list
-            table.intern(symbol)
-    sizes = (len(ents), len(rels), len(ents))
-    for i, t in enumerate(payload["triples"]):
-        if not (isinstance(t, list) and len(t) == 3 and all(type(v) is int for v in t)):
-            raise ParseError(f"{path}: triple {i}: expected 3 integer ids, got {t!r}")
-        if not all(0 <= v < n for v, n in zip(t, sizes)):
-            raise ParseError(f"{path}: triple {i}: id out of range: {t!r}")
-    return _indexed(kg, {tuple(t) for t in payload["triples"]})
+        try:
+            return load_triples(f)
+        except ParseError as exc:
+            raise ParseError(f"{path}:{exc}") from None

@@ -50,7 +50,7 @@ class PipelineConfig:
 class AnswerResult:
     answers: set[str]
     predicted_structure: str | None
-    status: str  # "ok" | "unsupported" | "unknown_topic" | "no_candidates"
+    status: str  # "ok" | "unsupported" | "unknown_topic"
 
 
 @dataclass
@@ -99,9 +99,6 @@ def answer_question(
     cands = enumerate_candidates(kg, q.topic_entity, cfg.enum, shape).graphs
     if not cands and shape is not None:  # no chain has the shape: rank every chain up to its hop count
         cands = enumerate_candidates(kg, q.topic_entity, derived_enum(cfg.enum, shape)).graphs
-    if not cands:  # the topic starts no chain
-        result = AnswerResult(set(), predicted, "no_candidates")
-        return result, _record(q, result, gold_label, None)
 
     ranked = rank_candidates(cfg.ranker, tokens, cands)
     best = ranked[0]
@@ -131,8 +128,7 @@ def _record(q, result, gold_label, top1_key) -> QuestionRecord:
 def evaluate(cfg: PipelineConfig, dataset: list[LabeledQuestion]) -> EvalReport:
     """Hits@1 over the dataset; a question is correct iff its executed answer
     set intersects the gold answers. A question whose topic entity is not in
-    the KG is recorded with status "unknown_topic", one whose topic starts no
-    chain with "no_candidates"; both count as wrong."""
+    the KG is recorded with status "unknown_topic" and counts as wrong."""
     if not dataset:
         raise PipelineError("dataset must be non-empty")
     records = []

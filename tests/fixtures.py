@@ -1,13 +1,14 @@
 """Fixtures and probes only the tests use: a random KG with questions along
 its paths, a separable structure-classification dataset, the triplet loss
-of one triplet, a spy that counts the sequences an encoder encodes, and the
-JSON entries of a taxonomy."""
+of one triplet, a spy that counts the sequences an encoder encodes, the
+JSON entries of a taxonomy, and an embedding table's tail scores and
+filtered MRR."""
 
 import numpy as np
 
 from sskgqa import autodiff as ad
 from sskgqa.annotation import LabeledQuestion
-from sskgqa.embeddings import EmbeddingTable, init_table
+from sskgqa.embeddings import EmbeddingTable, init_table, score_nodes
 from sskgqa.kg import KnowledgeGraph, build_kg
 from sskgqa.querygraph import build_chain, execute, to_sparql
 
@@ -104,3 +105,26 @@ def triplet_loss(f_q, f_p, f_n, alpha: float) -> float:
 def taxonomy_entries(tax) -> list[dict]:
     """The `load_taxonomy` JSON list of a taxonomy."""
     return [{"label": s.label, "kinds": list(s.kinds), "edges": [list(e) for e in s.edges]} for s in tax]
+
+
+def score_tails(table: EmbeddingTable, h: int, r: int, tails) -> np.ndarray:
+    """Scores of (h, r, t') for a vector of candidate tails, computed under
+    no_grad."""
+    n = len(tails)
+    hs, rs = np.full(n, h), np.full(n, r)
+    with ad.no_grad():
+        return score_nodes(ad.constant(table.ent), ad.constant(table.rel), table.kind, hs, rs, tails).value[:, 0]
+
+
+def filtered_mrr(table: EmbeddingTable, kg: KnowledgeGraph) -> float:
+    """Mean reciprocal rank of true tails, filtering other true triples."""
+    ranks = []
+    all_tails = np.arange(kg.num_entities)
+    for h, r, t in kg.iter_triples():
+        scores = score_tails(table, h, r, all_tails)
+        # leaving out every true tail of (h, r) leaves out t, which never outscores itself
+        mask = np.ones(kg.num_entities, dtype=bool)
+        mask[list(kg.tails_of[h][r])] = False
+        rank = 1 + int((scores[mask] > scores[t]).sum())
+        ranks.append(1.0 / rank)
+    return float(np.mean(ranks))

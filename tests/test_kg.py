@@ -1,9 +1,5 @@
 import io
-import json
-import os
-import tempfile
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +10,8 @@ from sskgqa.kg import (
     ParseError,
     SymbolTable,
     build_kg,
-    load_kg,
     load_kg_file,
     load_triples,
-    save_kg,
     step,
 )
 from sskgqa.querygraph import Chain, execute
@@ -78,35 +72,12 @@ def test_load_triples_tsv():
 def test_load_triples_bad_line():
     with pytest.raises(ParseError) as err:
         load_triples(io.StringIO("a\tr\tb\nbroken line\n"))
-    assert "line 2" in str(err.value)
+    assert str(err.value).startswith("2: expected 3")
 
 
 def test_load_triples_empty_field():
     with pytest.raises(ParseError):
         load_triples(io.StringIO("a\t\tb\n"))
-
-
-def test_save_load_round_trip(tmp_path):
-    kg = build_kg([("a", "r", "b"), ("b", "s", "c"), ("c", "r", "a")])
-    path = str(tmp_path / "kg.json")
-    save_kg(kg, path)
-    kg2 = load_kg(path)
-    assert kg2.num_triples == kg.num_triples
-    assert kg2.entities.symbols() == kg.entities.symbols()
-    for t in kg.iter_triples():
-        assert kg2.has_triple(*t)
-    payload = json.loads(Path(path).read_text())
-    assert set(payload) == {"entities", "relations", "triples"}
-
-
-def test_load_kg_keeps_ids(tmp_path):
-    # e3 is interned before e2 if the dump is re-read in triple order
-    kg = build_kg([("e1", "r", "e0"), ("e0", "r", "e2"), ("e1", "r", "e3")])
-    path = str(tmp_path / "kg.json")
-    save_kg(kg, path)
-    kg2 = load_kg(path)
-    assert kg2.entities.symbols() == ["e1", "e0", "e2", "e3"]
-    assert list(kg2.iter_triples()) == list(kg.iter_triples())
 
 
 def test_load_kg_file(tmp_path):
@@ -163,15 +134,6 @@ def test_index_equals_brute_force(records, data):
     for r in range(m):
         assert step(kg, frontier, r, False) == {t for h, rr, t in triples if rr == r and h in frontier}
         assert step(kg, frontier, r, True) == {h for h, rr, t in triples if rr == r and t in frontier}
-    with tempfile.TemporaryDirectory() as tmp:
-        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
-        save_kg(kg, first)
-        save_kg(load_kg(first), second)
-        with open(first, "rb") as f1, open(second, "rb") as f2:
-            dumped = f1.read()
-            assert f2.read() == dumped
-    want = {"entities": first_seen, "relations": kg.relations.symbols(), "triples": [list(t) for t in triples]}
-    assert json.loads(dumped) == want
 
 
 def test_hub_lookups_are_bounded():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fixtures import score_tails
 from reference import reference_score_tails
 from sskgqa import autodiff as ad
 from sskgqa.annotation import label_wsp
@@ -103,7 +104,7 @@ def test_no_grad_inference_equals_recorded_forward(
     assert model.accuracy(examples) == hits / len(examples)
 
     tails = np.arange(N_ENT)
-    got = table.score_tails(h, r, tails)
+    got = score_tails(table, h, r, tails)
     node = score_nodes(
         ad.constant(table.ent), ad.constant(table.rel), kind, np.full(N_ENT, h), np.full(N_ENT, r), tails
     )
@@ -114,7 +115,7 @@ def test_no_grad_inference_equals_recorded_forward(
         lambda: enc.encode(*seqs),
         lambda: model.classify(*examples[0][:2]),
         lambda: model.accuracy(examples),
-        lambda: table.score_tails(h, r, tails),
+        lambda: score_tails(table, h, r, tails),
     ):
         created, with_parents = graph_nodes_while(run)
         assert created > 0 and with_parents == 0

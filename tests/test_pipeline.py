@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 
-import sskgqa.pipeline as pipeline
 from fixtures import random_fixture
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
-from sskgqa.kg import build_kg, load_kg, save_kg
+from sskgqa.kg import build_kg
 from sskgqa.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -153,38 +150,6 @@ def test_evaluate_records_unknown_topic():
     assert rec.gold_structure == "SS1"
     others = report.records[:1] + report.records[2:]
     assert others == base.records  # the other questions are unaffected
-
-
-def test_evaluate_records_no_candidates(tmp_path, monkeypatch):
-    # a `save_kg` dump may list an entity that is in no triple: a question
-    # from it has no candidate in any mode, and the run goes on
-    kg, questions = three_hop_benchmark(3, seed=1)
-    path = tmp_path / "kg.json"
-    save_kg(kg, str(path))
-    dump = json.loads(path.read_text())
-    path.write_text(json.dumps(dict(dump, entities=dump["entities"] + ["lonely"])))
-    kg = load_kg(str(path))
-    lonely = LabeledQuestion("lonely", "who is lonely", "lonely", ["x"], hops=1)
-    calls = []
-    enumerate_candidates = pipeline.enumerate_candidates
-
-    def counted(kg, topic, *args):
-        calls.append(topic)
-        return enumerate_candidates(kg, topic, *args)
-
-    monkeypatch.setattr(pipeline, "enumerate_candidates", counted)
-    # oracle mode enumerates its shape, then every chain up to its hop
-    # count; off mode enumerates once
-    for mode, enumerations in (("oracle", 2), ("off", 1)):
-        base = evaluate(base_cfg(kg, mode=mode), questions)
-        calls.clear()
-        report = evaluate(base_cfg(kg, mode=mode), questions[:1] + [lonely] + questions[1:])
-        assert calls.count("lonely") == enumerations
-        rec = report.records[1]
-        assert (rec.id, rec.status, rec.correct, rec.top1, rec.answers) == ("lonely", "no_candidates", False, None, [])
-        assert rec.gold_structure == "SS1"
-        assert (report.total, report.correct) == (4, base.correct)
-        assert report.records[:1] + report.records[2:] == base.records
 
 
 def constrained_question():
