@@ -6,6 +6,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from .kg import not_utf8
 from .querygraph import Chain, QueryGraphError, chain_of, decode_iri
 from .structures import UNSUPPORTED, Taxonomy
 
@@ -224,36 +225,42 @@ _FIELD_TYPES = (
 def load_dataset(path: str) -> list[LabeledQuestion]:
     """JSON Lines dataset: id, question, topic_entity, answers[], hops?, sparql?.
     LabelingError naming the file and line of a record that is not an object,
-    lacks a required key or holds a value of the wrong type."""
+    lacks a required key or holds a value of the wrong type, or of the first
+    line that is not UTF-8."""
     out = []
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LabelingError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise LabelingError(f"{path}:{lineno}: expected a JSON object")
-            missing = [k for k in _REQUIRED if k not in rec]
-            if missing:
-                raise LabelingError(f"{path}:{lineno}: missing key(s): {', '.join(missing)}")
-            for key, typ, name in _FIELD_TYPES:
-                value = rec.get(key)
-                if type(value) is not typ and (key in _REQUIRED or value is not None):
-                    raise LabelingError(f"{path}:{lineno}: {key} must be {name}")
-            out.append(
-                LabeledQuestion(
-                    id=str(rec["id"]),
-                    question=rec["question"],
-                    topic_entity=rec["topic_entity"],
-                    answers=list(rec["answers"]),
-                    hops=rec.get("hops"),
-                    sparql=rec.get("sparql"),
-                )
-            )
+        try:
+            for lineno, line in enumerate(f, start=1):
+                if line.strip():
+                    out.append(_record(f"{path}:{lineno}", line))
+        except UnicodeDecodeError:
+            raise LabelingError(not_utf8(path)) from None
     return out
+
+
+def _record(where: str, line: str) -> LabeledQuestion:
+    """The question of one dataset line; errors start with `where`."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise LabelingError(f"{where}: bad JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise LabelingError(f"{where}: expected a JSON object")
+    missing = [k for k in _REQUIRED if k not in rec]
+    if missing:
+        raise LabelingError(f"{where}: missing key(s): {', '.join(missing)}")
+    for key, typ, name in _FIELD_TYPES:
+        value = rec.get(key)
+        if type(value) is not typ and (key in _REQUIRED or value is not None):
+            raise LabelingError(f"{where}: {key} must be {name}")
+    return LabeledQuestion(
+        id=str(rec["id"]),
+        question=rec["question"],
+        topic_entity=rec["topic_entity"],
+        answers=list(rec["answers"]),
+        hops=rec.get("hops"),
+        sparql=rec.get("sparql"),
+    )
 
 
 def save_dataset(questions: list[LabeledQuestion], path: str) -> None:

@@ -119,16 +119,6 @@ def add(a: Node, b: Node) -> Node:
     return Node(a.value + b.value, (a, b), backward)
 
 
-def sub(a: Node, b: Node) -> Node:
-    _same_shape(a, b, "sub")
-
-    def backward(g):
-        a.accumulate(g)
-        b.accumulate(-g)
-
-    return Node(a.value - b.value, (a, b), backward)
-
-
 def mul(a: Node, b: Node) -> Node:
     _same_shape(a, b, "mul")
 
@@ -331,25 +321,6 @@ def logsigmoid(a: Node) -> Node:
     return Node(y, (a,), lambda g: a.accumulate(g / (1.0 + np.exp(x))))
 
 
-def cos(a: Node) -> Node:
-    return Node(np.cos(a.value), (a,), lambda g: a.accumulate(-g * np.sin(a.value)))
-
-
-def sin(a: Node) -> Node:
-    return Node(np.sin(a.value), (a,), lambda g: a.accumulate(g * np.cos(a.value)))
-
-
-def rownorm(a: Node) -> Node:
-    """(n, d) -> (n, 1) per-row Euclidean norms (zero rows get zero gradient)."""
-    norms = np.sqrt((a.value**2).sum(axis=1, keepdims=True))
-
-    def backward(g):
-        safe = np.where(norms > 0.0, norms, 1.0)
-        a.accumulate(np.where(norms > 0.0, g / safe, 0.0) * a.value)
-
-    return Node(norms, (a,), backward)
-
-
 def rowsum(a: Node) -> Node:
     """(n, d) -> (n, 1) row sums."""
 
@@ -357,39 +328,6 @@ def rowsum(a: Node) -> Node:
         a.accumulate(np.repeat(g, a.shape[1], axis=1))
 
     return Node(a.value.sum(axis=1, keepdims=True), (a,), backward)
-
-
-def _check_even(a: Node, op: str) -> int:
-    if a.shape[1] % 2 != 0:
-        raise ShapeError(f"{op}: column count must be even, got {a.shape[1]}")
-    return a.shape[1] // 2
-
-
-def split_halves(a: Node) -> tuple[Node, Node]:
-    """x -> (lower-half columns, higher-half columns)."""
-    h = _check_even(a, "split_halves")
-
-    def half(cols: slice) -> Node:
-        def backward(g):
-            full = np.zeros_like(a.value)
-            full[:, cols] = g
-            a.accumulate(full)
-
-        return Node(a.value[:, cols].copy(), (a,), backward)
-
-    return half(slice(None, h)), half(slice(h, None))
-
-
-def concat_cols(a: Node, b: Node) -> Node:
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols: row counts differ {a.shape} vs {b.shape}")
-    ca = a.shape[1]
-
-    def backward(g):
-        a.accumulate(g[:, :ca])
-        b.accumulate(g[:, ca:])
-
-    return Node(np.concatenate([a.value, b.value], axis=1), (a, b), backward)
 
 
 def complex_mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,43 +342,47 @@ def complex_mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([ar * br - ai * bi, ai * br + ar * bi], axis=1)
 
 
+def conj_mul_packed(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conj(b) * g rowwise, in complex_mul_packed's half-split layout:
+    (g_lh*b_lh + g_hh*b_hh, g_hh*b_lh - g_lh*b_hh), the gradient of a*b with
+    respect to a when g is the product's."""
+    h = g.shape[1] // 2
+    gr, gi = g[:, :h], g[:, h:]
+    br, bi = b[:, :h], b[:, h:]
+    return np.concatenate([gr * br + gi * bi, gi * br - gr * bi], axis=1)
+
+
 def complex_mul(a: Node, b: Node) -> Node:
     """Differentiable complex_mul_packed of two half-split nodes."""
     _same_shape(a, b, "complex_mul")
-    h = _check_even(a, "complex_mul")
+    if a.shape[1] % 2 != 0:
+        raise ShapeError(f"complex_mul: column count must be even, got {a.shape[1]}")
 
     def backward(g):
-        gr, gi = g[:, :h], g[:, h:]
-        ar, ai = a.value[:, :h], a.value[:, h:]
-        br, bi = b.value[:, :h], b.value[:, h:]
-        # grad wrt a = "conj(b) * g" in the packed layout, and symmetrically
-        a.accumulate(
-            np.concatenate([gr * br + gi * bi, gi * br - gr * bi], axis=1)
-        )
-        b.accumulate(
-            np.concatenate([gr * ar + gi * ai, gi * ar - gr * ai], axis=1)
-        )
+        a.accumulate(conj_mul_packed(g, b.value))
+        b.accumulate(conj_mul_packed(g, a.value))
 
     return Node(complex_mul_packed(a.value, b.value), (a, b), backward)
+
+
+def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """The gradient of an (n, d) matrix whose rows `idx` were gathered, from
+    the gathered rows' gradient g: one bincount over flat cell numbers. Each
+    cell sums its rows' contributions one after another in index order,
+    starting from 0.0, as np.add.at into zeros does, so the bits are the
+    same."""
+    d = g.shape[1]
+    if idx.size == 0:  # bincount would give integer zeros
+        return np.zeros((n, d))
+    pos = idx % n if idx.min() < 0 else idx  # the gather takes negative indices too
+    cells = pos.reshape(-1, 1) * d + np.arange(d)
+    return np.bincount(cells.ravel(), weights=g.ravel(), minlength=n * d).reshape(n, d)
 
 
 def rows(matrix: Node, indices) -> Node:
     """Gather rows by index; the gradient scatter-adds into the matrix."""
     idx = np.asarray(indices, dtype=np.int64)
-
-    def backward(g):
-        # One bincount over flat cell numbers. Each cell sums its rows'
-        # contributions one after another in index order, starting from 0.0,
-        # as np.add.at into zeros does, so the bits are the same.
-        n, d = matrix.shape
-        if idx.size == 0:  # bincount would give integer zeros
-            matrix.accumulate(np.zeros_like(matrix.value))
-            return
-        pos = idx % n if idx.min() < 0 else idx  # the gather takes negative indices too
-        cells = pos.reshape(-1, 1) * d + np.arange(d)
-        matrix.accumulate(np.bincount(cells.ravel(), weights=g.ravel(), minlength=n * d).reshape(n, d))
-
-    return Node(matrix.value[idx], (matrix,), backward)
+    return Node(matrix.value[idx], (matrix,), lambda g: matrix.accumulate(scatter_rows(idx, g, matrix.shape[0])))
 
 
 def dropout(a: Node, p: float, rng: np.random.Generator, training: bool) -> Node:

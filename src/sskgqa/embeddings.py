@@ -72,17 +72,60 @@ def init_table(kind: str, n_entities: int, n_relations: int, d: int, seed: int) 
 def score_nodes(
     ent: ad.Node, rel: ad.Node, kind: str, h: np.ndarray, r: np.ndarray, t: np.ndarray
 ) -> ad.Node:
-    """Batched differentiable scores, one row per triple."""
-    eh = ad.rows(ent, h)
-    et = ad.rows(ent, t)
-    er = ad.rows(rel, r)
-    if kind == "transe":
-        return ad.scale(ad.rownorm(ad.sub(ad.add(eh, er), et)), -1.0)
+    """Batched differentiable scores, one row per triple, as one (n, 1) node.
+
+    Same arithmetic, step for step, as the chain of row gathers and
+    elementwise nodes that spells out each formula, so the value and the
+    gradients have the same bits. The forward keeps only what the backward
+    reads: for TransE the difference h + r - t and its row norms, for
+    ComplEx the gathered rows and h * r, for RotatE the head rows, the
+    rotation (cos theta, sin theta) and the difference h o e^(i theta) - t
+    with its norms. The backward adds into `ent` and `rel` in the order that
+    chain's walk did: the heads' rows, the relations', then the tails'.
+    """
+    h, r, t = (np.asarray(i, dtype=np.int64) for i in (h, r, t))
+    n_ent, n_rel = ent.shape[0], rel.shape[0]
+    eh = ent.value[h]
     if kind == "complex":
-        return ad.rowsum(ad.mul(ad.complex_mul(eh, er), et))
-    theta, _pad = ad.split_halves(er)
-    unit = ad.concat_cols(ad.cos(theta), ad.sin(theta))
-    return ad.scale(ad.rownorm(ad.sub(ad.complex_mul(eh, unit), et)), -1.0)
+        er, et = rel.value[r], ent.value[t]
+        hr = ad.complex_mul_packed(eh, er)
+
+        def complex_backward(g):
+            g_hr = g * et  # the gradient of h * r
+            ent.accumulate(ad.scatter_rows(h, ad.conj_mul_packed(g_hr, er), n_ent))
+            rel.accumulate(ad.scatter_rows(r, ad.conj_mul_packed(g_hr, eh), n_rel))
+            ent.accumulate(ad.scatter_rows(t, g * hr, n_ent))
+
+        return ad.Node((hr * et).sum(axis=1, keepdims=True), (ent, rel), complex_backward)
+    if kind == "transe":
+        x = eh
+        x += rel.value[r]
+    else:
+        half = rel.shape[1] // 2
+        theta = rel.value[r, :half]
+        unit = np.concatenate([np.cos(theta), np.sin(theta)], axis=1)
+        x = ad.complex_mul_packed(eh, unit)
+    x -= ent.value[t]
+    norms = np.sqrt((x**2).sum(axis=1, keepdims=True))
+
+    def distance_backward(g):
+        # the gradient of -||x||, then of x's first term and of -t
+        safe = np.where(norms > 0.0, norms, 1.0)
+        gx = np.where(norms > 0.0, (g * -1.0) / safe, 0.0) * x
+        if kind == "transe":
+            ent.accumulate(ad.scatter_rows(h, gx, n_ent))
+            rel.accumulate(ad.scatter_rows(r, gx, n_rel))
+        else:
+            ent.accumulate(ad.scatter_rows(h, ad.conj_mul_packed(gx, unit), n_ent))
+            g_unit = ad.conj_mul_packed(gx, eh)
+            # theta's gradient through cos, then sin; the padding half gets 0
+            g_rel = np.zeros_like(g_unit)
+            g_rel[:, :half] = -g_unit[:, :half] * unit[:, half:] + g_unit[:, half:] * unit[:, :half]
+            rel.accumulate(ad.scatter_rows(r, g_rel, n_rel))
+        np.negative(gx, out=gx)  # the tails' -gx, in place: one batch-sized array fewer
+        ent.accumulate(ad.scatter_rows(t, gx, n_ent))
+
+    return ad.Node(norms * -1.0, (ent, rel), distance_backward)
 
 
 def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tuple[EmbeddingTable, list[float]]:
@@ -120,6 +163,7 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
         loss = ad.add(pos_term, neg_term)
         train_step(opt, buffer, loss)
         history.append(float(loss.value[0, 0]))
+        del s_pos, s_neg, pos_term, neg_term, loss  # this epoch's graph, freed before the next one is built
         _clamp(table)
     return table, history
 

@@ -149,9 +149,29 @@ def load_triples(source: IO[str]) -> KnowledgeGraph:
 
 
 def load_kg_file(path: str) -> KnowledgeGraph:
-    """`load_triples` of the file; a ParseError names the file and line."""
+    """`load_triples` of the file; a ParseError names the file and line, also
+    for a file that is not UTF-8."""
     with open(path, encoding="utf-8") as f:
         try:
             return load_triples(f)
         except ParseError as exc:
             raise ParseError(f"{path}:{exc}") from None
+        except UnicodeDecodeError:
+            raise ParseError(not_utf8(path)) from None
+
+
+def not_utf8(path: str) -> str:
+    """`<path>:<line>: not UTF-8: ...`, the message for a text file whose
+    read raised UnicodeDecodeError. Text mode decodes in chunks, so that
+    error can come before the lines ahead of the bad byte are read, and its
+    position counts from the chunk. The file's bytes are decoded again here,
+    and the line counts the line breaks text mode reads (LF, CRLF and CR)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return f"{path}:{line}: not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}"
+    return f"{path}: not UTF-8"  # the file changed after it was read

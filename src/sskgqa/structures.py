@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from .candidates import SHAPES
+from .kg import not_utf8
 from .querygraph import Chain, QueryGraphError, chain_of
 
 E_TOPIC = "E"  # topic entity
@@ -131,7 +132,10 @@ def load_taxonomy(path: str) -> Taxonomy:
     may share a shape.
     """
     with open(path, encoding="utf-8") as f:
-        entries = json.load(f)
+        try:
+            entries = json.load(f)
+        except UnicodeDecodeError:
+            raise StructureError(not_utf8(path)) from None
     if not isinstance(entries, list):
         raise StructureError(f"{path}: expected a JSON list of structures")
     return Taxonomy([_structure_entry(path, i, e) for i, e in enumerate(entries)])

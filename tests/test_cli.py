@@ -450,6 +450,28 @@ def test_bad_taxonomy_entry_is_one_error_line(toy, tmp_path, entry):
     assert_one_error_line(proc, f"error: {tax}: entry 1")
 
 
+@pytest.mark.parametrize("which", ["kg", "dataset", "taxonomy"])
+def test_non_utf8_input_is_one_error_line(toy, tmp_path, which):
+    from sskgqa.structures import builtin_taxonomy
+
+    tax = tmp_path / "tax.json"
+    tax.write_text(json.dumps(taxonomy_entries(builtin_taxonomy()), indent=1))
+    inputs = {"kg": toy / "kg.tsv", "dataset": toy / "questions.jsonl", "taxonomy": tax}
+    # line 2 starts with bytes 0xff 0xfe, inside the first chunk text mode decodes
+    path = tmp_path / f"bad_{which}"
+    first, rest = inputs[which].read_bytes().split(b"\n", 1)
+    path.write_bytes(first + b"\n\xff\xfe" + rest)
+    inputs[which] = path
+    args = {
+        "kg": ["ingest", "--kg", str(inputs["kg"])],
+        "dataset": ["annotate", "--dataset", str(inputs["dataset"])],
+        "taxonomy": ["annotate", "--dataset", str(inputs["dataset"]), "--taxonomy", str(inputs["taxonomy"])],
+    }[which]
+    proc = run_cli(*args, expect_fail=True)
+    assert proc.stdout == ""
+    assert_one_error_line(proc, f"error: {path}:2: not UTF-8: byte 0xff")
+
+
 @pytest.mark.parametrize(
     "flags, name",
     [

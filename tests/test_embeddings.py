@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sskgqa import autodiff as ad
+from sskgqa import embeddings as emb_module
 from sskgqa.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -14,8 +19,8 @@ from sskgqa.embeddings import (
 )
 from sskgqa.kg import build_kg
 
-from fixtures import filtered_mrr, score_tails
-from reference import reference_score_tails
+from fixtures import degree_kg, filtered_mrr, score_tails
+from reference import reference_score_nodes, reference_score_tails
 
 
 def cycle_kg(n=12):
@@ -120,6 +125,106 @@ def test_score_nodes_gradients_finite_diff(kind):
         minus[idx] -= eps
         num = (loss_of(plus) - loss_of(minus)) / (2 * eps)
         assert ent.grad[idx] == pytest.approx(num, abs=1e-5)
+
+
+def score_case(n_ent, n_rel, d, table_kind, seed):
+    """Entity and relation values for score_nodes. "normal" values are drawn
+    freely; "grid" values hold few distinct numbers, so scores tie and some
+    TransE differences are zero; "zero_rel" has zero relations, so a TransE
+    or RotatE triple whose head is its tail is at distance zero; "zeros" is
+    all zero."""
+    rng = np.random.default_rng(seed)
+    if table_kind == "zeros":
+        return np.zeros((n_ent, d)), np.zeros((n_rel, d))
+    if table_kind == "grid":
+        return rng.integers(-1, 2, size=(n_ent, d)) * 0.5, rng.integers(-1, 2, size=(n_rel, d)) * 0.5
+    ent, rel = rng.normal(size=(n_ent, d)), rng.normal(size=(n_rel, d))
+    if table_kind == "zero_rel":
+        rel[:] = 0.0
+    return ent, rel
+
+
+@st.composite
+def score_sides(draw, n_ent, n_rel):
+    """(h, r, t) index arrays of one side: random rows, one row repeated,
+    or every head its own tail."""
+    n = draw(st.integers(1, 12))
+    ids = lambda size: st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
+    shape = draw(st.sampled_from(["random", "repeated", "head_is_tail"]))
+    if shape == "repeated":
+        h, r, t = ([draw(st.integers(0, size - 1))] * n for size in (n_ent, n_rel, n_ent))
+    else:
+        h, r, t = draw(ids(n_ent)), draw(ids(n_rel)), draw(ids(n_ent))
+    if shape == "head_is_tail":
+        t = h
+    return tuple(np.array(i) for i in (h, r, t))
+
+
+@st.composite
+def score_graphs(draw):
+    n_ent, n_rel = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    sides = draw(st.lists(score_sides(n_ent, n_rel), min_size=1, max_size=2))
+    d = 2 * draw(st.integers(1, 4))
+    table_kind = draw(st.sampled_from(["normal", "grid", "zero_rel", "zeros"]))
+    return n_ent, n_rel, d, table_kind, sides
+
+
+@pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
+@settings(max_examples=200, deadline=None)
+@given(score_graphs(), st.sampled_from([1.0, -1.0, 0.0, 0.3]), st.integers(0, 2**32 - 1))
+def test_score_nodes_bytes_equal_composed_chain(kind, case, weight, seed):
+    # one or two sides (the positives and the corruptions of a training
+    # loss) reach the loss through random row weights; `weight` scales the
+    # gradient that reaches the loss: negative weights flip the signs of
+    # zeros, and 0 makes every gradient term zero
+    n_ent, n_rel, d, table_kind, sides = case
+    ent0, rel0 = score_case(n_ent, n_rel, d, table_kind, seed)
+    row_weights = [np.random.default_rng(seed + i).normal(size=(len(h), 1)) for i, (h, _, _) in enumerate(sides)]
+    values, grads = [], []
+    for score in (score_nodes, reference_score_nodes):
+        ent, rel = ad.parameter(ent0.copy()), ad.parameter(rel0.copy())
+        scores = [score(ent, rel, kind, h, r, t) for h, r, t in sides]
+        terms = [ad.sum_all(ad.mul(s, ad.constant(w))) for s, w in zip(scores, row_weights)]
+        loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+        ad.backward(ad.mul(loss, ad.constant([[weight]])))
+        values.append([s.value.tobytes() for s in scores])
+        grads.append([ent.grad.tobytes(), rel.grad.tobytes()])
+    assert values[0] == values[1]
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
+def test_train_bytes_equal_composed_chain(kind, monkeypatch):
+    kg = degree_kg(3, entities=40, relations=3)
+    cfg = EmbedTrainConfig(d=8, epochs=5, seed=1)
+    table, history = train(kg, cfg, kind)
+    monkeypatch.setattr(emb_module, "score_nodes", reference_score_nodes)
+    want_table, want_history = train(kg, cfg, kind)
+    assert table.ent.tobytes() == want_table.ent.tobytes()
+    assert table.rel.tobytes() == want_table.rel.tobytes()
+    assert np.array(history).tobytes() == np.array(want_history).tobytes()
+
+
+# The peak memory of one training, in (triples x negatives x d) float64
+# arrays, on the KG of the first mixed_learned problem of benchmark run seed
+# 777 (798 triples), d = 16, 3 epochs. Before each score side was one node
+# the peaks were 16.0 (TransE), 18.7 (ComplEx) and 26.1 (RotatE).
+PEAK_UNITS = {"transe": 8.0, "complex": 12.0, "rotate": 13.0}
+
+
+@pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
+def test_train_peak_memory(kind):
+    kg = degree_kg(981238343)
+    cfg = EmbedTrainConfig(d=16, epochs=3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train(kg, cfg, kind)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    units = (peak - before) / (kg.num_triples * cfg.negatives * cfg.d * 8)
+    assert units <= PEAK_UNITS[kind], f"{kind} training peaked at {units:.2f} arrays"
 
 
 def test_train_loss_decreases_and_norms_clamped():

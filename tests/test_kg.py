@@ -152,3 +152,14 @@ def test_hub_lookups_are_bounded():
     assert kg.has_triple(hub, r, last) and not kg.has_triple(hub, r, t)
     assert execute(chain, kg) == {kg.entities.id_of(f"e{i}") for i in range(n - 500, n)}
     assert time.perf_counter() - start < 0.25
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_not_utf8_names_the_line(tmp_path, newline):
+    # 1,000 good lines put the bad byte past the first 8 KiB chunk text mode decodes
+    path = tmp_path / "kg.tsv"
+    good = "".join(f"e{i:03d}\tr\te{i:03d}x{newline}" for i in range(1000)).encode()
+    path.write_bytes(good + b"e\tr\t\xc3(" + newline.encode())
+    with pytest.raises(ParseError) as info:
+        load_kg_file(str(path))
+    assert str(info.value) == f"{path}:1001: not UTF-8: byte 0xc3: invalid continuation byte"

@@ -10,6 +10,7 @@ from reference import (
     global_norm,
     reference_accumulate,
     reference_clip,
+    reference_concat_cols,
     reference_encoder_forward,
     reference_rows,
     reference_train_step,
@@ -214,7 +215,7 @@ C = np.array([[3.0, -4.0, 12.0, 1.0]])
 # views of the array that r gets.
 SHARED_GRADIENT_LOSSES = {
     "add": (((1, 2), (1, 2)), lambda p, q: ad.add(p, q)),
-    "views": (((1, 2), (1, 2), (1, 4)), lambda p, q, r: ad.add(ad.concat_cols(p, q), r)),
+    "views": (((1, 2), (1, 2), (1, 4)), lambda p, q, r: ad.add(reference_concat_cols(p, q), r)),
 }
 
 

@@ -8,7 +8,9 @@ from reference import (
     reference_batch_triplet_loss,
     reference_build_training_triplets,
     reference_relu,
+    reference_rownorm,
     reference_score_all,
+    reference_sub,
     reference_train_ranker,
 )
 from sskgqa import autodiff as ad
@@ -257,7 +259,12 @@ def test_batch_triplet_loss_matches_per_negative_form():
         got = grads_of(batched)
         f_q, f_p, *f_n = (enc.forward(s) for s in seqs)
         terms = [
-            reference_relu(ad.add(ad.sub(ad.rownorm(ad.sub(f_q, f_p)), ad.rownorm(ad.sub(f_q, n))), ad.constant([[alpha]])))
+            reference_relu(
+                ad.add(
+                    reference_sub(reference_rownorm(reference_sub(f_q, f_p)), reference_rownorm(reference_sub(f_q, n))),
+                    ad.constant([[alpha]]),
+                )
+            )
             for n in f_n
         ]
         total = terms[0]
