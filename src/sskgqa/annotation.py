@@ -226,9 +226,9 @@ def load_dataset(path: str) -> list[LabeledQuestion]:
     """JSON Lines dataset: id, question, topic_entity, answers[], hops?, sparql?.
     LabelingError naming the file and line of a record that is not an object,
     lacks a required key or holds a value of the wrong type, or of the first
-    line that is not UTF-8."""
+    line that is not UTF-8. A leading byte-order mark is skipped."""
     out = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             for lineno, line in enumerate(f, start=1):
                 if line.strip():

@@ -24,10 +24,10 @@ class ClassifierError(Exception):
 
 @dataclass
 class ClassifierTrainConfig:
-    lr: float = 1e-3
+    lr: float = 1e-2
     epochs: int = 50
     seed: int = 0
-    d_model: int = 24
+    d_model: int = EncoderConfig.d_model
     use_attention: bool = False
     # the encoder settings above, with DROPOUT and EncoderConfig's heads and
     # ff_width, as an EncoderConfig, made, and so checked, with the config;

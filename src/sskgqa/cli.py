@@ -20,11 +20,6 @@ from . import synth
 from .candidates import EnumConfig
 
 
-def _seed(args) -> int:
-    env = os.environ.get("SSKGQA_SEED")
-    return int(env) if env else args.seed
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -64,7 +59,7 @@ def cmd_train_embeddings(args) -> int:
         lr=args.lr,
         negatives=args.negatives,
         margin=args.margin,
-        seed=_seed(args),
+        seed=args.seed,
     )
     kg = kgmod.load_kg_file(args.kg)
     table, history = emb.train(kg, cfg, kind=args.kind)
@@ -95,7 +90,7 @@ def _classifier_dataset(kg, questions, tax):
 
 def cmd_train_classifier(args) -> int:
     cfg = clf.ClassifierTrainConfig(
-        lr=args.lr, epochs=args.epochs, seed=_seed(args), d_model=args.d_model
+        lr=args.lr, epochs=args.epochs, seed=args.seed, d_model=args.d_model
     )
     kg = kgmod.load_kg_file(args.kg)
     tax = _taxonomy(args)
@@ -125,7 +120,7 @@ def _rank_cfg(args, **setting) -> rk.RankTrainConfig:
         lr=args.lr,
         dropout=args.dropout,
         epochs=args.epochs,
-        seed=_seed(args),
+        seed=args.seed,
         **setting,
     )
 
@@ -231,7 +226,7 @@ def cmd_make_toy(args) -> int:
     if args.benchmark == "ranker":
         kg, questions = synth.ranker_fixture()
     elif args.benchmark == "three-hop":
-        kg, questions = synth.three_hop_benchmark(args.questions, seed=_seed(args))
+        kg, questions = synth.three_hop_benchmark(args.questions, seed=args.seed)
     else:
         kg = synth.norshteyn_kg()
         questions = synth.norshteyn_questions() + [synth.norshteyn_test_question()]
@@ -251,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sskgqa", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common_seed(sp):
-        sp.add_argument("--seed", type=int, default=0)
-
     sp = sub.add_parser("ingest", help="load and intern a TSV knowledge graph")
     sp.add_argument("--kg", required=True)
     sp.set_defaults(func=cmd_ingest)
@@ -267,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kg", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--kind", choices=emb.KINDS, default="transe")
-    sp.add_argument("--dim", type=int, default=64)
-    sp.add_argument("--epochs", type=int, default=100)
-    sp.add_argument("--lr", type=float, default=0.05)
-    sp.add_argument("--negatives", type=int, default=8)
-    sp.add_argument("--margin", type=float, default=6.0)
-    common_seed(sp)
+    sp.add_argument("--dim", type=int, default=emb.EmbedTrainConfig.d)
+    sp.add_argument("--epochs", type=int, default=emb.EmbedTrainConfig.epochs)
+    sp.add_argument("--lr", type=float, default=emb.EmbedTrainConfig.lr)
+    sp.add_argument("--negatives", type=int, default=emb.EmbedTrainConfig.negatives)
+    sp.add_argument("--margin", type=float, default=emb.EmbedTrainConfig.margin)
+    sp.add_argument("--seed", type=int, default=emb.EmbedTrainConfig.seed)
     sp.set_defaults(func=cmd_train_embeddings)
 
     sp = sub.add_parser("train-classifier", help="train the structure classifier")
@@ -281,26 +273,27 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--embeddings", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--taxonomy")
-    sp.add_argument("--epochs", type=int, default=50)
-    sp.add_argument("--lr", type=float, default=1e-2)
-    sp.add_argument("--d-model", type=int, default=24)
-    common_seed(sp)
+    sp.add_argument("--epochs", type=int, default=clf.ClassifierTrainConfig.epochs)
+    sp.add_argument("--lr", type=float, default=clf.ClassifierTrainConfig.lr)
+    sp.add_argument("--d-model", type=int, default=clf.ClassifierTrainConfig.d_model)
+    sp.add_argument("--seed", type=int, default=clf.ClassifierTrainConfig.seed)
     sp.set_defaults(func=cmd_train_classifier)
 
     def ranker_args(sp):
-        sp.add_argument("--margin", type=float, default=1.0)
-        sp.add_argument("--negatives", type=int, default=100)
-        sp.add_argument("--lr", type=float, default=1e-2)
-        sp.add_argument("--heads", type=int, default=3)
-        sp.add_argument("--dropout", type=float, default=0.0)
-        sp.add_argument("--epochs", type=int, default=20)
-        common_seed(sp)
+        """The ranker flags `train-ranker` and `ablate` share."""
+        sp.add_argument("--margin", type=float, default=rk.RankTrainConfig.margin)
+        sp.add_argument("--lr", type=float, default=rk.RankTrainConfig.lr)
+        sp.add_argument("--dropout", type=float, default=rk.RankTrainConfig.dropout)
+        sp.add_argument("--epochs", type=int, default=rk.RankTrainConfig.epochs)
+        sp.add_argument("--seed", type=int, default=rk.RankTrainConfig.seed)
 
     sp = sub.add_parser("train-ranker", help="train the query graph ranker")
     sp.add_argument("--kg", required=True)
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--taxonomy")
+    sp.add_argument("--negatives", type=int, default=rk.RankTrainConfig.negatives)
+    sp.add_argument("--heads", type=int, default=rk.RankTrainConfig.heads)
     ranker_args(sp)
     sp.set_defaults(func=cmd_train_ranker)
 
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--embeddings")
         sp.add_argument("--taxonomy")
         sp.add_argument("--mode", choices=pl.MODES, default="predicted")
-        sp.add_argument("--max-hops", type=int, default=3)
+        sp.add_argument("--max-hops", type=int, default=EnumConfig.max_hops)
         sp.add_argument("--constraints", action="store_true")
 
     sp = sub.add_parser("answer", help="answer a single question")
@@ -329,15 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kg", required=True)
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--taxonomy")
-    sp.add_argument("--max-hops", type=int, default=3)
+    sp.add_argument("--max-hops", type=int, default=EnumConfig.max_hops)
     grid = sp.add_mutually_exclusive_group(required=True)
     grid.add_argument("--negatives", dest="grid", action="store_const", const="negatives")
     grid.add_argument("--heads", dest="grid", action="store_const", const="heads")
-    sp.add_argument("--margin", type=float, default=1.0)
-    sp.add_argument("--lr", type=float, default=1e-2)
-    sp.add_argument("--dropout", type=float, default=0.0)
-    sp.add_argument("--epochs", type=int, default=10)
-    common_seed(sp)
+    ranker_args(sp)
     sp.set_defaults(func=cmd_ablate)
 
     sp = sub.add_parser("make-toy", help="materialize a bundled toy benchmark")
@@ -346,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmark", choices=("norshteyn", "ranker", "three-hop"), default="norshteyn"
     )
     sp.add_argument("--questions", type=int, default=200)
-    common_seed(sp)
+    sp.add_argument("--seed", type=int, default=emb.EmbedTrainConfig.seed)
     sp.set_defaults(func=cmd_make_toy)
     return p
 

@@ -149,9 +149,9 @@ def load_triples(source: IO[str]) -> KnowledgeGraph:
 
 
 def load_kg_file(path: str) -> KnowledgeGraph:
-    """`load_triples` of the file; a ParseError names the file and line, also
-    for a file that is not UTF-8."""
-    with open(path, encoding="utf-8") as f:
+    """`load_triples` of the file, past a leading UTF-8 byte-order mark; a
+    ParseError names the file and line, also for a file that is not UTF-8."""
+    with open(path, encoding="utf-8-sig") as f:
         try:
             return load_triples(f)
         except ParseError as exc:

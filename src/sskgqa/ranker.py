@@ -27,12 +27,12 @@ class RankerError(Exception):
 class RankTrainConfig:
     margin: float = 1.0
     negatives: int = 100
-    lr: float = 1e-3
-    dropout: float = 0.5
+    lr: float = 1e-2
+    dropout: float = 0.0
     heads: int = 3
     ff_width: int = 128
     out_dim: int = 24
-    epochs: int = 10
+    epochs: int = 20
     seed: int = 0
     # the encoder settings above as the EncoderConfig train_ranker builds
     # its encoder from (with attention and its d_model default); made, and

@@ -129,13 +129,15 @@ def load_taxonomy(path: str) -> Taxonomy:
     labels are strings without line breaks; kinds use E (topic), Ec
     (constraint entity), v, a; edges are [from, to] index pairs. Each
     structure must be a chain of a shape in `candidates.SHAPES`, and no two
-    may share a shape.
+    may share a shape. A leading byte-order mark is skipped.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             entries = json.load(f)
         except UnicodeDecodeError:
             raise StructureError(not_utf8(path)) from None
+        except json.JSONDecodeError as exc:
+            raise StructureError(f"{path}:{exc.lineno}: bad JSON: {exc}") from None
     if not isinstance(entries, list):
         raise StructureError(f"{path}: expected a JSON list of structures")
     return Taxonomy([_structure_entry(path, i, e) for i, e in enumerate(entries)])

@@ -8,6 +8,7 @@ import pytest
 
 import sskgqa
 from fixtures import taxonomy_entries
+from sskgqa import candidates, cli, classifier, embeddings, ranker
 
 # the directory holding the package under test, so the subprocess runs it
 # whether or not the package is installed
@@ -46,16 +47,50 @@ def test_make_toy_outputs(toy):
     assert (toy / "questions.jsonl").exists()
 
 
-def test_seed_env_overrides_seed_flag(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "SSKGQA_SEED"}
+def test_seed_flag_sets_the_toy(tmp_path):
     files = {}
-    for name, seed, seed_env in [("env", "0", {"SSKGQA_SEED": "3"}), ("flag", "3", {}), ("plain", "0", {})]:
+    for name, seed in [("flag", ["--seed", "3"]), ("plain", [])]:
         out = tmp_path / name
-        args = ["make-toy", "--out", str(out), "--benchmark", "three-hop", "--questions", "5"]
-        run_cli(*args, "--seed", seed, env={**env, **seed_env})
+        run_cli("make-toy", "--out", str(out), "--benchmark", "three-hop", "--questions", "5", *seed)
         files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert files["env"] == files["flag"]
-    assert files["env"] != files["plain"]
+    assert files["flag"] != files["plain"]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["train-embeddings", "--kg", "kg.tsv", "--out", "emb.ckpt"], [embeddings.EmbedTrainConfig()]),
+        (["train-classifier", "--kg", "kg.tsv", "--dataset", "q.jsonl", "--embeddings", "emb.ckpt",
+          "--out", "clf.ckpt"], [classifier.ClassifierTrainConfig()]),
+        (["train-ranker", "--kg", "kg.tsv", "--dataset", "q.jsonl", "--out", "rank.ckpt"],
+         [ranker.RankTrainConfig()]),
+        (["ablate", "--negatives", "--kg", "kg.tsv", "--dataset", "q.jsonl"],
+         [ranker.RankTrainConfig(negatives=n) for n in cli.NEGATIVE_GRID] + [candidates.EnumConfig()]),
+        (["ablate", "--heads", "--kg", "kg.tsv", "--dataset", "q.jsonl"],
+         [ranker.RankTrainConfig(heads=h) for h in cli.HEAD_GRID] + [candidates.EnumConfig()]),
+    ],
+    ids=["train_embeddings", "train_classifier", "train_ranker", "ablate_negatives", "ablate_heads"],
+)
+def test_cli_defaults_are_the_config_defaults(tmp_path, monkeypatch, argv, expected):
+    # with only the required flags, each command builds the bare configs; the
+    # input files do not exist, so the command stops at its first read
+    args = cli.build_parser().parse_args(argv)
+    built = []
+
+    def record(cls):
+        def make(**settings):
+            built.append(cls(**settings))
+            return built[-1]
+
+        return make
+
+    for module, name in [(embeddings, "EmbedTrainConfig"), (classifier, "ClassifierTrainConfig"),
+                         (ranker, "RankTrainConfig"), (cli, "EnumConfig")]:
+        monkeypatch.setattr(module, name, record(getattr(module, name)))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError):
+        args.func(args)
+    assert built == expected
 
 
 def test_ingest(toy):
@@ -470,6 +505,38 @@ def test_non_utf8_input_is_one_error_line(toy, tmp_path, which):
     proc = run_cli(*args, expect_fail=True)
     assert proc.stdout == ""
     assert_one_error_line(proc, f"error: {path}:2: not UTF-8: byte 0xff")
+
+
+@pytest.mark.parametrize("which", ["kg", "dataset", "taxonomy"])
+def test_byte_order_mark_is_skipped(toy, trained, tmp_path, which):
+    from sskgqa.structures import builtin_taxonomy
+
+    tax = tmp_path / "tax.json"
+    tax.write_text(json.dumps(taxonomy_entries(builtin_taxonomy())))
+    inputs = {"kg": toy / "kg.tsv", "dataset": toy / "questions.jsonl", "taxonomy": tax}
+
+    def evaluate():
+        return run_cli(
+            "evaluate", "--kg", str(inputs["kg"]), "--dataset", str(inputs["dataset"]),
+            "--taxonomy", str(inputs["taxonomy"]), "--ranker", trained["rank"], "--mode", "oracle",
+        ).stdout
+
+    plain = evaluate()
+    path = tmp_path / f"bom_{which}"
+    path.write_bytes(b"\xef\xbb\xbf" + inputs[which].read_bytes())
+    inputs[which] = path
+    assert evaluate() == plain
+
+
+def test_taxonomy_that_is_not_json_is_one_error_line(toy, tmp_path):
+    tax = tmp_path / "tax.json"
+    tax.write_text('[\n{"label": "SS1",')
+    proc = run_cli(
+        "annotate", "--dataset", str(toy / "questions.jsonl"), "--taxonomy", str(tax),
+        expect_fail=True,
+    )
+    assert proc.stdout == ""
+    assert_one_error_line(proc, f"error: {tax}:2: bad JSON: ")
 
 
 @pytest.mark.parametrize(

@@ -87,6 +87,17 @@ def test_load_kg_file(tmp_path):
     assert kg.num_triples == 1
 
 
+def test_load_kg_file_skips_byte_order_mark(tmp_path):
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(b"\xef\xbb\xbfa\tr\tb\n")
+    kg = load_kg_file(str(path))
+    assert [kg.entities.symbol_of(i) for i in range(kg.num_entities)] == ["a", "b"]
+    # the mark is three bytes of line 1, so a bad byte still gets its line
+    path.write_bytes(b"\xef\xbb\xbfa\tr\tb\n\xff\n")
+    with pytest.raises(ParseError, match=f"^{path}:2: not UTF-8: byte 0xff"):
+        load_kg_file(str(path))
+
+
 def test_has_triple_id_checked():
     kg = build_kg([("a", "r", "b")])
     for h, r, t in ((2, 0, 0), (0, 0, -1), (0, 1, 1), (0, -1, 1)):
