@@ -140,31 +140,6 @@ def matmul(a: Node, b: Node) -> Node:
     return Node(a.value @ b.value, (a, b), backward)
 
 
-def _block_views(a: Node, b: Node, blocks: int, op: str) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as stacks of `blocks` equal row blocks, (blocks, rows, cols)."""
-    if blocks < 1 or a.shape[0] % blocks or b.shape[0] % blocks:
-        raise ShapeError(f"{op}: {a.shape} and {b.shape} do not split into {blocks} row blocks")
-    return (
-        a.value.reshape(blocks, -1, a.shape[1]),
-        b.value.reshape(blocks, -1, b.shape[1]),
-    )
-
-
-def block_matmul(a: Node, b: Node, blocks: int) -> Node:
-    """a_i @ b_i for each of `blocks` row blocks, stacked:
-    (blocks*m, l) and (blocks*l, k) -> (blocks*m, k)."""
-    a3, b3 = _block_views(a, b, blocks, "block_matmul")
-    if a3.shape[2] != b3.shape[1]:
-        raise ShapeError(f"block_matmul: inner dims differ {a3.shape[1:]} vs {b3.shape[1:]}")
-
-    def backward(g):
-        g3 = g.reshape(blocks, a3.shape[1], b3.shape[2])
-        a.accumulate(np.matmul(g3, b3.transpose(0, 2, 1)).reshape(a.shape))
-        b.accumulate(np.matmul(a3.transpose(0, 2, 1), g3).reshape(b.shape))
-
-    return Node(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b), backward)
-
-
 def block_attention(x: Node, weights: list[Node], mask: np.ndarray, blocks: int) -> Node:
     """Multi-head self-attention within each of `blocks` equal row blocks of
     x, as one node: (blocks*L, d) -> (blocks*L, heads*dh).
@@ -180,11 +155,15 @@ def block_attention(x: Node, weights: list[Node], mask: np.ndarray, blocks: int)
     product is one matmul per (head, block), the same products a chain of
     matmul, block product, scale, mask add, row softmax and block product
     nodes per head runs, and the elementwise steps and row sums are that
-    chain's, step for step. The row max is taken one key column at a time,
+    chain's, step for step. The projections are one product of x with the
+    (3*heads, d, dh) stack of the weights, and the backward takes the
+    weights' gradients and x's each as one product with the stack of the
+    projections' gradients; each item is the 2-D product that chain takes.
+    The row max is one reduction over a transposed copy of the scores,
     which is faster than a reduction over each short row; max is exact, so
-    it has the same bits. The backward adds into x once per
-    projection in the order of `weights`, as that chain's walk did, so the
-    values and gradients have the same bits.
+    it has the same bits. The backward adds the projections' gradients into
+    x in the order of `weights`, after the gradient x already holds, as that
+    chain's walk did, so the values and gradients have the same bits.
     """
     n_rows, d = x.shape
     if not weights or len(weights) % 3:
@@ -199,39 +178,62 @@ def block_attention(x: Node, weights: list[Node], mask: np.ndarray, blocks: int)
         raise ShapeError(f"block_attention: mask is {mask.shape}, expected {(blocks, width)}")
     heads = len(weights) // 3
     c = 1.0 / math.sqrt(dh)
-    qkv = np.empty((3, heads, n_rows, dh))  # x@w of every projection
-    for i, w in enumerate(weights):
-        np.matmul(x.value, w.value, out=qkv[i % 3, i // 3])
+    # every head's wq, then every wk, then every wv
+    stacked = weights[0::3] + weights[1::3] + weights[2::3]
+    w3 = np.array([w.value for w in stacked])
+    qkv = np.matmul(x.value, w3)  # (3*heads, n_rows, dh)
     q, k, v = qkv.reshape(3, heads, blocks, width, dh)
     att = np.matmul(q, k.transpose(0, 1, 3, 2))
     att *= c
     att += mask.reshape(blocks, 1, width)
     # row softmax, in place
-    row_max = att[..., 0].copy()
-    for j in range(1, width):
-        np.maximum(row_max, att[..., j], out=row_max)
-    att -= row_max[..., None]
+    att -= np.ascontiguousarray(att.transpose(3, 0, 1, 2)).max(axis=0)[..., None]
     np.exp(att, out=att)
     att /= att.sum(axis=3, keepdims=True)
     out = np.matmul(att, v)  # (heads, blocks, L, dh)
 
     def backward(g):
         g4 = g.reshape(blocks, width, heads, dh).transpose(2, 0, 1, 3)
-        g_att = np.matmul(g4, v.transpose(0, 1, 3, 2))
-        gv = np.matmul(att.transpose(0, 1, 3, 2), g4)
-        gs = g_att  # the scores' gradient, in place
-        gs -= (g_att * att).sum(axis=3, keepdims=True)
+        g_qkv = np.empty_like(qkv)
+        gq, gk, gv = g_qkv.reshape(3, heads, blocks, width, dh)
+        gs = np.matmul(g4, v.transpose(0, 1, 3, 2))  # the scores' gradient, in place
+        np.matmul(att.transpose(0, 1, 3, 2), g4, out=gv)
+        gs -= (gs * att).sum(axis=3, keepdims=True)
         gs *= att
         gs *= c
-        gq = np.matmul(gs, k)
-        gk = np.matmul(gs.transpose(0, 1, 3, 2), q)
-        for i, w in enumerate(weights):
-            gw = (gq, gk, gv)[i % 3][i // 3].reshape(n_rows, dh)
-            x.accumulate(gw @ w.value.T)
-            w.accumulate(x.value.T @ gw)
+        np.matmul(gs, k, out=gq)
+        np.matmul(gs.transpose(0, 1, 3, 2), q, out=gk)
+        for w, gw in zip(stacked, np.matmul(x.value.T, g_qkv)):
+            w.accumulate(gw)
+        gx = np.matmul(g_qkv, w3.transpose(0, 2, 1))  # (3*heads, n_rows, d)
+        # x's gradient takes the projections' in the order of `weights`
+        order = [(i % 3) * heads + i // 3 for i in range(len(weights))]
+        total = gx[order[0]]
+        if x.grad is not None:
+            total += x.grad
+        for i in order[1:]:
+            total += gx[i]
+        x.grad = total
 
     side_by_side = np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(n_rows, heads * dh)
     return Node(side_by_side, (x, *weights), backward)
+
+
+def block_pool(x: Node, weights: np.ndarray) -> Node:
+    """Weighted sums of the rows of each of n equal row blocks of x, as one
+    node: row i is weights[i] @ block i, (n*L, d) -> (n, d) for (n, L)
+    weights. The weights are an array, not a node, so only x gets a
+    gradient: the one a block product of the weights as a constant node
+    gives it, with the same bits."""
+    n, width = weights.shape
+    if x.shape[0] != n * width:
+        raise ShapeError(f"block_pool: {x.shape} does not split into {n} blocks of {width} rows")
+    w3 = weights.reshape(n, 1, width)
+
+    def backward(g):
+        x.accumulate(np.matmul(w3.transpose(0, 2, 1), g.reshape(n, 1, -1)).reshape(x.shape))
+
+    return Node(np.matmul(w3, x.value.reshape(n, width, -1)).reshape(n, -1), (x,), backward)
 
 
 def feed_forward(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:

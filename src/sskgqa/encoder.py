@@ -5,8 +5,9 @@ ranker and the classifier)."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,29 @@ def param_shapes(cfg: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, in
     return shapes
 
 
+class BatchLayout(NamedTuple):
+    """The arrays a forward reads off its n id sequences alone, padded to
+    the longest length L."""
+
+    ids: np.ndarray  # (n*L,) token ids, 0 past a sequence's end
+    mask: np.ndarray  # (n, L) additive key mask: 0 for a token, -inf past the end
+    pool: np.ndarray  # (n, L) mean-pool weights: 1/len for a token, 0 past the end
+
+
+def batch_layout(sequences: Sequence[list[int]]) -> BatchLayout:
+    """The BatchLayout of a forward over `sequences`, one or more non-empty
+    id sequences."""
+    if not sequences:
+        raise ValueError("forward needs at least one token sequence")
+    if not all(sequences):
+        raise ValueError("token sequences must be non-empty")
+    lens = np.array([len(s) for s in sequences])
+    real = np.arange(int(lens.max())) < lens[:, None]
+    ids = np.zeros(real.shape, dtype=np.int64)
+    ids[real] = [i for s in sequences for i in s]
+    return BatchLayout(ids.ravel(), np.where(real, 0.0, -np.inf), real / lens[:, None])
+
+
 class SequenceEncoder:
     """f(.) applied to both questions and serialized query graphs."""
 
@@ -94,6 +118,7 @@ class SequenceEncoder:
         *sequences: list[int],
         training: bool = False,
         rng: np.random.Generator | None = None,
+        layout: BatchLayout | None = None,
     ) -> ad.Node:
         """f(.) of each token id sequence (`Vocab.encode` of its tokens), as
         the rows of one (n, out_dim) node.
@@ -102,28 +127,22 @@ class SequenceEncoder:
         (n*L, d_model) token matrix. Attention stays inside each sequence's
         block of L rows, so its cost grows with n, not n^2. Padded keys get
         -inf scores and the mean pool reads only real tokens, so padding
-        changes no output and receives no gradient.
+        changes no output and receives no gradient. `layout` is
+        batch_layout(sequences), made here when not given; a trainer that
+        steps on the same batch every epoch makes it once.
         """
-        if not sequences:
-            raise ValueError("forward needs at least one token sequence")
-        if not all(sequences):
-            raise ValueError("token sequences must be non-empty")
+        if layout is None:
+            layout = batch_layout(sequences)
         cfg = self.cfg
         n = len(sequences)
-        lens = np.array([len(s) for s in sequences])
-        width = int(lens.max())
-        real = np.arange(width) < lens[:, None]  # (n, L)
-        ids = np.zeros((n, width), dtype=np.int64)
-        ids[real] = [i for s in sequences for i in s]
-        x = ad.rows(self.params["tok_emb"], ids.ravel())
+        x = ad.rows(self.params["tok_emb"], layout.ids)
         if cfg.use_attention:
             p = self.params
             weights = [p[f"{w}{h}"] for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
-            # row i masks the keys past sequence i's end
-            attended = ad.block_attention(x, weights, np.where(real, 0.0, -np.inf), n)
+            attended = ad.block_attention(x, weights, layout.mask, n)
             x = ad.add(x, ad.matmul(attended, p["wo"]))
             x = ad.add(x, ad.feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
-        pooled = ad.block_matmul(ad.constant(real / lens[:, None]), x, n)
+        pooled = ad.block_pool(x, layout.pool)
         pooled = ad.dropout(pooled, cfg.dropout, rng, training)
         return ad.matmul(pooled, self.params["proj"])
 

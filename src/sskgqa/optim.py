@@ -4,7 +4,7 @@ packs its model into, and the training step that combines them."""
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -27,11 +27,19 @@ def clip_global_norm(grad: np.ndarray, offsets: list[int]) -> np.ndarray:
     The norm squares grad once, sums each segment offsets[i]:offsets[i + 1]
     (one per parameter) on its own and then adds the sums in order, as a
     norm of the per-parameter gradients does: one sum over the whole array
-    rounds differently. Raises NonFiniteGradientError, before scaling
-    anything, when the norm is nan or inf.
+    rounds differently. A run of k consecutive segments of one size is
+    summed as the k rows of one (k, size) view, each row as its own segment
+    would be. Raises NonFiniteGradientError, before scaling anything, when
+    the norm is nan or inf.
     """
     sq = grad * grad
-    norm = math.sqrt(sum(float(sq[a:b].sum()) for a, b in zip(offsets, offsets[1:])))
+    sums: list[float] = []
+    start = offsets[0]
+    for size, run in groupby(b - a for a, b in zip(offsets, offsets[1:])):
+        k = len(list(run))
+        sums += sq[start : start + k * size].reshape(k, size).sum(axis=1).tolist()
+        start += k * size
+    norm = math.sqrt(sum(sums))
     if not np.isfinite(norm):
         raise NonFiniteGradientError(f"gradient norm is {norm}")
     if norm > MAX_NORM:
@@ -48,23 +56,35 @@ class AdamW:
         self.step_count = 0
         self._m: np.ndarray | None = None
         self._v: np.ndarray | None = None
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, p: np.ndarray, g: np.ndarray) -> None:
-        """One update of `p` in place by its gradient `g`."""
+        """One update of `p` in place by its gradient `g`. The arithmetic of
+        m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, mhat = m / (1 - b1**t),
+        vhat = v / (1 - b2**t) and p -= lr * (mhat / (sqrt(vhat) + eps)), one
+        operation at a time in that order, with the intermediates in two
+        scratch arrays the optimizer keeps."""
         if p.shape != g.shape:
             raise ValueError(f"param shape {p.shape} vs grad {g.shape}")
         if self._m is None:
             self._m = np.zeros_like(p)
             self._v = np.zeros_like(p)
+            self._scratch = (np.empty_like(p), np.empty_like(p))
         self.step_count += 1
         m, v = self._m, self._v
+        a, b = self._scratch
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        m += np.multiply(g, 1.0 - BETA1, out=a)
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        mhat = m / (1.0 - BETA1**self.step_count)
-        vhat = v / (1.0 - BETA2**self.step_count)
-        p -= self.lr * (mhat / (np.sqrt(vhat) + EPS))
+        np.multiply(g, 1.0 - BETA2, out=a)
+        a *= g
+        v += a
+        mhat = np.divide(m, 1.0 - BETA1**self.step_count, out=a)
+        root = np.sqrt(np.divide(v, 1.0 - BETA2**self.step_count, out=b), out=b)
+        root += EPS
+        mhat /= root
+        mhat *= self.lr
+        p -= mhat
 
 
 class ParameterBuffer:
@@ -82,15 +102,22 @@ class ParameterBuffer:
         self.params = list(params)
         self.offsets = [0, *accumulate(p.value.size for p in self.params)]
         self.value = np.concatenate([p.value.ravel() for p in self.params])
+        self._grad = np.empty_like(self.value)
+        self._grad_views = []  # parameter i's view of _grad
         for p, a, b in zip(self.params, self.offsets, self.offsets[1:]):
             p.value = self.value[a:b].reshape(p.value.shape)
+            self._grad_views.append(self._grad[a:b].reshape(p.value.shape))
 
     def gradient(self) -> np.ndarray:
-        """The parameters' gradients concatenated in order into a new array,
-        zeros for a parameter the loss did not reach."""
-        return np.concatenate(
-            [np.zeros(p.value.size) if p.grad is None else p.grad.ravel() for p in self.params]
-        )
+        """The parameters' gradients in order, as one flat array that the
+        buffer owns and overwrites on each call: a copy of the engine's
+        arrays, with zeros for a parameter the loss did not reach."""
+        for p, view in zip(self.params, self._grad_views):
+            if p.grad is None:
+                view.fill(0.0)
+            else:
+                view[...] = p.grad
+        return self._grad
 
 
 def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .candidates import EnumConfig, enumerate_candidates
-from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
+from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, batch_layout, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 from .querygraph import Chain, canonicalize, serialize_tokens, split_symbol
@@ -166,15 +166,17 @@ def train_ranker(
     vocab = Vocab.from_sequences(sequences)
     model = RankerModel(SequenceEncoder(vocab, cfg.encoder, rng), trained_on=len(triplets))
     encode = vocab.encode
-    id_triplets = [(encode(q), encode(p), [encode(n) for n in negs]) for q, p, negs in triplets]
+    # (question, positive, negatives...) ids per triplet, each batch's layout
+    # made once for all epochs
+    batches = [[encode(q), encode(p), *(encode(n) for n in negs)] for q, p, negs in triplets]
+    layouts = [batch_layout(b) for b in batches]
     buffer = ParameterBuffer(model.encoder.parameters())
     opt = AdamW(lr=cfg.lr)
     order = np.arange(len(triplets))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
         for i in order:
-            q_ids, pos_ids, neg_ids = id_triplets[i]
-            f = model.encoder.forward(q_ids, pos_ids, *neg_ids, training=True, rng=rng)
+            f = model.encoder.forward(*batches[i], training=True, rng=rng, layout=layouts[i])
             train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin))
     return model
 

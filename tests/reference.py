@@ -17,9 +17,10 @@ parameter arrays) for `optim.train_step` and `ReferenceAdam` (Adam over a
 list of arrays, with moments per list index) for `optim.AdamW`; and the
 encoder block as a chain of nodes per head:
 `reference_block_attention` and `reference_feed_forward` for the fused
-`ad.block_attention` and `ad.feed_forward`, and `reference_encoder_forward`
-for `SequenceEncoder.forward`; and the token path the models ran before the
-encoder read ids: `reference_token_forward` (a forward that maps tokens
+`ad.block_attention` and `ad.feed_forward`, `reference_block_matmul` (the
+per-block product those chains and the mean pool are built from), and
+`reference_encoder_forward` for `SequenceEncoder.forward`; and the token
+path the models ran before the encoder read ids: `reference_token_forward` (a forward that maps tokens
 itself), `reference_score_all` for `RankerModel.score_all`, and
 `reference_train_ranker` and `reference_train_classifier`, which map tokens
 at every step; and the ranker's training before the triplet loss was one op
@@ -590,6 +591,24 @@ def reference_train_step(opt: ReferenceAdam, unpacked: UnpackedParams, loss) -> 
     opt.step([p.value for p in params], grads)
 
 
+def reference_block_matmul(a, b, blocks: int):
+    """a_i @ b_i for each of `blocks` row blocks, stacked, as a node:
+    (blocks*m, l) and (blocks*l, k) -> (blocks*m, k)."""
+    if blocks < 1 or a.shape[0] % blocks or b.shape[0] % blocks:
+        raise ad.ShapeError(f"block_matmul: {a.shape} and {b.shape} do not split into {blocks} row blocks")
+    a3 = a.value.reshape(blocks, -1, a.shape[1])
+    b3 = b.value.reshape(blocks, -1, b.shape[1])
+    if a3.shape[2] != b3.shape[1]:
+        raise ad.ShapeError(f"block_matmul: inner dims differ {a3.shape[1:]} vs {b3.shape[1:]}")
+
+    def backward(g):
+        g3 = g.reshape(blocks, a3.shape[1], b3.shape[2])
+        a.accumulate(np.matmul(g3, b3.transpose(0, 2, 1)).reshape(a.shape))
+        b.accumulate(np.matmul(a3.transpose(0, 2, 1), g3).reshape(b.shape))
+
+    return ad.Node(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b), backward)
+
+
 def reference_block_matmul_t(a, b, blocks: int):
     """a_i @ b_i.T for each of `blocks` row blocks, stacked, as a node:
     (blocks*m, k) and (blocks*l, k) -> (blocks*m, l)."""
@@ -617,7 +636,7 @@ def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
         q, k, v = (ad.matmul(x, w) for w in weights[i : i + 3])
         scores = ad.scale(reference_block_matmul_t(q, k, blocks), 1.0 / math.sqrt(dh))
         att = ad.softmax(ad.add(scores, mask_rows))
-        heads.append(ad.block_matmul(att, v, blocks))
+        heads.append(reference_block_matmul(att, v, blocks))
     merged = heads[0]
     for h in heads[1:]:
         merged = reference_concat_cols(merged, h)
@@ -636,10 +655,12 @@ def reference_feed_forward(x, w1, b1, w2, b2):
     return ad.add(ad.matmul(hidden, w2), b2)
 
 
-def reference_encoder_forward(self, *sequences, training: bool = False, rng=None):
+def reference_encoder_forward(self, *sequences, training: bool = False, rng=None, layout=None):
     """`SequenceEncoder.forward` with the attention block built from
-    reference_block_attention and reference_feed_forward; patched over the
-    method, it stands in for the fused block in a trainer."""
+    reference_block_attention and reference_feed_forward, and the mean pool
+    as reference_block_matmul of the pooling weights as a constant node;
+    patched over the method, it stands in for the fused block in a trainer.
+    It reads everything off `sequences` and ignores a precomputed `layout`."""
     if not sequences:
         raise ValueError("forward needs at least one token sequence")
     if not all(sequences):
@@ -657,7 +678,7 @@ def reference_encoder_forward(self, *sequences, training: bool = False, rng=None
         attended = reference_block_attention(x, weights, np.where(real, 0.0, -np.inf), n)
         x = ad.add(x, ad.matmul(attended, p["wo"]))
         x = ad.add(x, reference_feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
-    pooled = ad.block_matmul(ad.constant(real / lens[:, None]), x, n)
+    pooled = reference_block_matmul(ad.constant(real / lens[:, None]), x, n)
     pooled = ad.dropout(pooled, cfg.dropout, rng, training)
     return ad.matmul(pooled, p["proj"])
 

@@ -8,6 +8,7 @@ from reference import (
     reference_accumulate,
     reference_batch_triplet_loss,
     reference_block_attention,
+    reference_block_matmul,
     reference_concat_cols,
     reference_cos,
     reference_feed_forward,
@@ -75,8 +76,8 @@ def test_add_broadcast_and_grad():
         lambda p: ad.sum_all(ad.mul(ad.softmax(p), p)),
         lambda p: ad.sum_all(reference_rownorm(p)),
         lambda p: ad.sum_all(ad.rowsum(p)),
-        lambda p: ad.sum_all(reference_sin(ad.block_matmul(p, ad.constant(BLOCK_B), 3))),
-        lambda p: ad.sum_all(reference_sin(ad.block_matmul(ad.constant(BLOCK_A), p, 3))),
+        lambda p: ad.sum_all(reference_sin(reference_block_matmul(p, ad.constant(BLOCK_B), 3))),
+        lambda p: ad.sum_all(reference_sin(reference_block_matmul(ad.constant(BLOCK_A), p, 3))),
         lambda p: ad.scale(ad.sum_all(p), -2.5),
     ],
     ids=["relu", "logsigmoid", "cos", "sin", "softmax", "softmax_mul", "rownorm", "rowsum",
@@ -117,11 +118,11 @@ def test_sub_mul_gradients():
 def test_block_matmuls_match_per_block_products():
     t = RNG.normal(size=(6, 2))  # 2 blocks of 3 rows
     c = RNG.normal(size=(4, 5))  # 2 blocks of 2 rows
-    m = ad.block_matmul(ad.constant(t), ad.constant(c), 2).value
+    m = reference_block_matmul(ad.constant(t), ad.constant(c), 2).value
     assert m.shape == (6, 5)
     assert np.allclose(m[:3], t[:3] @ c[:2]) and np.allclose(m[3:], t[3:] @ c[2:])
-    check_grad(lambda p: ad.sum_all(reference_sin(ad.block_matmul(p, ad.constant(c), 2))), t)
-    check_grad(lambda p: ad.sum_all(reference_sin(ad.block_matmul(ad.constant(t), p, 2))), c)
+    check_grad(lambda p: ad.sum_all(reference_sin(reference_block_matmul(p, ad.constant(c), 2))), t)
+    check_grad(lambda p: ad.sum_all(reference_sin(reference_block_matmul(ad.constant(t), p, 2))), c)
 
 
 def test_distance_gradient():
@@ -179,6 +180,36 @@ def test_fused_block_bytes_equal_per_head_chain(lens, heads, dh, ff, seed):
         ad.backward(ad.sum_all(ad.mul(y, weight)))
         outs.append(y.value.tobytes())
         grads.append([p.grad.tobytes() for p in params])
+    assert outs[0] == outs[1]
+    assert grads[0] == grads[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 8),
+    st.integers(1, 20).flatmap(
+        lambda width: st.lists(st.integers(1, width), min_size=1, max_size=12)
+    ),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_batched_attention_bytes_equal_per_head_chain(heads, dh, lens, residual, seed):
+    # batched BLAS products may round by shape on some hosts; this holds the
+    # batched projections and their gradients to the per-head 2-D products.
+    # With the residual, x holds a gradient before the attention adds its own.
+    blocks = len(lens)
+    outs, grads = [], []
+    for attention in (ad.block_attention, reference_block_attention):
+        params, mask = attention_case(blocks, lens, heads, dh, 1, seed)
+        x, weights = params[0], params[1 : 1 + 3 * heads]
+        y = attention(x, weights, mask, blocks)
+        if residual:
+            y = ad.add(x, y)
+        weight = ad.constant(np.random.default_rng(seed + 1).normal(size=y.shape))
+        ad.backward(ad.sum_all(ad.mul(y, weight)))
+        outs.append(y.value.tobytes())
+        grads.append([p.grad.tobytes() for p in (x, *weights)])
     assert outs[0] == outs[1]
     assert grads[0] == grads[1]
 
@@ -445,4 +476,4 @@ def test_shape_errors():
     with pytest.raises(ad.ShapeError):
         ad.feed_forward(*(ad.constant(np.ones(s)) for s in ((2, 2), (3, 3), (1, 3), (3, 2), (1, 2))))
     with pytest.raises(ad.ShapeError):  # blocks of 1x2 times blocks of 1x2
-        ad.block_matmul(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))), 2)
+        reference_block_matmul(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))), 2)

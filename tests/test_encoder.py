@@ -128,12 +128,12 @@ def test_attention_params_present_only_when_enabled():
 
 @pytest.mark.parametrize(
     "use_attention, training, nodes",
-    [(True, False, 9), (True, True, 10), (False, False, 4)],
+    [(True, False, 8), (True, True, 9), (False, False, 3)],
     ids=["attention", "attention_dropout", "no_attention"],
 )
 def test_forward_builds_one_node_per_layer(monkeypatch, use_attention, training, nodes):
-    # token rows, attention, wo, residual, feed-forward, residual, pooling
-    # weights, pooling, dropout when training, projection
+    # token rows, attention, wo, residual, feed-forward, residual, pooling,
+    # dropout when training, projection
     enc = make_encoder(use_attention=use_attention, dropout=0.5)
     built = []
     init = ad.Node.__init__

@@ -7,6 +7,11 @@ from pathlib import Path
 import pytest
 
 import sskgqa
+from reference import ReferenceAdam, UnpackedParams, reference_encoder_forward, reference_train_step
+from sskgqa import classifier as clf
+from sskgqa import embeddings as emb
+from sskgqa import ranker as rk
+from sskgqa.encoder import SequenceEncoder
 from sskgqa.structures import builtin_taxonomy
 
 MODULES = sorted(Path(sskgqa.__file__).resolve().parent.glob("*.py"))
@@ -76,3 +81,23 @@ def test_benchmark_finds_every_name_it_uses(monkeypatch):
     kg, train_qs, _ = inputs.mixed_inputs(5, tax, workloads.TINY.mixed)
     trained = workloads.train_all(kg, train_qs, tax, workloads.TINY, 5)
     assert trained.ranker.trained_on > 0
+
+
+def test_benchmark_models_equal_the_reference_chain(monkeypatch):
+    # The digest the benchmark takes of its trained models, with every
+    # trainer stepping per parameter through the per-head encoder chain, as
+    # the packed and fused training tests in test_optim do: the fused ops
+    # and the packed optimizer leave the benchmark's models as they were.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "pipebench"))
+    import inputs
+    import workloads
+
+    tax = builtin_taxonomy()
+    kg, train_qs, _ = inputs.mixed_inputs(5, tax, workloads.TINY.mixed)
+    got = workloads.train_all(kg, train_qs, tax, workloads.TINY, 5).digest()
+    monkeypatch.setattr(SequenceEncoder, "forward", reference_encoder_forward)
+    for module in (emb, clf, rk):
+        monkeypatch.setattr(module, "ParameterBuffer", UnpackedParams)
+        monkeypatch.setattr(module, "AdamW", ReferenceAdam)
+        monkeypatch.setattr(module, "train_step", reference_train_step)
+    assert workloads.train_all(kg, train_qs, tax, workloads.TINY, 5).digest() == got

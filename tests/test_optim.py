@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import separable_classifier_dataset
@@ -21,7 +21,7 @@ from sskgqa import embeddings as emb_module
 from sskgqa import ranker as ranker_module
 from sskgqa.classifier import ClassifierTrainConfig, train_classifier
 from sskgqa.embeddings import EmbedTrainConfig, train
-from sskgqa.encoder import SequenceEncoder
+from sskgqa.encoder import EncoderConfig, SequenceEncoder, param_shapes
 from sskgqa.optim import (
     MAX_NORM,
     AdamW,
@@ -68,9 +68,7 @@ def test_clip_norm_sums_each_parameter_on_its_own():
     assert grad.tobytes() == want.tobytes()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 300), min_size=1, max_size=12), st.floats(0.0001, 1.0), st.integers(0, 2**32 - 1))
-def test_clip_bytes_equal_per_parameter_clip(sizes, scale, seed):
+def assert_clip_bytes_equal_per_parameter_clip(sizes, scale, seed):
     # norms from well below MAX_NORM to well above it
     rng = np.random.default_rng(seed)
     segs = [rng.normal(size=n) * rng.uniform(0.1, 10.0) * scale for n in sizes]
@@ -78,6 +76,33 @@ def test_clip_bytes_equal_per_parameter_clip(sizes, scale, seed):
     reference_clip(segs, MAX_NORM)
     clip_global_norm(grad, [0, *np.cumsum(sizes)])
     assert grad.tobytes() == np.concatenate(segs).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=12), st.floats(0.0001, 1.0), st.integers(0, 2**32 - 1))
+def test_clip_bytes_equal_per_parameter_clip(sizes, scale, seed):
+    assert_clip_bytes_equal_per_parameter_clip(sizes, scale, seed)
+
+
+# The ranker's parameter sizes as the benchmark trains it (57 tokens,
+# out_dim 16, ff_width 48): nine equal attention projections in one run.
+BENCHMARK_RANKER_RUNS = [
+    (r * c, 1) for r, c in param_shapes(EncoderConfig(out_dim=16, ff_width=48), 57).values()
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 300), st.integers(1, 12)), min_size=1, max_size=6),
+    st.floats(0.0001, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@example(BENCHMARK_RANKER_RUNS, 1.0, 0)
+@example(BENCHMARK_RANKER_RUNS, 0.0001, 1)
+def test_clip_bytes_equal_per_parameter_clip_over_equal_size_runs(runs, scale, seed):
+    # runs of (segment size, count): clip sums each run as the rows of one view
+    sizes = [size for size, count in runs for _ in range(count)]
+    assert_clip_bytes_equal_per_parameter_clip(sizes, scale, seed)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -110,6 +135,25 @@ def test_adamw_matches_reference():
         opt.step(p, g.copy())
         ref_p, ref_m, ref_v = reference_adam(ref_p, g, ref_m, ref_v, t, 0.01, 0.9, 0.999, 1e-8)
         assert np.allclose(p, ref_p, atol=1e-12)
+
+
+def test_adamw_bytes_equal_per_array_adam_over_many_steps():
+    # the scratch arrays are reused from step to step; the update must keep
+    # the bytes of Adam written out in one expression per line
+    rng = np.random.default_rng(3)
+    shape = (40, 30)
+    p = rng.normal(size=shape)
+    ref = [p.copy()]
+    opt, ref_opt = AdamW(lr=0.01), ReferenceAdam(lr=0.01)
+    for t in range(60):
+        g = rng.normal(size=shape) * rng.uniform(1e-4, 10.0)
+        if t % 7 == 3:
+            g[rng.random(shape) < 0.5] = 0.0
+        opt.step(p, g)
+        ref_opt.step(ref, [g.copy()])
+        assert p.tobytes() == ref[0].tobytes()
+        assert opt._m.tobytes() == ref_opt._m[0].tobytes()
+        assert opt._v.tobytes() == ref_opt._v[0].tobytes()
 
 
 def test_adamw_first_step_magnitude():
@@ -206,6 +250,19 @@ class RecordingOptimizer:
 
     def step(self, p, g):
         self.grad = g.copy()
+
+
+def test_buffer_gradient_zeroes_a_parameter_an_earlier_step_reached():
+    # the buffer reuses its gradient array, so a parameter the loss does
+    # not reach must not carry the last step's gradient into the optimizer
+    p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
+    buffer = ParameterBuffer([p, q])
+    opt = RecordingOptimizer()
+    train_step(opt, buffer, ad.sum_all(ad.mul(ad.matmul(p, q), ad.constant([[0.25]]))))
+    assert opt.grad.tolist() == [0.25, 0.25, 0.25, 0.25]
+    train_step(opt, buffer, ad.sum_all(ad.mul(p, ad.constant([[0.5, -0.25]]))))
+    assert q.grad is None
+    assert opt.grad.tolist() == [0.5, -0.25, 0.0, 0.0]
 
 
 C = np.array([[3.0, -4.0, 12.0, 1.0]])
