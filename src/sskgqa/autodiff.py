@@ -96,11 +96,6 @@ def parameter(x) -> Node:
     return Node(x)
 
 
-def _same_shape(a: Node, b: Node, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 def _row_grad(g: np.ndarray) -> np.ndarray:
     """The gradient of a (1, w) operand broadcast over the rows of g."""
     return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
@@ -117,16 +112,6 @@ def add(a: Node, b: Node) -> Node:
         b.accumulate(_row_grad(g) if b.shape[0] == 1 else g)
 
     return Node(a.value + b.value, (a, b), backward)
-
-
-def mul(a: Node, b: Node) -> Node:
-    _same_shape(a, b, "mul")
-
-    def backward(g):
-        a.accumulate(g * b.value)
-        b.accumulate(g * a.value)
-
-    return Node(a.value * b.value, (a, b), backward)
 
 
 def matmul(a: Node, b: Node) -> Node:
@@ -305,31 +290,11 @@ def sum_all(a: Node) -> Node:
     return Node(a.value.sum(), (a,), lambda g: a.accumulate(np.full_like(a.value, g[0, 0])))
 
 
-def softmax(a: Node) -> Node:
-    """Row-wise max-shifted softmax."""
-    e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
-    return Node(y, (a,), lambda g: a.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True))))
-
-
-def log(a: Node) -> Node:
-    return Node(np.log(a.value), (a,), lambda g: a.accumulate(g / a.value))
-
-
 def logsigmoid(a: Node) -> Node:
     """log(sigmoid(x)), computed stably as min(x, 0) - log1p(exp(-|x|))."""
     x = a.value
     y = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
     return Node(y, (a,), lambda g: a.accumulate(g / (1.0 + np.exp(x))))
-
-
-def rowsum(a: Node) -> Node:
-    """(n, d) -> (n, 1) row sums."""
-
-    def backward(g):
-        a.accumulate(np.repeat(g, a.shape[1], axis=1))
-
-    return Node(a.value.sum(axis=1, keepdims=True), (a,), backward)
 
 
 def complex_mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -352,19 +317,6 @@ def conj_mul_packed(g: np.ndarray, b: np.ndarray) -> np.ndarray:
     gr, gi = g[:, :h], g[:, h:]
     br, bi = b[:, :h], b[:, h:]
     return np.concatenate([gr * br + gi * bi, gi * br - gr * bi], axis=1)
-
-
-def complex_mul(a: Node, b: Node) -> Node:
-    """Differentiable complex_mul_packed of two half-split nodes."""
-    _same_shape(a, b, "complex_mul")
-    if a.shape[1] % 2 != 0:
-        raise ShapeError(f"complex_mul: column count must be even, got {a.shape[1]}")
-
-    def backward(g):
-        a.accumulate(conj_mul_packed(g, b.value))
-        b.accumulate(conj_mul_packed(g, a.value))
-
-    return Node(complex_mul_packed(a.value, b.value), (a, b), backward)
 
 
 def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:

@@ -44,10 +44,25 @@ class ClassifierTrainConfig:
         )
 
 
-def fuse(eh: ad.Node, eq: ad.Node) -> ad.Node:
-    """Fuse entity and question vectors: s = eh + eq + (eh complex-mul eq),
-    both half-split (lower half real, higher half imaginary)."""
-    return ad.add(ad.add(eh, eq), ad.complex_mul(eh, eq))
+def fuse(eh: np.ndarray, eq: ad.Node) -> ad.Node:
+    """Fuse entity and question vectors as one node: s = eh + eq + (eh
+    complex-mul eq), both half-split (lower half real, higher half imaginary).
+
+    `eh` is a frozen array, so only `eq` gets a gradient: the two terms the
+    chain of add, add and complex_mul nodes gives it, g and conj(eh) * g, so
+    the value and the gradient have that chain's bits."""
+    if eh.shape != eq.shape:
+        raise ad.ShapeError(f"fuse: shape mismatch {eh.shape} vs {eq.shape}")
+    if eh.shape[1] % 2 != 0:
+        raise ad.ShapeError(f"fuse: column count must be even, got {eh.shape[1]}")
+    value = (eh + eq.value) + ad.complex_mul_packed(eh, eq.value)
+    return ad.Node(value, (eq,), lambda g: eq.accumulate(g + ad.conj_mul_packed(g, eh)))
+
+
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise max-shifted softmax of an (n, k) array."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 class ClassifierModel:
@@ -60,6 +75,8 @@ class ClassifierModel:
     ):
         if encoder.cfg.out_dim != table.d:
             raise ClassifierError("encoder output dim must equal embedding dim")
+        if table.d % 2 != 0:
+            raise ClassifierError(f"the fusion needs an even embedding dim, got {table.d}")
         self.encoder = encoder
         self.table = table  # frozen; never trained
         self.labels = taxonomy.labels()
@@ -80,15 +97,14 @@ class ClassifierModel:
         """(n, k) class logits of n (token ids, topic id) examples, from one
         padded encoder forward."""
         eq = self.encoder.forward(*id_lists, training=training, rng=rng)
-        eh = ad.constant(self.table.lookup_entities(topics))
-        s = fuse(eh, eq)
+        s = fuse(self.table.lookup_entities(topics), eq)
         return ad.add(ad.matmul(s, self.w), self.b)
 
     def classify(self, tokens: list[str], topic: int) -> np.ndarray:
         """Probability vector over the taxonomy classes (under no_grad)."""
         with ad.no_grad():
             logits = self._logits([self.encoder.vocab.encode(tokens)], [topic])
-            return ad.softmax(logits).value[0].copy()
+        return softmax_rows(logits.value)[0]
 
     def predict(self, tokens: list[str], topic: int) -> str:
         return self.labels[int(np.argmax(self.classify(tokens, topic)))]
@@ -109,15 +125,30 @@ class ClassifierModel:
 
 
 def cross_entropy(logits: ad.Node, targets: list[int]) -> ad.Node:
-    """Mean over rows of -log softmax(logits)[row, target].
+    """Mean over rows of -log softmax(logits)[row, target], as one node.
 
     The target probability is picked before the log: a non-target class whose
-    probability underflows to 0 would otherwise add 0 * log(0) = nan.
+    probability underflows to 0 would otherwise add 0 * log(0) = nan. Same
+    arithmetic, step for step, as the chain of softmax, a product with the
+    one-hot targets, row sums, log, sum and the -1/n scale: the row sum of
+    y * onehot is y[row, target] exactly, as every other term is 0.0, and the
+    backward is the softmax backward of a gradient that is non-zero only at
+    the targets (elsewhere the zeros a product with 0.0 gives it, signs
+    included), so the value and the gradient have that chain's bits.
     """
-    onehot = np.zeros(logits.shape)
-    onehot[np.arange(len(targets)), targets] = 1.0
-    picked = ad.rowsum(ad.mul(ad.softmax(logits), ad.constant(onehot)))
-    return ad.scale(ad.sum_all(ad.log(picked)), -1.0 / len(targets))
+    n = len(targets)
+    c = -1.0 / n
+    picked_at = (np.arange(n), targets)
+    y = softmax_rows(logits.value)
+    picked = y[picked_at].reshape(n, 1)
+
+    def backward(g):
+        g_picked = (g[0, 0] * c) / picked
+        gy = np.zeros_like(y) * g_picked  # the one-hot product's signed zeros
+        gy[picked_at] = g_picked[:, 0]
+        logits.accumulate(y * (gy - (gy * y).sum(axis=1, keepdims=True)))
+
+    return ad.Node(np.log(picked).sum() * c, (logits,), backward)
 
 
 def train_classifier(

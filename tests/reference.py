@@ -23,8 +23,11 @@ per-block product those chains and the mean pool are built from), and
 path the models ran before the encoder read ids: `reference_token_forward` (a forward that maps tokens
 itself), `reference_score_all` for `RankerModel.score_all`, and
 `reference_train_ranker` and `reference_train_classifier`, which map tokens
-at every step; and the ranker's training before the triplet loss was one op
-and negatives were told from the gold by `Chain` equality:
+at every step (the latter with the classifier's head and loss as
+`reference_fuse` and `reference_cross_entropy`, the chains of nodes
+`classifier.fuse` and `classifier.cross_entropy` fuse); and the ranker's
+training before the triplet loss was one op and negatives were told from the
+gold by `Chain` equality:
 `reference_batch_triplet_loss`, the chain of nodes `ad.triplet_hinge` fuses,
 and `reference_build_training_triplets`, which drops the candidates whose
 `canonicalize` key is the gold's; and SPARQL extraction as it was before
@@ -33,7 +36,9 @@ the record named the topic and the chain walk indexed its edges:
 `reference_topic_guess`, the rule that picked the topic from the patterns;
 and the nodes those chains build that no model runs: `reference_relu`,
 `reference_sub`, `reference_rownorm`, `reference_cos`, `reference_sin`,
-`reference_split_halves` and `reference_concat_cols`.
+`reference_split_halves`, `reference_concat_cols`, `reference_mul`,
+`reference_softmax`, `reference_log`, `reference_rowsum` and
+`reference_complex_mul`.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index."""
 
@@ -426,10 +431,55 @@ def reference_score_nodes(ent, rel, kind: str, h, r, t):
     if kind == "transe":
         return ad.scale(reference_rownorm(reference_sub(ad.add(eh, er), et)), -1.0)
     if kind == "complex":
-        return ad.rowsum(ad.mul(ad.complex_mul(eh, er), et))
+        return reference_rowsum(reference_mul(reference_complex_mul(eh, er), et))
     theta, _pad = reference_split_halves(er)
     unit = reference_concat_cols(reference_cos(theta), reference_sin(theta))
-    return ad.scale(reference_rownorm(reference_sub(ad.complex_mul(eh, unit), et)), -1.0)
+    return ad.scale(reference_rownorm(reference_sub(reference_complex_mul(eh, unit), et)), -1.0)
+
+
+def reference_mul(a, b):
+    if a.shape != b.shape:
+        raise ad.ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accumulate(g * b.value)
+        b.accumulate(g * a.value)
+
+    return ad.Node(a.value * b.value, (a, b), backward)
+
+
+def reference_softmax(a):
+    """Row-wise max-shifted softmax."""
+    e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    return ad.Node(y, (a,), lambda g: a.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True))))
+
+
+def reference_log(a):
+    return ad.Node(np.log(a.value), (a,), lambda g: a.accumulate(g / a.value))
+
+
+def reference_rowsum(a):
+    """(n, d) -> (n, 1) row sums."""
+
+    def backward(g):
+        a.accumulate(np.repeat(g, a.shape[1], axis=1))
+
+    return ad.Node(a.value.sum(axis=1, keepdims=True), (a,), backward)
+
+
+def reference_complex_mul(a, b):
+    """Differentiable complex_mul_packed of two half-split nodes."""
+    if a.shape != b.shape:
+        raise ad.ShapeError(f"complex_mul: shape mismatch {a.shape} vs {b.shape}")
+    if a.shape[1] % 2 != 0:
+        raise ad.ShapeError(f"complex_mul: column count must be even, got {a.shape[1]}")
+
+    def backward(g):
+        a.accumulate(ad.conj_mul_packed(g, b.value))
+        b.accumulate(ad.conj_mul_packed(g, a.value))
+
+    return ad.Node(ad.complex_mul_packed(a.value, b.value), (a, b), backward)
 
 
 def reference_sub(a, b):
@@ -635,7 +685,7 @@ def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
     for i in range(0, len(weights), 3):
         q, k, v = (ad.matmul(x, w) for w in weights[i : i + 3])
         scores = ad.scale(reference_block_matmul_t(q, k, blocks), 1.0 / math.sqrt(dh))
-        att = ad.softmax(ad.add(scores, mask_rows))
+        att = reference_softmax(ad.add(scores, mask_rows))
         heads.append(reference_block_matmul(att, v, blocks))
     merged = heads[0]
     for h in heads[1:]:
@@ -758,8 +808,27 @@ def reference_train_ranker(dataset, kg, cfg):
     return model
 
 
+def reference_fuse(eh: np.ndarray, eq):
+    """`classifier.fuse` as the chain of nodes it fuses: eh as a constant
+    node, then add, add and complex_mul."""
+    head = ad.constant(eh)
+    return ad.add(ad.add(head, eq), reference_complex_mul(head, eq))
+
+
+def reference_cross_entropy(logits, targets):
+    """`classifier.cross_entropy` as the chain of nodes it fuses: softmax,
+    a product with the one-hot targets as a constant node, row sums, log,
+    sum and the -1/n scale."""
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(targets)), targets] = 1.0
+    picked = reference_rowsum(reference_mul(reference_softmax(logits), ad.constant(onehot)))
+    return ad.scale(ad.sum_all(reference_log(picked)), -1.0 / len(targets))
+
+
 def reference_train_classifier(dataset, table, taxonomy, cfg):
-    """`train_classifier` mapping each minibatch's tokens to ids at every step."""
+    """`train_classifier` mapping each minibatch's tokens to ids at every
+    step, with the head and the loss built as reference_fuse, matmul, add
+    and reference_cross_entropy."""
     labels = taxonomy.labels()
     targets = [labels.index(label) for _, _, label in dataset]
     rng = np.random.default_rng(cfg.seed)
@@ -773,12 +842,8 @@ def reference_train_classifier(dataset, table, taxonomy, cfg):
         rng.shuffle(order)
         for start in range(0, len(order), classifier.BATCH_SIZE):
             batch = order[start : start + classifier.BATCH_SIZE]
-            logits = model._logits(
-                [vocab.encode(dataset[i][0]) for i in batch],
-                [dataset[i][1] for i in batch],
-                training=True,
-                rng=rng,
-            )
-            loss = classifier.cross_entropy(logits, [targets[i] for i in batch])
-            train_step(opt, buffer, loss)
+            eq = reference_token_forward(model.encoder, *(dataset[i][0] for i in batch), training=True, rng=rng)
+            s = reference_fuse(table.lookup_entities([dataset[i][1] for i in batch]), eq)
+            logits = ad.add(ad.matmul(s, model.w), model.b)
+            train_step(opt, buffer, reference_cross_entropy(logits, [targets[i] for i in batch]))
     return model

@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixtures import separable_classifier_dataset
-from reference import ReferenceAdam, reference_clip, reference_train_classifier
+from reference import (
+    ReferenceAdam,
+    reference_clip,
+    reference_complex_mul,
+    reference_cross_entropy,
+    reference_fuse,
+    reference_log,
+    reference_mul,
+    reference_rowsum,
+    reference_softmax,
+    reference_train_classifier,
+)
 from sskgqa import autodiff as ad
 from sskgqa.classifier import (
     BATCH_SIZE,
@@ -14,6 +27,7 @@ from sskgqa.classifier import (
     fuse,
     load_classifier,
     save_classifier,
+    softmax_rows,
     train_classifier,
 )
 from sskgqa.embeddings import EmbeddingError, init_table
@@ -27,7 +41,7 @@ def test_rotate_fuse_matches_complex_oracle():
     for d in (2, 8, 64):
         eh = rng.normal(size=d)
         eq = rng.normal(size=d)
-        out = fuse(ad.constant(eh[None]), ad.constant(eq[None])).value[0]
+        out = fuse(eh[None], ad.constant(eq[None])).value[0]
         h = d // 2
         zh = eh[:h] + 1j * eh[h:]
         zq = eq[:h] + 1j * eq[h:]
@@ -40,9 +54,48 @@ def test_rotate_fuse_matches_complex_oracle():
 
 def test_rotate_fuse_validation():
     with pytest.raises(ad.ShapeError):
-        fuse(ad.constant(np.zeros((1, 4))), ad.constant(np.zeros((1, 6))))
+        fuse(np.zeros((1, 4)), ad.constant(np.zeros((1, 6))))
     with pytest.raises(ad.ShapeError):
-        fuse(ad.constant(np.zeros((1, 3))), ad.constant(np.zeros((1, 3))))
+        fuse(np.zeros((1, 3)), ad.constant(np.zeros((1, 3))))
+
+
+@st.composite
+def fusion_cases(draw):
+    """n examples of dimension d over k classes, with their targets. With
+    `spread`, every row's logits get -spread added at some non-target
+    classes, one at least, so those classes' probabilities underflow to 0."""
+    n, d, k = draw(st.integers(1, 6)), 2 * draw(st.integers(1, 4)), draw(st.integers(2, 7))
+    targets = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return n, d, k, targets, draw(st.booleans()), draw(st.sampled_from([0.0, 2000.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fusion_cases(), st.sampled_from([1.0, -1.0, 0.0, 0.3]), st.integers(0, 2**32 - 1))
+def test_fuse_and_cross_entropy_bytes_equal_composed_chain(case, weight, seed):
+    # the classifier head, fuse -> matmul -> add -> cross_entropy, fused and
+    # as the chain of nodes; "grid" values hold few distinct numbers, so
+    # some products are zero; `weight` scales the gradient that reaches the
+    # loss: negative weights flip the signs of zeros, and 0 makes every
+    # gradient term zero
+    n, d, k, targets, grid, spread = case
+    rng = np.random.default_rng(seed)
+    draw = (lambda shape: rng.integers(-1, 2, size=shape) * 0.5) if grid else (lambda shape: rng.normal(size=shape))
+    eh, eq0, w0, b0 = draw((n, d)), draw((n, d)), draw((d, k)), draw((1, k))
+    offsets = -spread * (rng.random((n, k)) < 0.5)
+    offsets[np.arange(n), (np.array(targets) + 1) % k] = -spread
+    offsets[np.arange(n), targets] = 0.0
+    values, grads = [], []
+    for fuse_op, loss_op in ((fuse, cross_entropy), (reference_fuse, reference_cross_entropy)):
+        eq, w, b = ad.parameter(eq0.copy()), ad.parameter(w0.copy()), ad.parameter(b0.copy())
+        s = fuse_op(eh, eq)
+        logits = ad.add(ad.add(ad.matmul(s, w), b), ad.constant(offsets))
+        loss = loss_op(logits, targets)
+        ad.backward(reference_mul(loss, ad.constant([[weight]])))
+        values.append([s.value.tobytes(), loss.value.tobytes()])
+        grads.append([eq.grad.tobytes(), w.grad.tobytes(), b.grad.tobytes()])
+    assert spread == 0.0 or (softmax_rows(logits.value) == 0.0).any()
+    assert values[0] == values[1]
+    assert grads[0] == grads[1]
 
 
 def make_model(table, seed=0):
@@ -76,6 +129,13 @@ def test_dim_mismatch_rejected():
     )
     with pytest.raises(ClassifierError):
         ClassifierModel(enc, table, tax, np.random.default_rng(0))
+    # the fusion's complex product needs an even dimension
+    odd = init_table("transe", 4, 2, 7, seed=0)
+    enc = SequenceEncoder(
+        Vocab(["a"]), EncoderConfig(out_dim=7, d_model=8, use_attention=False), np.random.default_rng(0)
+    )
+    with pytest.raises(ClassifierError, match="even"):
+        ClassifierModel(enc, odd, tax, np.random.default_rng(0))
 
 
 def test_config_validation():
@@ -160,12 +220,12 @@ def per_example_loss(model, examples, rng=None):
     for toks, topic, label in examples:
         eq = model.encoder.forward(model.encoder.vocab.encode(toks), training=rng is not None, rng=rng)
         eh = ad.constant(model.table.ent[topic : topic + 1])
-        s = ad.add(ad.add(eh, eq), ad.complex_mul(eh, eq))
-        probs = ad.softmax(ad.add(ad.matmul(s, model.w), model.b))
+        s = ad.add(ad.add(eh, eq), reference_complex_mul(eh, eq))
+        probs = reference_softmax(ad.add(ad.matmul(s, model.w), model.b))
         onehot = np.zeros(probs.shape)
         onehot[0, model.labels.index(label)] = 1.0
-        gold = ad.rowsum(ad.mul(probs, ad.constant(onehot)))
-        terms.append(ad.scale(ad.log(gold), -1.0))
+        gold = reference_rowsum(reference_mul(probs, ad.constant(onehot)))
+        terms.append(ad.scale(reference_log(gold), -1.0))
     total = terms[0]
     for t in terms[1:]:
         total = ad.add(total, t)
@@ -240,6 +300,28 @@ def test_train_matches_per_example_reference():
     want = reference_train(dataset, table, builtin_taxonomy(), cfg)
     for g, w in zip(got.parameters(), want.parameters()):
         assert np.abs(g.value - w.value).max() < 1e-10
+
+
+def test_training_step_builds_eight_nodes(monkeypatch):
+    # per minibatch: token rows, pooling, dropout, projection, fuse, head
+    # matmul, bias add, cross_entropy; one epoch of at most BATCH_SIZE
+    # examples is one step
+    dataset, table = varied_dataset()
+    built = []
+    init = ad.Node.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Node, "__init__", counting)
+    counts = []
+    for epochs in (1, 2):
+        built.clear()
+        cfg = ClassifierTrainConfig(epochs=epochs, d_model=8, use_attention=False, seed=0)
+        train_classifier(dataset[:BATCH_SIZE], table, builtin_taxonomy(), cfg)
+        counts.append(len(built))
+    assert counts[1] - counts[0] == 8
 
 
 @pytest.mark.parametrize("use_attention", [False, True])

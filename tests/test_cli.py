@@ -420,6 +420,22 @@ def test_train_classifier_without_examples_is_one_error_line(toy, trained, tmp_p
     assert not out.exists()
 
 
+def test_train_classifier_on_odd_embedding_dim_is_one_error_line(toy, tmp_path):
+    # the fusion's complex product needs an even dimension; TransE trains
+    # at any
+    emb = tmp_path / "emb.ckpt"
+    run_cli("train-embeddings", "--kg", str(toy / "kg.tsv"), "--out", str(emb), "--dim", "7", "--epochs", "1")
+    out = tmp_path / "clf.ckpt"
+    proc = run_cli(
+        "train-classifier", "--kg", str(toy / "kg.tsv"), "--dataset", str(toy / "questions.jsonl"),
+        "--embeddings", str(emb), "--out", str(out), "--epochs", "1",
+        expect_fail=True,
+    )
+    assert_one_error_line(proc)
+    assert "even" in proc.stderr
+    assert not out.exists()
+
+
 def assert_one_error_line(proc, start="error:"):
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()

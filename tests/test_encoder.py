@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import count_forwards
-from reference import reference_rownorm, reference_sub
+from reference import reference_mul, reference_rownorm, reference_sub
 from sskgqa import autodiff as ad
 from sskgqa.encoder import OOV, EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.optim import AdamW, ParameterBuffer, train_step
@@ -150,7 +150,7 @@ def test_forward_builds_one_node_per_layer(monkeypatch, use_attention, training,
 def test_gradients_flow_to_all_params():
     enc = make_encoder()
     out = enc.forward([1, 2, 3])
-    loss = ad.sum_all(ad.mul(out, out))
+    loss = ad.sum_all(reference_mul(out, out))
     ad.backward(loss)
     for name, p in enc.params.items():
         assert p.grad is not None, name

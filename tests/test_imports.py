@@ -1,5 +1,6 @@
 """Every module-level import in the package and in its tests is used by
-its module, and no package module but the CLI prints."""
+its module, every public function of the autodiff engine is used by another
+package module, and no package module but the CLI prints."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import sskgqa
-from reference import ReferenceAdam, UnpackedParams, reference_encoder_forward, reference_train_step
+from reference import (
+    ReferenceAdam,
+    UnpackedParams,
+    reference_cross_entropy,
+    reference_encoder_forward,
+    reference_fuse,
+    reference_train_step,
+)
+from sskgqa import autodiff as ad
 from sskgqa import classifier as clf
 from sskgqa import embeddings as emb
 from sskgqa import ranker as rk
@@ -42,6 +51,33 @@ def test_unused_imports_are_found():
 )
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def attributes_read(source: str, alias: str) -> set[str]:
+    """The attributes of the name `alias` a module reads (`ad.rows` gives "rows")."""
+    return {
+        n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == alias
+    }
+
+
+def test_attributes_read_are_found():
+    assert attributes_read("from . import autodiff as ad\nx = ad.add(ad.Node, y.matmul)\n", "ad") == {"add", "Node"}
+
+
+def test_every_autodiff_function_is_used_by_the_package():
+    # an op that only the reference chains in tests/reference.py build
+    # belongs there, not in the engine; package modules read the engine as `ad`
+    engine = Path(ad.__file__).read_text(encoding="utf-8")
+    public = [
+        n.name for n in ast.parse(engine).body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+    ]
+    read = set()
+    for path in MODULES:
+        if path.name != "autodiff.py":
+            read |= attributes_read(path.read_text(encoding="utf-8"), "ad")
+    assert [name for name in public if name not in read] == []
 
 
 def print_calls(source: str) -> list[int]:
@@ -86,8 +122,10 @@ def test_benchmark_finds_every_name_it_uses(monkeypatch):
 def test_benchmark_models_equal_the_reference_chain(monkeypatch):
     # The digest the benchmark takes of its trained models, with every
     # trainer stepping per parameter through the per-head encoder chain, as
-    # the packed and fused training tests in test_optim do: the fused ops
-    # and the packed optimizer leave the benchmark's models as they were.
+    # the packed and fused training tests in test_optim do, and the
+    # classifier's head and loss built as the chain of nodes fuse and
+    # cross_entropy fuse: the fused ops and the packed optimizer leave the
+    # benchmark's models as they were.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "pipebench"))
     import inputs
     import workloads
@@ -96,6 +134,8 @@ def test_benchmark_models_equal_the_reference_chain(monkeypatch):
     kg, train_qs, _ = inputs.mixed_inputs(5, tax, workloads.TINY.mixed)
     got = workloads.train_all(kg, train_qs, tax, workloads.TINY, 5).digest()
     monkeypatch.setattr(SequenceEncoder, "forward", reference_encoder_forward)
+    monkeypatch.setattr(clf, "fuse", reference_fuse)
+    monkeypatch.setattr(clf, "cross_entropy", reference_cross_entropy)
     for module in (emb, clf, rk):
         monkeypatch.setattr(module, "ParameterBuffer", UnpackedParams)
         monkeypatch.setattr(module, "AdamW", ReferenceAdam)

@@ -12,6 +12,7 @@ from reference import (
     reference_clip,
     reference_concat_cols,
     reference_encoder_forward,
+    reference_mul,
     reference_rows,
     reference_train_step,
 )
@@ -187,7 +188,7 @@ def test_train_step_matches_inline_sequence():
     init = [rng.normal(size=(4, 2)), rng.normal(size=(1, 5))]
 
     def loss_of(w):
-        return ad.sum_all(ad.mul(ad.matmul(ad.constant(x), w), ad.matmul(ad.constant(x), w)))
+        return ad.sum_all(reference_mul(ad.matmul(ad.constant(x), w), ad.matmul(ad.constant(x), w)))
 
     params = [ad.parameter(a.copy()) for a in init]
     buffer = ParameterBuffer(params)
@@ -237,10 +238,10 @@ def test_train_step_refuses_a_non_finite_gradient(bad):
     p = ad.parameter(np.array([[1.0, 2.0]]))
     buffer = ParameterBuffer([p])
     opt = AdamW(lr=0.1)
-    train_step(opt, buffer, ad.sum_all(ad.mul(p, ad.constant([[0.5, -0.5]]))))
+    train_step(opt, buffer, ad.sum_all(reference_mul(p, ad.constant([[0.5, -0.5]]))))
     before = [a.tobytes() for a in (p.value, opt._m, opt._v)]
     with pytest.raises(NonFiniteGradientError):
-        train_step(opt, buffer, ad.sum_all(ad.mul(p, ad.constant([[bad, 1.0]]))))
+        train_step(opt, buffer, ad.sum_all(reference_mul(p, ad.constant([[bad, 1.0]]))))
     assert [a.tobytes() for a in (p.value, opt._m, opt._v)] == before
     assert opt.step_count == 1
 
@@ -258,9 +259,9 @@ def test_buffer_gradient_zeroes_a_parameter_an_earlier_step_reached():
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
     buffer = ParameterBuffer([p, q])
     opt = RecordingOptimizer()
-    train_step(opt, buffer, ad.sum_all(ad.mul(ad.matmul(p, q), ad.constant([[0.25]]))))
+    train_step(opt, buffer, ad.sum_all(reference_mul(ad.matmul(p, q), ad.constant([[0.25]]))))
     assert opt.grad.tolist() == [0.25, 0.25, 0.25, 0.25]
-    train_step(opt, buffer, ad.sum_all(ad.mul(p, ad.constant([[0.5, -0.25]]))))
+    train_step(opt, buffer, ad.sum_all(reference_mul(p, ad.constant([[0.5, -0.25]]))))
     assert q.grad is None
     assert opt.grad.tolist() == [0.5, -0.25, 0.0, 0.0]
 
@@ -283,7 +284,7 @@ def test_train_step_scales_a_shared_gradient_once(name):
     buffer = ParameterBuffer(params)
     c = C[:, : shapes[-1][1]]
     opt = RecordingOptimizer()
-    train_step(opt, buffer, ad.sum_all(ad.mul(build(*params), ad.constant(c))))
+    train_step(opt, buffer, ad.sum_all(reference_mul(build(*params), ad.constant(c))))
     unclipped = [c] * len(params) if name == "add" else [c[:, :2], c[:, 2:], c]
     factor = 1.0 / global_norm(unclipped)
     assert factor < 1.0
