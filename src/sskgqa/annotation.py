@@ -253,6 +253,8 @@ def _record(where: str, line: str) -> LabeledQuestion:
         value = rec.get(key)
         if type(value) is not typ and (key in _REQUIRED or value is not None):
             raise LabelingError(f"{where}: {key} must be {name}")
+    if not all(type(a) is str for a in rec["answers"]):
+        raise LabelingError(f"{where}: answers must be a list of strings")
     return LabeledQuestion(
         id=str(rec["id"]),
         question=rec["question"],

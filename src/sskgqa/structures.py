@@ -1,4 +1,6 @@
-"""Semantic structures: the SS1..SS6 taxonomy and abstraction."""
+"""Semantic structures: a structure is a label and the shape of its chain,
+the SS1..SS6 taxonomy is six shapes, and `structure_of` reads the drawing
+(node kinds plus index edges) a taxonomy file gives."""
 
 from __future__ import annotations
 
@@ -23,44 +25,44 @@ class StructureError(Exception):
 
 @dataclass(frozen=True)
 class SemanticStructure:
-    """Abstract pattern of a query graph: node kinds plus unlabeled edges.
-
-    It must be a chain: the edges touching no Ec node form one path from the
-    topic to the answer, and each Ec node is a leaf on one path node. Its
-    identity is its shape, (hop count, sorted path positions of its
-    constraints) with the topic at position 0. Edge direction is not read.
-    """
+    """Abstract pattern of a query graph. Its identity is its shape, (hop
+    count, sorted path positions of its constraints) with the topic at
+    position 0."""
 
     label: str
-    kinds: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
-    shape: tuple[int, tuple[int, ...]] = field(init=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not KINDS.issuperset(self.kinds):
-            raise StructureError(f"{self.label}: kinds must be among {', '.join(sorted(KINDS))}")
-        if self.kinds.count(ANSWER) != 1:
-            raise StructureError(f"{self.label}: exactly one answer node required")
-        if self.kinds.count(E_TOPIC) != 1:
-            raise StructureError(f"{self.label}: exactly one topic node required")
-        if {n for e in self.edges for n in e} != set(range(len(self.kinds))):
-            raise StructureError(f"{self.label}: every node needs an edge, and edges join nodes of the entry")
-        grounded = {i: str(i) for i, k in enumerate(self.kinds) if k in (E_TOPIC, E_CONST)}
-        edges = [(s, "", d) for s, d in self.edges]
-        try:
-            c = chain_of(edges, self.kinds.index(E_TOPIC), self.kinds.index(ANSWER), grounded)
-        except QueryGraphError as exc:
-            raise StructureError(f"{self.label}: {exc}") from None
-        # the path's nodes are distinct and not Ec, and each constraint takes
-        # one edge of an Ec node, so the counts add up only if every node is
-        # on the path or is a constraint leaf with one edge
-        if len(c.hops) + 1 + len(c.constraints) != len(self.kinds):
-            raise StructureError(f"{self.label}: a node is off the path or is not a single-edge constraint leaf")
-        object.__setattr__(self, "shape", c.shape)
+    shape: tuple[int, tuple[int, ...]]
 
     def canonical(self) -> tuple[int, tuple[int, ...]]:
         """The structure's identity: equal iff the structures are isomorphic."""
         return self.shape
+
+
+def structure_of(label: str, kinds, edges) -> SemanticStructure:
+    """The structure drawn by node kinds and unlabeled (from, to) index edges.
+
+    It must be a chain: the edges touching no Ec node form one path from the
+    topic to the answer, and each Ec node is a leaf on one path node. Edge
+    direction is not read.
+    """
+    if not KINDS.issuperset(kinds):
+        raise StructureError(f"{label}: kinds must be among {', '.join(sorted(KINDS))}")
+    if kinds.count(ANSWER) != 1:
+        raise StructureError(f"{label}: exactly one answer node required")
+    if kinds.count(E_TOPIC) != 1:
+        raise StructureError(f"{label}: exactly one topic node required")
+    if {n for e in edges for n in e} != set(range(len(kinds))):
+        raise StructureError(f"{label}: every node needs an edge, and edges join nodes of the entry")
+    grounded = {i: str(i) for i, k in enumerate(kinds) if k in (E_TOPIC, E_CONST)}
+    try:
+        c = chain_of([(s, "", d) for s, d in edges], kinds.index(E_TOPIC), kinds.index(ANSWER), grounded)
+    except QueryGraphError as exc:
+        raise StructureError(f"{label}: {exc}") from None
+    # the path's nodes are distinct and not Ec, and each constraint takes
+    # one edge of an Ec node, so the counts add up only if every node is
+    # on the path or is a constraint leaf with one edge
+    if len(c.hops) + 1 + len(c.constraints) != len(kinds):
+        raise StructureError(f"{label}: a node is off the path or is not a single-edge constraint leaf")
+    return SemanticStructure(label, c.shape)
 
 
 @dataclass
@@ -104,23 +106,15 @@ class Taxonomy:
         return self._by_shape.get(shape)
 
 
-def chain_structure(hops: int, at: tuple[int, ...] = (), label: str = "chain") -> SemanticStructure:
-    """Structure of a `build_chain` chain with `hops` hops and one constraint
-    on each path position in `at` (0 = topic, hops = answer)."""
-    kinds = (E_TOPIC,) + (VAR,) * (hops - 1) + (ANSWER,) + (E_CONST,) * len(at)
-    edges = tuple((i, i + 1) for i in range(hops)) + tuple((k, hops + 1 + j) for j, k in enumerate(at))
-    return SemanticStructure(label, kinds, edges)
-
-
 def builtin_taxonomy() -> Taxonomy:
     """SS1..SS3: plain 1/2/3-hop chains; SS4..SS6: constrained 1/2-hop chains."""
     shapes = [(1, ()), (2, ()), (3, ()), (1, (1,)), (2, (2,)), (2, (1,))]
-    return Taxonomy([chain_structure(h, at, f"SS{i}") for i, (h, at) in enumerate(shapes, 1)])
+    return Taxonomy([SemanticStructure(f"SS{i}", s) for i, s in enumerate(shapes, 1)])
 
 
 def abstract(c: Chain) -> SemanticStructure:
-    """The structure of chain c: the `chain_structure` of its shape."""
-    return chain_structure(*c.shape, label="abstract")
+    """The structure of chain c: its shape."""
+    return SemanticStructure("abstract", c.shape)
 
 
 def load_taxonomy(path: str) -> Taxonomy:
@@ -160,5 +154,5 @@ def _structure_entry(path: str, i: int, e) -> SemanticStructure:
         isinstance(d, list) and len(d) == 2 and all(type(v) is int for v in d) for d in edges
     ):
         raise StructureError(f"{name}: edges must be a list of [from, to] index pairs")
-    return SemanticStructure(label, tuple(kinds), tuple(map(tuple, edges)))
+    return structure_of(label, kinds, edges)
 

@@ -6,6 +6,7 @@ filtered MRR."""
 
 import numpy as np
 
+from reference import reference_chain
 from sskgqa import autodiff as ad
 from sskgqa.annotation import LabeledQuestion
 from sskgqa.embeddings import EmbeddingTable, init_table, score_nodes
@@ -120,8 +121,13 @@ def triplet_loss(f_q, f_p, f_n, alpha: float) -> float:
 
 
 def taxonomy_entries(tax) -> list[dict]:
-    """The `load_taxonomy` JSON list of a taxonomy."""
-    return [{"label": s.label, "kinds": list(s.kinds), "edges": [list(e) for e in s.edges]} for s in tax]
+    """The `load_taxonomy` JSON list of a taxonomy, each shape drawn as its
+    chain."""
+    entries = []
+    for s in tax:
+        kinds, edges = reference_chain(*s.shape)
+        entries.append({"label": s.label, "kinds": list(kinds), "edges": [list(e) for e in edges]})
+    return entries
 
 
 def score_tails(table: EmbeddingTable, h: int, r: int, tails) -> np.ndarray:

@@ -347,10 +347,12 @@ def reference_chain(hops: int, at) -> tuple:
 def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list, bool]:
     """(chains, truncated) from a recursive walk that builds each chain as it
     goes and stops at the first candidate past cfg.max_candidates; a
-    constraint's feasible entities are found one entity at a time."""
+    constraint's feasible entities are found one entity at a time. A
+    structure `ss` is its drawing, (kinds, edges), and keeps the shapes
+    whose chain is isomorphic to it."""
     shapes = {(h, at) for h in range(1, cfg.max_hops + 1) for at in ((), *((k,) for k in range(1, h + 1)))}
     if ss is not None:
-        shapes = {s for s in shapes if reference_isomorphic(reference_chain(*s), (ss.kinds, ss.edges))}
+        shapes = {s for s in shapes if reference_isomorphic(reference_chain(*s), ss)}
     else:
         shapes = {s for s in shapes if not s[1] or cfg.attach_constraints}
     depth = max((h for h, _ in shapes), default=0)

@@ -16,7 +16,7 @@ import numpy as np
 
 import sskgqa
 from fixtures import filtered_mrr, random_fixture, score_tails, separable_classifier_dataset, triplet_loss
-from reference import reference_relu, reference_rownorm, reference_sub
+from reference import reference_chain, reference_relu, reference_rownorm, reference_sub
 from sskgqa import autodiff as ad
 from sskgqa.annotation import (
     UNSUPPORTED,
@@ -52,9 +52,12 @@ from sskgqa.ranker import (
     train_ranker,
 )
 from sskgqa.structures import (
-    SemanticStructure,
-    abstract,
+    ANSWER,
+    E_CONST,
+    E_TOPIC,
+    VAR,
     builtin_taxonomy,
+    structure_of,
 )
 from sskgqa.synth import (
     norshteyn_kg,
@@ -198,18 +201,32 @@ def test_criterion_3_enumeration_oracle():
     report(3, "candidate enumeration equals the brute-force oracle", t0, 60.0)
 
 
-def _brute_force_iso(a: SemanticStructure, b: SemanticStructure) -> bool:
-    if len(a.kinds) != len(b.kinds) or len(a.edges) != len(b.edges):
+def _brute_force_iso(a, b) -> bool:
+    """Kind-preserving isomorphism of two drawings, (kinds, edges), edge
+    direction aside."""
+    (kinds_a, edges_a), (kinds_b, edges_b) = a, b
+    if len(kinds_a) != len(kinds_b) or len(edges_a) != len(edges_b):
         return False
     from collections import Counter
 
-    ea = Counter(a.edges)
-    for perm in itertools.permutations(range(len(b.kinds))):
-        if any(a.kinds[perm[i]] != b.kinds[i] for i in range(len(b.kinds))):
+    ea = Counter(tuple(sorted(e)) for e in edges_a)
+    for perm in itertools.permutations(range(len(kinds_b))):
+        if any(kinds_a[perm[i]] != kinds_b[i] for i in range(len(kinds_b))):
             continue
-        if Counter((perm[s], perm[d]) for s, d in b.edges) == ea:
+        if Counter(tuple(sorted((perm[s], perm[d]))) for s, d in edges_b) == ea:
             return True
     return False
+
+
+def _drawing(c: Chain) -> tuple:
+    """(kinds, edges) of chain c: node 0 the topic, node i its i-th path
+    node, then one Ec node per constraint; each edge runs the way its KG
+    triple does."""
+    n = len(c.hops)
+    kinds = (E_TOPIC,) + (VAR,) * (n - 1) + (ANSWER,) + (E_CONST,) * len(c.constraints)
+    edges = [(i + 1, i) if back else (i, i + 1) for i, (_, back) in enumerate(c.hops)]
+    edges += [(n + 1 + j, at) if back else (at, n + 1 + j) for j, (at, _, back, _) in enumerate(c.constraints)]
+    return kinds, edges
 
 
 def _random_graph(rng) -> Chain:
@@ -225,18 +242,19 @@ def _random_graph(rng) -> Chain:
 def test_criterion_4_structure_matching():
     t0 = time.time()
     rng = np.random.default_rng(3)
-    # canonical-form matching agrees with brute-force isomorphism on
-    # random pairs of small abstract graphs (<= 5 nodes)
-    structures = [abstract(_random_graph(rng)) for _ in range(120)] + list(TAX)
-    structures = [s for s in structures if len(s.kinds) <= 5]
-    for a in structures:
-        for b in structures:
-            assert (a.canonical() == b.canonical()) == _brute_force_iso(a, b)
-    # filtering soundness: a graph has the shape of its own abstract, so it
-    # survives the filter by it
+    # shape matching agrees with brute-force isomorphism on random pairs of
+    # small drawings (<= 5 nodes): those of random chains and of the builtin
+    # structures
+    drawings = [_drawing(_random_graph(rng)) for _ in range(120)] + [reference_chain(*s.shape) for s in TAX]
+    drawings = [d for d in drawings if len(d[0]) <= 5]
+    for a in drawings:
+        for b in drawings:
+            assert (structure_of("a", *a).shape == structure_of("b", *b).shape) == _brute_force_iso(a, b)
+    # filtering soundness: a graph has the shape of the structure its drawing
+    # reads as, so it survives the filter by it
     for _ in range(1000):
         g = _random_graph(rng)
-        ss = abstract(g)
+        ss = structure_of("s", *_drawing(g))
         assert g.shape == ss.shape
     report(4, "structure matching agrees with brute-force isomorphism", t0, 30.0)
 

@@ -28,10 +28,10 @@ from sskgqa.structures import (
     ANSWER,
     E_CONST,
     E_TOPIC,
-    SemanticStructure,
     StructureError,
     Taxonomy,
     builtin_taxonomy,
+    structure_of,
 )
 
 
@@ -130,7 +130,7 @@ def test_label_wsp():
 def test_label_wsp_constraint_on_topic():
     # from the topic :b, the value :a is a constraint on the topic; from :a
     # there is no chain, as :a reaches ?x only through :b
-    tc = SemanticStructure("TC", (E_TOPIC, ANSWER, E_CONST), ((0, 1), (0, 2)))
+    tc = structure_of("TC", (E_TOPIC, ANSWER, E_CONST), ((0, 1), (0, 2)))
     sparql = "SELECT ?x WHERE { :b :r ?x . :b :r :a . }"
     g = extract_query_graph(parse_sparql(sparql), "b")
     assert g.topic == "b"

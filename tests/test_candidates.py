@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import reference_enumerate
+from reference import reference_chain, reference_enumerate
 
 from sskgqa.candidates import SHAPES, EnumConfig, derived_enum, enumerate_candidates
 from sskgqa.kg import build_kg
@@ -13,8 +13,8 @@ from sskgqa.structures import (
     ANSWER,
     E_CONST,
     E_TOPIC,
-    SemanticStructure,
     builtin_taxonomy,
+    structure_of,
 )
 
 
@@ -130,9 +130,7 @@ def test_deterministic_order():
 
 
 # Two constraints on the answer: no enumerated chain has this structure.
-TWO_CONSTRAINTS = SemanticStructure(
-    "two", (E_TOPIC, ANSWER, E_CONST, E_CONST), ((0, 1), (1, 2), (1, 3))
-)
+TWO_CONSTRAINTS = structure_of("two", (E_TOPIC, ANSWER, E_CONST, E_CONST), ((0, 1), (1, 2), (1, 3)))
 NAMES = ["a", "b", "c", "d"]
 
 
@@ -194,7 +192,8 @@ def test_enumeration_equals_reference_enumerator(extra, pick, ss, cap):
             for max_candidates in (cap, 10000):
                 cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach, max_candidates=max_candidates)
                 got = enumerate_candidates(kg, pick, cfg, None if ss is None else ss.shape)
-                assert (got.graphs, got.truncated) == reference_enumerate(kg, pick, cfg, ss)
+                drawing = None if ss is None else reference_chain(*ss.shape)
+                assert (got.graphs, got.truncated) == reference_enumerate(kg, pick, cfg, drawing)
 
 
 @settings(max_examples=150, deadline=None)

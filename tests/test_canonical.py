@@ -20,7 +20,7 @@ from reference import (
 )
 
 from sskgqa.querygraph import QueryGraphError, canonicalize
-from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, VAR, SemanticStructure, StructureError
+from sskgqa.structures import ANSWER, E_CONST, E_TOPIC, VAR, StructureError, structure_of
 
 # Labels with JSON syntax, separators and edge syntax in them, and labels
 # that are prefixes of others.
@@ -120,8 +120,8 @@ def structures(draw):
 @settings(max_examples=300, deadline=None)
 @given(structures(), structures())
 def test_structure_canonical_equals_full_search(a, b):
-    key = SemanticStructure("a", *a).canonical()
-    assert (key == SemanticStructure("b", *b).canonical()) == reference_isomorphic(a, b)
+    key = structure_of("a", *a).canonical()
+    assert (key == structure_of("b", *b).canonical()) == reference_isomorphic(a, b)
 
 
 @st.composite
@@ -158,7 +158,7 @@ def chain_forms(n: int) -> frozenset:
 def test_structure_is_built_iff_it_is_a_chain(case):
     kinds, edges = case
     try:
-        SemanticStructure("s", kinds, edges)
+        structure_of("s", kinds, edges)
     except StructureError:
         built = False
     else:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sskgqa
 from fixtures import taxonomy_entries
@@ -472,9 +476,13 @@ def test_corrupt_kg_is_one_error_line(tmp_path, line):
         '{"id": "q", "question": "what", "topic_entity": "thing0", "answers": [], "hops": 2.0}',
         '{"id": "q", "question": "what", "topic_entity": "thing0", "answers": [], "sparql": 5}',
         '{"id": "q", "question": 5, "topic_entity": "thing0", "answers": []}',
+        '{"id": "q", "question": "what", "topic_entity": "thing0", "answers": [{"a": 1}]}',
+        '{"id": "q", "question": "what", "topic_entity": "thing0", "answers": [["x"]]}',
+        '{"id": "q", "question": "what", "topic_entity": "thing0", "answers": ["thing1", 1990]}',
     ],
     ids=["missing_answers", "not_object", "answers_not_list", "hops_bool", "hops_float",
-         "sparql_not_string", "question_not_string"],
+         "sparql_not_string", "question_not_string", "answers_not_strings_dict",
+         "answers_not_strings_list", "answers_not_strings_int"],
 )
 def test_bad_dataset_record_is_one_error_line(toy, tmp_path, line):
     data = tmp_path / "questions.jsonl"
@@ -483,6 +491,36 @@ def test_bad_dataset_record_is_one_error_line(toy, tmp_path, line):
     proc = run_cli("annotate", "--dataset", str(data), expect_fail=True)
     assert proc.stdout == ""
     assert_one_error_line(proc, f"error: {data}:{n}:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(["id", "question", "topic_entity", "answers", "hops", "sparql"]), value=JSON_VALUES)
+def test_dataset_field_of_any_type_is_read_or_one_error_line(toy, trained, tmp_path_factory, key, value):
+    # one toy record with one field replaced by a JSON value of any type:
+    # annotate and evaluate either take it or refuse it with one error line
+    rec = json.loads((toy / "questions.jsonl").read_text().splitlines()[0])
+    rec[key] = value
+    data = tmp_path_factory.getbasetemp() / "one_record.jsonl"
+    data.write_text(json.dumps(rec) + "\n")
+    for argv in (
+        ["annotate", "--dataset", str(data)],
+        ["evaluate", "--dataset", str(data), "--kg", str(toy / "kg.tsv"), "--ranker", trained["rank"],
+         "--mode", "oracle"],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Every module-level import in the package and in its tests is used by
 its module, every public function of the autodiff engine is used by another
-package module, and no package module but the CLI prints."""
+package module, no package module but the CLI prints, and no package module
+but `structures` reads the node kinds of a taxonomy drawing."""
 
 import ast
 from pathlib import Path
@@ -96,6 +97,41 @@ def test_print_calls_are_found():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.stem)
 def test_library_code_never_prints(path):
     assert print_calls(path.read_text(encoding="utf-8")) == []
+
+
+# the node kinds of the drawing a taxonomy file gives, which only
+# `structures.structure_of` reads
+DRAWING_NAMES = {"E_TOPIC", "E_CONST", "VAR", "ANSWER", "KINDS"}
+
+
+def drawing_names_read(source: str) -> set[str]:
+    """The names of `DRAWING_NAMES` a module takes from `structures`, by
+    import or as an attribute of the module."""
+    tree = ast.parse(source)
+    aliases, read = set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module and n.module.split(".")[-1] == "structures":
+            read |= {a.name for a in n.names}
+        elif isinstance(n, ast.ImportFrom):
+            aliases |= {a.asname or a.name for a in n.names if a.name == "structures"}
+        elif isinstance(n, ast.Import):
+            aliases |= {a.asname for a in n.names if a.name.endswith(".structures") and a.asname}
+    for alias in aliases:
+        read |= attributes_read(source, alias)
+    return read & DRAWING_NAMES
+
+
+def test_drawing_names_read_are_found():
+    src = (
+        "from .structures import KINDS, Taxonomy\nfrom . import structures as st, embeddings as emb\n"
+        "import sskgqa.structures as s2\nx = st.VAR, emb.KINDS, st.Taxonomy, s2.E_TOPIC\n"
+    )
+    assert drawing_names_read(src) == {"KINDS", "VAR", "E_TOPIC"}
+
+
+def test_only_structures_reads_node_kinds():
+    read = {p.stem: drawing_names_read(p.read_text(encoding="utf-8")) for p in MODULES if p.name != "structures.py"}
+    assert {stem: names for stem, names in read.items() if names} == {}
 
 
 def test_benchmark_finds_every_name_it_uses(monkeypatch):

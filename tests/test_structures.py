@@ -4,6 +4,7 @@ import re
 import pytest
 
 from fixtures import taxonomy_entries
+from reference import reference_chain
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_wsp
 from sskgqa.candidates import SHAPES
 from sskgqa.querygraph import QueryGraphError, build_chain, chain_of
@@ -12,13 +13,12 @@ from sskgqa.structures import (
     E_CONST,
     E_TOPIC,
     VAR,
-    SemanticStructure,
     StructureError,
     Taxonomy,
     abstract,
     builtin_taxonomy,
-    chain_structure,
     load_taxonomy,
+    structure_of,
 )
 
 
@@ -28,7 +28,8 @@ def test_builtin_taxonomy_shape():
     assert [tax.get(label).shape for label in tax.labels()] == [
         (1, ()), (2, ()), (3, ()), (1, (1,)), (2, (2,)), (2, (1,))
     ]
-    shapes = {
+    # the paper's drawings of the six structures
+    drawings = {
         "SS1": ((E_TOPIC, ANSWER), ((0, 1),)),
         "SS2": ((E_TOPIC, VAR, ANSWER), ((0, 1), (1, 2))),
         "SS3": ((E_TOPIC, VAR, VAR, ANSWER), ((0, 1), (1, 2), (2, 3))),
@@ -36,8 +37,8 @@ def test_builtin_taxonomy_shape():
         "SS5": ((E_TOPIC, VAR, ANSWER, E_CONST), ((0, 1), (1, 2), (2, 3))),
         "SS6": ((E_TOPIC, VAR, ANSWER, E_CONST), ((0, 1), (1, 2), (1, 3))),
     }
-    for label, (kinds, edges) in shapes.items():
-        assert (tax.get(label).kinds, tax.get(label).edges) == (kinds, edges)
+    for label, drawing in drawings.items():
+        assert structure_of(label, *drawing).shape == tax.get(label).shape
 
 
 def test_ss5_ss6_differ():
@@ -47,24 +48,24 @@ def test_ss5_ss6_differ():
 
 def test_structure_validation():
     with pytest.raises(StructureError):
-        SemanticStructure("bad", (E_TOPIC, VAR), ((0, 1),))  # no answer node
+        structure_of("bad", (E_TOPIC, VAR), ((0, 1),))  # no answer node
     with pytest.raises(StructureError):
-        SemanticStructure("bad", (E_TOPIC, ANSWER, VAR), ((0, 1),))  # disconnected
+        structure_of("bad", (E_TOPIC, ANSWER, VAR), ((0, 1),))  # disconnected
     with pytest.raises(StructureError):
-        SemanticStructure("bad", (E_TOPIC, ANSWER), ((0, 1), (1, -1)))  # out of range
+        structure_of("bad", (E_TOPIC, ANSWER), ((0, 1), (1, -1)))  # out of range
     with pytest.raises(StructureError):
-        SemanticStructure("bad", (E_TOPIC, VAR, VAR, ANSWER), ((0, 1), (0, 2), (1, 3)))  # branch
+        structure_of("bad", (E_TOPIC, VAR, VAR, ANSWER), ((0, 1), (0, 2), (1, 3)))  # branch
     with pytest.raises(StructureError):
-        SemanticStructure("bad", (E_TOPIC, ANSWER), ((0, 1), (0, 1)))  # parallel edge
+        structure_of("bad", (E_TOPIC, ANSWER), ((0, 1), (0, 1)))  # parallel edge
     with pytest.raises(StructureError):
-        SemanticStructure("bad", (E_TOPIC, "zz", ANSWER), ((0, 1), (1, 2)))  # unknown kind
+        structure_of("bad", (E_TOPIC, "zz", ANSWER), ((0, 1), (1, 2)))  # unknown kind
 
 
 def test_taxonomy_rejects_answer_reached_only_through_constraint(tmp_path):
     # not a chain, so it has no shape: the structure cannot be built, and a
     # taxonomy file holding it fails at load
     with pytest.raises(StructureError):
-        SemanticStructure("X", (E_TOPIC, E_CONST, ANSWER), ((0, 1), (1, 2)))
+        structure_of("X", (E_TOPIC, E_CONST, ANSWER), ((0, 1), (1, 2)))
     path = tmp_path / "tax.json"
     path.write_text('[{"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]}]')
     with pytest.raises(StructureError):
@@ -110,7 +111,7 @@ def test_abstract_rejects_non_chain():
 
 def test_taxonomy_rejects_duplicate_shapes():
     # the same 1-hop chain with its edge and nodes the other way round
-    twin = SemanticStructure("X", (ANSWER, E_TOPIC), ((0, 1),))
+    twin = structure_of("X", (ANSWER, E_TOPIC), ((0, 1),))
     assert twin.canonical() == builtin_taxonomy().get("SS1").canonical()
     with pytest.raises(StructureError, match="X: same shape as SS1"):
         Taxonomy(list(builtin_taxonomy()) + [twin])
@@ -119,18 +120,19 @@ def test_taxonomy_rejects_duplicate_shapes():
 @pytest.mark.parametrize("shape", [(1, (0,)), (2, (0,)), (1, (1, 1)), (2, (1, 2)), (4, ()), (4, (2,))])
 def test_taxonomy_refuses_shapes_enumeration_never_emits(tmp_path, shape):
     # a constraint on the topic, two constraints, or more than three hops
-    ss = chain_structure(*shape, label="X")
+    kinds, edges = reference_chain(*shape)
+    ss = structure_of("X", kinds, edges)
     assert ss.shape == shape  # any chain is a structure
     with pytest.raises(StructureError, match=re.escape(f"X: candidate enumeration emits no chain of shape {shape}")):
         Taxonomy(list(builtin_taxonomy()) + [ss])
     path = tmp_path / "tax.json"
-    path.write_text(json.dumps([{"label": "X", "kinds": list(ss.kinds), "edges": [list(e) for e in ss.edges]}]))
+    path.write_text(json.dumps([{"label": "X", "kinds": list(kinds), "edges": edges}]))
     with pytest.raises(StructureError, match="X: candidate enumeration"):
         load_taxonomy(str(path))
 
 
 def test_taxonomy_accepts_every_emitted_shape():
-    tax = Taxonomy([chain_structure(*s, label=str(s)) for s in sorted(SHAPES)])
+    tax = Taxonomy([structure_of(str(s), *reference_chain(*s)) for s in sorted(SHAPES)])
     assert {tax.find_match(s) for s in SHAPES} == {str(s) for s in SHAPES}
 
 
