@@ -257,6 +257,11 @@ def triplet_hinge(f: Node, alpha: float) -> Node:
     scatters into row 0, this adds the same terms in the same order, from
     0.0 (a running sum, then + 0.0 for the sign of a zero); every other row
     gets 0.0 minus its term, as a scatter of a negated gradient onto 0.0.
+
+    When no hinge is active and every distance is finite, that gradient is
+    0.0 in every cell for any finite incoming gradient, so the loss is a node
+    with no parents and the backward stops there. A nan or inf distance
+    keeps the node, so a non-finite batch still reaches the gradient check.
     """
     k = f.shape[0] - 2
     if k < 1:
@@ -266,6 +271,9 @@ def triplet_hinge(f: Node, alpha: float) -> Node:
     norms = np.sqrt((diff**2).sum(axis=1, keepdims=True))
     v = (norms[0] - norms[1:]) + alpha
     mask = v > 0
+    value = (v * mask).sum() * c
+    if not mask.any() and np.isfinite(norms).all():
+        return Node(value)
 
     def backward(g):
         gh = (g * c) * mask
@@ -279,7 +287,7 @@ def triplet_hinge(f: Node, alpha: float) -> Node:
         grad[1:] = 0.0 - gd
         f.accumulate(grad)
 
-    return Node((v * mask).sum() * c, (f,), backward)
+    return Node(value, (f,), backward)
 
 
 def scale(a: Node, c: float) -> Node:

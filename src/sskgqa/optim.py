@@ -126,7 +126,9 @@ def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node) -> None:
     apply opt.step to the whole buffer at once.
 
     A parameter the loss does not reach steps with a zero gradient, so Adam's
-    moments still decay for it. The flat gradient is a copy, so clipping it
+    moments still decay for it. When the loss reaches no parameter, the flat
+    gradient is all zeros and clipping, a no-op at norm 0, is skipped. The
+    flat gradient is a copy, so clipping it
     in place never reaches an array the engine handed out, even one that
     several parameters share. A nan or inf norm raises
     NonFiniteGradientError before anything is updated.
@@ -135,5 +137,6 @@ def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node) -> None:
         p.zero_grad()
     ad.backward(loss)
     grad = buffer.gradient()
-    clip_global_norm(grad, buffer.offsets)
+    if any(p.grad is not None for p in buffer.params):
+        clip_global_norm(grad, buffer.offsets)
     opt.step(buffer.value, grad)

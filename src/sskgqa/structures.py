@@ -38,31 +38,40 @@ class SemanticStructure:
 
 
 def structure_of(label: str, kinds, edges) -> SemanticStructure:
-    """The structure drawn by node kinds and unlabeled (from, to) index edges.
+    """The structure drawn by node kinds and unlabeled (from, to) index edges,
+    or StructureError naming the label.
 
     It must be a chain: the edges touching no Ec node form one path from the
     topic to the answer, and each Ec node is a leaf on one path node. Edge
     direction is not read.
     """
+    try:
+        return SemanticStructure(label, _drawn_shape(kinds, edges))
+    except StructureError as exc:
+        raise StructureError(f"{label}: {exc}") from None
+
+
+def _drawn_shape(kinds, edges) -> tuple[int, tuple[int, ...]]:
+    """The shape of a drawing, or StructureError saying why it has none."""
     if not KINDS.issuperset(kinds):
-        raise StructureError(f"{label}: kinds must be among {', '.join(sorted(KINDS))}")
+        raise StructureError(f"kinds must be among {', '.join(sorted(KINDS))}")
     if kinds.count(ANSWER) != 1:
-        raise StructureError(f"{label}: exactly one answer node required")
+        raise StructureError("exactly one answer node required")
     if kinds.count(E_TOPIC) != 1:
-        raise StructureError(f"{label}: exactly one topic node required")
+        raise StructureError("exactly one topic node required")
     if {n for e in edges for n in e} != set(range(len(kinds))):
-        raise StructureError(f"{label}: every node needs an edge, and edges join nodes of the entry")
+        raise StructureError("every node needs an edge, and edges join nodes of the entry")
     grounded = {i: str(i) for i, k in enumerate(kinds) if k in (E_TOPIC, E_CONST)}
     try:
         c = chain_of([(s, "", d) for s, d in edges], kinds.index(E_TOPIC), kinds.index(ANSWER), grounded)
     except QueryGraphError as exc:
-        raise StructureError(f"{label}: {exc}") from None
+        raise StructureError(str(exc)) from None
     # the path's nodes are distinct and not Ec, and each constraint takes
     # one edge of an Ec node, so the counts add up only if every node is
     # on the path or is a constraint leaf with one edge
     if len(c.hops) + 1 + len(c.constraints) != len(kinds):
-        raise StructureError(f"{label}: a node is off the path or is not a single-edge constraint leaf")
-    return SemanticStructure(label, c.shape)
+        raise StructureError("a node is off the path or is not a single-edge constraint leaf")
+    return c.shape
 
 
 @dataclass
@@ -147,12 +156,15 @@ def _structure_entry(path: str, i: int, e) -> SemanticStructure:
         raise StructureError(f"{name} ({label!r}): label must be a string without line breaks")
     name += f" ({label})"
     kinds = e["kinds"]
-    if not isinstance(kinds, list) or not all(isinstance(k, str) and k in KINDS for k in kinds):
-        raise StructureError(f"{name}: kinds must be a list of {', '.join(sorted(KINDS))}")
+    if not isinstance(kinds, list) or not all(isinstance(k, str) for k in kinds):
+        raise StructureError(f"{name}: kinds must be a list of strings")
     edges = e["edges"]
     if not isinstance(edges, list) or not all(
         isinstance(d, list) and len(d) == 2 and all(type(v) is int for v in d) for d in edges
     ):
         raise StructureError(f"{name}: edges must be a list of [from, to] index pairs")
-    return structure_of(label, kinds, edges)
+    try:
+        return SemanticStructure(label, _drawn_shape(kinds, edges))
+    except StructureError as exc:
+        raise StructureError(f"{name}: {exc}") from None
 

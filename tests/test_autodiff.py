@@ -250,17 +250,23 @@ def triplet_batch(k, d, kind, seed):
 )
 def test_triplet_hinge_bytes_equal_composed_chain(k, d, kind, alpha, weight, seed):
     # `weight` scales the gradient that reaches the loss: negative weights
-    # flip the signs of zeros, and 0 makes every gradient term zero
+    # flip the signs of zeros, and 0 makes every gradient term zero. With no
+    # hinge active the fused loss has no parents, so f gets no gradient: the
+    # chain's must then be the zeros a parameter left unreached steps with.
     f0 = triplet_batch(k, d, kind, seed)
-    values, grads = [], []
+    values, grads, flat = [], [], []
     for loss_of in (ad.triplet_hinge, reference_batch_triplet_loss):
         f = ad.parameter(f0.copy())
         loss = loss_of(f, alpha)
         ad.backward(reference_mul(loss, ad.constant([[weight]])))
         values.append(loss.value.tobytes())
-        grads.append(f.grad.tobytes())
+        grads.append(None if f.grad is None else f.grad.tobytes())
+        flat.append(not loss.parents)
     assert values[0] == values[1]
-    assert grads[0] == grads[1]
+    if flat[0]:
+        assert grads[0] is None and grads[1] == np.zeros_like(f0).tobytes()
+    else:
+        assert grads[0] == grads[1]
 
 
 def test_triplet_hinge_value_and_gradient():
@@ -274,6 +280,25 @@ def test_triplet_hinge_value_and_gradient():
     want = np.array([[-0.3, 0.1], [0.3, 0.4], [0.0, 0.0], [0.0, -0.5]])
     assert np.allclose(f.grad, want, rtol=0.0, atol=1e-15)
     check_grad(lambda p: ad.triplet_hinge(p, 1.0), RNG.normal(size=(6, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_triplet_hinge_flat_batch_has_no_parents_unless_non_finite(bad):
+    # a "far" batch has every negative beyond the margin: the loss is 0 and
+    # ends the backward; a non-finite row keeps the node, so the gradient
+    # check downstream still sees it
+    far = triplet_batch(4, 3, "far", 7)
+    loss = ad.triplet_hinge(ad.parameter(far), 1.0)
+    assert loss.parents == () and loss.value.tobytes() == np.zeros((1, 1)).tobytes()
+    for row in (0, 1, 3):
+        poisoned = far.copy()
+        poisoned[row, 1] = bad
+        f = ad.parameter(poisoned)
+        with np.errstate(invalid="ignore"):
+            loss = ad.triplet_hinge(f, 1.0)
+            assert loss.parents == (f,)
+            ad.backward(loss)
+        assert not np.isfinite(f.grad).all()
 
 
 def test_triplet_hinge_refuses_fewer_than_three_rows():

@@ -309,8 +309,9 @@ FOUR_HOPS = {"kinds": ["E", "v", "v", "v", "a"], "edges": [[0, 1], [1, 2], [2, 3
 @pytest.mark.parametrize(
     "entry, error",
     [
-        ({"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]}, "error: X:"),
-        ({"label": "X", "kinds": ["E", "v", "v", "a"], "edges": [[0, 1], [0, 2], [1, 3]]}, "error: X:"),
+        ({"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]}, "error: {tax}: entry 6 (X): "),
+        ({"label": "X", "kinds": ["E", "v", "v", "a"], "edges": [[0, 1], [0, 2], [1, 3]]},
+         "error: {tax}: entry 6 (X): "),
         ({"label": "X", "kinds": ["a", "E"], "edges": [[1, 0]]}, "error: X:"),
         ({"label": 5, **FOUR_HOPS}, "error: {tax}: entry 6 (5): "),
         ({"label": "X\nY", **FOUR_HOPS}, "error: {tax}: entry 6 ('X\\nY'): "),

@@ -19,6 +19,7 @@ from reference import (
 from sskgqa import autodiff as ad
 from sskgqa import classifier as clf_module
 from sskgqa import embeddings as emb_module
+from sskgqa import optim as optim_module
 from sskgqa import ranker as ranker_module
 from sskgqa.classifier import ClassifierTrainConfig, train_classifier
 from sskgqa.embeddings import EmbedTrainConfig, train
@@ -264,6 +265,28 @@ def test_buffer_gradient_zeroes_a_parameter_an_earlier_step_reached():
     train_step(opt, buffer, ad.sum_all(reference_mul(p, ad.constant([[0.5, -0.25]]))))
     assert q.grad is None
     assert opt.grad.tolist() == [0.5, -0.25, 0.0, 0.0]
+
+
+def test_train_step_reaching_no_parameter_steps_without_clipping(monkeypatch):
+    # a loss with no parents (a flat triplet hinge) reaches no parameter:
+    # the optimizer still steps, on an all-zero gradient, and clipping, a
+    # no-op at norm 0, is not called
+    clipped, clip = [], optim_module.clip_global_norm
+
+    def counting(grad, offsets):
+        clipped.append(len(grad))
+        return clip(grad, offsets)
+
+    monkeypatch.setattr(optim_module, "clip_global_norm", counting)
+    p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
+    buffer = ParameterBuffer([p, q])
+    opt = RecordingOptimizer()
+    train_step(opt, buffer, ad.sum_all(ad.matmul(p, q)))
+    assert clipped == [4]
+    train_step(opt, buffer, ad.constant([[0.0]]))
+    assert clipped == [4]
+    assert p.grad is None and q.grad is None
+    assert opt.grad.tobytes() == np.zeros(4).tobytes()
 
 
 C = np.array([[3.0, -4.0, 12.0, 1.0]])

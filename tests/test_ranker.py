@@ -17,6 +17,7 @@ from sskgqa import autodiff as ad
 from sskgqa import ranker as ranker_module
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
+from sskgqa.optim import NonFiniteGradientError
 from sskgqa.pipeline import gold_graph_of, tokenize_question
 from sskgqa.querygraph import CLS, SEP, Chain, build_chain, canonicalize, execute, serialize_tokens, split_symbol
 from sskgqa.ranker import (
@@ -397,6 +398,50 @@ def test_triplet_loss_goes_through_the_fused_op(monkeypatch):
     # one loss node per question and epoch, over the question, its positive
     # and its 3 negatives
     assert calls == [(5, 0.5)] * (2 * len(dataset))
+
+
+def test_flat_hinge_steps_train_bytes_equal_to_always_backpropagating(monkeypatch):
+    # over 10 epochs some steps have every negative beyond the margin, so
+    # their loss has no parents and the step skips backward and clipping;
+    # the composed chain always backpropagates, and the parameters must
+    # still come out with the same bits
+    kg, questions = ranker_fixture()
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+    cfg = RankTrainConfig(epochs=10, negatives=4, margin=0.5, dropout=0.3, out_dim=8, ff_width=16, seed=5)
+    counts, fused = {"flat": 0, "backprop": 0}, ad.triplet_hinge
+
+    def spying(f, alpha):
+        loss = fused(f, alpha)
+        counts["backprop" if loss.parents else "flat"] += 1
+        return loss
+
+    monkeypatch.setattr(ad, "triplet_hinge", spying)
+    got = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
+    assert counts["flat"] > 0 and counts["backprop"] > 0, counts
+    monkeypatch.setattr(ad, "triplet_hinge", reference_batch_triplet_loss)
+    want = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
+    assert [p.value.tobytes() for p in got.encoder.parameters()] == [
+        p.value.tobytes() for p in want.encoder.parameters()
+    ]
+
+
+def test_nan_in_the_encoder_still_stops_training(monkeypatch):
+    # a nan row for thing0, a token of every sequence of question 0's batch
+    # and of no other, makes each hinge term of that batch nan: none is
+    # active, but the loss keeps its parents, so the gradient check refuses
+    # the step
+    kg, questions = ranker_fixture()
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+
+    class PoisonedEncoder(SequenceEncoder):
+        def __init__(self, vocab, cfg, rng):
+            super().__init__(vocab, cfg, rng)
+            self.params["tok_emb"].value[vocab.encode(["thing0"])[0]] = np.nan
+
+    monkeypatch.setattr(ranker_module, "SequenceEncoder", PoisonedEncoder)
+    cfg = RankTrainConfig(epochs=2, negatives=4, out_dim=8, ff_width=16, seed=5)
+    with pytest.raises(NonFiniteGradientError):
+        train_ranker(dataset, kg, builtin_taxonomy(), cfg)
 
 
 def test_train_ranker_bytes_equal_composed_loss_and_key_filter(monkeypatch):
