@@ -60,8 +60,29 @@ class LabeledQuestion:
 _TOKEN_RE = re.compile(r"<=|>=|!=|\|\||&&|[{}().<>=]|[^\s{}().<>=]+")
 
 
-def _tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text)
+def _take(toks: list[str], pos: int, expected: str | None = None) -> str:
+    """toks[pos], which must equal `expected` up to case when one is given."""
+    if pos >= len(toks):
+        raise SparqlError(f"unexpected end of input (wanted {expected})", pos)
+    tok = toks[pos]
+    if expected is not None and tok.upper() != expected.upper():
+        raise SparqlError(f"expected {expected!r}, got {tok!r}", pos)
+    return tok
+
+
+def _term(tok: str, at: int) -> Term:
+    """The term of pattern token `tok`, found at token `at`: a ?variable, or
+    an IRI named by what follows its prefix's `:`."""
+    if tok[0] == "?":
+        if len(tok) < 2:
+            raise SparqlError("empty variable name", at)
+        return Var(tok[1:])
+    _, colon, name = tok.partition(":")
+    if not colon:
+        name = tok
+    if not name:
+        raise SparqlError(f"empty iri name in {tok!r}", at)
+    return Iri(decode_iri(name))
 
 
 def parse_sparql(text: str) -> SparqlAst:
@@ -69,70 +90,50 @@ def parse_sparql(text: str) -> SparqlAst:
     patterns. SparqlError at the first FILTER-style keyword or comparison
     operator where a pattern would start, and at the first token after the
     `}` that closes WHERE (a solution modifier such as ORDER BY or LIMIT)."""
-    toks = _tokenize(text)
+    toks = _TOKEN_RE.findall(text)
+    n = len(toks)
     pos = 0
-
-    def peek() -> str | None:
-        return toks[pos] if pos < len(toks) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(toks):
-            raise SparqlError(f"unexpected end of input (wanted {expected})", pos)
-        tok = toks[pos]
-        if expected is not None and tok.upper() != expected.upper():
-            raise SparqlError(f"expected {expected!r}, got {tok!r}", pos)
+    while pos < n and toks[pos].upper() == "PREFIX":
+        _take(toks, pos + 1)  # namespace declaration such as "ns:"
+        _take(toks, pos + 2, "<")
+        pos += 3
+        while pos < n and toks[pos] != ">":
+            pos += 1
+        _take(toks, pos, ">")
         pos += 1
-        return tok
-
-    while peek() is not None and peek().upper() == "PREFIX":
-        take("PREFIX")
-        take()  # namespace declaration such as "ns:"
-        take("<")
-        while peek() is not None and peek() != ">":
-            take()
-        take(">")
-    take("SELECT")
-    if peek() is not None and peek().upper() == "DISTINCT":
-        take("DISTINCT")
-    var_tok = take()
+    _take(toks, pos, "SELECT")
+    pos += 1
+    if pos < n and toks[pos].upper() == "DISTINCT":
+        pos += 1
+    var_tok = _take(toks, pos)
     if not var_tok.startswith("?"):
-        raise SparqlError(f"expected a ?variable, got {var_tok!r}", pos - 1)
+        raise SparqlError(f"expected a ?variable, got {var_tok!r}", pos)
     select_var = var_tok[1:]
-    take("WHERE")
-    take("{")
-
-    def term(tok: str, at: int) -> Term:
-        if tok.startswith("?"):
-            if len(tok) < 2:
-                raise SparqlError("empty variable name", at)
-            return Var(tok[1:])
-        name = tok.split(":", 1)[1] if ":" in tok else tok
-        if not name:
-            raise SparqlError(f"empty iri name in {tok!r}", at)
-        return Iri(decode_iri(name))
+    _take(toks, pos + 1, "WHERE")
+    _take(toks, pos + 2, "{")
+    pos += 3
 
     patterns: list[tuple[Term, Term, Term]] = []
     while True:
-        tok = peek()
-        if tok is None:
+        if pos >= n:
             raise SparqlError("unterminated WHERE block", pos)
+        tok = toks[pos]
         if tok == "}":
-            take("}")
+            pos += 1
             break
         if tok.upper() in _UNSUPPORTED_KEYWORDS or tok in _UNSUPPORTED_OPS:
             raise SparqlError(f"unsupported {tok!r}", pos)
-        s = term(take(), pos - 1)
-        p = term(take(), pos - 1)
-        o = term(take(), pos - 1)
-        take(".")
+        s = _term(tok, pos)
+        p = _term(_take(toks, pos + 1), pos + 1)
+        o = _term(_take(toks, pos + 2), pos + 2)
+        _take(toks, pos + 3, ".")
         patterns.append((s, p, o))
-    if peek() is not None:
-        raise SparqlError(f"unexpected {peek()!r} after the WHERE block", pos)
+        pos += 4
+    if pos < n:
+        raise SparqlError(f"unexpected {toks[pos]!r} after the WHERE block", pos)
     if not patterns:
         raise SparqlError("empty WHERE block", pos)
-    terms = [t for pat in patterns for t in pat]
-    if Var(select_var) not in terms:
+    if not any(isinstance(t, Var) and t.name == select_var for pat in patterns for t in pat):
         raise SparqlError(
             f"selected variable ?{select_var} not used in any pattern", pos
         )
@@ -141,19 +142,19 @@ def parse_sparql(text: str) -> SparqlAst:
 
 def extract_query_graph(ast: SparqlAst, topic: str) -> Chain:
     """The chain of a parsed SPARQL command from the Iri named `topic`:
-    `chain_of` its patterns, with the Iri and Var terms as nodes, each Iri a
-    grounded node labelled by its name and the selected variable the lambda.
-    ExtractionError when no pattern names the topic or the patterns do not
-    form a chain from it.
+    `chain_of` its patterns, with each term as the node (is Iri, name), each
+    Iri a grounded node labelled by its name and the selected variable the
+    lambda. ExtractionError when no pattern names the topic or the patterns
+    do not form a chain from it.
     """
     if any(isinstance(p, Var) for _, p, _ in ast.patterns):
         raise ExtractionError("variable predicates are not supported")
-    edges = [(s, p.name, o) for s, p, o in ast.patterns]
-    labels = {t: t.name for s, _, o in edges for t in (s, o) if isinstance(t, Iri)}
-    if Iri(topic) not in labels:
+    edges = [((isinstance(s, Iri), s.name), p.name, (isinstance(o, Iri), o.name)) for s, p, o in ast.patterns]
+    labels = {t: t[1] for s, _, o in edges for t in (s, o) if t[0]}
+    if (True, topic) not in labels:
         raise ExtractionError(f"no pattern names the topic {topic!r}")
     try:
-        return chain_of(edges, Iri(topic), Var(ast.select_var), labels)
+        return chain_of(edges, (True, topic), (False, ast.select_var), labels)
     except QueryGraphError as exc:
         raise ExtractionError(str(exc)) from exc
 
@@ -195,20 +196,21 @@ def label_question(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
     return UNSUPPORTED
 
 
+def coverage(labels: list[str]) -> float | None:
+    """Percentage of `labels` that are not UNSUPPORTED; None for no labels."""
+    if not labels:
+        return None
+    return 100.0 * sum(1 for label in labels if label != UNSUPPORTED) / len(labels)
+
+
 def coverage_report(
     splits: dict[str, list[LabeledQuestion]], taxonomy: Taxonomy
 ) -> dict[str, float | None]:
     """Percentage of labelable questions per split; empty splits report None."""
-    report: dict[str, float | None] = {}
-    for name, questions in splits.items():
-        if not questions:
-            report[name] = None
-            continue
-        labeled = sum(
-            1 for q in questions if label_question(q, taxonomy) != UNSUPPORTED
-        )
-        report[name] = 100.0 * labeled / len(questions)
-    return report
+    return {
+        name: coverage([label_question(q, taxonomy) for q in questions])
+        for name, questions in splits.items()
+    }
 
 
 _REQUIRED = ("id", "question", "topic_entity", "answers")

@@ -45,10 +45,11 @@ def cmd_ingest(args) -> int:
 def cmd_annotate(args) -> int:
     tax = _taxonomy(args)
     questions = ann.load_dataset(args.dataset)
+    labels = []
     for q in questions:
-        _emit({"id": q.id, "label": ann.label_question(q, tax)})
-    report = ann.coverage_report({"all": questions}, tax)
-    _emit({"split": "all", "coverage": report["all"]})
+        labels.append(ann.label_question(q, tax))
+        _emit({"id": q.id, "label": labels[-1]})
+    _emit({"split": "all", "coverage": ann.coverage(labels)})
     return 0
 
 

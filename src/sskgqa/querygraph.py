@@ -176,17 +176,27 @@ def execute(c: Chain, kg: KnowledgeGraph) -> set[int]:
 
 
 def _encode_iri(symbol: str) -> str:
+    """`symbol` with each character the SPARQL tokenizer would split on, or
+    that `parse_sparql` reads, escaped: `%xx` up to U+00FF and `%uXXXX`
+    above it (every whitespace character lies below U+10000)."""
     out = []
     for ch in symbol:
-        if ch.isspace() or ch in "%.:?{}()<>":
-            out.append(f"%{ord(ch):02x}")
+        if ch.isspace() or ch in "%.:?{}()<>=":
+            out.append(f"%{ord(ch):02x}" if ord(ch) <= 0xFF else f"%u{ord(ch):04x}")
         else:
             out.append(ch)
     return "".join(out)
 
 
+_ESCAPE_RE = re.compile(r"%(?:u([0-9a-fA-F]{4})|([0-9a-fA-F]{2}))")
+
+
 def decode_iri(name: str) -> str:
-    return re.sub(r"%([0-9a-fA-F]{2})", lambda m: chr(int(m.group(1), 16)), name)
+    """The symbol `_encode_iri` wrote as `name`: each `%uXXXX` and `%xx`
+    escape read back."""
+    if "%" not in name:
+        return name
+    return _ESCAPE_RE.sub(lambda m: chr(int(m.group(1) or m.group(2), 16)), name)
 
 
 def to_sparql(c: Chain) -> str:

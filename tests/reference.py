@@ -34,6 +34,10 @@ and `reference_build_training_triplets`, which drops the candidates whose
 the record named the topic and the chain walk indexed its edges:
 `reference_chain_of`, the walk that scans every edge left at each step, and
 `reference_topic_guess`, the rule that picked the topic from the patterns;
+and the SPARQL reader as it was before it walked its tokens in one pass and
+gave `chain_of` plain tuples as nodes: `reference_parse_sparql`,
+`reference_extract_query_graph` (its `Iri` and `Var` terms as nodes) and
+`reference_decode_iri`, the escape regex run on every name;
 and the nodes those chains build that no model runs: `reference_relu`,
 `reference_sub`, `reference_rownorm`, `reference_cos`, `reference_sin`,
 `reference_split_halves`, `reference_concat_cols`, `reference_mul`,
@@ -44,6 +48,7 @@ KG reads go through `out_edges`/`in_edges` only:
 
 import itertools
 import math
+import re
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -51,7 +56,15 @@ import numpy as np
 
 from sskgqa import autodiff as ad
 from sskgqa import classifier, ranker
-from sskgqa.annotation import ExtractionError, Iri, Var
+from sskgqa.annotation import (
+    _UNSUPPORTED_KEYWORDS,
+    _UNSUPPORTED_OPS,
+    ExtractionError,
+    Iri,
+    SparqlAst,
+    SparqlError,
+    Var,
+)
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.encoder import SequenceEncoder, Vocab
 from sskgqa.optim import BETA1, BETA2, EPS, MAX_NORM, AdamW, ParameterBuffer, train_step
@@ -196,6 +209,100 @@ def reference_topic_guess(ast) -> str:
     reach = {s for s, _, o in edges if o in via_vars} | {o for s, _, o in edges if s in via_vars}
     subjects = {s for s, _, _ in edges}
     return max((t for t in grounded if t in reach), key=lambda t: (dist[t], t in subjects)).name
+
+
+_TOKEN_RE = re.compile(r"<=|>=|!=|\|\||&&|[{}().<>=]|[^\s{}().<>=]+")
+
+
+def reference_decode_iri(name: str) -> str:
+    """`querygraph.decode_iri` without its shortcut for a name with no `%`."""
+    return re.sub(r"%(?:u([0-9a-fA-F]{4})|([0-9a-fA-F]{2}))", lambda m: chr(int(m.group(1) or m.group(2), 16)), name)
+
+
+def reference_parse_sparql(text: str) -> SparqlAst:
+    """`annotation.parse_sparql` by `peek`/`take` closures over the token
+    list, one token at a time."""
+    toks = _TOKEN_RE.findall(text)
+    pos = 0
+
+    def peek() -> str | None:
+        return toks[pos] if pos < len(toks) else None
+
+    def take(expected: str | None = None) -> str:
+        nonlocal pos
+        if pos >= len(toks):
+            raise SparqlError(f"unexpected end of input (wanted {expected})", pos)
+        tok = toks[pos]
+        if expected is not None and tok.upper() != expected.upper():
+            raise SparqlError(f"expected {expected!r}, got {tok!r}", pos)
+        pos += 1
+        return tok
+
+    while peek() is not None and peek().upper() == "PREFIX":
+        take("PREFIX")
+        take()  # namespace declaration such as "ns:"
+        take("<")
+        while peek() is not None and peek() != ">":
+            take()
+        take(">")
+    take("SELECT")
+    if peek() is not None and peek().upper() == "DISTINCT":
+        take("DISTINCT")
+    var_tok = take()
+    if not var_tok.startswith("?"):
+        raise SparqlError(f"expected a ?variable, got {var_tok!r}", pos - 1)
+    select_var = var_tok[1:]
+    take("WHERE")
+    take("{")
+
+    def term(tok: str, at: int):
+        if tok.startswith("?"):
+            if len(tok) < 2:
+                raise SparqlError("empty variable name", at)
+            return Var(tok[1:])
+        name = tok.split(":", 1)[1] if ":" in tok else tok
+        if not name:
+            raise SparqlError(f"empty iri name in {tok!r}", at)
+        return Iri(reference_decode_iri(name))
+
+    patterns = []
+    while True:
+        tok = peek()
+        if tok is None:
+            raise SparqlError("unterminated WHERE block", pos)
+        if tok == "}":
+            take("}")
+            break
+        if tok.upper() in _UNSUPPORTED_KEYWORDS or tok in _UNSUPPORTED_OPS:
+            raise SparqlError(f"unsupported {tok!r}", pos)
+        s = term(take(), pos - 1)
+        p = term(take(), pos - 1)
+        o = term(take(), pos - 1)
+        take(".")
+        patterns.append((s, p, o))
+    if peek() is not None:
+        raise SparqlError(f"unexpected {peek()!r} after the WHERE block", pos)
+    if not patterns:
+        raise SparqlError("empty WHERE block", pos)
+    terms = [t for pat in patterns for t in pat]
+    if Var(select_var) not in terms:
+        raise SparqlError(f"selected variable ?{select_var} not used in any pattern", pos)
+    return SparqlAst(select_var, patterns)
+
+
+def reference_extract_query_graph(ast, topic: str) -> Chain:
+    """`annotation.extract_query_graph` with the `Iri` and `Var` terms
+    themselves as the nodes `chain_of` walks."""
+    if any(isinstance(p, Var) for _, p, _ in ast.patterns):
+        raise ExtractionError("variable predicates are not supported")
+    edges = [(s, p.name, o) for s, p, o in ast.patterns]
+    labels = {t: t.name for s, _, o in edges for t in (s, o) if isinstance(t, Iri)}
+    if Iri(topic) not in labels:
+        raise ExtractionError(f"no pattern names the topic {topic!r}")
+    try:
+        return chain_of(edges, Iri(topic), Var(ast.select_var), labels)
+    except QueryGraphError as exc:
+        raise ExtractionError(str(exc)) from exc
 
 
 def reference_step(kg, frontier, rid: int, rev: bool) -> set[int]:

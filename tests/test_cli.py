@@ -116,6 +116,32 @@ def test_annotate(toy):
     assert coverage and coverage[0]["coverage"] == 100.0
 
 
+@pytest.mark.parametrize("records", [0, 1, 6])
+def test_annotate_labels_each_record_once(toy, tmp_path, monkeypatch, records):
+    # the toy's records, then one with neither hops nor SPARQL (Unsupported):
+    # one label_question call per record, and the coverage line is that of
+    # the labels printed
+    lines = (toy / "questions.jsonl").read_text().splitlines()[:5]
+    lines.append(json.dumps({"id": "u", "question": "?", "topic_entity": "x", "answers": []}))
+    data = tmp_path / "q.jsonl"
+    data.write_text("".join(line + "\n" for line in lines[:records]))
+    calls, label_question = [], sskgqa.annotation.label_question
+
+    def counted(q, tax):
+        calls.append(q.id)
+        return label_question(q, tax)
+
+    monkeypatch.setattr(sskgqa.annotation, "label_question", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["annotate", "--dataset", str(data)]) == 0
+    recs = [json.loads(line) for line in out.getvalue().splitlines()]
+    labels = [r["label"] for r in recs[:-1]]
+    assert calls == [r["id"] for r in recs[:-1]] and len(calls) == records
+    expected = 100.0 * sum(label != "Unsupported" for label in labels) / records if records else None
+    assert recs[-1] == {"split": "all", "coverage": expected}
+
+
 @pytest.fixture(scope="module")
 def trained(toy, tmp_path_factory):
     work = tmp_path_factory.mktemp("ckpt")
