@@ -28,23 +28,14 @@ class LabelingError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Iri:
-    name: str
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-Term = Iri | Var
-
-
 @dataclass
 class SparqlAst:
+    """The selected variable's name and the (subject, predicate, object)
+    patterns, each term the node (is IRI, name): an IRI by its decoded name,
+    a ?variable by what follows the `?`."""
+
     select_var: str
-    patterns: list[tuple[Term, Term, Term]]
+    patterns: list[tuple[tuple[bool, str], tuple[bool, str], tuple[bool, str]]]
 
 
 @dataclass
@@ -63,26 +54,27 @@ _TOKEN_RE = re.compile(r"<=|>=|!=|\|\||&&|[{}().<>=]|[^\s{}().<>=]+")
 def _take(toks: list[str], pos: int, expected: str | None = None) -> str:
     """toks[pos], which must equal `expected` up to case when one is given."""
     if pos >= len(toks):
-        raise SparqlError(f"unexpected end of input (wanted {expected})", pos)
+        wanted = "" if expected is None else f" (wanted {expected})"
+        raise SparqlError(f"unexpected end of input{wanted}", pos)
     tok = toks[pos]
     if expected is not None and tok.upper() != expected.upper():
         raise SparqlError(f"expected {expected!r}, got {tok!r}", pos)
     return tok
 
 
-def _term(tok: str, at: int) -> Term:
-    """The term of pattern token `tok`, found at token `at`: a ?variable, or
+def _term(tok: str, at: int) -> tuple[bool, str]:
+    """The node of pattern token `tok`, found at token `at`: a ?variable, or
     an IRI named by what follows its prefix's `:`."""
     if tok[0] == "?":
         if len(tok) < 2:
             raise SparqlError("empty variable name", at)
-        return Var(tok[1:])
+        return False, tok[1:]
     _, colon, name = tok.partition(":")
     if not colon:
         name = tok
     if not name:
         raise SparqlError(f"empty iri name in {tok!r}", at)
-    return Iri(decode_iri(name))
+    return True, decode_iri(name)
 
 
 def parse_sparql(text: str) -> SparqlAst:
@@ -113,7 +105,7 @@ def parse_sparql(text: str) -> SparqlAst:
     _take(toks, pos + 2, "{")
     pos += 3
 
-    patterns: list[tuple[Term, Term, Term]] = []
+    patterns = []
     while True:
         if pos >= n:
             raise SparqlError("unterminated WHERE block", pos)
@@ -133,7 +125,7 @@ def parse_sparql(text: str) -> SparqlAst:
         raise SparqlError(f"unexpected {toks[pos]!r} after the WHERE block", pos)
     if not patterns:
         raise SparqlError("empty WHERE block", pos)
-    if not any(isinstance(t, Var) and t.name == select_var for pat in patterns for t in pat):
+    if not any((False, select_var) in pat for pat in patterns):
         raise SparqlError(
             f"selected variable ?{select_var} not used in any pattern", pos
         )
@@ -141,16 +133,16 @@ def parse_sparql(text: str) -> SparqlAst:
 
 
 def extract_query_graph(ast: SparqlAst, topic: str) -> Chain:
-    """The chain of a parsed SPARQL command from the Iri named `topic`:
-    `chain_of` its patterns, with each term as the node (is Iri, name), each
-    Iri a grounded node labelled by its name and the selected variable the
-    lambda. ExtractionError when no pattern names the topic or the patterns
-    do not form a chain from it.
+    """The chain of a parsed SPARQL command from the IRI named `topic`:
+    `chain_of` its patterns, each IRI a grounded node labelled by its name
+    and the selected variable the lambda. ExtractionError when a predicate
+    is a variable, no pattern names the topic or the patterns do not form a
+    chain from it.
     """
-    if any(isinstance(p, Var) for _, p, _ in ast.patterns):
+    if not all(p[0] for _, p, _ in ast.patterns):
         raise ExtractionError("variable predicates are not supported")
-    edges = [((isinstance(s, Iri), s.name), p.name, (isinstance(o, Iri), o.name)) for s, p, o in ast.patterns]
-    labels = {t: t[1] for s, _, o in edges for t in (s, o) if t[0]}
+    edges = [(s, p[1], o) for s, p, o in ast.patterns]
+    labels = {t: t[1] for s, _, o in ast.patterns for t in (s, o) if t[0]}
     if (True, topic) not in labels:
         raise ExtractionError(f"no pattern names the topic {topic!r}")
     try:
@@ -160,40 +152,26 @@ def extract_query_graph(ast: SparqlAst, topic: str) -> Chain:
 
 
 def sparql_chain(text: str, topic: str) -> Chain | None:
-    """The chain of a SPARQL command from the Iri named `topic`, or None when
+    """The chain of a SPARQL command from the IRI named `topic`, or None when
     the command is outside the subset or its patterns do not form a chain
-    from that Iri."""
+    from that IRI."""
     try:
         return extract_query_graph(parse_sparql(text), topic)
     except (SparqlError, ExtractionError):
         return None
 
 
-def label_metaqa(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
-    """Hop-count labeling: the label of the plain chain of q.hops hops, or
-    UNSUPPORTED when no taxonomy structure has that shape."""
-    label = taxonomy.find_match((q.hops, ()))
-    return label if label is not None else UNSUPPORTED
-
-
-def label_wsp(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
-    """Structure label of the chain of q's SPARQL from q's topic entity;
-    UNSUPPORTED when it has no such chain or no taxonomy structure has its
-    shape."""
-    if q.sparql is None:
-        raise LabelingError(f"question {q.id}: no sparql command")
-    c = sparql_chain(q.sparql, q.topic_entity)
-    label = None if c is None else taxonomy.find_match(c.shape)
-    return label if label is not None else UNSUPPORTED
-
-
 def label_question(q: LabeledQuestion, taxonomy: Taxonomy) -> str:
-    """Hop-based labeling when hops are present, else SPARQL-based."""
+    """The label of the taxonomy structure with the shape of q: the plain
+    chain of q.hops hops when hops are given, else the chain of q's SPARQL
+    from its topic entity. UNSUPPORTED when q has neither, its SPARQL has no
+    such chain, or no structure has that shape."""
     if q.hops is not None:
-        return label_metaqa(q, taxonomy)
-    if q.sparql is not None:
-        return label_wsp(q, taxonomy)
-    return UNSUPPORTED
+        label = taxonomy.find_match((q.hops, ()))
+    else:
+        c = None if q.sparql is None else sparql_chain(q.sparql, q.topic_entity)
+        label = None if c is None else taxonomy.find_match(c.shape)
+    return UNSUPPORTED if label is None else label
 
 
 def coverage(labels: list[str]) -> float | None:
@@ -201,16 +179,6 @@ def coverage(labels: list[str]) -> float | None:
     if not labels:
         return None
     return 100.0 * sum(1 for label in labels if label != UNSUPPORTED) / len(labels)
-
-
-def coverage_report(
-    splits: dict[str, list[LabeledQuestion]], taxonomy: Taxonomy
-) -> dict[str, float | None]:
-    """Percentage of labelable questions per split; empty splits report None."""
-    return {
-        name: coverage([label_question(q, taxonomy) for q in questions])
-        for name, questions in splits.items()
-    }
 
 
 _REQUIRED = ("id", "question", "topic_entity", "answers")

@@ -35,9 +35,11 @@ the record named the topic and the chain walk indexed its edges:
 `reference_chain_of`, the walk that scans every edge left at each step, and
 `reference_topic_guess`, the rule that picked the topic from the patterns;
 and the SPARQL reader as it was before it walked its tokens in one pass and
-gave `chain_of` plain tuples as nodes: `reference_parse_sparql`,
-`reference_extract_query_graph` (its `Iri` and `Var` terms as nodes) and
-`reference_decode_iri`, the escape regex run on every name;
+read each term as an (is IRI, name) pair: `reference_parse_sparql`, with
+`Iri` and `Var` terms, `reference_extract_query_graph` (those terms as the
+nodes `chain_of` walks), `reference_pairs` (its AST with pair terms, to
+compare with `annotation.parse_sparql`'s) and `reference_decode_iri`, the
+escape regex run on every name;
 and the nodes those chains build that no model runs: `reference_relu`,
 `reference_sub`, `reference_rownorm`, `reference_cos`, `reference_sin`,
 `reference_split_halves`, `reference_concat_cols`, `reference_mul`,
@@ -49,7 +51,7 @@ KG reads go through `out_edges`/`in_edges` only:
 import itertools
 import math
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -60,10 +62,8 @@ from sskgqa.annotation import (
     _UNSUPPORTED_KEYWORDS,
     _UNSUPPORTED_OPS,
     ExtractionError,
-    Iri,
     SparqlAst,
     SparqlError,
-    Var,
 )
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.encoder import SequenceEncoder, Vocab
@@ -125,17 +125,16 @@ def reference_graph(topic: str, hops, constraints=()) -> Graph:
 
 def sparql_graph(ast, topic: str) -> Graph:
     """The pattern graph of a parsed SPARQL query: one node per subject or
-    object term in order of appearance (an Iri grounded, the selected
-    variable the lambda), one edge per pattern, and the Iri `topic` as topic."""
+    object term in order of appearance (an IRI grounded, the selected
+    variable the lambda), one edge per pattern, and the IRI `topic` as topic."""
     index: dict = {}
     for s, _, o in ast.patterns:
         for t in (s, o):
             index.setdefault(t, len(index))
     nodes = [
-        (GROUNDED if isinstance(t, Iri) else LAMBDA if t.name == ast.select_var else EXISTENTIAL, t.name)
-        for t in index
+        (GROUNDED if is_iri else LAMBDA if name == ast.select_var else EXISTENTIAL, name) for is_iri, name in index
     ]
-    return Graph(nodes, [(index[s], p.name, index[o]) for s, p, o in ast.patterns], index[Iri(topic)])
+    return Graph(nodes, [(index[s], p[1], index[o]) for s, p, o in ast.patterns], index[(True, topic)])
 
 
 def reference_chain_of(edges, topic, lam, labels: dict) -> Chain:
@@ -189,29 +188,45 @@ def _bfs_depths(edges, start) -> dict:
 
 def reference_topic_guess(ast) -> str:
     """The topic label a parsed query's patterns were read from before the
-    record named it: among the Iris that reach the lambda through variables
+    record named it: among the IRIs that reach the lambda through variables
     only, the one farthest from it; among ties, one that is the subject of
     some pattern, then the first to appear. ExtractionError where that rule
-    refused the query before it walked a chain: a variable predicate, no Iri,
-    or patterns not all joined to the lambda."""
-    if any(isinstance(p, Var) for _, p, _ in ast.patterns):
+    refused the query before it walked a chain: a variable predicate, no IRI,
+    or patterns not all joined to the lambda. Terms are (is IRI, name) pairs."""
+    if any(not p[0] for _, p, _ in ast.patterns):
         raise ExtractionError("variable predicates are not supported")
-    edges = [(s, p.name, o) for s, p, o in ast.patterns]
+    edges = [(s, p[1], o) for s, p, o in ast.patterns]
     nodes = list(dict.fromkeys(t for s, _, o in edges for t in (s, o)))
-    grounded = [t for t in nodes if isinstance(t, Iri)]
+    grounded = [t for t in nodes if t[0]]
     if not grounded:
         raise ExtractionError("no grounded entity in query")
-    lam = Var(ast.select_var)
+    lam = (False, ast.select_var)
     dist = _bfs_depths([(s, o) for s, _, o in edges], lam)
     if dist.keys() != set(nodes):
         raise ExtractionError("pattern graph is disconnected")
-    via_vars = _bfs_depths([(s, o) for s, _, o in edges if isinstance(s, Var) and isinstance(o, Var)], lam)
+    via_vars = _bfs_depths([(s, o) for s, _, o in edges if not s[0] and not o[0]], lam)
     reach = {s for s, _, o in edges if o in via_vars} | {o for s, _, o in edges if s in via_vars}
     subjects = {s for s, _, _ in edges}
-    return max((t for t in grounded if t in reach), key=lambda t: (dist[t], t in subjects)).name
+    return max((t for t in grounded if t in reach), key=lambda t: (dist[t], t in subjects))[1]
 
 
 _TOKEN_RE = re.compile(r"<=|>=|!=|\|\||&&|[{}().<>=]|[^\s{}().<>=]+")
+
+
+@dataclass(frozen=True)
+class Iri:
+    name: str
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+
+def reference_pairs(ast: SparqlAst) -> SparqlAst:
+    """The AST of `reference_parse_sparql` with each term as the (is IRI,
+    name) pair `annotation.parse_sparql` gives."""
+    return SparqlAst(ast.select_var, [tuple((isinstance(t, Iri), t.name) for t in pat) for pat in ast.patterns])
 
 
 def reference_decode_iri(name: str) -> str:
@@ -231,7 +246,8 @@ def reference_parse_sparql(text: str) -> SparqlAst:
     def take(expected: str | None = None) -> str:
         nonlocal pos
         if pos >= len(toks):
-            raise SparqlError(f"unexpected end of input (wanted {expected})", pos)
+            wanted = "" if expected is None else f" (wanted {expected})"
+            raise SparqlError(f"unexpected end of input{wanted}", pos)
         tok = toks[pos]
         if expected is not None and tok.upper() != expected.upper():
             raise SparqlError(f"expected {expected!r}, got {tok!r}", pos)

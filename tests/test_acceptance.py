@@ -21,10 +21,9 @@ from sskgqa import autodiff as ad
 from sskgqa.annotation import (
     UNSUPPORTED,
     LabeledQuestion,
-    coverage_report,
+    coverage,
     extract_query_graph,
-    label_metaqa,
-    label_wsp,
+    label_question,
     parse_sparql,
 )
 from sskgqa.candidates import EnumConfig, enumerate_candidates
@@ -293,15 +292,15 @@ def test_criterion_6_annotation():
         assert canonicalize(g2) == canonicalize(g)
     for hops, label in ((1, "SS1"), (2, "SS2"), (3, "SS3")):
         q = LabeledQuestion("q", "?", "a", [], hops=hops)
-        assert label_metaqa(q, TAX) == label
+        assert label_question(q, TAX) == label
     for bad in (
         "SELECT ?x WHERE { :a :r ?x . FILTER ( ?n <= 2000 ) }",
         "SELECT ?x WHERE { :a :r ?x . FILTER ( ?a = 1 || ?b = 2 ) }",
     ):
-        assert label_wsp(LabeledQuestion("q", "?", "a", [], sparql=bad), TAX) == UNSUPPORTED
+        assert label_question(LabeledQuestion("q", "?", "a", [], sparql=bad), TAX) == UNSUPPORTED
     good = LabeledQuestion("q", "?", "a", [], hops=1)
     bad = LabeledQuestion("q", "?", "a", [])
-    assert coverage_report({"s": [good, good, good, bad]}, TAX)["s"] == 75.0
+    assert coverage([label_question(q, TAX) for q in (good, good, good, bad)]) == 75.0
     report(6, "SPARQL round-trip, hop labeling and coverage", t0, 10.0)
 
 
@@ -351,7 +350,7 @@ def _norshteyn_models():
         (
             tokenize_question(q.question),
             kg.entities.id_of(q.topic_entity),
-            label_wsp(q, TAX),
+            label_question(q, TAX),
         )
         for q in questions
     ]

@@ -8,16 +8,12 @@ from sskgqa.annotation import (
     _UNSUPPORTED_OPS,
     UNSUPPORTED,
     ExtractionError,
-    Iri,
     LabeledQuestion,
     LabelingError,
     SparqlError,
-    Var,
-    coverage_report,
+    coverage,
     extract_query_graph,
-    label_metaqa,
     label_question,
-    label_wsp,
     load_dataset,
     parse_sparql,
     save_dataset,
@@ -44,7 +40,7 @@ def q(**kw):
 def test_parse_basic_select():
     ast = parse_sparql("SELECT DISTINCT ?x WHERE { :a :r ?x . }")
     assert ast.select_var == "x"
-    assert ast.patterns == [(Iri("a"), Iri("r"), Var("x"))]
+    assert ast.patterns == [((True, "a"), (True, "r"), (False, "x"))]
 
 
 def test_parse_prefix_and_multiple_patterns():
@@ -54,12 +50,12 @@ def test_parse_prefix_and_multiple_patterns():
     )
     ast = parse_sparql(text)
     assert len(ast.patterns) == 2
-    assert ast.patterns[0][0] == Iri("a")
+    assert ast.patterns[0][0] == (True, "a")
 
 
 def test_parse_percent_decoding():
     ast = parse_sparql("SELECT ?x WHERE { :big%20city :r ?x . }")
-    assert ast.patterns[0][0] == Iri("big city")
+    assert ast.patterns[0][0] == (True, "big city")
 
 
 @pytest.mark.parametrize("tok", sorted(_UNSUPPORTED_KEYWORDS) + list(_UNSUPPORTED_OPS))
@@ -68,7 +64,7 @@ def test_unsupported_clause_is_refused(tok):
     sparql = f"SELECT ?x WHERE {{ :a :r ?x . {tok} ( ?x < 3 ) }}"
     with pytest.raises(SparqlError, match=re.escape(repr(tok))):
         parse_sparql(sparql)
-    assert label_wsp(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
+    assert label_question(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
     assert gold_graph_of(q(sparql=sparql)) is None
 
 
@@ -82,7 +78,7 @@ def test_token_after_where_block_is_refused(tail, first):
     with pytest.raises(SparqlError, match=re.escape(f"unexpected {first!r}")) as err:
         parse_sparql(sparql)
     assert err.value.position == 9  # the first token after the closing }
-    assert label_wsp(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
+    assert label_question(q(sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
     assert gold_graph_of(q(sparql=sparql)) is None
 
 
@@ -112,22 +108,22 @@ def test_extract_reads_the_chain_from_the_given_topic():
     assert canonicalize(g2) == canonicalize(g)
 
 
-def test_label_metaqa():
+def test_label_question_by_hops():
     tax = builtin_taxonomy()
-    assert label_metaqa(q(hops=1), tax) == "SS1"
-    assert label_metaqa(q(hops=3), tax) == "SS3"
-    assert label_metaqa(q(hops=4), tax) == UNSUPPORTED
+    assert label_question(q(hops=1), tax) == "SS1"
+    assert label_question(q(hops=3), tax) == "SS3"
+    assert label_question(q(hops=4), tax) == UNSUPPORTED
 
 
-def test_label_wsp():
+def test_label_question_by_sparql():
     tax = builtin_taxonomy()
     g = build_chain("a", [("r", False), ("s", False)])
-    assert label_wsp(q(sparql=to_sparql(g)), tax) == "SS2"
-    assert label_wsp(q(sparql="SELECT ?x WHERE { :a :r ?x . FILTER ( ?x < 3 ) }"), tax) == UNSUPPORTED
-    assert label_wsp(q(sparql="not sparql at all"), tax) == UNSUPPORTED
+    assert label_question(q(sparql=to_sparql(g)), tax) == "SS2"
+    assert label_question(q(sparql="SELECT ?x WHERE { :a :r ?x . FILTER ( ?x < 3 ) }"), tax) == UNSUPPORTED
+    assert label_question(q(sparql="not sparql at all"), tax) == UNSUPPORTED
 
 
-def test_label_wsp_constraint_on_topic():
+def test_label_question_constraint_on_topic():
     # from the topic :b, the value :a is a constraint on the topic; from :a
     # there is no chain, as :a reaches ?x only through :b
     tc = structure_of("TC", (E_TOPIC, ANSWER, E_CONST), ((0, 1), (0, 2)))
@@ -139,7 +135,7 @@ def test_label_wsp_constraint_on_topic():
     # hold that shape, and the question is Unsupported
     with pytest.raises(StructureError, match=r"TC: .* \(1, \(0,\)\)"):
         Taxonomy(list(builtin_taxonomy()) + [tc])
-    assert label_wsp(q(sparql=sparql, topic_entity="b"), builtin_taxonomy()) == UNSUPPORTED
+    assert label_question(q(sparql=sparql, topic_entity="b"), builtin_taxonomy()) == UNSUPPORTED
     with pytest.raises(ExtractionError):
         extract_query_graph(parse_sparql(sparql), "a")
 
@@ -150,7 +146,7 @@ def test_label_long_chain_is_bounded():
     names = [":a"] + [f"?v{i}" for i in range(1, 9)] + ["?x"]
     patterns = " ".join(f"{s} :r{i} {o} ." for i, (s, o) in enumerate(zip(names, names[1:])))
     t0 = perf_counter()
-    label = label_wsp(q(sparql=f"SELECT ?x WHERE {{ {patterns} }}"), builtin_taxonomy())
+    label = label_question(q(sparql=f"SELECT ?x WHERE {{ {patterns} }}"), builtin_taxonomy())
     assert label == UNSUPPORTED
     assert perf_counter() - t0 < 0.5
 
@@ -163,13 +159,12 @@ def test_label_question_prefers_hops():
     assert label_question(q(), tax) == UNSUPPORTED
 
 
-def test_coverage_report():
+def test_coverage():
     tax = builtin_taxonomy()
     good = q(hops=1)
     bad = q(id="q1")
-    report = coverage_report({"dev": [good, good, good, bad], "test": []}, tax)
-    assert report["dev"] == 75.0
-    assert report["test"] is None
+    assert coverage([label_question(x, tax) for x in (good, good, good, bad)]) == 75.0
+    assert coverage([]) is None
 
 
 def test_dataset_round_trip(tmp_path):

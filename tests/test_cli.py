@@ -550,6 +550,31 @@ def test_dataset_field_of_any_type_is_read_or_one_error_line(toy, trained, tmp_p
             assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_taxonomy_field_of_any_value_is_read_or_one_error_line(toy, tmp_path_factory, data):
+    # the builtin taxonomy with one field of one entry, or one item inside
+    # its kinds or edges, replaced by a JSON value of any type: annotate
+    # either takes it or refuses it with one error line
+    from sskgqa.structures import builtin_taxonomy
+
+    entries = taxonomy_entries(builtin_taxonomy())
+    parent = entries[data.draw(st.integers(0, len(entries) - 1))]
+    key = data.draw(st.sampled_from(["label", "kinds", "edges"]))
+    while isinstance(parent[key], list) and parent[key] and data.draw(st.booleans()):
+        parent, key = parent[key], data.draw(st.integers(0, len(parent[key]) - 1))
+    parent[key] = data.draw(JSON_VALUES)
+    tax = tmp_path_factory.getbasetemp() / "one_field.json"
+    tax.write_text(json.dumps(entries))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["annotate", "--dataset", str(toy / "questions.jsonl"), "--taxonomy", str(tax)])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+
+
 @pytest.mark.parametrize(
     "entry",
     [{"label": "X", "kinds": ["E", "a"]}, {"label": "X", "kinds": ["E", "zz", "a"], "edges": [[0, 1], [1, 2]]}],

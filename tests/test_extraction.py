@@ -12,9 +12,7 @@ from reference import reference_chain_of, reference_topic_guess
 
 from sskgqa.annotation import (
     UNSUPPORTED,
-    Iri,
     LabeledQuestion,
-    Var,
     label_question,
     parse_sparql,
     sparql_chain,
@@ -43,23 +41,23 @@ def walk(f, edges, topic, lam, labels):
 @st.composite
 def records(draw):
     """(SPARQL, topic): `to_sparql` of a `build_chain` chain of 1-4 hops with
-    0-2 constraints, its patterns shuffled, and a topic drawn from its Iris."""
+    0-2 constraints, its patterns shuffled, and a topic drawn from its IRIs."""
     ent, rel = st.sampled_from(ENTITIES), st.sampled_from(RELATIONS)
     hops = draw(st.lists(st.tuples(rel, st.booleans()), min_size=1, max_size=4))
     cons = draw(st.lists(st.tuples(st.integers(0, len(hops)), rel, ent), max_size=2))
     head, body = to_sparql(build_chain(draw(ent), hops, cons)).split("{ ")
     patterns = draw(st.permutations(re.findall(r"\S+ \S+ \S+ \.", body)))
     text = f"{head}{{ {' '.join(patterns)} }}"
-    iris = sorted({t.name for s, _, o in parse_sparql(text).patterns for t in (s, o) if isinstance(t, Iri)})
+    iris = sorted({t[1] for s, _, o in parse_sparql(text).patterns for t in (s, o) if t[0]})
     return text, draw(st.sampled_from(iris))
 
 
 def read_from(text, topic):
-    """The reference walk of the query's patterns from the Iri `topic`, or None."""
+    """The reference walk of the query's patterns from the IRI `topic`, or None."""
     ast = parse_sparql(text)
-    edges = [(s, p.name, o) for s, p, o in ast.patterns]
-    labels = {t: t.name for s, _, o in edges for t in (s, o) if isinstance(t, Iri)}
-    c = walk(reference_chain_of, edges, Iri(topic), Var(ast.select_var), labels)
+    edges = [(s, p[1], o) for s, p, o in ast.patterns]
+    labels = {t: t[1] for s, _, o in edges for t in (s, o) if t[0]}
+    c = walk(reference_chain_of, edges, (True, topic), (False, ast.select_var), labels)
     return None if isinstance(c, str) else c
 
 

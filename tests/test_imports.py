@@ -1,7 +1,8 @@
 """Every module-level import in the package and in its tests is used by
 its module, every public function of the autodiff engine is used by another
-package module, no package module but the CLI prints, and no package module
-but `structures` reads the node kinds of a taxonomy drawing."""
+package module, every public function and class of `annotation` has a reader
+outside its own definition, no package module but the CLI prints, and no
+package module but `structures` reads the node kinds of a taxonomy drawing."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,7 @@ from reference import (
     reference_fuse,
     reference_train_step,
 )
+from sskgqa import annotation as ann
 from sskgqa import autodiff as ad
 from sskgqa import classifier as clf
 from sskgqa import embeddings as emb
@@ -26,6 +28,7 @@ from sskgqa.structures import builtin_taxonomy
 
 MODULES = sorted(Path(sskgqa.__file__).resolve().parent.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+BENCH_MODULES = sorted((Path(__file__).resolve().parents[1] / "pipebench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -104,21 +107,26 @@ def test_library_code_never_prints(path):
 DRAWING_NAMES = {"E_TOPIC", "E_CONST", "VAR", "ANSWER", "KINDS"}
 
 
-def drawing_names_read(source: str) -> set[str]:
-    """The names of `DRAWING_NAMES` a module takes from `structures`, by
-    import or as an attribute of the module."""
+def names_taken_from(source: str, module: str) -> set[str]:
+    """The names a module takes from the module named `module`, by import or
+    as an attribute of the module."""
     tree = ast.parse(source)
     aliases, read = set(), set()
     for n in ast.walk(tree):
-        if isinstance(n, ast.ImportFrom) and n.module and n.module.split(".")[-1] == "structures":
+        if isinstance(n, ast.ImportFrom) and n.module and n.module.split(".")[-1] == module:
             read |= {a.name for a in n.names}
         elif isinstance(n, ast.ImportFrom):
-            aliases |= {a.asname or a.name for a in n.names if a.name == "structures"}
+            aliases |= {a.asname or a.name for a in n.names if a.name == module}
         elif isinstance(n, ast.Import):
-            aliases |= {a.asname for a in n.names if a.name.endswith(".structures") and a.asname}
+            aliases |= {a.asname for a in n.names if a.name.endswith(f".{module}") and a.asname}
     for alias in aliases:
         read |= attributes_read(source, alias)
-    return read & DRAWING_NAMES
+    return read
+
+
+def drawing_names_read(source: str) -> set[str]:
+    """The names of `DRAWING_NAMES` a module takes from `structures`."""
+    return names_taken_from(source, "structures") & DRAWING_NAMES
 
 
 def test_drawing_names_read_are_found():
@@ -132,6 +140,23 @@ def test_drawing_names_read_are_found():
 def test_only_structures_reads_node_kinds():
     read = {p.stem: drawing_names_read(p.read_text(encoding="utf-8")) for p in MODULES if p.name != "structures.py"}
     assert {stem: names for stem, names in read.items() if names} == {}
+
+
+def test_every_annotation_function_and_class_has_a_reader():
+    # a public name that only tests call is a second API beside the one the
+    # package uses: each is read by another package module, by the
+    # benchmark, or by a body of `annotation` other than its own definition
+    tree = ast.parse(Path(ann.__file__).read_text(encoding="utf-8"))
+    public = [
+        n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
+    ]
+    bodies = [(stmt, {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}) for stmt in tree.body]
+    read = set()
+    for path in MODULES + BENCH_MODULES:
+        if path.name != "annotation.py":
+            read |= names_taken_from(path.read_text(encoding="utf-8"), "annotation")
+    own = [d.name for d in public if any(d.name in names for stmt, names in bodies if stmt is not d)]
+    assert [d.name for d in public if d.name not in read and d.name not in own] == []
 
 
 def test_benchmark_finds_every_name_it_uses(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from fixtures import score_tails
 from reference import reference_mul, reference_score_tails, reference_softmax
 from sskgqa import autodiff as ad
-from sskgqa.annotation import label_wsp
+from sskgqa.annotation import label_question
 from sskgqa.classifier import ClassifierModel, ClassifierTrainConfig, train_classifier
 from sskgqa.embeddings import KINDS, EmbeddingTable, EmbedTrainConfig, score_nodes, train
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
@@ -161,7 +161,7 @@ def test_answering_builds_no_graph(monkeypatch):
     kg, questions = norshteyn_kg(), norshteyn_questions()
     table, _ = train(kg, EmbedTrainConfig(d=8, epochs=5, seed=0), "transe")
     clf_data = [
-        (tokenize_question(q.question), kg.entities.id_of(q.topic_entity), label_wsp(q, TAX))
+        (tokenize_question(q.question), kg.entities.id_of(q.topic_entity), label_question(q, TAX))
         for q in questions
     ]
     clf = train_classifier(clf_data, table, TAX, ClassifierTrainConfig(epochs=3, d_model=8, seed=0))

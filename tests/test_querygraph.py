@@ -6,7 +6,7 @@ from sskgqa.annotation import (
     LabeledQuestion,
     SparqlError,
     extract_query_graph,
-    label_wsp,
+    label_question,
     parse_sparql,
 )
 from sskgqa.kg import build_kg
@@ -71,7 +71,7 @@ def test_validation_rejects_two_lambdas():
 
 
 def test_validation_rejects_disconnected():
-    # from either Iri, the other pattern is neither a path edge nor a
+    # from either IRI, the other pattern is neither a path edge nor a
     # constraint on a path node
     for topic in ("a", "b"):
         with pytest.raises(ExtractionError):
@@ -88,7 +88,7 @@ def test_validation_rejects_query_without_the_topic():
         with pytest.raises(ExtractionError, match="no pattern names the topic 'a'"):
             _extract(sparql)
         q = LabeledQuestion("q", "?", "a", [], sparql=sparql)
-        assert label_wsp(q, builtin_taxonomy()) == UNSUPPORTED
+        assert label_question(q, builtin_taxonomy()) == UNSUPPORTED
         assert gold_graph_of(q) is None
     with pytest.raises(StructureError):
         structure_of("X", (VAR, ANSWER, E_CONST), ((0, 1), (2, 0)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_decode_iri, reference_extract_query_graph, reference_parse_sparql
+from reference import reference_decode_iri, reference_extract_query_graph, reference_pairs, reference_parse_sparql
 
 from sskgqa.annotation import (
     _UNSUPPORTED_KEYWORDS,
@@ -14,9 +14,10 @@ from sskgqa.annotation import (
     UNSUPPORTED,
     ExtractionError,
     LabeledQuestion,
+    SparqlAst,
     SparqlError,
     extract_query_graph,
-    label_wsp,
+    label_question,
     parse_sparql,
     sparql_chain,
 )
@@ -49,6 +50,12 @@ def read(parse, extract, text, topic):
         return ast, extract(ast, topic)
     except ExtractionError as exc:
         return ast, "ExtractionError", str(exc)
+
+
+def read_reference(text, topic):
+    """`read` by the reference reader, its AST's terms as (is IRI, name) pairs."""
+    got = read(reference_parse_sparql, reference_extract_query_graph, text, topic)
+    return (reference_pairs(got[0]), *got[1:]) if isinstance(got[0], SparqlAst) else got
 
 
 @st.composite
@@ -93,11 +100,11 @@ def queries(draw):
 def test_reader_equals_the_peek_take_reader(query):
     text, topic = query
     got = read(parse_sparql, extract_query_graph, text, topic)
-    assert got == read(reference_parse_sparql, reference_extract_query_graph, text, topic)
+    assert got == read_reference(text, topic)
     chain = got[1] if isinstance(got[1], Chain) else None
     assert sparql_chain(text, topic) == chain
     label = UNSUPPORTED if chain is None else TAX.find_match(chain.shape) or UNSUPPORTED
-    assert label_wsp(LabeledQuestion("q", "?", topic, [], sparql=text), TAX) == label
+    assert label_question(LabeledQuestion("q", "?", topic, [], sparql=text), TAX) == label
     event("chain" if chain else got[0] if isinstance(got[0], str) else got[1])
 
 
@@ -132,9 +139,18 @@ def test_reader_equals_the_peek_take_reader(query):
     ],
 )
 def test_reader_equals_the_peek_take_reader_on_named_cases(text):
-    assert read(parse_sparql, extract_query_graph, text, "a") == read(
-        reference_parse_sparql, reference_extract_query_graph, text, "a"
-    )
+    assert read(parse_sparql, extract_query_graph, text, "a") == read_reference(text, "a")
+
+
+@pytest.mark.parametrize("text, position", [("SELECT", 1), ("PREFIX", 1)])
+def test_end_where_any_token_may_come_names_no_wanted_token(text, position):
+    # after SELECT comes the ?variable, after PREFIX the namespace: no one
+    # token is wanted, so the message names none (the named cases above hold
+    # the reference reader to the same message)
+    with pytest.raises(SparqlError) as err:
+        parse_sparql(text)
+    assert str(err.value) == f"unexpected end of input (at token {position})"
+    assert err.value.position == position
 
 
 # -- the writer and the reader as a round trip ---------------------------------

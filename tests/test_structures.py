@@ -5,7 +5,7 @@ import pytest
 
 from fixtures import taxonomy_entries
 from reference import reference_chain
-from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_wsp
+from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
 from sskgqa.candidates import SHAPES
 from sskgqa.querygraph import QueryGraphError, build_chain, chain_of
 from sskgqa.structures import (
@@ -106,7 +106,7 @@ def test_abstract_rejects_non_chain():
     with pytest.raises(QueryGraphError):
         abstract(chain_of([("a", "r", "x"), ("a", "s", "x")], "a", "x", {"a": "a"}))
     sparql = "SELECT ?x WHERE { :a :r ?x . :a :s ?x . }"
-    assert label_wsp(LabeledQuestion("q", "?", "a", [], sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
+    assert label_question(LabeledQuestion("q", "?", "a", [], sparql=sparql), builtin_taxonomy()) == UNSUPPORTED
 
 
 def test_taxonomy_rejects_duplicate_shapes():
