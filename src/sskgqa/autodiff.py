@@ -1,15 +1,15 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 arrays.
 
 Vectors are (1, d) arrays; scalars are (1, 1). Parameters are leaf nodes whose
-values persist across steps; a fresh graph is built per forward pass, unless
-the pass runs under no_grad().
+values persist across steps; a fresh graph is built per training forward. The
+ops a model's forward runs also take plain arrays: then they do the same
+arithmetic and return the plain result, so an inference forward builds no
+node.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,40 +35,14 @@ def _as_value(x) -> np.ndarray:
     return arr
 
 
-# Whether ops record their inputs and backward function; off inside no_grad().
-# One flag for the whole process, not per thread.
-_recording = True
-# Stored in place of the backward function of an op output made under
-# no_grad(); backward() refuses any loss that reaches one.
-_UNRECORDED = object()
-
-
-@contextmanager
-def no_grad() -> Iterator[None]:
-    """Run ops without recording a graph: each output keeps its value but no
-    parents and no backward function, so an intermediate is freed as soon as
-    nothing else refers to it. Nests; the previous mode is restored on exit,
-    also when the block raises."""
-    global _recording
-    previous, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = previous
-
-
 class Node:
     __slots__ = ("value", "parents", "grad", "_backward")
 
     def __init__(self, value, parents=(), backward=None):
         self.value = _as_value(value)
         self.grad: np.ndarray | None = None
-        if _recording or backward is None:
-            self.parents = tuple(parents)
-            self._backward = backward
-        else:
-            self.parents = ()
-            self._backward = _UNRECORDED
+        self.parents = tuple(parents)
+        self._backward = backward
 
     @property
     def shape(self):
@@ -88,6 +62,17 @@ class Node:
             self.grad = self.grad + g
 
 
+def value_of(x) -> np.ndarray:
+    """An operand's value: a node's, or the plain array itself."""
+    return x.value if isinstance(x, Node) else x
+
+
+def op_output(value: np.ndarray, parents: tuple, backward):
+    """An op's output: a node recording its parents and backward when the
+    operands are nodes; when they are plain arrays, the value alone."""
+    return Node(value, parents, backward) if isinstance(parents[0], Node) else value
+
+
 def constant(x) -> Node:
     return Node(x)
 
@@ -101,7 +86,7 @@ def _row_grad(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
 
 
-def add(a: Node, b: Node) -> Node:
+def add(a, b):
     """Elementwise sum; a (1, d) operand broadcasts over (n, d) rows."""
     if a.shape != b.shape:
         if not (a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0])):
@@ -111,10 +96,10 @@ def add(a: Node, b: Node) -> Node:
         a.accumulate(_row_grad(g) if a.shape[0] == 1 else g)
         b.accumulate(_row_grad(g) if b.shape[0] == 1 else g)
 
-    return Node(a.value + b.value, (a, b), backward)
+    return op_output(value_of(a) + value_of(b), (a, b), backward)
 
 
-def matmul(a: Node, b: Node) -> Node:
+def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ {a.shape} vs {b.shape}")
 
@@ -122,10 +107,10 @@ def matmul(a: Node, b: Node) -> Node:
         a.accumulate(g @ b.value.T)
         b.accumulate(a.value.T @ g)
 
-    return Node(a.value @ b.value, (a, b), backward)
+    return op_output(value_of(a) @ value_of(b), (a, b), backward)
 
 
-def block_attention(x: Node, weights: list[Node], mask: np.ndarray, blocks: int) -> Node:
+def block_attention(x, weights: list, mask: np.ndarray, blocks: int):
     """Multi-head self-attention within each of `blocks` equal row blocks of
     x, as one node: (blocks*L, d) -> (blocks*L, heads*dh).
 
@@ -165,8 +150,8 @@ def block_attention(x: Node, weights: list[Node], mask: np.ndarray, blocks: int)
     c = 1.0 / math.sqrt(dh)
     # every head's wq, then every wk, then every wv
     stacked = weights[0::3] + weights[1::3] + weights[2::3]
-    w3 = np.array([w.value for w in stacked])
-    qkv = np.matmul(x.value, w3)  # (3*heads, n_rows, dh)
+    w3 = np.array([value_of(w) for w in stacked])
+    qkv = np.matmul(value_of(x), w3)  # (3*heads, n_rows, dh)
     q, k, v = qkv.reshape(3, heads, blocks, width, dh)
     att = np.matmul(q, k.transpose(0, 1, 3, 2))
     att *= c
@@ -201,10 +186,10 @@ def block_attention(x: Node, weights: list[Node], mask: np.ndarray, blocks: int)
         x.grad = total
 
     side_by_side = np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(n_rows, heads * dh)
-    return Node(side_by_side, (x, *weights), backward)
+    return op_output(side_by_side, (x, *weights), backward)
 
 
-def block_pool(x: Node, weights: np.ndarray) -> Node:
+def block_pool(x, weights: np.ndarray):
     """Weighted sums of the rows of each of n equal row blocks of x, as one
     node: row i is weights[i] @ block i, (n*L, d) -> (n, d) for (n, L)
     weights. The weights are an array, not a node, so only x gets a
@@ -218,10 +203,10 @@ def block_pool(x: Node, weights: np.ndarray) -> Node:
     def backward(g):
         x.accumulate(np.matmul(w3.transpose(0, 2, 1), g.reshape(n, 1, -1)).reshape(x.shape))
 
-    return Node(np.matmul(w3, x.value.reshape(n, width, -1)).reshape(n, -1), (x,), backward)
+    return op_output(np.matmul(w3, value_of(x).reshape(n, width, -1)).reshape(n, -1), (x,), backward)
 
 
-def feed_forward(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
+def feed_forward(x, w1, b1, w2, b2):
     """relu(x @ w1 + b1) @ w2 + b2 as one node; the biases are (1, width)
     rows added to every row. Same arithmetic, step for step, as the chain of
     matmul, add, relu, matmul and add nodes, so the gradients have the same
@@ -230,7 +215,7 @@ def feed_forward(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
         raise ShapeError(f"feed_forward: inner dims differ {x.shape}, {w1.shape}, {w2.shape}")
     if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
         raise ShapeError(f"feed_forward: biases {b1.shape} and {b2.shape} are not rows of its widths")
-    pre = x.value @ w1.value + b1.value
+    pre = value_of(x) @ value_of(w1) + value_of(b1)
     active = pre > 0
     hidden = pre * active
 
@@ -242,7 +227,7 @@ def feed_forward(x: Node, w1: Node, b1: Node, w2: Node, b2: Node) -> Node:
         w2.accumulate(hidden.T @ g)
         b2.accumulate(_row_grad(g))
 
-    return Node(hidden @ w2.value + b2.value, (x, w1, b1, w2, b2), backward)
+    return op_output(hidden @ value_of(w2) + value_of(b2), (x, w1, b1, w2, b2), backward)
 
 
 def triplet_hinge(f: Node, alpha: float) -> Node:
@@ -341,26 +326,24 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cells.ravel(), weights=g.ravel(), minlength=n * d).reshape(n, d)
 
 
-def rows(matrix: Node, indices) -> Node:
+def rows(matrix, indices):
     """Gather rows by index; the gradient scatter-adds into the matrix."""
     idx = np.asarray(indices, dtype=np.int64)
-    return Node(matrix.value[idx], (matrix,), lambda g: matrix.accumulate(scatter_rows(idx, g, matrix.shape[0])))
+    return op_output(
+        value_of(matrix)[idx], (matrix,), lambda g: matrix.accumulate(scatter_rows(idx, g, matrix.shape[0]))
+    )
 
 
-def dropout(a: Node, p: float, rng: np.random.Generator, training: bool) -> Node:
+def dropout(a, p: float, rng: np.random.Generator, training: bool):
     """Inverted-scaling dropout; identity when not training or p == 0."""
     if not training or p <= 0.0:
         return a
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    return Node(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
+    return op_output(value_of(a) * mask, (a,), lambda g: a.accumulate(g * mask))
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) for every node reachable from loss.
-
-    Raises ContractError, before any gradient changes, when the loss reaches
-    an op output made under no_grad(): the graph past it was not recorded.
-    """
+    """Accumulate d(loss)/d(node) for every node reachable from loss."""
     if loss.shape != (1, 1):
         raise ContractError(f"loss must be a (1, 1) scalar, got {loss.shape}")
     topo: list[Node] = []
@@ -374,8 +357,6 @@ def backward(loss: Node) -> None:
         if node in seen:
             continue
         seen.add(node)
-        if node._backward is _UNRECORDED:
-            raise ContractError("backward through a node built under no_grad(): no graph was recorded")
         stack.append((node, True))
         for p in node.parents:
             if p not in seen:

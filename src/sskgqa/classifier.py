@@ -44,9 +44,10 @@ class ClassifierTrainConfig:
         )
 
 
-def fuse(eh: np.ndarray, eq: ad.Node) -> ad.Node:
-    """Fuse entity and question vectors as one node: s = eh + eq + (eh
-    complex-mul eq), both half-split (lower half real, higher half imaginary).
+def fuse(eh: np.ndarray, eq: ad.Node | np.ndarray) -> ad.Node | np.ndarray:
+    """Fuse entity and question vectors: s = eh + eq + (eh complex-mul eq),
+    both half-split (lower half real, higher half imaginary); one node when
+    `eq` is a node, the plain array when it is one.
 
     `eh` is a frozen array, so only `eq` gets a gradient: the two terms the
     chain of add, add and complex_mul nodes gives it, g and conj(eh) * g, so
@@ -55,8 +56,9 @@ def fuse(eh: np.ndarray, eq: ad.Node) -> ad.Node:
         raise ad.ShapeError(f"fuse: shape mismatch {eh.shape} vs {eq.shape}")
     if eh.shape[1] % 2 != 0:
         raise ad.ShapeError(f"fuse: column count must be even, got {eh.shape[1]}")
-    value = (eh + eq.value) + ad.complex_mul_packed(eh, eq.value)
-    return ad.Node(value, (eq,), lambda g: eq.accumulate(g + ad.conj_mul_packed(g, eh)))
+    q = ad.value_of(eq)
+    value = (eh + q) + ad.complex_mul_packed(eh, q)
+    return ad.op_output(value, (eq,), lambda g: eq.accumulate(g + ad.conj_mul_packed(g, eh)))
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -93,33 +95,32 @@ class ClassifierModel:
         topics: list[int],
         training: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> ad.Node:
+    ) -> ad.Node | np.ndarray:
         """(n, k) class logits of n (token ids, topic id) examples, from one
-        padded encoder forward."""
+        padded encoder forward: a recorded node when training, else a plain
+        array (see SequenceEncoder.forward)."""
         eq = self.encoder.forward(*id_lists, training=training, rng=rng)
         s = fuse(self.table.lookup_entities(topics), eq)
-        return ad.add(ad.matmul(s, self.w), self.b)
+        w, b = (self.w, self.b) if training else (self.w.value, self.b.value)
+        return ad.add(ad.matmul(s, w), b)
 
     def classify(self, tokens: list[str], topic: int) -> np.ndarray:
-        """Probability vector over the taxonomy classes (under no_grad)."""
-        with ad.no_grad():
-            logits = self._logits([self.encoder.vocab.encode(tokens)], [topic])
-        return softmax_rows(logits.value)[0]
+        """Probability vector over the taxonomy classes."""
+        return softmax_rows(self._logits([self.encoder.vocab.encode(tokens)], [topic]))[0]
 
     def predict(self, tokens: list[str], topic: int) -> str:
         return self.labels[int(np.argmax(self.classify(tokens, topic)))]
 
     def accuracy(self, dataset: list[tuple[list[str], int, str]]) -> float:
         """Share of (tokens, topic, label) examples predicted right, scored in
-        batched forwards of at most ENCODE_CHUNK examples under no_grad."""
+        batched forwards of at most ENCODE_CHUNK examples."""
         if not dataset:
             raise ClassifierError("accuracy of an empty dataset")
         hits = 0
         encode = self.encoder.vocab.encode
         for i in range(0, len(dataset), ENCODE_CHUNK):
             toks, topics, labels = zip(*dataset[i : i + ENCODE_CHUNK])
-            with ad.no_grad():
-                best = np.argmax(self._logits([encode(t) for t in toks], topics).value, axis=1)
+            best = np.argmax(self._logits([encode(t) for t in toks], topics), axis=1)
             hits += sum(self.labels[j] == label for j, label in zip(best, labels))
         return hits / len(dataset)
 

@@ -119,9 +119,12 @@ class SequenceEncoder:
         training: bool = False,
         rng: np.random.Generator | None = None,
         layout: BatchLayout | None = None,
-    ) -> ad.Node:
+    ) -> ad.Node | np.ndarray:
         """f(.) of each token id sequence (`Vocab.encode` of its tokens), as
-        the rows of one (n, out_dim) node.
+        the rows of one (n, out_dim) output: when training, a node whose
+        graph reaches the parameter nodes; otherwise a plain array computed
+        from the parameters' current values, with dropout off and no node
+        built.
 
         The n sequences are padded to the longest length L and run as one
         (n*L, d_model) token matrix. Attention stays inside each sequence's
@@ -135,22 +138,21 @@ class SequenceEncoder:
             layout = batch_layout(sequences)
         cfg = self.cfg
         n = len(sequences)
-        x = ad.rows(self.params["tok_emb"], layout.ids)
+        p = self.params if training else {name: w.value for name, w in self.params.items()}
+        x = ad.rows(p["tok_emb"], layout.ids)
         if cfg.use_attention:
-            p = self.params
             weights = [p[f"{w}{h}"] for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
             attended = ad.block_attention(x, weights, layout.mask, n)
             x = ad.add(x, ad.matmul(attended, p["wo"]))
             x = ad.add(x, ad.feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
         pooled = ad.block_pool(x, layout.pool)
         pooled = ad.dropout(pooled, cfg.dropout, rng, training)
-        return ad.matmul(pooled, self.params["proj"])
+        return ad.matmul(pooled, p["proj"])
 
     def encode(self, *sequences: list[int]) -> np.ndarray:
-        """Inference-mode (n, out_dim) vectors, one row per id sequence: dropout
-        off, and the forward runs under no_grad, so it records no graph."""
-        with ad.no_grad():
-            return self.forward(*sequences).value
+        """Inference-mode (n, out_dim) vectors, one row per id sequence: the
+        forward that builds no node."""
+        return self.forward(*sequences)
 
     # -- checkpoint payload (see write_checkpoint) --
 

@@ -131,12 +131,10 @@ def taxonomy_entries(tax) -> list[dict]:
 
 
 def score_tails(table: EmbeddingTable, h: int, r: int, tails) -> np.ndarray:
-    """Scores of (h, r, t') for a vector of candidate tails, computed under
-    no_grad."""
+    """Scores of (h, r, t') for a vector of candidate tails."""
     n = len(tails)
     hs, rs = np.full(n, h), np.full(n, r)
-    with ad.no_grad():
-        return score_nodes(ad.constant(table.ent), ad.constant(table.rel), table.kind, hs, rs, tails).value[:, 0]
+    return score_nodes(ad.constant(table.ent), ad.constant(table.rel), table.kind, hs, rs, tails).value[:, 0]
 
 
 def filtered_mrr(table: EmbeddingTable, kg: KnowledgeGraph) -> float:

@@ -871,13 +871,12 @@ def reference_score_all(model, question_tokens, cands) -> list[float]:
     with the default split, and each chunk of ENCODE_CHUNK token sequences
     mapped to ids inside its forward."""
     seqs = [question_tokens] + [serialize_tokens(c) for c in cands]
-    with ad.no_grad():
-        vecs = np.concatenate(
-            [
-                reference_token_forward(model.encoder, *seqs[i : i + ranker.ENCODE_CHUNK]).value
-                for i in range(0, len(seqs), ranker.ENCODE_CHUNK)
-            ]
-        )
+    vecs = np.concatenate(
+        [
+            reference_token_forward(model.encoder, *seqs[i : i + ranker.ENCODE_CHUNK])
+            for i in range(0, len(seqs), ranker.ENCODE_CHUNK)
+        ]
+    )
     return (-np.linalg.norm(vecs[1:] - vecs[0], axis=1)).tolist()
 
 

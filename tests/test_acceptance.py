@@ -125,9 +125,9 @@ def test_criterion_2_triplet_loss_and_gradient_check():
     ]
 
     def loss_value():
-        f_q = enc.forward(seq_q)
-        f_p = enc.forward(seq_p)
-        f_n = enc.forward(seq_n)
+        f_q = enc.forward(seq_q, training=True)
+        f_p = enc.forward(seq_p, training=True)
+        f_n = enc.forward(seq_n, training=True)
         raw = ad.add(
             reference_sub(reference_rownorm(reference_sub(f_q, f_p)), reference_rownorm(reference_sub(f_q, f_n))),
             ad.constant([[5.0]]),

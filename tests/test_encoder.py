@@ -127,14 +127,15 @@ def test_attention_params_present_only_when_enabled():
 
 
 @pytest.mark.parametrize(
-    "use_attention, training, nodes",
-    [(True, False, 8), (True, True, 9), (False, False, 3)],
+    "use_attention, dropout, nodes",
+    [(True, 0.0, 8), (True, 0.5, 9), (False, 0.0, 3)],
     ids=["attention", "attention_dropout", "no_attention"],
 )
-def test_forward_builds_one_node_per_layer(monkeypatch, use_attention, training, nodes):
-    # token rows, attention, wo, residual, feed-forward, residual, pooling,
-    # dropout when training, projection
-    enc = make_encoder(use_attention=use_attention, dropout=0.5)
+def test_forward_builds_one_node_per_layer(monkeypatch, use_attention, dropout, nodes):
+    # training: token rows, attention, wo, residual, feed-forward, residual,
+    # pooling, dropout when it is on, projection; the inference forward
+    # builds none
+    enc = make_encoder(use_attention=use_attention, dropout=dropout)
     built = []
     init = ad.Node.__init__
 
@@ -143,13 +144,15 @@ def test_forward_builds_one_node_per_layer(monkeypatch, use_attention, training,
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ad.Node, "__init__", counting)
-    enc.forward([1, 2], [3], training=training, rng=np.random.default_rng(0))
+    enc.forward([1, 2], [3], training=True, rng=np.random.default_rng(0))
+    assert len(built) == nodes
+    assert isinstance(enc.forward([1, 2], [3]), np.ndarray)
     assert len(built) == nodes
 
 
 def test_gradients_flow_to_all_params():
     enc = make_encoder()
-    out = enc.forward([1, 2, 3])
+    out = enc.forward([1, 2, 3], training=True)
     loss = ad.sum_all(reference_mul(out, out))
     ad.backward(loss)
     for name, p in enc.params.items():
@@ -164,7 +167,7 @@ def test_trainable_toward_target():
     opt = AdamW(lr=0.05)
     first = None
     for _ in range(100):
-        out = enc.forward([1, 2])
+        out = enc.forward([1, 2], training=True)
         loss = reference_rownorm(reference_sub(out, target))
         if first is None:
             first = float(loss.value[0, 0])

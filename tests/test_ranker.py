@@ -256,9 +256,9 @@ def test_batch_triplet_loss_matches_per_negative_form():
             ad.backward(loss)
             return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
 
-        batched = ad.triplet_hinge(enc.forward(*seqs), alpha)
+        batched = ad.triplet_hinge(enc.forward(*seqs, training=True), alpha)
         got = grads_of(batched)
-        f_q, f_p, *f_n = (enc.forward(s) for s in seqs)
+        f_q, f_p, *f_n = (enc.forward(s, training=True) for s in seqs)
         terms = [
             reference_relu(
                 ad.add(
