@@ -17,6 +17,9 @@ OOV = "[OOV]"
 # Most sequences a model encodes in one forward at inference (the ranker's
 # score_all, the classifier's accuracy); bounds the forward's padded arrays.
 ENCODE_CHUNK = 256
+# Most ids of one sequence a forward reads: the rest are dropped, in training
+# and in answering alike, so attention's L x L scores stay bounded.
+MAX_TOKENS = 64
 
 
 @dataclass
@@ -85,11 +88,12 @@ class BatchLayout(NamedTuple):
 
 def batch_layout(sequences: Sequence[list[int]]) -> BatchLayout:
     """The BatchLayout of a forward over `sequences`, one or more non-empty
-    id sequences."""
+    id sequences, each cut to its first MAX_TOKENS ids."""
     if not sequences:
         raise ValueError("forward needs at least one token sequence")
     if not all(sequences):
         raise ValueError("token sequences must be non-empty")
+    sequences = [s[:MAX_TOKENS] for s in sequences]
     lens = np.array([len(s) for s in sequences])
     real = np.arange(int(lens.max())) < lens[:, None]
     ids = np.zeros(real.shape, dtype=np.int64)

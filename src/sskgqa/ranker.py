@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .candidates import EnumConfig, enumerate_candidates
-from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, batch_layout, read_checkpoint, write_checkpoint
+from .encoder import ENCODE_CHUNK, MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab, batch_layout, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 from .querygraph import Chain, canonicalize, serialize_tokens, split_symbol
@@ -67,7 +67,8 @@ class RankerModel:
 
         The candidates share a topic and a few relation and value symbols, so
         each distinct symbol is split once per call; nothing is kept across
-        calls."""
+        calls. Each sequence is cut to the MAX_TOKENS tokens the encoder
+        reads before it is mapped to ids."""
         splits: dict[str, tuple[str, ...]] = {}
 
         def split(symbol: str) -> tuple[str, ...]:
@@ -77,7 +78,8 @@ class RankerModel:
             return parts
 
         encode = self.encoder.vocab.encode
-        seqs = [encode(question_tokens)] + [encode(serialize_tokens(c, split=split)) for c in cands]
+        seqs = [encode(question_tokens[:MAX_TOKENS])]
+        seqs += [encode(serialize_tokens(c, split=split)[:MAX_TOKENS]) for c in cands]
         vecs = np.concatenate(
             [
                 self.encoder.encode(*seqs[i : i + ENCODE_CHUNK])

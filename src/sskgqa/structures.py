@@ -152,7 +152,8 @@ def _structure_entry(path: str, i: int, e) -> SemanticStructure:
     if not isinstance(e, dict) or not all(k in e for k in ("label", "kinds", "edges")):
         raise StructureError(f"{name}: needs label, kinds and edges")
     label = e["label"]
-    if not isinstance(label, str) or "\n" in label or "\r" in label:
+    # splitlines drops every character that breaks a line: \n, \r, U+2028 ...
+    if not isinstance(label, str) or "".join(label.splitlines()) != label:
         raise StructureError(f"{name} ({label!r}): label must be a string without line breaks")
     name += f" ({label})"
     kinds = e["kinds"]

@@ -576,6 +576,28 @@ def test_taxonomy_field_of_any_value_is_read_or_one_error_line(toy, tmp_path_fac
 
 
 @pytest.mark.parametrize(
+    "brk", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r\n"],
+    ids=["u2028", "u2029", "nel", "vt", "ff", "fs", "gs", "rs", "crlf"],
+)
+def test_taxonomy_label_with_a_line_break_is_one_error_line(toy, tmp_path, brk):
+    # every character str.splitlines breaks on, in a label whose drawing
+    # branches too: the label is refused first, so its break never reaches
+    # a message
+    from sskgqa.structures import builtin_taxonomy
+
+    branch = {"kinds": ["E", "v", "v", "a"], "edges": [[0, 1], [0, 2], [1, 3]]}
+    tax = tmp_path / "tax.json"
+    tax.write_text(json.dumps(taxonomy_entries(builtin_taxonomy()) + [{"label": f"X{brk}Y", **branch}]))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["annotate", "--dataset", str(toy / "questions.jsonl"), "--taxonomy", str(tax)])
+    assert code == 1
+    assert err.getvalue().splitlines() == [
+        f"error: {tax}: entry 6 ({f'X{brk}Y'!r}): label must be a string without line breaks"
+    ]
+
+
+@pytest.mark.parametrize(
     "entry",
     [{"label": "X", "kinds": ["E", "a"]}, {"label": "X", "kinds": ["E", "zz", "a"], "edges": [[0, 1], [1, 2]]}],
     ids=["missing_edges", "unknown_kind"],

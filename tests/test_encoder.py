@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fixtures import count_forwards
 from reference import reference_mul, reference_rownorm, reference_sub
 from sskgqa import autodiff as ad
-from sskgqa.encoder import OOV, EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.encoder import MAX_TOKENS, OOV, EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.optim import AdamW, ParameterBuffer, train_step
 
 
@@ -117,6 +117,25 @@ def test_empty_sequence_rejected():
         seqs.insert(at, [])
         with pytest.raises(ValueError):
             enc.forward(*seqs)
+
+
+def test_forward_reads_the_first_max_tokens_ids():
+    # in answering and in training alike: the ids past MAX_TOKENS change
+    # nothing, so they get no gradient either
+    enc = make_encoder()
+    long = [1, 2, 3, 4] * MAX_TOKENS
+    head = long[:MAX_TOKENS]
+    assert np.array_equal(enc.encode(long, [2]), enc.encode(head, [2]))
+    outs = []
+    for seq in (long, head):
+        out = enc.forward(seq, [2], training=True)
+        ad.backward(ad.sum_all(reference_mul(out, out)))
+        outs.append((out.value, [p.grad for p in enc.parameters()]))
+        for p in enc.parameters():
+            p.zero_grad()
+    (got, got_grads), (want, want_grads) = outs
+    assert got.tobytes() == want.tobytes()
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got_grads, want_grads))
 
 
 def test_attention_params_present_only_when_enabled():

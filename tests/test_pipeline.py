@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sskgqa
 from fixtures import random_fixture
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
 from sskgqa.kg import build_kg
@@ -180,3 +186,55 @@ def test_evaluate_counts():
     assert report.unsupported == 1
     assert report.correct == 4
     assert report.hits_at_1 == pytest.approx(80.0)
+
+
+# Answers one 100,000-word input on the ranker toy in `off` mode, in a child
+# process that first caps its own address space, so an encoder that read every
+# token (3 heads x 60 sequences x L x L attention scores) fails there with a
+# MemoryError instead of exhausting the host. Prints the answer's seconds and
+# tracemalloc peak.
+LONG_INPUT = """
+import resource, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from sskgqa import pipeline as pl
+from sskgqa.annotation import LabeledQuestion
+from sskgqa.kg import build_kg
+from sskgqa.ranker import RankTrainConfig, train_ranker
+from sskgqa.structures import builtin_taxonomy
+from sskgqa.synth import ranker_fixture
+
+kg, questions = ranker_fixture()
+tax = builtin_taxonomy()
+data = [(pl.tokenize_question(q.question), pl.gold_graph_of(q)) for q in questions]
+ranker = train_ranker(data, kg, tax, RankTrainConfig(epochs=1, negatives=4))
+long = " ".join(f"w{i}" for i in range(100_000))
+question = "what color is thing0"
+if {where!r} == "question":
+    question = long
+else:  # a relation of thing0, so most candidates serialize it
+    ent, rel = kg.entities.symbol_of, kg.relations.symbol_of
+    kg = build_kg([(ent(h), rel(r), ent(t)) for h, r, t in kg.iter_triples()] + [("thing0", long, "val0_0")])
+cfg = pl.PipelineConfig(kg=kg, taxonomy=tax, ranker=ranker, mode="off")
+tracemalloc.start()
+t0 = time.perf_counter()
+result, _ = pl.answer_question(cfg, LabeledQuestion("long", question, "thing0", []))
+print(result.status, time.perf_counter() - t0, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("where", ["question", "kg_symbol"])
+def test_a_long_input_is_answered_in_bounded_time_and_memory(where):
+    # uncapped, a 2,000-word question was killed by the kernel for memory
+    src = str(Path(sskgqa.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", LONG_INPUT.replace("{where!r}", repr(where))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    status, seconds, peak = proc.stdout.split()
+    assert status == "ok"
+    assert float(seconds) < 10.0
+    assert int(peak) < 64 << 20
