@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 
@@ -24,17 +22,10 @@ class LookupError_(KgError):
 class SymbolTable:
     """Bidirectional symbol <-> dense id mapping, first-appearance order."""
 
-    def __init__(self) -> None:
-        self._sym_to_id: dict[str, int] = {}
-        self._id_to_sym: list[str] = []
-
-    def intern(self, symbol: str) -> int:
-        i = self._sym_to_id.get(symbol)
-        if i is None:
-            i = len(self._id_to_sym)
-            self._sym_to_id[symbol] = i
-            self._id_to_sym.append(symbol)
-        return i
+    def __init__(self, ids: dict[str, int] | None = None) -> None:
+        """`ids` maps each symbol to its id, numbered 0, 1, ... in insertion order."""
+        self._sym_to_id = ids or {}
+        self._id_to_sym = list(self._sym_to_id)
 
     def id_of(self, symbol: str) -> int:
         try:
@@ -119,15 +110,28 @@ def step(kg: KnowledgeGraph, frontier: set[int], rid: int, rev: bool) -> set[int
 
 
 def build_kg(records: Iterable[tuple[str, str, str]]) -> KnowledgeGraph:
-    """Intern symbols in first-appearance order and index the distinct triples."""
-    kg = KnowledgeGraph()
-    ids = {(kg.entities.intern(h), kg.relations.intern(r), kg.entities.intern(t)) for h, r, t in records}
-    kg.num_triples = len(ids)
-    kg.tails_of = [{} for _ in range(kg.num_entities)]
-    kg.heads_of = [{} for _ in range(kg.num_entities)]
+    """Intern symbols in first-appearance order and index the distinct triples:
+    each direction's sorted id triples close one tuple per (entity, relation) run."""
+    ents: dict[str, int] = {}
+    rels: dict[str, int] = {}
+    ids = {
+        (ents.setdefault(h, len(ents)), rels.setdefault(r, len(rels)), ents.setdefault(t, len(ents)))
+        for h, r, t in records
+    }
+    kg = KnowledgeGraph(SymbolTable(ents), SymbolTable(rels), num_triples=len(ids))
+    kg.tails_of = [{} for _ in ents]
+    kg.heads_of = [{} for _ in ents]
     for index, triples in ((kg.tails_of, ids), (kg.heads_of, [(t, r, h) for h, r, t in ids])):
-        for (e, r), group in groupby(sorted(triples), key=itemgetter(0, 1)):
-            index[e][r] = tuple(x for _, _, x in group)
+        e0 = r0 = -1
+        run: list[int] = []
+        for e, r, x in sorted(triples):
+            if r != r0 or e != e0:
+                if run:
+                    index[e0][r0] = tuple(run)
+                e0, r0, run = e, r, []
+            run.append(x)
+        if run:
+            index[e0][r0] = tuple(run)
     return kg
 
 

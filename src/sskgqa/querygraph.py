@@ -175,17 +175,20 @@ def execute(c: Chain, kg: KnowledgeGraph) -> set[int]:
     return frontier
 
 
+# each character the SPARQL tokenizer would split on, or that `parse_sparql` reads
+_NEEDS_ESCAPE = re.compile(r"[\s%.:?{}()<>=]")
+
+
+def _escape(m: re.Match) -> str:
+    c = ord(m[0])
+    return f"%{c:02x}" if c <= 0xFF else f"%u{c:04x}"
+
+
 def _encode_iri(symbol: str) -> str:
-    """`symbol` with each character the SPARQL tokenizer would split on, or
-    that `parse_sparql` reads, escaped: `%xx` up to U+00FF and `%uXXXX`
-    above it (every whitespace character lies below U+10000)."""
-    out = []
-    for ch in symbol:
-        if ch.isspace() or ch in "%.:?{}()<>=":
-            out.append(f"%{ord(ch):02x}" if ord(ch) <= 0xFF else f"%u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    """`symbol` with each `_NEEDS_ESCAPE` character escaped: `%xx` up to
+    U+00FF and `%uXXXX` above it (every whitespace character lies below
+    U+10000); a symbol with none is returned as it is."""
+    return symbol if _NEEDS_ESCAPE.search(symbol) is None else _NEEDS_ESCAPE.sub(_escape, symbol)
 
 
 _ESCAPE_RE = re.compile(r"%(?:u([0-9a-fA-F]{4})|([0-9a-fA-F]{2}))")

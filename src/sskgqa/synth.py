@@ -84,7 +84,7 @@ def three_hop_benchmark(
     triples: list[tuple[str, str, str]] = []
     questions: list[LabeledQuestion] = []
     for i in range(n_questions):
-        ra, rb, rc = rng.choice(STEP_RELATIONS, size=3, replace=False)
+        ra, rb, rc = (STEP_RELATIONS[k] for k in rng.choice(len(STEP_RELATIONS), size=3, replace=False))
         topic, m1, m2, ans, decoy = (
             f"t{i}",
             f"m{i}a",

@@ -39,14 +39,17 @@ read each term as an (is IRI, name) pair: `reference_parse_sparql`, with
 `Iri` and `Var` terms, `reference_extract_query_graph` (those terms as the
 nodes `chain_of` walks), `reference_pairs` (its AST with pair terms, to
 compare with `annotation.parse_sparql`'s) and `reference_decode_iri`, the
-escape regex run on every name;
+escape regex run on every name; `reference_encode_iri`, the SPARQL writer's
+escape as a loop over every character;
 and the nodes those chains build that no model runs: `reference_relu`,
 `reference_sub`, `reference_rownorm`, `reference_cos`, `reference_sin`,
 `reference_split_halves`, `reference_concat_cols`, `reference_mul`,
 `reference_softmax`, `reference_log`, `reference_rowsum` and
 `reference_complex_mul`.
 KG reads go through `out_edges`/`in_edges` only:
-`reference_step` scans them in place of the relation index."""
+`reference_step` scans them in place of the relation index, and
+`reference_build_kg` builds that index by a lookup-then-insert intern and
+a `groupby` per sorted (entity, relation) group."""
 
 import itertools
 import math
@@ -67,6 +70,7 @@ from sskgqa.annotation import (
 )
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.encoder import SequenceEncoder, Vocab
+from sskgqa.kg import KnowledgeGraph, SymbolTable
 from sskgqa.optim import BETA1, BETA2, EPS, MAX_NORM, AdamW, ParameterBuffer, train_step
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
@@ -234,6 +238,18 @@ def reference_decode_iri(name: str) -> str:
     return re.sub(r"%(?:u([0-9a-fA-F]{4})|([0-9a-fA-F]{2}))", lambda m: chr(int(m.group(1) or m.group(2), 16)), name)
 
 
+def reference_encode_iri(symbol: str) -> str:
+    """`querygraph._encode_iri` as a test of every character by
+    `str.isspace` and membership in its punctuation."""
+    out = []
+    for ch in symbol:
+        if ch.isspace() or ch in "%.:?{}()<>=":
+            out.append(f"%{ord(ch):02x}" if ord(ch) <= 0xFF else f"%u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def reference_parse_sparql(text: str) -> SparqlAst:
     """`annotation.parse_sparql` by `peek`/`take` closures over the token
     list, one token at a time."""
@@ -319,6 +335,29 @@ def reference_extract_query_graph(ast, topic: str) -> Chain:
         return chain_of(edges, Iri(topic), Var(ast.select_var), labels)
     except QueryGraphError as exc:
         raise ExtractionError(str(exc)) from exc
+
+
+def reference_build_kg(records) -> KnowledgeGraph:
+    """`kg.build_kg` with each symbol interned by a lookup and, when it is
+    new, an insert, and each index filled by one `groupby` per sorted
+    (entity, relation) group."""
+    ents: dict[str, int] = {}
+    rels: dict[str, int] = {}
+
+    def intern(table: dict[str, int], symbol: str) -> int:
+        i = table.get(symbol)
+        if i is None:
+            i = table[symbol] = len(table)
+        return i
+
+    ids = {(intern(ents, h), intern(rels, r), intern(ents, t)) for h, r, t in records}
+    kg = KnowledgeGraph(SymbolTable(ents), SymbolTable(rels), num_triples=len(ids))
+    kg.tails_of = [{} for _ in range(kg.num_entities)]
+    kg.heads_of = [{} for _ in range(kg.num_entities)]
+    for index, triples in ((kg.tails_of, ids), (kg.heads_of, [(t, r, h) for h, r, t in ids])):
+        for (e, r), group in itertools.groupby(sorted(triples), key=lambda x: x[:2]):
+            index[e][r] = tuple(x for _, _, x in group)
+    return kg
 
 
 def reference_step(kg, frontier, rid: int, rev: bool) -> set[int]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_build_kg
 from sskgqa.kg import (
     LookupError_,
     ParseError,
@@ -18,10 +19,8 @@ from sskgqa.querygraph import Chain, execute
 
 
 def test_symbol_table_dense_ids():
-    table = SymbolTable()
-    assert table.intern("a") == 0
-    assert table.intern("b") == 1
-    assert table.intern("a") == 0
+    table = build_kg([("a", "r", "b"), ("b", "r", "a")]).entities
+    assert table.id_of("a") == 0
     assert table.symbol_of(1) == "b"
     assert table.id_of("b") == 1
     assert "a" in table
@@ -108,15 +107,16 @@ def test_has_triple_id_checked():
 # -- the relation index against a brute-force list of triples ------------------
 
 NAMES = [f"e{i}" for i in range(6)]
-record = st.tuples(st.sampled_from(NAMES), st.sampled_from(["r", "s", "t"]), st.sampled_from(NAMES))
+RELATIONS = ["r", "s", "t"]
 
 
 @st.composite
-def records_with_repeats(draw):
+def records_with_repeats(draw, names=NAMES, relations=RELATIONS):
     """Records over few symbols, so self-loops and entities with no out- or
     in-edges are common, plus repeats of drawn records, shuffled."""
+    record = st.tuples(st.sampled_from(names), st.sampled_from(relations), st.sampled_from(names))
     base = draw(st.lists(record, max_size=25))
-    loops = draw(st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(["r", "s"])), max_size=3))
+    loops = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(relations[:2])), max_size=3))
     base += [(e, r, e) for e, r in loops]
     repeats = draw(st.lists(st.sampled_from(base), max_size=10)) if base else []
     return draw(st.permutations(base + repeats))
@@ -145,6 +145,25 @@ def test_index_equals_brute_force(records, data):
     for r in range(m):
         assert step(kg, frontier, r, False) == {t for h, rr, t in triples if rr == r and h in frontier}
         assert step(kg, frontier, r, True) == {h for h, rr, t in triples if rr == r and t in frontier}
+
+
+# non-ASCII symbols, and "r" and "e0" each both an entity and a relation
+WIDE_NAMES = NAMES + ["é", "東京", "\U0001d4b3", "r"]
+WIDE_RELATIONS = RELATIONS + ["ü", "e0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=records_with_repeats(WIDE_NAMES, WIDE_RELATIONS))
+def test_build_kg_equals_the_groupby_build(records):
+    kg, ref = build_kg(records), reference_build_kg(records)
+    assert kg.entities.symbols() == ref.entities.symbols()
+    assert kg.relations.symbols() == ref.relations.symbols()
+    for table in (kg.entities, kg.relations):
+        assert [table.id_of(x) for x in table.symbols()] == list(range(len(table)))
+    for index, ref_index in ((kg.tails_of, ref.tails_of), (kg.heads_of, ref.heads_of)):
+        assert [list(d.items()) for d in index] == [list(d.items()) for d in ref_index]
+        assert all(type(v) is tuple for d in index for v in d.values())
+    assert kg.num_triples == ref.num_triples
 
 
 def test_hub_lookups_are_bounded():

@@ -1,12 +1,19 @@
 """The SPARQL reader against the peek/take reader it replaced (in
-`reference.py`), on `to_sparql` queries and broken copies of them, and the
-writer and reader as a round trip over all of Unicode."""
+`reference.py`), on `to_sparql` queries and broken copies of them, the
+writer's escape against its per-character loop, and the writer and reader as
+a round trip over all of Unicode."""
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_decode_iri, reference_extract_query_graph, reference_pairs, reference_parse_sparql
+from reference import (
+    reference_decode_iri,
+    reference_encode_iri,
+    reference_extract_query_graph,
+    reference_pairs,
+    reference_parse_sparql,
+)
 
 from sskgqa.annotation import (
     _UNSUPPORTED_KEYWORDS,
@@ -164,6 +171,18 @@ TEXT = st.text(CHARS)
 @given(TEXT)
 def test_decode_reads_back_what_encode_wrote(s):
     assert decode_iri(_encode_iri(s)) == s
+
+
+def test_encode_iri_equals_the_loop_on_every_character():
+    # pins the one-pass search's character class against `str.isspace`
+    chars = [chr(c) for c in range(0x110000)]
+    assert [_encode_iri(ch) for ch in chars] == [reference_encode_iri(ch) for ch in chars]
+
+
+@settings(max_examples=500, deadline=None)
+@given(TEXT)
+def test_encode_iri_equals_the_loop(s):
+    assert _encode_iri(s) == reference_encode_iri(s)
 
 
 @settings(max_examples=300, deadline=None)
