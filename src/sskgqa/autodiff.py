@@ -2,9 +2,9 @@
 
 Vectors are (1, d) arrays; scalars are (1, 1). Parameters are leaf nodes whose
 values persist across steps; a fresh graph is built per training forward. The
-ops a model's forward runs also take plain arrays: then they do the same
-arithmetic and return the plain result, so an inference forward builds no
-node.
+encoder's fused ops (`block_attention`, `feed_forward`, `block_pool`) take and
+return plain arrays: each returns its value and a backward that returns
+gradients, and a model's forward makes one node of them.
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ class Node:
             self.grad = self.grad + g
 
 
-def value_of(x) -> np.ndarray:
-    """An operand's value: a node's, or the plain array itself."""
-    return x.value if isinstance(x, Node) else x
-
-
-def op_output(value: np.ndarray, parents: tuple, backward):
-    """An op's output: a node recording its parents and backward when the
-    operands are nodes; when they are plain arrays, the value alone."""
-    return Node(value, parents, backward) if isinstance(parents[0], Node) else value
-
-
 def constant(x) -> Node:
     return Node(x)
 
@@ -96,23 +85,12 @@ def add(a, b):
         a.accumulate(_row_grad(g) if a.shape[0] == 1 else g)
         b.accumulate(_row_grad(g) if b.shape[0] == 1 else g)
 
-    return op_output(value_of(a) + value_of(b), (a, b), backward)
+    return Node(a.value + b.value, (a, b), backward)
 
 
-def matmul(a, b):
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ {a.shape} vs {b.shape}")
-
-    def backward(g):
-        a.accumulate(g @ b.value.T)
-        b.accumulate(a.value.T @ g)
-
-    return op_output(value_of(a) @ value_of(b), (a, b), backward)
-
-
-def block_attention(x, weights: list, mask: np.ndarray, blocks: int):
+def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, blocks: int):
     """Multi-head self-attention within each of `blocks` equal row blocks of
-    x, as one node: (blocks*L, d) -> (blocks*L, heads*dh).
+    x: (blocks*L, d) -> (blocks*L, heads*dh), returned with its backward.
 
     `weights` is [wq0, wk0, wv0, wq1, ...], three (d, dh) projections per
     head. `mask` is the (blocks, L) additive key mask: row i (0 for a key,
@@ -121,19 +99,23 @@ def block_attention(x, weights: list, mask: np.ndarray, blocks: int):
     softmax(q_i k_i^T / sqrt(dh) + mask_i) @ v_i; the heads' outputs are
     returned side by side.
 
+    backward(g, held) gives, from the output's gradient g, x's gradient and
+    the list of the weights' gradients in the order of `weights`. x's is
+    the projections' gradients added in the order of `weights`, after
+    `held`, the gradient x already holds (None for none), as the walk of a
+    chain of matmul, block product, scale, mask add, row softmax and block
+    product nodes per head adds them.
+
     All heads run together, as (heads, blocks, L, .) stacks: each batched
-    product is one matmul per (head, block), the same products a chain of
-    matmul, block product, scale, mask add, row softmax and block product
-    nodes per head runs, and the elementwise steps and row sums are that
-    chain's, step for step. The projections are one product of x with the
-    (3*heads, d, dh) stack of the weights, and the backward takes the
-    weights' gradients and x's each as one product with the stack of the
-    projections' gradients; each item is the 2-D product that chain takes.
-    The row max is one reduction over a transposed copy of the scores,
-    which is faster than a reduction over each short row; max is exact, so
-    it has the same bits. The backward adds the projections' gradients into
-    x in the order of `weights`, after the gradient x already holds, as that
-    chain's walk did, so the values and gradients have the same bits.
+    product is one matmul per (head, block), the same products that chain
+    runs, and the elementwise steps and row sums are that chain's, step for
+    step. The projections are one product of x with the (3*heads, d, dh)
+    stack of the weights, and the backward takes the weights' gradients and
+    x's each as one product with the stack of the projections' gradients;
+    each item is the 2-D product that chain takes. The row max is one
+    reduction over a transposed copy of the scores, which is faster than a
+    reduction over each short row; max is exact, so it has the same bits.
+    So the values and gradients have that chain's bits.
     """
     n_rows, d = x.shape
     if not weights or len(weights) % 3:
@@ -148,10 +130,10 @@ def block_attention(x, weights: list, mask: np.ndarray, blocks: int):
         raise ShapeError(f"block_attention: mask is {mask.shape}, expected {(blocks, width)}")
     heads = len(weights) // 3
     c = 1.0 / math.sqrt(dh)
-    # every head's wq, then every wk, then every wv
-    stacked = weights[0::3] + weights[1::3] + weights[2::3]
-    w3 = np.array([value_of(w) for w in stacked])
-    qkv = np.matmul(value_of(x), w3)  # (3*heads, n_rows, dh)
+    # every head's wq, then every wk, then every wv; weights[i] is stack item order[i]
+    w3 = np.array(weights[0::3] + weights[1::3] + weights[2::3])
+    order = [(i % 3) * heads + i // 3 for i in range(len(weights))]
+    qkv = np.matmul(x, w3)  # (3*heads, n_rows, dh)
     q, k, v = qkv.reshape(3, heads, blocks, width, dh)
     att = np.matmul(q, k.transpose(0, 1, 3, 2))
     att *= c
@@ -162,7 +144,7 @@ def block_attention(x, weights: list, mask: np.ndarray, blocks: int):
     att /= att.sum(axis=3, keepdims=True)
     out = np.matmul(att, v)  # (heads, blocks, L, dh)
 
-    def backward(g):
+    def backward(g: np.ndarray, held: np.ndarray | None):
         g4 = g.reshape(blocks, width, heads, dh).transpose(2, 0, 1, 3)
         g_qkv = np.empty_like(qkv)
         gq, gk, gv = g_qkv.reshape(3, heads, blocks, width, dh)
@@ -173,61 +155,54 @@ def block_attention(x, weights: list, mask: np.ndarray, blocks: int):
         gs *= c
         np.matmul(gs, k, out=gq)
         np.matmul(gs.transpose(0, 1, 3, 2), q, out=gk)
-        for w, gw in zip(stacked, np.matmul(x.value.T, g_qkv)):
-            w.accumulate(gw)
+        gw = np.matmul(x.T, g_qkv)
         gx = np.matmul(g_qkv, w3.transpose(0, 2, 1))  # (3*heads, n_rows, d)
-        # x's gradient takes the projections' in the order of `weights`
-        order = [(i % 3) * heads + i // 3 for i in range(len(weights))]
         total = gx[order[0]]
-        if x.grad is not None:
-            total += x.grad
+        if held is not None:
+            total += held
         for i in order[1:]:
             total += gx[i]
-        x.grad = total
+        return total, [gw[i] for i in order]
 
-    side_by_side = np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(n_rows, heads * dh)
-    return op_output(side_by_side, (x, *weights), backward)
+    return np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(n_rows, heads * dh), backward
 
 
-def block_pool(x, weights: np.ndarray):
-    """Weighted sums of the rows of each of n equal row blocks of x, as one
-    node: row i is weights[i] @ block i, (n*L, d) -> (n, d) for (n, L)
-    weights. The weights are an array, not a node, so only x gets a
-    gradient: the one a block product of the weights as a constant node
-    gives it, with the same bits."""
+def block_pool(x: np.ndarray, weights: np.ndarray):
+    """Weighted sums of the rows of each of n equal row blocks of x: row i
+    is weights[i] @ block i, (n*L, d) -> (n, d) for (n, L) weights, returned
+    with its backward, which gives x's gradient from the output's: the one a
+    block product of the weights as a constant node gives it, with the same
+    bits."""
     n, width = weights.shape
     if x.shape[0] != n * width:
         raise ShapeError(f"block_pool: {x.shape} does not split into {n} blocks of {width} rows")
     w3 = weights.reshape(n, 1, width)
 
-    def backward(g):
-        x.accumulate(np.matmul(w3.transpose(0, 2, 1), g.reshape(n, 1, -1)).reshape(x.shape))
+    def backward(g: np.ndarray) -> np.ndarray:
+        return np.matmul(w3.transpose(0, 2, 1), g.reshape(n, 1, -1)).reshape(x.shape)
 
-    return op_output(np.matmul(w3, value_of(x).reshape(n, width, -1)).reshape(n, -1), (x,), backward)
+    return np.matmul(w3, x.reshape(n, width, -1)).reshape(n, -1), backward
 
 
-def feed_forward(x, w1, b1, w2, b2):
-    """relu(x @ w1 + b1) @ w2 + b2 as one node; the biases are (1, width)
-    rows added to every row. Same arithmetic, step for step, as the chain of
-    matmul, add, relu, matmul and add nodes, so the gradients have the same
-    bits."""
+def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
+    """relu(x @ w1 + b1) @ w2 + b2, returned with its backward, which gives
+    the gradients of x, w1, b1, w2 and b2 from the output's; the biases are
+    (1, width) rows added to every row. Same arithmetic, step for step, as
+    the chain of matmul, add, relu, matmul and add nodes, so the value and
+    the gradients have the same bits."""
     if not (x.shape[1] == w1.shape[0] and w1.shape[1] == w2.shape[0]):
         raise ShapeError(f"feed_forward: inner dims differ {x.shape}, {w1.shape}, {w2.shape}")
     if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
         raise ShapeError(f"feed_forward: biases {b1.shape} and {b2.shape} are not rows of its widths")
-    pre = value_of(x) @ value_of(w1) + value_of(b1)
+    pre = x @ w1 + b1
     active = pre > 0
     hidden = pre * active
 
-    def backward(g):
-        g_pre = (g @ w2.value.T) * active
-        x.accumulate(g_pre @ w1.value.T)
-        w1.accumulate(x.value.T @ g_pre)
-        b1.accumulate(_row_grad(g_pre))
-        w2.accumulate(hidden.T @ g)
-        b2.accumulate(_row_grad(g))
+    def backward(g: np.ndarray):
+        g_pre = (g @ w2.T) * active
+        return g_pre @ w1.T, x.T @ g_pre, _row_grad(g_pre), hidden.T @ g, _row_grad(g)
 
-    return op_output(hidden @ value_of(w2) + value_of(b2), (x, w1, b1, w2, b2), backward)
+    return hidden @ w2 + b2, backward
 
 
 def triplet_hinge(f: Node, alpha: float) -> Node:
@@ -324,22 +299,6 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     pos = idx % n if idx.min() < 0 else idx  # the gather takes negative indices too
     cells = pos.reshape(-1, 1) * d + np.arange(d)
     return np.bincount(cells.ravel(), weights=g.ravel(), minlength=n * d).reshape(n, d)
-
-
-def rows(matrix, indices):
-    """Gather rows by index; the gradient scatter-adds into the matrix."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return op_output(
-        value_of(matrix)[idx], (matrix,), lambda g: matrix.accumulate(scatter_rows(idx, g, matrix.shape[0]))
-    )
-
-
-def dropout(a, p: float, rng: np.random.Generator, training: bool):
-    """Inverted-scaling dropout; identity when not training or p == 0."""
-    if not training or p <= 0.0:
-        return a
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    return op_output(value_of(a) * mask, (a,), lambda g: a.accumulate(g * mask))
 
 
 def backward(loss: Node) -> None:

@@ -44,21 +44,12 @@ class ClassifierTrainConfig:
         )
 
 
-def fuse(eh: np.ndarray, eq: ad.Node | np.ndarray) -> ad.Node | np.ndarray:
+def fuse(eh: np.ndarray, eq: np.ndarray) -> np.ndarray:
     """Fuse entity and question vectors: s = eh + eq + (eh complex-mul eq),
-    both half-split (lower half real, higher half imaginary); one node when
-    `eq` is a node, the plain array when it is one.
-
-    `eh` is a frozen array, so only `eq` gets a gradient: the two terms the
-    chain of add, add and complex_mul nodes gives it, g and conj(eh) * g, so
-    the value and the gradient have that chain's bits."""
+    both half-split (lower half real, higher half imaginary)."""
     if eh.shape != eq.shape:
         raise ad.ShapeError(f"fuse: shape mismatch {eh.shape} vs {eq.shape}")
-    if eh.shape[1] % 2 != 0:
-        raise ad.ShapeError(f"fuse: column count must be even, got {eh.shape[1]}")
-    q = ad.value_of(eq)
-    value = (eh + q) + ad.complex_mul_packed(eh, q)
-    return ad.op_output(value, (eq,), lambda g: eq.accumulate(g + ad.conj_mul_packed(g, eh)))
+    return (eh + eq) + ad.complex_mul_packed(eh, eq)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -89,20 +80,11 @@ class ClassifierModel:
     def parameters(self) -> list[ad.Node]:
         return self.encoder.parameters() + [self.w, self.b]
 
-    def _logits(
-        self,
-        id_lists: list[list[int]],
-        topics: list[int],
-        training: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> ad.Node | np.ndarray:
+    def _logits(self, id_lists: list[list[int]], topics: list[int]) -> np.ndarray:
         """(n, k) class logits of n (token ids, topic id) examples, from one
-        padded encoder forward: a recorded node when training, else a plain
-        array (see SequenceEncoder.forward)."""
-        eq = self.encoder.forward(*id_lists, training=training, rng=rng)
-        s = fuse(self.table.lookup_entities(topics), eq)
-        w, b = (self.w, self.b) if training else (self.w.value, self.b.value)
-        return ad.add(ad.matmul(s, w), b)
+        padded inference forward."""
+        s = fuse(self.table.lookup_entities(topics), self.encoder.forward(*id_lists))
+        return s @ self.w.value + self.b.value
 
     def classify(self, tokens: list[str], topic: int) -> np.ndarray:
         """Probability vector over the taxonomy classes."""
@@ -125,31 +107,40 @@ class ClassifierModel:
         return hits / len(dataset)
 
 
-def cross_entropy(logits: ad.Node, targets: list[int]) -> ad.Node:
-    """Mean over rows of -log softmax(logits)[row, target], as one node.
+def cross_entropy(eq: ad.Node, eh: np.ndarray, w: ad.Node, b: ad.Node, targets: list[int]) -> ad.Node:
+    """Mean over rows of -log softmax(logits)[row, target] of the head's
+    logits fuse(eh, eq) @ w + b, as one node over the question vectors eq,
+    w and b; `eh`, the entity rows, is a frozen array.
 
     The target probability is picked before the log: a non-target class whose
     probability underflows to 0 would otherwise add 0 * log(0) = nan. Same
-    arithmetic, step for step, as the chain of softmax, a product with the
+    arithmetic, step for step, as the chain of fuse's add, add and complex
+    product, the head's matmul and bias add, softmax, a product with the
     one-hot targets, row sums, log, sum and the -1/n scale: the row sum of
     y * onehot is y[row, target] exactly, as every other term is 0.0, and the
-    backward is the softmax backward of a gradient that is non-zero only at
-    the targets (elsewhere the zeros a product with 0.0 gives it, signs
-    included), so the value and the gradient have that chain's bits.
+    logits' gradient is the softmax backward of a gradient that is non-zero
+    only at the targets (elsewhere the zeros a product with 0.0 gives it,
+    signs included), so the value and the gradients have that chain's bits.
     """
     n = len(targets)
     c = -1.0 / n
+    s = fuse(eh, eq.value)
+    y = softmax_rows(s @ w.value + b.value)
     picked_at = (np.arange(n), targets)
-    y = softmax_rows(logits.value)
     picked = y[picked_at].reshape(n, 1)
 
     def backward(g):
         g_picked = (g[0, 0] * c) / picked
         gy = np.zeros_like(y) * g_picked  # the one-hot product's signed zeros
         gy[picked_at] = g_picked[:, 0]
-        logits.accumulate(y * (gy - (gy * y).sum(axis=1, keepdims=True)))
+        g_logits = y * (gy - (gy * y).sum(axis=1, keepdims=True))
+        # a sum over one row would turn its -0.0 into 0.0
+        b.accumulate(g_logits if n == 1 else g_logits.sum(axis=0, keepdims=True))
+        w.accumulate(s.T @ g_logits)
+        gs = g_logits @ w.value.T
+        eq.accumulate(gs + ad.conj_mul_packed(gs, eh))
 
-    return ad.Node(np.log(picked).sum() * c, (logits,), backward)
+    return ad.Node(np.log(picked).sum() * c, (eq, w, b), backward)
 
 
 def train_classifier(
@@ -182,13 +173,9 @@ def train_classifier(
         rng.shuffle(order)
         for start in range(0, len(order), BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
-            logits = model._logits(
-                [ids[i] for i in batch],
-                [dataset[i][1] for i in batch],
-                training=True,
-                rng=rng,
-            )
-            train_step(opt, buffer, cross_entropy(logits, [targets[i] for i in batch]))
+            eq = model.encoder.forward(*(ids[i] for i in batch), training=True, rng=rng)
+            eh = table.lookup_entities([dataset[i][1] for i in batch])
+            train_step(opt, buffer, cross_entropy(eq, eh, model.w, model.b, [targets[i] for i in batch]))
     return model
 
 

@@ -181,12 +181,16 @@ def _clamp(table: EmbeddingTable) -> None:
 
 def save_table(table: EmbeddingTable, path: str) -> None:
     """Checkpoint: `ssk-emb v1 <kind> <N> <R> <d>` header + float32 LE payload,
-    entity rows then relation rows."""
+    entity rows then relation rows. A value that float32 cannot hold, nan,
+    inf or beyond its range, is refused before the file is opened."""
     n, d = table.ent.shape
     r = table.rel.shape[0]
+    with np.errstate(over="ignore"):  # a value beyond float32's range is refused below
+        payload = np.concatenate([table.ent.ravel(), table.rel.ravel()]).astype("<f4")
+    if not np.isfinite(payload).all():
+        raise EmbeddingError(f"{path}: an embedding is nan, inf or beyond float32's range")
     with open(path, "wb") as f:
         f.write(f"{MAGIC} {table.kind} {n} {r} {d}\n".encode())
-        payload = np.concatenate([table.ent.ravel(), table.rel.ravel()]).astype("<f4")
         f.write(payload.tobytes())
 
 
@@ -207,6 +211,8 @@ def load_table(path: str) -> EmbeddingTable:
     flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
     if flat.size != (n + r) * d:
         raise EmbeddingError(f"{path}: payload has {flat.size} floats, the header's sizes need {(n + r) * d}")
+    if not np.isfinite(flat).all():
+        raise EmbeddingError(f"{path}: payload holds a nan or inf")
     ent = flat[: n * d].reshape(n, d).copy()
     rel = flat[n * d :].reshape(r, d).copy()
     try:

@@ -125,10 +125,9 @@ class SequenceEncoder:
         layout: BatchLayout | None = None,
     ) -> ad.Node | np.ndarray:
         """f(.) of each token id sequence (`Vocab.encode` of its tokens), as
-        the rows of one (n, out_dim) output: when training, a node whose
-        graph reaches the parameter nodes; otherwise a plain array computed
-        from the parameters' current values, with dropout off and no node
-        built.
+        the rows of one (n, out_dim) output, computed from the parameters'
+        current values: when training, one node over every parameter, with
+        dropout on; otherwise the plain array, with dropout off.
 
         The n sequences are padded to the longest length L and run as one
         (n*L, d_model) token matrix. Attention stays inside each sequence's
@@ -137,21 +136,57 @@ class SequenceEncoder:
         changes no output and receives no gradient. `layout` is
         batch_layout(sequences), made here when not given; a trainer that
         steps on the same batch every epoch makes it once.
+
+        The node's backward does the arithmetic of the chain of row gather,
+        block_attention, matmul, residual add, feed_forward, residual add,
+        block_pool, dropout and matmul nodes, in the order that chain's walk
+        runs, so its gradients have that chain's bits: the projection, the
+        dropout mask and the pool; the residual's gradient, then
+        feed_forward's added into its input; wo; attention, whose
+        projections add into the token rows after the residual's gradient;
+        the scatter into the token embeddings.
         """
         if layout is None:
             layout = batch_layout(sequences)
         cfg = self.cfg
-        n = len(sequences)
-        p = self.params if training else {name: w.value for name, w in self.params.items()}
-        x = ad.rows(p["tok_emb"], layout.ids)
+        p = {name: w.value for name, w in self.params.items()}
+        x = p["tok_emb"][layout.ids]
         if cfg.use_attention:
-            weights = [p[f"{w}{h}"] for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
-            attended = ad.block_attention(x, weights, layout.mask, n)
-            x = ad.add(x, ad.matmul(attended, p["wo"]))
-            x = ad.add(x, ad.feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
-        pooled = ad.block_pool(x, layout.pool)
-        pooled = ad.dropout(pooled, cfg.dropout, rng, training)
-        return ad.matmul(pooled, p["proj"])
+            projections = [f"{w}{h}" for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
+            attended, attention_grads = ad.block_attention(
+                x, [p[n] for n in projections], layout.mask, len(sequences)
+            )
+            x = x + attended @ p["wo"]
+            ff, ff_grads = ad.feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"])
+            x = x + ff
+        pooled, pool_grad = ad.block_pool(x, layout.pool)
+        keep = None
+        if training and cfg.dropout > 0.0:
+            # inverted-scaling dropout
+            keep = (rng.random(pooled.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+            pooled = pooled * keep
+        out = pooled @ p["proj"]
+        if not training:
+            return out
+
+        def backward(g: np.ndarray) -> None:
+            grads = {"proj": pooled.T @ g}
+            g = g @ p["proj"].T
+            if keep is not None:
+                g = g * keep
+            g = pool_grad(g)
+            if cfg.use_attention:
+                g_x, *grads_ff = ff_grads(g)
+                grads.update(zip(("ff_w1", "ff_b1", "ff_w2", "ff_b2"), grads_ff))
+                g = g + g_x
+                grads["wo"] = attended.T @ g
+                g, grads_projections = attention_grads(g @ p["wo"].T, g)
+                grads.update(zip(projections, grads_projections))
+            grads["tok_emb"] = ad.scatter_rows(layout.ids, g, len(p["tok_emb"]))
+            for name, w in self.params.items():
+                w.accumulate(grads[name])
+
+        return ad.Node(out, self.parameters(), backward)
 
     def encode(self, *sequences: list[int]) -> np.ndarray:
         """Inference-mode (n, out_dim) vectors, one row per id sequence: the
@@ -194,7 +229,9 @@ def write_checkpoint(
     A `magic` line, a `dims` line with the encoder config, counted string
     sections (`<name> <count>` then one string per line: `vocab` first, then
     `sections` in order) and `floats N` followed by N float32 LE values: the
-    encoder payload, then each `head` array raveled.
+    encoder payload, then each `head` array raveled. A parameter that
+    float32 cannot hold, nan, inf or beyond its range, is refused with
+    CheckpointError before the file is opened.
     """
     cfg = encoder.cfg
     lines = [
@@ -205,7 +242,10 @@ def write_checkpoint(
     for name, items in {"vocab": encoder.vocab.tokens, **(sections or {})}.items():
         lines.append(f"{name} {len(items)}")
         lines.extend(items)
-    payload = np.concatenate([encoder.payload()] + [a.astype(np.float32).ravel() for a in head])
+    with np.errstate(over="ignore"):  # a value beyond float32's range is refused below
+        payload = np.concatenate([encoder.payload()] + [a.astype(np.float32).ravel() for a in head])
+    if not np.isfinite(payload).all():
+        raise CheckpointError(f"{path}: a parameter is nan, inf or beyond float32's range")
     lines.append(f"floats {payload.size}")
     with open(path, "wb") as f:
         f.write(("\n".join(lines) + "\n").encode())
@@ -221,8 +261,9 @@ def read_checkpoint(
     """Parse a write_checkpoint file into (config, vocab, sections, payload).
 
     Before anything is built, the header is checked line by line and the
-    payload against the parameter count of the model it describes: the
-    encoder's plus head_floats(config, sections).
+    payload against the parameter count of the model it describes, the
+    encoder's plus head_floats(config, sections); a nan or inf payload
+    value is refused.
     """
     with open(path, "rb") as f:
 
@@ -268,4 +309,7 @@ def read_checkpoint(
         raise CheckpointError(
             f"{path}: payload is {len(raw)} bytes, {count} floats need {4 * count}"
         )
-    return cfg, vocab, found, np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise CheckpointError(f"{path}: payload holds a nan or inf")
+    return cfg, vocab, found, flat

@@ -1,8 +1,8 @@
 """Fixtures and probes only the tests use: a random KG with questions along
 its paths, a random KG of fixed degree, a separable structure-classification dataset, the triplet loss
-of one triplet, a spy that counts the sequences an encoder encodes, the
-JSON entries of a taxonomy, and an embedding table's tail scores and
-filtered MRR."""
+of one triplet, a spy that counts the sequences an encoder encodes, a
+probe that counts the autodiff nodes a run builds, the JSON entries of a
+taxonomy, and an embedding table's tail scores and filtered MRR."""
 
 import numpy as np
 
@@ -111,6 +111,24 @@ def count_forwards(encoder) -> list[int]:
 
     encoder.forward = spy
     return calls
+
+
+def graph_nodes_while(run) -> tuple[int, int]:
+    """(nodes created, nodes created with parents) while run() runs."""
+    counts = [0, 0]
+    init = ad.Node.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        counts[0] += 1
+        counts[1] += bool(self.parents)
+
+    ad.Node.__init__ = counting_init
+    try:
+        run()
+    finally:
+        ad.Node.__init__ = init
+    return counts[0], counts[1]
 
 
 def triplet_loss(f_q, f_p, f_n, alpha: float) -> float:

@@ -9,7 +9,8 @@ feasibility for `enumerate_candidates`, numpy KG embedding scores for
 `embeddings.score_nodes` and `reference_score_nodes`, the chain of row
 gathers and elementwise nodes it fuses, and the copying autodiff core the training
 equivalence tests swap in: `reference_accumulate` (a copy on first write) for
-`Node.accumulate` and `reference_rows` (np.add.at into zeros) for `ad.rows`;
+`Node.accumulate` and `reference_scatter` (np.add.at into zeros) for
+`ad.scatter_rows`;
 and the per-parameter optimizer step the packed-buffer tests swap in:
 `UnpackedParams` for `optim.ParameterBuffer`, `reference_train_step`
 (clipping by `global_norm`, then one optimizer step over the list of
@@ -19,13 +20,14 @@ encoder block as a chain of nodes per head:
 `reference_block_attention` and `reference_feed_forward` for the fused
 `ad.block_attention` and `ad.feed_forward`, `reference_block_matmul` (the
 per-block product those chains and the mean pool are built from), and
-`reference_encoder_forward` for `SequenceEncoder.forward`; and the token
+`reference_encoder_forward`, the chain of nodes whose arithmetic the one
+node of `SequenceEncoder.forward` runs; and the token
 path the models ran before the encoder read ids: `reference_token_forward` (a forward that maps tokens
 itself), `reference_score_all` for `RankerModel.score_all`, and
 `reference_train_ranker` and `reference_train_classifier`, which map tokens
 at every step (the latter with the classifier's head and loss as
-`reference_fuse` and `reference_cross_entropy`, the chains of nodes
-`classifier.fuse` and `classifier.cross_entropy` fuse); and the ranker's
+`reference_classifier_loss`, the chain of `reference_fuse`, matmul, add and
+`reference_cross_entropy` nodes that `classifier.cross_entropy` fuses); and the ranker's
 training before the triplet loss was one op and negatives were told from the
 gold by `Chain` equality:
 `reference_batch_triplet_loss`, the chain of nodes `ad.triplet_hinge` fuses,
@@ -41,7 +43,8 @@ nodes `chain_of` walks), `reference_pairs` (its AST with pair terms, to
 compare with `annotation.parse_sparql`'s) and `reference_decode_iri`, the
 escape regex run on every name; `reference_encode_iri`, the SPARQL writer's
 escape as a loop over every character;
-and the nodes those chains build that no model runs: `reference_relu`,
+and the nodes those chains build that no model runs: `reference_rows`,
+`reference_matmul`, `reference_dropout`, `reference_relu`,
 `reference_sub`, `reference_rownorm`, `reference_cos`, `reference_sin`,
 `reference_split_halves`, `reference_concat_cols`, `reference_mul`,
 `reference_softmax`, `reference_log`, `reference_rowsum` and
@@ -589,9 +592,9 @@ def reference_score_nodes(ent, rel, kind: str, h, r, t):
     sub, rownorm and a -1 scale, ComplEx <h * r, t> as complex_mul, mul and
     rowsum, RotatE -||h o e^(i theta_r) - t|| with the unit rotation built
     from split_halves, cos, sin and concat_cols."""
-    eh = ad.rows(ent, h)
-    et = ad.rows(ent, t)
-    er = ad.rows(rel, r)
+    eh = reference_rows(ent, h)
+    et = reference_rows(ent, t)
+    er = reference_rows(rel, r)
     if kind == "transe":
         return ad.scale(reference_rownorm(reference_sub(ad.add(eh, er), et)), -1.0)
     if kind == "complex":
@@ -723,13 +726,32 @@ def reference_scatter(shape, indices, g: np.ndarray) -> np.ndarray:
 
 
 def reference_rows(matrix, indices):
-    """`ad.rows` with a reference_scatter backward."""
+    """Gather rows by index as a node; the gradient scatter-adds into the
+    matrix with `ad.scatter_rows`."""
     idx = np.asarray(indices, dtype=np.int64)
     return ad.Node(
-        matrix.value[idx],
-        (matrix,),
-        lambda g: matrix.accumulate(reference_scatter(matrix.shape, idx, g)),
+        matrix.value[idx], (matrix,), lambda g: matrix.accumulate(ad.scatter_rows(idx, g, matrix.shape[0]))
     )
+
+
+def reference_matmul(a, b):
+    if a.shape[1] != b.shape[0]:
+        raise ad.ShapeError(f"matmul: inner dims differ {a.shape} vs {b.shape}")
+
+    def backward(g):
+        a.accumulate(g @ b.value.T)
+        b.accumulate(a.value.T @ g)
+
+    return ad.Node(a.value @ b.value, (a, b), backward)
+
+
+def reference_dropout(a, p: float, rng: np.random.Generator, training: bool):
+    """Inverted-scaling dropout as a node; `a` itself when not training or
+    p == 0."""
+    if not training or p <= 0.0:
+        return a
+    mask = (rng.random(a.shape) >= p) / (1.0 - p)
+    return ad.Node(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
@@ -847,7 +869,7 @@ def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
     mask_rows = ad.constant(np.repeat(mask, width, axis=0))
     heads = []
     for i in range(0, len(weights), 3):
-        q, k, v = (ad.matmul(x, w) for w in weights[i : i + 3])
+        q, k, v = (reference_matmul(x, w) for w in weights[i : i + 3])
         scores = ad.scale(reference_block_matmul_t(q, k, blocks), 1.0 / math.sqrt(dh))
         att = reference_softmax(ad.add(scores, mask_rows))
         heads.append(reference_block_matmul(att, v, blocks))
@@ -865,16 +887,19 @@ def reference_relu(a):
 
 def reference_feed_forward(x, w1, b1, w2, b2):
     """`ad.feed_forward` as a chain of matmul, add, relu, matmul and add nodes."""
-    hidden = reference_relu(ad.add(ad.matmul(x, w1), b1))
-    return ad.add(ad.matmul(hidden, w2), b2)
+    hidden = reference_relu(ad.add(reference_matmul(x, w1), b1))
+    return ad.add(reference_matmul(hidden, w2), b2)
 
 
 def reference_encoder_forward(self, *sequences, training: bool = False, rng=None, layout=None):
-    """`SequenceEncoder.forward` with the attention block built from
-    reference_block_attention and reference_feed_forward, and the mean pool
-    as reference_block_matmul of the pooling weights as a constant node;
-    patched over the method, it stands in for the fused block in a trainer.
-    It reads everything off `sequences` and ignores a precomputed `layout`."""
+    """`SequenceEncoder.forward` as a chain of nodes over the parameter
+    nodes: the token row gather, the attention block built from
+    reference_block_attention, matmul, add and reference_feed_forward, the
+    mean pool as reference_block_matmul of the pooling weights as a constant
+    node, dropout and the projection; the value alone when not training.
+    Patched over the method, it stands in for the encoder's one node in a
+    trainer. It reads everything off `sequences` and ignores a precomputed
+    `layout`."""
     if not sequences:
         raise ValueError("forward needs at least one token sequence")
     if not all(sequences):
@@ -886,15 +911,16 @@ def reference_encoder_forward(self, *sequences, training: bool = False, rng=None
     real = np.arange(width) < lens[:, None]
     ids = np.zeros((n, width), dtype=np.int64)
     ids[real] = [i for s in sequences for i in s]
-    x = ad.rows(p["tok_emb"], ids.ravel())
+    x = reference_rows(p["tok_emb"], ids.ravel())
     if cfg.use_attention:
         weights = [p[f"{w}{h}"] for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
         attended = reference_block_attention(x, weights, np.where(real, 0.0, -np.inf), n)
-        x = ad.add(x, ad.matmul(attended, p["wo"]))
+        x = ad.add(x, reference_matmul(attended, p["wo"]))
         x = ad.add(x, reference_feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
     pooled = reference_block_matmul(ad.constant(real / lens[:, None]), x, n)
-    pooled = ad.dropout(pooled, cfg.dropout, rng, training)
-    return ad.matmul(pooled, p["proj"])
+    pooled = reference_dropout(pooled, cfg.dropout, rng, training)
+    out = reference_matmul(pooled, p["proj"])
+    return out if training else out.value
 
 
 def reference_token_forward(encoder, *token_sequences, training: bool = False, rng=None):
@@ -927,8 +953,8 @@ def reference_batch_triplet_loss(f, alpha: float):
     1/k scale."""
     k = f.shape[0] - 2
     # dist row 0 is ||f_q - f_p||, row j is ||f_q - f_n_j||
-    dist = reference_rownorm(reference_sub(ad.rows(f, [0] * (k + 1)), ad.rows(f, range(1, k + 2))))
-    raw = reference_sub(ad.rows(dist, [0] * k), ad.rows(dist, range(1, k + 1)))
+    dist = reference_rownorm(reference_sub(reference_rows(f, [0] * (k + 1)), reference_rows(f, range(1, k + 2))))
+    raw = reference_sub(reference_rows(dist, [0] * k), reference_rows(dist, range(1, k + 1)))
     hinge = reference_relu(ad.add(raw, ad.constant([[alpha]])))
     return ad.scale(ad.sum_all(hinge), 1.0 / k)
 
@@ -979,19 +1005,24 @@ def reference_fuse(eh: np.ndarray, eq):
 
 
 def reference_cross_entropy(logits, targets):
-    """`classifier.cross_entropy` as the chain of nodes it fuses: softmax,
-    a product with the one-hot targets as a constant node, row sums, log,
-    sum and the -1/n scale."""
+    """The loss half of `classifier.cross_entropy` as the chain of nodes it
+    fuses: softmax, a product with the one-hot targets as a constant node,
+    row sums, log, sum and the -1/n scale."""
     onehot = np.zeros(logits.shape)
     onehot[np.arange(len(targets)), targets] = 1.0
     picked = reference_rowsum(reference_mul(reference_softmax(logits), ad.constant(onehot)))
     return ad.scale(ad.sum_all(reference_log(picked)), -1.0 / len(targets))
 
 
+def reference_classifier_loss(eq, eh: np.ndarray, w, b, targets):
+    """`classifier.cross_entropy` as the chain of nodes it fuses:
+    reference_fuse, matmul, the bias add and reference_cross_entropy."""
+    return reference_cross_entropy(ad.add(reference_matmul(reference_fuse(eh, eq), w), b), targets)
+
+
 def reference_train_classifier(dataset, table, taxonomy, cfg):
     """`train_classifier` mapping each minibatch's tokens to ids at every
-    step, with the head and the loss built as reference_fuse, matmul, add
-    and reference_cross_entropy."""
+    step, with the head and the loss built as reference_classifier_loss."""
     labels = taxonomy.labels()
     targets = [labels.index(label) for _, _, label in dataset]
     rng = np.random.default_rng(cfg.seed)
@@ -1006,7 +1037,6 @@ def reference_train_classifier(dataset, table, taxonomy, cfg):
         for start in range(0, len(order), classifier.BATCH_SIZE):
             batch = order[start : start + classifier.BATCH_SIZE]
             eq = reference_token_forward(model.encoder, *(dataset[i][0] for i in batch), training=True, rng=rng)
-            s = reference_fuse(table.lookup_entities([dataset[i][1] for i in batch]), eq)
-            logits = ad.add(ad.matmul(s, model.w), model.b)
-            train_step(opt, buffer, reference_cross_entropy(logits, [targets[i] for i in batch]))
+            eh = table.lookup_entities([dataset[i][1] for i in batch])
+            train_step(opt, buffer, reference_classifier_loss(eq, eh, model.w, model.b, [targets[i] for i in batch]))
     return model

@@ -12,11 +12,14 @@ from reference import (
     reference_complex_mul,
     reference_concat_cols,
     reference_cos,
+    reference_dropout,
     reference_feed_forward,
     reference_log,
+    reference_matmul,
     reference_mul,
     reference_relu,
     reference_rownorm,
+    reference_rows,
     reference_rowsum,
     reference_scatter,
     reference_sin,
@@ -50,6 +53,31 @@ def check_grad(build, x, tol=1e-6):
     num = fd_grad(lambda v: float(build(ad.parameter(v)).value[0, 0]), x)
     denom = max(np.abs(num).max(), 1.0)
     assert np.abs(p.grad - num).max() / denom < tol
+
+
+def attention_node(x, weights, mask, blocks):
+    """`ad.block_attention` of nodes as one node, whose backward adds the
+    op's gradients into x, after the gradient x already holds, and into the
+    weights."""
+    value, grads = ad.block_attention(x.value, [w.value for w in weights], mask, blocks)
+
+    def backward(g):
+        x.grad, g_weights = grads(g, x.grad)
+        for w, gw in zip(weights, g_weights):
+            w.accumulate(gw)
+
+    return ad.Node(value, (x, *weights), backward)
+
+
+def feed_forward_node(*nodes):
+    """`ad.feed_forward` of nodes as one node."""
+    value, grads = ad.feed_forward(*(n.value for n in nodes))
+
+    def backward(g):
+        for n, gn in zip(nodes, grads(g)):
+            n.accumulate(gn)
+
+    return ad.Node(value, nodes, backward)
 
 
 RNG = np.random.default_rng(7)
@@ -110,8 +138,8 @@ def test_log_gradient():
 def test_matmul_gradients():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(4, 2))
-    check_grad(lambda p: ad.sum_all(ad.matmul(p, ad.constant(b))), a)
-    check_grad(lambda p: ad.sum_all(ad.matmul(ad.constant(a), p)), b)
+    check_grad(lambda p: ad.sum_all(reference_matmul(p, ad.constant(b))), a)
+    check_grad(lambda p: ad.sum_all(reference_matmul(ad.constant(a), p)), b)
 
 
 def test_sub_mul_gradients():
@@ -160,7 +188,7 @@ def encoder_block(attention, feed_forward, params, mask, blocks):
     """The encoder's block over params from attention_case: x plus the
     attended heads through wo, then that plus its feed-forward."""
     x, weights, (wo, *ff) = params[0], params[1:-5], params[-5:]
-    x = ad.add(x, ad.matmul(attention(x, weights, mask, blocks), wo))
+    x = ad.add(x, reference_matmul(attention(x, weights, mask, blocks), wo))
     return ad.add(x, feed_forward(x, *ff))
 
 
@@ -176,7 +204,7 @@ def test_fused_block_bytes_equal_per_head_chain(lens, heads, dh, ff, seed):
     blocks = len(lens)
     outs, grads = [], []
     for attention, feed_forward in (
-        (ad.block_attention, ad.feed_forward),
+        (attention_node, feed_forward_node),
         (reference_block_attention, reference_feed_forward),
     ):
         params, mask = attention_case(blocks, lens, heads, dh, ff, seed)
@@ -205,7 +233,7 @@ def test_batched_attention_bytes_equal_per_head_chain(heads, dh, lens, residual,
     # With the residual, x holds a gradient before the attention adds its own.
     blocks = len(lens)
     outs, grads = [], []
-    for attention in (ad.block_attention, reference_block_attention):
+    for attention in (attention_node, reference_block_attention):
         params, mask = attention_case(blocks, lens, heads, dh, 1, seed)
         x, weights = params[0], params[1 : 1 + 3 * heads]
         y = attention(x, weights, mask, blocks)
@@ -319,7 +347,7 @@ def test_block_attention_gradients(which):
     def build(p):
         nodes = [ad.constant(v) for v in inputs]
         nodes[which] = p
-        return ad.sum_all(reference_sin(ad.block_attention(nodes[0], nodes[1:], mask, 2)))
+        return ad.sum_all(reference_sin(attention_node(nodes[0], nodes[1:], mask, 2)))
 
     check_grad(build, inputs[which])
 
@@ -335,7 +363,7 @@ def test_feed_forward_gradients(which):
     def build(p):
         nodes = [ad.constant(v) for v in inputs]
         nodes[which] = p
-        return ad.sum_all(reference_sin(ad.feed_forward(*nodes)))
+        return ad.sum_all(reference_sin(feed_forward_node(*nodes)))
 
     check_grad(build, inputs[which])
 
@@ -343,10 +371,10 @@ def test_feed_forward_gradients(which):
 def test_block_attention_ignores_padded_keys():
     # a block's output rows do not change with what its padded rows hold
     params, mask = attention_case(2, [4, 2], 2, 3, 1, seed=5)
-    x, weights = params[0], params[1:7]
-    before = ad.block_attention(x, weights, mask, 2).value
-    x.value[6:] += 100.0  # the second block's two padded rows
-    after = ad.block_attention(x, weights, mask, 2).value
+    x, weights = params[0].value, [w.value for w in params[1:7]]
+    before, _ = ad.block_attention(x, weights, mask, 2)
+    x[6:] += 100.0  # the second block's two padded rows
+    after, _ = ad.block_attention(x, weights, mask, 2)
     assert np.array_equal(before[:6], after[:6])
 
 
@@ -381,7 +409,7 @@ def test_complex_mul_gradients():
 def test_rows_gather_scatter():
     m = RNG.normal(size=(5, 3))
     p = ad.parameter(m)
-    out = ad.rows(p, [1, 1, 4])
+    out = reference_rows(p, [1, 1, 4])
     loss = ad.sum_all(out)
     ad.backward(loss)
     expected = np.zeros_like(m)
@@ -412,7 +440,7 @@ def gathers(draw):
 def test_rows_gradient_bytes_equal_add_at(case):
     shape, idx, g = case
     p = ad.parameter(np.zeros(shape))
-    out = ad.rows(p, idx)
+    out = reference_rows(p, idx)
     assert out.shape == g.shape
     out._backward(g)
     want = reference_scatter(shape, idx, g)
@@ -428,7 +456,7 @@ OWNERSHIP_GRAPHS = {
     "add": lambda p, q, c: ad.sum_all(reference_mul(ad.add(p, q), c)),
     "sub": lambda p, q, c: ad.sum_all(reference_mul(reference_sub(p, q), c)),
     "concat_cols": lambda p, q, c: ad.sum_all(
-        ad.matmul(reference_concat_cols(p, q), ad.constant(np.ones((4, 1))))
+        reference_matmul(reference_concat_cols(p, q), ad.constant(np.ones((4, 1))))
     ),
     "used_twice": lambda p, q, c: ad.sum_all(reference_mul(ad.add(p, reference_mul(p, q)), c)),
     "shared_then_added": lambda p, q, c: ad.sum_all(
@@ -458,14 +486,14 @@ def test_gradients_equal_copy_on_first_write(name, monkeypatch):
 def test_dropout_identity_at_inference():
     rng = np.random.default_rng(0)
     x = ad.parameter(RNG.normal(size=(2, 4)))
-    assert ad.dropout(x, 0.5, rng, training=False) is x
-    assert ad.dropout(x, 0.0, rng, training=True) is x
+    assert reference_dropout(x, 0.5, rng, training=False) is x
+    assert reference_dropout(x, 0.0, rng, training=True) is x
 
 
 def test_dropout_inverted_scaling():
     rng = np.random.default_rng(0)
     x = ad.parameter(np.ones((200, 50)))
-    y = ad.dropout(x, 0.5, rng, training=True)
+    y = reference_dropout(x, 0.5, rng, training=True)
     kept = y.value[y.value > 0]
     assert np.allclose(kept, 2.0)
     assert abs(y.value.mean() - 1.0) < 0.1
@@ -489,21 +517,23 @@ def test_shape_errors():
     with pytest.raises(ad.ShapeError):
         ad.add(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4))))
     with pytest.raises(ad.ShapeError):
-        ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+        reference_matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
     with pytest.raises(ad.ShapeError):  # no column halves
         reference_complex_mul(ad.constant(np.ones((1, 3))), ad.constant(np.ones((1, 3))))
-    w = [ad.constant(np.ones((2, 1)))] * 3
+    w = [np.ones((2, 1))] * 3
     with pytest.raises(ad.ShapeError):  # 3 rows do not split into 2 blocks
-        ad.block_attention(ad.constant(np.ones((3, 2))), w, np.zeros((2, 1)), 2)
+        ad.block_attention(np.ones((3, 2)), w, np.zeros((2, 1)), 2)
     with pytest.raises(ad.ShapeError):  # a mask row per block, a column per row
-        ad.block_attention(ad.constant(np.ones((4, 2))), w, np.zeros((2, 1)), 2)
+        ad.block_attention(np.ones((4, 2)), w, np.zeros((2, 1)), 2)
     with pytest.raises(ad.ShapeError):  # not three projections per head
-        ad.block_attention(ad.constant(np.ones((2, 2))), w[:2], np.zeros((2, 1)), 2)
+        ad.block_attention(np.ones((2, 2)), w[:2], np.zeros((2, 1)), 2)
     with pytest.raises(ad.ShapeError):  # a projection of another shape
-        ad.block_attention(ad.constant(np.ones((2, 2))), [*w[:2], ad.constant(np.ones((2, 2)))], np.zeros((2, 1)), 2)
+        ad.block_attention(np.ones((2, 2)), [*w[:2], np.ones((2, 2))], np.zeros((2, 1)), 2)
     with pytest.raises(ad.ShapeError):  # a bias that is not one row
-        ad.feed_forward(*(ad.constant(np.ones(s)) for s in ((2, 2), (2, 3), (2, 3), (3, 2), (1, 2))))
+        ad.feed_forward(*(np.ones(s) for s in ((2, 2), (2, 3), (2, 3), (3, 2), (1, 2))))
     with pytest.raises(ad.ShapeError):
-        ad.feed_forward(*(ad.constant(np.ones(s)) for s in ((2, 2), (3, 3), (1, 3), (3, 2), (1, 2))))
+        ad.feed_forward(*(np.ones(s) for s in ((2, 2), (3, 3), (1, 3), (3, 2), (1, 2))))
+    with pytest.raises(ad.ShapeError):
+        ad.block_pool(np.ones((5, 2)), np.ones((2, 2)))
     with pytest.raises(ad.ShapeError):  # blocks of 1x2 times blocks of 1x2
         reference_block_matmul(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))), 2)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -300,6 +301,8 @@ def _cut(data: bytes, case: str) -> bytes:
         return data[: after(b"floats ") + 40]
     if case == "odd":
         return data + b"\0"
+    if case in ("nan", "inf"):  # the payload ends the file
+        return data[:-8] + np.full(2, float(case), dtype="<f4").tobytes()
     # "count": header and payload agree on one float fewer than the model needs
     start = data.index(b"\nfloats ") + 8
     end = data.index(b"\n", start)
@@ -308,8 +311,9 @@ def _cut(data: bytes, case: str) -> bytes:
 
 @pytest.mark.parametrize(
     "model,case",
-    [("rank", c) for c in ("dims", "vocab", "payload", "odd", "count")]
-    + [("clf", c) for c in ("dims", "vocab", "labels", "payload", "odd", "count")],
+    [("rank", c) for c in ("dims", "vocab", "payload", "odd", "count", "nan", "inf")]
+    + [("clf", c) for c in ("dims", "vocab", "labels", "payload", "odd", "count", "nan", "inf")]
+    + [("emb", c) for c in ("nan", "inf")],
 )
 def test_damaged_checkpoint_is_one_error_line(toy, trained, tmp_path, model, case):
     bad = tmp_path / f"{model}.ckpt"
@@ -320,13 +324,28 @@ def test_damaged_checkpoint_is_one_error_line(toy, trained, tmp_path, model, cas
         "answer", "--question", "what color is thing0", "--topic", "thing0",
         "--kg", str(toy / "kg.tsv"), "--ranker", ckpts["rank"],
         "--classifier", ckpts["clf"], "--embeddings", ckpts["emb"],
-        "--mode", "predicted" if model == "clf" else "off",
+        "--mode", "off" if model == "rank" else "predicted",
         expect_fail=True,
     )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_embeddings_float32_cannot_hold_are_one_error_line_and_no_file(toy, tmp_path):
+    # at lr 1e300 the relation rows outgrow float32 (numpy warns of the
+    # overflow in training on the way)
+    out = tmp_path / "emb.ckpt"
+    proc = run_cli(
+        "train-embeddings", "--kg", str(toy / "kg.tsv"), "--out", str(out),
+        "--lr", "1e300", "--dim", "8", "--epochs", "5", expect_fail=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {out}: an embedding is nan, inf or beyond float32's range"]
+    assert not out.exists()
 
 
 FOUR_HOPS = {"kinds": ["E", "v", "v", "v", "a"], "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import count_forwards
+from fixtures import count_forwards, graph_nodes_while
 from reference import reference_mul, reference_rownorm, reference_sub
 from sskgqa import autodiff as ad
 from sskgqa.encoder import MAX_TOKENS, OOV, EncoderConfig, SequenceEncoder, Vocab
@@ -146,27 +146,17 @@ def test_attention_params_present_only_when_enabled():
 
 
 @pytest.mark.parametrize(
-    "use_attention, dropout, nodes",
-    [(True, 0.0, 8), (True, 0.5, 9), (False, 0.0, 3)],
+    "use_attention, dropout", [(True, 0.0), (True, 0.5), (False, 0.0)],
     ids=["attention", "attention_dropout", "no_attention"],
 )
-def test_forward_builds_one_node_per_layer(monkeypatch, use_attention, dropout, nodes):
-    # training: token rows, attention, wo, residual, feed-forward, residual,
-    # pooling, dropout when it is on, projection; the inference forward
-    # builds none
+def test_forward_builds_one_node(use_attention, dropout):
+    # training: one node over every parameter; the inference forward builds none
     enc = make_encoder(use_attention=use_attention, dropout=dropout)
-    built = []
-    init = ad.Node.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(ad.Node, "__init__", counting)
-    enc.forward([1, 2], [3], training=True, rng=np.random.default_rng(0))
-    assert len(built) == nodes
-    assert isinstance(enc.forward([1, 2], [3]), np.ndarray)
-    assert len(built) == nodes
+    out = []
+    built = graph_nodes_while(lambda: out.append(enc.forward([1, 2], [3], training=True, rng=np.random.default_rng(0))))
+    assert built == (1, 1) and out[0].parents == tuple(enc.parameters())
+    assert graph_nodes_while(lambda: out.append(enc.forward([1, 2], [3]))) == (0, 0)
+    assert type(out[1]) is np.ndarray
 
 
 def test_gradients_flow_to_all_params():

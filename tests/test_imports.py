@@ -13,9 +13,8 @@ import sskgqa
 from reference import (
     ReferenceAdam,
     UnpackedParams,
-    reference_cross_entropy,
+    reference_classifier_loss,
     reference_encoder_forward,
-    reference_fuse,
     reference_train_step,
 )
 from sskgqa import annotation as ann
@@ -184,9 +183,9 @@ def test_benchmark_models_equal_the_reference_chain(monkeypatch):
     # The digest the benchmark takes of its trained models, with every
     # trainer stepping per parameter through the per-head encoder chain, as
     # the packed and fused training tests in test_optim do, and the
-    # classifier's head and loss built as the chain of nodes fuse and
-    # cross_entropy fuse: the fused ops and the packed optimizer leave the
-    # benchmark's models as they were.
+    # classifier's head and loss built as the chain of nodes cross_entropy
+    # fuses: the fused nodes and the packed optimizer leave the benchmark's
+    # models as they were.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "pipebench"))
     import inputs
     import workloads
@@ -195,8 +194,7 @@ def test_benchmark_models_equal_the_reference_chain(monkeypatch):
     kg, train_qs, _ = inputs.mixed_inputs(5, tax, workloads.TINY.mixed)
     got = workloads.train_all(kg, train_qs, tax, workloads.TINY, 5).digest()
     monkeypatch.setattr(SequenceEncoder, "forward", reference_encoder_forward)
-    monkeypatch.setattr(clf, "fuse", reference_fuse)
-    monkeypatch.setattr(clf, "cross_entropy", reference_cross_entropy)
+    monkeypatch.setattr(clf, "cross_entropy", reference_classifier_loss)
     for module in (emb, clf, rk):
         monkeypatch.setattr(module, "ParameterBuffer", UnpackedParams)
         monkeypatch.setattr(module, "AdamW", ReferenceAdam)

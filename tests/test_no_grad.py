@@ -1,6 +1,7 @@
 """Inference builds no node: the encoder's and the classifier's inference
-forwards run their ops on plain arrays and give the recorded forward's
-values, bit for bit."""
+forwards run on plain arrays and give the training forward's values, bit
+for bit; and the encoder's training forward is one node whose value and
+gradients are those of the chain of nodes it replaced."""
 
 from contextlib import contextmanager
 from dataclasses import replace
@@ -8,12 +9,19 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fixtures import count_forwards, score_tails
-from reference import reference_score_tails, reference_softmax
+from fixtures import count_forwards, graph_nodes_while, score_tails
+from reference import (
+    reference_encoder_forward,
+    reference_fuse,
+    reference_matmul,
+    reference_score_tails,
+    reference_softmax,
+)
 from sskgqa import autodiff as ad
 from sskgqa.annotation import label_question
-from sskgqa.classifier import ClassifierModel, ClassifierTrainConfig, fuse, train_classifier
+from sskgqa.classifier import ClassifierModel, ClassifierTrainConfig, train_classifier
 from sskgqa.embeddings import KINDS, EmbeddingTable, EmbedTrainConfig, score_nodes, train
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.pipeline import MODES, PipelineConfig, evaluate, gold_graph_of, tokenize_question
@@ -24,24 +32,6 @@ from sskgqa.synth import norshteyn_kg, norshteyn_questions
 TAX = builtin_taxonomy()
 OUT_DIM = 4  # even: the classifier fuses with a complex product
 N_ENT, N_REL = 5, 2
-
-
-def graph_nodes_while(run) -> tuple[int, int]:
-    """(nodes created, nodes created with parents) while run() runs."""
-    counts = [0, 0]
-    init = ad.Node.__init__
-
-    def counting_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        counts[0] += 1
-        counts[1] += bool(self.parents)
-
-    ad.Node.__init__ = counting_init
-    try:
-        run()
-    finally:
-        ad.Node.__init__ = init
-    return counts[0], counts[1]
 
 
 @contextmanager
@@ -82,18 +72,21 @@ def test_no_grad_inference_equals_recorded_forward(use_attention, heads, seed, e
     seqs = [enc.vocab.encode(toks) for toks, _, _ in examples]
     with dropout_off(enc):
         recorded = enc.forward(*seqs, training=True)
-    assert recorded.parents  # the training forward keeps its graph
+    assert recorded.parents  # the training forward is a node over the parameters
     assert np.array_equal(enc.encode(*seqs), recorded.value)
 
     rng = np.random.default_rng(seed)
     table = EmbeddingTable(kind, rng.normal(size=(N_ENT, OUT_DIM)), rng.normal(size=(N_REL, OUT_DIM)))
     model = ClassifierModel(enc, table, TAX, rng)
-    with dropout_off(enc):
-        wants = [
-            reference_softmax(model._logits([ids], [t], training=True)).value[0]
-            for (_, t, _), ids in zip(examples, seqs)
-        ]
-        logits = model._logits(seqs, [t for _, t, _ in examples], training=True).value
+
+    def chain_logits(ids, topics):
+        # the training forward, then the head as the chain of nodes
+        with dropout_off(enc):
+            eq = enc.forward(*ids, training=True)
+        return ad.add(reference_matmul(reference_fuse(table.lookup_entities(topics), eq), model.w), model.b)
+
+    wants = [reference_softmax(chain_logits([ids], [t])).value[0] for (_, t, _), ids in zip(examples, seqs)]
+    logits = chain_logits(seqs, [t for _, t, _ in examples]).value
     for (toks, topic, _), want in zip(examples, wants):
         assert np.array_equal(model.classify(toks, topic), want)
     best = np.argmax(logits, axis=1)
@@ -116,46 +109,41 @@ def test_no_grad_inference_equals_recorded_forward(use_attention, heads, seed, e
         assert graph_nodes_while(run) == (0, 0)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 5),
-    st.integers(1, 3),
-    st.integers(1, 3),
-    st.integers(0, 2**16),
-    st.booleans(),
-)
-def test_ops_on_arrays_equal_their_node_path(blocks, width, heads, dh, seed, training):
-    # each op a forward runs, given plain arrays, returns a plain array with
-    # the bytes of the value it gives over constant nodes of those arrays
-    rng = np.random.default_rng(seed)
-    d = heads * dh
-    x = rng.normal(size=(blocks * width, d))
-    weights = [rng.normal(size=(d, dh)) for _ in range(3 * heads)]
-    lens = rng.integers(1, width + 1, size=blocks)
-    real = np.arange(width) < lens[:, None]
-    w1, b1 = rng.normal(size=(d, 5)), rng.normal(size=(1, 5))
-    w2, b2 = rng.normal(size=(5, d)), rng.normal(size=(1, d))
-    matrix, idx = rng.normal(size=(7, d)), rng.integers(-7, 7, size=blocks * width)
-    eh, eq = rng.normal(size=(blocks, 2 * d)), rng.normal(size=(blocks, 2 * d))
-    ops = {
-        "rows": lambda w: ad.rows(w(matrix), idx),
-        "add": lambda w: ad.add(w(x), w(b2)),
-        "matmul": lambda w: ad.matmul(w(x), w(w1)),
-        "block_attention": lambda w: ad.block_attention(
-            w(x), [w(a) for a in weights], np.where(real, 0.0, -np.inf), blocks
-        ),
-        "feed_forward": lambda w: ad.feed_forward(w(x), w(w1), w(b1), w(w2), w(b2)),
-        "block_pool": lambda w: ad.block_pool(w(x), real / lens[:, None]),
-        "dropout": lambda w: ad.dropout(w(x), 0.5, np.random.default_rng(seed), training),
-        "fuse": lambda w: fuse(eh, w(eq)),
-    }
-    for name, op in ops.items():
-        node, out = op(ad.constant), []
-        assert graph_nodes_while(lambda: out.append(op(lambda a: a))) == (0, 0), name
-        got = out[0]
-        assert isinstance(node, ad.Node) and type(got) is np.ndarray, name
-        assert got.shape == node.value.shape and got.tobytes() == node.value.tobytes(), name
+@st.composite
+def encoder_cases(draw):
+    """An encoder config, id sequences of differing lengths (id 0 is the
+    OOV bucket), a dropout seed and the gradient that reaches the output."""
+    use_attention, heads, dh = draw(st.booleans()), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cfg = EncoderConfig(
+        out_dim=OUT_DIM, d_model=heads * dh, heads=heads, ff_width=draw(st.integers(1, 8)),
+        use_attention=use_attention, dropout=draw(st.sampled_from([0.0, 0.1, 0.5])),
+    )
+    seqs = draw(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=9), min_size=1, max_size=6))
+    g = draw(arrays(np.float64, (len(seqs), OUT_DIM), elements=st.floats(-1e6, 1e6)))
+    return cfg, seqs, draw(st.integers(0, 2**16)), g
+
+
+def backward_from(out: ad.Node, g: np.ndarray) -> None:
+    """Backpropagate the output gradient g from `out`."""
+    ad.backward(ad.Node(np.zeros((1, 1)), (out,), lambda _: out.accumulate(g)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(encoder_cases())
+def test_encoder_node_bytes_equal_the_chain(case):
+    # the one node of the training forward against the tape of the chain of
+    # row gather, per-head attention, matmul, add, feed-forward, pooling,
+    # dropout and projection nodes, with equal dropout draws
+    cfg, seqs, seed, g = case
+    enc = SequenceEncoder(Vocab(["a", "b", "c", "d"]), cfg, np.random.default_rng(seed))
+    runs = []
+    for forward in (SequenceEncoder.forward, reference_encoder_forward):
+        for p in enc.parameters():
+            p.zero_grad()
+        out = forward(enc, *seqs, training=True, rng=np.random.default_rng(seed))
+        backward_from(out, g)
+        runs.append([out.value.tobytes()] + [p.grad.tobytes() for p in enc.parameters()])
+    assert runs[0] == runs[1]
 
 
 def test_answering_builds_no_graph(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixtures import separable_classifier_dataset
+from fixtures import graph_nodes_while, separable_classifier_dataset
 from reference import (
     ReferenceAdam,
     UnpackedParams,
@@ -12,8 +12,9 @@ from reference import (
     reference_clip,
     reference_concat_cols,
     reference_encoder_forward,
+    reference_matmul,
     reference_mul,
-    reference_rows,
+    reference_scatter,
     reference_train_step,
 )
 from sskgqa import autodiff as ad
@@ -189,7 +190,7 @@ def test_train_step_matches_inline_sequence():
     init = [rng.normal(size=(4, 2)), rng.normal(size=(1, 5))]
 
     def loss_of(w):
-        return ad.sum_all(reference_mul(ad.matmul(ad.constant(x), w), ad.matmul(ad.constant(x), w)))
+        return ad.sum_all(reference_mul(reference_matmul(ad.constant(x), w), reference_matmul(ad.constant(x), w)))
 
     params = [ad.parameter(a.copy()) for a in init]
     buffer = ParameterBuffer(params)
@@ -260,7 +261,7 @@ def test_buffer_gradient_zeroes_a_parameter_an_earlier_step_reached():
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
     buffer = ParameterBuffer([p, q])
     opt = RecordingOptimizer()
-    train_step(opt, buffer, ad.sum_all(reference_mul(ad.matmul(p, q), ad.constant([[0.25]]))))
+    train_step(opt, buffer, ad.sum_all(reference_mul(reference_matmul(p, q), ad.constant([[0.25]]))))
     assert opt.grad.tolist() == [0.25, 0.25, 0.25, 0.25]
     train_step(opt, buffer, ad.sum_all(reference_mul(p, ad.constant([[0.5, -0.25]]))))
     assert q.grad is None
@@ -281,7 +282,7 @@ def test_train_step_reaching_no_parameter_steps_without_clipping(monkeypatch):
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
     buffer = ParameterBuffer([p, q])
     opt = RecordingOptimizer()
-    train_step(opt, buffer, ad.sum_all(ad.matmul(p, q)))
+    train_step(opt, buffer, ad.sum_all(reference_matmul(p, q)))
     assert clipped == [4]
     train_step(opt, buffer, ad.constant([[0.0]]))
     assert clipped == [4]
@@ -349,7 +350,7 @@ def train_three_models():
 def test_training_matches_copying_autodiff(monkeypatch):
     got = train_three_models()
     monkeypatch.setattr(ad.Node, "accumulate", reference_accumulate)
-    monkeypatch.setattr(ad, "rows", reference_rows)
+    monkeypatch.setattr(ad, "scatter_rows", lambda idx, g, n: reference_scatter((n, g.shape[1]), idx, g))
     want = train_three_models()
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -387,6 +388,18 @@ def test_packed_training_matches_per_parameter_steps(name, monkeypatch):
     assert len(got) == len(want) and got_losses
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     assert got_losses == want_losses
+
+
+@pytest.mark.parametrize("name", ["ranker", "classifier_attention", "classifier_no_attention"])
+def test_training_builds_two_nodes_per_step(name, monkeypatch):
+    # per optimizer step, the encoder's node and the loss node; the other
+    # nodes are the parameters, made once with the model
+    _, run = TRAINERS[name]
+    steps, step = [], AdamW.step
+    monkeypatch.setattr(AdamW, "step", lambda self, p, g: steps.append(step(self, p, g)))
+    params = []
+    nodes, _ = graph_nodes_while(lambda: params.extend(run()))
+    assert steps and nodes == len(params) + 2 * len(steps)
 
 
 @pytest.mark.parametrize("name", ["ranker", "classifier_attention"])

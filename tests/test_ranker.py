@@ -15,7 +15,7 @@ from reference import (
 )
 from sskgqa import autodiff as ad
 from sskgqa import ranker as ranker_module
-from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.encoder import CheckpointError, EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
 from sskgqa.optim import NonFiniteGradientError
 from sskgqa.pipeline import gold_graph_of, tokenize_question
@@ -290,6 +290,17 @@ def test_checkpoint_round_trip(tmp_path):
     save_ranker(back, again)
     with open(path, "rb") as a, open(again, "rb") as b:
         assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
+def test_checkpoint_refuses_a_parameter_float32_cannot_hold(tmp_path, bad):
+    # 1e300 is finite in float64 and inf in float32; no file is written
+    _, _, model = train_fixture_model(epochs=1)
+    model.encoder.params["proj"].value[0, 0] = bad
+    path = tmp_path / "rank.ckpt"
+    with pytest.raises(CheckpointError, match="nan, inf or beyond float32's range"):
+        save_ranker(model, str(path))
+    assert not path.exists()
 
 
 # Symbols that share fragments ("located" and "in"), one of separators only,
