@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, read_checkpoint, write_checkpoint
+from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, load_parameters, read_checkpoint, write_checkpoint
 from .embeddings import EmbeddingTable
 from .optim import AdamW, ParameterBuffer, train_step
 from .structures import Taxonomy
@@ -180,11 +180,9 @@ def train_classifier(
 
 
 def save_classifier(model: ClassifierModel, path: str) -> None:
-    """`ssk-clf v1` checkpoint: config, vocab, labels, encoder payload, then
-    the head weights and bias."""
-    write_checkpoint(
-        path, MAGIC, model.encoder, {"labels": model.labels}, (model.w.value, model.b.value)
-    )
+    """`ssk-clf v1` checkpoint: config, vocab, labels and `parameters()`, the
+    encoder's, then the head weights and bias."""
+    write_checkpoint(path, MAGIC, model.encoder, model.parameters(), {"labels": model.labels})
 
 
 def load_classifier(model_path: str, table: EmbeddingTable, taxonomy: Taxonomy) -> ClassifierModel:
@@ -195,8 +193,5 @@ def load_classifier(model_path: str, table: EmbeddingTable, taxonomy: Taxonomy) 
         raise ClassifierError("checkpoint taxonomy labels do not match")
     rng = np.random.default_rng(0)
     model = ClassifierModel(SequenceEncoder(vocab, cfg, rng), table, taxonomy, rng)
-    off = model.encoder.load_payload(flat)
-    wsize = model.w.value.size
-    model.w.value[...] = flat[off : off + wsize].reshape(model.w.value.shape)
-    model.b.value[...] = flat[off + wsize :].reshape(model.b.value.shape)
+    load_parameters(model.parameters(), flat)
     return model

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +129,14 @@ def score_nodes(
     return ad.Node(norms * -1.0, (ent, rel), distance_backward)
 
 
+@np.errstate(all="ignore")  # numpy's warnings on the way to a diverging run, refused below
 def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tuple[EmbeddingTable, list[float]]:
     """Train a table on the KG triples with uniform corruption negatives.
 
     Loss per positive: -log sigmoid(margin + score) plus the mean of
     -log sigmoid(-margin - score) over its corruptions. Returns the table and
-    the per-epoch loss history.
+    the per-epoch loss history. A run that diverges, to a loss or an entity
+    norm that is not finite, stops at that epoch with EmbeddingError.
     """
     if kg.num_triples == 0:
         raise EmbeddingError("knowledge graph has no triples")
@@ -145,7 +148,7 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
     buffer = ParameterBuffer([ent, rel])
     table.ent, table.rel = ent.value, rel.value  # views of the buffer, which _clamp edits in place
     history: list[float] = []
-    for _epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         s_pos = score_nodes(ent, rel, kind, heads, rels, tails)
         # uniform corruptions: replace head or tail
         k = cfg.negatives
@@ -161,15 +164,19 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
         pos_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.add(s_pos, ad.constant(np.full(s_pos.shape, gamma))))), -1.0 / kg.num_triples)
         neg_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.scale(ad.add(s_neg, ad.constant(np.full(s_neg.shape, gamma))), -1.0))), -1.0 / s_neg.shape[0])
         loss = ad.add(pos_term, neg_term)
-        train_step(opt, buffer, loss)
         history.append(float(loss.value[0, 0]))
+        if not math.isfinite(history[-1]):
+            raise EmbeddingError(f"training diverged: the loss of epoch {epoch + 1} is {history[-1]}")
+        train_step(opt, buffer, loss)
         del s_pos, s_neg, pos_term, neg_term, loss  # this epoch's graph, freed before the next one is built
-        _clamp(table)
+        _clamp(table, epoch)
     return table, history
 
 
-def _clamp(table: EmbeddingTable) -> None:
+def _clamp(table: EmbeddingTable, epoch: int) -> None:
     norms = np.linalg.norm(table.ent, axis=1, keepdims=True)
+    if not np.isfinite(norms).all():  # rescaling by MAX_ENTITY_NORM / inf would zero the rows
+        raise EmbeddingError(f"training diverged: an entity norm of epoch {epoch + 1} is not finite")
     over = norms > MAX_ENTITY_NORM
     if over.any():
         table.ent[...] = np.where(over, table.ent * (MAX_ENTITY_NORM / norms), table.ent)

@@ -188,30 +188,6 @@ class SequenceEncoder:
 
         return ad.Node(out, self.parameters(), backward)
 
-    def encode(self, *sequences: list[int]) -> np.ndarray:
-        """Inference-mode (n, out_dim) vectors, one row per id sequence: the
-        forward that builds no node."""
-        return self.forward(*sequences)
-
-    # -- checkpoint payload (see write_checkpoint) --
-
-    def param_names(self) -> list[str]:
-        return list(self.params)
-
-    def payload(self) -> np.ndarray:
-        return np.concatenate(
-            [self.params[n].value.astype(np.float32).ravel() for n in self.param_names()]
-        )
-
-    def load_payload(self, flat: np.ndarray) -> int:
-        off = 0
-        for n in self.param_names():
-            p = self.params[n]
-            size = p.value.size
-            p.value[...] = flat[off : off + size].reshape(p.value.shape)
-            off += size
-        return off
-
 
 class CheckpointError(ValueError):
     """A model checkpoint is truncated, malformed or does not fit its model."""
@@ -221,17 +197,17 @@ def write_checkpoint(
     path: str,
     magic: str,
     encoder: SequenceEncoder,
+    params: list[ad.Node],
     sections: dict[str, list[str]] | None = None,
-    head: tuple[np.ndarray, ...] = (),
 ) -> None:
     """Model checkpoint shared by the ranker and the classifier.
 
     A `magic` line, a `dims` line with the encoder config, counted string
     sections (`<name> <count>` then one string per line: `vocab` first, then
-    `sections` in order) and `floats N` followed by N float32 LE values: the
-    encoder payload, then each `head` array raveled. A parameter that
-    float32 cannot hold, nan, inf or beyond its range, is refused with
-    CheckpointError before the file is opened.
+    `sections` in order) and `floats N` followed by N float32 LE values:
+    each of `params`, the model's `parameters()`, raveled in list order. A
+    parameter that float32 cannot hold, nan, inf or beyond its range, is
+    refused with CheckpointError before the file is opened.
     """
     cfg = encoder.cfg
     lines = [
@@ -243,7 +219,7 @@ def write_checkpoint(
         lines.append(f"{name} {len(items)}")
         lines.extend(items)
     with np.errstate(over="ignore"):  # a value beyond float32's range is refused below
-        payload = np.concatenate([encoder.payload()] + [a.astype(np.float32).ravel() for a in head])
+        payload = np.concatenate([p.value.astype(np.float32).ravel() for p in params])
     if not np.isfinite(payload).all():
         raise CheckpointError(f"{path}: a parameter is nan, inf or beyond float32's range")
     lines.append(f"floats {payload.size}")
@@ -313,3 +289,11 @@ def read_checkpoint(
     if not np.isfinite(flat).all():
         raise CheckpointError(f"{path}: payload holds a nan or inf")
     return cfg, vocab, found, flat
+
+
+def load_parameters(params: list[ad.Node], flat: np.ndarray) -> None:
+    """Copy a read_checkpoint payload into `params`, in write_checkpoint's order."""
+    off = 0
+    for p in params:
+        p.value[...] = flat[off : off + p.value.size].reshape(p.value.shape)
+        off += p.value.size

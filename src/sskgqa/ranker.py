@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .candidates import EnumConfig, enumerate_candidates
-from .encoder import ENCODE_CHUNK, MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab, batch_layout, read_checkpoint, write_checkpoint
+from .encoder import ENCODE_CHUNK, MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab, batch_layout, load_parameters, read_checkpoint, write_checkpoint
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 from .querygraph import Chain, canonicalize, serialize_tokens, split_symbol
@@ -82,7 +82,7 @@ class RankerModel:
         seqs += [encode(serialize_tokens(c, split=split)[:MAX_TOKENS]) for c in cands]
         vecs = np.concatenate(
             [
-                self.encoder.encode(*seqs[i : i + ENCODE_CHUNK])
+                self.encoder.forward(*seqs[i : i + ENCODE_CHUNK])
                 for i in range(0, len(seqs), ENCODE_CHUNK)
             ]
         )
@@ -184,12 +184,12 @@ def train_ranker(
 
 
 def save_ranker(model: RankerModel, path: str) -> None:
-    """`ssk-rank v1` checkpoint: config, vocab and the encoder payload."""
-    write_checkpoint(path, MAGIC, model.encoder)
+    """`ssk-rank v1` checkpoint: config, vocab and the encoder's parameters."""
+    write_checkpoint(path, MAGIC, model.encoder, model.encoder.parameters())
 
 
 def load_ranker(path: str) -> RankerModel:
     cfg, vocab, _, flat = read_checkpoint(path, MAGIC)
     model = RankerModel(SequenceEncoder(vocab, cfg, np.random.default_rng(0)))
-    model.encoder.load_payload(flat)
+    load_parameters(model.encoder.parameters(), flat)
     return model

@@ -37,9 +37,9 @@ class SemanticStructure:
         return self.shape
 
 
-def structure_of(label: str, kinds, edges) -> SemanticStructure:
+def structure_of(label: str, kinds, edges, where: str) -> SemanticStructure:
     """The structure drawn by node kinds and unlabeled (from, to) index edges,
-    or StructureError naming the label.
+    or StructureError prefixed with `where`.
 
     It must be a chain: the edges touching no Ec node form one path from the
     topic to the answer, and each Ec node is a leaf on one path node. Edge
@@ -48,7 +48,7 @@ def structure_of(label: str, kinds, edges) -> SemanticStructure:
     try:
         return SemanticStructure(label, _drawn_shape(kinds, edges))
     except StructureError as exc:
-        raise StructureError(f"{label}: {exc}") from None
+        raise StructureError(f"{where}: {exc}") from None
 
 
 def _drawn_shape(kinds, edges) -> tuple[int, tuple[int, ...]]:
@@ -164,8 +164,5 @@ def _structure_entry(path: str, i: int, e) -> SemanticStructure:
         isinstance(d, list) and len(d) == 2 and all(type(v) is int for v in d) for d in edges
     ):
         raise StructureError(f"{name}: edges must be a list of [from, to] index pairs")
-    try:
-        return SemanticStructure(label, _drawn_shape(kinds, edges))
-    except StructureError as exc:
-        raise StructureError(f"{name}: {exc}") from None
+    return structure_of(label, kinds, edges, name)
 

@@ -101,7 +101,7 @@ def separable_classifier_dataset(
 
 def count_forwards(encoder) -> list[int]:
     """Spy on `encoder.forward`: the returned list gets the number of
-    sequences of each later call, through `encode` too."""
+    sequences of each later call."""
     calls = []
     forward = encoder.forward
 

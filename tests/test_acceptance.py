@@ -248,12 +248,12 @@ def test_criterion_4_structure_matching():
     drawings = [d for d in drawings if len(d[0]) <= 5]
     for a in drawings:
         for b in drawings:
-            assert (structure_of("a", *a).shape == structure_of("b", *b).shape) == _brute_force_iso(a, b)
+            assert (structure_of("a", *a, "a").shape == structure_of("b", *b, "b").shape) == _brute_force_iso(a, b)
     # filtering soundness: a graph has the shape of the structure its drawing
     # reads as, so it survives the filter by it
     for _ in range(1000):
         g = _random_graph(rng)
-        ss = structure_of("s", *_drawing(g))
+        ss = structure_of("s", *_drawing(g), "s")
         assert g.shape == ss.shape
     report(4, "structure matching agrees with brute-force isomorphism", t0, 30.0)
 
@@ -396,7 +396,9 @@ def test_criterion_9_end_to_end():
     # bit determinism: retraining with the same seed gives identical
     # parameters and an identical evaluation transcript
     model2 = train_ranker(rdata, rkg, TAX, rcfg)
-    assert model.encoder.payload().tobytes() == model2.encoder.payload().tobytes()
+    assert [p.value.tobytes() for p in model.encoder.parameters()] == [
+        p.value.tobytes() for p in model2.encoder.parameters()
+    ]
     rep2 = evaluate(
         PipelineConfig(kg=rkg, taxonomy=TAX, ranker=model2, mode="oracle"), rqs
     )

@@ -126,7 +126,7 @@ def test_label_question_by_sparql():
 def test_label_question_constraint_on_topic():
     # from the topic :b, the value :a is a constraint on the topic; from :a
     # there is no chain, as :a reaches ?x only through :b
-    tc = structure_of("TC", (E_TOPIC, ANSWER, E_CONST), ((0, 1), (0, 2)))
+    tc = structure_of("TC", (E_TOPIC, ANSWER, E_CONST), ((0, 1), (0, 2)), "TC")
     sparql = "SELECT ?x WHERE { :b :r ?x . :b :r :a . }"
     g = extract_query_graph(parse_sparql(sparql), "b")
     assert g.topic == "b"

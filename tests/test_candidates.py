@@ -130,7 +130,7 @@ def test_deterministic_order():
 
 
 # Two constraints on the answer: no enumerated chain has this structure.
-TWO_CONSTRAINTS = structure_of("two", (E_TOPIC, ANSWER, E_CONST, E_CONST), ((0, 1), (1, 2), (1, 3)))
+TWO_CONSTRAINTS = structure_of("two", (E_TOPIC, ANSWER, E_CONST, E_CONST), ((0, 1), (1, 2), (1, 3)), "two")
 NAMES = ["a", "b", "c", "d"]
 
 

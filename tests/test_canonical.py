@@ -120,8 +120,8 @@ def structures(draw):
 @settings(max_examples=300, deadline=None)
 @given(structures(), structures())
 def test_structure_canonical_equals_full_search(a, b):
-    key = structure_of("a", *a).canonical()
-    assert (key == structure_of("b", *b).canonical()) == reference_isomorphic(a, b)
+    key = structure_of("a", *a, "a").canonical()
+    assert (key == structure_of("b", *b, "b").canonical()) == reference_isomorphic(a, b)
 
 
 @st.composite
@@ -158,7 +158,7 @@ def chain_forms(n: int) -> frozenset:
 def test_structure_is_built_iff_it_is_a_chain(case):
     kinds, edges = case
     try:
-        structure_of("s", kinds, edges)
+        structure_of("s", kinds, edges, "s")
     except StructureError:
         built = False
     else:

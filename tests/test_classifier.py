@@ -188,6 +188,11 @@ def test_checkpoint_round_trip(tmp_path):
     path = str(tmp_path / "clf.ckpt")
     save_classifier(model, path)
     back = load_classifier(path, table, builtin_taxonomy())
+    # each parameter in its own place: a swap of two same-shape ones would
+    # re-save the same bytes
+    assert [p.value.tobytes() for p in back.parameters()] == [
+        p.value.astype(np.float32).astype(np.float64).tobytes() for p in model.parameters()
+    ]
     for toks, topic, _ in dataset[:5]:
         assert np.allclose(
             back.classify(toks, topic), model.classify(toks, topic), atol=1e-6

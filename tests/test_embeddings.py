@@ -234,6 +234,24 @@ def test_train_loss_decreases_and_norms_clamped():
     assert np.linalg.norm(table.ent, axis=1).max() <= 10.0 + 1e-9
 
 
+@pytest.mark.parametrize(
+    "kind, cfg, msg",
+    [
+        # the first step takes the entity rows past where a norm overflows,
+        # which rescaling would turn into rows of zeros
+        ("transe", EmbedTrainConfig(d=8, epochs=5, lr=1e300), "an entity norm of epoch 1 is not finite"),
+        ("rotate", EmbedTrainConfig(d=8, epochs=5, lr=1e300), "an entity norm of epoch 1 is not finite"),
+        # -log sigmoid(-inf) of every corruption
+        ("transe", EmbedTrainConfig(d=8, epochs=5, margin=np.inf), "the loss of epoch 1 is inf"),
+    ],
+    ids=["transe_lr", "rotate_lr", "transe_margin"],
+)
+def test_train_refuses_a_diverging_run(kind, cfg, msg):
+    # numpy's overflow warnings on the way would fail this test
+    with pytest.raises(EmbeddingError, match=f"^training diverged: {msg}$"):
+        train(cycle_kg(), cfg, kind)
+
+
 def test_train_rotate_phases_wrapped():
     kg = cycle_kg(6)
     table, _ = train(kg, EmbedTrainConfig(d=8, epochs=10, seed=0), "rotate")
@@ -272,6 +290,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert back.ent.shape == table.ent.shape
     assert np.allclose(back.ent, table.ent, atol=1e-6)
     assert np.allclose(back.rel, table.rel, atol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, 1e300])
+def test_checkpoint_refuses_a_value_float32_cannot_hold(tmp_path, bad):
+    # 1e300 is finite in float64 and inf in float32; no file is written
+    table = init_table("transe", 5, 2, 8, seed=9)
+    table.rel[1, 3] = bad
+    path = tmp_path / "emb.ckpt"
+    with pytest.raises(EmbeddingError, match="^.*emb.ckpt: an embedding is nan, inf or beyond float32's range$"):
+        save_table(table, str(path))
+    assert not path.exists()
 
 
 def test_checkpoint_bad_header(tmp_path):

@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 from fixtures import count_forwards, graph_nodes_while
 from reference import reference_mul, reference_rownorm, reference_sub
 from sskgqa import autodiff as ad
-from sskgqa.encoder import MAX_TOKENS, OOV, EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.encoder import (
+    MAX_TOKENS,
+    OOV,
+    EncoderConfig,
+    SequenceEncoder,
+    Vocab,
+    load_parameters,
+    read_checkpoint,
+    write_checkpoint,
+)
 from sskgqa.optim import AdamW, ParameterBuffer, train_step
 
 
@@ -53,16 +62,16 @@ def make_encoder(use_attention=True, seed=0, dropout=0.0):
 def test_encode_shape_and_counter():
     enc = make_encoder()
     calls = count_forwards(enc)
-    out = enc.encode([1, 2])
+    out = enc.forward([1, 2])
     assert out.shape == (1, 6)
-    enc.encode([3], [4, 1])
+    enc.forward([3], [4, 1])
     assert calls == [1, 2]
 
 
 def test_encode_deterministic_at_inference():
     enc = make_encoder(dropout=0.5)
-    a = enc.encode([1, 2, 3])
-    b = enc.encode([1, 2, 3])
+    a = enc.forward([1, 2, 3])
+    b = enc.forward([1, 2, 3])
     assert np.array_equal(a, b)
 
 
@@ -99,7 +108,7 @@ def test_batched_encode_matches_per_sequence_reference(seqs, repeats, use_attent
     seqs = seqs + [seqs[i % len(seqs)] for i in repeats]  # duplicate sequences
     enc = make_encoder(use_attention=use_attention, dropout=0.5)
     calls = count_forwards(enc)
-    got = enc.encode(*(enc.vocab.encode(s) for s in seqs))
+    got = enc.forward(*(enc.vocab.encode(s) for s in seqs))
     assert got.shape == (len(seqs), 6)
     assert calls == [len(seqs)]
     want = np.concatenate([reference_forward(enc, s) for s in seqs])
@@ -109,7 +118,7 @@ def test_batched_encode_matches_per_sequence_reference(seqs, repeats, use_attent
 def test_empty_sequence_rejected():
     enc = make_encoder()
     with pytest.raises(ValueError):
-        enc.encode([])
+        enc.forward([])
     with pytest.raises(ValueError):
         enc.forward()
     for at in range(3):
@@ -125,7 +134,7 @@ def test_forward_reads_the_first_max_tokens_ids():
     enc = make_encoder()
     long = [1, 2, 3, 4] * MAX_TOKENS
     head = long[:MAX_TOKENS]
-    assert np.array_equal(enc.encode(long, [2]), enc.encode(head, [2]))
+    assert np.array_equal(enc.forward(long, [2]), enc.forward(head, [2]))
     outs = []
     for seq in (long, head):
         out = enc.forward(seq, [2], training=True)
@@ -184,10 +193,13 @@ def test_trainable_toward_target():
     assert float(loss.value[0, 0]) < 0.1 * first
 
 
-def test_payload_round_trip():
+def test_payload_round_trip(tmp_path):
     enc = make_encoder(seed=1)
-    ref = enc.encode([1, 3])
-    blob = enc.payload()
+    ref = enc.forward([1, 3])
+    path = str(tmp_path / "enc.ckpt")
+    write_checkpoint(path, "test v1", enc, enc.parameters())
+    cfg, vocab, _, flat = read_checkpoint(path, "test v1")
+    assert (cfg, vocab.tokens) == (enc.cfg, enc.vocab.tokens)
     enc2 = make_encoder(seed=2)
-    enc2.load_payload(blob)
-    assert np.allclose(enc2.encode([1, 3]), ref, atol=1e-6)
+    load_parameters(enc2.parameters(), flat)
+    assert np.allclose(enc2.forward([1, 3]), ref, atol=1e-6)

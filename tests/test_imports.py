@@ -1,6 +1,7 @@
 """Every module-level import in the package and in its tests is used by
 its module, every public function of the autodiff engine is used by another
-package module, every public function and class of `annotation` has a reader
+package module, every public function and class of `annotation`, `encoder`
+and `structures` and every public method of `SequenceEncoder` has a reader
 outside its own definition, no package module but the CLI prints, and no
 package module but `structures` reads the node kinds of a taxonomy drawing."""
 
@@ -17,7 +18,6 @@ from reference import (
     reference_encoder_forward,
     reference_train_step,
 )
-from sskgqa import annotation as ann
 from sskgqa import autodiff as ad
 from sskgqa import classifier as clf
 from sskgqa import embeddings as emb
@@ -25,9 +25,11 @@ from sskgqa import ranker as rk
 from sskgqa.encoder import SequenceEncoder
 from sskgqa.structures import builtin_taxonomy
 
-MODULES = sorted(Path(sskgqa.__file__).resolve().parent.glob("*.py"))
+PACKAGE = Path(sskgqa.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "pipebench"
+MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
-BENCH_MODULES = sorted((Path(__file__).resolve().parents[1] / "pipebench").glob("*.py"))
+BENCH_MODULES = sorted(BENCH.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -65,8 +67,20 @@ def attributes_read(source: str, alias: str) -> set[str]:
     }
 
 
+def attributes_read_off(source: str, field: str) -> set[str]:
+    """The attributes a module reads off a name or an attribute called
+    `field` (`encoder.cfg` and `model.encoder.cfg` give "cfg")."""
+    return {
+        n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", getattr(n.value, "attr", None)) == field
+    }
+
+
 def test_attributes_read_are_found():
-    assert attributes_read("from . import autodiff as ad\nx = ad.add(ad.Node, y.matmul)\n", "ad") == {"add", "Node"}
+    assert attributes_read("from . import autodiff as ad\nx = ad.add(ad.Node, y.matmul, m.ad.sub)\n", "ad") == {"add", "Node"}
+    src = "a.encoder.forward(x)\nencoder.cfg\nself.encoder.vocab.encode(t)\n"
+    assert attributes_read_off(src, "encoder") == {"forward", "cfg", "vocab"}
 
 
 def test_every_autodiff_function_is_used_by_the_package():
@@ -141,21 +155,58 @@ def test_only_structures_reads_node_kinds():
     assert {stem: names for stem, names in read.items() if names} == {}
 
 
-def test_every_annotation_function_and_class_has_a_reader():
-    # a public name that only tests call is a second API beside the one the
-    # package uses: each is read by another package module, by the
-    # benchmark, or by a body of `annotation` other than its own definition
-    tree = ast.parse(Path(ann.__file__).read_text(encoding="utf-8"))
+@pytest.fixture
+def traced(monkeypatch) -> list[tuple[str, str]]:
+    """(module, "func" or "Class.method") of each target the benchmark's
+    tracer wraps."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layertrace
+
+    return [(t.module, t.name) for t in layertrace.TARGETS]
+
+
+def unread_public_names(module: str, traced: list[tuple[str, str]]) -> list[str]:
+    """The public functions and classes of the package module `module` that
+    no other package module, no benchmark module, no tracer target and no
+    body of `module` other than its own definition reads."""
+    path = PACKAGE / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     public = [
         n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and not n.name.startswith("_")
     ]
     bodies = [(stmt, {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}) for stmt in tree.body]
-    read = set()
-    for path in MODULES + BENCH_MODULES:
-        if path.name != "annotation.py":
-            read |= names_taken_from(path.read_text(encoding="utf-8"), "annotation")
+    read = {name.split(".")[0] for m, name in traced if m == module}
+    for other in MODULES + BENCH_MODULES:
+        if other != path:
+            read |= names_taken_from(other.read_text(encoding="utf-8"), module)
     own = [d.name for d in public if any(d.name in names for stmt, names in bodies if stmt is not d)]
-    assert [d.name for d in public if d.name not in read and d.name not in own] == []
+    return [d.name for d in public if d.name not in read and d.name not in own]
+
+
+def test_every_annotation_function_and_class_has_a_reader(traced):
+    # a public name that only tests call is a second API beside the one the
+    # package uses
+    assert unread_public_names("annotation", traced) == []
+
+
+@pytest.mark.parametrize("module", ["encoder", "structures"])
+def test_every_function_and_class_has_a_reader(module, traced):
+    assert unread_public_names(module, traced) == []
+
+
+def test_every_sequence_encoder_method_has_a_reader(traced):
+    # read as `self.<name>` by another of its methods, or, in a package
+    # module or the benchmark, off an `encoder` or off the class;
+    # `Vocab.encode`, read off a `vocab`, is not one of them
+    tree = ast.parse((PACKAGE / "encoder.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SequenceEncoder")
+    methods = [n for n in cls.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+    read = {name.split(".")[1] for m, name in traced if m == "encoder" and name.startswith("SequenceEncoder.")}
+    for path in MODULES + BENCH_MODULES:
+        source = path.read_text(encoding="utf-8")
+        read |= attributes_read_off(source, "encoder") | attributes_read(source, "SequenceEncoder")
+    own = {m.name for m in methods if any(m.name in attributes_read(ast.unparse(o), "self") for o in cls.body if o is not m)}
+    assert [m.name for m in methods if m.name not in read | own] == []
 
 
 def test_benchmark_finds_every_name_it_uses(monkeypatch):

@@ -67,7 +67,7 @@ def test_validation_rejects_two_lambdas():
     with pytest.raises(SparqlError):
         _extract("SELECT ?x ?x2 WHERE { :a :r ?x . ?x :r ?x2 . }")
     with pytest.raises(StructureError):
-        structure_of("X", (E_TOPIC, ANSWER, ANSWER), ((0, 1), (1, 2)))
+        structure_of("X", (E_TOPIC, ANSWER, ANSWER), ((0, 1), (1, 2)), "X")
 
 
 def test_validation_rejects_disconnected():
@@ -77,7 +77,7 @@ def test_validation_rejects_disconnected():
         with pytest.raises(ExtractionError):
             _extract("SELECT ?x WHERE { :a :r ?x . :b :r ?y . }", topic)
     with pytest.raises(StructureError):
-        structure_of("X", (E_TOPIC, ANSWER, E_CONST), ((0, 1),))
+        structure_of("X", (E_TOPIC, ANSWER, E_CONST), ((0, 1),), "X")
 
 
 def test_validation_rejects_query_without_the_topic():
@@ -91,7 +91,7 @@ def test_validation_rejects_query_without_the_topic():
         assert label_question(q, builtin_taxonomy()) == UNSUPPORTED
         assert gold_graph_of(q) is None
     with pytest.raises(StructureError):
-        structure_of("X", (VAR, ANSWER, E_CONST), ((0, 1), (2, 0)))
+        structure_of("X", (VAR, ANSWER, E_CONST), ((0, 1), (2, 0)), "X")
 
 
 def test_each_named_topic_gives_its_own_chain():

@@ -283,6 +283,11 @@ def test_checkpoint_round_trip(tmp_path):
     path = str(tmp_path / "rank.ckpt")
     save_ranker(model, path)
     back = load_ranker(path)
+    # each parameter in its own place: a swap of two same-shape ones would
+    # re-save the same bytes
+    assert [p.value.tobytes() for p in back.encoder.parameters()] == [
+        p.value.astype(np.float32).astype(np.float64).tobytes() for p in model.encoder.parameters()
+    ]
     g = gold_graph_of(questions[0])
     toks = tokenize_question(questions[0].question)
     assert back.score_all(toks, [g]) == pytest.approx(model.score_all(toks, [g]), abs=1e-5)

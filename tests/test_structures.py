@@ -38,7 +38,7 @@ def test_builtin_taxonomy_shape():
         "SS6": ((E_TOPIC, VAR, ANSWER, E_CONST), ((0, 1), (1, 2), (1, 3))),
     }
     for label, drawing in drawings.items():
-        assert structure_of(label, *drawing).shape == tax.get(label).shape
+        assert structure_of(label, *drawing, label).shape == tax.get(label).shape
 
 
 def test_ss5_ss6_differ():
@@ -48,24 +48,24 @@ def test_ss5_ss6_differ():
 
 def test_structure_validation():
     with pytest.raises(StructureError):
-        structure_of("bad", (E_TOPIC, VAR), ((0, 1),))  # no answer node
+        structure_of("bad", (E_TOPIC, VAR), ((0, 1),), "bad")  # no answer node
     with pytest.raises(StructureError):
-        structure_of("bad", (E_TOPIC, ANSWER, VAR), ((0, 1),))  # disconnected
+        structure_of("bad", (E_TOPIC, ANSWER, VAR), ((0, 1),), "bad")  # disconnected
     with pytest.raises(StructureError):
-        structure_of("bad", (E_TOPIC, ANSWER), ((0, 1), (1, -1)))  # out of range
+        structure_of("bad", (E_TOPIC, ANSWER), ((0, 1), (1, -1)), "bad")  # out of range
     with pytest.raises(StructureError):
-        structure_of("bad", (E_TOPIC, VAR, VAR, ANSWER), ((0, 1), (0, 2), (1, 3)))  # branch
+        structure_of("bad", (E_TOPIC, VAR, VAR, ANSWER), ((0, 1), (0, 2), (1, 3)), "bad")  # branch
     with pytest.raises(StructureError):
-        structure_of("bad", (E_TOPIC, ANSWER), ((0, 1), (0, 1)))  # parallel edge
+        structure_of("bad", (E_TOPIC, ANSWER), ((0, 1), (0, 1)), "bad")  # parallel edge
     with pytest.raises(StructureError):
-        structure_of("bad", (E_TOPIC, "zz", ANSWER), ((0, 1), (1, 2)))  # unknown kind
+        structure_of("bad", (E_TOPIC, "zz", ANSWER), ((0, 1), (1, 2)), "bad")  # unknown kind
 
 
 def test_taxonomy_rejects_answer_reached_only_through_constraint(tmp_path):
     # not a chain, so it has no shape: the structure cannot be built, and a
     # taxonomy file holding it fails at load
     with pytest.raises(StructureError):
-        structure_of("X", (E_TOPIC, E_CONST, ANSWER), ((0, 1), (1, 2)))
+        structure_of("X", (E_TOPIC, E_CONST, ANSWER), ((0, 1), (1, 2)), "X")
     path = tmp_path / "tax.json"
     path.write_text('[{"label": "X", "kinds": ["E", "Ec", "a"], "edges": [[0, 1], [1, 2]]}]')
     with pytest.raises(StructureError):
@@ -111,7 +111,7 @@ def test_abstract_rejects_non_chain():
 
 def test_taxonomy_rejects_duplicate_shapes():
     # the same 1-hop chain with its edge and nodes the other way round
-    twin = structure_of("X", (ANSWER, E_TOPIC), ((0, 1),))
+    twin = structure_of("X", (ANSWER, E_TOPIC), ((0, 1),), "X")
     assert twin.canonical() == builtin_taxonomy().get("SS1").canonical()
     with pytest.raises(StructureError, match="X: same shape as SS1"):
         Taxonomy(list(builtin_taxonomy()) + [twin])
@@ -121,7 +121,7 @@ def test_taxonomy_rejects_duplicate_shapes():
 def test_taxonomy_refuses_shapes_enumeration_never_emits(tmp_path, shape):
     # a constraint on the topic, two constraints, or more than three hops
     kinds, edges = reference_chain(*shape)
-    ss = structure_of("X", kinds, edges)
+    ss = structure_of("X", kinds, edges, "X")
     assert ss.shape == shape  # any chain is a structure
     with pytest.raises(StructureError, match=re.escape(f"X: candidate enumeration emits no chain of shape {shape}")):
         Taxonomy(list(builtin_taxonomy()) + [ss])
@@ -132,7 +132,7 @@ def test_taxonomy_refuses_shapes_enumeration_never_emits(tmp_path, shape):
 
 
 def test_taxonomy_accepts_every_emitted_shape():
-    tax = Taxonomy([structure_of(str(s), *reference_chain(*s)) for s in sorted(SHAPES)])
+    tax = Taxonomy([structure_of(str(s), *reference_chain(*s), str(s)) for s in sorted(SHAPES)])
     assert {tax.find_match(s) for s in SHAPES} == {str(s) for s in SHAPES}
 
 
