@@ -1,10 +1,12 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 arrays.
 
 Vectors are (1, d) arrays; scalars are (1, 1). Parameters are leaf nodes whose
-values persist across steps; a fresh graph is built per training forward. The
-encoder's fused ops (`block_attention`, `feed_forward`, `block_pool`) take and
-return plain arrays: each returns its value and a backward that returns
-gradients, and a model's forward makes one node of them.
+values persist across steps; a training forward builds a few fused nodes, each
+with a hand-written backward, and there is no graph walk: a node hands its
+gradient on as soon as it gets one. The encoder's fused ops
+(`block_attention`, `feed_forward`, `block_pool`) take and return plain
+arrays: each returns its value and a backward that returns gradients, and a
+model's forward makes one node of them.
 """
 
 from __future__ import annotations
@@ -36,12 +38,15 @@ def _as_value(x) -> np.ndarray:
 
 
 class Node:
-    __slots__ = ("value", "parents", "grad", "_backward")
+    """A value and, unless it is a parameter, the backward that hands a
+    gradient of it on. Each such node has one consumer, so the one gradient
+    it gets is its whole gradient; a parameter adds its gradients up."""
 
-    def __init__(self, value, parents=(), backward=None):
+    __slots__ = ("value", "grad", "_backward")
+
+    def __init__(self, value, backward=None):
         self.value = _as_value(value)
         self.grad: np.ndarray | None = None
-        self.parents = tuple(parents)
         self._backward = backward
 
     @property
@@ -52,18 +57,16 @@ class Node:
         self.grad = None
 
     def accumulate(self, g: np.ndarray) -> None:
-        """Add g to this node's gradient. The node takes g as it is, without a
-        copy: the engine never writes to a gradient array it was handed, so
-        one array may be the gradient of several nodes (add passes g to both
-        operands). Later gradients are added out of place."""
-        if self.grad is None:
+        """Hand g on through the backward, or add it to the gradient. A
+        parameter takes g as it is, without a copy: no backward writes to a
+        gradient array it was handed, so one array may be the gradient of
+        several parameters. Later gradients are added out of place."""
+        if self._backward is not None:
+            self._backward(g)
+        elif self.grad is None:
             self.grad = g
         else:
             self.grad = self.grad + g
-
-
-def constant(x) -> Node:
-    return Node(x)
 
 
 def parameter(x) -> Node:
@@ -73,19 +76,6 @@ def parameter(x) -> Node:
 def _row_grad(g: np.ndarray) -> np.ndarray:
     """The gradient of a (1, w) operand broadcast over the rows of g."""
     return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
-
-
-def add(a, b):
-    """Elementwise sum; a (1, d) operand broadcasts over (n, d) rows."""
-    if a.shape != b.shape:
-        if not (a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0])):
-            raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-
-    def backward(g):
-        a.accumulate(_row_grad(g) if a.shape[0] == 1 else g)
-        b.accumulate(_row_grad(g) if b.shape[0] == 1 else g)
-
-    return Node(a.value + b.value, (a, b), backward)
 
 
 def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, blocks: int):
@@ -220,8 +210,9 @@ def triplet_hinge(f: Node, alpha: float) -> Node:
 
     When no hinge is active and every distance is finite, that gradient is
     0.0 in every cell for any finite incoming gradient, so the loss is a node
-    with no parents and the backward stops there. A nan or inf distance
-    keeps the node, so a non-finite batch still reaches the gradient check.
+    with no backward and the gradient stops there. A nan or inf distance
+    keeps the backward, so a non-finite batch still reaches the gradient
+    check.
     """
     k = f.shape[0] - 2
     if k < 1:
@@ -247,22 +238,7 @@ def triplet_hinge(f: Node, alpha: float) -> Node:
         grad[1:] = 0.0 - gd
         f.accumulate(grad)
 
-    return Node(value, (f,), backward)
-
-
-def scale(a: Node, c: float) -> Node:
-    return Node(a.value * c, (a,), lambda g: a.accumulate(g * c))
-
-
-def sum_all(a: Node) -> Node:
-    return Node(a.value.sum(), (a,), lambda g: a.accumulate(np.full_like(a.value, g[0, 0])))
-
-
-def logsigmoid(a: Node) -> Node:
-    """log(sigmoid(x)), computed stably as min(x, 0) - log1p(exp(-|x|))."""
-    x = a.value
-    y = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-    return Node(y, (a,), lambda g: a.accumulate(g / (1.0 + np.exp(x))))
+    return Node(value, backward)
 
 
 def complex_mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,25 +278,7 @@ def scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) for every node reachable from loss."""
+    """Hand d(loss)/d(loss) = 1 to the loss, which hands it on."""
     if loss.shape != (1, 1):
         raise ContractError(f"loss must be a (1, 1) scalar, got {loss.shape}")
-    topo: list[Node] = []
-    seen: set[Node] = set()
-    stack: list[tuple[Node, bool]] = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for p in node.parents:
-            if p not in seen:
-                stack.append((p, False))
     loss.accumulate(np.ones((1, 1)))
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)

@@ -140,7 +140,7 @@ def cross_entropy(eq: ad.Node, eh: np.ndarray, w: ad.Node, b: ad.Node, targets: 
         gs = g_logits @ w.value.T
         eq.accumulate(gs + ad.conj_mul_packed(gs, eh))
 
-    return ad.Node(np.log(picked).sum() * c, (eq, w, b), backward)
+    return ad.Node(np.log(picked).sum() * c, backward)
 
 
 def train_classifier(

@@ -77,6 +77,19 @@ def cmd_train_embeddings(args) -> int:
     return 0
 
 
+def _embeddings(path: str, kg: kgmod.KnowledgeGraph) -> emb.EmbeddingTable:
+    """The table at `path`, refused unless it has a row for every entity and
+    every relation of `kg` and no more."""
+    table = emb.load_table(path)
+    have, need = (len(table.ent), len(table.rel)), (kg.num_entities, kg.num_relations)
+    if have != need:
+        raise emb.EmbeddingError(
+            f"{path}: a table of {have[0]} entities and {have[1]} relations, "
+            f"but the --kg has {need[0]} and {need[1]}"
+        )
+    return table
+
+
 def _classifier_dataset(kg, questions, tax):
     dataset = []
     for q in questions:
@@ -95,7 +108,7 @@ def cmd_train_classifier(args) -> int:
     )
     kg = kgmod.load_kg_file(args.kg)
     tax = _taxonomy(args)
-    table = emb.load_table(args.embeddings)
+    table = _embeddings(args.embeddings, kg)
     questions = ann.load_dataset(args.dataset)
     dataset = _classifier_dataset(kg, questions, tax)
     model = clf.train_classifier(dataset, table, tax, cfg)
@@ -149,8 +162,7 @@ def _pipeline_config(args) -> pl.PipelineConfig:
     ranker = rk.load_ranker(args.ranker)
     classifier = None
     if args.mode == "predicted":
-        table = emb.load_table(args.embeddings)
-        classifier = clf.load_classifier(args.classifier, table, tax)
+        classifier = clf.load_classifier(args.classifier, _embeddings(args.embeddings, kg), tax)
     return pl.PipelineConfig(
         kg=kg,
         taxonomy=tax,

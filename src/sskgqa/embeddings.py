@@ -97,7 +97,7 @@ def score_nodes(
             rel.accumulate(ad.scatter_rows(r, ad.conj_mul_packed(g_hr, eh), n_rel))
             ent.accumulate(ad.scatter_rows(t, g * hr, n_ent))
 
-        return ad.Node((hr * et).sum(axis=1, keepdims=True), (ent, rel), complex_backward)
+        return ad.Node((hr * et).sum(axis=1, keepdims=True), complex_backward)
     if kind == "transe":
         x = eh
         x += rel.value[r]
@@ -126,7 +126,25 @@ def score_nodes(
         np.negative(gx, out=gx)  # the tails' -gx, in place: one batch-sized array fewer
         ent.accumulate(ad.scatter_rows(t, gx, n_ent))
 
-    return ad.Node(norms * -1.0, (ent, rel), distance_backward)
+    return ad.Node(norms * -1.0, distance_backward)
+
+
+def margin_loss(s_pos: ad.Node, s_neg: ad.Node, margin: float) -> ad.Node:
+    """train's loss of (n, 1) positive and (m, 1) negative scores as one
+    (1, 1) node. Same arithmetic, step for step, as the chain of margin add,
+    the negatives' -1 scale, logsigmoid (min(x, 0) - log1p(exp(-|x|))), sum
+    and -1/n scale per side and the add of the sides, so it has that chain's
+    bits; the positives get their gradient first, as in that chain's walk."""
+    x_pos = s_pos.value + margin
+    x_neg = (s_neg.value + margin) * -1.0
+    c_pos, c_neg = -1.0 / len(x_pos), -1.0 / len(x_neg)
+    pos, neg = ((np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))).sum() for x in (x_pos, x_neg))
+
+    def backward(g):
+        s_pos.accumulate(np.full_like(x_pos, (g * c_pos)[0, 0]) / (1.0 + np.exp(x_pos)))
+        s_neg.accumulate(np.full_like(x_neg, (g * c_neg)[0, 0]) / (1.0 + np.exp(x_neg)) * -1.0)
+
+    return ad.Node(pos * c_pos + neg * c_neg, backward)
 
 
 @np.errstate(all="ignore")  # numpy's warnings on the way to a diverging run, refused below
@@ -160,15 +178,12 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
         nh = np.where(corrupt_head, repl, nh)
         nt = np.where(corrupt_head, nt, repl)
         s_neg = score_nodes(ent, rel, kind, nh, nr, nt)
-        gamma = cfg.margin
-        pos_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.add(s_pos, ad.constant(np.full(s_pos.shape, gamma))))), -1.0 / kg.num_triples)
-        neg_term = ad.scale(ad.sum_all(ad.logsigmoid(ad.scale(ad.add(s_neg, ad.constant(np.full(s_neg.shape, gamma))), -1.0))), -1.0 / s_neg.shape[0])
-        loss = ad.add(pos_term, neg_term)
+        loss = margin_loss(s_pos, s_neg, cfg.margin)
         history.append(float(loss.value[0, 0]))
         if not math.isfinite(history[-1]):
             raise EmbeddingError(f"training diverged: the loss of epoch {epoch + 1} is {history[-1]}")
         train_step(opt, buffer, loss)
-        del s_pos, s_neg, pos_term, neg_term, loss  # this epoch's graph, freed before the next one is built
+        del s_pos, s_neg, loss  # this epoch's nodes, freed before the next one is built
         _clamp(table, epoch)
     return table, history
 

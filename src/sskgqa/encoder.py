@@ -186,7 +186,7 @@ class SequenceEncoder:
             for name, w in self.params.items():
                 w.accumulate(grads[name])
 
-        return ad.Node(out, self.parameters(), backward)
+        return ad.Node(out, backward)
 
 
 class CheckpointError(ValueError):

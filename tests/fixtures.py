@@ -2,11 +2,15 @@
 its paths, a random KG of fixed degree, a separable structure-classification dataset, the triplet loss
 of one triplet, a spy that counts the sequences an encoder encodes, a
 probe that counts the autodiff nodes a run builds, the JSON entries of a
-taxonomy, and an embedding table's tail scores and filtered MRR."""
+taxonomy, an embedding table's tail scores and filtered MRR, and the
+mutations of an input file's bytes."""
+
+import re
 
 import numpy as np
+from hypothesis import strategies as st
 
-from reference import reference_chain
+from reference import reference_chain, reference_constant
 from sskgqa import autodiff as ad
 from sskgqa.annotation import LabeledQuestion
 from sskgqa.embeddings import EmbeddingTable, init_table, score_nodes
@@ -114,14 +118,14 @@ def count_forwards(encoder) -> list[int]:
 
 
 def graph_nodes_while(run) -> tuple[int, int]:
-    """(nodes created, nodes created with parents) while run() runs."""
+    """(nodes created, nodes created with a backward) while run() runs."""
     counts = [0, 0]
     init = ad.Node.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
         counts[0] += 1
-        counts[1] += bool(self.parents)
+        counts[1] += self._backward is not None
 
     ad.Node.__init__ = counting_init
     try:
@@ -135,7 +139,7 @@ def triplet_loss(f_q, f_p, f_n, alpha: float) -> float:
     """max(||f_q - f_p|| - ||f_q - f_n|| + alpha, 0) of one triplet of
     vectors: `ad.triplet_hinge`, the loss train_ranker minimizes, of one
     negative."""
-    return float(ad.triplet_hinge(ad.constant(np.stack([f_q, f_p, f_n])), alpha).value[0, 0])
+    return float(ad.triplet_hinge(reference_constant(np.stack([f_q, f_p, f_n])), alpha).value[0, 0])
 
 
 def taxonomy_entries(tax) -> list[dict]:
@@ -152,7 +156,7 @@ def score_tails(table: EmbeddingTable, h: int, r: int, tails) -> np.ndarray:
     """Scores of (h, r, t') for a vector of candidate tails."""
     n = len(tails)
     hs, rs = np.full(n, h), np.full(n, r)
-    return score_nodes(ad.constant(table.ent), ad.constant(table.rel), table.kind, hs, rs, tails).value[:, 0]
+    return score_nodes(reference_constant(table.ent), reference_constant(table.rel), table.kind, hs, rs, tails).value[:, 0]
 
 
 def filtered_mrr(table: EmbeddingTable, kg: KnowledgeGraph) -> float:
@@ -167,3 +171,58 @@ def filtered_mrr(table: EmbeddingTable, kg: KnowledgeGraph) -> float:
         rank = 1 + int((scores[mask] > scores[t]).sum())
         ranks.append(1.0 / rank)
     return float(np.mean(ranks))
+
+
+# what a mutation writes over a number of a file's header
+HEADER_NUMBERS = (b"0", b"-1", b"999999999", b"nan")
+
+
+def text_end(data: bytes) -> int:
+    """Where the text of an input file ends: after the first line of an
+    `ssk-emb` table, after the `floats` line of an `ssk-clf` or `ssk-rank`
+    checkpoint; a KG TSV is all text."""
+    if data.startswith(b"ssk-emb "):
+        return data.index(b"\n") + 1
+    if data.startswith((b"ssk-clf ", b"ssk-rank ")):
+        return data.index(b"\n", data.index(b"\nfloats ") + 1) + 1
+    return len(data)
+
+
+def header_numbers(data: bytes) -> list[tuple[int, int]]:
+    """The (start, end) offsets of the whole numbers in an input file's
+    header: the first line of an `ssk-emb` table, and the dims, section
+    count and floats lines of a model checkpoint. A KG TSV has none."""
+    lines = re.finditer(rb"\Assk-emb .*|^(?:dims|vocab|labels|floats) .*", data[: text_end(data)], re.M)
+    numbers = rb"(?<![\d.])\d+(?![\d.])"
+    return [(line.start() + m.start(), line.start() + m.end()) for line in lines for m in re.finditer(numbers, line.group())]
+
+
+def set_number(data: bytes, span: tuple[int, int], number: bytes) -> bytes:
+    return data[: span[0]] + number + data[span[1] :]
+
+
+@st.composite
+def mutations(draw, data: bytes) -> bytes:
+    """`data` with one mutation: truncated, one bit flipped, bytes inserted,
+    a header number set to one of HEADER_NUMBERS, or one line dropped,
+    duplicated or cut short."""
+    kinds = ["truncate", "flip", "insert", "drop", "duplicate", "cut"] + ["number"] * bool(header_numbers(data))
+    kind = draw(st.sampled_from(kinds))
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1 :]
+    if kind == "insert":
+        return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+    if kind == "number":
+        return set_number(data, draw(st.sampled_from(header_numbers(data))), draw(st.sampled_from(HEADER_NUMBERS)))
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+    return b"\n".join(lines)

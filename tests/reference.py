@@ -5,7 +5,14 @@ with `reference_graph` (the graph of a `build_chain` call), `sparql_graph`
 for the graph oracles below; a backtracking join for `execute`, a DFS
 serializer for `serialize_tokens`, n! canonical forms for `canonicalize` and
 `SemanticStructure.canonical`, a recursive enumerator with per-entity
-feasibility for `enumerate_candidates`, numpy KG embedding scores for
+feasibility for `enumerate_candidates`; the tape engine the chains below
+build on, as the package's engine was before each node handed its gradient
+straight on: `TapeNode`, a node that keeps its parents, `reference_walk`,
+the topological walk a gradient handed to one starts, and the ops
+`reference_constant`, `reference_add`, `reference_scale`,
+`reference_sum_all` and `reference_logsigmoid`, with
+`reference_margin_loss`, the chain `embeddings.margin_loss` fuses; numpy KG
+embedding scores for
 `embeddings.score_nodes` and `reference_score_nodes`, the chain of row
 gathers and elementwise nodes it fuses, and the copying autodiff core the training
 equivalence tests swap in: `reference_accumulate` (a copy on first write) for
@@ -573,6 +580,119 @@ def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list, bool]:
     return graphs, truncated
 
 
+class TapeNode(ad.Node):
+    """A node of the tape engine the reference chains build on, as the
+    package's nodes were before each handed its gradient straight on: it
+    keeps its parents, and within a walk it only adds up what its consumers
+    hand it; the walk calls its backward once, with the sum.
+
+    A gradient handed to it from outside a walk that reached it, by
+    `ad.backward` or by a package node's backward, starts `reference_walk`
+    of its tape. A package node is a leaf of that walk."""
+
+    __slots__ = ("parents", "walked")
+
+    def __init__(self, value, parents=(), backward=None):
+        super().__init__(value, backward)
+        self.parents = tuple(parents)
+        self.walked = False  # true while a walk that reached it runs
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if not self.walked:
+            reference_walk(self, g)
+        elif self.grad is None:
+            self.grad = g
+        else:
+            self.grad = self.grad + g
+
+
+def reference_walk(top: TapeNode, g: np.ndarray) -> None:
+    """Hand g to `top`, then call the backward of every node reachable from
+    it through parents, in reverse topological order of a depth-first
+    search, each once with the sum of what its consumers handed it. A
+    package node with a backward, which would hand each share on as it
+    comes, adds them up until its turn, as a tape node does, and keeps no
+    gradient after the walk."""
+    topo: list = []
+    seen: set = set()
+    stack: list = [(top, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        stack.append((node, True))
+        for p in getattr(node, "parents", ()):
+            if p not in seen:
+                stack.append((p, False))
+    backwards = {node: node._backward for node in topo}
+    tape = [node for node in topo if isinstance(node, TapeNode)]
+    held = [node for node in topo if not isinstance(node, TapeNode) and node._backward is not None]
+    for node in tape:
+        node.walked = True
+    for node in held:
+        node._backward = None
+    try:
+        top.accumulate(g)
+        for node in reversed(topo):
+            if backwards[node] is not None and node.grad is not None:
+                backwards[node](node.grad)
+    finally:
+        for node in tape:
+            node.walked = False
+        for node in held:
+            node._backward, node.grad = backwards[node], None
+
+
+def reference_constant(x) -> TapeNode:
+    return TapeNode(x)
+
+
+def reference_add(a, b):
+    """Elementwise sum; a (1, d) operand broadcasts over (n, d) rows."""
+    if a.shape != b.shape:
+        if not (a.shape[1] == b.shape[1] and 1 in (a.shape[0], b.shape[0])):
+            raise ad.ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
+
+    def row_grad(g):
+        return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
+
+    def backward(g):
+        a.accumulate(row_grad(g) if a.shape[0] == 1 else g)
+        b.accumulate(row_grad(g) if b.shape[0] == 1 else g)
+
+    return TapeNode(a.value + b.value, (a, b), backward)
+
+
+def reference_scale(a, c: float):
+    return TapeNode(a.value * c, (a,), lambda g: a.accumulate(g * c))
+
+
+def reference_sum_all(a):
+    return TapeNode(a.value.sum(), (a,), lambda g: a.accumulate(np.full_like(a.value, g[0, 0])))
+
+
+def reference_logsigmoid(a):
+    """log(sigmoid(x)), computed stably as min(x, 0) - log1p(exp(-|x|))."""
+    x = a.value
+    y = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    return TapeNode(y, (a,), lambda g: a.accumulate(g / (1.0 + np.exp(x))))
+
+
+def reference_margin_loss(s_pos, s_neg, margin: float):
+    """`embeddings.margin_loss` as the chain of nodes it fuses: per side the
+    margin added as a constant, the negatives' -1 scale, logsigmoid, the sum
+    and the -1/n scale, then the add of the two sides."""
+    pos = reference_add(s_pos, reference_constant(np.full(s_pos.shape, margin)))
+    neg = reference_scale(reference_add(s_neg, reference_constant(np.full(s_neg.shape, margin))), -1.0)
+    pos_term = reference_scale(reference_sum_all(reference_logsigmoid(pos)), -1.0 / s_pos.shape[0])
+    neg_term = reference_scale(reference_sum_all(reference_logsigmoid(neg)), -1.0 / s_neg.shape[0])
+    return reference_add(pos_term, neg_term)
+
+
 def reference_score_tails(table, h: int, r: int, tails) -> np.ndarray:
     """Scores of (h, r, t) for each t in `tails`, straight from the numpy
     formulas: TransE -||h + r - t||, ComplEx <h * r, t>, RotatE -||h o e^(i theta_r) - t||."""
@@ -596,12 +716,12 @@ def reference_score_nodes(ent, rel, kind: str, h, r, t):
     et = reference_rows(ent, t)
     er = reference_rows(rel, r)
     if kind == "transe":
-        return ad.scale(reference_rownorm(reference_sub(ad.add(eh, er), et)), -1.0)
+        return reference_scale(reference_rownorm(reference_sub(reference_add(eh, er), et)), -1.0)
     if kind == "complex":
         return reference_rowsum(reference_mul(reference_complex_mul(eh, er), et))
     theta, _pad = reference_split_halves(er)
     unit = reference_concat_cols(reference_cos(theta), reference_sin(theta))
-    return ad.scale(reference_rownorm(reference_sub(reference_complex_mul(eh, unit), et)), -1.0)
+    return reference_scale(reference_rownorm(reference_sub(reference_complex_mul(eh, unit), et)), -1.0)
 
 
 def reference_mul(a, b):
@@ -612,18 +732,18 @@ def reference_mul(a, b):
         a.accumulate(g * b.value)
         b.accumulate(g * a.value)
 
-    return ad.Node(a.value * b.value, (a, b), backward)
+    return TapeNode(a.value * b.value, (a, b), backward)
 
 
 def reference_softmax(a):
     """Row-wise max-shifted softmax."""
     e = np.exp(a.value - a.value.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
-    return ad.Node(y, (a,), lambda g: a.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True))))
+    return TapeNode(y, (a,), lambda g: a.accumulate(y * (g - (g * y).sum(axis=1, keepdims=True))))
 
 
 def reference_log(a):
-    return ad.Node(np.log(a.value), (a,), lambda g: a.accumulate(g / a.value))
+    return TapeNode(np.log(a.value), (a,), lambda g: a.accumulate(g / a.value))
 
 
 def reference_rowsum(a):
@@ -632,7 +752,7 @@ def reference_rowsum(a):
     def backward(g):
         a.accumulate(np.repeat(g, a.shape[1], axis=1))
 
-    return ad.Node(a.value.sum(axis=1, keepdims=True), (a,), backward)
+    return TapeNode(a.value.sum(axis=1, keepdims=True), (a,), backward)
 
 
 def reference_complex_mul(a, b):
@@ -646,7 +766,7 @@ def reference_complex_mul(a, b):
         a.accumulate(ad.conj_mul_packed(g, b.value))
         b.accumulate(ad.conj_mul_packed(g, a.value))
 
-    return ad.Node(ad.complex_mul_packed(a.value, b.value), (a, b), backward)
+    return TapeNode(ad.complex_mul_packed(a.value, b.value), (a, b), backward)
 
 
 def reference_sub(a, b):
@@ -657,15 +777,15 @@ def reference_sub(a, b):
         a.accumulate(g)
         b.accumulate(-g)
 
-    return ad.Node(a.value - b.value, (a, b), backward)
+    return TapeNode(a.value - b.value, (a, b), backward)
 
 
 def reference_cos(a):
-    return ad.Node(np.cos(a.value), (a,), lambda g: a.accumulate(-g * np.sin(a.value)))
+    return TapeNode(np.cos(a.value), (a,), lambda g: a.accumulate(-g * np.sin(a.value)))
 
 
 def reference_sin(a):
-    return ad.Node(np.sin(a.value), (a,), lambda g: a.accumulate(g * np.cos(a.value)))
+    return TapeNode(np.sin(a.value), (a,), lambda g: a.accumulate(g * np.cos(a.value)))
 
 
 def reference_rownorm(a):
@@ -676,7 +796,7 @@ def reference_rownorm(a):
         safe = np.where(norms > 0.0, norms, 1.0)
         a.accumulate(np.where(norms > 0.0, g / safe, 0.0) * a.value)
 
-    return ad.Node(norms, (a,), backward)
+    return TapeNode(norms, (a,), backward)
 
 
 def reference_split_halves(a):
@@ -691,7 +811,7 @@ def reference_split_halves(a):
             full[:, cols] = g
             a.accumulate(full)
 
-        return ad.Node(a.value[:, cols].copy(), (a,), backward)
+        return TapeNode(a.value[:, cols].copy(), (a,), backward)
 
     return half(slice(None, h)), half(slice(h, None))
 
@@ -705,13 +825,16 @@ def reference_concat_cols(a, b):
         a.accumulate(g[:, :ca])
         b.accumulate(g[:, ca:])
 
-    return ad.Node(np.concatenate([a.value, b.value], axis=1), (a, b), backward)
+    return TapeNode(np.concatenate([a.value, b.value], axis=1), (a, b), backward)
 
 
 def reference_accumulate(node, g: np.ndarray) -> None:
-    """`Node.accumulate` with a copy on first write: the node's gradient is its
-    own array from the start, and later gradients are added into it in place."""
-    if node.grad is None:
+    """`Node.accumulate` with a copy on first write: a node with a backward
+    hands g on, and a parameter's gradient is its own array from the start,
+    with later gradients added into it in place."""
+    if node._backward is not None:
+        node._backward(g)
+    elif node.grad is None:
         node.grad = g.copy()
     else:
         node.grad += g
@@ -729,7 +852,7 @@ def reference_rows(matrix, indices):
     """Gather rows by index as a node; the gradient scatter-adds into the
     matrix with `ad.scatter_rows`."""
     idx = np.asarray(indices, dtype=np.int64)
-    return ad.Node(
+    return TapeNode(
         matrix.value[idx], (matrix,), lambda g: matrix.accumulate(ad.scatter_rows(idx, g, matrix.shape[0]))
     )
 
@@ -742,7 +865,7 @@ def reference_matmul(a, b):
         a.accumulate(g @ b.value.T)
         b.accumulate(a.value.T @ g)
 
-    return ad.Node(a.value @ b.value, (a, b), backward)
+    return TapeNode(a.value @ b.value, (a, b), backward)
 
 
 def reference_dropout(a, p: float, rng: np.random.Generator, training: bool):
@@ -751,7 +874,7 @@ def reference_dropout(a, p: float, rng: np.random.Generator, training: bool):
     if not training or p <= 0.0:
         return a
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    return ad.Node(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
+    return TapeNode(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
 
 
 def global_norm(grads: list[np.ndarray]) -> float:
@@ -842,7 +965,7 @@ def reference_block_matmul(a, b, blocks: int):
         a.accumulate(np.matmul(g3, b3.transpose(0, 2, 1)).reshape(a.shape))
         b.accumulate(np.matmul(a3.transpose(0, 2, 1), g3).reshape(b.shape))
 
-    return ad.Node(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b), backward)
+    return TapeNode(np.matmul(a3, b3).reshape(a.shape[0], -1), (a, b), backward)
 
 
 def reference_block_matmul_t(a, b, blocks: int):
@@ -856,7 +979,7 @@ def reference_block_matmul_t(a, b, blocks: int):
         a.accumulate(np.matmul(g3, b3).reshape(a.shape))
         b.accumulate(np.matmul(g3.transpose(0, 2, 1), a3).reshape(b.shape))
 
-    return ad.Node(np.matmul(a3, b3.transpose(0, 2, 1)).reshape(a.shape[0], -1), (a, b), backward)
+    return TapeNode(np.matmul(a3, b3.transpose(0, 2, 1)).reshape(a.shape[0], -1), (a, b), backward)
 
 
 def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
@@ -866,12 +989,12 @@ def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
     heads joined by concat_cols."""
     dh = weights[0].shape[1]
     width = mask.shape[1]
-    mask_rows = ad.constant(np.repeat(mask, width, axis=0))
+    mask_rows = reference_constant(np.repeat(mask, width, axis=0))
     heads = []
     for i in range(0, len(weights), 3):
         q, k, v = (reference_matmul(x, w) for w in weights[i : i + 3])
-        scores = ad.scale(reference_block_matmul_t(q, k, blocks), 1.0 / math.sqrt(dh))
-        att = reference_softmax(ad.add(scores, mask_rows))
+        scores = reference_scale(reference_block_matmul_t(q, k, blocks), 1.0 / math.sqrt(dh))
+        att = reference_softmax(reference_add(scores, mask_rows))
         heads.append(reference_block_matmul(att, v, blocks))
     merged = heads[0]
     for h in heads[1:]:
@@ -882,13 +1005,13 @@ def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
 def reference_relu(a):
     """max(x, 0) as a node; its gradient is 0 at 0."""
     mask = a.value > 0
-    return ad.Node(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
+    return TapeNode(a.value * mask, (a,), lambda g: a.accumulate(g * mask))
 
 
 def reference_feed_forward(x, w1, b1, w2, b2):
     """`ad.feed_forward` as a chain of matmul, add, relu, matmul and add nodes."""
-    hidden = reference_relu(ad.add(reference_matmul(x, w1), b1))
-    return ad.add(reference_matmul(hidden, w2), b2)
+    hidden = reference_relu(reference_add(reference_matmul(x, w1), b1))
+    return reference_add(reference_matmul(hidden, w2), b2)
 
 
 def reference_encoder_forward(self, *sequences, training: bool = False, rng=None, layout=None):
@@ -915,9 +1038,9 @@ def reference_encoder_forward(self, *sequences, training: bool = False, rng=None
     if cfg.use_attention:
         weights = [p[f"{w}{h}"] for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
         attended = reference_block_attention(x, weights, np.where(real, 0.0, -np.inf), n)
-        x = ad.add(x, reference_matmul(attended, p["wo"]))
-        x = ad.add(x, reference_feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
-    pooled = reference_block_matmul(ad.constant(real / lens[:, None]), x, n)
+        x = reference_add(x, reference_matmul(attended, p["wo"]))
+        x = reference_add(x, reference_feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"]))
+    pooled = reference_block_matmul(reference_constant(real / lens[:, None]), x, n)
     pooled = reference_dropout(pooled, cfg.dropout, rng, training)
     out = reference_matmul(pooled, p["proj"])
     return out if training else out.value
@@ -955,8 +1078,8 @@ def reference_batch_triplet_loss(f, alpha: float):
     # dist row 0 is ||f_q - f_p||, row j is ||f_q - f_n_j||
     dist = reference_rownorm(reference_sub(reference_rows(f, [0] * (k + 1)), reference_rows(f, range(1, k + 2))))
     raw = reference_sub(reference_rows(dist, [0] * k), reference_rows(dist, range(1, k + 1)))
-    hinge = reference_relu(ad.add(raw, ad.constant([[alpha]])))
-    return ad.scale(ad.sum_all(hinge), 1.0 / k)
+    hinge = reference_relu(reference_add(raw, reference_constant([[alpha]])))
+    return reference_scale(reference_sum_all(hinge), 1.0 / k)
 
 
 def reference_build_training_triplets(dataset, kg, cfg, rng):
@@ -1000,8 +1123,8 @@ def reference_train_ranker(dataset, kg, cfg):
 def reference_fuse(eh: np.ndarray, eq):
     """`classifier.fuse` as the chain of nodes it fuses: eh as a constant
     node, then add, add and complex_mul."""
-    head = ad.constant(eh)
-    return ad.add(ad.add(head, eq), reference_complex_mul(head, eq))
+    head = reference_constant(eh)
+    return reference_add(reference_add(head, eq), reference_complex_mul(head, eq))
 
 
 def reference_cross_entropy(logits, targets):
@@ -1010,14 +1133,14 @@ def reference_cross_entropy(logits, targets):
     row sums, log, sum and the -1/n scale."""
     onehot = np.zeros(logits.shape)
     onehot[np.arange(len(targets)), targets] = 1.0
-    picked = reference_rowsum(reference_mul(reference_softmax(logits), ad.constant(onehot)))
-    return ad.scale(ad.sum_all(reference_log(picked)), -1.0 / len(targets))
+    picked = reference_rowsum(reference_mul(reference_softmax(logits), reference_constant(onehot)))
+    return reference_scale(reference_sum_all(reference_log(picked)), -1.0 / len(targets))
 
 
 def reference_classifier_loss(eq, eh: np.ndarray, w, b, targets):
     """`classifier.cross_entropy` as the chain of nodes it fuses:
     reference_fuse, matmul, the bias add and reference_cross_entropy."""
-    return reference_cross_entropy(ad.add(reference_matmul(reference_fuse(eh, eq), w), b), targets)
+    return reference_cross_entropy(reference_add(reference_matmul(reference_fuse(eh, eq), w), b), targets)
 
 
 def reference_train_classifier(dataset, table, taxonomy, cfg):

@@ -16,7 +16,14 @@ import numpy as np
 
 import sskgqa
 from fixtures import filtered_mrr, random_fixture, score_tails, separable_classifier_dataset, triplet_loss
-from reference import reference_chain, reference_relu, reference_rownorm, reference_sub
+from reference import (
+    reference_add,
+    reference_chain,
+    reference_constant,
+    reference_relu,
+    reference_rownorm,
+    reference_sub,
+)
 from sskgqa import autodiff as ad
 from sskgqa.annotation import (
     UNSUPPORTED,
@@ -128,9 +135,9 @@ def test_criterion_2_triplet_loss_and_gradient_check():
         f_q = enc.forward(seq_q, training=True)
         f_p = enc.forward(seq_p, training=True)
         f_n = enc.forward(seq_n, training=True)
-        raw = ad.add(
+        raw = reference_add(
             reference_sub(reference_rownorm(reference_sub(f_q, f_p)), reference_rownorm(reference_sub(f_q, f_n))),
-            ad.constant([[5.0]]),
+            reference_constant([[5.0]]),
         )
         return reference_relu(raw)
 

@@ -5,27 +5,33 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reference import (
+    TapeNode,
     reference_accumulate,
+    reference_add,
     reference_batch_triplet_loss,
     reference_block_attention,
     reference_block_matmul,
     reference_complex_mul,
     reference_concat_cols,
+    reference_constant,
     reference_cos,
     reference_dropout,
     reference_feed_forward,
     reference_log,
+    reference_logsigmoid,
     reference_matmul,
     reference_mul,
     reference_relu,
     reference_rownorm,
     reference_rows,
     reference_rowsum,
+    reference_scale,
     reference_scatter,
     reference_sin,
     reference_softmax,
     reference_split_halves,
     reference_sub,
+    reference_sum_all,
 )
 from sskgqa import autodiff as ad
 
@@ -66,7 +72,7 @@ def attention_node(x, weights, mask, blocks):
         for w, gw in zip(weights, g_weights):
             w.accumulate(gw)
 
-    return ad.Node(value, (x, *weights), backward)
+    return TapeNode(value, (x, *weights), backward)
 
 
 def feed_forward_node(*nodes):
@@ -77,7 +83,7 @@ def feed_forward_node(*nodes):
         for n, gn in zip(nodes, grads(g)):
             n.accumulate(gn)
 
-    return ad.Node(value, nodes, backward)
+    return TapeNode(value, nodes, backward)
 
 
 RNG = np.random.default_rng(7)
@@ -90,10 +96,10 @@ BLOCK_B = RNG.normal(size=(12, 2))  # four rows per block
 def test_add_broadcast_and_grad():
     x = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(1, 4))
-    check_grad(lambda p: ad.sum_all(reference_mul(ad.add(p, ad.constant(b)), ad.constant(x))), x)
+    check_grad(lambda p: reference_sum_all(reference_mul(reference_add(p, reference_constant(b)), reference_constant(x))), x)
     # gradient wrt the broadcast row sums over rows
     pb = ad.parameter(b)
-    loss = ad.sum_all(ad.add(ad.constant(x), pb))
+    loss = reference_sum_all(reference_add(reference_constant(x), pb))
     ad.backward(loss)
     assert np.allclose(pb.grad, np.full((1, 4), 3.0))
 
@@ -101,17 +107,17 @@ def test_add_broadcast_and_grad():
 @pytest.mark.parametrize(
     "op",
     [
-        lambda p: ad.sum_all(reference_relu(p)),
-        lambda p: ad.sum_all(ad.logsigmoid(p)),
-        lambda p: ad.sum_all(reference_cos(p)),
-        lambda p: ad.sum_all(reference_sin(p)),
-        lambda p: ad.sum_all(reference_softmax(p)),
-        lambda p: ad.sum_all(reference_mul(reference_softmax(p), p)),
-        lambda p: ad.sum_all(reference_rownorm(p)),
-        lambda p: ad.sum_all(reference_rowsum(p)),
-        lambda p: ad.sum_all(reference_sin(reference_block_matmul(p, ad.constant(BLOCK_B), 3))),
-        lambda p: ad.sum_all(reference_sin(reference_block_matmul(ad.constant(BLOCK_A), p, 3))),
-        lambda p: ad.scale(ad.sum_all(p), -2.5),
+        lambda p: reference_sum_all(reference_relu(p)),
+        lambda p: reference_sum_all(reference_logsigmoid(p)),
+        lambda p: reference_sum_all(reference_cos(p)),
+        lambda p: reference_sum_all(reference_sin(p)),
+        lambda p: reference_sum_all(reference_softmax(p)),
+        lambda p: reference_sum_all(reference_mul(reference_softmax(p), p)),
+        lambda p: reference_sum_all(reference_rownorm(p)),
+        lambda p: reference_sum_all(reference_rowsum(p)),
+        lambda p: reference_sum_all(reference_sin(reference_block_matmul(p, reference_constant(BLOCK_B), 3))),
+        lambda p: reference_sum_all(reference_sin(reference_block_matmul(reference_constant(BLOCK_A), p, 3))),
+        lambda p: reference_scale(reference_sum_all(p), -2.5),
     ],
     ids=["relu", "logsigmoid", "cos", "sin", "softmax", "softmax_mul", "rownorm", "rowsum",
          "block_matmul_left", "block_matmul_right",
@@ -125,50 +131,50 @@ def test_unary_op_gradients(op):
 def test_softmax_rows_sum_to_one():
     x = RNG.normal(size=(5, 7))
     x[0] += 1000.0  # max-shift keeps large logits finite
-    y = reference_softmax(ad.constant(x)).value
+    y = reference_softmax(reference_constant(x)).value
     assert np.all(y >= 0.0)
     assert np.allclose(y.sum(axis=1), 1.0)
 
 
 def test_log_gradient():
     x = np.abs(RNG.normal(size=(2, 3))) + 0.5
-    check_grad(lambda p: ad.sum_all(reference_log(p)), x)
+    check_grad(lambda p: reference_sum_all(reference_log(p)), x)
 
 
 def test_matmul_gradients():
     a = RNG.normal(size=(3, 4))
     b = RNG.normal(size=(4, 2))
-    check_grad(lambda p: ad.sum_all(reference_matmul(p, ad.constant(b))), a)
-    check_grad(lambda p: ad.sum_all(reference_matmul(ad.constant(a), p)), b)
+    check_grad(lambda p: reference_sum_all(reference_matmul(p, reference_constant(b))), a)
+    check_grad(lambda p: reference_sum_all(reference_matmul(reference_constant(a), p)), b)
 
 
 def test_sub_mul_gradients():
     a = RNG.normal(size=(2, 5))
     b = RNG.normal(size=(2, 5))
-    check_grad(lambda p: ad.sum_all(reference_mul(reference_sub(p, ad.constant(b)), p)), a)
+    check_grad(lambda p: reference_sum_all(reference_mul(reference_sub(p, reference_constant(b)), p)), a)
 
 
 def test_block_matmuls_match_per_block_products():
     t = RNG.normal(size=(6, 2))  # 2 blocks of 3 rows
     c = RNG.normal(size=(4, 5))  # 2 blocks of 2 rows
-    m = reference_block_matmul(ad.constant(t), ad.constant(c), 2).value
+    m = reference_block_matmul(reference_constant(t), reference_constant(c), 2).value
     assert m.shape == (6, 5)
     assert np.allclose(m[:3], t[:3] @ c[:2]) and np.allclose(m[3:], t[3:] @ c[2:])
-    check_grad(lambda p: ad.sum_all(reference_sin(reference_block_matmul(p, ad.constant(c), 2))), t)
-    check_grad(lambda p: ad.sum_all(reference_sin(reference_block_matmul(ad.constant(t), p, 2))), c)
+    check_grad(lambda p: reference_sum_all(reference_sin(reference_block_matmul(p, reference_constant(c), 2))), t)
+    check_grad(lambda p: reference_sum_all(reference_sin(reference_block_matmul(reference_constant(t), p, 2))), c)
 
 
 def test_distance_gradient():
     a = RNG.normal(size=(1, 6))
     b = RNG.normal(size=(1, 6))
-    check_grad(lambda p: reference_rownorm(reference_sub(p, ad.constant(b))), a)
-    check_grad(lambda p: reference_rownorm(reference_sub(ad.constant(a), p)), b)
+    check_grad(lambda p: reference_rownorm(reference_sub(p, reference_constant(b))), a)
+    check_grad(lambda p: reference_rownorm(reference_sub(reference_constant(a), p)), b)
 
 
 def test_zero_distance_gradient_is_zero():
     a = np.ones((1, 4))
     p = ad.parameter(a)
-    loss = reference_rownorm(reference_sub(p, ad.constant(a.copy())))
+    loss = reference_rownorm(reference_sub(p, reference_constant(a.copy())))
     ad.backward(loss)
     assert np.array_equal(p.grad, np.zeros((1, 4)))
 
@@ -188,8 +194,8 @@ def encoder_block(attention, feed_forward, params, mask, blocks):
     """The encoder's block over params from attention_case: x plus the
     attended heads through wo, then that plus its feed-forward."""
     x, weights, (wo, *ff) = params[0], params[1:-5], params[-5:]
-    x = ad.add(x, reference_matmul(attention(x, weights, mask, blocks), wo))
-    return ad.add(x, feed_forward(x, *ff))
+    x = reference_add(x, reference_matmul(attention(x, weights, mask, blocks), wo))
+    return reference_add(x, feed_forward(x, *ff))
 
 
 @settings(max_examples=150, deadline=None)
@@ -209,8 +215,8 @@ def test_fused_block_bytes_equal_per_head_chain(lens, heads, dh, ff, seed):
     ):
         params, mask = attention_case(blocks, lens, heads, dh, ff, seed)
         y = encoder_block(attention, feed_forward, params, mask, blocks)
-        weight = ad.constant(np.random.default_rng(seed + 1).normal(size=y.shape))
-        ad.backward(ad.sum_all(reference_mul(y, weight)))
+        weight = reference_constant(np.random.default_rng(seed + 1).normal(size=y.shape))
+        ad.backward(reference_sum_all(reference_mul(y, weight)))
         outs.append(y.value.tobytes())
         grads.append([p.grad.tobytes() for p in params])
     assert outs[0] == outs[1]
@@ -238,9 +244,9 @@ def test_batched_attention_bytes_equal_per_head_chain(heads, dh, lens, residual,
         x, weights = params[0], params[1 : 1 + 3 * heads]
         y = attention(x, weights, mask, blocks)
         if residual:
-            y = ad.add(x, y)
-        weight = ad.constant(np.random.default_rng(seed + 1).normal(size=y.shape))
-        ad.backward(ad.sum_all(reference_mul(y, weight)))
+            y = reference_add(x, y)
+        weight = reference_constant(np.random.default_rng(seed + 1).normal(size=y.shape))
+        ad.backward(reference_sum_all(reference_mul(y, weight)))
         outs.append(y.value.tobytes())
         grads.append([p.grad.tobytes() for p in (x, *weights)])
     assert outs[0] == outs[1]
@@ -279,17 +285,17 @@ def triplet_batch(k, d, kind, seed):
 def test_triplet_hinge_bytes_equal_composed_chain(k, d, kind, alpha, weight, seed):
     # `weight` scales the gradient that reaches the loss: negative weights
     # flip the signs of zeros, and 0 makes every gradient term zero. With no
-    # hinge active the fused loss has no parents, so f gets no gradient: the
+    # hinge active the fused loss has no backward, so f gets no gradient: the
     # chain's must then be the zeros a parameter left unreached steps with.
     f0 = triplet_batch(k, d, kind, seed)
     values, grads, flat = [], [], []
     for loss_of in (ad.triplet_hinge, reference_batch_triplet_loss):
         f = ad.parameter(f0.copy())
         loss = loss_of(f, alpha)
-        ad.backward(reference_mul(loss, ad.constant([[weight]])))
+        ad.backward(reference_mul(loss, reference_constant([[weight]])))
         values.append(loss.value.tobytes())
         grads.append(None if f.grad is None else f.grad.tobytes())
-        flat.append(not loss.parents)
+        flat.append(loss._backward is None)
     assert values[0] == values[1]
     if flat[0]:
         assert grads[0] is None and grads[1] == np.zeros_like(f0).tobytes()
@@ -317,14 +323,14 @@ def test_triplet_hinge_flat_batch_has_no_parents_unless_non_finite(bad):
     # check downstream still sees it
     far = triplet_batch(4, 3, "far", 7)
     loss = ad.triplet_hinge(ad.parameter(far), 1.0)
-    assert loss.parents == () and loss.value.tobytes() == np.zeros((1, 1)).tobytes()
+    assert loss._backward is None and loss.value.tobytes() == np.zeros((1, 1)).tobytes()
     for row in (0, 1, 3):
         poisoned = far.copy()
         poisoned[row, 1] = bad
         f = ad.parameter(poisoned)
         with np.errstate(invalid="ignore"):
             loss = ad.triplet_hinge(f, 1.0)
-            assert loss.parents == (f,)
+            assert loss._backward is not None
             ad.backward(loss)
         assert not np.isfinite(f.grad).all()
 
@@ -332,7 +338,7 @@ def test_triplet_hinge_flat_batch_has_no_parents_unless_non_finite(bad):
 def test_triplet_hinge_refuses_fewer_than_three_rows():
     for rows in (1, 2):
         with pytest.raises(ad.ShapeError, match="triplet_hinge"):
-            ad.triplet_hinge(ad.constant(np.ones((rows, 4))), 1.0)
+            ad.triplet_hinge(reference_constant(np.ones((rows, 4))), 1.0)
 
 
 ATTENTION_INPUTS = ["x", "wq0", "wk0", "wv0", "wq1", "wk1", "wv1"]
@@ -345,9 +351,9 @@ def test_block_attention_gradients(which):
     inputs = [p.value for p in params[:7]]
 
     def build(p):
-        nodes = [ad.constant(v) for v in inputs]
+        nodes = [reference_constant(v) for v in inputs]
         nodes[which] = p
-        return ad.sum_all(reference_sin(attention_node(nodes[0], nodes[1:], mask, 2)))
+        return reference_sum_all(reference_sin(attention_node(nodes[0], nodes[1:], mask, 2)))
 
     check_grad(build, inputs[which])
 
@@ -361,9 +367,9 @@ def test_feed_forward_gradients(which):
     inputs = [rng.normal(size=shape) for shape in ((5, 4), (4, 6), (1, 6), (6, 3), (1, 3))]
 
     def build(p):
-        nodes = [ad.constant(v) for v in inputs]
+        nodes = [reference_constant(v) for v in inputs]
         nodes[which] = p
-        return ad.sum_all(reference_sin(feed_forward_node(*nodes)))
+        return reference_sum_all(reference_sin(feed_forward_node(*nodes)))
 
     check_grad(build, inputs[which])
 
@@ -383,7 +389,7 @@ def test_split_concat_gradients():
 
     def build(p):
         lo, hi = reference_split_halves(p)
-        return ad.sum_all(reference_mul(reference_concat_cols(hi, lo), p))
+        return reference_sum_all(reference_mul(reference_concat_cols(hi, lo), p))
 
     check_grad(build, x)
 
@@ -402,15 +408,15 @@ def test_complex_mul_matches_numpy_complex():
 def test_complex_mul_gradients():
     a = RNG.normal(size=(2, 6))
     b = RNG.normal(size=(2, 6))
-    check_grad(lambda p: ad.sum_all(reference_complex_mul(p, ad.constant(b))), a)
-    check_grad(lambda p: ad.sum_all(reference_complex_mul(ad.constant(a), p)), b)
+    check_grad(lambda p: reference_sum_all(reference_complex_mul(p, reference_constant(b))), a)
+    check_grad(lambda p: reference_sum_all(reference_complex_mul(reference_constant(a), p)), b)
 
 
 def test_rows_gather_scatter():
     m = RNG.normal(size=(5, 3))
     p = ad.parameter(m)
     out = reference_rows(p, [1, 1, 4])
-    loss = ad.sum_all(out)
+    loss = reference_sum_all(out)
     ad.backward(loss)
     expected = np.zeros_like(m)
     expected[1] = 2.0
@@ -453,14 +459,14 @@ def test_rows_gradient_bytes_equal_add_at(case):
 # a second gradient to a node's first one (a parameter used twice, also after
 # its first gradient was handed to another node too).
 OWNERSHIP_GRAPHS = {
-    "add": lambda p, q, c: ad.sum_all(reference_mul(ad.add(p, q), c)),
-    "sub": lambda p, q, c: ad.sum_all(reference_mul(reference_sub(p, q), c)),
-    "concat_cols": lambda p, q, c: ad.sum_all(
-        reference_matmul(reference_concat_cols(p, q), ad.constant(np.ones((4, 1))))
+    "add": lambda p, q, c: reference_sum_all(reference_mul(reference_add(p, q), c)),
+    "sub": lambda p, q, c: reference_sum_all(reference_mul(reference_sub(p, q), c)),
+    "concat_cols": lambda p, q, c: reference_sum_all(
+        reference_matmul(reference_concat_cols(p, q), reference_constant(np.ones((4, 1))))
     ),
-    "used_twice": lambda p, q, c: ad.sum_all(reference_mul(ad.add(p, reference_mul(p, q)), c)),
-    "shared_then_added": lambda p, q, c: ad.sum_all(
-        ad.add(reference_mul(ad.add(p, q), c), reference_mul(p, p))
+    "used_twice": lambda p, q, c: reference_sum_all(reference_mul(reference_add(p, reference_mul(p, q)), c)),
+    "shared_then_added": lambda p, q, c: reference_sum_all(
+        reference_add(reference_mul(reference_add(p, q), c), reference_mul(p, p))
     ),
 }
 
@@ -473,7 +479,7 @@ def test_gradients_equal_copy_on_first_write(name, monkeypatch):
 
     def grads():
         p, q = ad.parameter(p0.copy()), ad.parameter(q0.copy())
-        ad.backward(build(p, q, ad.constant(c0)))
+        ad.backward(build(p, q, reference_constant(c0)))
         return p.grad, q.grad
 
     got = grads()
@@ -515,11 +521,11 @@ def test_backward_requires_scalar():
 
 def test_shape_errors():
     with pytest.raises(ad.ShapeError):
-        ad.add(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 4))))
+        reference_add(reference_constant(np.ones((2, 3))), reference_constant(np.ones((2, 4))))
     with pytest.raises(ad.ShapeError):
-        reference_matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
+        reference_matmul(reference_constant(np.ones((2, 3))), reference_constant(np.ones((2, 3))))
     with pytest.raises(ad.ShapeError):  # no column halves
-        reference_complex_mul(ad.constant(np.ones((1, 3))), ad.constant(np.ones((1, 3))))
+        reference_complex_mul(reference_constant(np.ones((1, 3))), reference_constant(np.ones((1, 3))))
     w = [np.ones((2, 1))] * 3
     with pytest.raises(ad.ShapeError):  # 3 rows do not split into 2 blocks
         ad.block_attention(np.ones((3, 2)), w, np.zeros((2, 1)), 2)
@@ -536,4 +542,4 @@ def test_shape_errors():
     with pytest.raises(ad.ShapeError):
         ad.block_pool(np.ones((5, 2)), np.ones((2, 2)))
     with pytest.raises(ad.ShapeError):  # blocks of 1x2 times blocks of 1x2
-        reference_block_matmul(ad.constant(np.ones((2, 2))), ad.constant(np.ones((2, 2))), 2)
+        reference_block_matmul(reference_constant(np.ones((2, 2))), reference_constant(np.ones((2, 2))), 2)

@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 from fixtures import separable_classifier_dataset
 from reference import (
     ReferenceAdam,
+    reference_add,
+    reference_classifier_loss,
     reference_clip,
     reference_complex_mul,
-    reference_classifier_loss,
+    reference_constant,
     reference_log,
     reference_matmul,
     reference_mul,
     reference_rowsum,
+    reference_scale,
     reference_softmax,
     reference_train_classifier,
 )
@@ -91,7 +94,7 @@ def test_fuse_and_cross_entropy_bytes_equal_composed_chain(case, weight, seed):
     for loss_op in (cross_entropy, reference_classifier_loss):
         eq, w, b = ad.parameter(eq0.copy()), ad.parameter(w0.copy()), ad.parameter(b0.copy())
         loss = loss_op(eq, eh, w, b, targets)
-        ad.backward(reference_mul(loss, ad.constant([[weight]])))
+        ad.backward(reference_mul(loss, reference_constant([[weight]])))
         values.append(loss.value.tobytes())
         grads.append([eq.grad.tobytes(), w.grad.tobytes(), b.grad.tobytes()])
     assert spread == 0.0 or (softmax_rows(fuse(eh, eq0) @ w0 + b0) == 0.0).any()
@@ -225,17 +228,17 @@ def per_example_loss(model, examples, rng=None):
     terms = []
     for toks, topic, label in examples:
         eq = model.encoder.forward(model.encoder.vocab.encode(toks), training=rng is not None, rng=rng)
-        eh = ad.constant(model.table.ent[topic : topic + 1])
-        s = ad.add(ad.add(eh, eq), reference_complex_mul(eh, eq))
-        probs = reference_softmax(ad.add(reference_matmul(s, model.w), model.b))
+        eh = reference_constant(model.table.ent[topic : topic + 1])
+        s = reference_add(reference_add(eh, eq), reference_complex_mul(eh, eq))
+        probs = reference_softmax(reference_add(reference_matmul(s, model.w), model.b))
         onehot = np.zeros(probs.shape)
         onehot[0, model.labels.index(label)] = 1.0
-        gold = reference_rowsum(reference_mul(probs, ad.constant(onehot)))
-        terms.append(ad.scale(reference_log(gold), -1.0))
+        gold = reference_rowsum(reference_mul(probs, reference_constant(onehot)))
+        terms.append(reference_scale(reference_log(gold), -1.0))
     total = terms[0]
     for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.scale(total, 1.0 / len(examples))
+        total = reference_add(total, t)
+    return reference_scale(total, 1.0 / len(examples))
 
 
 def grads_of(params, loss):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sskgqa
-from fixtures import taxonomy_entries
+from fixtures import HEADER_NUMBERS, header_numbers, mutations, set_number, taxonomy_entries
 from sskgqa import candidates, cli, classifier, embeddings, ranker
 
 # the directory holding the package under test, so the subprocess runs it
@@ -490,6 +491,21 @@ def assert_one_error_line(proc, start="error:"):
     assert len(lines) == 1 and lines[0].startswith(start), proc.stderr
 
 
+def run_main(argv) -> tuple[int, str]:
+    """cli.main(argv) in process: its return code and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def assert_read_or_one_error_line(code: int, err: str) -> None:
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -558,13 +574,7 @@ def test_dataset_field_of_any_type_is_read_or_one_error_line(toy, trained, tmp_p
         ["evaluate", "--dataset", str(data), "--kg", str(toy / "kg.tsv"), "--ranker", trained["rank"],
          "--mode", "oracle"],
     ):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        assert code in (0, 1)
-        if code == 1:
-            lines = err.getvalue().splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+        assert_read_or_one_error_line(*run_main(argv))
 
 
 @settings(max_examples=100, deadline=None)
@@ -583,13 +593,7 @@ def test_taxonomy_field_of_any_value_is_read_or_one_error_line(toy, tmp_path_fac
     parent[key] = data.draw(JSON_VALUES)
     tax = tmp_path_factory.getbasetemp() / "one_field.json"
     tax.write_text(json.dumps(entries))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["annotate", "--dataset", str(toy / "questions.jsonl"), "--taxonomy", str(tax)])
-    assert code in (0, 1)
-    if code == 1:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+    assert_read_or_one_error_line(*run_main(["annotate", "--dataset", str(toy / "questions.jsonl"), "--taxonomy", str(tax)]))
 
 
 @pytest.mark.parametrize(
@@ -795,3 +799,76 @@ def test_predicted_mode_without_models_is_one_error_line(toy, trained, tmp_path,
     )
     assert proc.stdout == ""
     assert_one_error_line(proc, "error: predicted mode needs --classifier and --embeddings")
+
+
+def test_embeddings_of_another_kg_are_one_error_line_and_no_file(toy, trained, tmp_path):
+    # the ranker toy's table has 20 entities and 5 relations, the norshteyn
+    # KG 10 and 2: a classifier trained or run on that pair would fuse the
+    # rows of unrelated entities
+    other = tmp_path / "norshteyn"
+    run_cli("make-toy", "--out", str(other))
+    kg, data, out = str(other / "kg.tsv"), str(other / "questions.jsonl"), tmp_path / "clf.ckpt"
+    models = ["--ranker", trained["rank"], "--classifier", trained["clf"], "--embeddings", trained["emb"]]
+    for argv in (
+        ["train-classifier", "--kg", kg, "--dataset", data, "--embeddings", trained["emb"], "--out", str(out)],
+        ["evaluate", "--kg", kg, "--dataset", data, *models],
+        ["answer", "--kg", kg, "--question", "who is it", "--topic", "Norshteyn", *models],
+    ):
+        code, err = run_main(argv)
+        want = f"error: {trained['emb']}: a table of 20 entities and 5 relations, but the --kg has 10 and 2"
+        assert (code, err.splitlines()) == (1, [want]), argv[0]
+    assert not out.exists()
+
+
+def damaged_input_commands(toy, trained, bad: str, out: str) -> dict[str, list[str]]:
+    """Per input kind, a command that reads the damaged file `bad` in its
+    place: the KG trains embeddings, the table a classifier (both to `out`),
+    and each model checkpoint answers a question."""
+    kg, data = str(toy / "kg.tsv"), str(toy / "questions.jsonl")
+    question = ["answer", "--question", "what color is thing0", "--topic", "thing0", "--kg", kg]
+    return {
+        "kg": ["train-embeddings", "--kg", bad, "--out", out, "--dim", "4", "--epochs", "2"],
+        "emb": ["train-classifier", "--kg", kg, "--dataset", data, "--embeddings", bad, "--out", out, "--epochs", "1"],
+        "clf": [*question, "--ranker", trained["rank"], "--classifier", bad, "--embeddings", trained["emb"]],
+        "rank": [*question, "--ranker", bad, "--mode", "off"],
+    }
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["kg", "emb", "clf", "rank"]), data=st.data())
+def test_damaged_input_file_is_read_or_one_error_line_and_no_file(toy, trained, tmp_path_factory, kind, data):
+    # one mutation of the toy's KG TSV or of one of its three checkpoints:
+    # the command that reads it either runs or refuses it with one error
+    # line, and then writes no --out file
+    original = (toy / "kg.tsv" if kind == "kg" else Path(trained[kind])).read_bytes()
+    bad = tmp_path_factory.getbasetemp() / f"damaged_{kind}"
+    bad.write_bytes(data.draw(mutations(original)))
+    out = tmp_path_factory.getbasetemp() / "damaged.out"
+    out.unlink(missing_ok=True)
+    code, err = run_main(damaged_input_commands(toy, trained, str(bad), str(out))[kind])
+    assert_read_or_one_error_line(code, err)
+    assert code == 0 or not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["emb", "clf", "rank"])
+def test_huge_header_size_is_refused_without_a_large_allocation(toy, trained, tmp_path, kind):
+    # each whole number of the header set to 999999999 in turn, among them
+    # every size the file declares: the command refuses it before it
+    # allocates anything of that size. Only a setting no array depends on
+    # reads, as the heads and feed-forward width of the classifier's
+    # encoder, which has no attention block.
+    original = Path(trained[kind]).read_bytes()
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    argv = damaged_input_commands(toy, trained, str(bad), str(out))[kind]
+    assert HEADER_NUMBERS[2] == b"999999999" and header_numbers(original)
+    for span in header_numbers(original):
+        bad.write_bytes(set_number(original, span, b"999999999"))
+        tracemalloc.start()
+        try:
+            code, err = run_main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_read_or_one_error_line(code, err)
+        assert peak < 16 * 2**20, (span, peak)
+        assert code == 0 or not out.exists()

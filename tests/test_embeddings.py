@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sskgqa import autodiff as ad
 from sskgqa import embeddings as emb_module
@@ -13,6 +14,7 @@ from sskgqa.embeddings import (
     EmbedTrainConfig,
     init_table,
     load_table,
+    margin_loss,
     save_table,
     score_nodes,
     train,
@@ -20,7 +22,15 @@ from sskgqa.embeddings import (
 from sskgqa.kg import build_kg
 
 from fixtures import degree_kg, filtered_mrr, score_tails
-from reference import reference_mul, reference_score_nodes, reference_score_tails
+from reference import (
+    reference_add,
+    reference_constant,
+    reference_margin_loss,
+    reference_mul,
+    reference_score_nodes,
+    reference_score_tails,
+    reference_sum_all,
+)
 
 
 def cycle_kg(n=12):
@@ -112,10 +122,10 @@ def test_score_nodes_gradients_finite_diff(kind):
         node = score_nodes(
             ad.parameter(ent_val), ad.parameter(table.rel), kind, h, r, t
         )
-        return float(ad.sum_all(node).value[0, 0])
+        return float(reference_sum_all(node).value[0, 0])
 
     ent = ad.parameter(table.ent)
-    loss = ad.sum_all(score_nodes(ent, ad.parameter(table.rel), kind, h, r, t))
+    loss = reference_sum_all(score_nodes(ent, ad.parameter(table.rel), kind, h, r, t))
     ad.backward(loss)
     eps = 1e-6
     for idx in [(0, 0), (1, 3), (2, 5), (3, 1)]:
@@ -184,9 +194,9 @@ def test_score_nodes_bytes_equal_composed_chain(kind, case, weight, seed):
     for score in (score_nodes, reference_score_nodes):
         ent, rel = ad.parameter(ent0.copy()), ad.parameter(rel0.copy())
         scores = [score(ent, rel, kind, h, r, t) for h, r, t in sides]
-        terms = [ad.sum_all(reference_mul(s, ad.constant(w))) for s, w in zip(scores, row_weights)]
-        loss = terms[0] if len(terms) == 1 else ad.add(*terms)
-        ad.backward(reference_mul(loss, ad.constant([[weight]])))
+        terms = [reference_sum_all(reference_mul(s, reference_constant(w))) for s, w in zip(scores, row_weights)]
+        loss = terms[0] if len(terms) == 1 else reference_add(*terms)
+        ad.backward(reference_mul(loss, reference_constant([[weight]])))
         values.append([s.value.tobytes() for s in scores])
         grads.append([ent.grad.tobytes(), rel.grad.tobytes()])
     assert values[0] == values[1]
@@ -336,3 +346,38 @@ def test_checkpoint_errors_name_the_file(tmp_path, header):
     path.write_bytes(header + np.zeros(7 * 8, dtype="<f4").tobytes())
     with pytest.raises(EmbeddingError, match="emb.ckpt"):
         load_table(str(path))
+
+
+@st.composite
+def margin_cases(draw):
+    """Positive and negative (n, 1) scores, each side of one row or more,
+    with 0, -0, +-1e3 and anything between; a positive margin; and the
+    weight of the gradient that reaches the loss."""
+    score = st.sampled_from([0.0, -0.0, 1e3, -1e3]) | st.floats(-1e3, 1e3)
+    side = st.integers(1, 30).flatmap(lambda n: arrays(np.float64, (n, 1), elements=score))
+    margin = st.floats(0.0, exclude_min=True, allow_infinity=False)
+    return draw(side), draw(side), draw(margin), draw(st.sampled_from([1.0, -1.0, 0.0, 0.3]))
+
+
+def tagged(value: np.ndarray, tag: str, handed: list) -> ad.Node:
+    """A score node whose backward records (tag, the gradient's bytes)."""
+    return ad.Node(value, lambda g: handed.append((tag, g.tobytes())))
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_cases())
+def test_margin_loss_bytes_equal_composed_chain(case):
+    # the fused loss against the chain of the margin constant, add,
+    # logsigmoid, sum and scale nodes per side and the add of the sides:
+    # the same value, and each score node handed the same gradient, the
+    # positives first; `weight` scales the gradient that reaches the loss
+    pos, neg, margin, weight = case
+    runs = []
+    for loss_of in (margin_loss, reference_margin_loss):
+        handed = []
+        with np.errstate(all="ignore"):  # exp of a large score, or a huge margin's inf loss, as in training
+            loss = loss_of(tagged(pos, "pos", handed), tagged(neg, "neg", handed), margin)
+            ad.backward(reference_mul(loss, reference_constant([[weight]])))
+        runs.append((loss.value.tobytes(), handed))
+    assert runs[0] == runs[1]
+    assert [tag for tag, _ in runs[0][1]] == ["pos", "neg"]

@@ -1,9 +1,9 @@
 """Every module-level import in the package and in its tests is used by
 its module, every public function of the autodiff engine is used by another
-package module, every public function and class of `annotation`, `encoder`
-and `structures` and every public method of `SequenceEncoder` has a reader
-outside its own definition, no package module but the CLI prints, and no
-package module but `structures` reads the node kinds of a taxonomy drawing."""
+package module, every public function and class of every package module and
+every public method of `SequenceEncoder` has a reader outside its own
+definition, no package module but the CLI prints, and no package module but
+`structures` reads the node kinds of a taxonomy drawing."""
 
 import ast
 from pathlib import Path
@@ -16,6 +16,8 @@ from reference import (
     UnpackedParams,
     reference_classifier_loss,
     reference_encoder_forward,
+    reference_margin_loss,
+    reference_score_nodes,
     reference_train_step,
 )
 from sskgqa import autodiff as ad
@@ -183,14 +185,10 @@ def unread_public_names(module: str, traced: list[tuple[str, str]]) -> list[str]
     return [d.name for d in public if d.name not in read and d.name not in own]
 
 
-def test_every_annotation_function_and_class_has_a_reader(traced):
+@pytest.mark.parametrize("module", [p.stem for p in MODULES if p.stem != "__init__"])
+def test_every_function_and_class_has_a_reader(module, traced):
     # a public name that only tests call is a second API beside the one the
     # package uses
-    assert unread_public_names("annotation", traced) == []
-
-
-@pytest.mark.parametrize("module", ["encoder", "structures"])
-def test_every_function_and_class_has_a_reader(module, traced):
     assert unread_public_names(module, traced) == []
 
 
@@ -234,8 +232,9 @@ def test_benchmark_models_equal_the_reference_chain(monkeypatch):
     # The digest the benchmark takes of its trained models, with every
     # trainer stepping per parameter through the per-head encoder chain, as
     # the packed and fused training tests in test_optim do, and the
-    # classifier's head and loss built as the chain of nodes cross_entropy
-    # fuses: the fused nodes and the packed optimizer leave the benchmark's
+    # classifier's head and loss and the embeddings' scores and loss built
+    # as the chains of tape nodes cross_entropy, score_nodes and margin_loss
+    # fuse: the fused nodes and the packed optimizer leave the benchmark's
     # models as they were.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "pipebench"))
     import inputs
@@ -246,6 +245,8 @@ def test_benchmark_models_equal_the_reference_chain(monkeypatch):
     got = workloads.train_all(kg, train_qs, tax, workloads.TINY, 5).digest()
     monkeypatch.setattr(SequenceEncoder, "forward", reference_encoder_forward)
     monkeypatch.setattr(clf, "cross_entropy", reference_classifier_loss)
+    monkeypatch.setattr(emb, "score_nodes", reference_score_nodes)
+    monkeypatch.setattr(emb, "margin_loss", reference_margin_loss)
     for module in (emb, clf, rk):
         monkeypatch.setattr(module, "ParameterBuffer", UnpackedParams)
         monkeypatch.setattr(module, "AdamW", ReferenceAdam)

@@ -9,12 +9,15 @@ from reference import (
     UnpackedParams,
     global_norm,
     reference_accumulate,
+    reference_add,
     reference_clip,
     reference_concat_cols,
+    reference_constant,
     reference_encoder_forward,
     reference_matmul,
     reference_mul,
     reference_scatter,
+    reference_sum_all,
     reference_train_step,
 )
 from sskgqa import autodiff as ad
@@ -36,7 +39,7 @@ from sskgqa.optim import (
 from sskgqa.pipeline import gold_graph_of, tokenize_question
 from sskgqa.ranker import RankTrainConfig, train_ranker
 from sskgqa.structures import builtin_taxonomy
-from sskgqa.synth import ranker_fixture
+from sskgqa.synth import norshteyn_kg, ranker_fixture
 
 
 def test_global_norm():
@@ -190,7 +193,7 @@ def test_train_step_matches_inline_sequence():
     init = [rng.normal(size=(4, 2)), rng.normal(size=(1, 5))]
 
     def loss_of(w):
-        return ad.sum_all(reference_mul(reference_matmul(ad.constant(x), w), reference_matmul(ad.constant(x), w)))
+        return reference_sum_all(reference_mul(reference_matmul(reference_constant(x), w), reference_matmul(reference_constant(x), w)))
 
     params = [ad.parameter(a.copy()) for a in init]
     buffer = ParameterBuffer(params)
@@ -240,10 +243,10 @@ def test_train_step_refuses_a_non_finite_gradient(bad):
     p = ad.parameter(np.array([[1.0, 2.0]]))
     buffer = ParameterBuffer([p])
     opt = AdamW(lr=0.1)
-    train_step(opt, buffer, ad.sum_all(reference_mul(p, ad.constant([[0.5, -0.5]]))))
+    train_step(opt, buffer, reference_sum_all(reference_mul(p, reference_constant([[0.5, -0.5]]))))
     before = [a.tobytes() for a in (p.value, opt._m, opt._v)]
     with pytest.raises(NonFiniteGradientError):
-        train_step(opt, buffer, ad.sum_all(reference_mul(p, ad.constant([[bad, 1.0]]))))
+        train_step(opt, buffer, reference_sum_all(reference_mul(p, reference_constant([[bad, 1.0]]))))
     assert [a.tobytes() for a in (p.value, opt._m, opt._v)] == before
     assert opt.step_count == 1
 
@@ -261,15 +264,15 @@ def test_buffer_gradient_zeroes_a_parameter_an_earlier_step_reached():
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
     buffer = ParameterBuffer([p, q])
     opt = RecordingOptimizer()
-    train_step(opt, buffer, ad.sum_all(reference_mul(reference_matmul(p, q), ad.constant([[0.25]]))))
+    train_step(opt, buffer, reference_sum_all(reference_mul(reference_matmul(p, q), reference_constant([[0.25]]))))
     assert opt.grad.tolist() == [0.25, 0.25, 0.25, 0.25]
-    train_step(opt, buffer, ad.sum_all(reference_mul(p, ad.constant([[0.5, -0.25]]))))
+    train_step(opt, buffer, reference_sum_all(reference_mul(p, reference_constant([[0.5, -0.25]]))))
     assert q.grad is None
     assert opt.grad.tolist() == [0.5, -0.25, 0.0, 0.0]
 
 
 def test_train_step_reaching_no_parameter_steps_without_clipping(monkeypatch):
-    # a loss with no parents (a flat triplet hinge) reaches no parameter:
+    # a loss with no backward (a flat triplet hinge) reaches no parameter:
     # the optimizer still steps, on an all-zero gradient, and clipping, a
     # no-op at norm 0, is not called
     clipped, clip = [], optim_module.clip_global_norm
@@ -282,9 +285,9 @@ def test_train_step_reaching_no_parameter_steps_without_clipping(monkeypatch):
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
     buffer = ParameterBuffer([p, q])
     opt = RecordingOptimizer()
-    train_step(opt, buffer, ad.sum_all(reference_matmul(p, q)))
+    train_step(opt, buffer, reference_sum_all(reference_matmul(p, q)))
     assert clipped == [4]
-    train_step(opt, buffer, ad.constant([[0.0]]))
+    train_step(opt, buffer, reference_constant([[0.0]]))
     assert clipped == [4]
     assert p.grad is None and q.grad is None
     assert opt.grad.tobytes() == np.zeros(4).tobytes()
@@ -296,8 +299,8 @@ C = np.array([[3.0, -4.0, 12.0, 1.0]])
 # shapes hands both operands one array, and with concat_cols p and q get
 # views of the array that r gets.
 SHARED_GRADIENT_LOSSES = {
-    "add": (((1, 2), (1, 2)), lambda p, q: ad.add(p, q)),
-    "views": (((1, 2), (1, 2), (1, 4)), lambda p, q, r: ad.add(reference_concat_cols(p, q), r)),
+    "add": (((1, 2), (1, 2)), lambda p, q: reference_add(p, q)),
+    "views": (((1, 2), (1, 2), (1, 4)), lambda p, q, r: reference_add(reference_concat_cols(p, q), r)),
 }
 
 
@@ -308,7 +311,7 @@ def test_train_step_scales_a_shared_gradient_once(name):
     buffer = ParameterBuffer(params)
     c = C[:, : shapes[-1][1]]
     opt = RecordingOptimizer()
-    train_step(opt, buffer, ad.sum_all(reference_mul(build(*params), ad.constant(c))))
+    train_step(opt, buffer, reference_sum_all(reference_mul(build(*params), reference_constant(c))))
     unclipped = [c] * len(params) if name == "add" else [c[:, :2], c[:, 2:], c]
     factor = 1.0 / global_norm(unclipped)
     assert factor < 1.0
@@ -400,6 +403,13 @@ def test_training_builds_two_nodes_per_step(name, monkeypatch):
     params = []
     nodes, _ = graph_nodes_while(lambda: params.extend(run()))
     assert steps and nodes == len(params) + 2 * len(steps)
+
+
+def test_embedding_epoch_builds_three_nodes():
+    # per epoch, the positives' and the negatives' score nodes and the loss;
+    # the other two are the entity and relation parameters
+    nodes, with_backward = graph_nodes_while(lambda: train(norshteyn_kg(), EmbedTrainConfig(d=8, epochs=5), "transe"))
+    assert (nodes, with_backward) == (2 + 3 * 5, 3 * 5)
 
 
 @pytest.mark.parametrize("name", ["ranker", "classifier_attention"])

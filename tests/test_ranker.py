@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from fixtures import count_forwards, triplet_loss
 from reference import (
+    reference_add,
     reference_batch_triplet_loss,
     reference_build_training_triplets,
+    reference_constant,
     reference_relu,
     reference_rownorm,
+    reference_scale,
     reference_score_all,
     reference_sub,
     reference_train_ranker,
@@ -261,17 +264,17 @@ def test_batch_triplet_loss_matches_per_negative_form():
         f_q, f_p, *f_n = (enc.forward(s, training=True) for s in seqs)
         terms = [
             reference_relu(
-                ad.add(
+                reference_add(
                     reference_sub(reference_rownorm(reference_sub(f_q, f_p)), reference_rownorm(reference_sub(f_q, n))),
-                    ad.constant([[alpha]]),
+                    reference_constant([[alpha]]),
                 )
             )
             for n in f_n
         ]
         total = terms[0]
         for t in terms[1:]:
-            total = ad.add(total, t)
-        single = ad.scale(total, 1.0 / len(terms))
+            total = reference_add(total, t)
+        single = reference_scale(total, 1.0 / len(terms))
         want = grads_of(single)
         assert abs(batched.value[0, 0] - single.value[0, 0]) < 1e-10
         for g, w in zip(got, want):
@@ -418,7 +421,7 @@ def test_triplet_loss_goes_through_the_fused_op(monkeypatch):
 
 def test_flat_hinge_steps_train_bytes_equal_to_always_backpropagating(monkeypatch):
     # over 10 epochs some steps have every negative beyond the margin, so
-    # their loss has no parents and the step skips backward and clipping;
+    # their loss has no backward and the step skips clipping;
     # the composed chain always backpropagates, and the parameters must
     # still come out with the same bits
     kg, questions = ranker_fixture()
@@ -428,7 +431,7 @@ def test_flat_hinge_steps_train_bytes_equal_to_always_backpropagating(monkeypatc
 
     def spying(f, alpha):
         loss = fused(f, alpha)
-        counts["backprop" if loss.parents else "flat"] += 1
+        counts["flat" if loss._backward is None else "backprop"] += 1
         return loss
 
     monkeypatch.setattr(ad, "triplet_hinge", spying)
@@ -444,7 +447,7 @@ def test_flat_hinge_steps_train_bytes_equal_to_always_backpropagating(monkeypatc
 def test_nan_in_the_encoder_still_stops_training(monkeypatch):
     # a nan row for thing0, a token of every sequence of question 0's batch
     # and of no other, makes each hinge term of that batch nan: none is
-    # active, but the loss keeps its parents, so the gradient check refuses
+    # active, but the loss keeps its backward, so the gradient check refuses
     # the step
     kg, questions = ranker_fixture()
     dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
