@@ -8,12 +8,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, load_parameters, read_checkpoint, write_checkpoint
+from . import checkpoint as ckpt
+from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, encoder_header, parse_encoder_header
 from .embeddings import EmbeddingTable
 from .optim import AdamW, ParameterBuffer, train_step
 from .structures import Taxonomy
 
-MAGIC = "ssk-clf v1"
+MAGIC = "ssk-clf v2"
 BATCH_SIZE = 32  # training examples per optimizer step
 DROPOUT = 0.1  # on the pooled question vector in training
 
@@ -180,18 +181,24 @@ def train_classifier(
 
 
 def save_classifier(model: ClassifierModel, path: str) -> None:
-    """`ssk-clf v1` checkpoint: config, vocab, labels and `parameters()`, the
-    encoder's, then the head weights and bias."""
-    write_checkpoint(path, MAGIC, model.encoder, model.parameters(), {"labels": model.labels})
+    """`ssk-clf v2` checkpoint: the encoder's config and vocab, the labels, the
+    digest of the table it was trained over and `parameters()`, in list order."""
+    fields, sections = encoder_header(model.encoder)
+    sections |= {"labels": model.labels, "table": [ckpt.digest([model.table.ent, model.table.rel])]}
+    ckpt.write(path, MAGIC, fields, sections, [p.value for p in model.parameters()])
 
 
 def load_classifier(model_path: str, table: EmbeddingTable, taxonomy: Taxonomy) -> ClassifierModel:
-    cfg, vocab, sections, flat = read_checkpoint(
-        model_path, MAGIC, ("labels",), lambda cfg, s: (cfg.out_dim + 1) * len(s["labels"])
+    header, flat = ckpt.read(
+        model_path, MAGIC, ("dims",), ("vocab", "labels", "table"),
+        lambda h: parse_encoder_header(h)[2] + (parse_encoder_header(h)[0].out_dim + 1) * len(h["labels"]),
     )
-    if sections["labels"] != taxonomy.labels():
-        raise ClassifierError("checkpoint taxonomy labels do not match")
+    if header["labels"] != taxonomy.labels():
+        raise ClassifierError(f"{model_path}: checkpoint taxonomy labels do not match")
+    if header["table"] != [ckpt.digest([table.ent, table.rel])]:
+        raise ClassifierError(f"{model_path}: trained over another embedding table than the one given")
+    cfg, vocab, _ = parse_encoder_header(header)
     rng = np.random.default_rng(0)
     model = ClassifierModel(SequenceEncoder(vocab, cfg, rng), table, taxonomy, rng)
-    load_parameters(model.parameters(), flat)
+    ckpt.fill([p.value for p in model.parameters()], flat)
     return model

@@ -79,7 +79,7 @@ def cmd_train_embeddings(args) -> int:
 
 def _embeddings(path: str, kg: kgmod.KnowledgeGraph) -> emb.EmbeddingTable:
     """The table at `path`, refused unless it has a row for every entity and
-    every relation of `kg` and no more."""
+    every relation of `kg` and no more, and was trained on `kg`'s ids."""
     table = emb.load_table(path)
     have, need = (len(table.ent), len(table.rel)), (kg.num_entities, kg.num_relations)
     if have != need:
@@ -87,6 +87,8 @@ def _embeddings(path: str, kg: kgmod.KnowledgeGraph) -> emb.EmbeddingTable:
             f"{path}: a table of {have[0]} entities and {have[1]} relations, "
             f"but the --kg has {need[0]} and {need[1]}"
         )
+    if table.kg != kg.fingerprint():
+        raise emb.EmbeddingError(f"{path}: a table of KG {table.kg}, but the --kg is {kg.fingerprint()}")
     return table
 
 

@@ -8,13 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import checkpoint as ckpt
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 
 KINDS = ("transe", "complex", "rotate")
 MAX_ENTITY_NORM = 10.0  # drift clamp after each update
 
-MAGIC = "ssk-emb v1"
+MAGIC = "ssk-emb v2"
 
 
 class EmbeddingError(Exception):
@@ -41,6 +42,7 @@ class EmbeddingTable:
     kind: str
     ent: np.ndarray  # (N, d)
     rel: np.ndarray  # (R, d); for rotate: phases in the first d/2 columns
+    kg: str = ""  # the fingerprint of the KG whose ids index the rows; "" if unknown
     @property
     def d(self) -> int:
         return self.ent.shape[1]
@@ -165,6 +167,7 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
     ent, rel = ad.parameter(table.ent), ad.parameter(table.rel)
     buffer = ParameterBuffer([ent, rel])
     table.ent, table.rel = ent.value, rel.value  # views of the buffer, which _clamp edits in place
+    table.kg = kg.fingerprint()
     history: list[float] = []
     for epoch in range(cfg.epochs):
         s_pos = score_nodes(ent, rel, kind, heads, rels, tails)
@@ -202,42 +205,22 @@ def _clamp(table: EmbeddingTable, epoch: int) -> None:
 
 
 def save_table(table: EmbeddingTable, path: str) -> None:
-    """Checkpoint: `ssk-emb v1 <kind> <N> <R> <d>` header + float32 LE payload,
-    entity rows then relation rows. A value that float32 cannot hold, nan,
-    inf or beyond its range, is refused before the file is opened."""
-    n, d = table.ent.shape
-    r = table.rel.shape[0]
-    with np.errstate(over="ignore"):  # a value beyond float32's range is refused below
-        payload = np.concatenate([table.ent.ravel(), table.rel.ravel()]).astype("<f4")
-    if not np.isfinite(payload).all():
-        raise EmbeddingError(f"{path}: an embedding is nan, inf or beyond float32's range")
-    with open(path, "wb") as f:
-        f.write(f"{MAGIC} {table.kind} {n} {r} {d}\n".encode())
-        f.write(payload.tobytes())
+    """`ssk-emb v2` checkpoint: the kind, the sizes (entities, relations,
+    dimension), the KG fingerprint and the rows, entities then relations."""
+    (n, d), r = table.ent.shape, len(table.rel)
+    ckpt.write(path, MAGIC, {"kind": table.kind, "sizes": f"{n} {r} {d}"}, {"kg": [table.kg]}, [table.ent, table.rel])
 
 
 def load_table(path: str) -> EmbeddingTable:
-    with open(path, "rb") as f:
-        try:
-            header = f.readline().decode().split()
-        except UnicodeDecodeError:
-            raise EmbeddingError(f"undecodable embedding checkpoint header in {path}") from None
-        if header[:2] != MAGIC.split() or len(header) != 6:
-            raise EmbeddingError(f"bad embedding checkpoint header in {path}")
-        if not all(v.isdecimal() for v in header[3:]):
-            raise EmbeddingError(f"{path}: sizes must be non-negative integers, got {' '.join(header[3:])}")
-        kind, (n, r, d) = header[2], map(int, header[3:])
-        raw = f.read()
-    if len(raw) % 4 != 0:
-        raise EmbeddingError(f"{path}: payload of {len(raw)} bytes is not a whole number of float32 values")
-    flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    if flat.size != (n + r) * d:
-        raise EmbeddingError(f"{path}: payload has {flat.size} floats, the header's sizes need {(n + r) * d}")
-    if not np.isfinite(flat).all():
-        raise EmbeddingError(f"{path}: payload holds a nan or inf")
-    ent = flat[: n * d].reshape(n, d).copy()
-    rel = flat[n * d :].reshape(r, d).copy()
+    def size(header: dict) -> int:
+        sizes = header["sizes"].split()
+        if len(sizes) != 3 or not all(v.isdecimal() for v in sizes) or len(header["kg"]) != 1:
+            raise ValueError(f"needs 3 whole-number sizes and 1 kg line, has {header['sizes']!r} and {len(header['kg'])}")
+        return (int(sizes[0]) + int(sizes[1])) * int(sizes[2])
+
+    header, flat = ckpt.read(path, MAGIC, ("kind", "sizes"), ("kg",), size)
+    n, r, d = map(int, header["sizes"].split())
     try:
-        return EmbeddingTable(kind, ent, rel)
+        return EmbeddingTable(header["kind"], flat[: n * d].reshape(n, d), flat[n * d :].reshape(r, d), header["kg"][0])
     except EmbeddingError as exc:
-        raise EmbeddingError(f"{path}: {exc}") from None
+        raise ckpt.CheckpointError(f"{path}: {exc}") from None

@@ -1,11 +1,11 @@
 """Shared trainable sequence encoder: token embeddings, one optional
 multi-head self-attention block with a feed-forward layer, mean pooling and a
-linear projection. Also the checkpoint codec of the models built on it (the
-ranker and the classifier)."""
+linear projection, and the header lines that describe it in the model files
+of the ranker and the classifier."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -189,111 +189,22 @@ class SequenceEncoder:
         return ad.Node(out, backward)
 
 
-class CheckpointError(ValueError):
-    """A model checkpoint is truncated, malformed or does not fit its model."""
-
-
-def write_checkpoint(
-    path: str,
-    magic: str,
-    encoder: SequenceEncoder,
-    params: list[ad.Node],
-    sections: dict[str, list[str]] | None = None,
-) -> None:
-    """Model checkpoint shared by the ranker and the classifier.
-
-    A `magic` line, a `dims` line with the encoder config, counted string
-    sections (`<name> <count>` then one string per line: `vocab` first, then
-    `sections` in order) and `floats N` followed by N float32 LE values:
-    each of `params`, the model's `parameters()`, raveled in list order. A
-    parameter that float32 cannot hold, nan, inf or beyond its range, is
-    refused with CheckpointError before the file is opened.
-    """
+def encoder_header(encoder: SequenceEncoder) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """The `dims` field and `vocab` section of `encoder` in a model file."""
     cfg = encoder.cfg
-    lines = [
-        magic,
-        f"dims {cfg.out_dim} {cfg.d_model} {cfg.heads} {cfg.ff_width} "
-        f"{int(cfg.use_attention)} {cfg.dropout}",
-    ]
-    for name, items in {"vocab": encoder.vocab.tokens, **(sections or {})}.items():
-        lines.append(f"{name} {len(items)}")
-        lines.extend(items)
-    with np.errstate(over="ignore"):  # a value beyond float32's range is refused below
-        payload = np.concatenate([p.value.astype(np.float32).ravel() for p in params])
-    if not np.isfinite(payload).all():
-        raise CheckpointError(f"{path}: a parameter is nan, inf or beyond float32's range")
-    lines.append(f"floats {payload.size}")
-    with open(path, "wb") as f:
-        f.write(("\n".join(lines) + "\n").encode())
-        f.write(payload.astype("<f4").tobytes())
+    dims = f"{cfg.out_dim} {cfg.d_model} {cfg.heads} {cfg.ff_width} {int(cfg.use_attention)} {cfg.dropout}"
+    return {"dims": dims}, {"vocab": encoder.vocab.tokens}
 
 
-def read_checkpoint(
-    path: str,
-    magic: str,
-    sections: tuple[str, ...] = (),
-    head_floats: Callable[[EncoderConfig, dict[str, list[str]]], int] | None = None,
-) -> tuple[EncoderConfig, Vocab, dict[str, list[str]], np.ndarray]:
-    """Parse a write_checkpoint file into (config, vocab, sections, payload).
-
-    Before anything is built, the header is checked line by line and the
-    payload against the parameter count of the model it describes, the
-    encoder's plus head_floats(config, sections); a nan or inf payload
-    value is refused.
-    """
-    with open(path, "rb") as f:
-
-        def line(what: str) -> str:
-            raw = f.readline()
-            if not raw.endswith(b"\n"):
-                raise CheckpointError(f"{path}: truncated in the {what}")
-            try:
-                return raw[:-1].decode()
-            except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: undecodable {what}") from None
-
-        def counted(name: str) -> int:
-            fields = line(f"{name} count").split()
-            if len(fields) != 2 or fields[0] != name or not fields[1].isdecimal():
-                raise CheckpointError(f"{path}: expected '{name} <count>'")
-            return int(fields[1])
-
-        if line("magic line") != magic:
-            raise CheckpointError(f"{path}: not a {magic} checkpoint")
-        dims = line("dims line").split()
-        if len(dims) != 7 or dims[0] != "dims":
-            raise CheckpointError(f"{path}: dims line needs 6 fields")
-        try:
-            sizes = [int(v) for v in dims[1:5]]
-            cfg = EncoderConfig(*sizes, bool(int(dims[5])), float(dims[6]))
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: bad dims line: {exc}") from None
-        found = {
-            name: [line(f"{name} section") for _ in range(counted(name))]
-            for name in ("vocab", *sections)
-        }
-        vocab = Vocab(found["vocab"][1:])
-        if vocab.tokens != found["vocab"]:
-            raise CheckpointError(f"{path}: vocab section is not {OOV} then sorted unique tokens")
-        count = counted("floats")
-        need = sum(r * c for r, c in param_shapes(cfg, len(vocab)).values())
-        need += head_floats(cfg, found) if head_floats else 0
-        if count != need:
-            raise CheckpointError(f"{path}: header declares {count} floats, the model needs {need}")
-        raw = f.read()
-    if len(raw) != 4 * count:
-        raise CheckpointError(
-            f"{path}: payload is {len(raw)} bytes, {count} floats need {4 * count}"
-        )
-    flat = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    if not np.isfinite(flat).all():
-        raise CheckpointError(f"{path}: payload holds a nan or inf")
-    return cfg, vocab, found, flat
-
-
-def load_parameters(params: list[ad.Node], flat: np.ndarray) -> None:
-    """Copy a read_checkpoint payload into `params`, in write_checkpoint's order."""
-    off = 0
-    for p in params:
-        p.value[...] = flat[off : off + p.value.size].reshape(p.value.shape)
-        off += p.value.size
+def parse_encoder_header(header: dict) -> tuple[EncoderConfig, Vocab, int]:
+    """The config, vocab and parameter count that a model file's `dims` and
+    `vocab` give, without building a parameter; a ValueError if none can."""
+    try:
+        out, d, heads, ff, attention, dropout = header["dims"].split()
+        cfg = EncoderConfig(int(out), int(d), int(heads), int(ff), bool(int(attention)), float(dropout))
+    except ValueError as exc:
+        raise ValueError(f"bad dims line: {exc}") from None
+    vocab = Vocab(header["vocab"][1:])
+    if vocab.tokens != header["vocab"]:
+        raise ValueError(f"vocab section is not {OOV} then sorted unique tokens")
+    return cfg, vocab, sum(r * c for r, c in param_shapes(cfg, len(vocab)).values())

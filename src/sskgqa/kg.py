@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
@@ -94,6 +95,11 @@ class KnowledgeGraph:
     def iter_triples(self) -> Iterator[tuple[int, int, int]]:
         """Every triple as (head, relation, tail) ids, in ascending order."""
         return ((h, r, t) for h, rels in enumerate(self.tails_of) for r, tails in rels.items() for t in tails)
+
+    def fingerprint(self) -> str:
+        """SHA-256 prefix of the entity and the relation symbols, in id order."""
+        symbols = repr((self.entities.symbols(), self.relations.symbols()))
+        return hashlib.sha256(symbols.encode()).hexdigest()[:16]
 
 
 def step(kg: KnowledgeGraph, frontier: set[int], rid: int, rev: bool) -> set[int]:

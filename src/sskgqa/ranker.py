@@ -9,8 +9,9 @@ from itertools import groupby
 import numpy as np
 
 from . import autodiff as ad
+from . import checkpoint as ckpt
 from .candidates import EnumConfig, enumerate_candidates
-from .encoder import ENCODE_CHUNK, MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab, batch_layout, load_parameters, read_checkpoint, write_checkpoint
+from .encoder import ENCODE_CHUNK, MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab, batch_layout, encoder_header, parse_encoder_header
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 from .querygraph import Chain, canonicalize, serialize_tokens, split_symbol
@@ -184,12 +185,13 @@ def train_ranker(
 
 
 def save_ranker(model: RankerModel, path: str) -> None:
-    """`ssk-rank v1` checkpoint: config, vocab and the encoder's parameters."""
-    write_checkpoint(path, MAGIC, model.encoder, model.encoder.parameters())
+    """`ssk-rank v1` checkpoint: the encoder's config, vocab and parameters."""
+    ckpt.write(path, MAGIC, *encoder_header(model.encoder), [p.value for p in model.encoder.parameters()])
 
 
 def load_ranker(path: str) -> RankerModel:
-    cfg, vocab, _, flat = read_checkpoint(path, MAGIC)
+    header, flat = ckpt.read(path, MAGIC, ("dims",), ("vocab",), lambda h: parse_encoder_header(h)[2])
+    cfg, vocab, _ = parse_encoder_header(header)
     model = RankerModel(SequenceEncoder(vocab, cfg, np.random.default_rng(0)))
-    load_parameters(model.encoder.parameters(), flat)
+    ckpt.fill([p.value for p in model.encoder.parameters()], flat)
     return model

@@ -178,21 +178,18 @@ HEADER_NUMBERS = (b"0", b"-1", b"999999999", b"nan")
 
 
 def text_end(data: bytes) -> int:
-    """Where the text of an input file ends: after the first line of an
-    `ssk-emb` table, after the `floats` line of an `ssk-clf` or `ssk-rank`
-    checkpoint; a KG TSV is all text."""
-    if data.startswith(b"ssk-emb "):
-        return data.index(b"\n") + 1
-    if data.startswith((b"ssk-clf ", b"ssk-rank ")):
+    """Where the text of an input file ends: after the `floats` line of a
+    model file (`ssk-emb`, `ssk-clf` or `ssk-rank`); a KG TSV is all text."""
+    if data.startswith(b"ssk-"):
         return data.index(b"\n", data.index(b"\nfloats ") + 1) + 1
     return len(data)
 
 
 def header_numbers(data: bytes) -> list[tuple[int, int]]:
-    """The (start, end) offsets of the whole numbers in an input file's
-    header: the first line of an `ssk-emb` table, and the dims, section
-    count and floats lines of a model checkpoint. A KG TSV has none."""
-    lines = re.finditer(rb"\Assk-emb .*|^(?:dims|vocab|labels|floats) .*", data[: text_end(data)], re.M)
+    """The (start, end) offsets of the whole numbers in a model file's
+    header: the version of its magic line, the table's sizes, the encoder's
+    dims and the section and float counts. A KG TSV has none."""
+    lines = re.finditer(rb"\Assk-.*|^(?:sizes|dims|vocab|labels|kg|table|floats) .*", data[: text_end(data)], re.M)
     numbers = rb"(?<![\d.])\d+(?![\d.])"
     return [(line.start() + m.start(), line.start() + m.end()) for line in lines for m in re.finditer(numbers, line.group())]
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import sskgqa
 from fixtures import HEADER_NUMBERS, header_numbers, mutations, set_number, taxonomy_entries
 from sskgqa import candidates, cli, classifier, embeddings, ranker
+from sskgqa.kg import load_kg_file
 
 # the directory holding the package under test, so the subprocess runs it
 # whether or not the package is installed
@@ -334,7 +335,7 @@ def test_damaged_checkpoint_is_one_error_line(toy, trained, tmp_path, model, cas
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
-def test_embeddings_float32_cannot_hold_are_one_error_line_and_no_file(toy, tmp_path):
+def test_diverging_embedding_training_is_one_error_line_and_no_file(toy, tmp_path):
     # at lr 1e300 the first step takes the entity norms past float64's
     # range, and training stops there, with no numpy warning
     out = tmp_path / "emb.ckpt"
@@ -817,6 +818,83 @@ def test_embeddings_of_another_kg_are_one_error_line_and_no_file(toy, trained, t
         code, err = run_main(argv)
         want = f"error: {trained['emb']}: a table of 20 entities and 5 relations, but the --kg has 10 and 2"
         assert (code, err.splitlines()) == (1, [want]), argv[0]
+    assert not out.exists()
+
+
+def test_embeddings_of_another_kg_with_equal_counts_are_one_error_line_and_no_file(tmp_path):
+    # the norshteyn KG with each entity's edges moved to the next entity
+    # name: as many entities, relations and triples, but a table trained on
+    # it gives each entity of the original another entity's row
+    toy = tmp_path / "norshteyn"
+    run_cli("make-toy", "--out", str(toy))
+    lines = [line.split("\t") for line in (toy / "kg.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+    names = sorted({e for h, _, t in lines for e in (h, t)})
+    after = dict(zip(names, names[1:] + names[:1]))
+    shifted = tmp_path / "shifted.tsv"
+    shifted.write_text("".join(f"{after[h]}\t{r}\t{after[t]}\n" for h, r, t in lines), encoding="utf-8")
+    kg, data, out = str(toy / "kg.tsv"), str(toy / "questions.jsonl"), tmp_path / "out.ckpt"
+    emb, clf, rank = (str(tmp_path / f"{name}.ckpt") for name in ("emb", "clf", "rank"))
+    for argv in (
+        ["train-embeddings", "--kg", str(shifted), "--out", emb, "--dim", "4", "--epochs", "2"],
+        ["train-embeddings", "--kg", kg, "--out", str(tmp_path / "own.ckpt"), "--dim", "4", "--epochs", "2"],
+        ["train-classifier", "--kg", kg, "--dataset", data, "--embeddings", str(tmp_path / "own.ckpt"),
+         "--out", clf, "--epochs", "1"],
+        ["train-ranker", "--kg", kg, "--dataset", data, "--out", rank, "--epochs", "1"],
+    ):
+        assert run_main(argv) == (0, ""), argv
+    fingerprints = [load_kg_file(path).fingerprint() for path in (str(shifted), kg)]
+    want = f"error: {emb}: a table of KG {fingerprints[0]}, but the --kg is {fingerprints[1]}"
+    models = ["--ranker", rank, "--classifier", clf, "--embeddings", emb]
+    for argv in (
+        ["train-classifier", "--kg", kg, "--dataset", data, "--embeddings", emb, "--out", str(out)],
+        ["evaluate", "--kg", kg, "--dataset", data, *models],
+        ["answer", "--kg", kg, "--question", "who is it", "--topic", "Norshteyn", *models],
+    ):
+        assert run_main(argv) == (1, want + "\n"), argv[0]
+    assert not out.exists()
+
+
+def test_classifier_over_another_table_is_one_error_line(toy, trained, tmp_path):
+    # the same KG, TransE of another seed: the classifier's entity term
+    # would read rows it was not trained on
+    other = str(tmp_path / "seed1.ckpt")
+    kg = str(toy / "kg.tsv")
+    assert run_main(["train-embeddings", "--kg", kg, "--out", other, "--dim", "16", "--epochs", "20", "--seed", "1"])[0] == 0
+    models = ["--ranker", trained["rank"], "--classifier", trained["clf"], "--embeddings", other]
+    want = f"error: {trained['clf']}: trained over another embedding table than the one given\n"
+    for argv in (
+        ["evaluate", "--kg", kg, "--dataset", str(toy / "questions.jsonl"), *models],
+        ["answer", "--kg", kg, "--question", "what color is thing0", "--topic", "thing0", *models],
+    ):
+        assert run_main(argv) == (1, want), argv[0]
+
+
+def test_model_files_of_the_first_version_are_one_error_line_and_no_file(toy, trained, tmp_path):
+    # an `ssk-emb v1` table (one header line, no kg section) and an
+    # `ssk-clf v1` classifier (no table section), written from the v2 files
+    table = Path(trained["emb"]).read_bytes()
+    head, payload = table[: table.index(b"\nfloats ")], table[table.index(b"\n", table.index(b"\nfloats ") + 1) + 1 :]
+    kind, sizes = (line.split(b" ", 1)[1] for line in head.split(b"\n")[1:3])
+    emb_v1 = tmp_path / "emb_v1.ckpt"
+    emb_v1.write_bytes(b"ssk-emb v1 " + kind + b" " + sizes + b"\n" + payload)
+    lines = Path(trained["clf"]).read_bytes().split(b"\n")
+    at = lines.index(b"table 1")
+    clf_v1 = tmp_path / "clf_v1.ckpt"
+    clf_v1.write_bytes(b"\n".join([b"ssk-clf v1", *lines[1:at], *lines[at + 2 :]]))
+    kg, data, out = str(toy / "kg.tsv"), str(toy / "questions.jsonl"), tmp_path / "clf.ckpt"
+    question = ["answer", "--kg", kg, "--question", "what color is thing0", "--topic", "thing0", "--ranker", trained["rank"]]
+    for argv, path, first in (
+        (["train-classifier", "--kg", kg, "--dataset", data, "--embeddings", str(emb_v1), "--out", str(out)],
+         emb_v1, f"ssk-emb v1 {kind.decode()} {sizes.decode()}"),
+        ([*question, "--classifier", trained["clf"], "--embeddings", str(emb_v1)], emb_v1,
+         f"ssk-emb v1 {kind.decode()} {sizes.decode()}"),
+        ([*question, "--classifier", str(clf_v1), "--embeddings", trained["emb"]], clf_v1, "ssk-clf v1"),
+        (["evaluate", "--kg", kg, "--dataset", data, "--ranker", trained["rank"], "--classifier", str(clf_v1),
+          "--embeddings", trained["emb"]], clf_v1, "ssk-clf v1"),
+    ):
+        magic = "ssk-emb v2" if path == emb_v1 else "ssk-clf v2"
+        want = f"error: {path}: not a {magic} checkpoint, it starts {first!r}\n"
+        assert run_main(argv) == (1, want), argv[0]
     assert not out.exists()
 
 

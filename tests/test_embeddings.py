@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from sskgqa import autodiff as ad
 from sskgqa import embeddings as emb_module
+from sskgqa.checkpoint import CheckpointError
 from sskgqa.embeddings import (
     EmbeddingError,
     EmbeddingTable,
@@ -308,7 +309,7 @@ def test_checkpoint_refuses_a_value_float32_cannot_hold(tmp_path, bad):
     table = init_table("transe", 5, 2, 8, seed=9)
     table.rel[1, 3] = bad
     path = tmp_path / "emb.ckpt"
-    with pytest.raises(EmbeddingError, match="^.*emb.ckpt: an embedding is nan, inf or beyond float32's range$"):
+    with pytest.raises(CheckpointError, match="^.*emb.ckpt: a parameter is nan, inf or beyond float32's range$"):
         save_table(table, str(path))
     assert not path.exists()
 
@@ -316,7 +317,7 @@ def test_checkpoint_refuses_a_value_float32_cannot_hold(tmp_path, bad):
 def test_checkpoint_bad_header(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint\n")
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(CheckpointError):
         load_table(str(path))
 
 
@@ -324,28 +325,52 @@ def test_checkpoint_odd_payload(tmp_path):
     path = tmp_path / "emb.ckpt"
     save_table(init_table("transe", 5, 2, 8, seed=9), str(path))
     path.write_bytes(path.read_bytes()[:-1])
-    with pytest.raises(EmbeddingError, match="float32"):
+    with pytest.raises(CheckpointError, match="payload is 223 bytes, 56 floats need 224$"):
         load_table(str(path))
+
+
+def v2_header(kind=b"transe", sizes=b"5 2 8", kg=b"kg 1\n0123456789abcdef\n") -> bytes:
+    """An `ssk-emb v2` header of 56 floats, with the given kind, sizes and kg section."""
+    return b"ssk-emb v2\nkind " + kind + b"\nsizes " + sizes + b"\n" + kg + b"floats 56\n"
 
 
 @pytest.mark.parametrize(
     "header",
     [
-        b"ssk-emb v1 transe x 2 8\n",  # not an integer
-        b"ssk-emb v1 transe -1 2 8\n",  # negative
-        b"ssk-emb v1 transe 5 2 8.0\n",
-        b"ssk-emb v1 \xff\xfe 5 2 8\n",  # not UTF-8
-        b"ssk-emb v1 transe 5 2 9\n",  # payload too short
-        b"ssk-emb v1 tucker 5 2 8\n",  # unknown kind
-        b"ssk-emb v1 rotate 1 7 7\n",  # odd dimension
+        v2_header(sizes=b"x 2 8"),  # not an integer
+        v2_header(sizes=b"-1 2 8"),  # negative
+        v2_header(sizes=b"5 2 8.0"),
+        v2_header(kind=b"\xff\xfe"),  # not UTF-8
+        v2_header(sizes=b"5 2 9"),  # payload too short
+        v2_header(kind=b"tucker"),  # unknown kind
+        v2_header(kind=b"rotate", sizes=b"1 7 7"),  # odd dimension
+        v2_header(sizes=b"5 2"),  # two sizes
+        v2_header(kg=b"kg 2\n0123456789abcdef\n0123456789abcdef\n"),  # two fingerprints
+        b"ssk-emb v1 transe 5 2 8\n",  # the version before the kg section
     ],
-    ids=["not_integer", "negative", "float", "undecodable", "short_payload", "unknown_kind", "odd_rotate"],
+    ids=["not_integer", "negative", "float", "undecodable", "short_payload", "unknown_kind", "odd_rotate",
+         "two_sizes", "two_fingerprints", "v1"],
 )
 def test_checkpoint_errors_name_the_file(tmp_path, header):
     path = tmp_path / "emb.ckpt"
     path.write_bytes(header + np.zeros(7 * 8, dtype="<f4").tobytes())
-    with pytest.raises(EmbeddingError, match="emb.ckpt"):
+    with pytest.raises(CheckpointError, match="emb.ckpt"):
         load_table(str(path))
+
+
+def test_v1_table_is_refused_by_its_version(tmp_path):
+    path = tmp_path / "emb.ckpt"
+    path.write_bytes(b"ssk-emb v1 transe 5 2 8\n" + np.zeros(7 * 8, dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match="^.*emb.ckpt: not a ssk-emb v2 checkpoint, it starts 'ssk-emb v1 transe 5 2 8'$"):
+        load_table(str(path))
+
+
+def test_table_records_the_kg_it_was_trained_on(tmp_path):
+    kg = cycle_kg()
+    table, _ = train(kg, EmbedTrainConfig(d=4, epochs=1))
+    path = str(tmp_path / "emb.ckpt")
+    save_table(table, path)
+    assert load_table(path).kg == table.kg == kg.fingerprint()
 
 
 @st.composite

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from fixtures import count_forwards, graph_nodes_while
 from reference import reference_constant, reference_mul, reference_rownorm, reference_sub, reference_sum_all
 from sskgqa import autodiff as ad
+from sskgqa import checkpoint as ckpt
 from sskgqa.encoder import (
     MAX_TOKENS,
     OOV,
     EncoderConfig,
     SequenceEncoder,
     Vocab,
-    load_parameters,
-    read_checkpoint,
-    write_checkpoint,
+    encoder_header,
+    parse_encoder_header,
 )
 from sskgqa.optim import AdamW, ParameterBuffer, train_step
 
@@ -197,9 +197,10 @@ def test_payload_round_trip(tmp_path):
     enc = make_encoder(seed=1)
     ref = enc.forward([1, 3])
     path = str(tmp_path / "enc.ckpt")
-    write_checkpoint(path, "test v1", enc, enc.parameters())
-    cfg, vocab, _, flat = read_checkpoint(path, "test v1")
+    ckpt.write(path, "test v1", *encoder_header(enc), [p.value for p in enc.parameters()])
+    header, flat = ckpt.read(path, "test v1", ("dims",), ("vocab",), lambda h: parse_encoder_header(h)[2])
+    cfg, vocab, _ = parse_encoder_header(header)
     assert (cfg, vocab.tokens) == (enc.cfg, enc.vocab.tokens)
     enc2 = make_encoder(seed=2)
-    load_parameters(enc2.parameters(), flat)
+    ckpt.fill([p.value for p in enc2.parameters()], flat)
     assert np.allclose(enc2.forward([1, 3]), ref, atol=1e-6)

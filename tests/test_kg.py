@@ -97,6 +97,18 @@ def test_load_kg_file_skips_byte_order_mark(tmp_path):
         load_kg_file(str(path))
 
 
+def test_fingerprint_follows_the_symbols_in_id_order():
+    triples = [("a", "r", "b"), ("b", "s", "c")]
+    fp = build_kg(triples).fingerprint()
+    assert len(fp) == 16 and int(fp, 16) >= 0
+    assert build_kg(triples + [("a", "s", "c")]).fingerprint() == fp  # other triples, same ids
+    assert build_kg(triples[::-1]).fingerprint() != fp  # same symbols, other ids
+    assert build_kg([("a", "r", "b"), ("b", "s", "d")]).fingerprint() != fp  # another symbol
+    assert build_kg([("a", "r", "b"), ("b", "r", "c")]).fingerprint() != fp  # another relation list
+    # symbols that a joined string would confuse
+    assert build_kg([("a b", "r", "c")]).fingerprint() != build_kg([("a", "r", "b c")]).fingerprint()
+
+
 def test_has_triple_id_checked():
     kg = build_kg([("a", "r", "b")])
     for h, r, t in ((2, 0, 0), (0, 0, -1), (0, 1, 1), (0, -1, 1)):

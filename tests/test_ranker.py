@@ -18,7 +18,8 @@ from reference import (
 )
 from sskgqa import autodiff as ad
 from sskgqa import ranker as ranker_module
-from sskgqa.encoder import CheckpointError, EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.checkpoint import CheckpointError
+from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
 from sskgqa.optim import NonFiniteGradientError
 from sskgqa.pipeline import gold_graph_of, tokenize_question
