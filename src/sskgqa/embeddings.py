@@ -1,4 +1,4 @@
-"""Entity/relation embeddings trained with TransE, ComplEx or RotatE scoring."""
+"""Entity/relation embeddings trained with TransE or ComplEx scoring."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from . import checkpoint as ckpt
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 
-KINDS = ("transe", "complex", "rotate")
+KINDS = ("transe", "complex")
 MAX_ENTITY_NORM = 10.0  # drift clamp after each update
 
 MAGIC = "ssk-emb v2"
@@ -41,7 +41,7 @@ class EmbedTrainConfig:
 class EmbeddingTable:
     kind: str
     ent: np.ndarray  # (N, d)
-    rel: np.ndarray  # (R, d); for rotate: phases in the first d/2 columns
+    rel: np.ndarray  # (R, d)
     kg: str = ""  # the fingerprint of the KG whose ids index the rows; "" if unknown
     @property
     def d(self) -> int:
@@ -50,7 +50,7 @@ class EmbeddingTable:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise EmbeddingError(f"unknown model kind: {self.kind}")
-        if self.kind in ("complex", "rotate") and self.ent.shape[1] % 2 != 0:
+        if self.kind == "complex" and self.ent.shape[1] % 2 != 0:
             raise EmbeddingError(f"{self.kind} requires an even dimension")
 
     def lookup_entities(self, ids) -> np.ndarray:
@@ -64,11 +64,7 @@ class EmbeddingTable:
 def init_table(kind: str, n_entities: int, n_relations: int, d: int, seed: int) -> EmbeddingTable:
     rng = np.random.default_rng(seed)
     ent = rng.normal(0.0, 0.5, size=(n_entities, d))
-    if kind == "rotate":
-        rel = np.zeros((n_relations, d))
-        rel[:, : d // 2] = rng.uniform(-np.pi, np.pi, size=(n_relations, d // 2))
-    else:
-        rel = rng.normal(0.0, 0.5, size=(n_relations, d))
+    rel = rng.normal(0.0, 0.5, size=(n_relations, d))
     return EmbeddingTable(kind, ent, rel)
 
 
@@ -81,10 +77,9 @@ def score_nodes(
     elementwise nodes that spells out each formula, so the value and the
     gradients have the same bits. The forward keeps only what the backward
     reads: for TransE the difference h + r - t and its row norms, for
-    ComplEx the gathered rows and h * r, for RotatE the head rows, the
-    rotation (cos theta, sin theta) and the difference h o e^(i theta) - t
-    with its norms. The backward adds into `ent` and `rel` in the order that
-    chain's walk did: the heads' rows, the relations', then the tails'.
+    ComplEx the gathered rows and h * r. The backward adds into `ent` and
+    `rel` in the order that chain's walk did: the heads' rows, the
+    relations', then the tails'.
     """
     h, r, t = (np.asarray(i, dtype=np.int64) for i in (h, r, t))
     n_ent, n_rel = ent.shape[0], rel.shape[0]
@@ -100,31 +95,17 @@ def score_nodes(
             ent.accumulate(ad.scatter_rows(t, g * hr, n_ent))
 
         return ad.Node((hr * et).sum(axis=1, keepdims=True), complex_backward)
-    if kind == "transe":
-        x = eh
-        x += rel.value[r]
-    else:
-        half = rel.shape[1] // 2
-        theta = rel.value[r, :half]
-        unit = np.concatenate([np.cos(theta), np.sin(theta)], axis=1)
-        x = ad.complex_mul_packed(eh, unit)
+    x = eh
+    x += rel.value[r]
     x -= ent.value[t]
     norms = np.sqrt((x**2).sum(axis=1, keepdims=True))
 
     def distance_backward(g):
-        # the gradient of -||x||, then of x's first term and of -t
+        # the gradient of -||x||, then of h, r and -t
         safe = np.where(norms > 0.0, norms, 1.0)
         gx = np.where(norms > 0.0, (g * -1.0) / safe, 0.0) * x
-        if kind == "transe":
-            ent.accumulate(ad.scatter_rows(h, gx, n_ent))
-            rel.accumulate(ad.scatter_rows(r, gx, n_rel))
-        else:
-            ent.accumulate(ad.scatter_rows(h, ad.conj_mul_packed(gx, unit), n_ent))
-            g_unit = ad.conj_mul_packed(gx, eh)
-            # theta's gradient through cos, then sin; the padding half gets 0
-            g_rel = np.zeros_like(g_unit)
-            g_rel[:, :half] = -g_unit[:, :half] * unit[:, half:] + g_unit[:, half:] * unit[:, :half]
-            rel.accumulate(ad.scatter_rows(r, g_rel, n_rel))
+        ent.accumulate(ad.scatter_rows(h, gx, n_ent))
+        rel.accumulate(ad.scatter_rows(r, gx, n_rel))
         np.negative(gx, out=gx)  # the tails' -gx, in place: one batch-sized array fewer
         ent.accumulate(ad.scatter_rows(t, gx, n_ent))
 
@@ -198,10 +179,6 @@ def _clamp(table: EmbeddingTable, epoch: int) -> None:
     over = norms > MAX_ENTITY_NORM
     if over.any():
         table.ent[...] = np.where(over, table.ent * (MAX_ENTITY_NORM / norms), table.ent)
-    if table.kind == "rotate":
-        half = table.d // 2
-        table.rel[:, :half] = np.mod(table.rel[:, :half] + np.pi, 2 * np.pi) - np.pi
-        table.rel[:, half:] = 0.0
 
 
 def save_table(table: EmbeddingTable, path: str) -> None:

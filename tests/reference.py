@@ -695,33 +695,24 @@ def reference_margin_loss(s_pos, s_neg, margin: float):
 
 def reference_score_tails(table, h: int, r: int, tails) -> np.ndarray:
     """Scores of (h, r, t) for each t in `tails`, straight from the numpy
-    formulas: TransE -||h + r - t||, ComplEx <h * r, t>, RotatE -||h o e^(i theta_r) - t||."""
+    formulas: TransE -||h + r - t||, ComplEx <h * r, t>."""
     eh, et = table.ent[h : h + 1], table.ent[tails]
-    if table.kind == "transe":
-        return -np.linalg.norm(eh + table.rel[r : r + 1] - et, axis=1)
     if table.kind == "complex":
         return (ad.complex_mul_packed(eh, table.rel[r : r + 1]) * et).sum(axis=1)
-    theta = table.rel[r, : table.d // 2]
-    unit = np.concatenate([np.cos(theta), np.sin(theta)]).reshape(1, -1)
-    return -np.linalg.norm(ad.complex_mul_packed(eh, unit) - et, axis=1)
+    return -np.linalg.norm(eh + table.rel[r : r + 1] - et, axis=1)
 
 
 def reference_score_nodes(ent, rel, kind: str, h, r, t):
     """`embeddings.score_nodes` as the chain of nodes it fuses: row gathers
     of the heads, tails and relations, then TransE -||h + r - t|| as add,
     sub, rownorm and a -1 scale, ComplEx <h * r, t> as complex_mul, mul and
-    rowsum, RotatE -||h o e^(i theta_r) - t|| with the unit rotation built
-    from split_halves, cos, sin and concat_cols."""
+    rowsum."""
     eh = reference_rows(ent, h)
     et = reference_rows(ent, t)
     er = reference_rows(rel, r)
-    if kind == "transe":
-        return reference_scale(reference_rownorm(reference_sub(reference_add(eh, er), et)), -1.0)
     if kind == "complex":
         return reference_rowsum(reference_mul(reference_complex_mul(eh, er), et))
-    theta, _pad = reference_split_halves(er)
-    unit = reference_concat_cols(reference_cos(theta), reference_sin(theta))
-    return reference_scale(reference_rownorm(reference_sub(reference_complex_mul(eh, unit), et)), -1.0)
+    return reference_scale(reference_rownorm(reference_sub(reference_add(eh, er), et)), -1.0)
 
 
 def reference_mul(a, b):

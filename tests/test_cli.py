@@ -305,6 +305,8 @@ def _cut(data: bytes, case: str) -> bytes:
         return data + b"\0"
     if case in ("nan", "inf"):  # the payload ends the file
         return data[:-8] + np.full(2, float(case), dtype="<f4").tobytes()
+    if case == "rotate":  # a RotatE table, a kind earlier builds trained
+        return data.replace(b"\nkind transe\n", b"\nkind rotate\n", 1)
     # "count": header and payload agree on one float fewer than the model needs
     start = data.index(b"\nfloats ") + 8
     end = data.index(b"\n", start)
@@ -315,7 +317,7 @@ def _cut(data: bytes, case: str) -> bytes:
     "model,case",
     [("rank", c) for c in ("dims", "vocab", "payload", "odd", "count", "nan", "inf")]
     + [("clf", c) for c in ("dims", "vocab", "labels", "payload", "odd", "count", "nan", "inf")]
-    + [("emb", c) for c in ("nan", "inf")],
+    + [("emb", c) for c in ("nan", "inf", "rotate")],
 )
 def test_damaged_checkpoint_is_one_error_line(toy, trained, tmp_path, model, case):
     bad = tmp_path / f"{model}.ckpt"
@@ -345,6 +347,19 @@ def test_diverging_embedding_training_is_one_error_line_and_no_file(toy, tmp_pat
     )
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: training diverged: an entity norm of epoch 1 is not finite"]
+    assert not out.exists()
+
+
+def test_train_embeddings_kind_rotate_is_a_usage_error(toy, tmp_path):
+    # --kind follows embeddings.KINDS, which no longer holds RotatE
+    out = tmp_path / "emb.ckpt"
+    proc = run_cli(
+        "train-embeddings", "--kg", str(toy / "kg.tsv"), "--out", str(out), "--kind", "rotate",
+        expect_fail=True,
+    )
+    assert proc.returncode == 2
+    assert "[--kind {transe,complex}]" in proc.stderr
+    assert "argument --kind: invalid choice: 'rotate'" in proc.stderr
     assert not out.exists()
 
 

@@ -54,7 +54,7 @@ def test_table_validation():
     with pytest.raises(EmbeddingError):
         EmbeddingTable("bogus", np.zeros((2, 4)), np.zeros((1, 4)))
     with pytest.raises(EmbeddingError):
-        EmbeddingTable("rotate", np.zeros((2, 5)), np.zeros((1, 5)))
+        EmbeddingTable("complex", np.zeros((2, 5)), np.zeros((1, 5)))
     with pytest.raises(EmbeddingError):
         init_table("transe", 3, 1, 4, 0).lookup_entities([0, 5])
     with pytest.raises(EmbeddingError):
@@ -71,16 +71,6 @@ def test_transe_score_translation_exact():
     assert off_t < 0.0
 
 
-def test_rotate_zero_phase_is_identity():
-    # zero rotation leaves h unchanged, so score is -||h - t||
-    rng = np.random.default_rng(3)
-    ent = rng.normal(size=(4, 8))
-    rel = np.zeros((1, 8))
-    table = EmbeddingTable("rotate", ent, rel)
-    expected = -np.linalg.norm(ent[0] - ent[2])
-    assert score_tails(table, 0, 0, np.array([2]))[0] == pytest.approx(expected, abs=1e-9)
-
-
 def test_complex_score_matches_complex_arithmetic():
     rng = np.random.default_rng(4)
     ent = rng.normal(size=(3, 6))
@@ -93,9 +83,9 @@ def test_complex_score_matches_complex_arithmetic():
     assert score_tails(table, 0, 1, np.array([2]))[0] == pytest.approx(expected, abs=1e-9)
 
 
-@pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
+@pytest.mark.parametrize("kind", ["transe", "complex"])
 def test_score_nodes_matches_table(kind):
-    # random tables, nonzero rotation phases included, against the numpy formulas
+    # random tables against the numpy formulas
     rng = np.random.default_rng(5)
     for n_ent, n_rel, d in [(6, 2, 8), (30, 5, 16)]:
         table = EmbeddingTable(kind, rng.normal(size=(n_ent, d)), rng.normal(size=(n_rel, d)))
@@ -111,7 +101,7 @@ def test_score_nodes_matches_table(kind):
                 assert np.abs(score_tails(table, h, r, tails) - want).max() < 1e-9
 
 
-@pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
+@pytest.mark.parametrize("kind", ["transe", "complex"])
 def test_score_nodes_gradients_finite_diff(kind):
     kg = cycle_kg(5)
     table = init_table(kind, kg.num_entities, kg.num_relations, 6, seed=2)
@@ -142,8 +132,7 @@ def score_case(n_ent, n_rel, d, table_kind, seed):
     """Entity and relation values for score_nodes. "normal" values are drawn
     freely; "grid" values hold few distinct numbers, so scores tie and some
     TransE differences are zero; "zero_rel" has zero relations, so a TransE
-    or RotatE triple whose head is its tail is at distance zero; "zeros" is
-    all zero."""
+    triple whose head is its tail is at distance zero; "zeros" is all zero."""
     rng = np.random.default_rng(seed)
     if table_kind == "zeros":
         return np.zeros((n_ent, d)), np.zeros((n_rel, d))
@@ -180,7 +169,7 @@ def score_graphs(draw):
     return n_ent, n_rel, d, table_kind, sides
 
 
-@pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
+@pytest.mark.parametrize("kind", ["transe", "complex"])
 @settings(max_examples=200, deadline=None)
 @given(score_graphs(), st.sampled_from([1.0, -1.0, 0.0, 0.3]), st.integers(0, 2**32 - 1))
 def test_score_nodes_bytes_equal_composed_chain(kind, case, weight, seed):
@@ -204,7 +193,7 @@ def test_score_nodes_bytes_equal_composed_chain(kind, case, weight, seed):
     assert grads[0] == grads[1]
 
 
-@pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
+@pytest.mark.parametrize("kind", ["transe", "complex"])
 def test_train_bytes_equal_composed_chain(kind, monkeypatch):
     kg = degree_kg(3, entities=40, relations=3)
     cfg = EmbedTrainConfig(d=8, epochs=5, seed=1)
@@ -219,11 +208,11 @@ def test_train_bytes_equal_composed_chain(kind, monkeypatch):
 # The peak memory of one training, in (triples x negatives x d) float64
 # arrays, on the KG of the first mixed_learned problem of benchmark run seed
 # 777 (798 triples), d = 16, 3 epochs. Before each score side was one node
-# the peaks were 16.0 (TransE), 18.7 (ComplEx) and 26.1 (RotatE).
-PEAK_UNITS = {"transe": 8.0, "complex": 12.0, "rotate": 13.0}
+# the peaks were 16.0 (TransE) and 18.7 (ComplEx).
+PEAK_UNITS = {"transe": 8.0, "complex": 12.0}
 
 
-@pytest.mark.parametrize("kind", ["transe", "complex", "rotate"])
+@pytest.mark.parametrize("kind", ["transe", "complex"])
 def test_train_peak_memory(kind):
     kg = degree_kg(981238343)
     cfg = EmbedTrainConfig(d=16, epochs=3)
@@ -245,17 +234,27 @@ def test_train_loss_decreases_and_norms_clamped():
     assert np.linalg.norm(table.ent, axis=1).max() <= 10.0 + 1e-9
 
 
+def test_train_complex_entity_norms_clamped():
+    # at lr 3 the ComplEx entity rows reach the clamp; with no phases to
+    # wrap, the clamp is all that touches the table between steps
+    table, _ = train(cycle_kg(8), EmbedTrainConfig(d=8, epochs=40, seed=0, lr=3.0), "complex")
+    norms = np.linalg.norm(table.ent, axis=1)
+    assert norms.max() <= 10.0 + 1e-9
+    assert norms.max() == pytest.approx(10.0)
+
+
 @pytest.mark.parametrize(
     "kind, cfg, msg",
     [
         # the first step takes the entity rows past where a norm overflows,
         # which rescaling would turn into rows of zeros
         ("transe", EmbedTrainConfig(d=8, epochs=5, lr=1e300), "an entity norm of epoch 1 is not finite"),
-        ("rotate", EmbedTrainConfig(d=8, epochs=5, lr=1e300), "an entity norm of epoch 1 is not finite"),
         # -log sigmoid(-inf) of every corruption
         ("transe", EmbedTrainConfig(d=8, epochs=5, margin=np.inf), "the loss of epoch 1 is inf"),
+        ("complex", EmbedTrainConfig(d=8, epochs=5, lr=1e300), "an entity norm of epoch 1 is not finite"),
+        ("complex", EmbedTrainConfig(d=8, epochs=5, margin=np.inf), "the loss of epoch 1 is inf"),
     ],
-    ids=["transe_lr", "rotate_lr", "transe_margin"],
+    ids=["transe_lr", "transe_margin", "complex_lr", "complex_margin"],
 )
 def test_train_refuses_a_diverging_run(kind, cfg, msg):
     # numpy's overflow warnings on the way would fail this test
@@ -263,13 +262,19 @@ def test_train_refuses_a_diverging_run(kind, cfg, msg):
         train(cycle_kg(), cfg, kind)
 
 
-def test_train_rotate_phases_wrapped():
-    kg = cycle_kg(6)
-    table, _ = train(kg, EmbedTrainConfig(d=8, epochs=10, seed=0), "rotate")
-    half = table.d // 2
-    assert (table.rel[:, :half] >= -np.pi).all()
-    assert (table.rel[:, :half] < np.pi).all()
-    assert np.allclose(table.rel[:, half:], 0.0)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: EmbeddingTable("rotate", np.zeros((2, 4)), np.zeros((1, 4))),
+        lambda: init_table("rotate", 3, 1, 4, seed=0),
+        lambda: train(cycle_kg(), EmbedTrainConfig(d=4, epochs=1), "rotate"),
+    ],
+    ids=["table", "init", "train"],
+)
+def test_rotate_is_an_unknown_kind(make):
+    # RotatE was a third kind in earlier builds; an even dimension does not help
+    with pytest.raises(EmbeddingError, match="^unknown model kind: rotate$"):
+        make()
 
 
 def test_filtered_mrr_perfect_table():
@@ -293,11 +298,11 @@ def test_filtered_mrr_filters_known_tails():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    table = init_table("rotate", 5, 2, 8, seed=9)
+    table = init_table("complex", 5, 2, 8, seed=9)
     path = str(tmp_path / "emb.ckpt")
     save_table(table, path)
     back = load_table(path)
-    assert back.kind == "rotate"
+    assert back.kind == "complex"
     assert back.ent.shape == table.ent.shape
     assert np.allclose(back.ent, table.ent, atol=1e-6)
     assert np.allclose(back.rel, table.rel, atol=1e-6)
@@ -343,13 +348,14 @@ def v2_header(kind=b"transe", sizes=b"5 2 8", kg=b"kg 1\n0123456789abcdef\n") ->
         v2_header(kind=b"\xff\xfe"),  # not UTF-8
         v2_header(sizes=b"5 2 9"),  # payload too short
         v2_header(kind=b"tucker"),  # unknown kind
-        v2_header(kind=b"rotate", sizes=b"1 7 7"),  # odd dimension
+        v2_header(kind=b"rotate", sizes=b"1 7 7"),  # RotatE, a kind no longer offered
+        v2_header(kind=b"rotate"),  # RotatE at an even dimension, which earlier builds loaded
         v2_header(sizes=b"5 2"),  # two sizes
         v2_header(kg=b"kg 2\n0123456789abcdef\n0123456789abcdef\n"),  # two fingerprints
         b"ssk-emb v1 transe 5 2 8\n",  # the version before the kg section
     ],
     ids=["not_integer", "negative", "float", "undecodable", "short_payload", "unknown_kind", "odd_rotate",
-         "two_sizes", "two_fingerprints", "v1"],
+         "even_rotate", "two_sizes", "two_fingerprints", "v1"],
 )
 def test_checkpoint_errors_name_the_file(tmp_path, header):
     path = tmp_path / "emb.ckpt"

@@ -6,9 +6,12 @@ The round trip runs `cli.main` in process, in a scratch directory, on the
 `norshteyn`, `ranker` and `three-hop` (30 questions) toys: make-toy, ingest,
 annotate, the three trainers, `evaluate` in the three modes, `answer` on the
 first question and `ablate --heads --epochs 2`. Each command's stdout and each
-file it writes (the toy files and the three checkpoints) is one output. So
-are the `evaluate` records of `TokenOverlapRanker`, whose scores tie often,
-on ten random KGs in `oracle` and `off` mode, so the tie-break shows; and
+file it writes (the toy files and the three checkpoints) is one output. A
+fourth round trip runs on a six-structure toy (`mixed`) that the benchmark's
+input generator writes: SS1-SS6 questions, constraints among them, so the
+trained models' answers to constrained questions are pinned too. So are the
+`evaluate` records of `TokenOverlapRanker`, whose scores tie often, on ten
+random KGs in `oracle` and `off` mode, so the tie-break shows; and
 `Trained.digest()` of the benchmark's `train_all` on `TINY` seed 5 and on run
 seed 777's three full-size problems.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -47,6 +51,7 @@ import pytest
 from fixtures import random_fixture
 from sskgqa import cli
 from sskgqa import pipeline as pl
+from sskgqa.annotation import label_question, save_dataset
 from sskgqa.candidates import EnumConfig
 from sskgqa.ranker import TokenOverlapRanker
 from sskgqa.structures import builtin_taxonomy
@@ -74,6 +79,18 @@ def build() -> dict[str, str]:
 
 def prefix(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+@contextlib.contextmanager
+def scratch_dir():
+    """Run the body in a new temporary directory, then return to the old one."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            yield
+        finally:
+            os.chdir(here)
 
 
 def run(*argv: str) -> bytes:
@@ -139,15 +156,57 @@ def overlap_outputs() -> dict[str, str]:
     return outputs
 
 
-def trained_outputs() -> dict[str, str]:
-    """`Trained.digest()` of the benchmark's models: `TINY` seed 5, and each
-    of run seed 777's problems at full size."""
+def pipebench_modules():
+    """The benchmark's `inputs` and `workloads` modules."""
     sys.path.insert(0, str(PIPEBENCH))
     try:
         import inputs
         import workloads
     finally:
         sys.path.remove(str(PIPEBENCH))
+    return inputs, workloads
+
+
+@functools.cache
+def mixed_run() -> dict[str, bytes]:
+    """The round trip on the six-structure toy, run once per process: the
+    toy files, the three trainers, `evaluate --constraints` in the three
+    modes and `answer --constraints` on the first SS6 test question. Each
+    command's stdout and each file, by name."""
+    inputs, _ = pipebench_modules()
+    tax = builtin_taxonomy()
+    # 54 questions: 6 training questions per label, 2 test questions per unit
+    # of test weight
+    size = inputs.MixedSize(entities=100, train_per_label=6, test_unit=2)
+    kg, train, test = inputs.mixed_inputs(5, tax, size)
+    q = next(q for q in test if label_question(q, tax) == "SS6")
+    ent, rel = kg.entities.symbol_of, kg.relations.symbol_of
+    with scratch_dir():
+        Path("kg.tsv").write_text(
+            "".join(f"{ent(h)}\t{rel(r)}\t{ent(t)}\n" for h, r, t in sorted(kg.iter_triples())), encoding="utf-8"
+        )
+        save_dataset(train + test, "questions.jsonl")
+        kg_data = ["--kg", "kg.tsv", "--dataset", "questions.jsonl"]
+        out = {
+            "train-embeddings": run(
+                "train-embeddings", "--kg", "kg.tsv", "--out", "emb.ckpt", "--dim", "16", "--epochs", "30"
+            ),
+            "train-classifier": run("train-classifier", *kg_data, "--embeddings", "emb.ckpt", "--out", "clf.ckpt"),
+            # 5 epochs, not the CLI's 20, keep the round trip to a few seconds
+            "train-ranker": run("train-ranker", *kg_data, "--out", "rank.ckpt", "--epochs", "5"),
+        }
+        models = ["--kg", "kg.tsv", "--ranker", "rank.ckpt", "--classifier", "clf.ckpt", "--embeddings", "emb.ckpt",
+                  "--constraints"]
+        for mode in MODES:
+            out[f"evaluate-{mode}"] = run("evaluate", "--dataset", "questions.jsonl", *models, "--mode", mode)
+        out["answer"] = run("answer", "--question", q.question, "--topic", q.topic_entity, *models)
+        return out | {name: Path(name).read_bytes() for name in (*TOY_FILES, *CHECKPOINTS)}
+
+
+def trained_outputs() -> dict[str, str]:
+    """`Trained.digest()` of the benchmark's models: `TINY` seed 5, and each
+    of run seed 777's problems at full size."""
+    inputs, workloads = pipebench_modules()
     tax = builtin_taxonomy()
     runs = [("tiny-5", 5, workloads.TINY)]
     runs += [(f"777-{i}", s, workloads.Sizes()) for i, s in enumerate(inputs.problem_seeds(777, 3))]
@@ -160,14 +219,12 @@ def trained_outputs() -> dict[str, str]:
 
 def outputs(trained: bool = True) -> dict[str, str]:
     """Every output, or without `trained` the 35 that no trained model feeds."""
-    here = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
-        try:
-            found = {k: v for toy in TOYS for k, v in toy_outputs(toy, trained).items()}
-        finally:
-            os.chdir(here)
-    return found | overlap_outputs() | (trained_outputs() if trained else {})
+    with scratch_dir():
+        found = {k: v for toy in TOYS for k, v in toy_outputs(toy, trained).items()}
+    found |= overlap_outputs()
+    if trained:
+        found |= trained_outputs() | {f"mixed/{name}": prefix(data) for name, data in mixed_run().items()}
+    return found
 
 
 def untrained(name: str) -> bool:
@@ -201,6 +258,13 @@ def test_outputs_equal_the_golden_file():
         pytest.skip(f"golden outputs were written on {golden['build']}, this is {build()}")
     lines = moved(golden["outputs"], outputs())
     assert not lines, "outputs moved:\n" + "\n".join(lines)
+
+
+def test_predicted_beats_off_on_the_six_structure_toy():
+    # the paper's claim on the learned pipeline: filtering the candidates by
+    # the classifier's structure answers more questions than no filter
+    hits = {mode: json.loads(mixed_run()[f"evaluate-{mode}"].splitlines()[-1])["hits_at_1"] for mode in MODES}
+    assert hits["predicted"] > hits["off"], hits
 
 
 def test_moved_names_every_output_that_differs():

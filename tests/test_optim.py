@@ -366,7 +366,7 @@ TRAINERS = {
     "classifier_attention": (clf_module, lambda: trained_classifier(True)),
     "classifier_no_attention": (clf_module, lambda: trained_classifier(False)),
     "transe": (emb_module, lambda: trained_embeddings("transe")),
-    "rotate": (emb_module, lambda: trained_embeddings("rotate")),
+    "complex": (emb_module, lambda: trained_embeddings("complex")),
 }
 
 
