@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, encoder_header, parse_encoder_header
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, complex_mul_packed, conj_mul_packed
 from .optim import AdamW, ParameterBuffer, train_step
 from .structures import Taxonomy
 
@@ -50,7 +50,7 @@ def fuse(eh: np.ndarray, eq: np.ndarray) -> np.ndarray:
     both half-split (lower half real, higher half imaginary)."""
     if eh.shape != eq.shape:
         raise ad.ShapeError(f"fuse: shape mismatch {eh.shape} vs {eq.shape}")
-    return (eh + eq) + ad.complex_mul_packed(eh, eq)
+    return (eh + eq) + complex_mul_packed(eh, eq)
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -139,7 +139,7 @@ def cross_entropy(eq: ad.Node, eh: np.ndarray, w: ad.Node, b: ad.Node, targets: 
         b.accumulate(g_logits if n == 1 else g_logits.sum(axis=0, keepdims=True))
         w.accumulate(s.T @ g_logits)
         gs = g_logits @ w.value.T
-        eq.accumulate(gs + ad.conj_mul_packed(gs, eh))
+        eq.accumulate(gs + conj_mul_packed(gs, eh))
 
     return ad.Node(np.log(picked).sum() * c, backward)
 

@@ -237,7 +237,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_make_toy(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     if args.benchmark == "ranker":
         kg, questions = synth.ranker_fixture()
     elif args.benchmark == "three-hop":
@@ -245,6 +244,7 @@ def cmd_make_toy(args) -> int:
     else:
         kg = synth.norshteyn_kg()
         questions = synth.norshteyn_questions() + [synth.norshteyn_test_question()]
+    os.makedirs(args.out, exist_ok=True)
     kg_path = os.path.join(args.out, "kg.tsv")
     with open(kg_path, "w", encoding="utf-8") as f:
         f.write("# toy knowledge graph\n")

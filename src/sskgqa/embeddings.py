@@ -68,6 +68,28 @@ def init_table(kind: str, n_entities: int, n_relations: int, d: int, seed: int) 
     return EmbeddingTable(kind, ent, rel)
 
 
+def complex_mul_packed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise complex product of half-split (n, d) arrays.
+
+    Columns [0, d/2) hold real parts, [d/2, d) imaginary parts:
+    (a_lh*b_lh - a_hh*b_hh, a_hh*b_lh + a_lh*b_hh).
+    """
+    h = a.shape[1] // 2
+    ar, ai = a[:, :h], a[:, h:]
+    br, bi = b[:, :h], b[:, h:]
+    return np.concatenate([ar * br - ai * bi, ai * br + ar * bi], axis=1)
+
+
+def conj_mul_packed(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conj(b) * g rowwise, in complex_mul_packed's half-split layout:
+    (g_lh*b_lh + g_hh*b_hh, g_hh*b_lh - g_lh*b_hh), the gradient of a*b with
+    respect to a when g is the product's."""
+    h = g.shape[1] // 2
+    gr, gi = g[:, :h], g[:, h:]
+    br, bi = b[:, :h], b[:, h:]
+    return np.concatenate([gr * br + gi * bi, gi * br - gr * bi], axis=1)
+
+
 def score_nodes(
     ent: ad.Node, rel: ad.Node, kind: str, h: np.ndarray, r: np.ndarray, t: np.ndarray
 ) -> ad.Node:
@@ -86,12 +108,12 @@ def score_nodes(
     eh = ent.value[h]
     if kind == "complex":
         er, et = rel.value[r], ent.value[t]
-        hr = ad.complex_mul_packed(eh, er)
+        hr = complex_mul_packed(eh, er)
 
         def complex_backward(g):
             g_hr = g * et  # the gradient of h * r
-            ent.accumulate(ad.scatter_rows(h, ad.conj_mul_packed(g_hr, er), n_ent))
-            rel.accumulate(ad.scatter_rows(r, ad.conj_mul_packed(g_hr, eh), n_rel))
+            ent.accumulate(ad.scatter_rows(h, conj_mul_packed(g_hr, er), n_ent))
+            rel.accumulate(ad.scatter_rows(r, conj_mul_packed(g_hr, eh), n_rel))
             ent.accumulate(ad.scatter_rows(t, g * hr, n_ent))
 
         return ad.Node((hr * et).sum(axis=1, keepdims=True), complex_backward)

@@ -1,10 +1,12 @@
 """Shared trainable sequence encoder: token embeddings, one optional
 multi-head self-attention block with a feed-forward layer, mean pooling and a
 linear projection, and the header lines that describe it in the model files
-of the ranker and the classifier."""
+of the ranker and the classifier. Its fused ops return a plain array and a
+backward, and `SequenceEncoder.forward` makes one node of them."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,6 +103,128 @@ def batch_layout(sequences: Sequence[list[int]]) -> BatchLayout:
     return BatchLayout(ids.ravel(), np.where(real, 0.0, -np.inf), real / lens[:, None])
 
 
+def _row_grad(g: np.ndarray) -> np.ndarray:
+    """The gradient of a (1, w) operand broadcast over the rows of g."""
+    return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
+
+
+def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, blocks: int):
+    """Multi-head self-attention within each of `blocks` equal row blocks of
+    x: (blocks*L, d) -> (blocks*L, heads*dh), returned with its backward.
+
+    `weights` is [wq0, wk0, wv0, wq1, ...], three (d, dh) projections per
+    head. `mask` is the (blocks, L) additive key mask: row i (0 for a key,
+    -inf for padding) is added to every score row of block i. Per head, with
+    q, k, v = x@wq, x@wk, x@wv, each block i gets
+    softmax(q_i k_i^T / sqrt(dh) + mask_i) @ v_i; the heads' outputs are
+    returned side by side.
+
+    backward(g, held) gives, from the output's gradient g, x's gradient and
+    the list of the weights' gradients in the order of `weights`. x's is
+    the projections' gradients added in the order of `weights`, after
+    `held`, the gradient x already holds (None for none), as the walk of a
+    chain of matmul, block product, scale, mask add, row softmax and block
+    product nodes per head adds them.
+
+    All heads run together, as (heads, blocks, L, .) stacks: each batched
+    product is one matmul per (head, block), the same products that chain
+    runs, and the elementwise steps and row sums are that chain's, step for
+    step. The projections are one product of x with the (3*heads, d, dh)
+    stack of the weights, and the backward takes the weights' gradients and
+    x's each as one product with the stack of the projections' gradients;
+    each item is the 2-D product that chain takes. The row max is one
+    reduction over a transposed copy of the scores, which is faster than a
+    reduction over each short row; max is exact, so it has the same bits.
+    So the values and gradients have that chain's bits.
+    """
+    n_rows, d = x.shape
+    if not weights or len(weights) % 3:
+        raise ad.ShapeError(f"block_attention: {len(weights)} weights are not [wq, wk, wv] per head")
+    dh = weights[0].shape[1]
+    if any(w.shape != (d, dh) for w in weights):
+        raise ad.ShapeError(f"block_attention: every weight must be ({d}, {dh}) for x of {x.shape}")
+    if blocks < 1 or n_rows % blocks:
+        raise ad.ShapeError(f"block_attention: {x.shape} does not split into {blocks} row blocks")
+    width = n_rows // blocks
+    if mask.shape != (blocks, width):
+        raise ad.ShapeError(f"block_attention: mask is {mask.shape}, expected {(blocks, width)}")
+    heads = len(weights) // 3
+    c = 1.0 / math.sqrt(dh)
+    # every head's wq, then every wk, then every wv; weights[i] is stack item order[i]
+    w3 = np.array(weights[0::3] + weights[1::3] + weights[2::3])
+    order = [(i % 3) * heads + i // 3 for i in range(len(weights))]
+    qkv = np.matmul(x, w3)  # (3*heads, n_rows, dh)
+    q, k, v = qkv.reshape(3, heads, blocks, width, dh)
+    att = np.matmul(q, k.transpose(0, 1, 3, 2))
+    att *= c
+    att += mask.reshape(blocks, 1, width)
+    # row softmax, in place
+    att -= np.ascontiguousarray(att.transpose(3, 0, 1, 2)).max(axis=0)[..., None]
+    np.exp(att, out=att)
+    att /= att.sum(axis=3, keepdims=True)
+    out = np.matmul(att, v)  # (heads, blocks, L, dh)
+
+    def backward(g: np.ndarray, held: np.ndarray | None):
+        g4 = g.reshape(blocks, width, heads, dh).transpose(2, 0, 1, 3)
+        g_qkv = np.empty_like(qkv)
+        gq, gk, gv = g_qkv.reshape(3, heads, blocks, width, dh)
+        gs = np.matmul(g4, v.transpose(0, 1, 3, 2))  # the scores' gradient, in place
+        np.matmul(att.transpose(0, 1, 3, 2), g4, out=gv)
+        gs -= (gs * att).sum(axis=3, keepdims=True)
+        gs *= att
+        gs *= c
+        np.matmul(gs, k, out=gq)
+        np.matmul(gs.transpose(0, 1, 3, 2), q, out=gk)
+        gw = np.matmul(x.T, g_qkv)
+        gx = np.matmul(g_qkv, w3.transpose(0, 2, 1))  # (3*heads, n_rows, d)
+        total = gx[order[0]]
+        if held is not None:
+            total += held
+        for i in order[1:]:
+            total += gx[i]
+        return total, [gw[i] for i in order]
+
+    return np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(n_rows, heads * dh), backward
+
+
+def block_pool(x: np.ndarray, weights: np.ndarray):
+    """Weighted sums of the rows of each of n equal row blocks of x: row i
+    is weights[i] @ block i, (n*L, d) -> (n, d) for (n, L) weights, returned
+    with its backward, which gives x's gradient from the output's: the one a
+    block product of the weights as a constant node gives it, with the same
+    bits."""
+    n, width = weights.shape
+    if x.shape[0] != n * width:
+        raise ad.ShapeError(f"block_pool: {x.shape} does not split into {n} blocks of {width} rows")
+    w3 = weights.reshape(n, 1, width)
+
+    def backward(g: np.ndarray) -> np.ndarray:
+        return np.matmul(w3.transpose(0, 2, 1), g.reshape(n, 1, -1)).reshape(x.shape)
+
+    return np.matmul(w3, x.reshape(n, width, -1)).reshape(n, -1), backward
+
+
+def feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray):
+    """relu(x @ w1 + b1) @ w2 + b2, returned with its backward, which gives
+    the gradients of x, w1, b1, w2 and b2 from the output's; the biases are
+    (1, width) rows added to every row. Same arithmetic, step for step, as
+    the chain of matmul, add, relu, matmul and add nodes, so the value and
+    the gradients have the same bits."""
+    if not (x.shape[1] == w1.shape[0] and w1.shape[1] == w2.shape[0]):
+        raise ad.ShapeError(f"feed_forward: inner dims differ {x.shape}, {w1.shape}, {w2.shape}")
+    if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
+        raise ad.ShapeError(f"feed_forward: biases {b1.shape} and {b2.shape} are not rows of its widths")
+    pre = x @ w1 + b1
+    active = pre > 0
+    hidden = pre * active
+
+    def backward(g: np.ndarray):
+        g_pre = (g @ w2.T) * active
+        return g_pre @ w1.T, x.T @ g_pre, _row_grad(g_pre), hidden.T @ g, _row_grad(g)
+
+    return hidden @ w2 + b2, backward
+
+
 class SequenceEncoder:
     """f(.) applied to both questions and serialized query graphs."""
 
@@ -153,13 +277,13 @@ class SequenceEncoder:
         x = p["tok_emb"][layout.ids]
         if cfg.use_attention:
             projections = [f"{w}{h}" for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
-            attended, attention_grads = ad.block_attention(
+            attended, attention_grads = block_attention(
                 x, [p[n] for n in projections], layout.mask, len(sequences)
             )
             x = x + attended @ p["wo"]
-            ff, ff_grads = ad.feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"])
+            ff, ff_grads = feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"])
             x = x + ff
-        pooled, pool_grad = ad.block_pool(x, layout.pool)
+        pooled, pool_grad = block_pool(x, layout.pool)
         keep = None
         if training and cfg.dropout > 0.0:
             # inverted-scaling dropout

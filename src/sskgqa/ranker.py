@@ -152,6 +152,52 @@ def build_training_triplets(
     return out
 
 
+def triplet_hinge(f: ad.Node, alpha: float) -> ad.Node:
+    """Mean triplet hinge of one (k+2, d) batch as one (1, 1) node: row 0 of
+    f is the anchor, row 1 the positive and rows 2.. the k negatives; per
+    negative max(||f0 - f1|| - ||f0 - fn|| + alpha, 0), then the sum times
+    1/k.
+
+    Same arithmetic, step for step, as the chain of rows gathers, sub,
+    rownorm, add of the margin, relu, sum_all and scale nodes, so the value
+    and the gradient have the same bits. Where a row gather's backward
+    scatters into row 0, this adds the same terms in the same order, from
+    0.0 (a running sum, then + 0.0 for the sign of a zero); every other row
+    gets 0.0 minus its term, as a scatter of a negated gradient onto 0.0.
+
+    When no hinge is active and every distance is finite, that gradient is
+    0.0 in every cell for any finite incoming gradient, so the loss is a node
+    with no backward and the gradient stops there. A nan or inf distance
+    keeps the backward, so a non-finite batch still reaches the gradient
+    check.
+    """
+    k = f.shape[0] - 2
+    if k < 1:
+        raise ad.ShapeError(f"triplet_hinge: needs an anchor, a positive and a negative, got {f.shape}")
+    c = 1.0 / k
+    diff = f.value[0] - f.value[1:]
+    norms = np.sqrt((diff**2).sum(axis=1, keepdims=True))
+    v = (norms[0] - norms[1:]) + alpha
+    mask = v > 0
+    value = (v * mask).sum() * c
+    if not mask.any() and np.isfinite(norms).all():
+        return ad.Node(value)
+
+    def backward(g):
+        gh = (g * c) * mask
+        gdist = np.empty_like(norms)
+        gdist[0] = np.cumsum(gh)[-1] + 0.0
+        gdist[1:] = 0.0 - gh
+        safe = np.where(norms > 0.0, norms, 1.0)
+        gd = np.where(norms > 0.0, gdist / safe, 0.0) * diff
+        grad = np.empty_like(f.value)
+        grad[0] = np.cumsum(gd, axis=0)[-1] + 0.0
+        grad[1:] = 0.0 - gd
+        f.accumulate(grad)
+
+    return ad.Node(value, backward)
+
+
 def train_ranker(
     dataset: list[tuple[list[str], Chain]],
     kg: KnowledgeGraph,
@@ -180,7 +226,7 @@ def train_ranker(
         rng.shuffle(order)
         for i in order:
             f = model.encoder.forward(*batches[i], training=True, rng=rng, layout=layouts[i])
-            train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin))
+            train_step(opt, buffer, triplet_hinge(f, cfg.margin))
     return model
 
 

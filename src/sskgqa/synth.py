@@ -80,6 +80,8 @@ def three_hop_benchmark(
 ) -> tuple[KnowledgeGraph, list[LabeledQuestion]]:
     """3-hop questions whose candidate sets contain a high-overlap 1-hop
     shortcut distractor; structure filtering removes the shortcut."""
+    if n_questions < 1:
+        raise ValueError(f"needs at least 1 question, got {n_questions}")
     rng = np.random.default_rng(seed)
     triples: list[tuple[str, str, str]] = []
     questions: list[LabeledQuestion] = []

@@ -16,6 +16,7 @@ from sskgqa.annotation import LabeledQuestion
 from sskgqa.embeddings import EmbeddingTable, init_table, score_nodes
 from sskgqa.kg import KnowledgeGraph, build_kg
 from sskgqa.querygraph import build_chain, execute, to_sparql
+from sskgqa.ranker import triplet_hinge
 
 
 def random_fixture(
@@ -137,9 +138,9 @@ def graph_nodes_while(run) -> tuple[int, int]:
 
 def triplet_loss(f_q, f_p, f_n, alpha: float) -> float:
     """max(||f_q - f_p|| - ||f_q - f_n|| + alpha, 0) of one triplet of
-    vectors: `ad.triplet_hinge`, the loss train_ranker minimizes, of one
+    vectors: `triplet_hinge`, the loss train_ranker minimizes, of one
     negative."""
-    return float(ad.triplet_hinge(reference_constant(np.stack([f_q, f_p, f_n])), alpha).value[0, 0])
+    return float(triplet_hinge(reference_constant(np.stack([f_q, f_p, f_n])), alpha).value[0, 0])
 
 
 def taxonomy_entries(tax) -> list[dict]:

@@ -25,7 +25,7 @@ parameter arrays) for `optim.train_step` and `ReferenceAdam` (Adam over a
 list of arrays, with moments per list index) for `optim.AdamW`; and the
 encoder block as a chain of nodes per head:
 `reference_block_attention` and `reference_feed_forward` for the fused
-`ad.block_attention` and `ad.feed_forward`, `reference_block_matmul` (the
+`encoder.block_attention` and `encoder.feed_forward`, `reference_block_matmul` (the
 per-block product those chains and the mean pool are built from), and
 `reference_encoder_forward`, the chain of nodes whose arithmetic the one
 node of `SequenceEncoder.forward` runs; and the token
@@ -37,7 +37,7 @@ at every step (the latter with the classifier's head and loss as
 `reference_cross_entropy` nodes that `classifier.cross_entropy` fuses); and the ranker's
 training before the triplet loss was one op and negatives were told from the
 gold by `Chain` equality:
-`reference_batch_triplet_loss`, the chain of nodes `ad.triplet_hinge` fuses,
+`reference_batch_triplet_loss`, the chain of nodes `ranker.triplet_hinge` fuses,
 and `reference_build_training_triplets`, which drops the candidates whose
 `canonicalize` key is the gold's; and SPARQL extraction as it was before
 the record named the topic and the chain walk indexed its edges:
@@ -55,13 +55,17 @@ and the nodes those chains build that no model runs: `reference_rows`,
 `reference_sub`, `reference_rownorm`, `reference_cos`, `reference_sin`,
 `reference_split_halves`, `reference_concat_cols`, `reference_mul`,
 `reference_softmax`, `reference_log`, `reference_rowsum` and
-`reference_complex_mul`.
+`reference_complex_mul`; and the whole answer path: `reference_answer`,
+`pipeline.answer_question` composed from the enumerator, the join and the
+model's scores, with `reference_key`, the chain key read off a reference
+graph, as its tie-break.
 KG reads go through `out_edges`/`in_edges` only:
 `reference_step` scans them in place of the relation index, and
 `reference_build_kg` builds that index by a lookup-then-insert intern and
 a `groupby` per sorted (entity, relation) group."""
 
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -74,14 +78,18 @@ from sskgqa import classifier, ranker
 from sskgqa.annotation import (
     _UNSUPPORTED_KEYWORDS,
     _UNSUPPORTED_OPS,
+    UNSUPPORTED,
     ExtractionError,
     SparqlAst,
     SparqlError,
+    label_question,
 )
 from sskgqa.candidates import EnumConfig, enumerate_candidates
+from sskgqa.embeddings import complex_mul_packed, conj_mul_packed
 from sskgqa.encoder import SequenceEncoder, Vocab
 from sskgqa.kg import KnowledgeGraph, SymbolTable
 from sskgqa.optim import BETA1, BETA2, EPS, MAX_NORM, AdamW, ParameterBuffer, train_step
+from sskgqa.pipeline import tokenize_question
 from sskgqa.querygraph import (
     CHAIN_VAR_NAMES,
     CLS,
@@ -580,6 +588,58 @@ def reference_enumerate(kg, topic: str, cfg, ss=None) -> tuple[list, bool]:
     return graphs, truncated
 
 
+def reference_key(g: Graph) -> str:
+    """The key `canonicalize` gives the chain of `g`, a `reference_graph`,
+    whose node i is path node i: the topic label, each hop as (relation,
+    back) in path order, and per path node the sorted (relation, back, value
+    label) of its constraints, as JSON."""
+    hops = lambda_of(g)
+    path = [(rel, head > tail) for head, rel, tail in g.edges[:hops]]
+    values = [
+        sorted((rel, False, g.nodes[tail][1]) for head, rel, tail in g.edges[hops:] if head == k)
+        for k in range(hops + 1)
+    ]
+    return json.dumps([g.nodes[g.topic][1], path, values])
+
+
+class ReferenceAnswer(NamedTuple):
+    status: str
+    answers: list[str]  # sorted answer symbols
+    top1: str | None  # reference_key of the top-ranked chain
+    fallback: bool  # no chain had the mode's shape, so its hop count's chains were ranked
+
+
+def reference_answer(cfg, q) -> ReferenceAnswer:
+    """`pipeline.answer_question(cfg, q)` from the oracles: the mode's shape
+    (the predicted label's, the gold label's, or none); `reference_enumerate`
+    of the chains of that shape, or, when there is none, of every chain up
+    to its hop count, constrained ones too if it has a constraint; the
+    model's scores, sorted by (-score, reference_key); and
+    `reference_execute` of the first. In `oracle` mode an Unsupported
+    question is not answered."""
+    kg = cfg.kg
+    tokens = tokenize_question(q.question)
+    shape = None
+    if cfg.mode == "predicted":
+        shape = cfg.taxonomy.get(cfg.classifier.predict(tokens, kg.entities.id_of(q.topic_entity))).shape
+    elif cfg.mode == "oracle":
+        gold = label_question(q, cfg.taxonomy)
+        if gold == UNSUPPORTED:
+            return ReferenceAnswer("unsupported", [], None, False)
+        shape = cfg.taxonomy.get(gold).shape
+    chains, _ = reference_enumerate(kg, q.topic_entity, cfg.enum, None if shape is None else reference_chain(*shape))
+    fallback = not chains and shape is not None
+    if fallback:
+        hops, at = shape
+        enum = replace(cfg.enum, max_hops=min(cfg.enum.max_hops, hops), attach_constraints=bool(at))
+        chains, _ = reference_enumerate(kg, q.topic_entity, enum)
+    graphs = [reference_graph(c.topic, c.hops, [(k, rel, value) for k, rel, _, value in c.constraints]) for c in chains]
+    scores = cfg.ranker.score_all(tokens, chains)
+    best = min(range(len(graphs)), key=lambda i: (-scores[i], reference_key(graphs[i])))
+    answers = sorted(kg.entities.symbol_of(a) for a in reference_execute(graphs[best], kg))
+    return ReferenceAnswer("ok", answers, reference_key(graphs[best]), fallback)
+
+
 class TapeNode(ad.Node):
     """A node of the tape engine the reference chains build on, as the
     package's nodes were before each handed its gradient straight on: it
@@ -698,7 +758,7 @@ def reference_score_tails(table, h: int, r: int, tails) -> np.ndarray:
     formulas: TransE -||h + r - t||, ComplEx <h * r, t>."""
     eh, et = table.ent[h : h + 1], table.ent[tails]
     if table.kind == "complex":
-        return (ad.complex_mul_packed(eh, table.rel[r : r + 1]) * et).sum(axis=1)
+        return (complex_mul_packed(eh, table.rel[r : r + 1]) * et).sum(axis=1)
     return -np.linalg.norm(eh + table.rel[r : r + 1] - et, axis=1)
 
 
@@ -754,10 +814,10 @@ def reference_complex_mul(a, b):
         raise ad.ShapeError(f"complex_mul: column count must be even, got {a.shape[1]}")
 
     def backward(g):
-        a.accumulate(ad.conj_mul_packed(g, b.value))
-        b.accumulate(ad.conj_mul_packed(g, a.value))
+        a.accumulate(conj_mul_packed(g, b.value))
+        b.accumulate(conj_mul_packed(g, a.value))
 
-    return TapeNode(ad.complex_mul_packed(a.value, b.value), (a, b), backward)
+    return TapeNode(complex_mul_packed(a.value, b.value), (a, b), backward)
 
 
 def reference_sub(a, b):
@@ -974,7 +1034,7 @@ def reference_block_matmul_t(a, b, blocks: int):
 
 
 def reference_block_attention(x, weights, mask: np.ndarray, blocks: int):
-    """`ad.block_attention` as a chain of nodes per head: three matmuls, the
+    """`encoder.block_attention` as a chain of nodes per head: three matmuls, the
     block scores, the scale, the add of the mask as a constant node (row j of
     block i is mask row i), the row softmax and the block product, then the
     heads joined by concat_cols."""
@@ -1000,7 +1060,7 @@ def reference_relu(a):
 
 
 def reference_feed_forward(x, w1, b1, w2, b2):
-    """`ad.feed_forward` as a chain of matmul, add, relu, matmul and add nodes."""
+    """`encoder.feed_forward` as a chain of matmul, add, relu, matmul and add nodes."""
     hidden = reference_relu(reference_add(reference_matmul(x, w1), b1))
     return reference_add(reference_matmul(hidden, w2), b2)
 
@@ -1060,7 +1120,7 @@ def reference_score_all(model, question_tokens, cands) -> list[float]:
 
 
 def reference_batch_triplet_loss(f, alpha: float):
-    """The ranker's triplet loss as the chain of nodes `ad.triplet_hinge`
+    """The ranker's triplet loss as the chain of nodes `ranker.triplet_hinge`
     fuses: row gathers of the anchor and the other rows, their difference,
     the row norms, gathers of the positive's and the negatives' distances,
     their difference, the margin added as a constant, relu, the sum and the
@@ -1107,7 +1167,7 @@ def reference_train_ranker(dataset, kg, cfg):
         for i in order:
             q_toks, pos_toks, neg_toks = triplets[i]
             f = reference_token_forward(model.encoder, q_toks, pos_toks, *neg_toks, training=True, rng=rng)
-            train_step(opt, buffer, ad.triplet_hinge(f, cfg.margin))
+            train_step(opt, buffer, ranker.triplet_hinge(f, cfg.margin))
     return model
 
 

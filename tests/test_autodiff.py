@@ -34,6 +34,8 @@ from reference import (
     reference_sum_all,
 )
 from sskgqa import autodiff as ad
+from sskgqa import encoder as enc
+from sskgqa import ranker as rk
 
 
 def fd_grad(f, x, eps=1e-6):
@@ -62,10 +64,10 @@ def check_grad(build, x, tol=1e-6):
 
 
 def attention_node(x, weights, mask, blocks):
-    """`ad.block_attention` of nodes as one node, whose backward adds the
+    """`enc.block_attention` of nodes as one node, whose backward adds the
     op's gradients into x, after the gradient x already holds, and into the
     weights."""
-    value, grads = ad.block_attention(x.value, [w.value for w in weights], mask, blocks)
+    value, grads = enc.block_attention(x.value, [w.value for w in weights], mask, blocks)
 
     def backward(g):
         x.grad, g_weights = grads(g, x.grad)
@@ -76,8 +78,8 @@ def attention_node(x, weights, mask, blocks):
 
 
 def feed_forward_node(*nodes):
-    """`ad.feed_forward` of nodes as one node."""
-    value, grads = ad.feed_forward(*(n.value for n in nodes))
+    """`enc.feed_forward` of nodes as one node."""
+    value, grads = enc.feed_forward(*(n.value for n in nodes))
 
     def backward(g):
         for n, gn in zip(nodes, grads(g)):
@@ -289,7 +291,7 @@ def test_triplet_hinge_bytes_equal_composed_chain(k, d, kind, alpha, weight, see
     # chain's must then be the zeros a parameter left unreached steps with.
     f0 = triplet_batch(k, d, kind, seed)
     values, grads, flat = [], [], []
-    for loss_of in (ad.triplet_hinge, reference_batch_triplet_loss):
+    for loss_of in (rk.triplet_hinge, reference_batch_triplet_loss):
         f = ad.parameter(f0.copy())
         loss = loss_of(f, alpha)
         ad.backward(reference_mul(loss, reference_constant([[weight]])))
@@ -307,13 +309,13 @@ def test_triplet_hinge_value_and_gradient():
     # anchor at 0, positive at distance 5, negatives at 10 and 3: with
     # alpha 1 only the second hinge is active, 5 - 3 + 1 = 3, halved
     f = ad.parameter(np.array([[0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [0.0, 3.0]]))
-    loss = ad.triplet_hinge(f, 1.0)
+    loss = rk.triplet_hinge(f, 1.0)
     assert loss.shape == (1, 1) and loss.value[0, 0] == 1.5
     ad.backward(loss)
     # d/df of (||f0 - f1|| - ||f0 - f3||) / 2; the inactive negative gets 0
     want = np.array([[-0.3, 0.1], [0.3, 0.4], [0.0, 0.0], [0.0, -0.5]])
     assert np.allclose(f.grad, want, rtol=0.0, atol=1e-15)
-    check_grad(lambda p: ad.triplet_hinge(p, 1.0), RNG.normal(size=(6, 3)))
+    check_grad(lambda p: rk.triplet_hinge(p, 1.0), RNG.normal(size=(6, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -322,14 +324,14 @@ def test_triplet_hinge_flat_batch_has_no_parents_unless_non_finite(bad):
     # ends the backward; a non-finite row keeps the node, so the gradient
     # check downstream still sees it
     far = triplet_batch(4, 3, "far", 7)
-    loss = ad.triplet_hinge(ad.parameter(far), 1.0)
+    loss = rk.triplet_hinge(ad.parameter(far), 1.0)
     assert loss._backward is None and loss.value.tobytes() == np.zeros((1, 1)).tobytes()
     for row in (0, 1, 3):
         poisoned = far.copy()
         poisoned[row, 1] = bad
         f = ad.parameter(poisoned)
         with np.errstate(invalid="ignore"):
-            loss = ad.triplet_hinge(f, 1.0)
+            loss = rk.triplet_hinge(f, 1.0)
             assert loss._backward is not None
             ad.backward(loss)
         assert not np.isfinite(f.grad).all()
@@ -338,7 +340,7 @@ def test_triplet_hinge_flat_batch_has_no_parents_unless_non_finite(bad):
 def test_triplet_hinge_refuses_fewer_than_three_rows():
     for rows in (1, 2):
         with pytest.raises(ad.ShapeError, match="triplet_hinge"):
-            ad.triplet_hinge(reference_constant(np.ones((rows, 4))), 1.0)
+            rk.triplet_hinge(reference_constant(np.ones((rows, 4))), 1.0)
 
 
 ATTENTION_INPUTS = ["x", "wq0", "wk0", "wv0", "wq1", "wk1", "wv1"]
@@ -378,9 +380,9 @@ def test_block_attention_ignores_padded_keys():
     # a block's output rows do not change with what its padded rows hold
     params, mask = attention_case(2, [4, 2], 2, 3, 1, seed=5)
     x, weights = params[0].value, [w.value for w in params[1:7]]
-    before, _ = ad.block_attention(x, weights, mask, 2)
+    before, _ = enc.block_attention(x, weights, mask, 2)
     x[6:] += 100.0  # the second block's two padded rows
-    after, _ = ad.block_attention(x, weights, mask, 2)
+    after, _ = enc.block_attention(x, weights, mask, 2)
     assert np.array_equal(before[:6], after[:6])
 
 
@@ -528,18 +530,18 @@ def test_shape_errors():
         reference_complex_mul(reference_constant(np.ones((1, 3))), reference_constant(np.ones((1, 3))))
     w = [np.ones((2, 1))] * 3
     with pytest.raises(ad.ShapeError):  # 3 rows do not split into 2 blocks
-        ad.block_attention(np.ones((3, 2)), w, np.zeros((2, 1)), 2)
+        enc.block_attention(np.ones((3, 2)), w, np.zeros((2, 1)), 2)
     with pytest.raises(ad.ShapeError):  # a mask row per block, a column per row
-        ad.block_attention(np.ones((4, 2)), w, np.zeros((2, 1)), 2)
+        enc.block_attention(np.ones((4, 2)), w, np.zeros((2, 1)), 2)
     with pytest.raises(ad.ShapeError):  # not three projections per head
-        ad.block_attention(np.ones((2, 2)), w[:2], np.zeros((2, 1)), 2)
+        enc.block_attention(np.ones((2, 2)), w[:2], np.zeros((2, 1)), 2)
     with pytest.raises(ad.ShapeError):  # a projection of another shape
-        ad.block_attention(np.ones((2, 2)), [*w[:2], np.ones((2, 2))], np.zeros((2, 1)), 2)
+        enc.block_attention(np.ones((2, 2)), [*w[:2], np.ones((2, 2))], np.zeros((2, 1)), 2)
     with pytest.raises(ad.ShapeError):  # a bias that is not one row
-        ad.feed_forward(*(np.ones(s) for s in ((2, 2), (2, 3), (2, 3), (3, 2), (1, 2))))
+        enc.feed_forward(*(np.ones(s) for s in ((2, 2), (2, 3), (2, 3), (3, 2), (1, 2))))
     with pytest.raises(ad.ShapeError):
-        ad.feed_forward(*(np.ones(s) for s in ((2, 2), (3, 3), (1, 3), (3, 2), (1, 2))))
+        enc.feed_forward(*(np.ones(s) for s in ((2, 2), (3, 3), (1, 3), (3, 2), (1, 2))))
     with pytest.raises(ad.ShapeError):
-        ad.block_pool(np.ones((5, 2)), np.ones((2, 2)))
+        enc.block_pool(np.ones((5, 2)), np.ones((2, 2)))
     with pytest.raises(ad.ShapeError):  # blocks of 1x2 times blocks of 1x2
         reference_block_matmul(reference_constant(np.ones((2, 2))), reference_constant(np.ones((2, 2))), 2)

@@ -63,6 +63,16 @@ def test_seed_flag_sets_the_toy(tmp_path):
     assert files["flag"] != files["plain"]
 
 
+@pytest.mark.parametrize("count", ["0", "-3"], ids=["zero", "negative"])
+def test_three_hop_toy_of_fewer_than_one_question_is_one_error_line(tmp_path, count):
+    # the toy would be an empty KG that train-embeddings then refuses
+    out = tmp_path / "toy"
+    proc = run_cli("make-toy", "--out", str(out), "--benchmark", "three-hop", "--questions", count, expect_fail=True)
+    assert proc.stdout == ""
+    assert_one_error_line(proc, f"error: needs at least 1 question, got {count}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

@@ -1,9 +1,10 @@
 """Every module-level import in the package and in its tests is used by
 its module, every public function of the autodiff engine is used by another
-package module, every public function and class of every package module and
-every public method of `SequenceEncoder` has a reader outside its own
-definition, no package module but the CLI prints, and no package module but
-`structures` reads the node kinds of a taxonomy drawing."""
+package module and, bar `backward`, by two, every public function and class
+of every package module and every public method of `SequenceEncoder` has a
+reader outside its own definition, no package module but the CLI prints, and
+no package module but `structures` reads the node kinds of a taxonomy
+drawing."""
 
 import ast
 from pathlib import Path
@@ -85,18 +86,34 @@ def test_attributes_read_are_found():
     assert attributes_read_off(src, "encoder") == {"forward", "cfg", "vocab"}
 
 
+def engine_functions() -> list[str]:
+    """The public functions of the autodiff engine."""
+    engine = ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))
+    return [n.name for n in engine.body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+
+
 def test_every_autodiff_function_is_used_by_the_package():
     # an op that only the reference chains in tests/reference.py build
     # belongs there, not in the engine; package modules read the engine as `ad`
-    engine = Path(ad.__file__).read_text(encoding="utf-8")
-    public = [
-        n.name for n in ast.parse(engine).body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
-    ]
+    public = engine_functions()
     read = set()
     for path in MODULES:
         if path.name != "autodiff.py":
             read |= attributes_read(path.read_text(encoding="utf-8"), "ad")
     assert [name for name in public if name not in read] == []
+
+
+def test_every_autodiff_helper_has_two_readers():
+    # a helper that one package module alone reads belongs in that module;
+    # `backward`, the engine's entry, has the one caller `optim.train_step`
+    readers = {name: [] for name in engine_functions() if name != "backward"}
+    for path in MODULES:
+        if path.name != "autodiff.py":
+            read = names_taken_from(path.read_text(encoding="utf-8"), "autodiff")
+            for name in readers:
+                if name in read:
+                    readers[name].append(path.stem)
+    assert {name: stems for name, stems in readers.items() if len(stems) < 2} == {}
 
 
 def print_calls(source: str) -> list[int]:

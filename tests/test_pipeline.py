@@ -5,12 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sskgqa
 from fixtures import random_fixture
+from reference import reference_answer
 from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
+from sskgqa.candidates import EnumConfig
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import (
+    MODES,
     PipelineConfig,
     PipelineError,
     answer_question,
@@ -19,7 +24,7 @@ from sskgqa.pipeline import (
     tokenize_question,
 )
 from sskgqa.querygraph import CLS, SEP, build_chain, execute, to_sparql
-from sskgqa.ranker import TokenOverlapRanker
+from sskgqa.ranker import RankTrainConfig, TokenOverlapRanker, train_ranker
 from sskgqa.structures import builtin_taxonomy
 from sskgqa.synth import (
     norshteyn_kg,
@@ -170,6 +175,65 @@ def test_fallback_on_empty_filter():
     result, rec = answer_question(base_cfg(kg), constrained_question())
     assert rec.status == "ok"  # falls back to unfiltered candidates
     assert rec.correct
+
+
+TAX = builtin_taxonomy()
+
+
+class FixedClassifier:
+    """Stands in for the structure classifier: one label for every question."""
+
+    def __init__(self, label: str):
+        self.label = label
+
+    def predict(self, tokens, topic_id) -> str:
+        return self.label
+
+
+@pytest.fixture(scope="module")
+def small_ranker():
+    # random_fixture names every KG's entities e0.. and relations r0.., so
+    # its vocabulary reads the questions and chains of any of them
+    kg, questions = random_fixture(np.random.default_rng(0))
+    data = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+    return train_ranker(data, kg, TAX, RankTrainConfig(epochs=3, negatives=4, ff_width=16, out_dim=8))
+
+
+# `lone` has one edge, to `leaf`, which has no out-edge, so no chain from
+# `lone` has LONE's gold shape, SS4: oracle mode falls back to its hop count
+LONE = LabeledQuestion(
+    "lone", "lone r0 leaf", "lone", ["leaf"],
+    sparql=to_sparql(build_chain("lone", [("r0", False)], constraints=[(1, "r0", "leaf")])),
+)
+BARE = LabeledQuestion("bare", "what about lone", "lone", [])  # Unsupported: no hop count, no SPARQL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    mode=st.sampled_from(MODES),
+    label=st.sampled_from(TAX.labels()),
+    attach=st.booleans(),
+    max_hops=st.integers(1, 3),
+    max_candidates=st.sampled_from([8, 10000]),
+    learned=st.booleans(),
+)
+def test_answer_question_equals_the_reference_answer(
+    small_ranker, seed, mode, label, attach, max_hops, max_candidates, learned
+):
+    # token overlap ties often, so the tie-break decides many of its answers
+    fixture_kg, questions = random_fixture(np.random.default_rng(seed), n_questions=3)
+    ent, rel = fixture_kg.entities.symbol_of, fixture_kg.relations.symbol_of
+    kg = build_kg([(ent(h), rel(r), ent(t)) for h, r, t in fixture_kg.iter_triples()] + [("lone", "r0", "leaf")])
+    cfg = PipelineConfig(
+        kg=kg, taxonomy=TAX, ranker=small_ranker if learned else TokenOverlapRanker(),
+        classifier=FixedClassifier(label), enum=EnumConfig(max_hops, attach, max_candidates), mode=mode,
+    )
+    for q in questions + [LONE, BARE]:
+        _, rec = answer_question(cfg, q)
+        want = reference_answer(cfg, q)
+        assert (rec.status, rec.answers, rec.top1) == want[:3], q.id
+    assert mode != "oracle" or reference_answer(cfg, LONE).fallback
 
 
 def test_evaluate_empty_dataset():

@@ -260,7 +260,7 @@ def test_batch_triplet_loss_matches_per_negative_form():
             ad.backward(loss)
             return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
 
-        batched = ad.triplet_hinge(enc.forward(*seqs, training=True), alpha)
+        batched = ranker_module.triplet_hinge(enc.forward(*seqs, training=True), alpha)
         got = grads_of(batched)
         f_q, f_p, *f_n = (enc.forward(s, training=True) for s in seqs)
         terms = [
@@ -406,13 +406,13 @@ def test_build_training_triplets_equal_canonical_key_filter(negatives):
 def test_triplet_loss_goes_through_the_fused_op(monkeypatch):
     kg, questions = ranker_fixture()
     dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
-    calls, fused = [], ad.triplet_hinge
+    calls, fused = [], ranker_module.triplet_hinge
 
     def counting(f, alpha):
         calls.append((f.shape[0], alpha))
         return fused(f, alpha)
 
-    monkeypatch.setattr(ad, "triplet_hinge", counting)
+    monkeypatch.setattr(ranker_module, "triplet_hinge", counting)
     cfg = RankTrainConfig(epochs=2, negatives=3, margin=0.5, out_dim=4, ff_width=8)
     train_ranker(dataset, kg, builtin_taxonomy(), cfg)
     # one loss node per question and epoch, over the question, its positive
@@ -428,17 +428,17 @@ def test_flat_hinge_steps_train_bytes_equal_to_always_backpropagating(monkeypatc
     kg, questions = ranker_fixture()
     dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
     cfg = RankTrainConfig(epochs=10, negatives=4, margin=0.5, dropout=0.3, out_dim=8, ff_width=16, seed=5)
-    counts, fused = {"flat": 0, "backprop": 0}, ad.triplet_hinge
+    counts, fused = {"flat": 0, "backprop": 0}, ranker_module.triplet_hinge
 
     def spying(f, alpha):
         loss = fused(f, alpha)
         counts["flat" if loss._backward is None else "backprop"] += 1
         return loss
 
-    monkeypatch.setattr(ad, "triplet_hinge", spying)
+    monkeypatch.setattr(ranker_module, "triplet_hinge", spying)
     got = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
     assert counts["flat"] > 0 and counts["backprop"] > 0, counts
-    monkeypatch.setattr(ad, "triplet_hinge", reference_batch_triplet_loss)
+    monkeypatch.setattr(ranker_module, "triplet_hinge", reference_batch_triplet_loss)
     want = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
     assert [p.value.tobytes() for p in got.encoder.parameters()] == [
         p.value.tobytes() for p in want.encoder.parameters()
@@ -469,7 +469,7 @@ def test_train_ranker_bytes_equal_composed_loss_and_key_filter(monkeypatch):
     dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
     cfg = RankTrainConfig(epochs=2, negatives=4, lr=1e-2, dropout=0.3, out_dim=8, ff_width=16, seed=5)
     got = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
-    monkeypatch.setattr(ad, "triplet_hinge", reference_batch_triplet_loss)
+    monkeypatch.setattr(ranker_module, "triplet_hinge", reference_batch_triplet_loss)
     monkeypatch.setattr(ranker_module, "build_training_triplets", reference_build_training_triplets)
     want = train_ranker(dataset, kg, builtin_taxonomy(), cfg)
     assert got.trained_on == want.trained_on == len(dataset)
