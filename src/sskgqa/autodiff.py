@@ -49,20 +49,16 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate(self, g: np.ndarray) -> None:
-        """Hand g on through the backward, or add it to the gradient. A
-        parameter takes g as it is, without a copy: no backward writes to a
-        gradient array it was handed, so one array may be the gradient of
-        several parameters. Later gradients are added out of place."""
+        """Hand g on through the backward, or add it into the gradient in
+        place. A leaf without a gradient array yet takes a copy of g, so g,
+        which may be the gradient of other nodes too, is never written."""
         if self._backward is not None:
             self._backward(g)
         elif self.grad is None:
-            self.grad = g
+            self.grad = g.copy()
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
 
 def parameter(x) -> Node:

@@ -153,10 +153,13 @@ def cmd_train_ranker(args) -> int:
     return 0
 
 
-def _pipeline_config(args) -> pl.PipelineConfig:
-    """The pipeline of an `answer` or `evaluate` call; a bad --max-hops or a
-    missing option is refused before any file is read."""
+def _pipeline_config(args, modes=pl.MODES) -> pl.PipelineConfig:
+    """The pipeline of an `answer` or `evaluate` call; a bad --max-hops, a
+    mode outside `modes` or a missing option is refused before any file is
+    read."""
     enum = EnumConfig(max_hops=args.max_hops, attach_constraints=args.constraints)
+    if args.mode not in modes:
+        raise pl.PipelineError(f"{args.command} takes --mode {' or '.join(modes)}, not {args.mode}")
     if args.mode == "predicted" and not (args.classifier and args.embeddings):
         raise pl.PipelineError("predicted mode needs --classifier and --embeddings")
     kg = kgmod.load_kg_file(args.kg)
@@ -176,7 +179,8 @@ def _pipeline_config(args) -> pl.PipelineConfig:
 
 
 def cmd_answer(args) -> int:
-    cfg = _pipeline_config(args)
+    # a question given on the command line has no SPARQL, so no gold structure
+    cfg = _pipeline_config(args, ("predicted", "off"))
     q = ann.LabeledQuestion(
         id="cli", question=args.question, topic_entity=args.topic, answers=[]
     )

@@ -88,12 +88,16 @@ class AdamW:
 
 
 class ParameterBuffer:
-    """A model's parameter nodes packed into one flat float64 array.
+    """A model's parameter nodes packed into one flat float64 array, with
+    one flat gradient beside it.
 
     Each node's value is copied into `value` in the order given, and the node
     is rebound to its view of the buffer, with the same shape: an update of
-    the buffer in place is an update of every parameter. Parameter i is
-    value[offsets[i]:offsets[i + 1]].
+    the buffer in place is an update of every parameter. Each node's `grad`
+    is bound, for good, to its view of `grad`, so every gradient a backward
+    hands a parameter is added straight into the flat gradient. Parameter i
+    is value[offsets[i]:offsets[i + 1]], and its gradient the same slice of
+    grad.
     """
 
     def __init__(self, params: list[ad.Node]):
@@ -102,41 +106,24 @@ class ParameterBuffer:
         self.params = list(params)
         self.offsets = [0, *accumulate(p.value.size for p in self.params)]
         self.value = np.concatenate([p.value.ravel() for p in self.params])
-        self._grad = np.empty_like(self.value)
-        self._grad_views = []  # parameter i's view of _grad
+        self.grad = np.zeros_like(self.value)
         for p, a, b in zip(self.params, self.offsets, self.offsets[1:]):
             p.value = self.value[a:b].reshape(p.value.shape)
-            self._grad_views.append(self._grad[a:b].reshape(p.value.shape))
-
-    def gradient(self) -> np.ndarray:
-        """The parameters' gradients in order, as one flat array that the
-        buffer owns and overwrites on each call: a copy of the engine's
-        arrays, with zeros for a parameter the loss did not reach."""
-        for p, view in zip(self.params, self._grad_views):
-            if p.grad is None:
-                view.fill(0.0)
-            else:
-                view[...] = p.grad
-        return self._grad
+            p.grad = self.grad[a:b].reshape(p.value.shape)
 
 
 def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node) -> None:
-    """One optimizer step on `loss`: clear the parameters' gradients,
-    backpropagate, clip the global norm of the flat gradient to MAX_NORM and
-    apply opt.step to the whole buffer at once.
+    """One optimizer step on `loss`: zero the flat gradient, backpropagate
+    into it, clip its global norm to MAX_NORM and apply opt.step to the whole
+    buffer at once.
 
     A parameter the loss does not reach steps with a zero gradient, so Adam's
-    moments still decay for it. When the loss reaches no parameter, the flat
-    gradient is all zeros and clipping, a no-op at norm 0, is skipped. The
-    flat gradient is a copy, so clipping it
-    in place never reaches an array the engine handed out, even one that
-    several parameters share. A nan or inf norm raises
-    NonFiniteGradientError before anything is updated.
+    moments still decay for it. When the gradient is all zeros, as for a loss
+    that reaches no parameter, clipping, a no-op at norm 0, is skipped. A nan
+    or inf norm raises NonFiniteGradientError before anything is updated.
     """
-    for p in buffer.params:
-        p.zero_grad()
+    buffer.grad.fill(0.0)
     ad.backward(loss)
-    grad = buffer.gradient()
-    if any(p.grad is not None for p in buffer.params):
-        clip_global_norm(grad, buffer.offsets)
-    opt.step(buffer.value, grad)
+    if buffer.grad.any():
+        clip_global_norm(buffer.grad, buffer.offsets)
+    opt.step(buffer.value, buffer.grad)

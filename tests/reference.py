@@ -14,10 +14,11 @@ the topological walk a gradient handed to one starts, and the ops
 `reference_margin_loss`, the chain `embeddings.margin_loss` fuses; numpy KG
 embedding scores for
 `embeddings.score_nodes` and `reference_score_nodes`, the chain of row
-gathers and elementwise nodes it fuses, and the copying autodiff core the training
-equivalence tests swap in: `reference_accumulate` (a copy on first write) for
-`Node.accumulate` and `reference_scatter` (np.add.at into zeros) for
-`ad.scatter_rows`;
+gathers and elementwise nodes it fuses; `reference_accumulate`, the
+aliasing rule `Node.accumulate` had before each parameter added into an
+array of its own (a first gradient kept without a copy, later ones added out
+of place), and `reference_scatter` (np.add.at into zeros), which the
+equivalence tests swap in for `ad.scatter_rows`;
 and the per-parameter optimizer step the packed-buffer tests swap in:
 `UnpackedParams` for `optim.ParameterBuffer`, `reference_train_step`
 (clipping by `global_norm`, then one optimizer step over the list of
@@ -880,15 +881,18 @@ def reference_concat_cols(a, b):
 
 
 def reference_accumulate(node, g: np.ndarray) -> None:
-    """`Node.accumulate` with a copy on first write: a node with a backward
-    hands g on, and a parameter's gradient is its own array from the start,
-    with later gradients added into it in place."""
+    """`Node.accumulate` by the aliasing rule: a node with a backward hands g
+    on, a leaf keeps its first gradient as it is, without a copy, and adds
+    later ones out of place, so no array a backward handed out is written
+    and one array may be the gradient of several leaves. For unpacked
+    parameters only: it rebinds `grad`, which would detach a packed one from
+    its buffer."""
     if node._backward is not None:
         node._backward(g)
     elif node.grad is None:
-        node.grad = g.copy()
+        node.grad = g
     else:
-        node.grad += g
+        node.grad = node.grad + g
 
 
 def reference_scatter(shape, indices, g: np.ndarray) -> np.ndarray:
@@ -979,24 +983,16 @@ class ReferenceAdam:
 
 
 def reference_train_step(opt: ReferenceAdam, unpacked: UnpackedParams, loss) -> None:
-    """`train_step` one parameter array at a time: zeros for a parameter the
-    loss does not reach, a copy of a gradient that shares memory with an
-    earlier one (so clipping in place scales each once), then reference_clip
-    to MAX_NORM and opt.step over the per-parameter lists."""
+    """`train_step` one parameter array at a time: each parameter's gradient
+    reset to None, so a backward leaves it the exact copy of the first
+    gradient it is handed, sign of zero included, and zeros for a parameter
+    the loss does not reach; then reference_clip to MAX_NORM and opt.step
+    over the per-parameter lists."""
     params = unpacked.params
     for p in params:
-        p.zero_grad()
+        p.grad = None
     ad.backward(loss)
-    grads, owners = [], set()
-    for p in params:
-        if p.grad is None:
-            grads.append(np.zeros_like(p.value))
-            continue
-        owner = id(p.grad if p.grad.base is None else p.grad.base)
-        if owner in owners:
-            p.grad = p.grad.copy()
-        owners.add(owner)
-        grads.append(p.grad)
+    grads = [np.zeros_like(p.value) if p.grad is None else p.grad for p in params]
     reference_clip(grads, MAX_NORM)
     opt.step([p.value for p in params], grads)
 

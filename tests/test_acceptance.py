@@ -147,7 +147,7 @@ def test_criterion_2_triplet_loss_and_gradient_check():
             vocab.encode([f"w{rng.integers(10)}" for _ in range(4)]) for _ in range(3)
         )
         for _, p in params:
-            p.zero_grad()
+            p.grad = None
         loss = loss_value()
         ad.backward(loss)
         grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.value)) for name, p in params}

@@ -243,7 +243,7 @@ def per_example_loss(model, examples, rng=None):
 
 def grads_of(params, loss):
     for p in params:
-        p.zero_grad()
+        p.grad = None
     ad.backward(loss)
     return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
 

@@ -775,10 +775,12 @@ def test_bad_training_setting_is_one_error_line(toy, trained, tmp_path, command,
         ("ablate", ["--negatives", "--max-hops", "0"], "max_hops must be in 1..3"),
         ("evaluate", ["--mode", "oracle", "--max-hops", "0"], "max_hops must be in 1..3"),
         ("answer", ["--mode", "oracle", "--max-hops", "4"], "max_hops must be in 1..3"),
+        ("answer", ["--mode", "oracle"], "answer takes --mode predicted or off, not oracle"),
     ],
     ids=["ranker_heads_5", "ranker_dropout_1_5", "classifier_d_model_0", "embeddings_lr_negative",
          "embeddings_lr_nan", "embeddings_margin_nan", "ablate_dropout_1_5", "ablate_lr_nan",
-         "ablate_max_hops_0", "evaluate_max_hops_0", "answer_max_hops_4"],
+         "ablate_max_hops_0", "evaluate_max_hops_0", "answer_max_hops_4",
+         "answer_oracle_mode"],
 )
 def test_bad_setting_is_refused_before_any_file_is_read(tmp_path, command, flags, error):
     # none of the input files exists: the setting is reported, not a file

@@ -141,7 +141,7 @@ def test_encoder_node_bytes_equal_the_chain(case):
     runs = []
     for forward in (SequenceEncoder.forward, reference_encoder_forward):
         for p in enc.parameters():
-            p.zero_grad()
+            p.grad = None
         out = forward(enc, *seqs, training=True, rng=np.random.default_rng(seed))
         backward_from(out, g)
         runs.append([out.value.tobytes()] + [p.grad.tobytes() for p in enc.parameters()])

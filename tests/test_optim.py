@@ -8,7 +8,6 @@ from reference import (
     ReferenceAdam,
     UnpackedParams,
     global_norm,
-    reference_accumulate,
     reference_add,
     reference_clip,
     reference_concat_cols,
@@ -187,7 +186,7 @@ def test_adamw_shape_checks():
 
 def test_train_step_matches_inline_sequence():
     # w is used by the loss, unused is not: it steps with a zero gradient,
-    # which leaves it where it is
+    # which leaves it where it is, and its gradient holds zeros
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 4))
     init = [rng.normal(size=(4, 2)), rng.normal(size=(1, 5))]
@@ -211,7 +210,9 @@ def test_train_step_matches_inline_sequence():
             assert np.array_equal(p.value, r)
     assert not np.array_equal(params[0].value, init[0])
     assert np.array_equal(params[1].value, init[1])
-    assert params[0].grad is not None and params[1].grad is None
+    assert params[1].grad.tobytes() == np.zeros_like(init[1]).tobytes()
+    for p, lo, hi in zip(params, buffer.offsets, buffer.offsets[1:]):
+        assert np.shares_memory(p.grad, buffer.grad) and p.grad.tobytes() == buffer.grad[lo:hi].tobytes()
 
 
 def test_parameter_buffer_packs_views_in_order():
@@ -260,21 +261,22 @@ class RecordingOptimizer:
 
 def test_buffer_gradient_zeroes_a_parameter_an_earlier_step_reached():
     # the buffer reuses its gradient array, so a parameter the loss does
-    # not reach must not carry the last step's gradient into the optimizer
+    # not reach must not carry the last step's gradient into the optimizer:
+    # it holds zeros
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
     buffer = ParameterBuffer([p, q])
     opt = RecordingOptimizer()
     train_step(opt, buffer, reference_sum_all(reference_mul(reference_matmul(p, q), reference_constant([[0.25]]))))
     assert opt.grad.tolist() == [0.25, 0.25, 0.25, 0.25]
     train_step(opt, buffer, reference_sum_all(reference_mul(p, reference_constant([[0.5, -0.25]]))))
-    assert q.grad is None
+    assert q.grad.tolist() == [[0.0], [0.0]]
     assert opt.grad.tolist() == [0.5, -0.25, 0.0, 0.0]
 
 
 def test_train_step_reaching_no_parameter_steps_without_clipping(monkeypatch):
     # a loss with no backward (a flat triplet hinge) reaches no parameter:
-    # the optimizer still steps, on an all-zero gradient, and clipping, a
-    # no-op at norm 0, is not called
+    # the optimizer still steps, on an all-zero gradient that each parameter
+    # holds its zeros of, and clipping, a no-op at norm 0, is not called
     clipped, clip = [], optim_module.clip_global_norm
 
     def counting(grad, offsets):
@@ -289,36 +291,57 @@ def test_train_step_reaching_no_parameter_steps_without_clipping(monkeypatch):
     assert clipped == [4]
     train_step(opt, buffer, reference_constant([[0.0]]))
     assert clipped == [4]
-    assert p.grad is None and q.grad is None
+    assert p.grad.tobytes() == np.zeros((1, 2)).tobytes() and q.grad.tobytes() == np.zeros((2, 1)).tobytes()
     assert opt.grad.tobytes() == np.zeros(4).tobytes()
 
 
 C = np.array([[3.0, -4.0, 12.0, 1.0]])
-# Parameter shapes, and a function of the parameters whose sum weighted by C
-# (its first columns) is the loss. Their gradients share memory: add of equal
-# shapes hands both operands one array, and with concat_cols p and q get
-# views of the array that r gets.
+# Parameter shapes, a function of the parameters whose sum weighted by c (the
+# first columns of C) is the loss, and each parameter's gradient before
+# clipping. The gradients handed to them share memory: add of equal shapes
+# hands both operands one array, with concat_cols p and q get views of the
+# array that r gets, and in "twice" p gets one array twice before q gets it
+# too.
 SHARED_GRADIENT_LOSSES = {
-    "add": (((1, 2), (1, 2)), lambda p, q: reference_add(p, q)),
-    "views": (((1, 2), (1, 2), (1, 4)), lambda p, q, r: reference_add(reference_concat_cols(p, q), r)),
+    "add": (((1, 2), (1, 2)), lambda p, q: reference_add(p, q), lambda c: [c, c]),
+    "twice": (((1, 2), (1, 2)), lambda p, q: reference_add(reference_add(p, q), p), lambda c: [2.0 * c, c]),
+    "views": (
+        ((1, 2), (1, 2), (1, 4)),
+        lambda p, q, r: reference_add(reference_concat_cols(p, q), r),
+        lambda c: [c[:, :2], c[:, 2:], c],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARED_GRADIENT_LOSSES))
-def test_train_step_scales_a_shared_gradient_once(name):
-    shapes, build = SHARED_GRADIENT_LOSSES[name]
+def test_train_step_scales_a_shared_gradient_once(name, monkeypatch):
+    shapes, build, unclipped_of = SHARED_GRADIENT_LOSSES[name]
     params = [ad.parameter(np.zeros(s)) for s in shapes]
     buffer = ParameterBuffer(params)
     c = C[:, : shapes[-1][1]]
+    handed, accumulate = [], ad.Node.accumulate
+
+    def recording(node, g):
+        if any(node is p for p in params):
+            handed.append((g, g.copy()))
+        accumulate(node, g)
+
+    monkeypatch.setattr(ad.Node, "accumulate", recording)
     opt = RecordingOptimizer()
     train_step(opt, buffer, reference_sum_all(reference_mul(build(*params), reference_constant(c))))
-    unclipped = [c] * len(params) if name == "add" else [c[:, :2], c[:, 2:], c]
+    unclipped = unclipped_of(c)
     factor = 1.0 / global_norm(unclipped)
     assert factor < 1.0
     flat = opt.grad
     for p, g, lo, hi in zip(params, unclipped, buffer.offsets, buffer.offsets[1:]):
         assert np.array_equal(flat[lo:hi].reshape(p.shape), g * factor)
-        assert np.array_equal(p.grad, g)  # the arrays the engine handed out are not scaled
+        assert np.array_equal(p.grad, g * factor)
+    # the arrays a backward handed out share memory, and are neither written
+    # nor scaled
+    arrays = [g for g, _ in handed]
+    assert len(arrays) >= len(params)
+    assert all(any(np.shares_memory(a, b) for j, b in enumerate(arrays) if j != i) for i, a in enumerate(arrays))
+    assert all(g.tobytes() == before.tobytes() for g, before in handed)
 
 
 def trained_ranker():
@@ -351,8 +374,9 @@ def train_three_models():
 
 
 def test_training_matches_copying_autodiff(monkeypatch):
+    # the engine's scatter against np.add.at into zeros; a parameter's
+    # gradient is a copy it adds into, so the accumulation copies already
     got = train_three_models()
-    monkeypatch.setattr(ad.Node, "accumulate", reference_accumulate)
     monkeypatch.setattr(ad, "scatter_rows", lambda idx, g, n: reference_scatter((n, g.shape[1]), idx, g))
     want = train_three_models()
     assert len(got) == len(want)
@@ -370,14 +394,24 @@ TRAINERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(TRAINERS))
-def test_packed_training_matches_per_parameter_steps(name, monkeypatch):
+def assert_packed_training_matches_per_parameter_steps(name, monkeypatch, weight=None):
+    """Train with the packed buffer, then with per-parameter steps, and
+    compare every parameter's bytes and every loss. With a `weight`, each
+    step's loss is scaled by it; returns whether a per-parameter step's
+    gradient held a -0.0."""
     module, run = TRAINERS[name]
+    negative_zero = []
 
     def recording(step, losses):
         def recorded(opt, params, loss):
             losses.append(float(loss.value[0, 0]))
+            if weight is not None:
+                loss = reference_mul(loss, reference_constant([[weight]]))
             step(opt, params, loss)
+            if isinstance(params, UnpackedParams):
+                negative_zero.extend(
+                    p.grad is not None and bool((np.signbit(p.grad) & (p.grad == 0.0)).any()) for p in params.params
+                )
 
         return recorded
 
@@ -391,6 +425,27 @@ def test_packed_training_matches_per_parameter_steps(name, monkeypatch):
     assert len(got) == len(want) and got_losses
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     assert got_losses == want_losses
+    return any(negative_zero)
+
+
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+def test_packed_training_matches_per_parameter_steps(name, monkeypatch):
+    assert_packed_training_matches_per_parameter_steps(name, monkeypatch)
+
+
+@pytest.mark.parametrize("weight", [-1.0, 0.0])
+@pytest.mark.parametrize("name", sorted(TRAINERS))
+def test_packed_training_matches_per_parameter_steps_on_negative_zeros(name, weight, monkeypatch):
+    # a packed parameter adds its gradients into zeros, so where a
+    # per-parameter gradient holds -0.0 its flat gradient holds +0.0. Adam's
+    # moments start at +0.0, +0.0 + -0.0 is +0.0 and the square of either
+    # zero is +0.0, so the steps are the same. Weight -1 flips the signs of
+    # zeros; weight 0 makes every gradient cell a zero of either sign, and
+    # the classifier's then hold -0.0 cells. (The ranker's hinge and the
+    # embeddings' scatter sum from +0.0, so theirs hold none.)
+    negative_zero = assert_packed_training_matches_per_parameter_steps(name, monkeypatch, weight)
+    if weight == 0.0 and name.startswith("classifier"):
+        assert negative_zero
 
 
 @pytest.mark.parametrize("name", ["ranker", "classifier_attention", "classifier_no_attention"])

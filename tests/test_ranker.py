@@ -256,7 +256,7 @@ def test_batch_triplet_loss_matches_per_negative_form():
 
         def grads_of(loss):
             for p in params:
-                p.zero_grad()
+                p.grad = None
             ad.backward(loss)
             return [p.grad if p.grad is not None else np.zeros_like(p.value) for p in params]
 
