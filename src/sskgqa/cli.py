@@ -252,9 +252,7 @@ def cmd_make_toy(args) -> int:
     kg_path = os.path.join(args.out, "kg.tsv")
     with open(kg_path, "w", encoding="utf-8") as f:
         f.write("# toy knowledge graph\n")
-        ent, rel = kg.entities.symbol_of, kg.relations.symbol_of
-        for t in sorted((ent(h), rel(r), ent(t)) for h, r, t in kg.iter_triples()):
-            f.write("\t".join(t) + "\n")
+        kgmod.write_triples(kg, f)
     data_path = os.path.join(args.out, "questions.jsonl")
     ann.save_dataset(questions, data_path)
     _emit({"kg": kg_path, "dataset": data_path, "questions": len(questions)})
@@ -365,7 +363,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         kgmod.KgError,
-        ann.SparqlError,
         ann.LabelingError,
         st.StructureError,
         emb.EmbeddingError,

@@ -158,6 +158,13 @@ def load_triples(source: IO[str]) -> KnowledgeGraph:
     return build_kg(records())
 
 
+def write_triples(kg: KnowledgeGraph, sink: IO[str]) -> None:
+    """Write kg's triples to `sink` as `load_triples` reads them, one sorted line each."""
+    ent, rel = kg.entities.symbol_of, kg.relations.symbol_of
+    for t in sorted((ent(h), rel(r), ent(t)) for h, r, t in kg.iter_triples()):
+        sink.write("\t".join(t) + "\n")
+
+
 def load_kg_file(path: str) -> KnowledgeGraph:
     """`load_triples` of the file, past a leading UTF-8 byte-order mark; a
     ParseError names the file and line, also for a file that is not UTF-8."""

@@ -103,11 +103,10 @@ class ParameterBuffer:
     def __init__(self, params: list[ad.Node]):
         if len({id(p) for p in params}) != len(params):
             raise ValueError("a parameter is listed twice")
-        self.params = list(params)
-        self.offsets = [0, *accumulate(p.value.size for p in self.params)]
-        self.value = np.concatenate([p.value.ravel() for p in self.params])
+        self.offsets = [0, *accumulate(p.value.size for p in params)]
+        self.value = np.concatenate([p.value.ravel() for p in params])
         self.grad = np.zeros_like(self.value)
-        for p, a, b in zip(self.params, self.offsets, self.offsets[1:]):
+        for p, a, b in zip(params, self.offsets, self.offsets[1:]):
             p.value = self.value[a:b].reshape(p.value.shape)
             p.grad = self.grad[a:b].reshape(p.value.shape)
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .annotation import UNSUPPORTED, LabeledQuestion, label_question, sparql_chain
+from .annotation import UNSUPPORTED, LabeledQuestion, label_question
 from .candidates import EnumConfig, derived_enum, enumerate_candidates
 from .classifier import ClassifierModel
 from .kg import KnowledgeGraph
-from .querygraph import CLS, SEP, Chain, canonicalize, execute, split_symbol
+from .querygraph import CLS, SEP, Chain, canonicalize, execute, sparql_chain, split_symbol
 from .ranker import rank_candidates
 from .structures import Taxonomy
 

@@ -141,6 +141,8 @@ def load_taxonomy(path: str) -> Taxonomy:
             raise StructureError(not_utf8(path)) from None
         except json.JSONDecodeError as exc:
             raise StructureError(f"{path}:{exc.lineno}: bad JSON: {exc}") from None
+        except RecursionError as exc:
+            raise StructureError(f"{path}: bad JSON: {exc}") from None
     if not isinstance(entries, list):
         raise StructureError(f"{path}: expected a JSON list of structures")
     return Taxonomy([_structure_entry(path, i, e) for i, e in enumerate(entries)])

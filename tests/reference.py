@@ -48,7 +48,7 @@ and the SPARQL reader as it was before it walked its tokens in one pass and
 read each term as an (is IRI, name) pair: `reference_parse_sparql`, with
 `Iri` and `Var` terms, `reference_extract_query_graph` (those terms as the
 nodes `chain_of` walks), `reference_pairs` (its AST with pair terms, to
-compare with `annotation.parse_sparql`'s) and `reference_decode_iri`, the
+compare with `querygraph.parse_sparql`'s) and `reference_decode_iri`, the
 escape regex run on every name; `reference_encode_iri`, the SPARQL writer's
 escape as a loop over every character;
 and the nodes those chains build that no model runs: `reference_rows`,
@@ -76,15 +76,7 @@ import numpy as np
 
 from sskgqa import autodiff as ad
 from sskgqa import classifier, ranker
-from sskgqa.annotation import (
-    _UNSUPPORTED_KEYWORDS,
-    _UNSUPPORTED_OPS,
-    UNSUPPORTED,
-    ExtractionError,
-    SparqlAst,
-    SparqlError,
-    label_question,
-)
+from sskgqa.annotation import UNSUPPORTED, label_question
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.embeddings import complex_mul_packed, conj_mul_packed
 from sskgqa.encoder import SequenceEncoder, Vocab
@@ -92,11 +84,15 @@ from sskgqa.kg import KnowledgeGraph, SymbolTable
 from sskgqa.optim import BETA1, BETA2, EPS, MAX_NORM, AdamW, ParameterBuffer, train_step
 from sskgqa.pipeline import tokenize_question
 from sskgqa.querygraph import (
+    _UNSUPPORTED_KEYWORDS,
+    _UNSUPPORTED_OPS,
     CHAIN_VAR_NAMES,
     CLS,
     SEP,
     Chain,
     QueryGraphError,
+    SparqlAst,
+    SparqlError,
     build_chain,
     canonicalize,
     chain_of,
@@ -213,20 +209,20 @@ def reference_topic_guess(ast) -> str:
     """The topic label a parsed query's patterns were read from before the
     record named it: among the IRIs that reach the lambda through variables
     only, the one farthest from it; among ties, one that is the subject of
-    some pattern, then the first to appear. ExtractionError where that rule
+    some pattern, then the first to appear. QueryGraphError where that rule
     refused the query before it walked a chain: a variable predicate, no IRI,
     or patterns not all joined to the lambda. Terms are (is IRI, name) pairs."""
     if any(not p[0] for _, p, _ in ast.patterns):
-        raise ExtractionError("variable predicates are not supported")
+        raise QueryGraphError("variable predicates are not supported")
     edges = [(s, p[1], o) for s, p, o in ast.patterns]
     nodes = list(dict.fromkeys(t for s, _, o in edges for t in (s, o)))
     grounded = [t for t in nodes if t[0]]
     if not grounded:
-        raise ExtractionError("no grounded entity in query")
+        raise QueryGraphError("no grounded entity in query")
     lam = (False, ast.select_var)
     dist = _bfs_depths([(s, o) for s, _, o in edges], lam)
     if dist.keys() != set(nodes):
-        raise ExtractionError("pattern graph is disconnected")
+        raise QueryGraphError("pattern graph is disconnected")
     via_vars = _bfs_depths([(s, o) for s, _, o in edges if not s[0] and not o[0]], lam)
     reach = {s for s, _, o in edges if o in via_vars} | {o for s, _, o in edges if s in via_vars}
     subjects = {s for s, _, _ in edges}
@@ -248,7 +244,7 @@ class Var:
 
 def reference_pairs(ast: SparqlAst) -> SparqlAst:
     """The AST of `reference_parse_sparql` with each term as the (is IRI,
-    name) pair `annotation.parse_sparql` gives."""
+    name) pair `querygraph.parse_sparql` gives."""
     return SparqlAst(ast.select_var, [tuple((isinstance(t, Iri), t.name) for t in pat) for pat in ast.patterns])
 
 
@@ -270,7 +266,7 @@ def reference_encode_iri(symbol: str) -> str:
 
 
 def reference_parse_sparql(text: str) -> SparqlAst:
-    """`annotation.parse_sparql` by `peek`/`take` closures over the token
+    """`querygraph.parse_sparql` by `peek`/`take` closures over the token
     list, one token at a time."""
     toks = _TOKEN_RE.findall(text)
     pos = 0
@@ -342,18 +338,15 @@ def reference_parse_sparql(text: str) -> SparqlAst:
 
 
 def reference_extract_query_graph(ast, topic: str) -> Chain:
-    """`annotation.extract_query_graph` with the `Iri` and `Var` terms
+    """`querygraph.extract_query_graph` with the `Iri` and `Var` terms
     themselves as the nodes `chain_of` walks."""
     if any(isinstance(p, Var) for _, p, _ in ast.patterns):
-        raise ExtractionError("variable predicates are not supported")
+        raise QueryGraphError("variable predicates are not supported")
     edges = [(s, p.name, o) for s, p, o in ast.patterns]
     labels = {t: t.name for s, _, o in edges for t in (s, o) if isinstance(t, Iri)}
     if Iri(topic) not in labels:
-        raise ExtractionError(f"no pattern names the topic {topic!r}")
-    try:
-        return chain_of(edges, Iri(topic), Var(ast.select_var), labels)
-    except QueryGraphError as exc:
-        raise ExtractionError(str(exc)) from exc
+        raise QueryGraphError(f"no pattern names the topic {topic!r}")
+    return chain_of(edges, Iri(topic), Var(ast.select_var), labels)
 
 
 def reference_build_kg(records) -> KnowledgeGraph:

@@ -25,14 +25,7 @@ from reference import (
     reference_sub,
 )
 from sskgqa import autodiff as ad
-from sskgqa.annotation import (
-    UNSUPPORTED,
-    LabeledQuestion,
-    coverage,
-    extract_query_graph,
-    label_question,
-    parse_sparql,
-)
+from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, coverage, label_question
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.classifier import ClassifierTrainConfig, fuse, train_classifier
 from sskgqa.embeddings import EmbeddingTable, EmbedTrainConfig, train
@@ -50,6 +43,8 @@ from sskgqa.querygraph import (
     build_chain,
     canonicalize,
     execute,
+    extract_query_graph,
+    parse_sparql,
     to_sparql,
 )
 from sskgqa.ranker import (

@@ -4,22 +4,26 @@ from time import perf_counter
 import pytest
 
 from sskgqa.annotation import (
-    _UNSUPPORTED_KEYWORDS,
-    _UNSUPPORTED_OPS,
     UNSUPPORTED,
-    ExtractionError,
     LabeledQuestion,
     LabelingError,
-    SparqlError,
     coverage,
-    extract_query_graph,
     label_question,
     load_dataset,
-    parse_sparql,
     save_dataset,
 )
 from sskgqa.pipeline import gold_graph_of
-from sskgqa.querygraph import build_chain, canonicalize, to_sparql
+from sskgqa.querygraph import (
+    _UNSUPPORTED_KEYWORDS,
+    _UNSUPPORTED_OPS,
+    QueryGraphError,
+    SparqlError,
+    build_chain,
+    canonicalize,
+    extract_query_graph,
+    parse_sparql,
+    to_sparql,
+)
 from sskgqa.structures import (
     ANSWER,
     E_CONST,
@@ -136,7 +140,7 @@ def test_label_question_constraint_on_topic():
     with pytest.raises(StructureError, match=r"TC: .* \(1, \(0,\)\)"):
         Taxonomy(list(builtin_taxonomy()) + [tc])
     assert label_question(q(sparql=sparql, topic_entity="b"), builtin_taxonomy()) == UNSUPPORTED
-    with pytest.raises(ExtractionError):
+    with pytest.raises(QueryGraphError):
         extract_query_graph(parse_sparql(sparql), "a")
 
 

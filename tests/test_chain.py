@@ -15,8 +15,7 @@ from reference import (
     sparql_graph,
 )
 
-from sskgqa import annotation, querygraph, structures
-from sskgqa.annotation import ExtractionError, extract_query_graph, parse_sparql
+from sskgqa import querygraph, structures
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import PipelineConfig, evaluate, tokenize_question
@@ -25,6 +24,8 @@ from sskgqa.querygraph import (
     build_chain,
     canonicalize,
     execute,
+    extract_query_graph,
+    parse_sparql,
     serialize_tokens,
     to_sparql,
 )
@@ -63,7 +64,7 @@ def forms(args):
     ast = parse_sparql(to_sparql(c))
     try:
         e = extract_query_graph(ast, c.topic)
-    except ExtractionError:
+    except QueryGraphError:
         # SPARQL names an entity once, so a repeated label can join two
         # nodes into a non-chain; the pattern graph is then no chain from
         # the chain's own topic either
@@ -139,7 +140,7 @@ def test_answering_builds_no_query_graph(monkeypatch):
     def refuse(*args):
         raise AssertionError("chain_of was called")
 
-    for module in (querygraph, annotation, structures):
+    for module in (querygraph, structures):
         monkeypatch.setattr(module, "chain_of", refuse)
     with pytest.raises(AssertionError):
         extract_query_graph(parse_sparql("SELECT ?x WHERE { :a :r ?x . }"), "a")

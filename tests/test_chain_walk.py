@@ -21,7 +21,6 @@ from reference import (
     sparql_graph,
 )
 
-from sskgqa.annotation import extract_query_graph, parse_sparql
 from sskgqa.candidates import SHAPES
 from sskgqa.kg import build_kg
 from sskgqa.querygraph import (
@@ -29,6 +28,8 @@ from sskgqa.querygraph import (
     build_chain,
     chain_of,
     execute,
+    extract_query_graph,
+    parse_sparql,
     serialize_tokens,
     to_sparql,
 )

@@ -517,10 +517,11 @@ def assert_one_error_line(proc, start="error:"):
     assert len(lines) == 1 and lines[0].startswith(start), proc.stderr
 
 
-def run_main(argv) -> tuple[int, str]:
-    """cli.main(argv) in process: its return code and what it wrote to stderr."""
+def run_main(argv, out=None) -> tuple[int, str]:
+    """cli.main(argv) in process: its return code and what it wrote to
+    stderr. Its stdout goes to `out` when one is given."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out or io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, err.getvalue()
 
@@ -712,6 +713,30 @@ def test_taxonomy_that_is_not_json_is_one_error_line(toy, tmp_path):
     )
     assert proc.stdout == ""
     assert_one_error_line(proc, f"error: {tax}:2: bad JSON: ")
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deeply_nested_dataset_line_is_one_error_line(tmp_path, depth):
+    # json gives up on nesting this deep with a RecursionError, not a
+    # JSONDecodeError; the record is still bad JSON at its line
+    data = tmp_path / "questions.jsonl"
+    data.write_text('{"id": "q", "question": "what", "topic_entity": "a", "answers": ' + "[" * depth + "\n")
+    out = io.StringIO()
+    code, err = run_main(["annotate", "--dataset", str(data)], out)
+    assert (code, out.getvalue()) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {data}:1: bad JSON: "), err
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deeply_nested_taxonomy_is_one_error_line(toy, tmp_path, depth):
+    tax = tmp_path / "tax.json"
+    tax.write_text("[" * depth)
+    out = io.StringIO()
+    code, err = run_main(["annotate", "--dataset", str(toy / "questions.jsonl"), "--taxonomy", str(tax)], out)
+    assert (code, out.getvalue()) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {tax}: bad JSON: "), err
 
 
 @pytest.mark.parametrize(

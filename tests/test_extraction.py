@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from reference import reference_chain_of, reference_topic_guess
 
-from sskgqa.annotation import (
-    UNSUPPORTED,
-    LabeledQuestion,
-    label_question,
+from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
+from sskgqa.pipeline import gold_graph_of
+from sskgqa.querygraph import (
+    QueryGraphError,
+    build_chain,
+    chain_of,
     parse_sparql,
     sparql_chain,
+    to_sparql,
 )
-from sskgqa.pipeline import gold_graph_of
-from sskgqa.querygraph import QueryGraphError, build_chain, chain_of, to_sparql
 from sskgqa.structures import builtin_taxonomy
 
 TAX = builtin_taxonomy()

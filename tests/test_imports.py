@@ -2,9 +2,10 @@
 its module, every public function of the autodiff engine is used by another
 package module and, bar `backward`, by two, every public function and class
 of every package module and every public method of `SequenceEncoder` has a
-reader outside its own definition, no package module but the CLI prints, and
-no package module but `structures` reads the node kinds of a taxonomy
-drawing."""
+reader outside its own definition, no package module but the CLI prints, no
+package module but `structures` reads the node kinds of a taxonomy drawing,
+and no package module but `querygraph` reads the SPARQL subset's tokens,
+escapes or parser."""
 
 import ast
 from pathlib import Path
@@ -172,6 +173,40 @@ def test_drawing_names_read_are_found():
 def test_only_structures_reads_node_kinds():
     read = {p.stem: drawing_names_read(p.read_text(encoding="utf-8")) for p in MODULES if p.name != "structures.py"}
     assert {stem: names for stem, names in read.items() if names} == {}
+
+
+# the SPARQL subset's delimiters, escapes, tokens and parser, which only
+# `querygraph` defines and reads; other modules write a query with
+# `to_sparql` and read one with `sparql_chain`
+SPARQL_NAMES = {
+    "_DELIMITERS", "_TOKEN_RE", "_NEEDS_ESCAPE", "_UNSUPPORTED_OPS", "_UNSUPPORTED_KEYWORDS", "_encode_iri",
+    "decode_iri", "_take", "_term", "parse_sparql", "SparqlAst", "SparqlError", "extract_query_graph",
+}
+
+
+def names_in(source: str) -> set[str]:
+    """Every name a module reads, binds, or gives a function or class."""
+    return {
+        getattr(n, "id", getattr(n, "name", None))
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.Name, ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def test_only_querygraph_reads_the_sparql_subset():
+    taken, named = {}, {}
+    for p in MODULES:
+        if p.name != "querygraph.py":
+            source = p.read_text(encoding="utf-8")
+            taken[p.stem] = names_taken_from(source, "querygraph") & (SPARQL_NAMES | {"sparql_chain", "to_sparql"})
+            named[p.stem] = names_in(source) & SPARQL_NAMES
+    assert {stem: names for stem, names in taken.items() if names} == {
+        "annotation": {"sparql_chain"},
+        "pipeline": {"sparql_chain"},
+        "synth": {"to_sparql"},
+    }
+    # nor does any define a token or escape pattern of its own under those names
+    assert {stem: names for stem, names in named.items() if names} == {}
 
 
 @pytest.fixture

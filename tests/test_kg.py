@@ -14,6 +14,7 @@ from sskgqa.kg import (
     load_kg_file,
     load_triples,
     step,
+    write_triples,
 )
 from sskgqa.querygraph import Chain, execute
 
@@ -176,6 +177,22 @@ def test_build_kg_equals_the_groupby_build(records):
         assert [list(d.items()) for d in index] == [list(d.items()) for d in ref_index]
         assert all(type(v) is tuple for d in index for v in d.values())
     assert kg.num_triples == ref.num_triples
+
+
+def symbol_triples(kg) -> set[tuple[str, str, str]]:
+    ent, rel = kg.entities.symbol_of, kg.relations.symbol_of
+    return {(ent(h), rel(r), ent(t)) for h, r, t in kg.iter_triples()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=records_with_repeats(WIDE_NAMES, WIDE_RELATIONS))
+def test_write_triples_is_read_back_by_load_triples(records):
+    # one line per distinct triple, in sorted symbol order
+    kg = build_kg(records)
+    sink = io.StringIO()
+    write_triples(kg, sink)
+    assert sink.getvalue() == "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(set(records)))
+    assert symbol_triples(load_triples(io.StringIO(sink.getvalue()))) == symbol_triples(kg) == set(records)
 
 
 def test_hub_lookups_are_bounded():

@@ -1,14 +1,6 @@
 import pytest
 
-from sskgqa.annotation import (
-    UNSUPPORTED,
-    ExtractionError,
-    LabeledQuestion,
-    SparqlError,
-    extract_query_graph,
-    label_question,
-    parse_sparql,
-)
+from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
 from sskgqa.kg import build_kg
 from sskgqa.pipeline import gold_graph_of
 from sskgqa.querygraph import (
@@ -16,11 +8,14 @@ from sskgqa.querygraph import (
     SEP,
     Chain,
     QueryGraphError,
+    SparqlError,
     build_chain,
     canonicalize,
     chain_of,
     decode_iri,
     execute,
+    extract_query_graph,
+    parse_sparql,
     serialize_tokens,
     split_symbol,
     to_sparql,
@@ -74,7 +69,7 @@ def test_validation_rejects_disconnected():
     # from either IRI, the other pattern is neither a path edge nor a
     # constraint on a path node
     for topic in ("a", "b"):
-        with pytest.raises(ExtractionError):
+        with pytest.raises(QueryGraphError):
             _extract("SELECT ?x WHERE { :a :r ?x . :b :r ?y . }", topic)
     with pytest.raises(StructureError):
         structure_of("X", (E_TOPIC, ANSWER, E_CONST), ((0, 1),), "X")
@@ -85,7 +80,7 @@ def test_validation_rejects_query_without_the_topic():
     # the question is Unsupported and has no gold; a predicate is no node.
     # A structure without a topic node is refused too.
     for sparql in ("SELECT ?x WHERE { ?y :r ?x . }", "SELECT ?x WHERE { :b :r ?x . }", "SELECT ?x WHERE { ?x :a ?y . }"):
-        with pytest.raises(ExtractionError, match="no pattern names the topic 'a'"):
+        with pytest.raises(QueryGraphError, match="no pattern names the topic 'a'"):
             _extract(sparql)
         q = LabeledQuestion("q", "?", "a", [], sparql=sparql)
         assert label_question(q, builtin_taxonomy()) == UNSUPPORTED
@@ -104,7 +99,7 @@ def test_each_named_topic_gives_its_own_chain():
 
 def test_validation_rejects_lambda_named_as_a_variable():
     # naming the middle node ?x makes it the lambda, which loops
-    with pytest.raises(ExtractionError):
+    with pytest.raises(QueryGraphError):
         _extract("SELECT ?x WHERE { :a :r ?x . ?x :s ?x . }")
 
 

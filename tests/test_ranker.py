@@ -162,7 +162,7 @@ def test_build_training_triplets_skips_long_gold_quickly():
     # so it is skipped after one walk of gold
     from time import perf_counter
 
-    from sskgqa.annotation import extract_query_graph, parse_sparql
+    from sskgqa.querygraph import extract_query_graph, parse_sparql
 
     names = [":a"] + [f"?v{i}" for i in range(1, 11)] + ["?x"]
     patterns = " ".join(f"{s} :r {o} ." for s, o in zip(names, names[1:]))
@@ -180,11 +180,11 @@ def test_train_ranker_skips_gold_with_answer_behind_constraint():
     # chain; from val0_0 the gold is one hop with thing0 a constraint on the
     # topic, a shape no candidate has. That record is skipped, the others
     # train. So is a gold whose topic entity zz is not in the KG.
-    from sskgqa.annotation import ExtractionError, extract_query_graph, parse_sparql
+    from sskgqa.querygraph import QueryGraphError, extract_query_graph, parse_sparql
 
     kg, questions = ranker_fixture()
     ast = parse_sparql("SELECT ?x WHERE { :thing0 :color :val0_0 . ?x :shape :val0_0 . }")
-    with pytest.raises(ExtractionError):
+    with pytest.raises(QueryGraphError):
         extract_query_graph(ast, "thing0")
     bad = extract_query_graph(ast, "val0_0")
     assert bad.shape == (1, (0,))

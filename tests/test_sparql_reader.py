@@ -15,20 +15,22 @@ from reference import (
     reference_parse_sparql,
 )
 
-from sskgqa.annotation import (
+from sskgqa.annotation import UNSUPPORTED, LabeledQuestion, label_question
+from sskgqa.querygraph import (
     _UNSUPPORTED_KEYWORDS,
     _UNSUPPORTED_OPS,
-    UNSUPPORTED,
-    ExtractionError,
-    LabeledQuestion,
+    Chain,
+    QueryGraphError,
     SparqlAst,
     SparqlError,
+    _encode_iri,
+    build_chain,
+    decode_iri,
     extract_query_graph,
-    label_question,
     parse_sparql,
     sparql_chain,
+    to_sparql,
 )
-from sskgqa.querygraph import Chain, _encode_iri, build_chain, decode_iri, to_sparql
 from sskgqa.structures import builtin_taxonomy
 
 TAX = builtin_taxonomy()
@@ -55,8 +57,8 @@ def read(parse, extract, text, topic):
         return "SparqlError", str(exc), exc.position
     try:
         return ast, extract(ast, topic)
-    except ExtractionError as exc:
-        return ast, "ExtractionError", str(exc)
+    except QueryGraphError as exc:
+        return ast, "QueryGraphError", str(exc)
 
 
 def read_reference(text, topic):
