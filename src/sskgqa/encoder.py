@@ -129,13 +129,14 @@ def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, 
     All heads run together, as (heads, blocks, L, .) stacks: each batched
     product is one matmul per (head, block), the same products that chain
     runs, and the elementwise steps and row sums are that chain's, step for
-    step. The projections are one product of x with the (3*heads, d, dh)
-    stack of the weights, and the backward takes the weights' gradients and
-    x's each as one product with the stack of the projections' gradients;
-    each item is the 2-D product that chain takes. The row max is one
-    reduction over a transposed copy of the scores, which is faster than a
-    reduction over each short row; max is exact, so it has the same bits.
-    So the values and gradients have that chain's bits.
+    step. The projections are one product of x with the (heads*3, d, dh)
+    stack of the weights in the order of `weights`, and the backward takes
+    the weights' gradients and x's each as one product with the stack of
+    the projections' gradients; each item is the 2-D product that chain
+    takes. The row max is one reduction over a transposed copy of the
+    scores, which is faster than a reduction over each short row; max is
+    exact, so it has the same bits. So the values and gradients have that
+    chain's bits.
     """
     n_rows, d = x.shape
     if not weights or len(weights) % 3:
@@ -150,11 +151,9 @@ def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, 
         raise ad.ShapeError(f"block_attention: mask is {mask.shape}, expected {(blocks, width)}")
     heads = len(weights) // 3
     c = 1.0 / math.sqrt(dh)
-    # every head's wq, then every wk, then every wv; weights[i] is stack item order[i]
-    w3 = np.array(weights[0::3] + weights[1::3] + weights[2::3])
-    order = [(i % 3) * heads + i // 3 for i in range(len(weights))]
-    qkv = np.matmul(x, w3)  # (3*heads, n_rows, dh)
-    q, k, v = qkv.reshape(3, heads, blocks, width, dh)
+    w3 = np.array(weights)
+    qkv = np.matmul(x, w3)  # (heads*3, n_rows, dh)
+    q, k, v = qkv.reshape(heads, 3, blocks, width, dh).transpose(1, 0, 2, 3, 4)
     att = np.matmul(q, k.transpose(0, 1, 3, 2))
     att *= c
     att += mask.reshape(blocks, 1, width)
@@ -167,7 +166,7 @@ def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, 
     def backward(g: np.ndarray, held: np.ndarray | None):
         g4 = g.reshape(blocks, width, heads, dh).transpose(2, 0, 1, 3)
         g_qkv = np.empty_like(qkv)
-        gq, gk, gv = g_qkv.reshape(3, heads, blocks, width, dh)
+        gq, gk, gv = g_qkv.reshape(heads, 3, blocks, width, dh).transpose(1, 0, 2, 3, 4)
         gs = np.matmul(g4, v.transpose(0, 1, 3, 2))  # the scores' gradient, in place
         np.matmul(att.transpose(0, 1, 3, 2), g4, out=gv)
         gs -= (gs * att).sum(axis=3, keepdims=True)
@@ -176,13 +175,13 @@ def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, 
         np.matmul(gs, k, out=gq)
         np.matmul(gs.transpose(0, 1, 3, 2), q, out=gk)
         gw = np.matmul(x.T, g_qkv)
-        gx = np.matmul(g_qkv, w3.transpose(0, 2, 1))  # (3*heads, n_rows, d)
-        total = gx[order[0]]
+        gx = np.matmul(g_qkv, w3.transpose(0, 2, 1))  # (heads*3, n_rows, d)
+        total = gx[0]
         if held is not None:
             total += held
-        for i in order[1:]:
-            total += gx[i]
-        return total, [gw[i] for i in order]
+        for gxi in gx[1:]:
+            total += gxi
+        return total, list(gw)
 
     return np.ascontiguousarray(out.transpose(1, 2, 0, 3)).reshape(n_rows, heads * dh), backward
 

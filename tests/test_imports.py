@@ -5,7 +5,7 @@ of every package module and every public method of `SequenceEncoder` has a
 reader outside its own definition, no package module but the CLI prints, no
 package module but `structures` reads the node kinds of a taxonomy drawing,
 and no package module but `querygraph` reads the SPARQL subset's tokens,
-escapes or parser."""
+escapes or parser or spells the token layout of a serialized query graph."""
 
 import ast
 from pathlib import Path
@@ -207,6 +207,32 @@ def test_only_querygraph_reads_the_sparql_subset():
     }
     # nor does any define a token or escape pattern of its own under those names
     assert {stem: names for stem, names in named.items() if names} == {}
+
+
+# the layout of a serialized query graph past its symbols' fragments: the
+# path nodes' names and the marker of a reversed hop, which only
+# `querygraph.serialize_tokens` spells; other modules take its tokens
+LAYOUT_NAMES = {"_path_names", "CHAIN_VAR_NAMES"}
+
+
+def layout_spelled(source: str) -> set[str]:
+    """The names of `LAYOUT_NAMES` a module takes from `querygraph` or names
+    itself, and the reverse marker if a string constant spells it."""
+    marker = {n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant) and n.value == "reverse"}
+    return (names_taken_from(source, "querygraph") | names_in(source)) & LAYOUT_NAMES | marker
+
+
+def test_layout_spelled_is_found():
+    src = (
+        "from .querygraph import _path_names\nfrom . import querygraph as qg\n"
+        "# a reverse hop\nx = qg.CHAIN_VAR_NAMES, qg.serialize_tokens, 'reversed'\ny = ['reverse']\n"
+    )
+    assert layout_spelled(src) == {"_path_names", "CHAIN_VAR_NAMES", "reverse"}
+
+
+def test_only_querygraph_spells_the_token_layout():
+    spelled = {p.stem: layout_spelled(p.read_text(encoding="utf-8")) for p in MODULES if p.name != "querygraph.py"}
+    assert {stem: names for stem, names in spelled.items() if names} == {}
 
 
 @pytest.fixture

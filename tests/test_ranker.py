@@ -19,7 +19,7 @@ from reference import (
 from sskgqa import autodiff as ad
 from sskgqa import ranker as ranker_module
 from sskgqa.checkpoint import CheckpointError
-from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.encoder import MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
 from sskgqa.optim import NonFiniteGradientError
 from sskgqa.pipeline import gold_graph_of, tokenize_question
@@ -368,6 +368,21 @@ def test_score_all_bytes_equal_token_path_over_two_chunks():
     model = random_ranker(0)
     got = np.array(model.score_all(["what", "x"], cands))
     assert got.tobytes() == np.array(reference_score_all(model, ["what", "x"], cands)).tobytes()
+
+
+def test_score_all_bytes_equal_token_path_past_max_tokens():
+    # a topic of 70 fragments serializes past the MAX_TOKENS ids the encoder
+    # reads, so those candidates differ only past the cut and score alike
+    words = ["located", "in", "big", "city", "x"]
+    topic = "_".join(words[i % len(words)] for i in range(70))
+    topics = (topic, topic + "_what", "big city")
+    cands = [build_chain(t, [("located_in", back)]) for t in topics for back in (False, True)]
+    assert len(serialize_tokens(cands[0])) > MAX_TOKENS > len(serialize_tokens(cands[-1]))
+    model = random_ranker(1)
+    question = ["what", "city"] * 40
+    got = np.array(model.score_all(question, cands))
+    assert got.tobytes() == np.array(reference_score_all(model, question, cands)).tobytes()
+    assert len(set(got[:4])) == 1 and got[4] != got[0]
 
 
 def test_train_ranker_bytes_equal_per_step_mapping():
