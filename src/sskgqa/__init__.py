@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 # glibc mallopt parameters (malloc.h) and the values the package sets.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_MMAP_BYTES = 2 << 20
-_TRIM_BYTES = 4 << 20
+_MMAP_BYTES = 32 << 20
+_TRIM_BYTES = 64 << 20
 
 
 def _pin_heap() -> None:
@@ -25,9 +25,10 @@ def _pin_heap() -> None:
     is free there. The encoder's forwards allocate and free their arrays
     together at the heap top, so in some heap layouts (which training
     decides) every answer had its memory trimmed and faulted back in. With
-    the thresholds fixed, blocks under 2 MiB come from the heap, and up to
-    4 MiB stays free at its top. Does nothing where the C library is not
-    glibc or has no mallopt.
+    the thresholds fixed, blocks under 32 MiB come from the heap, so an
+    `off`-mode forward's attention arrays (about 2.2–2.8 MB each) are not
+    mapped and unmapped per call, and up to 64 MiB stays free at its top.
+    Does nothing where the C library is not glibc or has no mallopt.
     """
     if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
         return

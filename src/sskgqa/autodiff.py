@@ -21,8 +21,6 @@ class ContractError(Exception):
 
 
 def _as_value(x) -> np.ndarray:
-    if type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64:
-        return x  # what np.asarray would return; most op outputs take this path
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--benchmark", choices=("norshteyn", "ranker", "three-hop"), default="norshteyn"
     )
     sp.add_argument("--questions", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=emb.EmbedTrainConfig.seed)
+    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_make_toy)
     return p
 

@@ -4,7 +4,7 @@ packs its model into, and the training step that combines them."""
 from __future__ import annotations
 
 import math
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import numpy as np
 
@@ -27,19 +27,13 @@ def clip_global_norm(grad: np.ndarray, offsets: list[int]) -> np.ndarray:
     The norm squares grad once, sums each segment offsets[i]:offsets[i + 1]
     (one per parameter) on its own and then adds the sums in order, as a
     norm of the per-parameter gradients does: one sum over the whole array
-    rounds differently. A run of k consecutive segments of one size is
-    summed as the k rows of one (k, size) view, each row as its own segment
-    would be. Raises NonFiniteGradientError, before scaling anything, when
-    the norm is nan or inf.
+    rounds differently. Raises NonFiniteGradientError, before scaling
+    anything, when the norm is nan or inf.
     """
     sq = grad * grad
-    sums: list[float] = []
-    start = offsets[0]
-    for size, run in groupby(b - a for a, b in zip(offsets, offsets[1:])):
-        k = len(list(run))
-        sums += sq[start : start + k * size].reshape(k, size).sum(axis=1).tolist()
-        start += k * size
-    norm = math.sqrt(sum(sums))
+    # Python floats: adding two finite sums past float64's range gives inf
+    # without numpy's overflow warning, and the check below refuses it
+    norm = math.sqrt(sum(float(sq[a:b].sum()) for a, b in zip(offsets, offsets[1:])))
     if not np.isfinite(norm):
         raise NonFiniteGradientError(f"gradient norm is {norm}")
     if norm > MAX_NORM:

@@ -190,8 +190,8 @@ def _escape(m: re.Match) -> str:
 def _encode_iri(symbol: str) -> str:
     """`symbol` with each `_NEEDS_ESCAPE` character escaped: `%xx` up to
     U+00FF and `%uXXXX` above it (every whitespace character lies below
-    U+10000); a symbol with none is returned as it is."""
-    return symbol if _NEEDS_ESCAPE.search(symbol) is None else _NEEDS_ESCAPE.sub(_escape, symbol)
+    U+10000)."""
+    return _NEEDS_ESCAPE.sub(_escape, symbol)
 
 
 _ESCAPE_RE = re.compile(r"%(?:u([0-9a-fA-F]{4})|([0-9a-fA-F]{2}))")
@@ -200,8 +200,6 @@ _ESCAPE_RE = re.compile(r"%(?:u([0-9a-fA-F]{4})|([0-9a-fA-F]{2}))")
 def decode_iri(name: str) -> str:
     """The symbol `_encode_iri` wrote as `name`: each `%uXXXX` and `%xx`
     escape read back."""
-    if "%" not in name:
-        return name
     return _ESCAPE_RE.sub(lambda m: chr(int(m.group(1) or m.group(2), 16)), name)
 
 

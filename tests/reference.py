@@ -249,7 +249,7 @@ def reference_pairs(ast: SparqlAst) -> SparqlAst:
 
 
 def reference_decode_iri(name: str) -> str:
-    """`querygraph.decode_iri` without its shortcut for a name with no `%`."""
+    """`querygraph.decode_iri` as a `re.sub` of the escape pattern written out."""
     return re.sub(r"%(?:u([0-9a-fA-F]{4})|([0-9a-fA-F]{2}))", lambda m: chr(int(m.group(1) or m.group(2), 16)), name)
 
 

@@ -63,6 +63,13 @@ def test_seed_flag_sets_the_toy(tmp_path):
     assert files["flag"] != files["plain"]
 
 
+def test_toy_seed_does_not_follow_the_embedding_seed(monkeypatch):
+    # a new default seed for the embedding trainer must not rewrite the toys
+    monkeypatch.setattr(embeddings.EmbedTrainConfig, "seed", 7)
+    args = cli.build_parser().parse_args(["make-toy", "--out", "toy"])
+    assert args.seed == 0
+
+
 @pytest.mark.parametrize("count", ["0", "-3"], ids=["zero", "negative"])
 def test_three_hop_toy_of_fewer_than_one_question_is_one_error_line(tmp_path, count):
     # the toy would be an empty KG that train-embeddings then refuses

@@ -47,11 +47,12 @@ def run_python(code: str) -> str:
     "make",
     [
         "lambda: np.ones(250_000)",  # one 2 MB array
+        "lambda: np.ones(350_000)",  # one 2.8 MB array, an off-mode forward's attention array
         # 1.9 MB in arrays below glibc's default 128 KiB mmap threshold, freed
         # together at the heap top, as an encoder forward frees its own
         "lambda: [np.ones(12_000) for _ in range(20)]",
     ],
-    ids=["one_2mb_array", "twenty_96kb_arrays"],
+    ids=["one_2mb_array", "one_2_8mb_array", "twenty_96kb_arrays"],
 )
 def test_freed_memory_is_not_faulted_in_again(make):
     assert float(run_python(FAULTS.format(make=make))) < 1.0

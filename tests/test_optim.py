@@ -105,7 +105,7 @@ BENCHMARK_RANKER_RUNS = [
 @example(BENCHMARK_RANKER_RUNS, 1.0, 0)
 @example(BENCHMARK_RANKER_RUNS, 0.0001, 1)
 def test_clip_bytes_equal_per_parameter_clip_over_equal_size_runs(runs, scale, seed):
-    # runs of (segment size, count): clip sums each run as the rows of one view
+    # runs of (segment size, count): equal-size neighbours still sum apart
     sizes = [size for size, count in runs for _ in range(count)]
     assert_clip_bytes_equal_per_parameter_clip(sizes, scale, seed)
 
@@ -117,6 +117,14 @@ def test_clip_refuses_a_non_finite_norm(bad):
         clip_global_norm(grad, [0, 1, 2])
     assert grad[1] == 2.0
     assert issubclass(NonFiniteGradientError, ValueError)  # the CLI reports a ValueError as one error line
+
+
+def test_clip_refuses_finite_segment_sums_whose_total_overflows():
+    # each segment's square sums to 1e308; their total is past float64's range
+    grad = np.array([1e154, 1e154])
+    with pytest.raises(NonFiniteGradientError):
+        clip_global_norm(grad, [0, 1, 2])
+    assert grad.tolist() == [1e154, 1e154]
 
 
 def reference_adam(p, g, m, v, t, lr, b1, b2, eps):
