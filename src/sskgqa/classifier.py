@@ -92,7 +92,8 @@ class ClassifierModel:
         return softmax_rows(self._logits([self.encoder.vocab.encode(tokens)], [topic]))[0]
 
     def predict(self, tokens: list[str], topic: int) -> str:
-        return self.labels[int(np.argmax(self.classify(tokens, topic)))]
+        """The class of the largest logit, the rule `accuracy` scores by."""
+        return self.labels[int(np.argmax(self._logits([self.encoder.vocab.encode(tokens)], [topic])))]
 
     def accuracy(self, dataset: list[tuple[list[str], int, str]]) -> float:
         """Share of (tokens, topic, label) examples predicted right, scored in

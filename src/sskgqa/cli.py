@@ -185,6 +185,8 @@ def cmd_answer(args) -> int:
         id="cli", question=args.question, topic_entity=args.topic, answers=[]
     )
     result, record = pl.answer_question(cfg, q)
+    if result.status == "unknown_topic":
+        raise pl.PipelineError(f"question {q.id}: topic entity not in KG: {q.topic_entity!r}")
     _emit(
         {
             "question": args.question,

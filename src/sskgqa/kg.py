@@ -21,7 +21,7 @@ class LookupError_(KgError):
 
 
 class SymbolTable:
-    """Bidirectional symbol <-> dense id mapping, first-appearance order."""
+    """Bidirectional symbol <-> dense id mapping, in the order `build_kg` interns."""
 
     def __init__(self, ids: dict[str, int] | None = None) -> None:
         """`ids` maps each symbol to its id, numbered 0, 1, ... in insertion order."""
@@ -116,13 +116,13 @@ def step(kg: KnowledgeGraph, frontier: set[int], rid: int, rev: bool) -> set[int
 
 
 def build_kg(records: Iterable[tuple[str, str, str]]) -> KnowledgeGraph:
-    """Intern symbols in first-appearance order and index the distinct triples:
-    each direction's sorted id triples close one tuple per (entity, relation) run."""
+    """Intern symbols in first-appearance order over the sorted distinct triples, and
+    index them: each direction's sorted id triples close one tuple per (entity, relation) run."""
     ents: dict[str, int] = {}
     rels: dict[str, int] = {}
     ids = {
         (ents.setdefault(h, len(ents)), rels.setdefault(r, len(rels)), ents.setdefault(t, len(ents)))
-        for h, r, t in records
+        for h, r, t in sorted(set(records))
     }
     kg = KnowledgeGraph(SymbolTable(ents), SymbolTable(rels), num_triples=len(ids))
     kg.tails_of = [{} for _ in ents]

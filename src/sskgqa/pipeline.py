@@ -78,12 +78,14 @@ class EvalReport:
 def answer_question(
     cfg: PipelineConfig, q: LabeledQuestion
 ) -> tuple[AnswerResult, QuestionRecord]:
+    """q's answer and record; a topic entity the KG lacks gets "unknown_topic"."""
     kg = cfg.kg
+    gold_label = label_question(q, cfg.taxonomy)
     if q.topic_entity not in kg.entities:
-        raise PipelineError(f"question {q.id}: topic entity not in KG: {q.topic_entity!r}")
+        result = AnswerResult(set(), None, "unknown_topic")
+        return result, _record(q, result, gold_label, None)
     topic_id = kg.entities.id_of(q.topic_entity)
     tokens = tokenize_question(q.question)
-    gold_label = label_question(q, cfg.taxonomy)
 
     predicted = None
     shape = None
@@ -126,19 +128,11 @@ def _record(q, result, gold_label, top1_key) -> QuestionRecord:
 
 
 def evaluate(cfg: PipelineConfig, dataset: list[LabeledQuestion]) -> EvalReport:
-    """Hits@1 over the dataset; a question is correct iff its executed answer
-    set intersects the gold answers. A question whose topic entity is not in
-    the KG is recorded with status "unknown_topic" and counts as wrong."""
+    """Hits@1 over the dataset's `answer_question` records; a question is correct
+    iff its executed answer set intersects the gold answers, so an unknown topic's is wrong."""
     if not dataset:
         raise PipelineError("dataset must be non-empty")
-    records = []
-    for q in dataset:
-        if q.topic_entity in cfg.kg.entities:
-            _, rec = answer_question(cfg, q)
-        else:
-            result = AnswerResult(set(), None, "unknown_topic")
-            rec = _record(q, result, label_question(q, cfg.taxonomy), None)
-        records.append(rec)
+    records = [answer_question(cfg, q)[1] for q in dataset]
     correct = sum(1 for r in records if r.correct)
     return EvalReport(
         hits_at_1=100.0 * correct / len(records),

@@ -350,9 +350,9 @@ def reference_extract_query_graph(ast, topic: str) -> Chain:
 
 
 def reference_build_kg(records) -> KnowledgeGraph:
-    """`kg.build_kg` with each symbol interned by a lookup and, when it is
-    new, an insert, and each index filled by one `groupby` per sorted
-    (entity, relation) group."""
+    """`kg.build_kg` with each symbol of the sorted distinct records interned
+    by a lookup and, when it is new, an insert, and each index filled by one
+    `groupby` per sorted (entity, relation) group."""
     ents: dict[str, int] = {}
     rels: dict[str, int] = {}
 
@@ -362,7 +362,7 @@ def reference_build_kg(records) -> KnowledgeGraph:
             i = table[symbol] = len(table)
         return i
 
-    ids = {(intern(ents, h), intern(rels, r), intern(ents, t)) for h, r, t in records}
+    ids = {(intern(ents, h), intern(rels, r), intern(ents, t)) for h, r, t in sorted(set(records))}
     kg = KnowledgeGraph(SymbolTable(ents), SymbolTable(rels), num_triples=len(ids))
     kg.tails_of = [{} for _ in range(kg.num_entities)]
     kg.heads_of = [{} for _ in range(kg.num_entities)]
@@ -609,9 +609,11 @@ def reference_answer(cfg, q) -> ReferenceAnswer:
     of the chains of that shape, or, when there is none, of every chain up
     to its hop count, constrained ones too if it has a constraint; the
     model's scores, sorted by (-score, reference_key); and
-    `reference_execute` of the first. In `oracle` mode an Unsupported
-    question is not answered."""
+    `reference_execute` of the first. A question whose topic entity the KG
+    lacks is not answered, nor in `oracle` mode an Unsupported one."""
     kg = cfg.kg
+    if q.topic_entity not in kg.entities:
+        return ReferenceAnswer("unknown_topic", [], None, False)
     tokens = tokenize_question(q.question)
     shape = None
     if cfg.mode == "predicted":

@@ -123,6 +123,19 @@ def test_zero_head_gives_uniform_distribution():
     assert probs.sum() == pytest.approx(1.0)
 
 
+def test_predict_picks_the_class_accuracy_scores_right():
+    # the softmax rounds the two top probabilities equal, the logits do not
+    table = init_table("transe", 4, 2, 8, seed=0)
+    model = make_model(table)
+    model.w.value[...] = 0.0
+    model.b.value[...] = [0.0, 1e-17, 0.0, 0.0, 0.0, 0.0]
+    tokens, topic = ["a", "b"], 1
+    probs = model.classify(tokens, topic)
+    assert probs[0] == probs[1]
+    assert model.predict(tokens, topic) == "SS2"
+    assert model.accuracy([(tokens, topic, model.predict(tokens, topic))]) == 1.0
+
+
 def test_dim_mismatch_rejected():
     table = init_table("transe", 4, 2, 8, seed=0)
     tax = builtin_taxonomy()

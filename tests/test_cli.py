@@ -235,6 +235,18 @@ def test_answer_single_question(toy, trained):
     assert recs[-1]["answers"]
 
 
+def test_answer_refuses_a_topic_the_kg_lacks(toy, trained):
+    proc = run_cli(
+        "answer", "--question", "what color is nobody", "--topic", "nobody",
+        "--kg", str(toy / "kg.tsv"), "--ranker", trained["rank"],
+        "--mode", "off",
+        expect_fail=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: question cli: topic entity not in KG: 'nobody'\n"
+
+
 def test_predicted_mode_requires_classifier(toy, trained):
     run_cli(
         "evaluate", "--dataset", str(toy / "questions.jsonl"),

@@ -1,4 +1,7 @@
+import contextlib
 import io
+import os
+import tempfile
 import time
 
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import reference_build_kg
+from sskgqa import cli
 from sskgqa.kg import (
     LookupError_,
     ParseError,
@@ -103,7 +107,8 @@ def test_fingerprint_follows_the_symbols_in_id_order():
     fp = build_kg(triples).fingerprint()
     assert len(fp) == 16 and int(fp, 16) >= 0
     assert build_kg(triples + [("a", "s", "c")]).fingerprint() == fp  # other triples, same ids
-    assert build_kg(triples[::-1]).fingerprint() != fp  # same symbols, other ids
+    assert build_kg(triples[::-1] + triples).fingerprint() == fp  # same triple set, same ids
+    assert build_kg([("a", "s", "b"), ("b", "r", "c")]).fingerprint() != fp  # same symbols, other ids
     assert build_kg([("a", "r", "b"), ("b", "s", "d")]).fingerprint() != fp  # another symbol
     assert build_kg([("a", "r", "b"), ("b", "r", "c")]).fingerprint() != fp  # another relation list
     # symbols that a joined string would confuse
@@ -139,9 +144,10 @@ def records_with_repeats(draw, names=NAMES, relations=RELATIONS):
 @given(records=records_with_repeats(), data=st.data())
 def test_index_equals_brute_force(records, data):
     kg = build_kg(records)
-    first_seen = list(dict.fromkeys(x for h, _, t in records for x in (h, t)))
+    distinct = sorted(set(records))
+    first_seen = list(dict.fromkeys(x for h, _, t in distinct for x in (h, t)))
     assert kg.entities.symbols() == first_seen
-    assert kg.relations.symbols() == list(dict.fromkeys(r for _, r, _ in records))
+    assert kg.relations.symbols() == list(dict.fromkeys(r for _, r, _ in distinct))
     ids = [(kg.entities.id_of(h), kg.relations.id_of(r), kg.entities.id_of(t)) for h, r, t in records]
     triples = sorted(set(ids))
     assert list(kg.iter_triples()) == triples
@@ -193,6 +199,33 @@ def test_write_triples_is_read_back_by_load_triples(records):
     write_triples(kg, sink)
     assert sink.getvalue() == "".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(set(records)))
     assert symbol_triples(load_triples(io.StringIO(sink.getvalue()))) == symbol_triples(kg) == set(records)
+
+
+def ingest(text: str) -> tuple:
+    """The KG `load_kg_file` reads from a file holding `text`, and the stdout
+    of `sskgqa ingest` on that file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "kg.tsv")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["ingest", "--kg", path]) == 0
+        return load_kg_file(path), out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=records_with_repeats(WIDE_NAMES, WIDE_RELATIONS))
+def test_line_order_and_repeats_leave_the_kg_unchanged(records):
+    # `records` is its distinct sorted lines shuffled, some of them repeated
+    kg, stdout = ingest("".join(f"{h}\t{r}\t{t}\n" for h, r, t in records))
+    want, want_stdout = ingest("".join(f"{h}\t{r}\t{t}\n" for h, r, t in sorted(set(records))))
+    assert kg.entities.symbols() == want.entities.symbols()
+    assert kg.relations.symbols() == want.relations.symbols()
+    assert kg.fingerprint() == want.fingerprint()
+    for index, want_index in ((kg.tails_of, want.tails_of), (kg.heads_of, want.heads_of)):
+        assert [list(d.items()) for d in index] == [list(d.items()) for d in want_index]
+    assert stdout == want_stdout
 
 
 def test_hub_lookups_are_bounded():

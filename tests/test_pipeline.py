@@ -18,6 +18,7 @@ from sskgqa.pipeline import (
     MODES,
     PipelineConfig,
     PipelineError,
+    QuestionRecord,
     answer_question,
     evaluate,
     gold_graph_of,
@@ -103,11 +104,13 @@ def test_config_validation():
         base_cfg(kg, mode="predicted")  # classifier missing
 
 
-def test_answer_unknown_topic():
+@pytest.mark.parametrize("mode", MODES)
+def test_answer_unknown_topic(mode):
     kg = build_kg([("a", "r", "b")])
-    q = LabeledQuestion("q", "?", "zzz", [], hops=1)
-    with pytest.raises(PipelineError):
-        answer_question(base_cfg(kg), q)
+    q = LabeledQuestion("q", "?", "zzz", ["b"], hops=1)
+    result, rec = answer_question(base_cfg(kg, mode=mode, classifier=FixedClassifier("SS2")), q)
+    assert (result.answers, result.predicted_structure, result.status) == (set(), None, "unknown_topic")
+    assert rec == QuestionRecord("q", "unknown_topic", None, "SS1", None, None, [], False)
 
 
 def test_answer_oracle_mode_simple():
@@ -206,6 +209,7 @@ LONE = LabeledQuestion(
     sparql=to_sparql(build_chain("lone", [("r0", False)], constraints=[(1, "r0", "leaf")])),
 )
 BARE = LabeledQuestion("bare", "what about lone", "lone", [])  # Unsupported: no hop count, no SPARQL
+STRAY = LabeledQuestion("stray", "who is nobody", "nobody", ["leaf"], hops=1)  # a topic the KG lacks
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,7 +233,7 @@ def test_answer_question_equals_the_reference_answer(
         kg=kg, taxonomy=TAX, ranker=small_ranker if learned else TokenOverlapRanker(),
         classifier=FixedClassifier(label), enum=EnumConfig(max_hops, attach, max_candidates), mode=mode,
     )
-    for q in questions + [LONE, BARE]:
+    for q in questions + [LONE, BARE, STRAY]:
         _, rec = answer_question(cfg, q)
         want = reference_answer(cfg, q)
         assert (rec.status, rec.answers, rec.top1) == want[:3], q.id

@@ -30,4 +30,4 @@ def test_three_hop_benchmark_problem_is_pinned():
     ent, rel = kg.entities.symbol_of, kg.relations.symbol_of
     triples = [[ent(h), rel(r), ent(t)] for h, r, t in kg.iter_triples()]
     blob = json.dumps({"triples": triples, "questions": [dataclasses.asdict(q) for q in questions]})
-    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "db470102132e8d0b"
+    assert hashlib.sha256(blob.encode()).hexdigest()[:16] == "201813da6f0961f5"
