@@ -64,7 +64,7 @@ def enumerate_candidates(
     topic_id = kg.entities.id_of(topic)
     shapes = _shapes(cfg.max_hops, cfg.attach_constraints, shape)
     depth = max((h for h, _ in shapes), default=0)
-    walk = _chains(kg, topic, shapes, depth, (), ({topic_id},)) if depth else iter(())
+    walk = _chains(kg, topic, shapes, depth, (), ({topic_id},))
     found = list(islice(walk, cfg.max_candidates + 1))
     return EnumResult(found[: cfg.max_candidates], truncated=len(found) > cfg.max_candidates)
 

@@ -25,7 +25,7 @@ def _emit(obj) -> None:
 
 
 def _taxonomy(args) -> st.Taxonomy:
-    if getattr(args, "taxonomy", None):
+    if args.taxonomy:
         return st.load_taxonomy(args.taxonomy)
     return st.builtin_taxonomy()
 

@@ -199,8 +199,7 @@ def _clamp(table: EmbeddingTable, epoch: int) -> None:
     if not np.isfinite(norms).all():  # rescaling by MAX_ENTITY_NORM / inf would zero the rows
         raise EmbeddingError(f"training diverged: an entity norm of epoch {epoch + 1} is not finite")
     over = norms > MAX_ENTITY_NORM
-    if over.any():
-        table.ent[...] = np.where(over, table.ent * (MAX_ENTITY_NORM / norms), table.ent)
+    table.ent[...] = np.where(over, table.ent * (MAX_ENTITY_NORM / norms), table.ent)
 
 
 def save_table(table: EmbeddingTable, path: str) -> None:

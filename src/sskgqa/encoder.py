@@ -108,13 +108,14 @@ def _row_grad(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=0, keepdims=True) if g.shape[0] > 1 else g
 
 
-def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, blocks: int):
-    """Multi-head self-attention within each of `blocks` equal row blocks of
-    x: (blocks*L, d) -> (blocks*L, heads*dh), returned with its backward.
+def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray):
+    """Multi-head self-attention within each of the `blocks` equal row
+    blocks of x, where (blocks, L) is the mask's shape: (blocks*L, d) ->
+    (blocks*L, heads*dh), returned with its backward.
 
     `weights` is [wq0, wk0, wv0, wq1, ...], three (d, dh) projections per
-    head. `mask` is the (blocks, L) additive key mask: row i (0 for a key,
-    -inf for padding) is added to every score row of block i. Per head, with
+    head. `mask` is the additive key mask: row i (0 for a key, -inf for
+    padding) is added to every score row of block i. Per head, with
     q, k, v = x@wq, x@wk, x@wv, each block i gets
     softmax(q_i k_i^T / sqrt(dh) + mask_i) @ v_i; the heads' outputs are
     returned side by side.
@@ -144,11 +145,9 @@ def block_attention(x: np.ndarray, weights: list[np.ndarray], mask: np.ndarray, 
     dh = weights[0].shape[1]
     if any(w.shape != (d, dh) for w in weights):
         raise ad.ShapeError(f"block_attention: every weight must be ({d}, {dh}) for x of {x.shape}")
-    if blocks < 1 or n_rows % blocks:
-        raise ad.ShapeError(f"block_attention: {x.shape} does not split into {blocks} row blocks")
-    width = n_rows // blocks
-    if mask.shape != (blocks, width):
-        raise ad.ShapeError(f"block_attention: mask is {mask.shape}, expected {(blocks, width)}")
+    if mask.ndim != 2 or not mask.size or n_rows != mask.size:
+        raise ad.ShapeError(f"block_attention: {x.shape} does not split into the row blocks of a {mask.shape} mask")
+    blocks, width = mask.shape
     heads = len(weights) // 3
     c = 1.0 / math.sqrt(dh)
     w3 = np.array(weights)
@@ -276,9 +275,7 @@ class SequenceEncoder:
         x = p["tok_emb"][layout.ids]
         if cfg.use_attention:
             projections = [f"{w}{h}" for h in range(cfg.heads) for w in ("wq", "wk", "wv")]
-            attended, attention_grads = block_attention(
-                x, [p[n] for n in projections], layout.mask, len(sequences)
-            )
+            attended, attention_grads = block_attention(x, [p[n] for n in projections], layout.mask)
             x = x + attended @ p["wo"]
             ff, ff_grads = feed_forward(x, p["ff_w1"], p["ff_b1"], p["ff_w2"], p["ff_b2"])
             x = x + ff

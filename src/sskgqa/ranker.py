@@ -101,7 +101,7 @@ class TokenOverlapRanker:
         scores = []
         for c in cands:
             toks = set(serialize_tokens(c))
-            scores.append(len(q & toks) / len(q | toks) if q | toks else 0.0)
+            scores.append(len(q & toks) / len(q | toks))
         return scores
 
 

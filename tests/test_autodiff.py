@@ -63,11 +63,11 @@ def check_grad(build, x, tol=1e-6):
     assert np.abs(p.grad - num).max() / denom < tol
 
 
-def attention_node(x, weights, mask, blocks):
+def attention_node(x, weights, mask):
     """`enc.block_attention` of nodes as one node, whose backward adds the
     op's gradients into x, after the gradient x already holds, and into the
     weights."""
-    value, grads = enc.block_attention(x.value, [w.value for w in weights], mask, blocks)
+    value, grads = enc.block_attention(x.value, [w.value for w in weights], mask)
 
     def backward(g):
         x.grad, g_weights = grads(g, x.grad)
@@ -192,11 +192,16 @@ def attention_case(blocks, lens, heads, dh, ff, seed):
     return [ad.parameter(rng.normal(size=shape)) for shape in shapes], mask
 
 
-def encoder_block(attention, feed_forward, params, mask, blocks):
+def reference_attention(x, weights, mask):
+    """reference_block_attention over one row block per mask row."""
+    return reference_block_attention(x, weights, mask, len(mask))
+
+
+def encoder_block(attention, feed_forward, params, mask):
     """The encoder's block over params from attention_case: x plus the
     attended heads through wo, then that plus its feed-forward."""
     x, weights, (wo, *ff) = params[0], params[1:-5], params[-5:]
-    x = reference_add(x, reference_matmul(attention(x, weights, mask, blocks), wo))
+    x = reference_add(x, reference_matmul(attention(x, weights, mask), wo))
     return reference_add(x, feed_forward(x, *ff))
 
 
@@ -213,10 +218,10 @@ def test_fused_block_bytes_equal_per_head_chain(lens, heads, dh, ff, seed):
     outs, grads = [], []
     for attention, feed_forward in (
         (attention_node, feed_forward_node),
-        (reference_block_attention, reference_feed_forward),
+        (reference_attention, reference_feed_forward),
     ):
         params, mask = attention_case(blocks, lens, heads, dh, ff, seed)
-        y = encoder_block(attention, feed_forward, params, mask, blocks)
+        y = encoder_block(attention, feed_forward, params, mask)
         weight = reference_constant(np.random.default_rng(seed + 1).normal(size=y.shape))
         ad.backward(reference_sum_all(reference_mul(y, weight)))
         outs.append(y.value.tobytes())
@@ -241,10 +246,10 @@ def test_batched_attention_bytes_equal_per_head_chain(heads, dh, lens, residual,
     # With the residual, x holds a gradient before the attention adds its own.
     blocks = len(lens)
     outs, grads = [], []
-    for attention in (attention_node, reference_block_attention):
+    for attention in (attention_node, reference_attention):
         params, mask = attention_case(blocks, lens, heads, dh, 1, seed)
         x, weights = params[0], params[1 : 1 + 3 * heads]
-        y = attention(x, weights, mask, blocks)
+        y = attention(x, weights, mask)
         if residual:
             y = reference_add(x, y)
         weight = reference_constant(np.random.default_rng(seed + 1).normal(size=y.shape))
@@ -355,7 +360,7 @@ def test_block_attention_gradients(which):
     def build(p):
         nodes = [reference_constant(v) for v in inputs]
         nodes[which] = p
-        return reference_sum_all(reference_sin(attention_node(nodes[0], nodes[1:], mask, 2)))
+        return reference_sum_all(reference_sin(attention_node(nodes[0], nodes[1:], mask)))
 
     check_grad(build, inputs[which])
 
@@ -380,9 +385,9 @@ def test_block_attention_ignores_padded_keys():
     # a block's output rows do not change with what its padded rows hold
     params, mask = attention_case(2, [4, 2], 2, 3, 1, seed=5)
     x, weights = params[0].value, [w.value for w in params[1:7]]
-    before, _ = enc.block_attention(x, weights, mask, 2)
+    before, _ = enc.block_attention(x, weights, mask)
     x[6:] += 100.0  # the second block's two padded rows
-    after, _ = enc.block_attention(x, weights, mask, 2)
+    after, _ = enc.block_attention(x, weights, mask)
     assert np.array_equal(before[:6], after[:6])
 
 
@@ -532,14 +537,18 @@ def test_shape_errors():
     with pytest.raises(ad.ShapeError):  # no column halves
         reference_complex_mul(reference_constant(np.ones((1, 3))), reference_constant(np.ones((1, 3))))
     w = [np.ones((2, 1))] * 3
-    with pytest.raises(ad.ShapeError):  # 3 rows do not split into 2 blocks
-        enc.block_attention(np.ones((3, 2)), w, np.zeros((2, 1)), 2)
-    with pytest.raises(ad.ShapeError):  # a mask row per block, a column per row
-        enc.block_attention(np.ones((4, 2)), w, np.zeros((2, 1)), 2)
+    with pytest.raises(ad.ShapeError):  # 3 rows are not one per entry of a (2, 1) mask
+        enc.block_attention(np.ones((3, 2)), w, np.zeros((2, 1)))
+    with pytest.raises(ad.ShapeError):  # 4 rows are not one per entry of a (2, 1) mask
+        enc.block_attention(np.ones((4, 2)), w, np.zeros((2, 1)))
+    with pytest.raises(ad.ShapeError):  # a 1-D mask gives no block width
+        enc.block_attention(np.ones((2, 2)), w, np.zeros(2))
+    with pytest.raises(ad.ShapeError):  # a mask with no rows gives no blocks
+        enc.block_attention(np.ones((0, 2)), w, np.zeros((0, 1)))
     with pytest.raises(ad.ShapeError):  # not three projections per head
-        enc.block_attention(np.ones((2, 2)), w[:2], np.zeros((2, 1)), 2)
+        enc.block_attention(np.ones((2, 2)), w[:2], np.zeros((2, 1)))
     with pytest.raises(ad.ShapeError):  # a projection of another shape
-        enc.block_attention(np.ones((2, 2)), [*w[:2], np.ones((2, 2))], np.zeros((2, 1)), 2)
+        enc.block_attention(np.ones((2, 2)), [*w[:2], np.ones((2, 2))], np.zeros((2, 1)))
     with pytest.raises(ad.ShapeError):  # a bias that is not one row
         enc.feed_forward(*(np.ones(s) for s in ((2, 2), (2, 3), (2, 3), (3, 2), (1, 2))))
     with pytest.raises(ad.ShapeError):

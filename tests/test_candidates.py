@@ -8,7 +8,9 @@ from reference import reference_chain, reference_enumerate
 
 from sskgqa.candidates import SHAPES, EnumConfig, derived_enum, enumerate_candidates
 from sskgqa.kg import build_kg
-from sskgqa.querygraph import execute
+from sskgqa.pipeline import tokenize_question
+from sskgqa.querygraph import CLS, SEP, execute, serialize_tokens
+from sskgqa.ranker import TokenOverlapRanker
 from sskgqa.structures import (
     ANSWER,
     E_CONST,
@@ -211,6 +213,30 @@ def test_reference_emits_only_shapes(extra, pick):
     graphs, truncated = reference_enumerate(kg, pick, EnumConfig(max_hops=3, attach_constraints=True))
     assert not truncated
     assert {g.shape for g in graphs} <= SHAPES
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    extra=st.lists(
+        st.tuples(st.sampled_from(NAMES), st.sampled_from(["r", "s", "t"]), st.sampled_from(NAMES)),
+        max_size=10,
+    ),
+    pick=st.sampled_from(NAMES),
+    attach=st.booleans(),
+    question=st.text(max_size=30),
+)
+def test_candidates_serialize_in_boundary_tokens_and_overlap_scores_are_positive(extra, pick, attach, question):
+    # every serialized candidate holds [CLS] and [SEP], and so does every
+    # tokenized question, so the token-overlap union is never empty and the
+    # score lies in (0, 1]
+    kg = build_kg(LOOPS + extra)
+    for max_hops in (1, 2, 3):
+        graphs = enumerate_candidates(kg, pick, EnumConfig(max_hops=max_hops, attach_constraints=attach)).graphs
+        for c in graphs:
+            tokens = serialize_tokens(c)
+            assert tokens[0] == CLS and tokens[-1] == SEP
+        scores = TokenOverlapRanker().score_all(tokenize_question(question), graphs)
+        assert all(0.0 < s <= 1.0 for s in scores)
 
 
 def test_every_shape_is_emitted():
