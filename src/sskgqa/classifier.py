@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
-from .encoder import ENCODE_CHUNK, EncoderConfig, SequenceEncoder, Vocab, encoder_header, parse_encoder_header
+from .encoder import EncoderConfig, SequenceEncoder, Vocab, encoder_header, parse_encoder_header
 from .embeddings import EmbeddingTable, complex_mul_packed, conj_mul_packed
 from .optim import AdamW, ParameterBuffer, train_step
 from .structures import Taxonomy
@@ -87,26 +87,18 @@ class ClassifierModel:
         s = fuse(self.table.lookup_entities(topics), self.encoder.forward(*id_lists))
         return s @ self.w.value + self.b.value
 
-    def classify(self, tokens: list[str], topic: int) -> np.ndarray:
-        """Probability vector over the taxonomy classes."""
-        return softmax_rows(self._logits([self.encoder.vocab.encode(tokens)], [topic]))[0]
-
     def predict(self, tokens: list[str], topic: int) -> str:
         """The class of the largest logit, the rule `accuracy` scores by."""
         return self.labels[int(np.argmax(self._logits([self.encoder.vocab.encode(tokens)], [topic])))]
 
     def accuracy(self, dataset: list[tuple[list[str], int, str]]) -> float:
         """Share of (tokens, topic, label) examples predicted right, scored in
-        batched forwards of at most ENCODE_CHUNK examples."""
+        one `_logits` call."""
         if not dataset:
             raise ClassifierError("accuracy of an empty dataset")
-        hits = 0
-        encode = self.encoder.vocab.encode
-        for i in range(0, len(dataset), ENCODE_CHUNK):
-            toks, topics, labels = zip(*dataset[i : i + ENCODE_CHUNK])
-            best = np.argmax(self._logits([encode(t) for t in toks], topics), axis=1)
-            hits += sum(self.labels[j] == label for j, label in zip(best, labels))
-        return hits / len(dataset)
+        toks, topics, labels = zip(*dataset)
+        best = np.argmax(self._logits([self.encoder.vocab.encode(t) for t in toks], topics), axis=1)
+        return sum(self.labels[j] == label for j, label in zip(best, labels)) / len(dataset)
 
 
 def cross_entropy(eq: ad.Node, eh: np.ndarray, w: ad.Node, b: ad.Node, targets: list[int]) -> ad.Node:

@@ -16,11 +16,11 @@ import numpy as np
 from . import autodiff as ad
 
 OOV = "[OOV]"
-# Most sequences a model encodes in one forward at inference (the ranker's
-# score_all, the classifier's accuracy); bounds the forward's padded arrays.
+# Most sequences an inference forward runs as one padded block; a longer
+# batch runs as consecutive blocks, so the padded arrays stay bounded.
 ENCODE_CHUNK = 256
-# Most ids of one sequence a forward reads: the rest are dropped, in training
-# and in answering alike, so attention's L x L scores stay bounded.
+# Most tokens of one sequence the encoder reads, in training and answering
+# alike (`Vocab.encode` maps the first), so attention's L x L scores stay bounded.
 MAX_TOKENS = 64
 
 
@@ -58,7 +58,8 @@ class Vocab:
         return len(self.tokens)
 
     def encode(self, tokens: list[str]) -> list[int]:
-        return [self._index.get(t, 0) for t in tokens]
+        """The ids of the first MAX_TOKENS tokens, the ones a forward reads."""
+        return [self._index.get(t, 0) for t in tokens[:MAX_TOKENS]]
 
 
 def param_shapes(cfg: EncoderConfig, vocab_size: int) -> dict[str, tuple[int, int]]:
@@ -249,7 +250,9 @@ class SequenceEncoder:
         """f(.) of each token id sequence (`Vocab.encode` of its tokens), as
         the rows of one (n, out_dim) output, computed from the parameters'
         current values: when training, one node over every parameter, with
-        dropout on; otherwise the plain array, with dropout off.
+        dropout on; otherwise the plain array, with dropout off. An inference
+        forward over more than ENCODE_CHUNK sequences runs them as
+        consecutive blocks of ENCODE_CHUNK and concatenates the blocks' rows.
 
         The n sequences are padded to the longest length L and run as one
         (n*L, d_model) token matrix. Attention stays inside each sequence's
@@ -268,6 +271,10 @@ class SequenceEncoder:
         projections add into the token rows after the residual's gradient;
         the scatter into the token embeddings.
         """
+        if not training and len(sequences) > ENCODE_CHUNK:
+            return np.concatenate(
+                [self.forward(*sequences[i : i + ENCODE_CHUNK]) for i in range(0, len(sequences), ENCODE_CHUNK)]
+            )
         if layout is None:
             layout = batch_layout(sequences)
         cfg = self.cfg
@@ -321,7 +328,9 @@ def parse_encoder_header(header: dict) -> tuple[EncoderConfig, Vocab, int]:
     `vocab` give, without building a parameter; a ValueError if none can."""
     try:
         out, d, heads, ff, attention, dropout = header["dims"].split()
-        cfg = EncoderConfig(int(out), int(d), int(heads), int(ff), bool(int(attention)), float(dropout))
+        if attention not in ("0", "1"):
+            raise ValueError(f"attention flag must be 0 or 1, got {attention!r}")
+        cfg = EncoderConfig(int(out), int(d), int(heads), int(ff), attention == "1", float(dropout))
     except ValueError as exc:
         raise ValueError(f"bad dims line: {exc}") from None
     vocab = Vocab(header["vocab"][1:])

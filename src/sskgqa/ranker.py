@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .candidates import EnumConfig, enumerate_candidates
-from .encoder import ENCODE_CHUNK, MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab, batch_layout, encoder_header, parse_encoder_header
+from .encoder import EncoderConfig, SequenceEncoder, Vocab, batch_layout, encoder_header, parse_encoder_header
 from .kg import KnowledgeGraph
 from .optim import AdamW, ParameterBuffer, train_step
 from .querygraph import Chain, canonicalize, serialize_tokens, split_symbol
@@ -63,13 +63,11 @@ class RankerModel:
 
     def score_all(self, question_tokens: list[str], cands: list[Chain]) -> list[float]:
         """Scores for one evaluation pass: the question and every candidate
-        are encoded once, in batched forwards of at most ENCODE_CHUNK
-        sequences, so peak memory does not grow with the candidate count.
+        are encoded once, in one forward, which bounds its own memory.
 
         The candidates share a topic and a few relation and value symbols, so
         each distinct symbol is split once per call; nothing is kept across
-        calls. Each sequence is cut to the MAX_TOKENS tokens the encoder
-        reads before it is mapped to ids."""
+        calls."""
         splits: dict[str, tuple[str, ...]] = {}
 
         def split(symbol: str) -> tuple[str, ...]:
@@ -79,13 +77,8 @@ class RankerModel:
             return parts
 
         encode = self.encoder.vocab.encode
-        seqs = [encode(question_tokens[:MAX_TOKENS])]
-        seqs += [encode(serialize_tokens(c, split=split)[:MAX_TOKENS]) for c in cands]
-        vecs = np.concatenate(
-            [
-                self.encoder.forward(*seqs[i : i + ENCODE_CHUNK])
-                for i in range(0, len(seqs), ENCODE_CHUNK)
-            ]
+        vecs = self.encoder.forward(
+            encode(question_tokens), *(encode(serialize_tokens(c, split=split)) for c in cands)
         )
         return (-np.linalg.norm(vecs[1:] - vecs[0], axis=1)).tolist()
 

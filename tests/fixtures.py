@@ -1,7 +1,8 @@
 """Fixtures and probes only the tests use: a random KG with questions along
 its paths, a random KG of fixed degree, a separable structure-classification dataset, the triplet loss
-of one triplet, a spy that counts the sequences an encoder encodes, a
-probe that counts the autodiff nodes a run builds, the JSON entries of a
+of one triplet, a spy that counts the sequences an encoder encodes and one
+that counts the sequences of each block it runs, a classifier's class
+probabilities, a probe that counts the autodiff nodes a run builds, the JSON entries of a
 taxonomy, an embedding table's tail scores and filtered MRR, and the
 mutations of an input file's bytes."""
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from reference import reference_chain, reference_constant
 from sskgqa import autodiff as ad
+from sskgqa import encoder as encoder_module
 from sskgqa.annotation import LabeledQuestion
+from sskgqa.classifier import softmax_rows
 from sskgqa.embeddings import EmbeddingTable, init_table, score_nodes
 from sskgqa.kg import KnowledgeGraph, build_kg
 from sskgqa.querygraph import build_chain, execute, to_sparql
@@ -116,6 +119,26 @@ def count_forwards(encoder) -> list[int]:
 
     encoder.forward = spy
     return calls
+
+
+def count_blocks(monkeypatch) -> list[int]:
+    """Spy on the layouts the encoder builds: the returned list gets the
+    number of sequences of each block a later forward runs."""
+    blocks = []
+    layout = encoder_module.batch_layout
+
+    def spy(sequences):
+        blocks.append(len(sequences))
+        return layout(sequences)
+
+    monkeypatch.setattr(encoder_module, "batch_layout", spy)
+    return blocks
+
+
+def class_probabilities(model, tokens: list[str], topic: int) -> np.ndarray:
+    """A classifier's probability vector over its taxonomy classes for one
+    question, from its logits."""
+    return softmax_rows(model._logits([model.encoder.vocab.encode(tokens)], [topic]))[0]
 
 
 def graph_nodes_while(run) -> tuple[int, int]:

@@ -76,6 +76,7 @@ import numpy as np
 
 from sskgqa import autodiff as ad
 from sskgqa import classifier, ranker
+from sskgqa import encoder as encoder_module
 from sskgqa.annotation import UNSUPPORTED, label_question
 from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.embeddings import complex_mul_packed, conj_mul_packed
@@ -1098,13 +1099,13 @@ def reference_token_forward(encoder, *token_sequences, training: bool = False, r
 
 def reference_score_all(model, question_tokens, cands) -> list[float]:
     """`RankerModel.score_all` on the token path: every candidate serialized
-    with the default split, and each chunk of ENCODE_CHUNK token sequences
-    mapped to ids inside its forward."""
+    with the default split, and each chunk of `encoder.ENCODE_CHUNK` token
+    sequences mapped to ids inside its own forward."""
     seqs = [question_tokens] + [serialize_tokens(c) for c in cands]
     vecs = np.concatenate(
         [
-            reference_token_forward(model.encoder, *seqs[i : i + ranker.ENCODE_CHUNK])
-            for i in range(0, len(seqs), ranker.ENCODE_CHUNK)
+            reference_token_forward(model.encoder, *seqs[i : i + encoder_module.ENCODE_CHUNK])
+            for i in range(0, len(seqs), encoder_module.ENCODE_CHUNK)
         ]
     )
     return (-np.linalg.norm(vecs[1:] - vecs[0], axis=1)).tolist()

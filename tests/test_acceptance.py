@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import sskgqa
-from fixtures import filtered_mrr, random_fixture, score_tails, separable_classifier_dataset, triplet_loss
+from fixtures import class_probabilities, filtered_mrr, random_fixture, score_tails, separable_classifier_dataset, triplet_loss
 from reference import (
     reference_add,
     reference_chain,
@@ -335,7 +335,7 @@ def test_criterion_8_classifier():
     assert table.ent.tobytes() == before
     model.w.value[...] = 0.0
     model.b.value[...] = 0.0
-    probs = model.classify(dataset[0][0], dataset[0][1])
+    probs = class_probabilities(model, dataset[0][0], dataset[0][1])
     assert np.allclose(probs, 1.0 / len(TAX), atol=1e-12)
     report(8, "classifier separable accuracy, uniform head, frozen table", t0, 120.0)
 

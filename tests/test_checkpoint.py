@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sskgqa import checkpoint as ckpt
 from sskgqa.classifier import ClassifierError, ClassifierModel, load_classifier, save_classifier
 from sskgqa.embeddings import KINDS, init_table, load_table, save_table
-from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.encoder import OOV, EncoderConfig, SequenceEncoder, Vocab, encoder_header, parse_encoder_header
 from sskgqa.ranker import RankerModel, load_ranker, save_ranker
 from sskgqa.structures import builtin_taxonomy
 
@@ -88,6 +88,35 @@ def test_ranker_file_reads_back_byte_equal(tmp_path_factory, data):
     first, second = write_read_write(tmp_path_factory.mktemp("rank"), save_ranker, load_ranker, model)
     assert first == second
     assert first.startswith(b"ssk-rank v1\ndims ")
+
+
+@pytest.mark.parametrize("flag", ["2", "-1", "1_0", "01", "+1", "true"])
+def test_attention_flag_other_than_0_or_1_is_refused(tmp_path, flag):
+    with pytest.raises(ValueError, match="^bad dims line: attention flag must be 0 or 1"):
+        parse_encoder_header({"dims": f"4 24 3 8 {flag} 0.0", "vocab": [OOV, "a"]})
+    tax = builtin_taxonomy()
+    table = init_table("transe", 4, 2, 4, seed=0)
+    enc = SequenceEncoder(Vocab(["a"]), EncoderConfig(out_dim=4, d_model=4, use_attention=False), np.random.default_rng(0))
+    files = {
+        "rank": (save_ranker, RankerModel(enc), load_ranker),
+        "clf": (save_classifier, ClassifierModel(enc, table, tax, np.random.default_rng(0)), lambda p: load_classifier(p, table, tax)),
+    }
+    # the file's own dims line but for the attention flag
+    dims = encoder_header(enc)[0]["dims"].split()
+    dims[4] = flag
+    for name, (save, model, load) in files.items():
+        path = tmp_path / name
+        save(model, str(path))
+        load(str(path))
+        path.write_bytes(rewrite_dims(path.read_bytes(), dims))
+        with pytest.raises(ckpt.CheckpointError, match="bad dims line: attention flag must be 0 or 1"):
+            load(str(path))
+
+
+def rewrite_dims(data: bytes, dims: list[str]) -> bytes:
+    """A model file's bytes with its `dims` line set to `dims`."""
+    head, rest = data.split(b"\ndims ", 1)
+    return head + b"\ndims " + " ".join(dims).encode() + b"\n" + rest.split(b"\n", 1)[1]
 
 
 def test_classifier_over_another_table_is_refused(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import separable_classifier_dataset
+from fixtures import class_probabilities, count_blocks, separable_classifier_dataset
 from reference import (
     ReferenceAdam,
     reference_add,
@@ -118,7 +118,7 @@ def test_zero_head_gives_uniform_distribution():
     model = make_model(table)
     model.w.value[...] = 0.0
     model.b.value[...] = 0.0
-    probs = model.classify(["a", "b"], topic=1)
+    probs = class_probabilities(model, ["a", "b"], topic=1)
     assert np.allclose(probs, 1.0 / len(model.labels), atol=1e-12)
     assert probs.sum() == pytest.approx(1.0)
 
@@ -130,7 +130,7 @@ def test_predict_picks_the_class_accuracy_scores_right():
     model.w.value[...] = 0.0
     model.b.value[...] = [0.0, 1e-17, 0.0, 0.0, 0.0, 0.0]
     tokens, topic = ["a", "b"], 1
-    probs = model.classify(tokens, topic)
+    probs = class_probabilities(model, tokens, topic)
     assert probs[0] == probs[1]
     assert model.predict(tokens, topic) == "SS2"
     assert model.accuracy([(tokens, topic, model.predict(tokens, topic))]) == 1.0
@@ -211,7 +211,7 @@ def test_checkpoint_round_trip(tmp_path):
     ]
     for toks, topic, _ in dataset[:5]:
         assert np.allclose(
-            back.classify(toks, topic), model.classify(toks, topic), atol=1e-6
+            class_probabilities(back, toks, topic), class_probabilities(model, toks, topic), atol=1e-6
         )
         assert back.predict(toks, topic) == model.predict(toks, topic)
     again = str(tmp_path / "again.ckpt")
@@ -332,7 +332,7 @@ def test_train_bytes_equal_per_step_mapping(use_attention):
 
 
 def test_accuracy_is_mean_of_predictions(monkeypatch):
-    from sskgqa import classifier as clf_module
+    from sskgqa import encoder as encoder_module
 
     dataset, table = varied_dataset()
     cfg = ClassifierTrainConfig(epochs=2, lr=1e-2, d_model=16, use_attention=False, seed=0)
@@ -340,8 +340,10 @@ def test_accuracy_is_mean_of_predictions(monkeypatch):
     want = np.mean([model.predict(toks, topic) == label for toks, topic, label in dataset])
     assert 0.0 < want < 1.0
     assert model.accuracy(dataset) == want
-    monkeypatch.setattr(clf_module, "ENCODE_CHUNK", 7)  # chunks of 7, the last partial
+    monkeypatch.setattr(encoder_module, "ENCODE_CHUNK", 7)  # blocks of 7, the last partial
+    blocks = count_blocks(monkeypatch)
     assert model.accuracy(dataset) == want
+    assert blocks == [min(7, len(dataset) - i) for i in range(0, len(dataset), 7)]
 
 
 def test_batched_logits_reject_topic_out_of_range():

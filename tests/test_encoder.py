@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import count_forwards, graph_nodes_while
+from fixtures import count_blocks, count_forwards, graph_nodes_while
 from reference import reference_constant, reference_mul, reference_rownorm, reference_sub, reference_sum_all
 from sskgqa import autodiff as ad
 from sskgqa import checkpoint as ckpt
+from sskgqa import encoder as encoder_module
 from sskgqa.encoder import (
     MAX_TOKENS,
     OOV,
@@ -26,6 +27,13 @@ def test_vocab_oov_bucket():
     assert v.tokens[0] == OOV
     assert v.encode(["a", "b", "unseen"]) == [v.encode(["a"])[0], v.encode(["b"])[0], 0]
     assert len(v) == 3
+
+
+def test_vocab_encodes_the_first_max_tokens():
+    v = Vocab(["a", "b"])
+    tokens = ["a", "b", "unseen"] * MAX_TOKENS
+    assert v.encode(tokens) == v.encode(tokens[:MAX_TOKENS])
+    assert len(v.encode(tokens)) == MAX_TOKENS
 
 
 def test_vocab_from_sequences():
@@ -145,6 +153,34 @@ def test_forward_reads_the_first_max_tokens_ids():
     (got, got_grads), (want, want_grads) = outs
     assert got.tobytes() == want.tobytes()
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got_grads, want_grads))
+
+
+def long_batch(monkeypatch) -> list[list[int]]:
+    # three sequences past ENCODE_CHUNK, patched small, of varied lengths
+    monkeypatch.setattr(encoder_module, "ENCODE_CHUNK", 4)
+    return [[1 + i % 4] * (1 + i % 3) for i in range(4 + 3)]
+
+
+@pytest.mark.parametrize("use_attention", [True, False])
+def test_inference_forward_runs_blocks_of_encode_chunk(monkeypatch, use_attention):
+    enc = make_encoder(use_attention=use_attention)
+    seqs = long_batch(monkeypatch)
+    per_block = np.concatenate([enc.forward(*seqs[:4]), enc.forward(*seqs[4:])])
+    blocks = count_blocks(monkeypatch)
+    got = enc.forward(*seqs)
+    assert blocks == [4, 3]
+    assert got.tobytes() == per_block.tobytes()
+
+
+def test_training_forward_past_encode_chunk_is_one_node(monkeypatch):
+    enc = make_encoder(dropout=0.5)
+    seqs = long_batch(monkeypatch)
+    blocks = count_blocks(monkeypatch)
+    out = []
+    built = graph_nodes_while(lambda: out.append(enc.forward(*seqs, training=True, rng=np.random.default_rng(0))))
+    assert built == (1, 1)
+    assert blocks == [len(seqs)]
+    assert out[0].shape == (len(seqs), 6)
 
 
 def test_attention_params_present_only_when_enabled():

@@ -235,6 +235,20 @@ def test_only_querygraph_spells_the_token_layout():
     assert {stem: names for stem, names in spelled.items() if names} == {}
 
 
+# the encoder's bounds on a forward: the tokens of a sequence it reads and
+# the sequences of a block it runs; its callers hand it whole batches
+ENCODER_BOUNDS = {"ENCODE_CHUNK", "MAX_TOKENS"}
+
+
+def test_only_encoder_reads_its_bounds():
+    read = {}
+    for p in MODULES:
+        if p.name != "encoder.py":
+            source = p.read_text(encoding="utf-8")
+            read[p.stem] = (names_taken_from(source, "encoder") | names_in(source)) & ENCODER_BOUNDS
+    assert {stem: names for stem, names in read.items() if names} == {}
+
+
 @pytest.fixture
 def traced(monkeypatch) -> list[tuple[str, str]]:
     """(module, "func" or "Class.method") of each target the benchmark's

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import count_forwards, triplet_loss
+from fixtures import count_blocks, count_forwards, triplet_loss
 from reference import (
     reference_add,
     reference_batch_triplet_loss,
@@ -17,15 +17,15 @@ from reference import (
     reference_train_ranker,
 )
 from sskgqa import autodiff as ad
+from sskgqa import encoder as encoder_module
 from sskgqa import ranker as ranker_module
 from sskgqa.checkpoint import CheckpointError
-from sskgqa.encoder import MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab
+from sskgqa.encoder import ENCODE_CHUNK, MAX_TOKENS, EncoderConfig, SequenceEncoder, Vocab
 from sskgqa.kg import build_kg
 from sskgqa.optim import NonFiniteGradientError
 from sskgqa.pipeline import gold_graph_of, tokenize_question
 from sskgqa.querygraph import CLS, SEP, Chain, build_chain, canonicalize, execute, serialize_tokens, split_symbol
 from sskgqa.ranker import (
-    ENCODE_CHUNK,
     RankerError,
     RankerModel,
     RankTrainConfig,
@@ -237,12 +237,12 @@ def test_score_all_across_chunks(monkeypatch):
     cands = enumerate_candidates(kg, "thing0", EnumConfig(max_hops=2)).graphs
     q = ["what", "color"]
     single = [model.score_all(q, [g])[0] for g in cands]
-    monkeypatch.setattr(ranker_module, "ENCODE_CHUNK", 4)
+    monkeypatch.setattr(encoder_module, "ENCODE_CHUNK", 4)
     assert len(cands) + 1 > 2 * 4
-    calls = count_forwards(model.encoder)
+    blocks = count_blocks(monkeypatch)
     assert np.allclose(model.score_all(q, cands), single, rtol=0.0, atol=1e-10)
     n = 1 + len(cands)
-    assert calls == [min(4, n - i) for i in range(0, n, 4)]
+    assert blocks == [min(4, n - i) for i in range(0, n, 4)]
 
 
 def test_batch_triplet_loss_matches_per_negative_form():
