@@ -10,7 +10,7 @@ from .querygraph import sparql_chain
 from .structures import UNSUPPORTED, Taxonomy
 
 
-class LabelingError(Exception):
+class LabelingError(ValueError):
     pass
 
 

@@ -19,7 +19,7 @@ BATCH_SIZE = 32  # training examples per optimizer step
 DROPOUT = 0.1  # on the pooled question vector in training
 
 
-class ClassifierError(Exception):
+class ClassifierError(ValueError):
     pass
 
 
@@ -38,8 +38,10 @@ class ClassifierTrainConfig:
 
     def __post_init__(self) -> None:
         # `not x > 0` also refuses nan
-        if not all(v > 0 for v in (self.lr, self.epochs)):
-            raise ValueError("config values must be positive")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         self.encoder = EncoderConfig(
             out_dim=1, d_model=self.d_model, use_attention=self.use_attention, dropout=DROPOUT
         )

@@ -120,12 +120,7 @@ def cmd_train_classifier(args) -> int:
 
 
 def _ranker_dataset(questions):
-    dataset = []
-    for q in questions:
-        gold = pl.gold_graph_of(q)
-        if gold is not None:
-            dataset.append((pl.tokenize_question(q.question), gold))
-    return dataset
+    return [(pl.tokenize_question(q.question), pl.gold_graph_of(q)) for q in questions]
 
 
 def _rank_cfg(args, **setting) -> rk.RankTrainConfig:
@@ -361,19 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # every package error that reports a fault in an input is a ValueError
     try:
         return args.func(args)
-    except (
-        kgmod.KgError,
-        ann.LabelingError,
-        st.StructureError,
-        emb.EmbeddingError,
-        clf.ClassifierError,
-        rk.RankerError,
-        pl.PipelineError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ MAX_ENTITY_NORM = 10.0  # drift clamp after each update
 MAGIC = "ssk-emb v2"
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(ValueError):
     pass
 
 
@@ -33,8 +33,12 @@ class EmbedTrainConfig:
 
     def __post_init__(self) -> None:
         # `not x > 0` also refuses nan; 0 epochs is allowed
-        if not all(v > 0 for v in (self.d, self.epochs + 1, self.negatives, self.lr, self.margin)):
-            raise ValueError("config values must be positive")
+        for name in ("lr", "margin"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name, least in (("d", 1), ("negatives", 1), ("epochs", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
 
-class KgError(Exception):
+class KgError(ValueError):
     pass
 
 

@@ -15,7 +15,7 @@ from .structures import Taxonomy
 MODES = ("predicted", "oracle", "off")
 
 
-class PipelineError(Exception):
+class PipelineError(ValueError):
     pass
 
 

@@ -21,7 +21,7 @@ CLS = "[CLS]"
 SEP = "[SEP]"
 
 
-class QueryGraphError(Exception):
+class QueryGraphError(ValueError):
     pass
 
 
@@ -220,7 +220,7 @@ _UNSUPPORTED_OPS = ("<=", ">=", "!=", "||", "&&", "<", ">", "=")
 _UNSUPPORTED_KEYWORDS = {"FILTER", "OPTIONAL", "UNION", "MINUS", "OR", "EXISTS"}
 
 
-class SparqlError(Exception):
+class SparqlError(ValueError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at token {position})")
         self.position = position

@@ -3,6 +3,7 @@ top-1 selection by Euclidean proximity."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -20,7 +21,7 @@ from .structures import Taxonomy
 MAGIC = "ssk-rank v1"
 
 
-class RankerError(Exception):
+class RankerError(ValueError):
     pass
 
 
@@ -77,10 +78,13 @@ class RankerModel:
             return parts
 
         encode = self.encoder.vocab.encode
-        vecs = self.encoder.forward(
-            encode(question_tokens), *(encode(serialize_tokens(c, split=split)) for c in cands)
-        )
-        return (-np.linalg.norm(vecs[1:] - vecs[0], axis=1)).tolist()
+        # weights near the float limit overflow to inf or nan, which
+        # rank_candidates refuses; numpy need not warn of it as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            vecs = self.encoder.forward(
+                encode(question_tokens), *(encode(serialize_tokens(c, split=split)) for c in cands)
+            )
+            return (-np.linalg.norm(vecs[1:] - vecs[0], axis=1)).tolist()
 
 
 class TokenOverlapRanker:
@@ -100,10 +104,13 @@ class TokenOverlapRanker:
 
 def rank_candidates(ranker, question_tokens: list[str], cands: list[Chain]) -> list[Chain]:
     """Descending score; ties broken by ascending canonical string, which is
-    computed only for candidates whose scores tie."""
+    computed only for candidates whose scores tie. A nan or infinite score
+    is refused: it has no place in the order."""
     if not cands:
         raise RankerError("no candidates to rank")
     scores = ranker.score_all(question_tokens, cands)
+    if not all(map(math.isfinite, scores)):
+        raise RankerError("the ranker gave a nan or infinite score")
     order = sorted(range(len(cands)), key=lambda i: -scores[i])
     ranked = []
     for _, tied in groupby(order, key=lambda i: scores[i]):
@@ -115,7 +122,7 @@ def rank_candidates(ranker, question_tokens: list[str], cands: list[Chain]) -> l
 
 
 def build_training_triplets(
-    dataset: list[tuple[list[str], Chain]],
+    dataset: list[tuple[list[str], Chain | None]],
     kg: KnowledgeGraph,
     cfg: RankTrainConfig,
     rng: np.random.Generator,
@@ -125,13 +132,13 @@ def build_training_triplets(
     Negatives are sampled uniformly without replacement from the candidates
     of the gold's shape, excluding the gold. A shape holds at most one
     constraint, so a chain equal to the gold up to constraint order is equal
-    to it. Questions with no negatives or whose topic entity is not in the
-    KG are skipped.
+    to it. Questions with no gold chain (None), whose topic entity is not
+    in the KG or with no negatives are skipped.
     """
     out = []
     base = EnumConfig()
     for q_tokens, gold in dataset:
-        if gold.topic not in kg.entities:
+        if gold is None or gold.topic not in kg.entities:
             continue
         cands = enumerate_candidates(kg, gold.topic, base, gold.shape).graphs
         negs = [c for c in cands if c != gold]
@@ -192,7 +199,7 @@ def triplet_hinge(f: ad.Node, alpha: float) -> ad.Node:
 
 
 def train_ranker(
-    dataset: list[tuple[list[str], Chain]],
+    dataset: list[tuple[list[str], Chain | None]],
     kg: KnowledgeGraph,
     taxonomy: Taxonomy,
     cfg: RankTrainConfig,
@@ -201,7 +208,7 @@ def train_ranker(
     rng = np.random.default_rng(cfg.seed)
     triplets = build_training_triplets(dataset, kg, cfg, rng)
     if not triplets:
-        raise RankerError("no trainable questions (every candidate set is only the gold)")
+        raise RankerError("no trainable questions: none has a gold chain from a KG entity and a negative")
     sequences = [t[0] for t in triplets] + [t[1] for t in triplets]
     for _, _, negs in triplets:
         sequences.extend(negs)

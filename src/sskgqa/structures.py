@@ -19,7 +19,7 @@ KINDS = frozenset((E_TOPIC, E_CONST, VAR, ANSWER))
 UNSUPPORTED = "Unsupported"  # the label of a question no structure matches
 
 
-class StructureError(Exception):
+class StructureError(ValueError):
     pass
 
 

@@ -1131,7 +1131,7 @@ def reference_build_training_triplets(dataset, kg, cfg, rng):
     out = []
     base = EnumConfig()
     for q_tokens, gold in dataset:
-        if gold.topic not in kg.entities:
+        if gold is None or gold.topic not in kg.entities:
             continue
         gold_key = canonicalize(gold)
         cands = enumerate_candidates(kg, gold.topic, base, gold.shape).graphs

@@ -158,7 +158,7 @@ def test_dim_mismatch_rejected():
 def test_config_validation():
     nan = float("nan")
     for name, value in [("epochs", 0), ("lr", 0.0), ("lr", -1.0), ("lr", nan)]:
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             ClassifierTrainConfig(**{name: value})
     # encoder settings, refused by the EncoderConfig the config builds
     for settings, message in [({"d_model": 10, "use_attention": True}, "heads must divide d_model"),

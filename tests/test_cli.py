@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import sskgqa
 from fixtures import HEADER_NUMBERS, header_numbers, mutations, set_number, taxonomy_entries
+from sskgqa import annotation as ann
 from sskgqa import candidates, cli, classifier, embeddings, ranker
+from sskgqa import pipeline as pl
 from sskgqa.kg import load_kg_file
 
 # the directory holding the package under test, so the subprocess runs it
@@ -245,6 +247,34 @@ def test_answer_refuses_a_topic_the_kg_lacks(toy, trained):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: question cli: topic entity not in KG: 'nobody'\n"
+
+
+def test_ranker_of_non_finite_scores_is_one_error_line(toy, trained, tmp_path):
+    # every weight near float32's limit: the forwards overflow, so every
+    # score is -inf; no record is printed, and numpy warns of nothing
+    model = ranker.load_ranker(trained["rank"])
+    for p in model.encoder.parameters():
+        p.value[...] = np.sign(p.value) * 3e38
+    bad = tmp_path / "rank.ckpt"
+    ranker.save_ranker(model, str(bad))
+    for command, given in [("evaluate", ["--dataset", str(toy / "questions.jsonl")]),
+                           ("answer", ["--question", "what color is thing0", "--topic", "thing0"])]:
+        proc = run_cli(
+            command, *given, "--kg", str(toy / "kg.tsv"), "--ranker", str(bad), "--mode", "off",
+            expect_fail=True,
+        )
+        assert proc.stdout == ""
+        assert_one_error_line(proc, "error: the ranker gave a nan or infinite score")
+
+
+def test_ranker_dataset_keeps_every_question(toy):
+    # the ranker's trainer, not the CLI, leaves out a question with no gold chain
+    questions = ann.load_dataset(str(toy / "questions.jsonl"))
+    questions.append(ann.LabeledQuestion(id="bare", question="what color is thing0", topic_entity="thing0",
+                                         answers=[]))
+    dataset = cli._ranker_dataset(questions)
+    assert [gold for _, gold in dataset] == [pl.gold_graph_of(q) for q in questions]
+    assert dataset[-1] == (pl.tokenize_question("what color is thing0"), None)
 
 
 def test_predicted_mode_requires_classifier(toy, trained):
@@ -787,8 +817,8 @@ def test_bad_encoder_setting_is_one_error_line(toy, tmp_path, flags, name):
         ("train-ranker", ["--epochs", "-3"], "epochs"),
         ("train-ranker", ["--epochs", "0"], "epochs"),
         ("train-ranker", ["--margin", "nan"], "margin"),
-        ("train-classifier", ["--lr", "nan"], "config values"),
-        ("train-classifier", ["--epochs", "0"], "config values"),
+        ("train-classifier", ["--lr", "nan"], "lr must be positive, got nan"),
+        ("train-classifier", ["--epochs", "0"], "epochs must be at least 1, got 0"),
     ],
     ids=["ranker_lr_negative", "ranker_lr_nan", "ranker_epochs_negative", "ranker_epochs_0",
          "ranker_margin_nan", "classifier_lr_nan", "classifier_epochs_0"],
@@ -811,9 +841,12 @@ def test_bad_training_setting_is_one_error_line(toy, trained, tmp_path, command,
         ("train-ranker", ["--heads", "5"], "heads must divide d_model"),
         ("train-ranker", ["--dropout", "1.5"], "dropout must be"),
         ("train-classifier", ["--d-model", "0"], "d_model must be"),
-        ("train-embeddings", ["--lr", "-1"], "config values must be positive"),
-        ("train-embeddings", ["--lr", "nan"], "config values must be positive"),
-        ("train-embeddings", ["--margin", "nan"], "config values must be positive"),
+        ("train-embeddings", ["--lr", "-1"], "lr must be positive, got -1.0"),
+        ("train-embeddings", ["--lr", "nan"], "lr must be positive, got nan"),
+        ("train-embeddings", ["--margin", "nan"], "margin must be positive, got nan"),
+        ("train-embeddings", ["--dim", "0"], "d must be at least 1, got 0"),
+        ("train-embeddings", ["--negatives", "0"], "negatives must be at least 1, got 0"),
+        ("train-embeddings", ["--epochs", "-2"], "epochs must be at least 0, got -2"),
         ("ablate", ["--negatives", "--dropout", "1.5"], "dropout must be"),
         ("ablate", ["--heads", "--lr", "nan"], "lr must be"),
         ("ablate", ["--negatives", "--max-hops", "0"], "max_hops must be in 1..3"),
@@ -822,7 +855,8 @@ def test_bad_training_setting_is_one_error_line(toy, trained, tmp_path, command,
         ("answer", ["--mode", "oracle"], "answer takes --mode predicted or off, not oracle"),
     ],
     ids=["ranker_heads_5", "ranker_dropout_1_5", "classifier_d_model_0", "embeddings_lr_negative",
-         "embeddings_lr_nan", "embeddings_margin_nan", "ablate_dropout_1_5", "ablate_lr_nan",
+         "embeddings_lr_nan", "embeddings_margin_nan", "embeddings_dim_0", "embeddings_negatives_0",
+         "embeddings_epochs_negative", "ablate_dropout_1_5", "ablate_lr_nan",
          "ablate_max_hops_0", "evaluate_max_hops_0", "answer_max_hops_4",
          "answer_oracle_mode"],
 )

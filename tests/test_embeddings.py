@@ -45,7 +45,7 @@ def test_config_validation():
     nan = float("nan")
     for name, value in [("d", 0), ("negatives", 0), ("epochs", -1), ("lr", 0.0), ("lr", -1.0),
                         ("lr", nan), ("margin", 0.0), ("margin", -6.0), ("margin", nan)]:
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             EmbedTrainConfig(**{name: value})
     EmbedTrainConfig(epochs=0)
 

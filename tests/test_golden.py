@@ -5,12 +5,13 @@ trip on the three toys and of the benchmark's trained models, held against
 The round trip runs `cli.main` in process, in a scratch directory, on the
 `norshteyn`, `ranker` and `three-hop` (30 questions) toys: make-toy, ingest,
 annotate, the three trainers, `evaluate` in the three modes, `answer` on the
-first question and `ablate --heads --epochs 2`. Each command's stdout and each
-file it writes (the toy files and the three checkpoints) is one output. A
-fourth round trip runs on a six-structure toy (`mixed`) that the benchmark's
-input generator writes: SS1-SS6 questions, constraints among them, so the
-trained models' answers to constrained questions are pinned too. So are the
-`evaluate` records of `TokenOverlapRanker`, whose scores tie often, on ten
+first question and `ablate --heads --epochs 2`; on `norshteyn` also a ComplEx
+table, a classifier over it and `evaluate --mode predicted` with the two. Each
+command's stdout and each file it writes (the toy files and the checkpoints) is
+one output. A fourth round trip runs on a six-structure toy (`mixed`) that the
+benchmark's input generator writes: SS1-SS6 questions, constraints among
+them, so the trained models' answers to constrained questions are pinned too.
+So are the `evaluate` records of `TokenOverlapRanker`, whose scores tie often, on ten
 random KGs in `oracle` and `off` mode, so the tie-break shows; and
 `Trained.digest()` of the benchmark's `train_all` on `TINY` seed 5 and on run
 seed 777's three full-size problems.
@@ -131,7 +132,23 @@ def toy_outputs(toy: str, trained: bool = True) -> dict[str, str]:
     first = json.loads(Path(data).read_text(encoding="utf-8").splitlines()[0])
     stdout["answer"] = run("answer", "--question", first["question"], "--topic", first["topic_entity"], *models)
     stdout["ablate-heads"] = run("ablate", "--kg", kg, "--dataset", data, "--heads", "--epochs", "2")
-    return toy_digests(toy, stdout, (*TOY_FILES, *CHECKPOINTS))
+    files = (*TOY_FILES, *CHECKPOINTS)
+    if toy == "norshteyn":
+        # the classifier over a ComplEx table, the scorer no other output trains
+        stdout["train-embeddings-complex"] = run(
+            "train-embeddings", "--kg", kg, "--out", f"{d}/emb-complex.ckpt", "--kind", "complex",
+            "--dim", "16", "--epochs", "30",
+        )
+        stdout["train-classifier-complex"] = run(
+            "train-classifier", "--kg", kg, "--dataset", data, "--embeddings", f"{d}/emb-complex.ckpt",
+            "--out", f"{d}/clf-complex.ckpt",
+        )
+        stdout["evaluate-predicted-complex"] = run(
+            "evaluate", "--dataset", data, "--kg", kg, "--ranker", f"{d}/rank.ckpt",
+            "--classifier", f"{d}/clf-complex.ckpt", "--embeddings", f"{d}/emb-complex.ckpt", "--mode", "predicted",
+        )
+        files += ("emb-complex.ckpt", "clf-complex.ckpt")
+    return toy_digests(toy, stdout, files)
 
 
 def toy_digests(toy: str, stdout: dict[str, bytes], files: tuple[str, ...]) -> dict[str, str]:

@@ -8,6 +8,7 @@ and no package module but `querygraph` reads the SPARQL subset's tokens,
 escapes or parser or spells the token layout of a serialized query graph."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,29 @@ def test_every_sequence_encoder_method_has_a_reader(traced):
         read |= attributes_read_off(source, "encoder") | attributes_read(source, "SequenceEncoder")
     own = {m.name for m in methods if any(m.name in attributes_read(ast.unparse(o), "self") for o in cls.body if o is not m)}
     assert [m.name for m in methods if m.name not in read | own] == []
+
+
+def test_every_input_error_is_a_value_error():
+    # the CLI turns a ValueError (or an OSError) into one error line; only
+    # the autodiff engine's program faults end in a traceback
+    defined = {}
+    for path in MODULES:
+        module = importlib.import_module("sskgqa" if path.stem == "__init__" else f"sskgqa.{path.stem}")
+        defined |= {
+            (path.stem, name): obj
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        }
+    faults = {key for key, cls in defined.items() if not issubclass(cls, ValueError)}
+    assert faults == {("autodiff", "ShapeError"), ("autodiff", "ContractError")}
+    assert len(defined) > len(faults)
+
+
+def test_cli_catches_only_os_and_value_errors():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main")
+    handlers = [h for node in ast.walk(main) if isinstance(node, ast.Try) for h in node.handlers]
+    assert [ast.unparse(h.type) for h in handlers] == ["(OSError, ValueError)"]
 
 
 def test_benchmark_finds_every_name_it_uses(monkeypatch):

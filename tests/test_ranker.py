@@ -136,6 +136,13 @@ def test_rank_candidates_empty():
         rank_candidates(TokenOverlapRanker(), ["q"], [])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "minus_inf"])
+def test_rank_candidates_refuses_a_non_finite_score(bad):
+    cands = [build_chain("a", [(f"r{i}", False)]) for i in range(3)]
+    with pytest.raises(RankerError, match="nan or infinite"):
+        rank_candidates(FixedScores([0.5, bad, 0.25]), ["q"], cands)
+
+
 def test_build_training_triplets():
     kg, questions = ranker_fixture()
     dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
@@ -145,6 +152,17 @@ def test_build_training_triplets():
     for q_toks, pos_toks, neg_lists in triplets:
         assert 1 <= len(neg_lists) <= 3
         assert pos_toks not in neg_lists  # gold never sampled as negative
+
+
+def test_build_training_triplets_skips_a_question_without_gold():
+    kg, questions = ranker_fixture()
+    dataset = [(tokenize_question(q.question), gold_graph_of(q)) for q in questions]
+    mixed = [(["no", "gold"], None)] + dataset[:2] + [(["q"], None)] + dataset[2:] + [([], None)]
+    cfg = RankTrainConfig(negatives=3)
+    plain, skipping = np.random.default_rng(0), np.random.default_rng(0)
+    want = build_training_triplets(dataset, kg, cfg, plain)
+    assert build_training_triplets(mixed, kg, cfg, skipping) == want
+    assert skipping.bit_generator.state == plain.bit_generator.state
 
 
 def test_build_training_triplets_skips_singletons():
