@@ -11,7 +11,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, encoder_header, parse_encoder_header
 from .embeddings import EmbeddingTable, complex_mul_packed, conj_mul_packed
-from .optim import AdamW, ParameterBuffer, train_step
+from .optim import AdamW
 from .structures import Taxonomy
 
 MAGIC = "ssk-clf v2"
@@ -162,8 +162,7 @@ def train_classifier(
     enc_cfg = replace(cfg.encoder, out_dim=table.d)
     model = ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
     ids = [vocab.encode(toks) for toks, _, _ in dataset]
-    buffer = ParameterBuffer(model.parameters())
-    opt = AdamW(lr=cfg.lr)
+    opt = AdamW(model.parameters(), cfg.lr)
     order = np.arange(len(dataset))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
@@ -171,7 +170,7 @@ def train_classifier(
             batch = order[start : start + BATCH_SIZE]
             eq = model.encoder.forward(*(ids[i] for i in batch), training=True, rng=rng)
             eh = table.lookup_entities([dataset[i][1] for i in batch])
-            train_step(opt, buffer, cross_entropy(eq, eh, model.w, model.b, [targets[i] for i in batch]))
+            opt.step(cross_entropy(eq, eh, model.w, model.b, [targets[i] for i in batch]))
     return model
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from .kg import KnowledgeGraph
-from .optim import AdamW, ParameterBuffer, train_step
+from .optim import AdamW
 
 KINDS = ("transe", "complex")
 MAX_ENTITY_NORM = 10.0  # drift clamp after each update
@@ -170,10 +170,9 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
     table = init_table(kind, kg.num_entities, kg.num_relations, cfg.d, cfg.seed)
     heads, rels, tails = np.array(list(kg.iter_triples())).T
     rng = np.random.default_rng(cfg.seed + 1)
-    opt = AdamW(lr=cfg.lr)
     ent, rel = ad.parameter(table.ent), ad.parameter(table.rel)
-    buffer = ParameterBuffer([ent, rel])
-    table.ent, table.rel = ent.value, rel.value  # views of the buffer, which _clamp edits in place
+    opt = AdamW([ent, rel], cfg.lr)
+    table.ent, table.rel = ent.value, rel.value  # views of the optimizer's buffer, which _clamp edits in place
     table.kg = kg.fingerprint()
     history: list[float] = []
     for epoch in range(cfg.epochs):
@@ -192,7 +191,7 @@ def train(kg: KnowledgeGraph, cfg: EmbedTrainConfig, kind: str = "transe") -> tu
         history.append(float(loss.value[0, 0]))
         if not math.isfinite(history[-1]):
             raise EmbeddingError(f"training diverged: the loss of epoch {epoch + 1} is {history[-1]}")
-        train_step(opt, buffer, loss)
+        opt.step(loss)
         del s_pos, s_neg, loss  # this epoch's nodes, freed before the next one is built
         _clamp(table, epoch)
     return table, history

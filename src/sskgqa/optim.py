@@ -1,5 +1,5 @@
-"""Gradient clipping, the Adam update rule, the parameter buffer a trainer
-packs its model into, and the training step that combines them."""
+"""Gradient clipping and the Adam optimizer that every trainer packs its
+model into and steps on a loss."""
 
 from __future__ import annotations
 
@@ -42,28 +42,53 @@ def clip_global_norm(grad: np.ndarray, offsets: list[int]) -> np.ndarray:
 
 
 class AdamW:
-    """Bias-corrected Adam on one parameter array. AdamW's decoupled weight
-    decay is zero, so the update is Adam's."""
+    """Bias-corrected Adam over a model's parameter nodes, packed into one
+    flat float64 array. AdamW's decoupled weight decay is zero, so the
+    update is Adam's.
 
-    def __init__(self, lr: float):
+    Each node's value is copied into `value` in the order given, and the node
+    is rebound to its view of it, with the same shape: an update of `value`
+    in place is an update of every parameter. Each node's `grad` is bound,
+    for good, to its view of the flat `grad`, so every gradient a backward
+    hands a parameter is added straight into it. Parameter i is
+    value[offsets[i]:offsets[i + 1]], and its gradient the same slice of grad.
+    """
+
+    def __init__(self, params: list[ad.Node], lr: float):
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("a parameter is listed twice")
         self.lr = lr
         self.step_count = 0
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
-        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self.offsets = [0, *accumulate(p.value.size for p in params)]
+        self.value = np.concatenate([p.value.ravel() for p in params])
+        self.grad = np.zeros_like(self.value)
+        for p, a, b in zip(params, self.offsets, self.offsets[1:]):
+            p.value = self.value[a:b].reshape(p.value.shape)
+            p.grad = self.grad[a:b].reshape(p.value.shape)
+        self._m = np.zeros_like(self.value)
+        self._v = np.zeros_like(self.value)
+        self._scratch = (np.empty_like(self.value), np.empty_like(self.value))
 
-    def step(self, p: np.ndarray, g: np.ndarray) -> None:
-        """One update of `p` in place by its gradient `g`. The arithmetic of
+    def step(self, loss: ad.Node) -> None:
+        """One update on `loss`: zero the flat gradient, backpropagate into
+        it, clip its global norm to MAX_NORM and apply Adam to every
+        parameter at once.
+
+        A parameter the loss does not reach steps with a zero gradient, so
+        Adam's moments still decay for it. When the gradient is all zeros, as
+        for a loss that reaches no parameter, clipping, a no-op at norm 0, is
+        skipped. A nan or inf norm raises NonFiniteGradientError before
+        anything is updated. The update is the arithmetic of
         m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g, mhat = m / (1 - b1**t),
         vhat = v / (1 - b2**t) and p -= lr * (mhat / (sqrt(vhat) + eps)), one
         operation at a time in that order, with the intermediates in two
-        scratch arrays the optimizer keeps."""
-        if p.shape != g.shape:
-            raise ValueError(f"param shape {p.shape} vs grad {g.shape}")
-        if self._m is None:
-            self._m = np.zeros_like(p)
-            self._v = np.zeros_like(p)
-            self._scratch = (np.empty_like(p), np.empty_like(p))
+        scratch arrays the optimizer keeps.
+        """
+        g = self.grad
+        g.fill(0.0)
+        ad.backward(loss)
+        if g.any():
+            clip_global_norm(g, self.offsets)
         self.step_count += 1
         m, v = self._m, self._v
         a, b = self._scratch
@@ -78,45 +103,4 @@ class AdamW:
         root += EPS
         mhat /= root
         mhat *= self.lr
-        p -= mhat
-
-
-class ParameterBuffer:
-    """A model's parameter nodes packed into one flat float64 array, with
-    one flat gradient beside it.
-
-    Each node's value is copied into `value` in the order given, and the node
-    is rebound to its view of the buffer, with the same shape: an update of
-    the buffer in place is an update of every parameter. Each node's `grad`
-    is bound, for good, to its view of `grad`, so every gradient a backward
-    hands a parameter is added straight into the flat gradient. Parameter i
-    is value[offsets[i]:offsets[i + 1]], and its gradient the same slice of
-    grad.
-    """
-
-    def __init__(self, params: list[ad.Node]):
-        if len({id(p) for p in params}) != len(params):
-            raise ValueError("a parameter is listed twice")
-        self.offsets = [0, *accumulate(p.value.size for p in params)]
-        self.value = np.concatenate([p.value.ravel() for p in params])
-        self.grad = np.zeros_like(self.value)
-        for p, a, b in zip(params, self.offsets, self.offsets[1:]):
-            p.value = self.value[a:b].reshape(p.value.shape)
-            p.grad = self.grad[a:b].reshape(p.value.shape)
-
-
-def train_step(opt: AdamW, buffer: ParameterBuffer, loss: ad.Node) -> None:
-    """One optimizer step on `loss`: zero the flat gradient, backpropagate
-    into it, clip its global norm to MAX_NORM and apply opt.step to the whole
-    buffer at once.
-
-    A parameter the loss does not reach steps with a zero gradient, so Adam's
-    moments still decay for it. When the gradient is all zeros, as for a loss
-    that reaches no parameter, clipping, a no-op at norm 0, is skipped. A nan
-    or inf norm raises NonFiniteGradientError before anything is updated.
-    """
-    buffer.grad.fill(0.0)
-    ad.backward(loss)
-    if buffer.grad.any():
-        clip_global_norm(buffer.grad, buffer.offsets)
-    opt.step(buffer.value, buffer.grad)
+        self.value -= mhat

@@ -9,7 +9,7 @@ from .candidates import EnumConfig, derived_enum, enumerate_candidates
 from .classifier import ClassifierModel
 from .kg import KnowledgeGraph
 from .querygraph import CLS, SEP, Chain, canonicalize, execute, sparql_chain, split_symbol
-from .ranker import rank_candidates
+from .ranker import RankerError, rank_candidates
 from .structures import Taxonomy
 
 MODES = ("predicted", "oracle", "off")
@@ -78,7 +78,8 @@ class EvalReport:
 def answer_question(
     cfg: PipelineConfig, q: LabeledQuestion
 ) -> tuple[AnswerResult, QuestionRecord]:
-    """q's answer and record; a topic entity the KG lacks gets "unknown_topic"."""
+    """q's answer and record; a topic entity the KG lacks gets "unknown_topic".
+    A RankerError, such as a nan or infinite score, is raised again naming q."""
     kg = cfg.kg
     gold_label = label_question(q, cfg.taxonomy)
     if q.topic_entity not in kg.entities:
@@ -102,7 +103,10 @@ def answer_question(
     if not cands and shape is not None:  # no chain has the shape: rank every chain up to its hop count
         cands = enumerate_candidates(kg, q.topic_entity, derived_enum(cfg.enum, shape)).graphs
 
-    ranked = rank_candidates(cfg.ranker, tokens, cands)
+    try:
+        ranked = rank_candidates(cfg.ranker, tokens, cands)
+    except RankerError as e:
+        raise RankerError(f"question {q.id}: {e}") from None
     best = ranked[0]
     answers = {kg.entities.symbol_of(a) for a in execute(best, kg)}
     result = AnswerResult(answers, predicted, "ok")

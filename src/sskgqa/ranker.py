@@ -14,7 +14,7 @@ from . import checkpoint as ckpt
 from .candidates import EnumConfig, enumerate_candidates
 from .encoder import EncoderConfig, SequenceEncoder, Vocab, batch_layout, encoder_header, parse_encoder_header
 from .kg import KnowledgeGraph
-from .optim import AdamW, ParameterBuffer, train_step
+from .optim import AdamW
 from .querygraph import Chain, canonicalize, serialize_tokens, split_symbol
 from .structures import Taxonomy
 
@@ -219,14 +219,13 @@ def train_ranker(
     # made once for all epochs
     batches = [[encode(q), encode(p), *(encode(n) for n in negs)] for q, p, negs in triplets]
     layouts = [batch_layout(b) for b in batches]
-    buffer = ParameterBuffer(model.encoder.parameters())
-    opt = AdamW(lr=cfg.lr)
+    opt = AdamW(model.encoder.parameters(), cfg.lr)
     order = np.arange(len(triplets))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
         for i in order:
             f = model.encoder.forward(*batches[i], training=True, rng=rng, layout=layouts[i])
-            train_step(opt, buffer, triplet_hinge(f, cfg.margin))
+            opt.step(triplet_hinge(f, cfg.margin))
     return model
 
 

@@ -95,12 +95,6 @@ class Taxonomy:
             if first != s.label:
                 raise StructureError(f"{s.label}: same shape as {first}")
 
-    def __len__(self) -> int:
-        return len(self.structures)
-
-    def __iter__(self):
-        return iter(self.structures)
-
     def labels(self) -> list[str]:
         return [s.label for s in self.structures]
 

@@ -170,7 +170,7 @@ def taxonomy_entries(tax) -> list[dict]:
     """The `load_taxonomy` JSON list of a taxonomy, each shape drawn as its
     chain."""
     entries = []
-    for s in tax:
+    for s in tax.structures:
         kinds, edges = reference_chain(*s.shape)
         entries.append({"label": s.label, "kinds": list(kinds), "edges": [list(e) for e in edges]})
     return entries

@@ -19,11 +19,10 @@ aliasing rule `Node.accumulate` had before each parameter added into an
 array of its own (a first gradient kept without a copy, later ones added out
 of place), and `reference_scatter` (np.add.at into zeros), which the
 equivalence tests swap in for `ad.scatter_rows`;
-and the per-parameter optimizer step the packed-buffer tests swap in:
-`UnpackedParams` for `optim.ParameterBuffer`, `reference_train_step`
-(clipping by `global_norm`, then one optimizer step over the list of
-parameter arrays) for `optim.train_step` and `ReferenceAdam` (Adam over a
-list of arrays, with moments per list index) for `optim.AdamW`; and the
+and the per-parameter optimizer the packed-buffer tests swap in for
+`optim.AdamW`: `ReferenceAdamW`, which packs nothing, clips by
+`global_norm` and steps Adam on each parameter array, with moments per
+parameter; and the
 encoder block as a chain of nodes per head:
 `reference_block_attention` and `reference_feed_forward` for the fused
 `encoder.block_attention` and `encoder.feed_forward`, `reference_block_matmul` (the
@@ -82,7 +81,7 @@ from sskgqa.candidates import EnumConfig, enumerate_candidates
 from sskgqa.embeddings import complex_mul_packed, conj_mul_packed
 from sskgqa.encoder import SequenceEncoder, Vocab
 from sskgqa.kg import KnowledgeGraph, SymbolTable
-from sskgqa.optim import BETA1, BETA2, EPS, MAX_NORM, AdamW, ParameterBuffer, train_step
+from sskgqa.optim import BETA1, BETA2, EPS, MAX_NORM, AdamW
 from sskgqa.pipeline import tokenize_question
 from sskgqa.querygraph import (
     _UNSUPPORTED_KEYWORDS,
@@ -944,53 +943,36 @@ def reference_clip(grads: list[np.ndarray], max_norm: float) -> list[np.ndarray]
     return grads
 
 
-class UnpackedParams:
-    """Stands in for `optim.ParameterBuffer` in a trainer: it keeps the
-    parameter list and packs nothing, so each value stays its own array."""
+class ReferenceAdamW:
+    """`optim.AdamW` one parameter array at a time: it packs nothing, so each
+    value stays its own array, and keeps Adam's moments per parameter."""
 
-    def __init__(self, params):
+    def __init__(self, params, lr: float):
         self.params = list(params)
-
-
-class ReferenceAdam:
-    """Bias-corrected Adam over a list of parameter arrays, with its moments
-    kept per list index."""
-
-    def __init__(self, lr: float):
         self.lr = lr
         self.step_count = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self._m = [np.zeros_like(p.value) for p in self.params]
+        self._v = [np.zeros_like(p.value) for p in self.params]
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, loss) -> None:
+        """Each parameter's gradient reset to None, so a backward leaves it
+        the exact copy of the first gradient it is handed, sign of zero
+        included, and zeros for a parameter the loss does not reach; then
+        reference_clip to MAX_NORM and Adam on each parameter in turn."""
+        for p in self.params:
+            p.grad = None
+        ad.backward(loss)
+        grads = [np.zeros_like(p.value) if p.grad is None else p.grad for p in self.params]
+        reference_clip(grads, MAX_NORM)
         self.step_count += 1
-        for i, (p, g) in enumerate(zip(params, grads, strict=True)):
-            if i not in self._m:
-                self._m[i] = np.zeros_like(p)
-                self._v[i] = np.zeros_like(p)
-            m, v = self._m[i], self._v[i]
+        for p, g, m, v in zip(self.params, grads, self._m, self._v, strict=True):
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * g * g
             mhat = m / (1.0 - BETA1**self.step_count)
             vhat = v / (1.0 - BETA2**self.step_count)
-            p -= self.lr * (mhat / (np.sqrt(vhat) + EPS))
-
-
-def reference_train_step(opt: ReferenceAdam, unpacked: UnpackedParams, loss) -> None:
-    """`train_step` one parameter array at a time: each parameter's gradient
-    reset to None, so a backward leaves it the exact copy of the first
-    gradient it is handed, sign of zero included, and zeros for a parameter
-    the loss does not reach; then reference_clip to MAX_NORM and opt.step
-    over the per-parameter lists."""
-    params = unpacked.params
-    for p in params:
-        p.grad = None
-    ad.backward(loss)
-    grads = [np.zeros_like(p.value) if p.grad is None else p.grad for p in params]
-    reference_clip(grads, MAX_NORM)
-    opt.step([p.value for p in params], grads)
+            p.value -= self.lr * (mhat / (np.sqrt(vhat) + EPS))
 
 
 def reference_block_matmul(a, b, blocks: int):
@@ -1151,15 +1133,14 @@ def reference_train_ranker(dataset, kg, cfg):
         [t[0] for t in triplets] + [t[1] for t in triplets] + [n for t in triplets for n in t[2]]
     )
     model = ranker.RankerModel(SequenceEncoder(vocab, cfg.encoder, rng), trained_on=len(triplets))
-    buffer = ParameterBuffer(model.encoder.parameters())
-    opt = AdamW(lr=cfg.lr)
+    opt = AdamW(model.encoder.parameters(), cfg.lr)
     order = np.arange(len(triplets))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
         for i in order:
             q_toks, pos_toks, neg_toks = triplets[i]
             f = reference_token_forward(model.encoder, q_toks, pos_toks, *neg_toks, training=True, rng=rng)
-            train_step(opt, buffer, ranker.triplet_hinge(f, cfg.margin))
+            opt.step(ranker.triplet_hinge(f, cfg.margin))
     return model
 
 
@@ -1195,8 +1176,7 @@ def reference_train_classifier(dataset, table, taxonomy, cfg):
     vocab = Vocab.from_sequences([toks for toks, _, _ in dataset])
     enc_cfg = replace(cfg.encoder, out_dim=table.d)
     model = classifier.ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
-    buffer = ParameterBuffer(model.parameters())
-    opt = AdamW(lr=cfg.lr)
+    opt = AdamW(model.parameters(), cfg.lr)
     order = np.arange(len(dataset))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
@@ -1204,5 +1184,5 @@ def reference_train_classifier(dataset, table, taxonomy, cfg):
             batch = order[start : start + classifier.BATCH_SIZE]
             eq = reference_token_forward(model.encoder, *(dataset[i][0] for i in batch), training=True, rng=rng)
             eh = table.lookup_entities([dataset[i][1] for i in batch])
-            train_step(opt, buffer, reference_classifier_loss(eq, eh, model.w, model.b, [targets[i] for i in batch]))
+            opt.step(reference_classifier_loss(eq, eh, model.w, model.b, [targets[i] for i in batch]))
     return model

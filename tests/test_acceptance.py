@@ -246,7 +246,7 @@ def test_criterion_4_structure_matching():
     # shape matching agrees with brute-force isomorphism on random pairs of
     # small drawings (<= 5 nodes): those of random chains and of the builtin
     # structures
-    drawings = [_drawing(_random_graph(rng)) for _ in range(120)] + [reference_chain(*s.shape) for s in TAX]
+    drawings = [_drawing(_random_graph(rng)) for _ in range(120)] + [reference_chain(*s.shape) for s in TAX.structures]
     drawings = [d for d in drawings if len(d[0]) <= 5]
     for a in drawings:
         for b in drawings:
@@ -336,7 +336,7 @@ def test_criterion_8_classifier():
     model.w.value[...] = 0.0
     model.b.value[...] = 0.0
     probs = class_probabilities(model, dataset[0][0], dataset[0][1])
-    assert np.allclose(probs, 1.0 / len(TAX), atol=1e-12)
+    assert np.allclose(probs, 1.0 / len(TAX.structures), atol=1e-12)
     report(8, "classifier separable accuracy, uniform head, frozen table", t0, 120.0)
 
 

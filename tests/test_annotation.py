@@ -138,7 +138,7 @@ def test_label_question_constraint_on_topic():
     # enumeration never emits a constraint on the topic, so no taxonomy may
     # hold that shape, and the question is Unsupported
     with pytest.raises(StructureError, match=r"TC: .* \(1, \(0,\)\)"):
-        Taxonomy(list(builtin_taxonomy()) + [tc])
+        Taxonomy(builtin_taxonomy().structures + [tc])
     assert label_question(q(sparql=sparql, topic_entity="b"), builtin_taxonomy()) == UNSUPPORTED
     with pytest.raises(QueryGraphError):
         extract_query_graph(parse_sparql(sparql), "a")

@@ -153,7 +153,7 @@ def test_structure_enumeration_equals_filtered_enumeration(triples, pick, attach
     # enumeration of ss's hop count and constraint need, in the same order
     kg = build_kg(triples)
     topic = kg.entities.symbol_of(pick % kg.num_entities)
-    for ss in list(builtin_taxonomy()) + [TWO_CONSTRAINTS]:
+    for ss in builtin_taxonomy().structures + [TWO_CONSTRAINTS]:
         for max_hops in (1, 2, 3):
             cfg = EnumConfig(max_hops=max_hops, attach_constraints=attach)
             full = enumerate_candidates(kg, topic, derived_enum(cfg, ss.shape)).graphs
@@ -184,7 +184,7 @@ LOOPS = [("a", "r", "b"), ("b", "r", "c"), ("c", "r", "a"), ("d", "s", "d"), ("a
         max_size=10,
     ),
     pick=st.sampled_from(NAMES),
-    ss=st.sampled_from([None, *builtin_taxonomy(), TWO_CONSTRAINTS]),
+    ss=st.sampled_from([None, *builtin_taxonomy().structures, TWO_CONSTRAINTS]),
     cap=st.integers(1, 60),
 )
 def test_enumeration_equals_reference_enumerator(extra, pick, ss, cap):

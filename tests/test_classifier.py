@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from fixtures import class_probabilities, count_blocks, separable_classifier_dataset
 from reference import (
-    ReferenceAdam,
+    ReferenceAdamW,
     reference_add,
     reference_classifier_loss,
-    reference_clip,
     reference_complex_mul,
     reference_constant,
     reference_log,
@@ -35,7 +34,6 @@ from sskgqa.classifier import (
 )
 from sskgqa.embeddings import EmbeddingError, init_table
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, Vocab
-from sskgqa.optim import MAX_NORM
 from sskgqa.structures import builtin_taxonomy
 
 
@@ -291,24 +289,21 @@ def test_batched_loss_matches_per_example_form(use_attention, dropout):
 
 
 def reference_train(dataset, table, taxonomy, cfg):
-    """The per-example trainer: one forward per example and an inline
-    zero-grad / backward / zero-fill / clip / AdamW step per minibatch."""
+    """The per-example trainer: one forward per example and a per-parameter
+    zero-grad / backward / zero-fill / clip / Adam step per minibatch."""
     rng = np.random.default_rng(cfg.seed)
     enc_cfg = EncoderConfig(
         out_dim=table.d, d_model=cfg.d_model, use_attention=cfg.use_attention, dropout=DROPOUT
     )
     vocab = Vocab.from_sequences([toks for toks, _, _ in dataset])
     model = ClassifierModel(SequenceEncoder(vocab, enc_cfg, rng), table, taxonomy, rng)
-    params = model.parameters()
-    opt = ReferenceAdam(lr=cfg.lr)
+    opt = ReferenceAdamW(model.parameters(), cfg.lr)
     order = np.arange(len(dataset))
     for _epoch in range(cfg.epochs):
         rng.shuffle(order)
         for start in range(0, len(order), BATCH_SIZE):
             batch = [dataset[i] for i in order[start : start + BATCH_SIZE]]
-            grads = grads_of(params, per_example_loss(model, batch, rng))
-            reference_clip(grads, MAX_NORM)
-            opt.step([p.value for p in params], grads)
+            opt.step(per_example_loss(model, batch, rng))
     return model
 
 

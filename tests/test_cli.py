@@ -249,22 +249,47 @@ def test_answer_refuses_a_topic_the_kg_lacks(toy, trained):
     assert proc.stderr == "error: question cli: topic entity not in KG: 'nobody'\n"
 
 
-def test_ranker_of_non_finite_scores_is_one_error_line(toy, trained, tmp_path):
-    # every weight near float32's limit: the forwards overflow, so every
-    # score is -inf; no record is printed, and numpy warns of nothing
+def non_finite_ranker(trained, tmp_path) -> str:
+    """A ranker file with every weight near float32's limit: the forwards
+    overflow, so every score is -inf."""
     model = ranker.load_ranker(trained["rank"])
     for p in model.encoder.parameters():
         p.value[...] = np.sign(p.value) * 3e38
     bad = tmp_path / "rank.ckpt"
     ranker.save_ranker(model, str(bad))
-    for command, given in [("evaluate", ["--dataset", str(toy / "questions.jsonl")]),
-                           ("answer", ["--question", "what color is thing0", "--topic", "thing0"])]:
+    return str(bad)
+
+
+def test_ranker_of_non_finite_scores_is_one_error_line(toy, trained, tmp_path):
+    # no record is printed, numpy warns of nothing, and the error names the
+    # question whose candidates got the scores
+    bad = non_finite_ranker(trained, tmp_path)
+    for command, given, qid in [("evaluate", ["--dataset", str(toy / "questions.jsonl")], "rq0"),
+                                ("answer", ["--question", "what color is thing0", "--topic", "thing0"], "cli")]:
         proc = run_cli(
-            command, *given, "--kg", str(toy / "kg.tsv"), "--ranker", str(bad), "--mode", "off",
+            command, *given, "--kg", str(toy / "kg.tsv"), "--ranker", bad, "--mode", "off",
             expect_fail=True,
         )
         assert proc.stdout == ""
-        assert_one_error_line(proc, "error: the ranker gave a nan or infinite score")
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: question {qid}: the ranker gave a nan or infinite score\n"
+
+
+def test_non_finite_score_names_the_question_ranked(toy, trained, tmp_path):
+    # the first question's topic is not in the KG, so it ranks nothing and
+    # the error names the second
+    bad = non_finite_ranker(trained, tmp_path)
+    lines = (toy / "questions.jsonl").read_text(encoding="utf-8").splitlines()
+    stray = {"id": "stray", "question": "what color is nobody", "topic_entity": "nobody", "answers": []}
+    dataset = tmp_path / "questions.jsonl"
+    dataset.write_text("\n".join([json.dumps(stray), lines[2], lines[0]]) + "\n", encoding="utf-8")
+    proc = run_cli(
+        "evaluate", "--dataset", str(dataset), "--kg", str(toy / "kg.tsv"), "--ranker", bad, "--mode", "off",
+        expect_fail=True,
+    )
+    assert proc.stdout == ""
+    assert proc.returncode == 1
+    assert proc.stderr == "error: question rq2: the ranker gave a nan or infinite score\n"
 
 
 def test_ranker_dataset_keeps_every_question(toy):

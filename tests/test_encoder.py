@@ -19,7 +19,7 @@ from sskgqa.encoder import (
     encoder_header,
     parse_encoder_header,
 )
-from sskgqa.optim import AdamW, ParameterBuffer, train_step
+from sskgqa.optim import AdamW
 
 
 def test_vocab_oov_bucket():
@@ -217,15 +217,14 @@ def test_gradients_flow_to_all_params():
 def test_trainable_toward_target():
     enc = make_encoder(use_attention=False)
     target = reference_constant(np.ones((1, 6)))
-    buffer = ParameterBuffer(enc.parameters())
-    opt = AdamW(lr=0.05)
+    opt = AdamW(enc.parameters(), 0.05)
     first = None
     for _ in range(100):
         out = enc.forward([1, 2], training=True)
         loss = reference_rownorm(reference_sub(out, target))
         if first is None:
             first = float(loss.value[0, 0])
-        train_step(opt, buffer, loss)
+        opt.step(loss)
     assert float(loss.value[0, 0]) < 0.1 * first
 
 

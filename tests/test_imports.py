@@ -15,13 +15,11 @@ import pytest
 
 import sskgqa
 from reference import (
-    ReferenceAdam,
-    UnpackedParams,
+    ReferenceAdamW,
     reference_classifier_loss,
     reference_encoder_forward,
     reference_margin_loss,
     reference_score_nodes,
-    reference_train_step,
 )
 from sskgqa import autodiff as ad
 from sskgqa import classifier as clf
@@ -107,7 +105,7 @@ def test_every_autodiff_function_is_used_by_the_package():
 
 def test_every_autodiff_helper_has_two_readers():
     # a helper that one package module alone reads belongs in that module;
-    # `backward`, the engine's entry, has the one caller `optim.train_step`
+    # `backward`, the engine's entry, has the one caller `optim.AdamW.step`
     readers = {name: [] for name in engine_functions() if name != "backward"}
     for path in MODULES:
         if path.name != "autodiff.py":
@@ -364,7 +362,5 @@ def test_benchmark_models_equal_the_reference_chain(monkeypatch):
     monkeypatch.setattr(emb, "score_nodes", reference_score_nodes)
     monkeypatch.setattr(emb, "margin_loss", reference_margin_loss)
     for module in (emb, clf, rk):
-        monkeypatch.setattr(module, "ParameterBuffer", UnpackedParams)
-        monkeypatch.setattr(module, "AdamW", ReferenceAdam)
-        monkeypatch.setattr(module, "train_step", reference_train_step)
+        monkeypatch.setattr(module, "AdamW", ReferenceAdamW)
     assert workloads.train_all(kg, train_qs, tax, workloads.TINY, 5).digest() == got

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from fixtures import graph_nodes_while, separable_classifier_dataset
 from reference import (
-    ReferenceAdam,
-    UnpackedParams,
+    ReferenceAdamW,
     global_norm,
     reference_add,
     reference_clip,
@@ -17,7 +16,6 @@ from reference import (
     reference_mul,
     reference_scatter,
     reference_sum_all,
-    reference_train_step,
 )
 from sskgqa import autodiff as ad
 from sskgqa import classifier as clf_module
@@ -27,14 +25,7 @@ from sskgqa import ranker as ranker_module
 from sskgqa.classifier import ClassifierTrainConfig, train_classifier
 from sskgqa.embeddings import EmbedTrainConfig, train
 from sskgqa.encoder import EncoderConfig, SequenceEncoder, param_shapes
-from sskgqa.optim import (
-    MAX_NORM,
-    AdamW,
-    NonFiniteGradientError,
-    ParameterBuffer,
-    clip_global_norm,
-    train_step,
-)
+from sskgqa.optim import MAX_NORM, AdamW, NonFiniteGradientError, clip_global_norm
 from sskgqa.pipeline import gold_graph_of, tokenize_question
 from sskgqa.ranker import RankTrainConfig, train_ranker
 from sskgqa.structures import builtin_taxonomy
@@ -136,60 +127,61 @@ def reference_adam(p, g, m, v, t, lr, b1, b2, eps):
     return p2, m2, v2
 
 
+def handing(p, g):
+    """A loss whose backward hands the gradient g to the parameter p."""
+    return ad.Node(np.zeros((1, 1)), lambda _: p.accumulate(g))
+
+
 def test_adamw_matches_reference():
     rng = np.random.default_rng(0)
-    p = rng.normal(size=(4, 3))
-    opt = AdamW(lr=0.01)
-    ref_p = p.copy()
-    ref_m = np.zeros_like(p)
-    ref_v = np.zeros_like(p)
+    p = ad.parameter(rng.normal(size=(4, 3)))
+    opt = AdamW([p], 0.01)
+    ref_p = p.value.copy()
+    ref_m = np.zeros_like(ref_p)
+    ref_v = np.zeros_like(ref_p)
     for t in range(1, 6):
-        g = rng.normal(size=p.shape)
-        opt.step(p, g.copy())
+        g = rng.normal(size=ref_p.shape)
+        opt.step(handing(p, g))
+        # g's norm is above MAX_NORM, so the step clips it
+        assert global_norm([g]) > MAX_NORM
+        reference_clip([g], MAX_NORM)
         ref_p, ref_m, ref_v = reference_adam(ref_p, g, ref_m, ref_v, t, 0.01, 0.9, 0.999, 1e-8)
-        assert np.allclose(p, ref_p, atol=1e-12)
+        assert np.allclose(p.value, ref_p, atol=1e-12)
 
 
 def test_adamw_bytes_equal_per_array_adam_over_many_steps():
     # the scratch arrays are reused from step to step; the update must keep
-    # the bytes of Adam written out in one expression per line
+    # the bytes of Adam written out in one expression per line, with the
+    # gradients above MAX_NORM clipped by both
     rng = np.random.default_rng(3)
     shape = (40, 30)
-    p = rng.normal(size=shape)
-    ref = [p.copy()]
-    opt, ref_opt = AdamW(lr=0.01), ReferenceAdam(lr=0.01)
+    p = ad.parameter(rng.normal(size=shape))
+    ref = ad.parameter(p.value.copy())
+    opt, ref_opt = AdamW([p], 0.01), ReferenceAdamW([ref], 0.01)
     for t in range(60):
         g = rng.normal(size=shape) * rng.uniform(1e-4, 10.0)
         if t % 7 == 3:
             g[rng.random(shape) < 0.5] = 0.0
-        opt.step(p, g)
-        ref_opt.step(ref, [g.copy()])
-        assert p.tobytes() == ref[0].tobytes()
+        opt.step(handing(p, g))
+        ref_opt.step(handing(ref, g))
+        assert p.value.tobytes() == ref.value.tobytes()
         assert opt._m.tobytes() == ref_opt._m[0].tobytes()
         assert opt._v.tobytes() == ref_opt._v[0].tobytes()
 
 
 def test_adamw_first_step_magnitude():
     # with bias correction the first step is close to lr per coordinate
-    p = np.zeros((1, 4))
-    g = np.full((1, 4), 0.5)
-    AdamW(lr=0.01).step(p, g)
-    assert np.allclose(p, -0.01, atol=1e-6)
+    p = ad.parameter(np.zeros((1, 4)))
+    AdamW([p], 0.01).step(handing(p, np.full((1, 4), 0.5)))
+    assert np.allclose(p.value, -0.01, atol=1e-6)
 
 
 def test_adamw_converges_on_quadratic():
-    p = np.array([[5.0, -3.0]])
-    opt = AdamW(lr=0.1)
+    p = ad.parameter(np.array([[5.0, -3.0]]))
+    opt = AdamW([p], 0.1)
     for _ in range(500):
-        opt.step(p, 2 * p)
-    assert np.abs(p).max() < 1e-2
-
-
-def test_adamw_shape_checks():
-    opt = AdamW(lr=0.1)
-    with pytest.raises(ValueError):
-        opt.step(np.zeros((2, 2)), np.zeros((2, 3)))
-    assert opt.step_count == 0
+        opt.step(handing(p, 2 * p.value))
+    assert np.abs(p.value).max() < 1e-2
 
 
 def test_train_step_matches_inline_sequence():
@@ -203,38 +195,33 @@ def test_train_step_matches_inline_sequence():
         return reference_sum_all(reference_mul(reference_matmul(reference_constant(x), w), reference_matmul(reference_constant(x), w)))
 
     params = [ad.parameter(a.copy()) for a in init]
-    buffer = ParameterBuffer(params)
-    opt = AdamW(lr=0.05)
-    ref = [a.copy() for a in init]
-    ref_opt = ReferenceAdam(lr=0.05)
+    opt = AdamW(params, 0.05)
+    ref = [ad.parameter(a.copy()) for a in init]
+    ref_opt = ReferenceAdamW(ref, 0.05)
     for _ in range(4):
-        train_step(opt, buffer, loss_of(params[0]))
-        w = ad.parameter(ref[0])
-        ad.backward(loss_of(w))
-        grads = [w.grad, np.zeros_like(ref[1])]
-        reference_clip(grads, MAX_NORM)
-        ref_opt.step(ref, grads)
+        opt.step(loss_of(params[0]))
+        ref_opt.step(loss_of(ref[0]))
         for p, r in zip(params, ref):
-            assert np.array_equal(p.value, r)
+            assert np.array_equal(p.value, r.value)
     assert not np.array_equal(params[0].value, init[0])
     assert np.array_equal(params[1].value, init[1])
     assert params[1].grad.tobytes() == np.zeros_like(init[1]).tobytes()
-    for p, lo, hi in zip(params, buffer.offsets, buffer.offsets[1:]):
-        assert np.shares_memory(p.grad, buffer.grad) and p.grad.tobytes() == buffer.grad[lo:hi].tobytes()
+    for p, lo, hi in zip(params, opt.offsets, opt.offsets[1:]):
+        assert np.shares_memory(p.grad, opt.grad) and p.grad.tobytes() == opt.grad[lo:hi].tobytes()
 
 
 def test_parameter_buffer_packs_views_in_order():
     rng = np.random.default_rng(2)
     init = [rng.normal(size=s) for s in ((2, 3), (1, 5), (4, 1))]
     params = [ad.parameter(a.copy()) for a in init]
-    buffer = ParameterBuffer(params)
-    assert buffer.value.shape == (15,) and buffer.value.dtype == np.float64
-    assert buffer.offsets == [0, 6, 11, 15]
-    for p, a, lo, hi in zip(params, init, buffer.offsets, buffer.offsets[1:]):
-        assert np.shares_memory(p.value, buffer.value)
+    opt = AdamW(params, 0.1)
+    assert opt.value.shape == (15,) and opt.value.dtype == np.float64
+    assert opt.offsets == [0, 6, 11, 15]
+    for p, a, lo, hi in zip(params, init, opt.offsets, opt.offsets[1:]):
+        assert np.shares_memory(p.value, opt.value)
         assert p.value.shape == a.shape
-        assert p.value.tobytes() == a.tobytes() == buffer.value[lo:hi].tobytes()
-    buffer.value *= 2.0
+        assert p.value.tobytes() == a.tobytes() == opt.value[lo:hi].tobytes()
+    opt.value *= 2.0
     for p, a in zip(params, init):
         assert np.array_equal(p.value, 2.0 * a)
 
@@ -243,40 +230,31 @@ def test_parameter_buffer_refuses_a_parameter_listed_twice():
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.zeros((2, 2)))
     value = p.value
     with pytest.raises(ValueError, match="twice"):
-        ParameterBuffer([p, q, p])
+        AdamW([p, q, p], 0.1)
     assert p.value is value
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_train_step_refuses_a_non_finite_gradient(bad):
     p = ad.parameter(np.array([[1.0, 2.0]]))
-    buffer = ParameterBuffer([p])
-    opt = AdamW(lr=0.1)
-    train_step(opt, buffer, reference_sum_all(reference_mul(p, reference_constant([[0.5, -0.5]]))))
+    opt = AdamW([p], 0.1)
+    opt.step(reference_sum_all(reference_mul(p, reference_constant([[0.5, -0.5]]))))
     before = [a.tobytes() for a in (p.value, opt._m, opt._v)]
     with pytest.raises(NonFiniteGradientError):
-        train_step(opt, buffer, reference_sum_all(reference_mul(p, reference_constant([[bad, 1.0]]))))
+        opt.step(reference_sum_all(reference_mul(p, reference_constant([[bad, 1.0]]))))
     assert [a.tobytes() for a in (p.value, opt._m, opt._v)] == before
     assert opt.step_count == 1
 
 
-class RecordingOptimizer:
-    """Keeps a copy of the gradient each step is given."""
-
-    def step(self, p, g):
-        self.grad = g.copy()
-
-
 def test_buffer_gradient_zeroes_a_parameter_an_earlier_step_reached():
-    # the buffer reuses its gradient array, so a parameter the loss does
-    # not reach must not carry the last step's gradient into the optimizer:
-    # it holds zeros
+    # the optimizer reuses its gradient array, so a parameter the loss does
+    # not reach must not carry the last step's gradient into the update: it
+    # holds zeros. The update reads the flat gradient and leaves it as it is.
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
-    buffer = ParameterBuffer([p, q])
-    opt = RecordingOptimizer()
-    train_step(opt, buffer, reference_sum_all(reference_mul(reference_matmul(p, q), reference_constant([[0.25]]))))
+    opt = AdamW([p, q], 0.1)
+    opt.step(reference_sum_all(reference_mul(reference_matmul(p, q), reference_constant([[0.25]]))))
     assert opt.grad.tolist() == [0.25, 0.25, 0.25, 0.25]
-    train_step(opt, buffer, reference_sum_all(reference_mul(p, reference_constant([[0.5, -0.25]]))))
+    opt.step(reference_sum_all(reference_mul(p, reference_constant([[0.5, -0.25]]))))
     assert q.grad.tolist() == [[0.0], [0.0]]
     assert opt.grad.tolist() == [0.5, -0.25, 0.0, 0.0]
 
@@ -293,12 +271,11 @@ def test_train_step_reaching_no_parameter_steps_without_clipping(monkeypatch):
 
     monkeypatch.setattr(optim_module, "clip_global_norm", counting)
     p, q = ad.parameter(np.ones((1, 2))), ad.parameter(np.ones((2, 1)))
-    buffer = ParameterBuffer([p, q])
-    opt = RecordingOptimizer()
-    train_step(opt, buffer, reference_sum_all(reference_matmul(p, q)))
+    opt = AdamW([p, q], 0.1)
+    opt.step(reference_sum_all(reference_matmul(p, q)))
     assert clipped == [4]
-    train_step(opt, buffer, reference_constant([[0.0]]))
-    assert clipped == [4]
+    opt.step(reference_constant([[0.0]]))
+    assert clipped == [4] and opt.step_count == 2
     assert p.grad.tobytes() == np.zeros((1, 2)).tobytes() and q.grad.tobytes() == np.zeros((2, 1)).tobytes()
     assert opt.grad.tobytes() == np.zeros(4).tobytes()
 
@@ -325,7 +302,7 @@ SHARED_GRADIENT_LOSSES = {
 def test_train_step_scales_a_shared_gradient_once(name, monkeypatch):
     shapes, build, unclipped_of = SHARED_GRADIENT_LOSSES[name]
     params = [ad.parameter(np.zeros(s)) for s in shapes]
-    buffer = ParameterBuffer(params)
+    opt = AdamW(params, 0.1)
     c = C[:, : shapes[-1][1]]
     handed, accumulate = [], ad.Node.accumulate
 
@@ -335,13 +312,12 @@ def test_train_step_scales_a_shared_gradient_once(name, monkeypatch):
         accumulate(node, g)
 
     monkeypatch.setattr(ad.Node, "accumulate", recording)
-    opt = RecordingOptimizer()
-    train_step(opt, buffer, reference_sum_all(reference_mul(build(*params), reference_constant(c))))
+    opt.step(reference_sum_all(reference_mul(build(*params), reference_constant(c))))
     unclipped = unclipped_of(c)
     factor = 1.0 / global_norm(unclipped)
     assert factor < 1.0
     flat = opt.grad
-    for p, g, lo, hi in zip(params, unclipped, buffer.offsets, buffer.offsets[1:]):
+    for p, g, lo, hi in zip(params, unclipped, opt.offsets, opt.offsets[1:]):
         assert np.array_equal(flat[lo:hi].reshape(p.shape), g * factor)
         assert np.array_equal(p.grad, g * factor)
     # the arrays a backward handed out share memory, and are neither written
@@ -403,32 +379,31 @@ TRAINERS = {
 
 
 def assert_packed_training_matches_per_parameter_steps(name, monkeypatch, weight=None):
-    """Train with the packed buffer, then with per-parameter steps, and
+    """Train with the packed optimizer, then with per-parameter steps, and
     compare every parameter's bytes and every loss. With a `weight`, each
     step's loss is scaled by it; returns whether a per-parameter step's
     gradient held a -0.0."""
     module, run = TRAINERS[name]
     negative_zero = []
 
-    def recording(step, losses):
-        def recorded(opt, params, loss):
-            losses.append(float(loss.value[0, 0]))
-            if weight is not None:
-                loss = reference_mul(loss, reference_constant([[weight]]))
-            step(opt, params, loss)
-            if isinstance(params, UnpackedParams):
-                negative_zero.extend(
-                    p.grad is not None and bool((np.signbit(p.grad) & (p.grad == 0.0)).any()) for p in params.params
-                )
+    def recording(optimizer, losses):
+        class Recorded(optimizer):
+            def step(self, loss):
+                losses.append(float(loss.value[0, 0]))
+                if weight is not None:
+                    loss = reference_mul(loss, reference_constant([[weight]]))
+                super().step(loss)
+                if optimizer is ReferenceAdamW:
+                    negative_zero.extend(
+                        p.grad is not None and bool((np.signbit(p.grad) & (p.grad == 0.0)).any()) for p in self.params
+                    )
 
-        return recorded
+        return Recorded
 
     got_losses, want_losses = [], []
-    monkeypatch.setattr(module, "train_step", recording(module.train_step, got_losses))
+    monkeypatch.setattr(module, "AdamW", recording(AdamW, got_losses))
     got = run()
-    monkeypatch.setattr(module, "ParameterBuffer", UnpackedParams)
-    monkeypatch.setattr(module, "AdamW", ReferenceAdam)
-    monkeypatch.setattr(module, "train_step", recording(reference_train_step, want_losses))
+    monkeypatch.setattr(module, "AdamW", recording(ReferenceAdamW, want_losses))
     want = run()
     assert len(got) == len(want) and got_losses
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -462,7 +437,7 @@ def test_training_builds_two_nodes_per_step(name, monkeypatch):
     # nodes are the parameters, made once with the model
     _, run = TRAINERS[name]
     steps, step = [], AdamW.step
-    monkeypatch.setattr(AdamW, "step", lambda self, p, g: steps.append(step(self, p, g)))
+    monkeypatch.setattr(AdamW, "step", lambda self, loss: steps.append(step(self, loss)))
     params = []
     nodes, _ = graph_nodes_while(lambda: params.extend(run()))
     assert steps and nodes == len(params) + 2 * len(steps)

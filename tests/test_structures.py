@@ -114,7 +114,7 @@ def test_taxonomy_rejects_duplicate_shapes():
     twin = structure_of("X", (ANSWER, E_TOPIC), ((0, 1),), "X")
     assert twin.canonical() == builtin_taxonomy().get("SS1").canonical()
     with pytest.raises(StructureError, match="X: same shape as SS1"):
-        Taxonomy(list(builtin_taxonomy()) + [twin])
+        Taxonomy(builtin_taxonomy().structures + [twin])
 
 
 @pytest.mark.parametrize("shape", [(1, (0,)), (2, (0,)), (1, (1, 1)), (2, (1, 2)), (4, ()), (4, (2,))])
@@ -124,7 +124,7 @@ def test_taxonomy_refuses_shapes_enumeration_never_emits(tmp_path, shape):
     ss = structure_of("X", kinds, edges, "X")
     assert ss.shape == shape  # any chain is a structure
     with pytest.raises(StructureError, match=re.escape(f"X: candidate enumeration emits no chain of shape {shape}")):
-        Taxonomy(list(builtin_taxonomy()) + [ss])
+        Taxonomy(builtin_taxonomy().structures + [ss])
     path = tmp_path / "tax.json"
     path.write_text(json.dumps([{"label": "X", "kinds": list(kinds), "edges": edges}]))
     with pytest.raises(StructureError, match="X: candidate enumeration"):
@@ -142,7 +142,7 @@ def test_taxonomy_round_trip(tmp_path):
     path.write_text(json.dumps(taxonomy_entries(tax)))
     tax2 = load_taxonomy(str(path))
     assert tax2.labels() == tax.labels()
-    for a, b in zip(tax, tax2):
+    for a, b in zip(tax.structures, tax2.structures):
         assert a.canonical() == b.canonical()
 
 
